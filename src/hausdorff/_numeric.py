@@ -8,6 +8,7 @@ combinations never lose containment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -20,6 +21,8 @@ from mpmath.libmp import to_rational
 from .errors import ValidationError
 
 Rational = Union[int, Fraction]
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 @contextmanager
@@ -193,10 +196,14 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, float):
         raise ValidationError(f"floats are not accepted, write a rational string: {text!r}")
     if isinstance(text, str):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational: {text!r}") from exc
+        # digits and one slash only: no decimals, exponents or underscores,
+        # so no short string can stand for a huge number
+        match = _RATIONAL.fullmatch(text.strip())
+        if match is not None:
+            try:
+                return Fraction(int(match[1]), int(match[2] or 1))
+            except (ValueError, ZeroDivisionError):
+                pass  # a zero denominator, or more digits than int() takes
     raise ValidationError(f"not a rational: {text!r}")
 
 

@@ -34,16 +34,18 @@ _CONFIG_PATH = ("~", ".config", "hausdorff", "config.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=None,
+    # Both the top parser and each subcommand take these flags. With a
+    # suppressed default a subcommand leaves unset whatever the top parser
+    # already read, so a flag counts before or after the subcommand.
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--json", action="store_true",
                         help="emit results as JSON")
-    common.add_argument("--seed", type=int, default=None, metavar="N",
+    common.add_argument("--seed", type=int, metavar="N",
                         help="seed for randomized check suites")
-    common.add_argument("--precision", type=int, default=None, metavar="BITS",
+    common.add_argument("--precision", type=int, metavar="BITS",
                         help="working precision for interval enclosures")
-    common.add_argument("--tolerance", default=None, metavar="RAT",
-                        help="comparison tolerance, a rational like 1/1000000000")
-    common.add_argument("--depths", default=None, metavar="A..B",
+    common.add_argument("--depths", metavar="A..B",
                         help="depth range for estimates, e.g. 1..12")
 
     top = argparse.ArgumentParser(
@@ -116,31 +118,20 @@ def _apply_config(args) -> int:
     """Merge the config file under the flags; returns the check seed."""
     data = _config_file()
     fields = {}
-    precision = data.get("precision", data.get("precision_bits"))
-    if args.precision is not None:
-        precision = args.precision
+    precision = getattr(args, "precision",
+                        data.get("precision", data.get("precision_bits")))
     if precision is not None:
         fields["precision_bits"] = int(precision)
     if "depth_cap" in data:
         fields["depth_cap"] = int(data["depth_cap"])
-    tolerance = data.get("tolerance")
-    if args.tolerance is not None:
-        tolerance = args.tolerance
-    if tolerance is not None:
-        fields["tolerance"] = parse_rational(tolerance)
-    output = data.get("output")
-    if args.json:
-        output = "json"
+    output = "json" if getattr(args, "json", False) else data.get("output")
     if output is not None:
         fields["output"] = output
     if fields:
         update_config(**fields)
-    if args.depths is None and "depths" in data:
-        args.depths = str(data["depths"])
-    seed = data.get("seed", DEFAULT_SEED)
-    if args.seed is not None:
-        seed = args.seed
-    return int(seed)
+    if not hasattr(args, "depths"):
+        args.depths = str(data["depths"]) if "depths" in data else None
+    return int(getattr(args, "seed", data.get("seed", DEFAULT_SEED)))
 
 
 # ---------------------------------------------------------------------------

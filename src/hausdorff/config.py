@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import ValidationError
 
@@ -14,8 +13,6 @@ class Config:
     precision_bits: int = 256
     # recursion depth cap for set-interaction decisions
     depth_cap: int = 40
-    # comparison tolerance for interval-valued test assertions
-    tolerance: Fraction = Fraction(1, 10**9)
     # "human" or "json"
     output: str = "human"
 
@@ -24,8 +21,6 @@ class Config:
             raise ValidationError("precision_bits must be at least 64")
         if self.depth_cap < 8:
             raise ValidationError("depth_cap must be at least 8")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
         if self.output not in ("human", "json"):
             raise ValidationError("output must be 'human' or 'json'")
 

@@ -10,11 +10,10 @@ integral of a sum, and so on) come out the way they do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-import sympy
 
 from ._numeric import Rational
 from .errors import (DisjointnessViolated, DoesNotConverge,
@@ -209,42 +208,157 @@ def zero_function(domain: Region = ALL_REALS) -> PiecewiseFunction:
 # ---------------------------------------------------------------------------
 # polynomial root bookkeeping
 
-_X = sympy.Symbol("x")
+# Polynomials are worked on as primitive integer coefficient lists
+# (ascending powers). The sign of such a list at a rational u/v is the sign
+# of its homogeneous value sum c_i u^i v^(n-i), so every step is integer
+# arithmetic: Sturm chains kept as Fractions grow far faster with degree.
 
 
-def _sympy_poly(p: Poly):
-    coeffs = [sympy.Rational(c.numerator, c.denominator)
-              for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, _X, domain="QQ")
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
 
 
-def _as_bound(x: Fraction):
-    return sympy.Rational(x.numerator, x.denominator)
+def _primitive(cs: list[int]) -> list[int]:
+    """cs divided by the gcd of its entries."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _int_coeffs(p: Poly) -> list[int]:
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator)
+                       for c in p.coeffs])
+
+
+def _derivative(cs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _value(cs: list[int], x: Fraction) -> int:
+    """cs at x, times the positive factor x.denominator ** degree."""
+    acc, w = 0, 1
+    for c in reversed(cs):
+        acc = acc * x.numerator + c * w
+        w *= x.denominator
+    return acc
+
+
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b, both times one positive integer."""
+    a, db, lb = list(a), len(b) - 1, b[-1]
+    scale, sb = abs(lb), _sign(lb)
+    quot = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        shift, la = len(a) - 1 - db, a[-1] * sb
+        quot = [scale * c for c in quot]
+        quot[shift] += la
+        a = [scale * c for c in a]
+        for i, c in enumerate(b):
+            a[i + shift] -= la * c
+        a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+    return quot, a
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    while b:
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return a
+
+
+def _order_at(cs: list[int], x: Fraction) -> tuple[int, int]:
+    """(k, s): x is a root of cs of order k, and s is the sign of the k-th
+    derivative at x, which is the sign of cs just right of x."""
+    k = 0
+    while True:
+        s = _sign(_value(cs, x))
+        if s:
+            return k, s
+        cs, k = _derivative(cs), k + 1
+
+
+def _sturm_chain(q: list[int]) -> list[list[int]]:
+    chain = [q, _derivative(q)]
+    while len(chain[-1]) > 1:
+        chain.append(_primitive([-c for c in
+                                 _pdivmod(chain[-2], chain[-1])[1]]))
+    return chain
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    count, last = 0, 0
+    for cs in chain:
+        s = _sign(_value(cs, x))
+        if s:
+            count += last == -s
+            last = s
+    return count
 
 
 def _roots_within(p: Poly, lo: Optional[Fraction],
                   hi: Optional[Fraction]) -> list:
     """Distinct real roots of p inside the closed range, increasing, as
-    (root, multiplicity, fraction-or-None) triples."""
-    grouped = []
-    for r in _sympy_poly(p).real_roots():
-        if lo is not None and bool(r < _as_bound(lo)):
-            continue
-        if hi is not None and bool(r > _as_bound(hi)):
-            continue
-        if grouped and r == grouped[-1][0]:
-            grouped[-1][1] += 1
-        else:
-            grouped.append([r, 1])
+    (root if rational else None, odd multiplicity) pairs.
+
+    The roots of the square-free part q are isolated by Sturm counts
+    (which count the roots in a half-open (a, b]) and bisection. A
+    rational root of the primitive integer q has a denominator dividing
+    lead = |lc(q)|, so it is the one point k/lead of an isolating
+    interval narrower than 1/lead; no integer needs factoring.
+    """
+    ps = _int_coeffs(p)
+    if len(ps) < 2:
+        return []
+    g = _gcd(ps, _derivative(ps))
+    q = _primitive(_pdivmod(ps, g)[0]) if len(g) > 1 else ps
     out = []
-    for r, mult in grouped:
-        exact = Fraction(int(r.p), int(r.q)) if r.is_Rational else None
-        out.append((r, mult, exact))
+    if lo is not None and _value(q, lo) == 0:
+        out.append((lo, _order_at(ps, lo)[0] % 2 == 1))
+    # Cauchy: every root lies strictly inside (-bound, bound)
+    bound = Fraction(2 + max(abs(c) for c in q[:-1]) // abs(q[-1]))
+    a = -bound if lo is None else max(lo, -bound)
+    b = bound if hi is None else min(hi, bound)
+    if a >= b:
+        return out
+    chain = _sturm_chain(q)
+    todo = [(a, b, _variations(chain, a), _variations(chain, b))]
+    isolated = []
+    while todo:
+        a, b, va, vb = todo.pop()
+        if va - vb == 1:
+            isolated.append((a, b))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = _variations(chain, m)
+            todo += [(a, m, va, vm), (m, b, vm, vb)]
+    for a, b in sorted(isolated):
+        out.append(_isolated_root(ps, q, a, b))
     return out
 
 
-def _rational_roots_within(p: Poly, lo, hi) -> list[Fraction]:
-    return [f for _, _, f in _roots_within(p, lo, hi) if f is not None]
+def _isolated_root(ps: list[int], q: list[int], a: Fraction,
+                   b: Fraction) -> tuple:
+    """The root of p (coefficients ps) that is the only root of its
+    square-free part q in (a, b]."""
+    lead = abs(q[-1])
+    side = _order_at(q, a)[1]
+    # q has a simple root here, so it changes sign there
+    while (b - a) * lead >= 1:
+        m = (a + b) / 2
+        s = _sign(_value(q, m))
+        if s == 0:
+            return m, _order_at(ps, m)[0] % 2 == 1
+        if s == side:
+            a = m
+        else:
+            b = m
+    x = Fraction(math.floor(a * lead) + 1, lead)
+    if x <= b and _value(q, x) == 0:
+        return x, _order_at(ps, x)[0] % 2 == 1
+    # irrational; its order is odd exactly when p changes sign across
+    # (a, b], where it is the only root of p and b is none
+    return None, _order_at(ps, a)[1] != _sign(_value(ps, b))
 
 
 def _sample_between(p: Poly, lo: Optional[Fraction],
@@ -276,14 +390,14 @@ def _sign_regions(p: Poly, lo: Optional[Fraction], hi: Optional[Fraction]):
     constant sign on each open piece. Sign changes at irrational points
     cannot be cut exactly and raise NotRepresentable."""
     cuts = []
-    for root, mult, exact in _roots_within(p, lo, hi):
-        if mult % 2 == 0:
+    for root, odd in _roots_within(p, lo, hi):
+        if not odd:
             continue
-        if exact is None:
+        if root is None:
             raise NotRepresentable(
                 "the sign of the polynomial changes at an irrational point")
-        if (lo is None or exact > lo) and (hi is None or exact < hi):
-            cuts.append(exact)
+        if (lo is None or root > lo) and (hi is None or root < hi):
+            cuts.append(root)
     bounds = [lo] + cuts + [hi]
     out = []
     for a, b in zip(bounds, bounds[1:]):
@@ -314,8 +428,8 @@ def _support_pieces(atom: Atom, expr: Expression) -> list[Atom]:
         return [atom]
     if isinstance(expr, Poly):
         lo, hi = atom.hull()
-        roots = [r for r in _rational_roots_within(expr, lo, hi)
-                 if atom.member(r)]
+        roots = [r for r, _ in _roots_within(expr, lo, hi)
+                 if r is not None and atom.member(r)]
         return [atom.with_deletions(roots)]
     return _series_support(atom, expr.series)
 

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
+import mpmath
 import pytest
 
+import hausdorff
 from hausdorff import cli
 from hausdorff.checks import CheckResult
 from hausdorff.config import get_config
@@ -63,9 +68,54 @@ def test_distance_sets_and_functions(capsys):
     assert code == 0 and out == "(1, 1)\n"
 
 
+def test_distance_functions_needs_only_mpmath(tmp_path):
+    # a child interpreter without site-packages sees the standard library,
+    # this package and mpmath, so polynomial sign regions must need no more
+    (tmp_path / "mpmath").symlink_to(os.path.dirname(mpmath.__file__))
+    src = os.path.dirname(os.path.dirname(hausdorff.__file__))
+    f = ('{"terms": [{"set": {"interval": [0, 2]}, '
+         '"expr": {"poly": [-1, 1]}}]}')
+    g = '{"terms": [{"set": {"interval": [0, 2]}, "expr": {"const": 1}}]}'
+    code = ("import sys\n"
+            "from hausdorff import cli\n"
+            f"sys.exit(cli.main(['distance', 'functions', {f!r}, {g!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "(1, 2)\n"), done.stderr
+
+
 def test_distance_wrong_document_kind(capsys):
     code, _, err = run(capsys, "distance", "sets", UNIT, STEP)
     assert code == 1 and err.startswith("error:")
+
+
+# -- global flags before the subcommand ----------------------------------------
+
+def test_json_flag_before_subcommand(capsys):
+    code, out, _ = run(capsys, "--json", "measure", CANTOR)
+    assert code == 0
+    assert json.loads(out) == {"d": "log(2)/log(3)", "m": "1"}
+
+
+def test_seed_flag_before_subcommand(capsys):
+    code, out, _ = run(capsys, "--seed", "7", "check", "beppo-levi")
+    assert code == 0 and "(seed 7)" in out
+
+
+def test_precision_flag_before_subcommand(capsys):
+    code, _, err = run(capsys, "--precision", "10", "measure", CANTOR)
+    assert code == 1 and "precision_bits" in err
+    assert run(capsys, "--precision", "128", "measure", CANTOR)[0] == 0
+
+
+def test_depths_flag_before_subcommand(capsys):
+    code, out, _ = run(capsys, "--depths", "2..4", "estimate", "dim", CANTOR)
+    assert code == 0
+    assert [l.split(":")[0].strip() for l in out.splitlines()[1:]] == [
+        "depth   2", "depth   3", "depth   4"]
+    code, _, err = run(capsys, "--depths", "nope", "estimate", "dim", UNIT)
+    assert code == 2 and "depth range" in err
 
 
 # -- deficiency ----------------------------------------------------------------
@@ -237,5 +287,5 @@ def test_config_file_syntax_error_exits_2(capsys, monkeypatch, tmp_path):
 
 def test_config_restored_after_run(capsys):
     before = get_config()
-    run(capsys, "measure", "--precision", "128", "--tolerance", "1/1000", CANTOR)
+    run(capsys, "measure", "--precision", "128", CANTOR)
     assert get_config() == before

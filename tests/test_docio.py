@@ -77,6 +77,13 @@ def test_floats_rejected_everywhere():
         parse_document('{"interval": [0, 0.5]}')
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1e10000000"])
+def test_decimal_and_exponent_strings_rejected(text):
+    # "1e10000000" would otherwise expand to a 33-million-bit integer
+    with pytest.raises(ParseError, match="not a rational"):
+        parse_document(json.dumps({"interval": [0, text]}))
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ParseError, match="line 1, column"):
         parse_document('{"interval": [0')

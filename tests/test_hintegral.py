@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hausdorff.errors import (DisjointnessViolated, DoesNotConverge,
                               MonotonicityViolated, NotRepresentable,
@@ -18,6 +20,7 @@ from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
                                  is_integrable, monotone_compare, neg_part,
                                  pos_part, restrict_to_support, scalar_mul,
                                  support, verify_nonneg, zero_function)
+from hausdorff.hintegral import _sign_regions
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, FiniteList,
                               Geometric, HPair, PSeries, hpair_add, hpair_eq)
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
@@ -64,6 +67,99 @@ def test_support_irrational_roots_stay():
     # x^2 - 2 changes sign at +-sqrt(2); no rational point to delete
     f = on([(Interval(0, 2), Poly([-2, 0, 1]))])
     assert support(f) == RepSet.of(Interval(0, 2))
+
+
+# -- polynomial sign regions, property-based ---------------------------------
+# p = c * prod (x - r_i)^k_i * prod (x^2 - n_j)^m_j with rational r_i and
+# non-square n_j, so every root and its multiplicity is known in advance.
+
+RATS = st.builds(F, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 7, 12]))
+NON_SQUARES = [2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 15, 17]
+
+
+def poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def above(x, n):
+    """Whether the rational x lies above sqrt(n), n not a square."""
+    return x > 0 and x * x > n
+
+
+@st.composite
+def factored_polys(draw):
+    """(p, rational roots with orders, quadratic n_j with orders, lo, hi)."""
+    roots = draw(st.lists(st.tuples(RATS, st.integers(1, 3)), max_size=4,
+                          unique_by=lambda t: t[0]))
+    quads = draw(st.lists(st.tuples(st.sampled_from(NON_SQUARES),
+                                    st.integers(1, 2)), max_size=2,
+                          unique_by=lambda t: t[0]))
+    c = draw(RATS.filter(bool))
+    cs = [c]
+    for r, k in roots:
+        for _ in range(k):
+            cs = poly_mul(cs, [-r, 1])
+    for n, m in quads:
+        for _ in range(m):
+            cs = poly_mul(cs, [-n, 0, 1])
+    end = st.none() | RATS | st.sampled_from([r for r, _ in roots] or [0])
+    lo, hi = draw(end), draw(end)
+    if lo is not None and hi is not None and lo >= hi:
+        lo, hi = (hi, lo) if lo > hi else (lo, None)
+    return Poly(cs), roots, quads, lo, hi
+
+
+def inside(x, lo, hi):
+    return (lo is None or x > lo) and (hi is None or x < hi)
+
+
+def sign_right_of(lo, c, roots, quads):
+    """Sign of the factored polynomial just right of lo (None: -infinity)."""
+    s = 1 if c > 0 else -1
+    for r, k in roots:
+        if lo is None or lo < r:
+            s *= (-1) ** k
+    for n, m in quads:
+        # x^2 - n < 0 just right of lo exactly when -sqrt(n) <= lo < sqrt(n)
+        if lo is not None and not above(lo, n) and not above(-lo, n):
+            s *= (-1) ** m
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_polys())
+def test_sign_regions_cut_exactly_at_odd_rational_roots(case):
+    p, roots, quads, lo, hi = case
+    odd_irrational_inside = any(
+        m % 2 == 1
+        and ((lo is None or not above(lo, n)) and (hi is None or above(hi, n))
+             or (lo is None or above(-lo, n)) and (hi is None or not above(-hi, n)))
+        for n, m in quads)
+    if odd_irrational_inside:
+        with pytest.raises(NotRepresentable):
+            _sign_regions(p, lo, hi)
+        return
+    regions = _sign_regions(p, lo, hi)
+    cuts = sorted(r for r, k in roots if k % 2 == 1 and inside(r, lo, hi))
+    assert [a for a, _, _ in regions] == [lo] + cuts
+    assert [b for _, b, _ in regions] == cuts + [hi]
+    first = sign_right_of(lo, p.coeffs[-1], roots, quads)
+    assert [sgn for _, _, sgn in regions] == [
+        first * (-1) ** i for i in range(len(regions))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_polys())
+def test_support_deletes_exactly_the_rational_roots(case):
+    p, roots, _, lo, hi = case
+    dels = [r for r, _ in roots if (lo is None or r >= lo)
+            and (hi is None or r <= hi)]
+    f = PiecewiseFunction([(Interval(lo, hi), p)])
+    assert support(f) == RepSet.of(Interval(lo, hi, dels))
 
 
 # -- the integral -----------------------------------------------------------
