@@ -14,6 +14,8 @@ and the copy t + s*C the pair (log(2)/log(3), |s|**(log(2)/log(3))).
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -512,33 +514,58 @@ def _render_atom(a: Atom) -> str:
 
 
 # ---------------------------------------------------------------------------
-# normalization: pairwise overlap resolution until atoms are disjoint
+# normalization: a worklist of pending atoms settled one at a time
+#
+# Invariant: the settled atoms are pairwise disjoint. A pending atom is
+# resolved only against settled atoms whose closed hull overlaps its own,
+# or against the settled point atom when it is a point atom itself (all
+# points collapse into one canonical atom). Every _resolve_pair returns
+# None for disjoint hulls, so the skipped pairs are disjoint as they stand.
+# On a merge the settled partner is withdrawn and the replacement atoms go
+# back to pending. Intervals settle first, then Cantor copies, sequences
+# and points: an interval that covers a limit or cuts a Cantor copy turns
+# a pair that is not representable on its own into one that is.
+
+_SETTLE_ORDER = {Interval: 0, CantorAffine: 1, CountableSeq: 2, FinitePoints: 3}
 
 
 def normalize(atoms: Iterable[Atom]) -> RepSet:
-    """Resolve overlaps and adjacency until the atoms are pairwise disjoint
-    and canonically ordered. Raises NotRepresentable when the union leaves
-    the fragment."""
+    """Settle the atoms one at a time into a pairwise disjoint, canonically
+    ordered list. The settled atoms stay pairwise disjoint; a pair is
+    resolved only when the hulls overlap or both atoms are point atoms.
+    Raises NotRepresentable when the union leaves the fragment and
+    TooLarge when the resolution does not settle."""
     work = [a for a in atoms if not a.is_empty()]
+    if len(work) < 2:
+        return RepSet(tuple(work))
     budget = get_config().depth_cap
+    # a heap of (settle order, arrival, atom): FIFO within each kind
+    pending = [(_SETTLE_ORDER[type(a)], k, a) for k, a in enumerate(work)]
+    heapq.heapify(pending)
+    arrivals = itertools.count(len(work))
+    settled = []  # (atom, hull), pairwise disjoint
     for _ in range(_ITER_GUARD):
-        changed = False
-        n = len(work)
-        for i in range(n):
-            for j in range(i + 1, n):
-                x, y = work[i], work[j]
-                if _rank(x) > _rank(y):
-                    x, y = y, x
-                replacement = _resolve_pair(x, y, budget)
-                if replacement is not None:
-                    rest = [work[k] for k in range(n) if k not in (i, j)]
-                    work = rest + [a for a in replacement if not a.is_empty()]
-                    changed = True
-                    break
-            if changed:
+        if not pending:
+            return RepSet(tuple(sorted((a for a, _ in settled), key=_hull_key)))
+        x = heapq.heappop(pending)[2]
+        hx, points = x.hull(), isinstance(x, FinitePoints)
+        for k, (y, hy) in enumerate(settled):
+            if not (_hull_overlap(hx, hy)
+                    or (points and isinstance(y, FinitePoints))):
+                continue
+            # the settled atom goes first on a rank tie: the reverse makes
+            # touching Cantor copies trade their shared point forever
+            pair = (x, y) if _rank(x) < _rank(y) else (y, x)
+            replacement = _resolve_pair(*pair, budget)
+            if replacement is not None:
+                del settled[k]
+                for a in replacement:
+                    if not a.is_empty():
+                        heapq.heappush(pending, (_SETTLE_ORDER[type(a)],
+                                                 next(arrivals), a))
                 break
-        if not changed:
-            return RepSet(tuple(sorted(work, key=_hull_key)))
+        else:
+            settled.append((x, hx))
     raise TooLarge("set normalization did not stabilize")
 
 
@@ -577,8 +604,13 @@ def _undelete(atom: Atom, points: Iterable[Fraction]) -> Atom:
 def _resolve_points(x: FinitePoints, y: Atom):
     if isinstance(y, FinitePoints):
         return [FinitePoints(x.points + y.points)]
-    keep, undelete = [], []
-    for p in x.points:
+    # only the points inside y's closed hull can meet y
+    lo, hi = y.hull()
+    pts = x.points
+    i = 0 if lo is None else bisect.bisect_left(pts, lo)
+    j = len(pts) if hi is None else bisect.bisect_right(pts, hi)
+    keep, undelete = list(pts[:i] + pts[j:]), []
+    for p in pts[i:j]:
         if y.member(p):
             continue  # covered by y
         if p in y.deletions:
@@ -1072,6 +1104,10 @@ def intersect(a: RepSet, b: RepSet) -> RepSet:
 def _atom_minus_set(atom: Atom, s: RepSet) -> list:
     pieces = [atom]
     for other in s.atoms:
+        # an atom whose hull meets no piece removes nothing
+        h = other.hull()
+        if not any(_hull_overlap(p.hull(), h) for p in pieces):
+            continue
         nxt = []
         for piece in pieces:
             nxt.extend(_atom_minus_atom(piece, other))

@@ -1,16 +1,21 @@
 """Set algebra: membership, normalization, operations, measures."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hausdorff.config import get_config
 from hausdorff.errors import NotRepresentable, ValidationError
 from hausdorff.hvalue import DIM_CANTOR, DIM_ONE, DIM_ZERO, HPair, ExtReal
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               EMPTY_SET, FinitePoints, Interval, RepSet,
+                              _rank, _resolve_pair, _resolve_points,
                               cantor_gap, cantor_scale_measure, diff, hmeasure,
-                              in_cantor, intersect, symdiff, union,
+                              in_cantor, intersect, normalize, symdiff, union,
                               verify_monotone, verify_subadditive)
 
 
@@ -199,6 +204,66 @@ def test_cantor_children_reassemble():
     assert hmeasure(u) == HPair(DIM_CANTOR, ExtReal.of(1))
     assert diff(u, RepSet.of(CantorAffine(0, 1))).is_empty()
     assert diff(RepSet.of(CantorAffine(0, 1)), u).is_empty()
+
+
+@pytest.mark.parametrize("third", [FinitePoints([5]), Interval(3, 4),
+                                   CantorAffine(3, 1)])
+def test_touching_cantor_copies_every_order(third):
+    # the settled copy goes first on a rank tie; the reverse trades the
+    # touch point back and forth until the iteration guard trips
+    copies = [CantorAffine(0, 1), CantorAffine(1, 1)]
+    for order in itertools.permutations(copies + [third]):
+        u = normalize(order)
+        assert len(u.atoms) == 3
+        cantors = sorted((a.t, a.s) for a in u.atoms if isinstance(a, CantorAffine))
+        assert cantors[:2] == [(0, 1), (1, 1)]
+        holders = [a for a in u.atoms if a.member(1)]
+        assert len(holders) == 1
+        assert u.member(third.hull()[0])
+
+
+@pytest.mark.parametrize("atoms, render", [
+    ([CountableSeq(GEOMETRIC, 0, 1, F(1, 2)), Interval(F(-4, 3), F(2, 3)),
+      CantorAffine(0, F(1, 3))],
+     "[-4/3, 2/3]"),
+    ([Interval(F(2, 3), 1), CountableSeq(GEOMETRIC, 1, F(1, 3), F(1, 3)),
+      CantorAffine(F(2, 3), 1)],
+     "[2/3, 1] u {1 + 1/3*(1/3)^n} u (4/3 + 1/3*C)"),
+])
+def test_union_answer_independent_of_atom_order(atoms, render):
+    # the sequence accumulates inside the Cantor copy; only the interval,
+    # settled first, makes the pair representable
+    for order in itertools.permutations(atoms):
+        assert normalize(order).render() == render
+
+
+def test_points_at_closed_hull_ends_are_resolved():
+    out = _resolve_points(FinitePoints([0, 1, 2, 3]), Interval(1, 2))
+    assert out == [Interval(1, 2), FinitePoints([0, 3])]
+    # deleted hull ends are restored in the other atom
+    out = _resolve_points(FinitePoints([1, 2, 5]),
+                          Interval(1, 2, deletions=[1, 2]))
+    assert out == [Interval(1, 2), FinitePoints([5])]
+    out = _resolve_points(FinitePoints([0, F(1, 2), 1, 2]), CantorAffine(0, 1))
+    assert out == [CantorAffine(0, 1), FinitePoints([F(1, 2), 2])]
+    # the accumulation point is a hull end but not a member
+    h = CountableSeq(HARMONIC, 0, 1)
+    assert _resolve_points(FinitePoints([0, 1]), h) == [h, FinitePoints([0])]
+    assert _resolve_points(FinitePoints([-1, 3]), Interval(0, 2)) is None
+
+
+def test_points_against_unbounded_intervals():
+    out = _resolve_points(FinitePoints([-5, 0, 1]), Interval(None, 0))
+    assert out == [Interval(None, 0), FinitePoints([1])]
+    out = _resolve_points(FinitePoints([-1, 0, 7]), Interval(0, None))
+    assert out == [Interval(0, None), FinitePoints([-1])]
+    assert _resolve_points(FinitePoints([-1]), Interval(0, None)) is None
+
+
+def test_point_atoms_collapse_into_one():
+    # {0} and {5} have disjoint hulls but still become one point atom
+    s = RepSet.of(FinitePoints([0]), FinitePoints([5]), Interval(1, 2))
+    assert s.atoms == (FinitePoints([0, 5]), Interval(1, 2))
 
 
 # -- operations ----------------------------------------------------------------
@@ -463,3 +528,83 @@ def test_intersection_via_differences_random():
         if done >= 50:
             break
     assert done >= 30
+
+
+SMALL = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6, 9]))
+
+
+@st.composite
+def small_atoms(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return FinitePoints(draw(st.lists(SMALL, min_size=1, max_size=4)))
+    if kind == 1:
+        a = draw(SMALL)
+        b = draw(st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 3), F(2)]))
+        if draw(st.booleans()):
+            seq = CountableSeq(HARMONIC, a, b)
+        else:
+            seq = CountableSeq(GEOMETRIC, a, b,
+                               draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3)])))
+        dels = draw(st.lists(st.integers(1, 4), max_size=2))
+        return seq.with_deletions(seq.point(n) for n in dels)
+    if kind == 2:
+        lo = draw(SMALL)
+        hi = lo + draw(st.sampled_from([F(1, 3), F(1, 2), F(1), F(2)]))
+        lo, hi = draw(st.sampled_from([(lo, hi), (None, hi), (lo, None)]))
+        return Interval(lo, hi).with_deletions(draw(st.lists(SMALL, max_size=3)))
+    ca = CantorAffine(draw(SMALL),
+                      draw(st.sampled_from([F(1), F(1, 3), F(3), F(1, 9), F(-1, 3)])))
+    dels = draw(st.lists(st.sampled_from([0, F(1, 3), F(2, 3), 1, F(1, 4)]),
+                         max_size=2))
+    return ca.with_deletions(ca.t + ca.s * d for d in dels)
+
+
+def _probes(atoms):
+    pts = set()
+    for a in atoms:
+        pts.update(e for e in a.hull() if e is not None)
+        pts.update(a.deletions)
+        if isinstance(a, FinitePoints):
+            pts.update(a.points)
+        if isinstance(a, CountableSeq):
+            pts.update(a.point(n) for n in range(1, 13))
+        if isinstance(a, CantorAffine):
+            pts.update(a.t + a.s * k / 27 for k in range(28))
+    srt = sorted(pts)
+    return srt + [(u + v) / 2 for u, v in zip(srt, srt[1:])]
+
+
+def _certified_disjoint(x, y):
+    budget = get_config().depth_cap
+    if _rank(x) != _rank(y):
+        if _rank(x) > _rank(y):
+            x, y = y, x
+        return _resolve_pair(x, y, budget) is None
+    # on a rank tie normalize puts the settled atom first, so the
+    # certificate may hold in either order
+    for a, b in ((x, y), (y, x)):
+        try:
+            if _resolve_pair(a, b, budget) is None:
+                return True
+        except NotRepresentable:
+            pass
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(small_atoms(), min_size=2, max_size=6))
+def test_normalize_properties(inputs):
+    try:
+        s = normalize(inputs)
+    except NotRepresentable:
+        return
+    for x, y in itertools.combinations(s.atoms, 2):
+        assert _certified_disjoint(x, y), (x, y)
+    for p in _probes(inputs):
+        assert s.member(p) == any(a.member(p) for a in inputs), p
+    try:
+        r = normalize(inputs[::-1])
+    except NotRepresentable:
+        return
+    assert hmeasure(r) == hmeasure(s)
