@@ -149,7 +149,7 @@ def _rand_function(rng, cells, nonneg=False):
     for origin, kind in cells:
         if rng.random() < 0.8:
             terms.append(_rand_term(rng, origin, kind, nonneg))
-    return PiecewiseFunction(terms, trusted=True)
+    return PiecewiseFunction(terms)
 
 
 def _rand_set(rng, cells):
@@ -400,8 +400,7 @@ def check_integral_laws(seed: int = DEFAULT_SEED):
                        FiniteList([_rand_value(rng, False)
                                    for _ in range(rng.randrange(1, 5))]))
         f = PiecewiseFunction(
-            list(base.terms) + [(atom, SeriesValues(tail_series))],
-            trusted=True)
+            list(base.terms) + [(atom, SeriesValues(tail_series))])
         head = [_rand_region(rng, origin)
                 for origin in (Fraction(-4), Fraction(0), Fraction(4))
                 if rng.random() < 0.6]
@@ -734,7 +733,7 @@ def check_pinned_examples(seed: int = DEFAULT_SEED):
 
     ladder = h_integral(PiecewiseFunction(
         [(CountableSeq(HARMONIC, 0, 1),
-          SeriesValues(Geometric(1, Fraction(1, 2))))], trusted=True))
+          SeriesValues(Geometric(1, Fraction(1, 2))))]))
     rows.append(CheckResult(
         "halving values down a harmonic sequence sum to two",
         passed=hpair_eq(ladder, HPair.of(0, 2)),

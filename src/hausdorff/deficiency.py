@@ -159,7 +159,7 @@ class OscillationProfile:
             by_value.setdefault(w, []).append(x)
         terms = [(FinitePoints(xs), Const(w)) for w, xs in by_value.items()]
         terms.extend(self.seq_values)
-        return PiecewiseFunction(terms, trusted=True)
+        return PiecewiseFunction(terms)
 
 
 def oscillation(f: PiecewiseFunction) -> OscillationProfile:
@@ -293,8 +293,7 @@ def reflect_function(f: PiecewiseFunction) -> PiecewiseFunction:
     """The function x |-> f(-x), staying inside the catalog."""
     terms = [(_reflect_atom(atom), _reflect_expression(expr))
              for atom, expr in f.terms]
-    return PiecewiseFunction(terms, domain=_reflect_region(f.domain),
-                             trusted=True)
+    return PiecewiseFunction(terms, domain=_reflect_region(f.domain))
 
 
 def defi_even(f: PiecewiseFunction) -> HPair:

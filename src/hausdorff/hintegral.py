@@ -10,6 +10,7 @@ integral of a sum, and so on) come out the way they do.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +26,8 @@ from .hvalue import (DIM_ONE, DIM_ZERO, EXT_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      InterleaveTail, MeasureTail, PSeries, dim_max, ext_sum,
                      hpair_eq, hpair_leq, hseq_liminf, hseq_limit)
 from .setalg import (EMPTY_SET, Atom, CantorAffine, CountableSeq, FinitePoints,
-                     Interval, RepSet, diff, hmeasure, intersect, normalize,
-                     union)
+                     Interval, RepSet, _hull_overlap, diff, hmeasure,
+                     intersect, normalize, union)
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +141,19 @@ def _expr_fits(atom: Atom, expr: Expression) -> None:
 class PiecewiseFunction:
     """Finitely many (atom, expression) terms, zero off their union.
 
-    Term atoms must be pairwise disjoint and lie inside the declared
-    domain. Identically zero terms are dropped on construction, so the
-    zero function is the one with no terms at all.
+    Term atoms must be pairwise disjoint, since the integral sums over
+    the pieces that carry the function, and lie inside the declared
+    domain; every instance is checked for both. Only pairs whose closed
+    hulls overlap are intersected: an atom lies inside its closed hull,
+    so atoms with disjoint hulls are disjoint. Identically zero terms are
+    dropped on construction, so the zero function is the one with no
+    terms at all.
     """
 
     terms: tuple[tuple[Atom, Expression], ...]
     domain: Region = ALL_REALS
 
-    def __init__(self, terms, domain: Region = ALL_REALS,
-                 trusted: bool = False):
+    def __init__(self, terms, domain: Region = ALL_REALS):
         kept = []
         for atom, expr in terms:
             if atom.is_empty() or expr.is_zero():
@@ -158,14 +162,11 @@ class PiecewiseFunction:
             kept.append((atom, expr))
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "domain", domain)
-        if trusted:
-            return
-        for i in range(len(kept)):
-            for j in range(i + 1, len(kept)):
-                both = intersect(RepSet.of(kept[i][0]), RepSet.of(kept[j][0]))
-                if not both.is_empty():
-                    raise ValidationError(
-                        f"term atoms overlap: {kept[i][0]!r} and {kept[j][0]!r}")
+        hulled = [(atom, atom.hull()) for atom, _ in kept]
+        for (x, hx), (y, hy) in itertools.combinations(hulled, 2):
+            if (_hull_overlap(hx, hy)
+                    and not intersect(RepSet.of(x), RepSet.of(y)).is_empty()):
+                raise ValidationError(f"term atoms overlap: {x!r} and {y!r}")
         if isinstance(domain, RepSet):
             for atom, _ in kept:
                 if not diff(RepSet.of(atom), domain).is_empty():
@@ -197,12 +198,11 @@ def _value_on(origin: Atom, expr: Expression, x: Fraction) -> Fraction:
 def indicator(s: RepSet, value: Rational = 1,
               domain: Region = ALL_REALS) -> PiecewiseFunction:
     v = Fraction(value)
-    return PiecewiseFunction([(a, Const(v)) for a in s.atoms], domain,
-                             trusted=True)
+    return PiecewiseFunction([(a, Const(v)) for a in s.atoms], domain)
 
 
 def zero_function(domain: Region = ALL_REALS) -> PiecewiseFunction:
-    return PiecewiseFunction((), domain, trusted=True)
+    return PiecewiseFunction((), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +579,7 @@ def scalar_mul(c: Rational, f: PiecewiseFunction) -> PiecewiseFunction:
         raise ValidationError(
             "scaling by zero collapses the support; build the zero "
             "function directly")
-    return PiecewiseFunction([(a, e.scale(c)) for a, e in f.terms],
-                             f.domain, trusted=True)
+    return PiecewiseFunction([(a, e.scale(c)) for a, e in f.terms], f.domain)
 
 
 def _domain_union(a: Region, b: Region) -> Region:
@@ -670,12 +669,15 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     for b, eb in g.terms:
         for piece in diff(RepSet.of(b), f_union).atoms:
             out.extend(_combined_terms(piece, [(b, eb)]))
+    g_hulls = [b.hull() for b, _ in g.terms]
     for a, ea in f.terms:
-        for b, eb in g.terms:
+        a_hull = a.hull()
+        for (b, eb), b_hull in zip(g.terms, g_hulls):
+            if not _hull_overlap(a_hull, b_hull):
+                continue
             for piece in intersect(RepSet.of(a), RepSet.of(b)).atoms:
                 out.extend(_combined_terms(piece, [(a, ea), (b, eb)]))
-    return PiecewiseFunction(out, _domain_union(f.domain, g.domain),
-                             trusted=True)
+    return PiecewiseFunction(out, _domain_union(f.domain, g.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +698,7 @@ def _signed_part(f: PiecewiseFunction, side: int) -> PiecewiseFunction:
     out = []
     for atom, expr in f.terms:
         out.extend(_signed_term(atom, expr, side))
-    return PiecewiseFunction(out, f.domain, trusted=True)
+    return PiecewiseFunction(out, f.domain)
 
 
 def _signed_term(atom: Atom, expr: Expression, side: int) -> list:
@@ -999,8 +1001,7 @@ class SupportGrowth(FunctionSeq):
 
     def term(self, n):
         return PiecewiseFunction(
-            [(Interval(self.lo, self.hi - self.gap / n), Const(self.value))],
-            trusted=True)
+            [(Interval(self.lo, self.hi - self.gap / n), Const(self.value))])
 
     def integral_seq(self):
         base = ExtReal.of(self.value * (self.hi - self.lo))
@@ -1009,8 +1010,7 @@ class SupportGrowth(FunctionSeq):
 
     def limit_function(self):
         return PiecewiseFunction(
-            [(Interval(self.lo, self.hi, (self.hi,)), Const(self.value))],
-            trusted=True)
+            [(Interval(self.lo, self.hi, (self.hi,)), Const(self.value))])
 
     def nonneg(self):
         return self.value > 0
@@ -1041,7 +1041,7 @@ class ShrinkingPlateau(FunctionSeq):
     def term(self, n):
         return PiecewiseFunction(
             [(Interval(self.base, self.base + self.width / n),
-              Const(self.value))], trusted=True)
+              Const(self.value))])
 
     def integral_seq(self):
         return HSeq((), MeasureTail(DIM_ONE,
@@ -1049,7 +1049,7 @@ class ShrinkingPlateau(FunctionSeq):
 
     def limit_function(self):
         return PiecewiseFunction(
-            [(FinitePoints([self.base]), Const(self.value))], trusted=True)
+            [(FinitePoints([self.base]), Const(self.value))])
 
     def nonneg(self):
         return self.value > 0
@@ -1076,15 +1076,13 @@ class PrefixGrowth(FunctionSeq):
 
     def term(self, n):
         pts = [self.atom.point(i) for i in range(1, n + 1)]
-        return PiecewiseFunction([(FinitePoints(pts), Const(self.value))],
-                                 trusted=True)
+        return PiecewiseFunction([(FinitePoints(pts), Const(self.value))])
 
     def integral_seq(self):
         return HSeq((), GrowthTail(DIM_ZERO, self.value))
 
     def limit_function(self):
-        return PiecewiseFunction([(self.atom, Const(self.value))],
-                                 trusted=True)
+        return PiecewiseFunction([(self.atom, Const(self.value))])
 
     def nonneg(self):
         return self.value > 0
@@ -1108,8 +1106,7 @@ class SlidingBump(FunctionSeq):
 
     def term(self, n):
         return PiecewiseFunction(
-            [(Interval(Fraction(n), Fraction(n + 1)), Const(self.value))],
-            trusted=True)
+            [(Interval(Fraction(n), Fraction(n + 1)), Const(self.value))])
 
     def integral_seq(self):
         return HSeq((), ConstantTail(HPair(DIM_ONE, ExtReal.of(self.value))))

@@ -274,6 +274,20 @@ def test_add_polynomials_on_overlap():
     assert h_integral(s) == pair(1, 4)
 
 
+def test_add_where_hulls_only_touch():
+    # the shared end point 1 lies in both terms and must carry the sum
+    s = add(on([(Interval(0, 1), Poly([0, 1]))]),
+            on([(Interval(1, 2), Const(3))]))
+    assert s.value_at(1) == 4
+    assert h_integral(s) == pair(1, F(7, 2))
+    # the hulls overlap but the interval sits in a Cantor gap
+    t = add(indicator(RepSet.of(CantorAffine(0, 1))),
+            on([(Interval(F(2, 5), F(3, 5)), Const(2))]))
+    assert h_integral(t) == pair(1, F(2, 5))
+    assert t.value_at(F(1, 2)) == 2
+    assert t.value_at(F(1, 4)) == 1
+
+
 def test_add_refinement_failure_is_an_error():
     f = indicator(I01)
     g = indicator(RepSet.of(CantorAffine(0, 1)))
@@ -487,6 +501,29 @@ def test_function_validation():
         on([(Interval(0, 1), SeriesValues(HALVES))])
 
 
+_C = CantorAffine(0, 1)
+
+
+@pytest.mark.parametrize("first, second, overlap", [
+    (Interval(0, 1), FinitePoints([1]), True),
+    (Interval(0, 1), Interval(1, 2), True),
+    (_C, FinitePoints([F(1, 4)]), True),
+    (Interval(0, 1), HARM, True),
+    (Interval(0, 1, (1,)), FinitePoints([1]), False),
+    (Interval(0, 1), Interval(1, 2, (1,)), False),
+    (_C, Interval(F(2, 5), F(3, 5)), False),
+    (CountableSeq(HARMONIC, 2, 1), Interval(0, 2), False),
+])
+def test_disjointness_check_at_closed_hull_ends(first, second, overlap):
+    for order in ((first, second), (second, first)):
+        terms = [(a, Const(i + 1)) for i, a in enumerate(order)]
+        if overlap:
+            with pytest.raises(ValidationError, match="overlap"):
+                on(terms)
+        else:
+            assert on(terms).terms == tuple(terms)
+
+
 # -- randomized law checks ---------------------------------------------------
 
 CELL_KINDS = ("interval", "points", "cantor", "seq")
@@ -533,7 +570,7 @@ def _rand_function(rng, cells, nonneg=False):
     for origin, kind in cells:
         if rng.random() < 0.8:
             terms.append(_rand_term(rng, origin, kind, nonneg))
-    return PiecewiseFunction(terms, trusted=True)
+    return PiecewiseFunction(terms)
 
 
 def _rand_cells(rng):
@@ -638,8 +675,7 @@ def test_countable_support_resummation():
     for _ in range(40):
         pts = sorted({F(rng.randrange(-20, 20), 4) for _ in range(rng.randrange(1, 9))})
         vals = [_rand_value(rng, False) for _ in pts]
-        f = on([(FinitePoints([p]), Const(v)) for p, v in zip(pts, vals)],
-               trusted=True)
+        f = on([(FinitePoints([p]), Const(v)) for p, v in zip(pts, vals)])
         got = h_integral(f)
         assert got.d == DIM_ZERO
         for _ in range(10):

@@ -266,7 +266,7 @@ def test_brute_integral_matches_on_point_masses():
         if rng.random() < 0.5:
             seq = CountableSeq(HARMONIC, 60, rng.choice([-1, 1]) * rng.randint(1, 3))
             terms.append((seq, SeriesValues(Geometric(F(rng.randint(-4, 4)), F(1, 2)))))
-        f = PiecewiseFunction(terms, trusted=True)
+        f = PiecewiseFunction(terms)
         got = brute_recompute("h_integral", f)
         exact = h_integral(f)
         if f.is_zero():
