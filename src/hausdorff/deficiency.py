@@ -181,8 +181,7 @@ def oscillation(f: PiecewiseFunction) -> OscillationProfile:
         if not isinstance(atom, CountableSeq):
             continue
         # candidate points already carry their own omega entries
-        owned = [x for x, _ in points if atom.member(x)]
-        entry_atom = atom.with_deletions(owned) if owned else atom
+        entry_atom = atom.with_deletions(x for x, _ in points)
         if entry_atom.is_empty():
             continue
         seq_entries.append((entry_atom, _abs_expression(expr)))

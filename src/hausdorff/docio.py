@@ -22,7 +22,7 @@ from .deficiency import (ConvexPolygon, PlanarAtom, PlanarSet, Points2D,
                          Segment)
 
 __all__ = ["parse_document", "parse_set", "parse_function", "parse_planar",
-           "print_document", "pair_payload", "render_pair", "Document"]
+           "print_document", "pair_payload", "Document"]
 
 Document = Union[RepSet, PiecewiseFunction, PlanarSet]
 
@@ -321,7 +321,3 @@ def print_document(value) -> str:
 
 def pair_payload(p: HPair) -> dict:
     return {"d": p.d.render(), "m": p.m.render()}
-
-
-def render_pair(p: HPair) -> str:
-    return p.render()

@@ -24,10 +24,11 @@ from .hvalue import (DIM_ONE, DIM_ZERO, EXT_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      CoefficientSeries, ConstantTail, Dimension, ExtReal,
                      FiniteList, Geometric, GrowthTail, HPair, HSeq,
                      InterleaveTail, MeasureTail, PSeries, dim_max, ext_sum,
-                     hpair_eq, hpair_leq, hseq_liminf, hseq_limit)
-from .setalg import (EMPTY_SET, Atom, CantorAffine, CountableSeq, FinitePoints,
-                     Interval, RepSet, _hull_overlap, diff, hmeasure,
-                     intersect, normalize, union)
+                     hpair_eq, hpair_leq, hseq_liminf, hseq_limit, series_add)
+from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CantorAffine,
+                     CountableSeq, FinitePoints, Interval, RepSet,
+                     _hull_overlap, diff, hmeasure, intersect, normalize,
+                     union)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +646,6 @@ def _expr_add(a: Expression, b: Expression) -> Optional[Expression]:
         pad = lambda t: tuple(t) + (Fraction(0),) * (n - len(t))
         return Poly(x + y for x, y in zip(pad(pa), pad(pb)))
     if isinstance(a, SeriesValues) and isinstance(b, SeriesValues):
-        from .hvalue import series_add
         s = series_add(a.series, b.series)
         return SeriesValues(s) if s is not None else None
     # series values plus a nonzero constant leave the catalog
@@ -750,23 +750,16 @@ def _signed_series(atom: CountableSeq, s: CoefficientSeries,
 
 def _split_parity(atom: CountableSeq, s: Geometric):
     """Split a sequence atom and its value series by index parity."""
-    from .setalg import GEOMETRIC, HARMONIC
     if atom.family == HARMONIC:
-        odd = None  # points a + b/(2k-1) are not a harmonic sequence
-    else:
-        odd = CountableSeq(GEOMETRIC, atom.a, atom.b / atom.q, atom.q ** 2)
-    if atom.family == HARMONIC:
-        even = CountableSeq(HARMONIC, atom.a, atom.b / 2)
-    else:
-        even = CountableSeq(GEOMETRIC, atom.a, atom.b, atom.q ** 2)
-    if odd is None:
+        # points a + b/(2k-1) are not a harmonic sequence
         raise NotRepresentable(
             "odd-index points of a harmonic sequence are not a "
             "catalog sequence")
-    odd_dels = [d for d in atom.deletions if atom.index_of(d) % 2 == 1]
-    even_dels = [d for d in atom.deletions if atom.index_of(d) % 2 == 0]
-    odd = odd.with_deletions(odd_dels)
-    even = even.with_deletions(even_dels)
+    # each keeps the deletions in its own base set: those of its parity
+    odd = CountableSeq(GEOMETRIC, atom.a, atom.b / atom.q,
+                       atom.q ** 2).with_deletions(atom.deletions)
+    even = CountableSeq(GEOMETRIC, atom.a, atom.b,
+                        atom.q ** 2).with_deletions(atom.deletions)
     # original index n = 2k-1 reads series rank 2k-2, n = 2k reads 2k-1
     return ((odd, Geometric(s.a, s.r ** 2)),
             (even, Geometric(s.a * s.r, s.r ** 2)))
@@ -857,11 +850,9 @@ def countable_additivity(f: PiecewiseFunction, head: Sequence[RepSet],
     parts = [p for p in head]
     if tail is not None:
         parts.append(tail.as_set())
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if not intersect(parts[i], parts[j]).is_empty():
-                raise DisjointnessViolated(
-                    f"partition parts {i} and {j} overlap")
+    for i, j in itertools.combinations(range(len(parts)), 2):
+        if not intersect(parts[i], parts[j]).is_empty():
+            raise DisjointnessViolated(f"partition parts {i} and {j} overlap")
     whole = EMPTY_SET
     for p in parts:
         whole = union(whole, p)

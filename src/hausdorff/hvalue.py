@@ -226,10 +226,6 @@ def dim_max(a: Dimension, b: Dimension) -> Dimension:
     return a if a.cmp(b) >= 0 else b
 
 
-def dim_min(a: Dimension, b: Dimension) -> Dimension:
-    return a if a.cmp(b) <= 0 else b
-
-
 def dim_abs_diff(a: Dimension, b: Dimension) -> Dimension:
     diff = a._sub(b)
     if not diff.logs:

@@ -18,7 +18,7 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -75,7 +75,22 @@ class Atom:
         raise NotImplementedError
 
     def with_deletions(self, extra: Iterable[Fraction]) -> "Atom":
-        raise NotImplementedError
+        """The atom less the points of extra in its base set; the atom
+        itself when that deletes nothing new."""
+        dels = self.deletions | {d for d in map(_frac, extra) if self.in_base(d)}
+        return self if dels == self.deletions else replace(self, deletions=dels)
+
+    def restore(self, points: Iterable[Fraction]) -> "Atom":
+        """The atom with the given deleted points put back."""
+        dels = self.deletions.difference(points)
+        return self if dels == self.deletions else replace(self, deletions=dels)
+
+    def _set_deletions(self, deletions, outside: str):
+        dels = frozenset(_frac(d) for d in deletions)
+        for d in dels:
+            if not self.in_base(d):
+                raise ValidationError(f"deleted point {d} {outside}")
+        object.__setattr__(self, "deletions", dels)
 
     def is_empty(self) -> bool:
         return False
@@ -148,11 +163,7 @@ class CountableSeq(Atom):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "q", q)
-        dels = frozenset(_frac(d) for d in deletions)
-        for d in dels:
-            if not self._in_base_raw(d):
-                raise ValidationError(f"deleted point {d} is not in the sequence")
-        object.__setattr__(self, "deletions", dels)
+        self._set_deletions(deletions, "is not in the sequence")
 
     def point(self, n: int) -> Fraction:
         if n < 1:
@@ -181,11 +192,8 @@ class CountableSeq(Atom):
             n += 1
         raise TooLarge("sequence index search exceeded the iteration guard")
 
-    def _in_base_raw(self, x: Fraction) -> bool:
-        return self.index_of(x) is not None
-
     def in_base(self, x):
-        return self._in_base_raw(x)
+        return self.index_of(x) is not None
 
     def hull(self):
         first = self.point(1)
@@ -196,11 +204,6 @@ class CountableSeq(Atom):
 
     def mu(self):
         return POS_INF
-
-    def with_deletions(self, extra):
-        extra = [d for d in map(_frac, extra) if self._in_base_raw(d)]
-        return CountableSeq(self.family, self.a, self.b, self.q,
-                            self.deletions | frozenset(extra))
 
     def indices_within(self, lo: Endpoint, hi: Endpoint,
                        lo_strict=False, hi_strict=False):
@@ -280,18 +283,11 @@ class Interval(Atom):
             raise ValidationError(f"interval endpoints out of order: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        dels = frozenset(_frac(d) for d in deletions)
-        for d in dels:
-            if not self._contains_raw(d):
-                raise ValidationError(f"deleted point {d} is outside the interval")
-        object.__setattr__(self, "deletions", dels)
-
-    def _contains_raw(self, x: Fraction) -> bool:
-        return ((self.lo is None or x >= self.lo)
-                and (self.hi is None or x <= self.hi))
+        self._set_deletions(deletions, "is outside the interval")
 
     def in_base(self, x):
-        return self._contains_raw(x)
+        return ((self.lo is None or x >= self.lo)
+                and (self.hi is None or x <= self.hi))
 
     def hull(self):
         return (self.lo, self.hi)
@@ -303,10 +299,6 @@ class Interval(Atom):
         if self.lo is None or self.hi is None:
             return POS_INF
         return ExtReal.of(self.hi - self.lo)
-
-    def with_deletions(self, extra):
-        extra = [d for d in map(_frac, extra) if self._contains_raw(d)]
-        return Interval(self.lo, self.hi, self.deletions | frozenset(extra))
 
     def is_bounded(self):
         return self.lo is not None and self.hi is not None
@@ -332,17 +324,10 @@ class CantorAffine(Atom):
             t, s = t + s, -s
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s", s)
-        dels = frozenset(_frac(d) for d in deletions)
-        for d in dels:
-            if not self._in_base_raw(d):
-                raise ValidationError(f"deleted point {d} is not in the set")
-        object.__setattr__(self, "deletions", dels)
-
-    def _in_base_raw(self, x: Fraction) -> bool:
-        return in_cantor((x - self.t) / self.s)
+        self._set_deletions(deletions, "is not in the set")
 
     def in_base(self, x):
-        return self._in_base_raw(x)
+        return in_cantor((x - self.t) / self.s)
 
     def hull(self):
         return (self.t, self.t + self.s)
@@ -352,10 +337,6 @@ class CantorAffine(Atom):
 
     def mu(self):
         return cantor_scale_measure(self.s)
-
-    def with_deletions(self, extra):
-        extra = [d for d in map(_frac, extra) if self._in_base_raw(d)]
-        return CantorAffine(self.t, self.s, self.deletions | frozenset(extra))
 
     def children(self) -> tuple["CantorAffine", "CantorAffine"]:
         """The two sub-copies at one third of the scale."""
@@ -519,8 +500,9 @@ def _render_atom(a: Atom) -> str:
 # Invariant: the settled atoms are pairwise disjoint. A pending atom is
 # resolved only against settled atoms whose closed hull overlaps its own,
 # or against the settled point atom when it is a point atom itself (all
-# points collapse into one canonical atom). Every _resolve_pair returns
-# None for disjoint hulls, so the skipped pairs are disjoint as they stand.
+# points collapse into one canonical atom). _resolve_pair returns None for
+# disjoint hulls from its one guard at the top, which only two point atoms
+# pass, so the skipped pairs are disjoint as they stand.
 # On a merge the settled partner is withdrawn and the replacement atoms go
 # back to pending. Intervals settle first, then Cantor copies, sequences
 # and points: an interval that covers a limit or cuts a Cantor copy turns
@@ -572,6 +554,9 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
 def _resolve_pair(x: Atom, y: Atom, budget: int):
     """None when x and y are certified disjoint; otherwise a list of atoms
     whose union equals x u y. Expects _rank(x) <= _rank(y)."""
+    # point atoms rank lowest, so y is one only when x is one as well
+    if not (_hull_overlap(x.hull(), y.hull()) or isinstance(y, FinitePoints)):
+        return None
     if isinstance(x, FinitePoints):
         return _resolve_points(x, y)
     if isinstance(x, CountableSeq):
@@ -579,7 +564,7 @@ def _resolve_pair(x: Atom, y: Atom, budget: int):
             return _resolve_seq_seq(x, y)
         if isinstance(y, Interval):
             return _resolve_seq_interval(x, y)
-        return _resolve_seq_cantor(x, y)
+        return _move_commons(x, y, _seq_cantor_commons(x, y))
     if isinstance(x, Interval):
         if isinstance(y, Interval):
             return _resolve_interval_interval(x, y)
@@ -587,18 +572,9 @@ def _resolve_pair(x: Atom, y: Atom, budget: int):
     return _resolve_cantor_cantor(x, y, budget)
 
 
-def _undelete(atom: Atom, points: Iterable[Fraction]) -> Atom:
-    pts = set(points)
-    if not pts:
-        return atom
-    dels = atom.deletions - pts
-    if isinstance(atom, CountableSeq):
-        return CountableSeq(atom.family, atom.a, atom.b, atom.q, dels)
-    if isinstance(atom, Interval):
-        return Interval(atom.lo, atom.hi, dels)
-    if isinstance(atom, CantorAffine):
-        return CantorAffine(atom.t, atom.s, dels)
-    raise NotSupported("cannot undelete from this atom")
+def _point_atoms(points) -> list:
+    """[FinitePoints(points)], or [] when there are no points."""
+    return [FinitePoints(points)] if points else []
 
 
 def _resolve_points(x: FinitePoints, y: Atom):
@@ -619,19 +595,32 @@ def _resolve_points(x: FinitePoints, y: Atom):
             keep.append(p)
     if len(keep) == len(x.points):
         return None
-    out = [_undelete(y, undelete)]
-    if keep:
-        out.append(FinitePoints(keep))
-    return out
+    return [y.restore(undelete)] + _point_atoms(keep)
 
 
-def _disjointize(x: Atom, y: Atom, commons: Iterable[Fraction]):
-    """Given candidate common base points, delete from y those present in
-    both sets; None when already disjoint."""
-    to_delete = [p for p in commons if x.member(p) and y.member(p)]
-    if not to_delete:
+def _delete_commons(x: Atom, y: Atom, commons: Iterable[Fraction]) -> Atom:
+    """x less the candidate common points that y holds; x itself when
+    that deletes nothing."""
+    return x.with_deletions(p for p in commons if y.member(p))
+
+
+def _tail_split(seq: CountableSeq, start: int, other: Atom):
+    """For a sequence whose terms from index start onward lie in other's
+    base set: (seq's head points outside that base set, other's deleted
+    points that seq holds)."""
+    head = [p for p in map(seq.point, range(1, start))
+            if seq.member(p) and not other.in_base(p)]
+    return head, [d for d in other.deletions if seq.member(d)]
+
+
+def _move_commons(x: CountableSeq, y: Atom, commons: Iterable[Fraction]):
+    """Union of x with an atom y that holds the candidate common points in
+    its base set: the ones x holds leave x and are restored in y. None
+    when x holds none of them."""
+    moved = [p for p in commons if x.member(p)]
+    if not moved:
         return None
-    return [x, y.with_deletions(to_delete)]
+    return [x.with_deletions(moved), y.restore(moved)]
 
 
 # -- sequence vs sequence -----------------------------------------------------
@@ -853,39 +842,37 @@ def _same_accumulation_commons(x: CountableSeq, y: CountableSeq):
     return _harm_geo_commons(y, x)
 
 
-def _resolve_seq_seq(x: CountableSeq, y: CountableSeq):
-    if (x.family, x.a, x.b, x.q) == (y.family, y.a, y.b, y.q):
-        return [CountableSeq(x.family, x.a, x.b, x.q,
-                             x.deletions & y.deletions)]
+def _seq_seq_commons(x: CountableSeq, y: CountableSeq):
+    """How two sequences meet: "disjoint", ("finite", candidate common
+    points), ("tail", (seq, start)) when the terms of seq from index start
+    onward lie in the other's base set, or None when the common points are
+    infinite and interleaved."""
     if x.a != y.a:
-        return _disjointize(x, y, _common_points_finite(x, y))
+        return ("finite", _common_points_finite(x, y))
     if (x.b > 0) != (y.b > 0):
-        return None  # opposite sides of the shared accumulation point
-    for inner, outer in ((x, y), (y, x)):
-        if _seq_base_subset(inner, outer):
-            dels = [d for d in outer.deletions if not inner.member(d)]
-            return [CountableSeq(outer.family, outer.a, outer.b, outer.q, dels)]
-    commons = _same_accumulation_commons(x, y)
+        return "disjoint"  # opposite sides of the shared accumulation point
+    if _seq_base_subset(x, y):
+        return ("tail", (x, 1))
+    if _seq_base_subset(y, x):
+        return ("tail", (y, 1))
+    return _same_accumulation_commons(x, y)
+
+
+def _resolve_seq_seq(x: CountableSeq, y: CountableSeq):
+    commons = _seq_seq_commons(x, y)
     if commons is None:
         raise NotRepresentable(
             "the union of these sequences is not a catalog set")
     if commons == "disjoint":
         return None
     kind, payload = commons
-    if kind == "finite":
-        return _disjointize(x, y, payload)
-    seq, start = payload  # the tail of seq from start onward lies in other
-    other = y if seq is x else x
-    rescued = [d for d in other.deletions if seq.member(d)]
-    head = []
-    for n in range(1, start):
-        p = seq.point(n)
-        if seq.member(p) and not other.in_base(p):
-            head.append(p)
-    out = [_undelete(other, rescued)]
-    if head:
-        out.append(FinitePoints(head))
-    return out
+    if kind == "tail":  # the tail of seq lies in other
+        seq, start = payload
+        other = y if seq is x else x
+        head, rescued = _tail_split(seq, start, other)
+        return [other.restore(rescued)] + _point_atoms(head)
+    y_less = _delete_commons(y, x, payload)
+    return None if y_less is y else [x, y_less]
 
 
 # -- sequence vs interval -----------------------------------------------------
@@ -894,29 +881,10 @@ def _resolve_seq_seq(x: CountableSeq, y: CountableSeq):
 def _resolve_seq_interval(x: CountableSeq, y: Interval):
     kind, data = x.indices_within(y.lo, y.hi)
     if kind == "finite":
-        moved, undelete = [], []
-        for n in data:
-            p = x.point(n)
-            if not x.member(p):
-                continue
-            if p in y.deletions:
-                undelete.append(p)
-            moved.append(p)
-        if not moved:
-            return None
-        return [x.with_deletions(moved), _undelete(y, undelete)]
+        return _move_commons(x, y, map(x.point, data))
     # an infinite tail lies inside the interval: the sequence dissolves
-    start = data
-    undelete = [d for d in y.deletions if x.member(d)]
-    head = []
-    for n in range(1, start):
-        p = x.point(n)
-        if x.member(p) and not y.in_base(p):
-            head.append(p)
-    out = [_undelete(y, undelete)]
-    if head:
-        out.append(FinitePoints(head))
-    return out
+    head, rescued = _tail_split(x, data, y)
+    return [y.restore(rescued)] + _point_atoms(head)
 
 
 # -- sequence vs Cantor copy ----------------------------------------------------
@@ -947,26 +915,10 @@ def _seq_cantor_commons(x: CountableSeq, y: CantorAffine) -> list:
     return sorted(set(pts))
 
 
-def _resolve_seq_cantor(x: CountableSeq, y: CantorAffine):
-    commons = _seq_cantor_commons(x, y)
-    moved, undelete = [], []
-    for p in commons:
-        if not x.member(p):
-            continue
-        if p in y.deletions:
-            undelete.append(p)
-        moved.append(p)
-    if not moved:
-        return None
-    return [x.with_deletions(moved), _undelete(y, undelete)]
-
-
 # -- interval vs interval -------------------------------------------------------
 
 
 def _resolve_interval_interval(x: Interval, y: Interval):
-    if not _hull_overlap(x.hull(), y.hull()):
-        return None
     lo = None if (x.lo is None or y.lo is None) else min(x.lo, y.lo)
     hi = None if (x.hi is None or y.hi is None) else max(x.hi, y.hi)
     dels = [d for d in (x.deletions | y.deletions)
@@ -993,7 +945,7 @@ def _ca_split_by_interval(ca: CantorAffine, lo: Endpoint, hi: Endpoint,
         if not ca.in_base(p):
             return [], [ca]
         covered = [] if p in ca.deletions else [FinitePoints([p])]
-        return covered, [CantorAffine(ca.t, ca.s, ca.deletions | {p})]
+        return covered, [ca.with_deletions([p])]
     if budget <= 0:
         raise NotRepresentable(
             "interval cuts through a Cantor copy; the pieces are not catalog sets")
@@ -1004,13 +956,10 @@ def _ca_split_by_interval(ca: CantorAffine, lo: Endpoint, hi: Endpoint,
 
 
 def _resolve_interval_cantor(x: Interval, y: CantorAffine, budget: int):
-    if not _hull_overlap(x.hull(), y.hull()):
-        return None
     covered, kept = _ca_split_by_interval(y, x.lo, x.hi, budget)
     if not covered:
         return None
-    undelete = [d for d in x.deletions if y.member(d)]
-    return [_undelete(x, undelete)] + kept
+    return [x.restore(d for d in x.deletions if y.member(d))] + kept
 
 
 # -- Cantor copy vs Cantor copy -----------------------------------------------------
@@ -1032,8 +981,7 @@ def _ca_partition(base: CantorAffine, target: CantorAffine, budget: int):
     if touch is not None:
         if base.in_base(touch) and target.in_base(touch):
             common = [] if touch in target.deletions else [FinitePoints([touch])]
-            return common, [CantorAffine(target.t, target.s,
-                                         target.deletions | {touch})]
+            return common, [target.with_deletions([touch])]
         return [], [target]
     if budget <= 0:
         raise NotRepresentable(
@@ -1062,15 +1010,10 @@ def _ca_partition(base: CantorAffine, target: CantorAffine, budget: int):
 
 
 def _resolve_cantor_cantor(x: CantorAffine, y: CantorAffine, budget: int):
-    if (x.t, x.s) == (y.t, y.s):
-        return [CantorAffine(x.t, x.s, x.deletions & y.deletions)]
-    if not _hull_overlap(x.hull(), y.hull()):
-        return None
     common, y_only = _ca_partition(x, y, budget)
     if not common:
         return None
-    undelete = [d for d in x.deletions if y.member(d)]
-    return [_undelete(x, undelete)] + y_only
+    return [x.restore(d for d in x.deletions if y.member(d))] + y_only
 
 
 # ---------------------------------------------------------------------------
@@ -1104,13 +1047,14 @@ def intersect(a: RepSet, b: RepSet) -> RepSet:
 def _atom_minus_set(atom: Atom, s: RepSet) -> list:
     pieces = [atom]
     for other in s.atoms:
-        # an atom whose hull meets no piece removes nothing
         h = other.hull()
-        if not any(_hull_overlap(p.hull(), h) for p in pieces):
-            continue
         nxt = []
         for piece in pieces:
-            nxt.extend(_atom_minus_atom(piece, other))
+            # a piece whose hull misses other's loses nothing
+            if _hull_overlap(piece.hull(), h):
+                nxt.extend(_atom_minus_atom(piece, other))
+            else:
+                nxt.append(piece)
         pieces = nxt
     return pieces
 
@@ -1120,39 +1064,19 @@ def _atom_minus_atom(x: Atom, y: Atom) -> list:
     if x.is_empty():
         return []
     if isinstance(x, FinitePoints):
-        keep = [p for p in x.points if not y.member(p)]
-        return [FinitePoints(keep)] if keep else []
+        return _point_atoms([p for p in x.points if not y.member(p)])
     if isinstance(y, FinitePoints):
-        hit = [p for p in y.points if x.member(p)]
-        return [x.with_deletions(hit)] if hit else [x]
+        return [x.with_deletions(y.points)]
     if isinstance(x, CountableSeq):
-        return _seq_minus(x, y, budget)
+        return _seq_minus(x, y)
     if isinstance(x, Interval):
         return _interval_minus(x, y, budget)
     return _cantor_minus(x, y, budget)
 
 
-def _delete_commons(x: Atom, y: Atom, commons: Iterable[Fraction]) -> list:
-    hit = [p for p in commons if x.member(p) and y.member(p)]
-    return [x.with_deletions(hit)] if hit else [x]
-
-
-def _seq_minus(x: CountableSeq, y: Atom, budget: int) -> list:
+def _seq_minus(x: CountableSeq, y: Atom) -> list:
     if isinstance(y, CountableSeq):
-        if (x.family, x.a, x.b, x.q) == (y.family, y.a, y.b, y.q):
-            pts = [d for d in y.deletions if x.member(d)]
-            return [FinitePoints(pts)] if pts else []
-        if x.a != y.a:
-            return _delete_commons(x, y, _common_points_finite(x, y))
-        if (x.b > 0) != (y.b > 0):
-            return [x]
-        if _seq_base_subset(x, y):
-            pts = [d for d in y.deletions if x.member(d)]
-            return [FinitePoints(pts)] if pts else []
-        if _seq_base_subset(y, x):
-            raise NotRepresentable(
-                "removing an interleaved subsequence leaves a non-catalog set")
-        commons = _same_accumulation_commons(x, y)
+        commons = _seq_seq_commons(x, y)
         if commons is None:
             raise NotRepresentable(
                 "the difference of these sequences is not a catalog set")
@@ -1160,34 +1084,23 @@ def _seq_minus(x: CountableSeq, y: Atom, budget: int) -> list:
             return [x]
         kind, payload = commons
         if kind == "finite":
-            return _delete_commons(x, y, payload)
+            return [_delete_commons(x, y, payload)]
         seq, start = payload
-        if seq is x:
-            # the whole tail of x is removed; only a finite head remains
-            keep = set()
-            for n in range(1, start):
-                p = x.point(n)
-                if x.member(p) and not y.member(p):
-                    keep.add(p)
-            keep |= {d for d in y.deletions if x.member(d)}
-            return [FinitePoints(sorted(keep))] if keep else []
-        raise NotRepresentable(
-            "removing an interleaved subsequence leaves a non-catalog set")
-    if isinstance(y, Interval):
+        if seq is not x:
+            raise NotRepresentable(
+                "removing an interleaved subsequence leaves a non-catalog set")
+    elif isinstance(y, Interval):
         kind, data = x.indices_within(y.lo, y.hi)
         if kind == "finite":
-            return _delete_commons(x, y, [x.point(n) for n in data])
+            return [_delete_commons(x, y, map(x.point, data))]
         start = data
-        keep = set()
-        for n in range(1, start):
-            p = x.point(n)
-            if x.member(p) and not y.member(p):
-                keep.add(p)
-        keep |= {d for d in y.deletions if x.member(d)}
-        return [FinitePoints(sorted(keep))] if keep else []
-    if isinstance(y, CantorAffine):
-        return _delete_commons(x, y, _seq_cantor_commons(x, y))
-    raise NotSupported(f"difference against {type(y).__name__}")
+    elif isinstance(y, CantorAffine):
+        return [_delete_commons(x, y, _seq_cantor_commons(x, y))]
+    else:
+        raise NotSupported(f"difference against {type(y).__name__}")
+    # the whole tail of x is removed; only a finite head remains
+    head, rescued = _tail_split(x, start, y)
+    return _point_atoms(head + rescued)
 
 
 def _interval_minus(x: Interval, y: Atom, budget: int) -> list:
@@ -1196,26 +1109,22 @@ def _interval_minus(x: Interval, y: Atom, budget: int) -> list:
         if kind == "tail":
             raise NotRepresentable(
                 "an interval minus an infinite sequence is not a catalog set")
-        return _delete_commons(x, y, [y.point(n) for n in data])
+        return [_delete_commons(x, y, map(y.point, data))]
     if isinstance(y, Interval):
         return _interval_minus_interval(x, y)
     if isinstance(y, CantorAffine):
-        if not _hull_overlap(x.hull(), y.hull()):
-            return [x]
         covered, _ = _ca_split_by_interval(y, x.lo, x.hi, budget)
         hits = []
         for piece in covered:
             if isinstance(piece, CantorAffine):
                 raise NotRepresentable(
                     "an interval minus a Cantor copy is not a catalog set")
-            hits.extend(p for p in piece.points if x.member(p))
-        return [x.with_deletions(hits)] if hits else [x]
+            hits.extend(piece.points)
+        return [x.with_deletions(hits)]
     raise NotSupported(f"difference against {type(y).__name__}")
 
 
 def _interval_minus_interval(x: Interval, y: Interval) -> list:
-    if not _hull_overlap(x.hull(), y.hull()):
-        return [x]
     pieces = []
     if y.lo is not None and (x.lo is None or x.lo < y.lo):
         dels = {d for d in x.deletions if d <= y.lo}
@@ -1230,32 +1139,17 @@ def _interval_minus_interval(x: Interval, y: Interval) -> list:
     # deleted positions of y interior to x survive the subtraction
     survivors = [d for d in y.deletions
                  if x.member(d) and not any(p.in_base(d) for p in pieces)]
-    out = list(pieces)
-    if survivors:
-        out.append(FinitePoints(sorted(survivors)))
-    return out
+    return pieces + _point_atoms(survivors)
 
 
 def _cantor_minus(x: CantorAffine, y: Atom, budget: int) -> list:
     if isinstance(y, CountableSeq):
-        return _delete_commons(x, y, _seq_cantor_commons(y, x))
+        return [_delete_commons(x, y, _seq_cantor_commons(y, x))]
     if isinstance(y, Interval):
-        if not _hull_overlap(x.hull(), y.hull()):
-            return [x]
         _, kept = _ca_split_by_interval(x, y.lo, y.hi, budget)
-        out = list(kept)
-        survivors = [d for d in y.deletions if x.member(d)]
-        if survivors:
-            out.append(FinitePoints(sorted(survivors)))
-        return out
+        return kept + _point_atoms([d for d in y.deletions if x.member(d)])
     if isinstance(y, CantorAffine):
-        if (x.t, x.s) == (y.t, y.s):
-            pts = [d for d in y.deletions if x.member(d)]
-            return [FinitePoints(pts)] if pts else []
-        if not _hull_overlap(x.hull(), y.hull()):
-            return [x]
         common, x_only = _ca_partition(y, x, budget)
-        out = list(x_only)
         extra = set()
         for piece in common:
             if isinstance(piece, FinitePoints):
@@ -1265,9 +1159,7 @@ def _cantor_minus(x: CantorAffine, y: Atom, budget: int) -> list:
                 # a shared sub-copy: positions deleted from y survive in x
                 extra |= {d for d in y.deletions
                           if piece.member(d) and x.member(d)}
-        if extra:
-            out.append(FinitePoints(sorted(extra)))
-        return out
+        return x_only + _point_atoms(extra)
     raise NotSupported(f"difference against {type(y).__name__}")
 
 

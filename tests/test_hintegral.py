@@ -335,6 +335,20 @@ def test_pos_neg_parts_alternating_series():
         assert f.value_at(x) == fp.value_at(x) + fn.value_at(x)
 
 
+def test_parity_split_keeps_deletions_of_each_parity():
+    # deleted points at indices 1 and 5 (odd) and 2 (even)
+    geo = CountableSeq(GEOMETRIC, 0, 1, F(1, 2), (F(1, 2), F(1, 4), F(1, 32)))
+    f = on([(geo, SeriesValues(Geometric(1, F(-1, 2))))])
+    [(odd, _)], [(even, _)] = pos_part(f).terms, neg_part(f).terms
+    assert odd == CountableSeq(GEOMETRIC, 0, 2, F(1, 4), (F(1, 2), F(1, 32)))
+    assert even == CountableSeq(GEOMETRIC, 0, 1, F(1, 4), (F(1, 4),))
+    assert h_integral(pos_part(f)) == pair(0, F(13, 48))
+    assert h_integral(neg_part(f)) == pair(0, F(-1, 6))
+    g = on([(HARM, SeriesValues(Geometric(1, F(-1, 2))))])
+    with pytest.raises(NotRepresentable, match="odd-index points"):
+        pos_part(g)
+
+
 def test_pos_neg_parts_mixed_value_list():
     f = on([(HARM, SeriesValues(FiniteList([3, -2, 5])))])
     assert h_integral(pos_part(f)) == pair(0, 8)
@@ -387,6 +401,27 @@ def test_countable_additivity_head_plus_tail():
     both = countable_additivity(g, [RepSet.of(FinitePoints([1, F(1, 2)]))],
                                 SingletonTail(HARM, 3))
     assert both == (pair(0, 1), pair(0, 1))
+
+
+def test_countable_additivity_parts_with_touching_hulls():
+    # closed hulls meet only at 1, which the second part leaves out
+    f = indicator(RepSet.of(Interval(0, 2)))
+    parts = [I01, RepSet.of(Interval(1, 2, (1,)))]
+    assert countable_additivity(f, parts) == (pair(1, 2), pair(1, 2))
+    g = indicator(RepSet.of(CantorAffine(0, 1), Interval(1, 2, (1,))))
+    parts = [RepSet.of(CantorAffine(0, 1)), RepSet.of(Interval(1, 2, (1,)))]
+    assert countable_additivity(g, parts) == (pair(1, 1), pair(1, 1))
+
+
+@pytest.mark.parametrize("last, message", [
+    (Interval(1, 2), "partition parts 0 and 2 overlap"),
+    (CantorAffine(4, 1), "partition parts 1 and 2 overlap"),
+])
+def test_countable_additivity_reports_the_overlapping_pair(last, message):
+    f = indicator(RepSet.of(Interval(0, 5)))
+    parts = [I01, RepSet.of(Interval(3, 4)), RepSet.of(last)]
+    with pytest.raises(DisjointnessViolated, match=message):
+        countable_additivity(f, parts)
 
 
 def test_countable_additivity_rejects_bad_partitions():

@@ -268,6 +268,27 @@ def test_point_atoms_collapse_into_one():
 
 # -- operations ----------------------------------------------------------------
 
+SEQ = CountableSeq(HARMONIC, 0, 1)
+GEO4 = CountableSeq(GEOMETRIC, 0, 4, F(1, 2), (F(1, 2),))
+UPPER = CountableSeq(HARMONIC, F(1, 2), F(1, 2))
+
+
+# a sequence tail inside the partner, or common points moving into it,
+# while the partner carries deletions of its own
+@pytest.mark.parametrize("op, x, y, render", [
+    (union, SEQ, Interval(0, F(1, 4), (F(1, 5),)), "[0, 1/4] u {1/3, 1/2, 1}"),
+    (diff, SEQ, Interval(0, F(1, 4), (F(1, 5),)), "{1/5, 1/3, 1/2, 1}"),
+    (union, SEQ.with_deletions([F(1, 4)]), GEO4, "{0 + 1/n} u {2}"),
+    (diff, GEO4, SEQ.with_deletions([F(1, 4)]), "{1/4, 2}"),
+    (union, UPPER, CantorAffine(0, 1, (F(3, 4),)),
+     "(0 + 1*C) u {1/2 + 1/2/n} \\ {2/3, 3/4, 1}"),
+    (union, UPPER, Interval(F(5, 8), 1, (F(2, 3),)),
+     "{1/2 + 1/2/n} \\ {5/8, 2/3, 3/4, 1} u [5/8, 1]"),
+])
+def test_tail_and_move_with_deletions_on_the_partner(op, x, y, render):
+    assert op(RepSet.of(x), RepSet.of(y)).render() == render
+
+
 def test_symdiff_of_nested_intervals():
     a, b = RepSet.of(Interval(0, 1)), RepSet.of(Interval(0, 2))
     sd = symdiff(a, b)
