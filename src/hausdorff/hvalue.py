@@ -11,6 +11,7 @@ back to interval arithmetic with doubling precision.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -606,7 +607,22 @@ class Geometric(CoefficientSeries):
         return Geometric(self.a * self.r / (1 - self.r), self.r)
 
 
-_PSERIES_PARTIAL_TERMS = 1024
+_BERNOULLI = [Fraction(1)]  # B_0, B_2, B_4, ...; grown on first use
+
+
+def _bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n for even n >= 0, exactly.
+
+    From the recurrence sum_{k <= n} C(n+1, k) B_k = 0, in which every odd
+    B_k vanishes except B_1 = -1/2.
+    """
+    while len(_BERNOULLI) <= n // 2:
+        m = 2 * len(_BERNOULLI)
+        acc = Fraction(-(m + 1), 2)
+        for j, b in enumerate(_BERNOULLI):
+            acc += math.comb(m + 1, 2 * j) * b
+        _BERNOULLI.append(-acc / (m + 1))
+    return _BERNOULLI[n // 2]
 
 
 @dataclass(frozen=True)
@@ -616,6 +632,12 @@ class PSeries(CoefficientSeries):
     Summable exactly when p > 1; for p <= 1 the sum is a signed infinity,
     which lets the same catalog describe vanishing but non-summable
     measure sequences such as -1/n.
+
+    The sum c * zeta(p) is enclosed by Euler-Maclaurin summation with a
+    rigorous remainder bracket: exact rationals for integer p, one
+    `pow_interval` per term of a short head plus one for the tail when p
+    is fractional. The enclosure is about 2**-precision_bits * max(1,
+    |c * zeta(p)|) wide, so a larger `precision_bits` tightens it.
     """
 
     c: Fraction
@@ -641,30 +663,38 @@ class PSeries(CoefficientSeries):
             return EXT_ZERO
         if self.p <= 1:
             return POS_INF if self.c > 0 else NEG_INF
-        n = _PSERIES_PARTIAL_TERMS
-        # integral test brackets the tail of sum 1/k**p after k = n;
-        # the coefficient scales the whole bracket at the end
-        if self.p.denominator == 1:
-            partial = sum((Fraction(1) / Fraction(k) ** self.p
-                           for k in range(1, n + 1)), Fraction(0))
-            lo_tail = Fraction(1) / ((self.p - 1) * Fraction(n + 1) ** (self.p - 1))
-            hi_tail = Fraction(1) / ((self.p - 1) * Fraction(n) ** (self.p - 1))
-            tail = RatInterval(lo_tail, hi_tail)
-        else:
-            prec = get_config().precision_bits
-            partial_enc = RatInterval.point(0)
-            for i in range(n):
-                partial_enc = partial_enc + pow_interval(
-                    Fraction(i + 1), RatInterval.point(-self.p), prec)
-            partial = partial_enc
-            expo = RatInterval.point(1 - self.p)
-            lo_pow = pow_interval(Fraction(n + 1), expo, prec)
-            hi_pow = pow_interval(Fraction(n), expo, prec)
-            inv = Fraction(1) / (self.p - 1)
-            tail = RatInterval(lo_pow.lo * inv, hi_pow.hi * inv)
-        enc = (RatInterval.point(partial) if isinstance(partial, Fraction)
-               else partial) + tail
-        return ExtReal.interval(enc * self.c)
+        p = self.p
+        bits = get_config().precision_bits
+
+        def power(k: int) -> RatInterval:
+            """Enclosure of k**-p."""
+            if p.denominator == 1:
+                return RatInterval.point(Fraction(1, k ** p.numerator))
+            return pow_interval(k, RatInterval.point(-p), bits)
+
+        # head 1..n-1, then Euler-Maclaurin for f(x) = x**-p from n on:
+        # sum_{k >= n} f(k) = n**-p * (n/(p-1) + 1/2 + t_1 + ... + t_m + r),
+        # t_j = B_2j/(2j)! * (p)_(2j-1) * n**(1-2j) with (p)_k rising.
+        # f is completely monotone, so r lies between 0 and t_(m+1).
+        # The terms shrink to about exp(-2 pi n) before they grow again,
+        # which sets n; m stops at the first t_j below 2**-bits * n**e,
+        # where n**-p <= n**-e for e = min(floor(p), bits).
+        n = math.ceil(bits * math.log(2) / (2 * math.pi)) + 2
+        limit = Fraction(n ** min(math.floor(p), bits), 1 << bits)
+        body = n / (p - 1) + Fraction(1, 2)
+        g, j = p / (2 * n), 1  # t_j / B_2j
+        rest = _bernoulli(2) * g
+        while abs(rest) > limit:
+            g *= (p + 2 * j - 1) * (p + 2 * j) / ((2 * j + 1) * (2 * j + 2) * n * n)
+            j += 1
+            following = _bernoulli(2 * j) * g
+            if abs(following) >= abs(rest):
+                break  # the asymptotic series has stopped shrinking
+            body += rest
+            rest = following
+        tail = RatInterval(body + min(rest, 0), body + max(rest, 0)) * power(n)
+        head = sum((power(k) for k in range(1, n)), RatInterval.point(0))
+        return ExtReal.interval((head + tail) * self.c)
 
     def partial_sum(self, n: int) -> Fraction:
         if self.p.denominator != 1:

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hausdorff import hvalue
+from hausdorff._numeric import pow_interval
+from hausdorff.config import get_config, set_config, update_config
 from hausdorff.errors import (DoesNotConverge, IncomparableDimensions,
                               UndefinedSum, ValidationError)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, NEG_INF,
@@ -298,15 +301,69 @@ def test_series_matches_partial_sum_limit():
         assert hpair_eq(hseq_limit(seq), value)
 
 
-def test_pseries_sum_encloses_basel_value():
-    # independent check: sum 1/n^2 = pi^2/6
+def _ref_bracket(c, p, bits):
+    """Rationals lo <= c * zeta(p) <= hi from mpmath at bits + 64 (at least
+    80 digits), widened outward by 2**-(bits+16) * max(1, |c * zeta(p)|)."""
     import mpmath
-    with mpmath.workprec(120):
-        target = mpmath.pi ** 2 / 6
-        lo = mpmath.mpf(target) * (1 - mpmath.mpf(2) ** -100)
+    with mpmath.workprec(max(bits + 64, 266)):
+        value = (mpmath.mpf(c.numerator) / c.denominator
+                 * mpmath.zeta(mpmath.mpf(p.numerator) / p.denominator))
+        scaled = int(mpmath.floor(mpmath.ldexp(value, bits + 16)))
+        slack = max(1, int(mpmath.ceil(abs(value))))
+    return F(scaled - slack, 2 ** (bits + 16)), F(scaled + 1 + slack, 2 ** (bits + 16))
+
+
+def test_pseries_sum_encloses_basel_value():
+    # independent check: sum 1/n^2 = pi^2/6, exact rational endpoints against
+    # a 400-bit mpmath reference, width set by precision_bits
+    import mpmath
     enc = PSeries(1, 2).sum().enclosure()
-    assert float(enc.lo) < float(target) < float(enc.hi)
-    assert float(enc.rad) < 1e-5
+    with mpmath.workprec(400):
+        scaled = int(mpmath.floor(mpmath.ldexp(mpmath.pi ** 2 / 6, 390)))
+    assert enc.lo <= F(scaled + 2, 2 ** 390)
+    assert F(scaled - 1, 2 ** 390) <= enc.hi
+    assert enc.hi - enc.lo <= F(1, 2 ** (get_config().precision_bits - 8))
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_pseries_sum_contains_zeta_at_precision_width(bits):
+    previous = update_config(precision_bits=bits)
+    try:
+        for p in (2, 3, F(3, 2), F(5, 2), F(7, 4), F(11, 10), F(1001, 1000), 50):
+            for c in (1, F(-7, 3), F(9, 2)):
+                enc = PSeries(c, p).sum().enclosure()
+                lo, hi = _ref_bracket(F(c), F(p), bits)
+                assert enc.lo <= hi and lo <= enc.hi, (c, p)
+                scale = max(1, min(abs(lo), abs(hi)))
+                assert enc.hi - enc.lo <= F(1, 2 ** (bits - 8)) * scale, (c, p)
+    finally:
+        set_config(previous)
+
+
+def test_pseries_sum_makes_few_power_enclosures(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow_interval(*args)
+
+    monkeypatch.setattr(hvalue, "pow_interval", counting)
+    PSeries(1, F(3, 2)).sum()
+    assert 0 < len(calls) <= 64
+
+
+def test_bernoulli_numbers_first_values():
+    assert [hvalue._bernoulli(n) for n in range(2, 22, 2)] == [
+        F(1, 6), F(-1, 30), F(1, 42), F(-1, 30), F(5, 66), F(-691, 2730),
+        F(7, 6), F(-3617, 510), F(43867, 798), F(-174611, 330)]
+
+
+def test_zeta_two_is_not_read_as_a_nearby_rational():
+    # zeta(2) - 1644934/10**6 is about 6.7e-8; a wide enclosure read it as 0
+    near = F(1644934, 10 ** 6)
+    assert (PSeries(1, 2).sum() - ExtReal.of(near)).sign() == 1
+    assert not hpair_eq(HPair(DIM_ZERO, PSeries(1, 2).sum()),
+                        HPair(DIM_ZERO, ExtReal.of(near)))
 
 
 def test_pseries_tail_indexing():
