@@ -27,7 +27,7 @@ from .hvalue import (DIM_ONE, DIM_ZERO, EXT_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      hpair_eq, hpair_leq, hseq_liminf, hseq_limit, series_add)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CantorAffine,
                      CountableSeq, FinitePoints, Interval, RepSet,
-                     _hull_overlap, diff, hmeasure, intersect, normalize,
+                     _hulls_meet, diff, hmeasure, intersect, normalize,
                      union)
 
 
@@ -163,9 +163,9 @@ class PiecewiseFunction:
             kept.append((atom, expr))
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "domain", domain)
-        hulled = [(atom, atom.hull()) for atom, _ in kept]
-        for (x, hx), (y, hy) in itertools.combinations(hulled, 2):
-            if (_hull_overlap(hx, hy)
+        atoms = [atom for atom, _ in kept]
+        for x, y in itertools.combinations(atoms, 2):
+            if (_hulls_meet(x, y)
                     and not intersect(RepSet.of(x), RepSet.of(y)).is_empty()):
                 raise ValidationError(f"term atoms overlap: {x!r} and {y!r}")
         if isinstance(domain, RepSet):
@@ -602,8 +602,7 @@ def _localize(piece: Atom, origin: Atom, expr: Expression) -> Expression:
             "a polynomial is only constant enough for a fractal or "
             "sequence piece when it has degree zero")
     if isinstance(piece, CountableSeq):
-        if (piece.family, piece.a, piece.b, piece.q) == \
-                (origin.family, origin.a, origin.b, origin.q):
+        if piece.base_key == origin.base_key:
             return expr
         raise NotRepresentable(
             "series values cannot be rebased onto a different sequence")
@@ -669,11 +668,9 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     for b, eb in g.terms:
         for piece in diff(RepSet.of(b), f_union).atoms:
             out.extend(_combined_terms(piece, [(b, eb)]))
-    g_hulls = [b.hull() for b, _ in g.terms]
     for a, ea in f.terms:
-        a_hull = a.hull()
-        for (b, eb), b_hull in zip(g.terms, g_hulls):
-            if not _hull_overlap(a_hull, b_hull):
+        for b, eb in g.terms:
+            if not _hulls_meet(a, b):
                 continue
             for piece in intersect(RepSet.of(a), RepSet.of(b)).atoms:
                 out.extend(_combined_terms(piece, [(a, ea), (b, eb)]))
@@ -806,11 +803,9 @@ def _tail_value_series(f: PiecewiseFunction,
                        tail: SingletonTail) -> CoefficientSeries:
     """f's values at the tail's points, as a catalog series indexed from
     the tail's start."""
-    base = (tail.atom.family, tail.atom.a, tail.atom.b, tail.atom.q)
     for atom, expr in f.terms:
-        if not isinstance(atom, CountableSeq):
-            continue
-        if (atom.family, atom.a, atom.b, atom.q) != base:
+        if (not isinstance(atom, CountableSeq)
+                or atom.base_key != tail.atom.base_key):
             continue
         for d in atom.deletions:
             if atom.index_of(d) >= tail.start:

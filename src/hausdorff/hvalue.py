@@ -634,9 +634,10 @@ class PSeries(CoefficientSeries):
     measure sequences such as -1/n.
 
     The sum c * zeta(p) is enclosed by Euler-Maclaurin summation with a
-    rigorous remainder bracket: exact rationals for integer p, one
-    `pow_interval` per term of a short head plus one for the tail when p
-    is fractional. The enclosure is about 2**-precision_bits * max(1,
+    rigorous remainder bracket: exact rationals for integer p (a power
+    k**-p below 2**-(precision_bits + 64) is enclosed by [0, that bound]),
+    one `pow_interval` per term of a short head plus one for the tail when
+    p is fractional. The enclosure is about 2**-precision_bits * max(1,
     |c * zeta(p)|) wide, so a larger `precision_bits` tightens it.
     """
 
@@ -665,12 +666,21 @@ class PSeries(CoefficientSeries):
             return POS_INF if self.c > 0 else NEG_INF
         p = self.p
         bits = get_config().precision_bits
+        # integer powers stay exact while k**p has at most `cap` bits; past
+        # that k**-p < 2**-cap, so [0, 2**-cap] encloses it at that width
+        cap = bits + 64
+        tiny = RatInterval(Fraction(0), Fraction(1, 1 << cap))
 
         def power(k: int) -> RatInterval:
             """Enclosure of k**-p."""
-            if p.denominator == 1:
-                return RatInterval.point(Fraction(1, k ** p.numerator))
-            return pow_interval(k, RatInterval.point(-p), bits)
+            if p.denominator != 1:
+                return pow_interval(k, RatInterval.point(-p), bits)
+            # k**p >= 2**(p * (bit_length - 1)): no power past cap is built
+            if p.numerator * (k.bit_length() - 1) < cap:
+                kp = k ** p.numerator
+                if kp.bit_length() <= cap:
+                    return RatInterval.point(Fraction(1, kp))
+            return tiny
 
         # head 1..n-1, then Euler-Maclaurin for f(x) = x**-p from n on:
         # sum_{k >= n} f(k) = n**-p * (n/(p-1) + 1/2 + t_1 + ... + t_m + r),

@@ -18,6 +18,7 @@ import bisect
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -54,6 +55,10 @@ class Atom:
     """Base class; concrete atoms are frozen dataclasses."""
 
     deletions: frozenset
+    # ((lo, hi), (lo_f, hi_f)) once hull() has run: the closed hull and an
+    # outward-rounded float copy of it. A plain attribute, not a field, so
+    # it stays out of ==, hash, repr and dataclasses.replace.
+    _hulls = None
 
     def in_base(self, x: Fraction) -> bool:
         """Membership in the atom ignoring deletions."""
@@ -64,8 +69,17 @@ class Atom:
         return x not in self.deletions and self.in_base(x)
 
     def hull(self) -> tuple[Endpoint, Endpoint]:
-        """A closed interval containing the atom."""
+        """A closed interval containing the atom, computed once per atom."""
+        return (self._hulls or self._cache_hulls())[0]
+
+    def _hull(self) -> tuple[Endpoint, Endpoint]:
         raise NotImplementedError
+
+    def _cache_hulls(self):
+        lo, hi = hull = self._hull()
+        hulls = (hull, (_float_past(lo, -math.inf), _float_past(hi, math.inf)))
+        object.__setattr__(self, "_hulls", hulls)
+        return hulls
 
     def dim(self) -> Dimension:
         raise NotImplementedError
@@ -109,7 +123,7 @@ class FinitePoints(Atom):
     def in_base(self, x):
         return x in self.points
 
-    def hull(self):
+    def _hull(self):
         if not self.points:
             return (Fraction(0), Fraction(0))
         return (self.points[0], self.points[-1])
@@ -192,10 +206,16 @@ class CountableSeq(Atom):
             n += 1
         raise TooLarge("sequence index search exceeded the iteration guard")
 
+    @property
+    def base_key(self) -> tuple:
+        """The parameters (family, a, b, q): two sequences have the same
+        base set exactly when their keys are equal."""
+        return (self.family, self.a, self.b, self.q)
+
     def in_base(self, x):
         return self.index_of(x) is not None
 
-    def hull(self):
+    def _hull(self):
         first = self.point(1)
         return (self.a, first) if self.b > 0 else (first, self.a)
 
@@ -289,7 +309,7 @@ class Interval(Atom):
         return ((self.lo is None or x >= self.lo)
                 and (self.hi is None or x <= self.hi))
 
-    def hull(self):
+    def _hull(self):
         return (self.lo, self.hi)
 
     def dim(self):
@@ -329,7 +349,7 @@ class CantorAffine(Atom):
     def in_base(self, x):
         return in_cantor((x - self.t) / self.s)
 
-    def hull(self):
+    def _hull(self):
         return (self.t, self.t + self.s)
 
     def dim(self):
@@ -418,6 +438,22 @@ def cantor_scale_measure(s: Rational) -> ExtReal:
 # hull utilities
 
 
+def _float_past(x: Endpoint, toward: float) -> float:
+    """A float on the side of x that toward (-inf or +inf) names. float()
+    rounds to nearest, so one more step toward that side is always safe.
+    A missing endpoint, or an x beyond the float range on that side, maps
+    to toward; an x beyond it on the other side to the largest float of
+    its sign."""
+    if x is None:
+        return toward
+    try:
+        return math.nextafter(float(x), toward)
+    except OverflowError:
+        if (x > 0) == (toward > 0):
+            return toward
+        return sys.float_info.max if x > 0 else -sys.float_info.max
+
+
 def _hull_overlap(h1, h2) -> bool:
     (a1, b1), (a2, b2) = h1, h2
     left_ok = a2 is None or b1 is None or a2 <= b1
@@ -425,16 +461,22 @@ def _hull_overlap(h1, h2) -> bool:
     return left_ok and right_ok
 
 
+def _hulls_meet(x: Atom, y: Atom) -> bool:
+    """Whether the closed hulls of x and y meet. The float bounds enclose
+    the hulls, so disjoint float bounds prove the hulls disjoint; only the
+    pairs they cannot separate are compared exactly."""
+    hx, (xlo, xhi) = x._hulls or x._cache_hulls()
+    hy, (ylo, yhi) = y._hulls or y._cache_hulls()
+    if xhi < ylo or yhi < xlo:
+        return False
+    return _hull_overlap(hx, hy)
+
+
 def _hull_key(atom: "Atom"):
     lo, hi = atom.hull()
     lo_key = (0, lo) if lo is not None else (-1, Fraction(0))
     hi_key = (0, hi) if hi is not None else (1, Fraction(0))
     return (lo_key, hi_key, _rank(atom))
-
-
-def _rank(atom: "Atom") -> int:
-    return {FinitePoints: 0, CountableSeq: 1,
-            Interval: 2, CantorAffine: 3}[type(atom)]
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +545,22 @@ def _render_atom(a: Atom) -> str:
 # points collapse into one canonical atom). _resolve_pair returns None for
 # disjoint hulls from its one guard at the top, which only two point atoms
 # pass, so the skipped pairs are disjoint as they stand.
+# Every hull test goes through _hulls_meet. Its float gate compares each
+# atom's hull rounded outward to floats, computed once per atom on first
+# use. Outward bounds enclose the real hull, so disjoint float bounds prove
+# the hulls disjoint; the pairs the floats cannot separate are compared
+# exactly. The pairs resolved, and their order, are those of the exact test.
 # On a merge the settled partner is withdrawn and the replacement atoms go
 # back to pending. Intervals settle first, then Cantor copies, sequences
 # and points: an interval that covers a limit or cuts a Cantor copy turns
 # a pair that is not representable on its own into one that is.
 
 _SETTLE_ORDER = {Interval: 0, CantorAffine: 1, CountableSeq: 2, FinitePoints: 3}
+_RANK = {FinitePoints: 0, CountableSeq: 1, Interval: 2, CantorAffine: 3}
+
+
+def _rank(atom: Atom) -> int:
+    return _RANK[type(atom)]
 
 
 def normalize(atoms: Iterable[Atom]) -> RepSet:
@@ -525,14 +577,14 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
     pending = [(_SETTLE_ORDER[type(a)], k, a) for k, a in enumerate(work)]
     heapq.heapify(pending)
     arrivals = itertools.count(len(work))
-    settled = []  # (atom, hull), pairwise disjoint
+    settled = []  # pairwise disjoint
     for _ in range(_ITER_GUARD):
         if not pending:
-            return RepSet(tuple(sorted((a for a, _ in settled), key=_hull_key)))
+            return RepSet(tuple(sorted(settled, key=_hull_key)))
         x = heapq.heappop(pending)[2]
-        hx, points = x.hull(), isinstance(x, FinitePoints)
-        for k, (y, hy) in enumerate(settled):
-            if not (_hull_overlap(hx, hy)
+        points = isinstance(x, FinitePoints)
+        for k, y in enumerate(settled):
+            if not (_hulls_meet(x, y)
                     or (points and isinstance(y, FinitePoints))):
                 continue
             # the settled atom goes first on a rank tie: the reverse makes
@@ -547,7 +599,7 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
                                                  next(arrivals), a))
                 break
         else:
-            settled.append((x, hx))
+            settled.append(x)
     raise TooLarge("set normalization did not stabilize")
 
 
@@ -555,7 +607,7 @@ def _resolve_pair(x: Atom, y: Atom, budget: int):
     """None when x and y are certified disjoint; otherwise a list of atoms
     whose union equals x u y. Expects _rank(x) <= _rank(y)."""
     # point atoms rank lowest, so y is one only when x is one as well
-    if not (_hull_overlap(x.hull(), y.hull()) or isinstance(y, FinitePoints)):
+    if not (_hulls_meet(x, y) or isinstance(y, FinitePoints)):
         return None
     if isinstance(x, FinitePoints):
         return _resolve_points(x, y)
@@ -968,7 +1020,7 @@ def _resolve_interval_cantor(x: Interval, y: CantorAffine, budget: int):
 def _ca_partition(base: CantorAffine, target: CantorAffine, budget: int):
     """Partition target against base: (common, rest), where common holds
     the points of target whose positions also lie in base's base set."""
-    if not _hull_overlap(base.hull(), target.hull()):
+    if not _hulls_meet(base, target):
         return [], [target]
     if (base.t, base.s) == (target.t, target.s):
         return [target], []
@@ -1047,11 +1099,10 @@ def intersect(a: RepSet, b: RepSet) -> RepSet:
 def _atom_minus_set(atom: Atom, s: RepSet) -> list:
     pieces = [atom]
     for other in s.atoms:
-        h = other.hull()
         nxt = []
         for piece in pieces:
             # a piece whose hull misses other's loses nothing
-            if _hull_overlap(piece.hull(), h):
+            if _hulls_meet(piece, other):
                 nxt.extend(_atom_minus_atom(piece, other))
             else:
                 nxt.append(piece)

@@ -1,6 +1,7 @@
 """Order, algebra and limit behaviour of dimension-measure pairs."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -338,6 +339,18 @@ def test_pseries_sum_contains_zeta_at_precision_width(bits):
                 assert enc.hi - enc.lo <= F(1, 2 ** (bits - 8)) * scale, (c, p)
     finally:
         set_config(previous)
+
+
+@pytest.mark.parametrize("p", [200, 10 ** 3, 10 ** 5])
+def test_pseries_sum_large_integer_power_is_bounded(p):
+    # terms k**-p below 2**-(bits + 64) are enclosed, not summed exactly
+    bits = get_config().precision_bits
+    start = time.perf_counter()
+    enc = PSeries(1, p).sum().enclosure()
+    assert time.perf_counter() - start < 0.5
+    lo, hi = _ref_bracket(F(1), F(p), bits)
+    assert enc.lo <= hi and lo <= enc.hi
+    assert enc.hi - enc.lo <= F(1, 2 ** bits)
 
 
 def test_pseries_sum_makes_few_power_enclosures(monkeypatch):

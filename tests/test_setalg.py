@@ -1,7 +1,9 @@
 """Set algebra: membership, normalization, operations, measures."""
 
 import itertools
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,8 @@ from hausdorff.errors import NotRepresentable, ValidationError
 from hausdorff.hvalue import DIM_CANTOR, DIM_ONE, DIM_ZERO, HPair, ExtReal
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               EMPTY_SET, FinitePoints, Interval, RepSet,
-                              _rank, _resolve_pair, _resolve_points,
+                              _hull_overlap, _hulls_meet, _rank,
+                              _resolve_pair, _resolve_points,
                               cantor_gap, cantor_scale_measure, diff, hmeasure,
                               in_cantor, intersect, normalize, symdiff, union,
                               verify_monotone, verify_subadditive)
@@ -629,3 +632,107 @@ def test_normalize_properties(inputs):
     except NotRepresentable:
         return
     assert hmeasure(r) == hmeasure(s)
+
+
+# -- the hull gate ----------------------------------------------------------
+
+BIG, TINY, THIRD_800 = F(10) ** 400, F(1, 10 ** 400), F(1, 3 ** 800)
+NEAR_TWO_THIRDS = F(2, 3) + F(1, 3 ** 40)  # the same float as 2/3
+
+GATE_ATOMS = [
+    # hulls touching at values with no exact binary form
+    Interval(0, F(1, 3)), Interval(F(1, 3), 1), FinitePoints([F(1, 10)]),
+    Interval(F(1, 10), F(1, 2)), Interval(-1, F(1, 10)),
+    Interval(0, F(2, 3)), Interval(F(2, 3), NEAR_TWO_THIRDS),
+    CantorAffine(NEAR_TWO_THIRDS, 1), FinitePoints([NEAR_TWO_THIRDS]),
+    # float overflow
+    Interval(BIG, BIG + 1), FinitePoints([BIG]), Interval(-BIG - 1, -BIG),
+    FinitePoints([-BIG]), Interval(-BIG, 0), CantorAffine(BIG + 1, 1),
+    # float underflow
+    CantorAffine(0, THIRD_800), CantorAffine(F(1, 3), THIRD_800),
+    FinitePoints([THIRD_800]), FinitePoints([2 * THIRD_800]),
+    Interval(TINY, 1), Interval(-1, TINY), Interval(-TINY, 0),
+    Interval(2 * TINY, 3 * TINY), CountableSeq(HARMONIC, TINY, TINY),
+    CountableSeq(GEOMETRIC, -TINY, -BIG, F(1, 3)),
+    # unbounded
+    Interval(None, 0), Interval(0, None), Interval(None, -BIG),
+    Interval(BIG, None), Interval(None, None), Interval(None, TINY),
+]
+
+
+def _float_bounds_enclose(atom):
+    (lo, hi), (lo_f, hi_f) = atom.hull(), atom._hulls[1]
+    below = lo_f == -math.inf or (lo is not None and F(lo_f) <= lo)
+    above = hi_f == math.inf or (hi is not None and hi <= F(hi_f))
+    return below and above
+
+
+def test_hull_gate_agrees_with_exact_overlap():
+    # the gate must never rule out a pair the exact test accepts, least of
+    # all at touch points the float conversion rounds
+    touching = 0
+    for x, y in itertools.product(GATE_ATOMS, repeat=2):
+        exact = _hull_overlap(x.hull(), y.hull())
+        assert _hulls_meet(x, y) == exact, (x, y)
+        touching += exact and (x.hull()[1] == y.hull()[0])
+    assert touching >= 10
+    for atom in GATE_ATOMS:
+        assert _float_bounds_enclose(atom), atom
+
+
+MIXED = st.builds(lambda n, d, e: F(n, d) * F(10) ** e,
+                  st.integers(-30, 30), st.sampled_from([1, 3, 7, 10, 3 ** 40]),
+                  st.sampled_from([-400, -320, -20, 0, 20, 300, 400]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(MIXED, min_size=1, max_size=3, unique=True), st.data())
+def test_hull_gate_agrees_with_exact_overlap_random(pool, data):
+    # endpoints drawn from a small pool, so hulls touch often
+    ends = st.one_of(st.none(), st.sampled_from(pool))
+
+    def atom():
+        lo, hi = data.draw(ends), data.draw(ends)
+        if lo is not None and hi is not None and lo >= hi:
+            return FinitePoints([lo])
+        return Interval(lo, hi)
+
+    x, y = atom(), atom()
+    assert _hulls_meet(x, y) == _hull_overlap(x.hull(), y.hull()), (x, y)
+    assert _float_bounds_enclose(x) and _float_bounds_enclose(y)
+
+
+def test_hull_computed_once_per_atom(monkeypatch):
+    counts = {}
+    for cls in (FinitePoints, CountableSeq, Interval, CantorAffine):
+        def counting(self, _hull=cls._hull):
+            # the entry keeps the atom alive, so its id is not reused
+            counts.setdefault(id(self), [self, 0])[1] += 1
+            return _hull(self)
+        monkeypatch.setattr(cls, "_hull", counting)
+    atoms = [Interval(0, 1), Interval(F(1, 2), 2), CantorAffine(3, 1),
+             CantorAffine(3, F(1, 3)), CountableSeq(HARMONIC, 5, 1),
+             FinitePoints([0, F(11, 2), 7, 3]), Interval(F(7, 2), 4),
+             CountableSeq(GEOMETRIC, 10, 1, F(1, 2)), Interval(9, 10)]
+    s = normalize(atoms)
+    diff(s, RepSet.of(Interval(F(1, 2), F(7, 2)), FinitePoints([10])))
+    assert len(counts) > len(atoms)
+    assert max(n for _, n in counts.values()) == 1
+
+
+def test_hull_cache_stays_out_of_equality():
+    makers = (lambda: FinitePoints([1, F(1, 3)]),
+              lambda: CountableSeq(GEOMETRIC, 0, 1, F(1, 2), [F(1, 4)]),
+              lambda: Interval(None, F(1, 3), [0]),
+              lambda: CantorAffine(F(1, 3), F(1, 9)))
+    for make in makers:
+        read, fresh = make(), make()
+        assert _hulls_meet(read, read)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) and {read} == {fresh}
+        assert RepSet.of(read).render() == RepSet.of(fresh).render()
+        if isinstance(read, FinitePoints):
+            continue  # rebuilt by its own constructor, never replaced
+        copy = replace(read)
+        assert copy == read and "_hulls" not in vars(copy)
+        assert copy.hull() == read.hull()
