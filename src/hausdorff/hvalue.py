@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from ._numeric import (RatInterval, Rational, log_interval, pow_interval,
-                       render_rational)
+                       power_base, render_rational)
 from .config import get_config
 from .errors import (DoesNotConverge, IncomparableDimensions, NotSupported,
                      UndefinedSum, ValidationError)
@@ -28,27 +28,6 @@ _POW_BIT_GUARD = 1 << 20  # largest big-int comparison we will attempt
 
 # ---------------------------------------------------------------------------
 # dimensions
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 1, by Newton iteration on integers."""
-    if n < 2 or k == 1:
-        return n
-    x = 1 << ((n.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _minimal_power_base(n: int) -> tuple[int, int]:
-    """Write n >= 2 as base**exp with the smallest possible base."""
-    for k in range(n.bit_length(), 1, -1):
-        root = _iroot(n, k)
-        if root >= 2 and root ** k == n:
-            return root, k
-    return n, 1
 
 
 @dataclass(frozen=True)
@@ -79,8 +58,8 @@ class Dimension:
             raise ValidationError("log_ratio arguments must be integers")
         if p < 2 or q < 2:
             raise ValidationError("log_ratio arguments must be at least 2")
-        base_p, u = _minimal_power_base(p)
-        base_q, v = _minimal_power_base(q)
+        base_p, u = power_base(p)
+        base_q, v = power_base(q)
         if base_p == base_q:
             return Dimension.rational(Fraction(u, v))
         if p >= q:

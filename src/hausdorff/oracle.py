@@ -20,7 +20,8 @@ from .hvalue import (CoefficientSeries, Dimension, ExtReal, HPair, Rational)
 from .hintegral import Const, PiecewiseFunction, Poly
 from .setalg import (HARMONIC, Atom, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet)
-from ._numeric import RatInterval, log_interval, pow_interval
+from ._numeric import (RatInterval, exact_root, geo_steps, log_interval,
+                       pow_interval, power_index)
 
 __all__ = [
     "CoverReport", "box_dim_estimate", "premeasure_estimate",
@@ -76,11 +77,9 @@ def _sequence_boxes(atom: CountableSeq, delta: Fraction) -> int:
         tail = b / (m + 1)
     else:
         # gap is b q^n (1 - q)
+        # m counts the n >= 1 with q^n above the threshold
         threshold = delta / (b * (1 - atom.q))
-        m, power = 0, atom.q
-        while power > threshold:
-            m += 1
-            power *= atom.q
+        m = max(1, geo_steps(atom.q, threshold, strict=False)) - 1
         tail = b * atom.q ** (m + 1)
     return m + math.ceil(tail / delta)
 
@@ -112,43 +111,10 @@ def _as_dimension(d) -> Dimension:
     return Dimension.rational(d)
 
 
-def _integer_power_of(x: Fraction, base: int):
-    """Exponent e with x == base**e, or None."""
-    if x == 1:
-        return 0
-    flip = x.numerator == 1 and x.denominator > 1
-    n = x.denominator if flip else x.numerator
-    if (x.denominator if not flip else x.numerator) != 1:
-        return None
-    e = 0
-    while n % base == 0:
-        n //= base
-        e += 1
-    if n != 1:
-        return None
-    return -e if flip else e
-
-
-def _int_root(n: int, q: int):
-    """Integer q-th root of n when n is a perfect power, else None."""
-    if n == 0:
-        return 0
-    lo, hi = 1, 1 << (n.bit_length() // q + 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid ** q <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo if lo ** q == n else None
-
-
 def _rational_pow(x: Fraction, r: Fraction):
     """x**r as an exact Fraction, or None when the root is irrational."""
-    if r.denominator == 1:
-        return x ** r
-    num = _int_root(x.numerator, r.denominator)
-    den = _int_root(x.denominator, r.denominator)
+    num = exact_root(x.numerator, r.denominator)
+    den = exact_root(x.denominator, r.denominator)
     if num is None or den is None:
         return None
     return Fraction(num, den) ** r.numerator
@@ -165,7 +131,7 @@ def _pow_dim(x: Fraction, d: Dimension, prec: int) -> RatInterval:
     elif d.rat == 0 and len(d.logs) == 1:
         # x = q^e turns x^(c log p / log q) into p^(c e)
         (p, q), coef = d.logs[0]
-        e = _integer_power_of(x, q)
+        e = power_index(x, q)
         if e is not None and (coef * e).denominator == 1:
             return RatInterval.point(Fraction(p) ** (coef * e))
     return pow_interval(x, d.enclosure(prec), prec)

@@ -23,14 +23,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from ._numeric import Rational, pow_interval
+from ._numeric import (_ITER_GUARD, Rational, coprime_base, geo_steps,
+                       pow_interval, power_base, power_index)
 from .config import get_config
 from .errors import (NotRepresentable, NotSupported, TooLarge,
                      ValidationError)
 from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, ZERO_PAIR,
                      Dimension, ExtReal, HPair, dim_max, ext_sum, hpair_add)
-
-_ITER_GUARD = 100_000
 
 Endpoint = Optional[Fraction]  # None encodes a missing (infinite) endpoint
 
@@ -195,16 +194,8 @@ class CountableSeq(Atom):
         if self.family == HARMONIC:
             n = self.b / t
             return int(n) if n.denominator == 1 and n >= 1 else None
-        y = t / self.b  # must equal q**n for some n >= 1
-        val, n = self.q, 1
-        for _ in range(_ITER_GUARD):
-            if val == y:
-                return n
-            if val < y:
-                return None
-            val *= self.q
-            n += 1
-        raise TooLarge("sequence index search exceeded the iteration guard")
+        n = power_index(t / self.b, self.q)  # t/b must equal q**n, n >= 1
+        return n if n is not None and n >= 1 else None
 
     @property
     def base_key(self) -> tuple:
@@ -256,7 +247,7 @@ class CountableSeq(Atom):
                 return ("finite", ())
         if n_max is None:
             return ("tail", n_min)
-        return ("finite", tuple(range(n_min, n_max + 1)))
+        return ("finite", tuple(_term_range(n_min, n_max + 1)))
 
     def _first_index_below(self, bound: Fraction, strict: bool) -> int:
         if self.family == HARMONIC:
@@ -264,13 +255,7 @@ class CountableSeq(Atom):
             if strict and self.b / n == bound:
                 n += 1
             return n
-        val, n = self.b * self.q, 1
-        for _ in range(_ITER_GUARD):
-            if val < bound or (val == bound and not strict):
-                return n
-            val *= self.q
-            n += 1
-        raise TooLarge("geometric index search exceeded the iteration guard")
+        return max(1, geo_steps(self.q, bound / self.b, strict))
 
     def _last_index_above(self, bound: Fraction, strict: bool):
         if self.family == HARMONIC:
@@ -278,14 +263,17 @@ class CountableSeq(Atom):
             if strict and n >= 1 and self.b / n == bound:
                 n -= 1
             return n if n >= 1 else None
-        val, n, best = self.b * self.q, 1, None
-        for _ in range(_ITER_GUARD):
-            if val < bound or (val == bound and strict):
-                return best
-            best = n
-            val *= self.q
-            n += 1
-        raise TooLarge("geometric index search exceeded the iteration guard")
+        # one below the first index that fails the bound
+        n = geo_steps(self.q, bound / self.b, not strict) - 1
+        return n if n >= 1 else None
+
+
+def _term_range(start: int, stop: int) -> range:
+    """range(start, stop) of sequence indices; TooLarge past _ITER_GUARD
+    terms."""
+    if stop - start > _ITER_GUARD:
+        raise TooLarge(f"more than {_ITER_GUARD} sequence terms to list")
+    return range(start, stop)
 
 
 @dataclass(frozen=True)
@@ -660,7 +648,7 @@ def _tail_split(seq: CountableSeq, start: int, other: Atom):
     """For a sequence whose terms from index start onward lie in other's
     base set: (seq's head points outside that base set, other's deleted
     points that seq holds)."""
-    head = [p for p in map(seq.point, range(1, start))
+    head = [p for p in map(seq.point, _term_range(1, start))
             if seq.member(p) and not other.in_base(p)]
     return head, [d for d in other.deletions if seq.member(d)]
 
@@ -678,73 +666,24 @@ def _move_commons(x: CountableSeq, y: Atom, commons: Iterable[Fraction]):
 # -- sequence vs sequence -----------------------------------------------------
 
 
-def _prime_exponents(n: int) -> dict:
-    out = {}
-    m = abs(n)
-    for p in (2, 3, 5, 7, 11, 13):
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    f = 17
-    while f * f <= m:
-        while m % f == 0:
-            out[f] = out.get(f, 0) + 1
-            m //= f
-        f += 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def _frac_exponents(x: Fraction) -> dict:
-    out = dict(_prime_exponents(x.numerator))
-    for p, e in _prime_exponents(x.denominator).items():
-        out[p] = out.get(p, 0) - e
-    return {p: e for p, e in out.items() if e}
-
-
-def _power_index(value: Fraction, base: Fraction):
-    """Integer z with value == base**z, else None; base in (0,1)."""
-    if value <= 0:
-        return None
-    if value == 1:
-        return 0
-    z, v = 0, Fraction(1)
-    if value < 1:
-        for _ in range(_ITER_GUARD):
-            v *= base
-            z += 1
-            if v == value:
-                return z
-            if v < value:
-                return None
-    else:
-        for _ in range(_ITER_GUARD):
-            v /= base
-            z -= 1
-            if v == value:
-                return z
-            if v > value:
-                return None
-    raise TooLarge("power index search diverged")
-
-
 def _primitive_ratio(q: Fraction) -> tuple[Fraction, int]:
-    """Write q = rho**e with maximal e >= 1; rho is the primitive ratio."""
-    expo = _frac_exponents(q)
-    g = 0
-    for e in expo.values():
-        g = math.gcd(g, abs(e))
-    if g <= 1:
-        return q, 1
-    num = den = 1
-    for p, e in expo.items():
-        step = e // g
-        if step > 0:
-            num *= p ** step
-        else:
-            den *= p ** (-step)
-    return Fraction(num, den), g
+    """Write q = rho**e with maximal e >= 1; rho is the primitive ratio.
+    With u**a and v**b the numerator and denominator over their least
+    bases, e is gcd(a, b)."""
+    u, a = power_base(q.numerator)
+    v, b = power_base(q.denominator)
+    e = math.gcd(a, b)
+    return Fraction(u ** (a // e), v ** (b // e)), e
+
+
+def _exponents(x: Fraction, base: list) -> list:
+    """The exponent in x of each member of a coprime base whose powers
+    make up x. For a member p of it, gcd(n, p**k) is the power of p in n
+    once k bounds that exponent, and log2(n) / log2(p) does."""
+    def expo(n, p):
+        k = n.bit_length() // (p.bit_length() - 1)
+        return power_index(math.gcd(n, p ** k), p)
+    return [expo(x.numerator, p) - expo(x.denominator, p) for p in base]
 
 
 def _solve_two_unknowns(rows):
@@ -774,18 +713,10 @@ def _common_points_finite(x: CountableSeq, y: CountableSeq) -> list:
     commons = []
     for seq, other in ((x, y), (y, x)):
         if seq.family == HARMONIC:
-            n_stop = max(1, _ceil(2 * abs(seq.b) / delta))
-            indices = range(1, n_stop + 1)
-        else:
-            indices = []
-            n, val = 1, abs(seq.b) * seq.q
-            while 2 * val >= delta:
-                indices.append(n)
-                n += 1
-                val *= seq.q
-                if n > _ITER_GUARD:
-                    raise TooLarge("sequence intersection search diverged")
-        for n in indices:
+            stop = max(1, _ceil(2 * abs(seq.b) / delta)) + 1
+        else:  # the indices n with 2*|b|*q**n >= delta
+            stop = geo_steps(seq.q, delta / (2 * abs(seq.b)))
+        for n in range(1, stop):
             p = seq.point(n)
             if other.in_base(p):
                 commons.append(p)
@@ -801,13 +732,12 @@ def _seq_base_subset(x: CountableSeq, y: CountableSeq) -> bool:
         k = y.b / x.b
         return k.denominator == 1 and k >= 1
     if x.family == GEOMETRIC and y.family == GEOMETRIC:
-        if x.q == y.q:
-            z = _power_index(x.b / y.b, x.q)
-            return z is not None and z >= 0
-        k = _power_index(x.q, y.q)
+        # x.q == y.q**k and x.b == y.b * y.q**j: term n of x is term
+        # k*n + j of y
+        k = power_index(x.q, y.q)
         if k is None or k < 1:
             return False
-        j = _power_index(x.b / y.b, y.q)
+        j = power_index(x.b / y.b, y.q)
         return j is not None and j + k >= 1
     if x.family == GEOMETRIC and y.family == HARMONIC:
         # a + b*q^n == a + y.b/m needs m = (y.b/x.b) * (1/q)^n integral
@@ -822,25 +752,25 @@ def _geo_geo_commons(x: CountableSeq, y: CountableSeq):
     """Intersection structure of same-accumulation geometric sequences not
     in containment: "disjoint", ("finite", pts), or None when the
     intersection is infinite and interleaved."""
-    ex, ey = _frac_exponents(x.q), _frac_exponents(y.q)
-    parallel = (set(ex) == set(ey)
-                and len({Fraction(ey[p], ex[p]) for p in ex}) == 1)
-    if not parallel:
-        # multiplicatively independent ratios: at most one common point
-        target = _frac_exponents(y.b / x.b)
-        primes = sorted(set(ex) | set(ey) | set(target))
-        rows = [(ex.get(p, 0), -ey.get(p, 0), target.get(p, 0)) for p in primes]
-        sol = _solve_two_unknowns(rows)
+    rho, e = _primitive_ratio(x.q)
+    sigma, f = _primitive_ratio(y.q)
+    target = y.b / x.b  # common points need x.q**n / y.q**m == target
+    if rho != sigma:
+        # multiplicatively independent ratios: at most one common point,
+        # found from the exponents over a coprime base of the six terms
+        terms = (x.q, y.q, target)
+        base = coprime_base([k for t in terms
+                             for k in (t.numerator, t.denominator)])
+        ex, ey, et = (_exponents(t, base) for t in terms)
+        sol = _solve_two_unknowns([(a, -b, c) for a, b, c in zip(ex, ey, et)])
         if sol is None:
             return "disjoint"
         n, m = sol
         if n >= 1 and m >= 1 and x.b * x.q ** n == y.b * y.q ** m:
             return ("finite", [x.point(n)])
         return "disjoint"
-    rho, e = _primitive_ratio(x.q)
-    f = _power_index(y.q, rho)
-    z = _power_index(y.b / x.b, rho)
-    if f is None or z is None:
+    z = power_index(target, rho)
+    if z is None:
         return "disjoint"
     # common points need e*n - f*m == z: solvable iff gcd(e, f) divides z,
     # and then the solutions fill an infinite lattice line
@@ -854,29 +784,25 @@ def _harm_geo_commons(h: CountableSeq, g: CountableSeq):
     the same accumulation point and side, outside containment: "disjoint",
     ("finite", pts), or ("tail", (g, start)) when exactly the terms of g
     from index start onward are common."""
-    # h.b/n == g.b * q^m  =>  n = (h.b/g.b) * (1/q)^m
+    # h.b/n == g.b * q^m  =>  n = (alpha/beta) * (v/u)^m, an integer
+    # exactly when beta divides v^m and u^m divides alpha
     ratio = h.b / g.b  # positive: same side of the accumulation point
+    alpha, beta = ratio.numerator, ratio.denominator
     u, v = g.q.numerator, g.q.denominator
+    # no exponent of beta reaches its bit length, so if beta divides some
+    # v^m it divides v^top, and the m that work are those from m_lo on
+    top = beta.bit_length()
+    if pow(v, top, beta) != 0:
+        return "disjoint"
+    m_lo = max(1, bisect.bisect_left(range(top), True,
+                                     key=lambda m: pow(v, m, beta) == 0))
     if u == 1:
-        # n = ratio * v^m: the divisibility condition stabilises to a tail
-        beta = ratio.denominator
-        m0 = 1
-        for p, e in _prime_exponents(beta).items():
-            ev = _prime_exponents(v).get(p, 0)
-            if ev == 0:
-                return "disjoint"  # beta never divides v^m
-            m0 = max(m0, _ceil(Fraction(e, ev)))
-        while ratio * Fraction(v) ** m0 < 1:
-            m0 += 1
-        return ("tail", (g, m0))
-    # u >= 2: u^m must divide the fixed numerator of ratio, so m is bounded
-    pts = []
-    m = 1
-    while u ** m <= abs(ratio.numerator):
-        n = ratio * Fraction(v, u) ** m
-        if n.denominator == 1 and n >= 1:
-            pts.append(g.point(m))
-        m += 1
+        # every m from m_lo on, once n = ratio * v^m >= 1
+        return ("tail", (g, max(m_lo, geo_steps(g.q, ratio, strict=False))))
+    # u >= 2: u^m divides alpha for m up to m_hi only
+    m_hi = bisect.bisect_left(range(alpha.bit_length() + 1), True,
+                              key=lambda m: alpha % u ** m != 0) - 1
+    pts = [g.point(m) for m in range(m_lo, m_hi + 1)]
     return ("finite", pts) if pts else "disjoint"
 
 

@@ -163,6 +163,15 @@ def test_domain_error_exits_1(capsys):
     assert code == 1 and "overlap" in err
 
 
+def test_huge_sequence_range_exits_1(capsys):
+    # the interval holds 10**400 harmonic terms: a named refusal, not an
+    # OverflowError traceback
+    doc = ('{"union": [{"seq": {"kind": "harmonic"}}, '
+           '{"interval": ["1/1' + "0" * 400 + '", 2]}]}')
+    code, _, err = run(capsys, "measure", doc)
+    assert code == 1 and "sequence terms" in err
+
+
 def test_usage_error_exits_2(capsys):
     assert run(capsys, "check", "no-such-suite")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
