@@ -1,6 +1,6 @@
 """Exact rational plumbing: interval arithmetic with Fraction endpoints,
-outward-rounded transcendental evaluations borrowed from mpmath, and exact
-integer roots and power indices.
+outward-rounded enclosures of ln, exp and sqrt from integer fixed-point
+kernels, and exact integer roots and power indices.
 
 Everything downstream treats a RatInterval as a certificate: the true real
 value lies inside [lo, hi]. Endpoints are exact Fractions, so interval
@@ -9,16 +9,12 @@ combinations never lose containment.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
-
-from contextlib import contextmanager
-
-from mpmath import iv
-from mpmath.libmp import to_rational
 
 from .errors import TooLarge, ValidationError
 
@@ -29,21 +25,6 @@ Rational = Union[int, Fraction]
 _ITER_GUARD = 100_000
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-@contextmanager
-def _iv_prec(prec: int):
-    saved = iv.prec
-    iv.prec = prec
-    try:
-        yield
-    finally:
-        iv.prec = saved
-
-
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    p, q = to_rational(t)
-    return Fraction(int(p), int(q))
 
 
 @dataclass(frozen=True)
@@ -123,24 +104,108 @@ def _as_interval(x) -> RatInterval:
     return RatInterval.point(x)
 
 
-def _to_iv(x: Rational, prec: int):
-    x = Fraction(x)
-    with _iv_prec(prec):
-        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+def _round_out(lo: int, hi: int, e: int, prec: int) -> RatInterval:
+    """[lo * 2**e, hi * 2**e] widened to endpoints of prec significant bits."""
+    ends = []
+    for m in (lo, -hi):  # floor both, the upper end through its negative
+        drop = max(0, abs(m).bit_length() - prec)
+        m, k = m >> drop, e + drop
+        ends.append(Fraction(m << k) if k >= 0 else Fraction(m, 1 << -k))
+    return RatInterval(ends[0], -ends[1])
 
 
-def _from_iv(value) -> RatInterval:
-    a, b = value._mpi_
-    return RatInterval(_mpf_tuple_to_fraction(a), _mpf_tuple_to_fraction(b))
+_GUARD = 64  # kernel bits past prec: their errors stay far below an endpoint unit
+
+
+def _atanh_fixed(num: int, den: int, w: int) -> tuple[int, int, int]:
+    """atanh(t) for t = num/den, |t| <= 1/3, as (m, err, e): the value lies
+    within err * 2**e of m * 2**e, and |m| is about 2**w however small t is.
+    Floored products of nonnegative terms make the sum fall short only, by
+    at most 6 units a term (t**2 <= 1/9 keeps the carried error below 13)."""
+    if not num:
+        return 0, 0, -2 * w
+    s = den.bit_length() - abs(num).bit_length()  # 2**(-s-1) < |t| < 2**(1-s)
+    t = (abs(num) << (w + s)) // den
+    t2 = t * t >> (w + 2 * s)  # t**2 * 2**w
+    acc = term = t
+    j = 1
+    while term:
+        term = term * t2 >> w
+        acc += term // (2 * j + 1)
+        j += 1
+    return (acc if num > 0 else -acc), 6 * j, -(w + s)
+
+
+@functools.lru_cache(maxsize=64)
+def _ln2_fixed(w: int) -> tuple[int, int]:
+    """ln 2 = 2 atanh(1/3) as (m, err) in units of 2**-w."""
+    return _atanh_fixed(1, 3, w)[:2]
+
+
+def _ln_fixed(n: int, d: int, w: int) -> tuple[int, int, int]:
+    """ln(n/d) for n, d >= 1 as (m, err, e) with e <= -w, like _atanh_fixed,
+    with a relative error below 2**(20-w) at any magnitude. n/d = 2**k * y
+    for y in [2/3, 4/3); square roots z = y**(2**-roots) bring t = (z-1)/(z+1)
+    below 2**-r, and ln y = 2**(roots+1) atanh(t). A y that starts that near
+    1 keeps its exact t, so no digits cancel."""
+    k = n.bit_length() - d.bit_length()
+    n, d = (n, d << k) if k >= 0 else (n << -k, d)
+    if 3 * n >= 4 * d:
+        d, k = d << 1, k + 1
+    elif 3 * n < 2 * d:
+        n, k = n << 1, k - 1
+    num, den, roots, slack, r = n - d, n + d, 0, 0, w.bit_length()
+    if abs(num) << r >= den:
+        # each floor root scales the error of z by 1/(2 sqrt(z)) < 0.62 and
+        # adds one, so z stays within 3 units, and atanh within 2 (z > 0.8)
+        one, z = 1 << w, (n << w) // d
+        while abs(z - one) << r >= z + one:
+            z = math.isqrt(z << w)
+            roots += 1
+        num, den, slack = z - one, z + one, 2
+    m, err, e = _atanh_fixed(num, den, w)
+    err += slack << (-w - e)
+    e += roots + 1
+    if not k:
+        return m, err, e
+    # |ln x| > 0.28 |k| now, so units of 2**-w keep the relative error
+    l2, err2 = _ln2_fixed(w)
+    shift = -w - e
+    return k * l2 + (m >> shift), abs(k) * err2 + (err >> shift) + 2, -w
+
+
+def _exp_fixed(x: int, err: int, w: int) -> tuple[int, int, int]:
+    """exp(v) for v within err * 2**-w of x * 2**-w, as (lo, hi, e) with
+    lo * 2**e <= exp(v) <= hi * 2**e; err * 2**-w must stay below 1.
+    v = k ln 2 + u with u in [0, ln 2). The Taylor sum of exp(u * 2**-h) falls
+    short only, by at most 4 units a term; h squarings carry that exactly."""
+    l2, err2 = _ln2_fixed(w)
+    k, u = divmod(x, l2)
+    err += abs(k) * err2
+    h = w.bit_length() + 4
+    acc = term = 1 << w
+    j = 1
+    while term:
+        term = (term * u >> (w + h)) // j
+        acc += term
+        j += 1
+    slack = 4 * j
+    for _ in range(h):
+        slack = ((2 * acc + slack) * slack >> w) + 2
+        acc = acc * acc >> w
+    # exp(+-rho) for rho = err * 2**-w lies in [1 - rho, 1 + 2 rho]
+    lo = acc - (acc * err >> w) - 1
+    hi = acc + slack + ((acc + slack) * 2 * err >> w) + 1
+    return lo, hi, k - w
 
 
 def log_interval(x: Rational, prec: int) -> RatInterval:
-    """Enclosure of ln(x) for rational x > 0."""
+    """Enclosure of ln(x) for rational x > 0; a point only at x = 1."""
     x = Fraction(x)
     if x <= 0:
         raise ValidationError("log_interval needs a positive argument")
-    with _iv_prec(prec):
-        return _from_iv(iv.log(_to_iv(x, prec)))
+    m, err, e = _ln_fixed(x.numerator, x.denominator, prec + _GUARD)
+    return _round_out(m - err, m + err, e, prec)
 
 
 def pow_interval(base: Rational, exponent: RatInterval, prec: int) -> RatInterval:
@@ -150,25 +215,37 @@ def pow_interval(base: Rational, exponent: RatInterval, prec: int) -> RatInterva
         raise ValidationError("pow_interval needs a positive base")
     if base == 1:
         return RatInterval.point(1)
-    with _iv_prec(prec):
-        log_base = iv.log(_to_iv(base, prec))
-        low = _from_iv(iv.exp(_to_iv(exponent.lo, prec) * log_base))
-        if exponent.is_point():
-            return low
-        # base**e is monotone in e, so the endpoint images bracket the range
-        high = _from_iv(iv.exp(_to_iv(exponent.hi, prec) * log_base))
-        return RatInterval(min(low.lo, high.lo), max(low.hi, high.hi))
+    n, d = base.numerator, base.denominator
+    # |e ln base| < 2**bits: w keeps prec + _GUARD bits of exp(e ln base)
+    top = math.ceil(max(abs(exponent.lo), abs(exponent.hi)))
+    w = prec + _GUARD + (top * (abs(n.bit_length() - d.bit_length()) + 1)).bit_length()
+    m, err, e = _ln_fixed(n, d, w)
+    ends = []
+    for c in {exponent.lo, exponent.hi}:
+        if not c:
+            ends.append(RatInterval.point(1))
+            continue
+        # c ln base in units of 2**-w: floor, and a radius rounded up
+        p, q, shift = c.numerator, c.denominator, -w - e
+        x, x_err = (p * m >> shift) // q, (abs(p) * err >> shift) // q + 2
+        ends.append(_round_out(*_exp_fixed(x, x_err, w), prec))
+    # base**e is monotone in e, so the endpoint images bracket the range
+    return RatInterval(min(i.lo for i in ends), max(i.hi for i in ends))
 
 
 def sqrt_interval(x: Rational, prec: int) -> RatInterval:
-    """Enclosure of sqrt(x) for rational x >= 0."""
+    """Enclosure of sqrt(x) for rational x >= 0: a point when x is the
+    square of a dyadic rational and has at most prec significant bits."""
     x = Fraction(x)
     if x < 0:
         raise ValidationError("sqrt_interval needs a nonnegative argument")
-    if x == 0:
-        return RatInterval.point(0)
-    with _iv_prec(prec):
-        return _from_iv(iv.sqrt(_to_iv(x, prec)))
+    n, d = x.numerator, x.denominator
+    s = prec + _GUARD - (n.bit_length() - d.bit_length()) // 2
+    num, den = (n << 2 * s, d) if s >= 0 else (n, d << -2 * s)
+    r = math.isqrt(num // den)  # floor(sqrt(x) * 2**s)
+    # exact, and x has at most prec significant bits
+    exact = r * r * den == num and n.bit_length() - (n & -n).bit_length() < prec
+    return _round_out(r, r if exact else r + 1, -s, prec)
 
 
 def exact_sqrt(x: Rational):

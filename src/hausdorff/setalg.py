@@ -361,19 +361,20 @@ def in_cantor(y: Rational) -> bool:
 
     Uses the self-similarity C = C/3 u (2/3 + C/3): repeatedly map into
     the left or right third. A rational orbit either falls into the open
-    middle gap (not a member) or revisits a state (member).
+    middle gap (not a member) or revisits a state (member). For y = n/q
+    every orbit point is some n'/q, so the walk keeps integers n' only.
     """
     y = _frac(y)
     if y < 0 or y > 1:
         return False
-    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    n, q = y.numerator, y.denominator
     seen = set()
-    while y not in seen:
-        seen.add(y)
-        if y <= third:
-            y = 3 * y
-        elif y >= two_thirds:
-            y = 3 * y - 2
+    while n not in seen:
+        seen.add(n)
+        if 3 * n <= q:
+            n = 3 * n
+        elif 3 * n >= 2 * q:
+            n = 3 * n - 2 * q
         else:
             return False
         if len(seen) > _ITER_GUARD:

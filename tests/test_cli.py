@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 
-import mpmath
 import pytest
 
 import hausdorff
@@ -68,21 +67,32 @@ def test_distance_sets_and_functions(capsys):
     assert code == 0 and out == "(1, 1)\n"
 
 
-def test_distance_functions_needs_only_mpmath(tmp_path):
-    # a child interpreter without site-packages sees the standard library,
-    # this package and mpmath, so polynomial sign regions must need no more
-    (tmp_path / "mpmath").symlink_to(os.path.dirname(mpmath.__file__))
+def test_cli_needs_only_the_standard_library():
+    # a child interpreter without site-packages sees the standard library
+    # and this package only; the commands reach polynomial sign regions and
+    # the pow (Cantor copy at scale 1/2), log (box-count slope) and sqrt
+    # (segment length) enclosures
     src = os.path.dirname(os.path.dirname(hausdorff.__file__))
     f = ('{"terms": [{"set": {"interval": [0, 2]}, '
          '"expr": {"poly": [-1, 1]}}]}')
     g = '{"terms": [{"set": {"interval": [0, 2]}, "expr": {"const": 1}}]}'
+    commands = [
+        ["distance", "functions", f, g],
+        ["measure", '{"cantor": {"t": 0, "s": "1/2"}}'],
+        ["--depths", "2..4", "estimate", "dim", CANTOR],
+        ["measure", '{"planar": [{"segment": [[0, 0], [1, 1]]}]}'],
+    ]
     code = ("import sys\n"
             "from hausdorff import cli\n"
-            f"sys.exit(cli.main(['distance', 'functions', {f!r}, {g!r}]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+            f"sys.exit(max(cli.main(argv) for argv in {commands!r}))\n")
+    env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout) == (0, "(1, 2)\n"), done.stderr
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["(1, 2)", "(log(2)/log(3), 0.6457601171650976)"]
+    assert lines[2].startswith("box-count slope ~ 0.6309297")
+    assert lines[-1] == "(1, 1.4142135623730951)"
 
 
 def test_distance_wrong_document_kind(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -47,6 +48,53 @@ def test_cantor_gap_is_gap():
     assert lo < F(1, 5) < hi
     # the gap endpoints are themselves Cantor points
     assert in_cantor(lo) and in_cantor(hi)
+
+
+def _in_cantor_by_fractions(y):
+    """The Fraction walk that in_cantor replaced, kept as its reference."""
+    y = F(y)
+    if y < 0 or y > 1:
+        return False
+    seen = set()
+    while y not in seen:
+        seen.add(y)
+        if y <= F(1, 3):
+            y = 3 * y
+        elif y >= F(2, 3):
+            y = 3 * y - 2
+        else:
+            return False
+    return True
+
+
+def _ternary(digits):
+    return sum(d * 3 ** i for i, d in enumerate(reversed(digits)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0, 2, 0, 2, 1]), max_size=12),
+       st.lists(st.sampled_from([0, 2, 0, 2, 1]), min_size=1, max_size=12),
+       st.sampled_from([0, 0, 0, -1, 1]))
+def test_in_cantor_integer_walk_matches_fraction_walk(head, period, nudge):
+    # y = 0.head(period)(period)... in ternary: members when no digit is 1;
+    # a 1 or a nudge off the grid usually leaves the set or [0, 1]
+    a, b = len(head), len(period)
+    y = (F(_ternary(head), 3 ** a)
+         + F(_ternary(period), 3 ** a * (3 ** b - 1)) + F(nudge, 10 ** 6))
+    assert in_cantor(y) == _in_cantor_by_fractions(y)
+
+
+def test_in_cantor_walk_is_fast_with_huge_denominators():
+    # every point of the sequence near the copy is tested for membership,
+    # each an orbit over a 400-digit denominator; the Fraction walk took
+    # about 25 s on this input
+    seq = CountableSeq(HARMONIC, -4, -F(1, 10 ** 400))
+    copy = CantorAffine(-4 - F(1, 2 * 10 ** 400), F(1, 54))
+    start = time.perf_counter()
+    out = normalize([seq, copy])
+    assert time.perf_counter() - start < 5
+    assert sorted(type(atom).__name__ for atom in out.atoms) == [
+        "CantorAffine", "CountableSeq"]
 
 
 def test_affine_copy_membership():
