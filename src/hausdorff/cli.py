@@ -97,33 +97,53 @@ def build_parser() -> argparse.ArgumentParser:
 # configuration
 
 def _config_file():
+    """(path, the parsed JSON object); ParseError for a file that cannot
+    be read as one."""
     path = os.environ.get(_CONFIG_ENV)
     if path is None:
         path = os.path.join(os.path.expanduser(_CONFIG_PATH[0]),
                             *_CONFIG_PATH[1:])
     if not os.path.exists(path):
-        return {}
+        return path, {}
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config file {path}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config file {path}: not UTF-8 text") from exc
+    except OSError as exc:  # a directory, or no permission to read
+        raise ParseError(f"config file {path}: {exc.strerror or exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"config file {path}: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError(f"config file {path}: expected a JSON object")
-    return data
+    return path, data
+
+
+def _config_int(path, data: dict, key: str):
+    """data[key] when it is a JSON integer; ParseError otherwise."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"config file {path}: {key} must be an integer, "
+                         f"got {json.dumps(value)}")
+    return value
 
 
 def _apply_config(args) -> int:
     """Merge the config file under the flags; returns the check seed."""
-    data = _config_file()
+    path, data = _config_file()
+    config = {key: _config_int(path, data, key)
+              for key in ("precision", "precision_bits", "depth_cap", "seed")
+              if key in data}
     fields = {}
     precision = getattr(args, "precision",
-                        data.get("precision", data.get("precision_bits")))
+                        config.get("precision", config.get("precision_bits")))
     if precision is not None:
-        fields["precision_bits"] = int(precision)
-    if "depth_cap" in data:
-        fields["depth_cap"] = int(data["depth_cap"])
+        fields["precision_bits"] = precision
+    if "depth_cap" in config:
+        fields["depth_cap"] = config["depth_cap"]
     output = "json" if getattr(args, "json", False) else data.get("output")
     if output is not None:
         fields["output"] = output
@@ -131,7 +151,7 @@ def _apply_config(args) -> int:
         update_config(**fields)
     if not hasattr(args, "depths"):
         args.depths = str(data["depths"]) if "depths" in data else None
-    return int(getattr(args, "seed", data.get("seed", DEFAULT_SEED)))
+    return getattr(args, "seed", config.get("seed", DEFAULT_SEED))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ def _load(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("document nested too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +221,14 @@ def parse_document(text: str) -> Document:
     node = _load(text)
     if not isinstance(node, dict):
         raise _fail("a document is a JSON object")
-    if "terms" in node:
-        return parse_function(node)
-    if "planar" in node:
-        return parse_planar(node)
-    return parse_set(node)
+    try:
+        if "terms" in node:
+            return parse_function(node)
+        if "planar" in node:
+            return parse_planar(node)
+        return parse_set(node)
+    except RecursionError as exc:  # parse_set descends once per level
+        raise ParseError("document nested too deeply") from exc
 
 
 def _set_payload(s: RepSet):

@@ -113,6 +113,7 @@ class Atom:
 class FinitePoints(Atom):
     points: tuple[Fraction, ...]
     deletions: frozenset = frozenset()  # always empty, kept for the interface
+    _floats = None  # point_floats(), once it has run; not a field
 
     def __init__(self, points: Iterable[Rational]):
         pts = tuple(sorted(set(_frac(p) for p in points)))
@@ -121,6 +122,26 @@ class FinitePoints(Atom):
 
     def in_base(self, x):
         return x in self.points
+
+    def point_floats(self) -> tuple:
+        """float(p) for each point p, in order; computed once per atom,
+        with the float hull from the same conversions. Rounding to nearest
+        is monotone, so a point in a closed hull has its float within the
+        hull's outward float bounds."""
+        if self._floats is None:
+            floats = []
+            for p in self.points:
+                try:
+                    floats.append(float(p))
+                except OverflowError:  # past the float range
+                    floats.append(math.inf if p > 0 else -math.inf)
+            object.__setattr__(self, "_floats", tuple(floats))
+            if self._hulls is None and floats:
+                object.__setattr__(self, "_hulls", (
+                    (self.points[0], self.points[-1]),
+                    (math.nextafter(floats[0], -math.inf),
+                     math.nextafter(floats[-1], math.inf))))
+        return self._floats
 
     def _hull(self):
         if not self.points:
@@ -462,10 +483,13 @@ def _hulls_meet(x: Atom, y: Atom) -> bool:
 
 
 def _hull_key(atom: "Atom"):
-    lo, hi = atom.hull()
+    """Sort key: the hull's lower end, then its upper end, then the rank.
+    Each end leads with its float bound, which is monotone in the end, so
+    the exact ends are compared only when the floats tie."""
+    (lo, hi), (lo_f, hi_f) = atom._hulls or atom._cache_hulls()
     lo_key = (0, lo) if lo is not None else (-1, Fraction(0))
     hi_key = (0, hi) if hi is not None else (1, Fraction(0))
-    return (lo_key, hi_key, _rank(atom))
+    return (lo_f, lo_key, hi_f, hi_key, _rank(atom))
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +553,27 @@ def _render_atom(a: Atom) -> str:
 # normalization: a worklist of pending atoms settled one at a time
 #
 # Invariant: the settled atoms are pairwise disjoint. A pending atom is
-# resolved only against settled atoms whose closed hull overlaps its own,
-# or against the settled point atom when it is a point atom itself (all
-# points collapse into one canonical atom). _resolve_pair returns None for
-# disjoint hulls from its one guard at the top, which only two point atoms
-# pass, so the skipped pairs are disjoint as they stand.
-# Every hull test goes through _hulls_meet. Its float gate compares each
-# atom's hull rounded outward to floats, computed once per atom on first
-# use. Outward bounds enclose the real hull, so disjoint float bounds prove
-# the hulls disjoint; the pairs the floats cannot separate are compared
-# exactly. The pairs resolved, and their order, are those of the exact test.
-# On a merge the settled partner is withdrawn and the replacement atoms go
-# back to pending. Intervals settle first, then Cantor copies, sequences
-# and points: an interval that covers a limit or cuts a Cantor copy turns
-# a pair that is not representable on its own into one that is.
+# resolved against the settled atoms whose closed hull meets its own, in
+# the order they settled, and against the settled point atom when it is a
+# point atom itself (all points collapse into one canonical atom). The
+# first pair that _resolve_pair does not return None for wins: the settled
+# partner is withdrawn and the replacement atoms go back to pending.
+# Intervals settle first, then Cantor copies, sequences and points: an
+# interval that covers a limit or cuts a Cantor copy turns a pair that is
+# not representable on its own into one that is.
+#
+# The settled atoms live in a _SettledIndex that hands out only the
+# partners whose hulls can meet, sorted by settle order. It skips only
+# pairs for which _resolve_pair would return None, so the pair that wins,
+# and every answer and refusal, are those of a scan over every settled
+# atom. It is keyed on the hulls rounded outward to floats, computed once
+# per atom: disjoint float bounds prove the hulls disjoint, and every
+# partner it hands out still passes the exact test of _hulls_meet. A point
+# atom asks once per point rather than once for its hull, and a non-point
+# atom meets the settled point atom only when one of its points falls
+# inside: _resolve_points returns None for a partner whose hull holds none
+# of the points. _resolve_pair keeps its own hull guard, so a pair it is
+# handed outside normalize is certified disjoint by the same test.
 
 _SETTLE_ORDER = {Interval: 0, CantorAffine: 1, CountableSeq: 2, FinitePoints: 3}
 _RANK = {FinitePoints: 0, CountableSeq: 1, Interval: 2, CantorAffine: 3}
@@ -552,11 +583,105 @@ def _rank(atom: Atom) -> int:
     return _RANK[type(atom)]
 
 
+class _SettledIndex:
+    """The settled atoms of one normalization, found by float hull.
+
+    Each settled atom has a settle number; atoms maps the numbers to the
+    atoms in settle order. The non-point atoms also sit in chains: three
+    parallel lists (lower float bounds, upper float bounds, numbers) sorted
+    by both bounds at once, so no hull in a chain contains another and the
+    hulls meeting [lo, hi] form one slice, found by two bisections. An atom
+    joins the first chain where it keeps both orders or opens a new one, so
+    a hull that nests others (an unbounded interval, a sequence over
+    interval pieces, a Cantor copy over its gaps) costs one more chain to
+    bisect, not a scan of the others. At most one point atom is settled at
+    a time, since a second one always merges with it; it is found through
+    the floats of its points.
+    """
+
+    __slots__ = ("atoms", "chain_of", "chains", "points", "settled")
+
+    def __init__(self):
+        self.atoms = {}  # settle number -> atom, in settle order
+        self.chain_of = {}  # settle number -> chain, for non-point atoms
+        self.chains = []
+        self.points = None  # settle number of the settled point atom
+        self.settled = 0  # settle numbers handed out
+
+    def add(self, x: Atom):
+        number = self.settled
+        self.settled = number + 1
+        self.atoms[number] = x
+        if isinstance(x, FinitePoints):
+            self.points = number
+            return
+        lo, hi = (x._hulls or x._cache_hulls())[1]
+        k = 0
+        for los, his, numbers in self.chains:
+            i = bisect.bisect_right(los, lo)
+            if (i == 0 or his[i - 1] <= hi) and (i == len(his) or hi <= his[i]):
+                break
+            k += 1
+        else:
+            i, los, his, numbers = 0, [], [], []
+            self.chains.append((los, his, numbers))
+        los.insert(i, lo)
+        his.insert(i, hi)
+        numbers.insert(i, number)
+        self.chain_of[number] = k
+
+    def remove(self, number: int):
+        y = self.atoms.pop(number)
+        if number == self.points:
+            self.points = None
+            return
+        los, his, numbers = self.chains[self.chain_of.pop(number)]
+        i = bisect.bisect_left(los, y._hulls[1][0])
+        while numbers[i] != number:
+            i += 1
+        del los[i], his[i], numbers[i]
+
+    def meeting(self, x: Atom) -> list:
+        """The settle numbers of the atoms whose hulls can meet x's, in
+        settle order: for a point atom, those whose hulls can hold one of
+        its points, and the settled point atom."""
+        if not self.atoms:
+            return []
+        found = []
+        if isinstance(x, FinitePoints):
+            floats = x.point_floats()
+            for los, his, numbers in self.chains:
+                done = 0  # the slices move right as the points do
+                for f in floats:
+                    j = bisect.bisect_right(los, f)
+                    if j > done:
+                        found += numbers[bisect.bisect_left(his, f, done, j):j]
+                        done = j
+            if self.points is not None:
+                found.append(self.points)
+        else:
+            lo, hi = (x._hulls or x._cache_hulls())[1]
+            for los, his, numbers in self.chains:
+                j = bisect.bisect_right(los, hi)
+                if j:
+                    found += numbers[bisect.bisect_left(his, lo, 0, j):j]
+            if self.points is not None:
+                floats = self.atoms[self.points].point_floats()
+                i = bisect.bisect_left(floats, lo)
+                if i < len(floats) and floats[i] <= hi:
+                    found.append(self.points)
+        if len(found) > 1:
+            found.sort()
+        return found
+
+
 def normalize(atoms: Iterable[Atom]) -> RepSet:
     """Settle the atoms one at a time into a pairwise disjoint, canonically
-    ordered list. The settled atoms stay pairwise disjoint; a pair is
-    resolved only when the hulls overlap or both atoms are point atoms.
-    Raises NotRepresentable when the union leaves the fragment and
+    ordered list. Each pending atom is resolved against the settled atoms
+    whose hulls meet its own, found through a _SettledIndex in the order
+    they settled, and a point atom also against the settled point atom;
+    the first pair that resolves wins. A point atom looks up each of its
+    points. Raises NotRepresentable when the union leaves the fragment and
     TooLarge when the resolution does not settle."""
     work = [a for a in atoms if not a.is_empty()]
     if len(work) < 2:
@@ -566,13 +691,14 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
     pending = [(_SETTLE_ORDER[type(a)], k, a) for k, a in enumerate(work)]
     heapq.heapify(pending)
     arrivals = itertools.count(len(work))
-    settled = []  # pairwise disjoint
+    settled = _SettledIndex()  # pairwise disjoint
     for _ in range(_ITER_GUARD):
         if not pending:
-            return RepSet(tuple(sorted(settled, key=_hull_key)))
+            return RepSet(tuple(sorted(settled.atoms.values(), key=_hull_key)))
         x = heapq.heappop(pending)[2]
         points = isinstance(x, FinitePoints)
-        for k, y in enumerate(settled):
+        for number in settled.meeting(x):
+            y = settled.atoms[number]
             if not (_hulls_meet(x, y)
                     or (points and isinstance(y, FinitePoints))):
                 continue
@@ -581,14 +707,14 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
             pair = (x, y) if _rank(x) < _rank(y) else (y, x)
             replacement = _resolve_pair(*pair, budget)
             if replacement is not None:
-                del settled[k]
+                settled.remove(number)
                 for a in replacement:
                     if not a.is_empty():
                         heapq.heappush(pending, (_SETTLE_ORDER[type(a)],
                                                  next(arrivals), a))
                 break
         else:
-            settled.append(x)
+            settled.add(x)
     raise TooLarge("set normalization did not stabilize")
 
 

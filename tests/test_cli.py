@@ -304,6 +304,71 @@ def test_config_file_syntax_error_exits_2(capsys, monkeypatch, tmp_path):
     assert code == 2 and "config" in err
 
 
+def _config_error(capsys, monkeypatch, path):
+    monkeypatch.setenv("HAUSDORFF_CONFIG", str(path))
+    code, out, err = run(capsys, "measure", '{"points": [1]}')
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: config file {path}: "), err
+    return err
+
+
+def test_config_file_that_is_a_directory_exits_2(capsys, monkeypatch,
+                                                 tmp_path):
+    assert "directory" in _config_error(capsys, monkeypatch, tmp_path)
+
+
+def test_config_file_not_utf8_exits_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    assert "UTF-8" in _config_error(capsys, monkeypatch, path)
+
+
+def test_config_file_precision_not_a_number_exits_2(capsys, monkeypatch,
+                                                    tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"precision_bits": "x"}')
+    err = _config_error(capsys, monkeypatch, path)
+    assert 'precision_bits must be an integer, got "x"' in err
+
+
+def test_config_file_precision_overflow_exits_2(capsys, monkeypatch,
+                                                tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"precision_bits": 1e999}')
+    err = _config_error(capsys, monkeypatch, path)
+    assert "precision_bits must be an integer, got Infinity" in err
+
+
+@pytest.mark.parametrize("body", ['{"precision": 100.5}',
+                                  '{"precision_bits": 128.0}',
+                                  '{"depth_cap": 40.9}', '{"seed": 5.5}',
+                                  '{"seed": true}'])
+def test_config_file_non_integer_is_rejected(capsys, monkeypatch, tmp_path,
+                                             body):
+    # int() would truncate these silently
+    path = tmp_path / "config.json"
+    path.write_text(body)
+    key = next(iter(json.loads(body)))
+    err = _config_error(capsys, monkeypatch, path)
+    assert f"{key} must be an integer" in err
+
+
+def test_deeply_nested_document_exits_2(tmp_path):
+    # json and parse_set both recurse once per level; at 400 levels the
+    # document still answers, far deeper it is a parse error
+    src = os.path.dirname(os.path.dirname(hausdorff.__file__))
+    env = dict(os.environ, PYTHONPATH=src,
+               HAUSDORFF_CONFIG=str(tmp_path / "absent.json"))
+    for depth, code, out in ((400, 0, "(0, 1)\n"), (5000, 2, "")):
+        doc = '{"union": [' * depth + '{"points": [1]}' + ']}' * depth
+        done = subprocess.run([sys.executable, "-m", "hausdorff.cli",
+                               "measure", "-"], input=doc, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code and done.stdout == out, done.stderr
+        assert "Traceback" not in done.stderr
+    assert done.stderr == "error: document nested too deeply\n"
+
+
 def test_config_restored_after_run(capsys):
     before = get_config()
     run(capsys, "measure", "--precision", "128", CANTOR)

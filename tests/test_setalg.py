@@ -1,5 +1,6 @@
 """Set algebra: membership, normalization, operations, measures."""
 
+import heapq
 import itertools
 import math
 import random
@@ -11,11 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hausdorff import setalg
+from hausdorff._numeric import _ITER_GUARD
 from hausdorff.config import get_config
-from hausdorff.errors import NotRepresentable, ValidationError
+from hausdorff.errors import (HausdorffError, NotRepresentable, TooLarge,
+                              ValidationError)
 from hausdorff.hvalue import DIM_CANTOR, DIM_ONE, DIM_ZERO, HPair, ExtReal
-from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
-                              EMPTY_SET, FinitePoints, Interval, RepSet,
+from hausdorff.setalg import (_SETTLE_ORDER, GEOMETRIC, HARMONIC,
+                              CantorAffine, CountableSeq, EMPTY_SET,
+                              FinitePoints, Interval, RepSet,
                               _hull_overlap, _hulls_meet, _rank,
                               _resolve_pair, _resolve_points,
                               cantor_gap, cantor_scale_measure, diff, hmeasure,
@@ -776,6 +781,8 @@ def test_hull_cache_stays_out_of_equality():
     for make in makers:
         read, fresh = make(), make()
         assert _hulls_meet(read, read)
+        if isinstance(read, FinitePoints):
+            assert read.point_floats() == (1 / 3, 1.0)
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh) and {read} == {fresh}
         assert RepSet.of(read).render() == RepSet.of(fresh).render()
@@ -784,3 +791,226 @@ def test_hull_cache_stays_out_of_equality():
         copy = replace(read)
         assert copy == read and "_hulls" not in vars(copy)
         assert copy.hull() == read.hull()
+
+
+# -- the settled index ------------------------------------------------------
+#
+# normalize finds the settled atoms a pending atom can meet through
+# setalg._SettledIndex. The scan it replaced is kept here as the reference:
+# the index may skip only pairs that resolve to None, so the same pair wins
+# at every step and every answer and every refusal comes out the same.
+
+
+def _scan_hull_key(atom):
+    """The exact sort key the scan used; setalg._hull_key leads with the
+    float bounds and must give the same order."""
+    lo, hi = atom.hull()
+    lo_key = (0, lo) if lo is not None else (-1, F(0))
+    hi_key = (0, hi) if hi is not None else (1, F(0))
+    return (lo_key, hi_key, _rank(atom))
+
+
+def _normalize_by_scan(atoms):
+    """normalize as it was before the settled index: each pending atom is
+    tested against every settled atom, in settle order."""
+    work = [a for a in atoms if not a.is_empty()]
+    if len(work) < 2:
+        return RepSet(tuple(work))
+    budget = get_config().depth_cap
+    pending = [(_SETTLE_ORDER[type(a)], k, a) for k, a in enumerate(work)]
+    heapq.heapify(pending)
+    arrivals = itertools.count(len(work))
+    settled = []
+    for _ in range(_ITER_GUARD):
+        if not pending:
+            return RepSet(tuple(sorted(settled, key=_scan_hull_key)))
+        x = heapq.heappop(pending)[2]
+        points = isinstance(x, FinitePoints)
+        for k, y in enumerate(settled):
+            if not (setalg._hulls_meet(x, y)
+                    or (points and isinstance(y, FinitePoints))):
+                continue
+            pair = (x, y) if _rank(x) < _rank(y) else (y, x)
+            replacement = setalg._resolve_pair(*pair, budget)
+            if replacement is not None:
+                del settled[k]
+                for a in replacement:
+                    if not a.is_empty():
+                        heapq.heappush(pending, (_SETTLE_ORDER[type(a)],
+                                                 next(arrivals), a))
+                break
+        else:
+            settled.append(x)
+    raise TooLarge("set normalization did not stabilize")
+
+
+def _outcome(normalizer, atoms):
+    try:
+        return normalizer(atoms).render()
+    except HausdorffError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _moved(atom, offset, scale):
+    """The atom under x -> offset + scale*x, scale > 0."""
+    f = lambda x: None if x is None else offset + scale * x
+    dels = [f(d) for d in atom.deletions]
+    if isinstance(atom, FinitePoints):
+        return FinitePoints(f(p) for p in atom.points)
+    if isinstance(atom, Interval):
+        return Interval(f(atom.lo), f(atom.hi), dels)
+    if isinstance(atom, CountableSeq):
+        return CountableSeq(atom.family, f(atom.a), scale * atom.b, atom.q,
+                            dels)
+    return CantorAffine(f(atom.t), scale * atom.s, dels)
+
+
+@st.composite
+def nested_hulls(draw):
+    """A hull over atoms that sit in its holes: a sequence over intervals
+    between its terms, or a Cantor copy over intervals in its gaps, some
+    touching the copy at a gap end. The gap at 3^-40 puts an interval whose
+    lower end has the same float as the copy's."""
+    o = draw(SMALL)
+    if draw(st.booleans()):
+        seq = CountableSeq(HARMONIC, o, 1)
+        pieces = [Interval(seq.point(n + 1) + F(1, 100 * n * n),
+                           seq.point(n) - F(1, 100 * n * n))
+                  for n in draw(st.lists(st.integers(1, 8), max_size=4,
+                                         unique=True))]
+        return [seq] + pieces
+    s = draw(st.sampled_from([F(1), F(1, 3), F(3)]))
+    gaps = [(F(1, 3), F(2, 3)), (F(1, 9), F(2, 9)), (F(7, 9), F(8, 9)),
+            (F(1, 3 ** 40), F(2, 3 ** 40))]
+    pieces = []
+    for (a, b), touch in draw(st.lists(st.tuples(st.sampled_from(gaps),
+                                                 st.booleans()), max_size=3)):
+        inset = 0 if touch else (b - a) / 4
+        pieces.append(Interval(o + s * (a + inset), o + s * (b - inset)))
+    return [CantorAffine(o, s)] + pieces
+
+
+SCATTERED = st.lists(st.integers(-12, 12), min_size=2, max_size=12,
+                     unique=True).map(
+    lambda cells: [FinitePoints(k + F(1, 2) for k in cells)])
+
+
+@st.composite
+def index_lists(draw):
+    groups = draw(st.lists(st.one_of(small_atoms().map(lambda a: [a]),
+                                     nested_hulls(), SCATTERED,
+                                     st.just([Interval(None, None)])),
+                           min_size=2, max_size=8))
+    atoms = [a for g in groups for a in g]
+    atoms = draw(st.permutations(atoms))
+    offset = draw(st.sampled_from([0, 0, F(10) ** 400, -F(10) ** 400]))
+    scale = draw(st.sampled_from([1, 1, F(1, 10 ** 400)]))
+    return [_moved(a, offset, scale) for a in atoms]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(index_lists())
+def test_normalize_matches_the_scan(atoms):
+    # the same answer, or the same refusal, in either input order; the
+    # float bounds saturate at 10^400 and underflow at 10^-400, so there
+    # only the exact comparisons separate the hulls
+    for order in (atoms, atoms[::-1]):
+        assert _outcome(normalize, order) == _outcome(_normalize_by_scan,
+                                                      order), order
+
+
+def _cells_union(n_atoms):
+    """About n_atoms atoms, three to a cell [4k, 4k + 3], as in the
+    benchmark's large sets: two overlapping intervals and a covered point,
+    a Cantor root with a sub-copy and one of its points, a sequence with
+    one of its points and a stray point, or three point atoms. Most cells
+    hold point atoms, so the merged point atom spans every cell."""
+    atoms = []
+    for k in range(1, n_atoms // 3 + 1):
+        o = F(4 * k)
+        kind = "ICISPICI"[k % 8]
+        if kind == "I":
+            atoms += [Interval(o, o + F(3, 4)), Interval(o + F(1, 2), o + F(5, 4)),
+                      FinitePoints([o + F(5, 8)])]
+        elif kind == "C":
+            atoms += [CantorAffine(o + F(1, 4), 1), CantorAffine(o + F(1, 4), F(1, 3)),
+                      FinitePoints([o + F(1, 2)])]
+        elif kind == "S":
+            atoms += [CountableSeq(HARMONIC, o + 1, 1), FinitePoints([o + F(3, 2)]),
+                      FinitePoints([o + 3])]
+        else:
+            atoms += [FinitePoints([o + F(j, 8)]) for j in (1, 9, 17)]
+    random.Random(n_atoms).shuffle(atoms)
+    return atoms
+
+
+def _sequence_over_pieces(n_atoms):
+    """A harmonic sequence whose hull holds intervals between its terms,
+    each with a point atom beside it in the same gap."""
+    seq = CountableSeq(HARMONIC, 0, 1)
+    atoms = [seq]
+    for n in range(1, n_atoms // 2 + 1):
+        lo, hi = seq.point(n + 1), seq.point(n)
+        step = (hi - lo) / 8
+        atoms += [Interval(lo + step, lo + 3 * step), FinitePoints([lo + 5 * step])]
+    random.Random(n_atoms).shuffle(atoms)
+    return atoms
+
+
+def _counted(normalizer, atoms):
+    """(the rendered result, how often it called _resolve_pair and the
+    exact hull test _hull_overlap)."""
+    counts = {"resolve": 0, "exact": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, key in (("_resolve_pair", "resolve"),
+                          ("_hull_overlap", "exact")):
+            def counting(*args, _inner=getattr(setalg, name), _key=key):
+                counts[_key] += 1
+                return _inner(*args)
+            patch.setattr(setalg, name, counting)
+        return normalizer(atoms).render(), counts
+
+
+@pytest.mark.parametrize("layout", [_cells_union, _sequence_over_pieces])
+def test_normalize_work_is_linear_in_the_atoms(layout):
+    # the merged point atom looks up each point, and a wide hull costs one
+    # chain of the index, so the resolutions and exact hull checks per atom
+    # stay bounded; the scan meets every settled atom under the merged
+    # point atom's hull, so its counts grow about as n^2
+    for n in (32, 64, 128):
+        atoms = layout(n)
+        got, work = _counted(normalize, atoms)
+        want, scan = _counted(_normalize_by_scan, atoms)
+        assert got == want
+        assert work["resolve"] <= 3 * n and work["exact"] <= 4 * n, work
+    assert scan["resolve"] > 3 * n and scan["exact"] > 4 * n, scan
+
+
+def test_cantor_overlap_matches_the_scan():
+    # 2,049 atoms, most of them nested in the gaps of larger copies
+    a = RepSet.of(CantorAffine(0, 1))
+    b = RepSet.of(CantorAffine(F(2, 3 ** 12), 1))
+    got = union(a, b)
+    assert len(got.atoms) == 2049
+    assert got.render() == _normalize_by_scan(a.atoms + b.atoms).render()
+
+
+def test_settled_index_lookups():
+    index = setalg._SettledIndex()
+    assert index.meeting(Interval(0, 1)) == []
+    wide = CountableSeq(HARMONIC, 0, 1)  # hull [0, 1]
+    pieces = [Interval(F(1, n + 1) + F(1, 100), F(1, n) - F(1, 100))
+              for n in (1, 2, 3)]
+    for atom in [wide] + pieces + [FinitePoints([F(-1), F(3, 4), 5])]:
+        index.add(atom)
+    # the wide hull takes a chain of its own; the pieces share one
+    assert sorted(len(numbers) for _, _, numbers in index.chains) == [1, 3]
+    assert index.meeting(Interval(F(5, 8), F(7, 8))) == [0, 1, 4]
+    assert index.meeting(Interval(2, 3)) == []
+    assert index.meeting(Interval(4, None)) == [4]
+    # a point atom asks for each point, and always meets the point atom
+    assert index.meeting(FinitePoints([F(-1, 2), F(2, 5)])) == [0, 2, 4]
+    index.remove(2)
+    index.remove(4)
+    assert index.meeting(FinitePoints([F(-1, 2), F(2, 5)])) == [0]
+    assert list(index.atoms.values()) == [wide, pieces[0], pieces[2]]
