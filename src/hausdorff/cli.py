@@ -132,23 +132,27 @@ def _config_int(path, data: dict, key: str):
 
 
 def _apply_config(args) -> int:
-    """Merge the config file under the flags; returns the check seed."""
+    """Merge the config file under the flags; returns the check seed.
+    An out-of-range value from the file is malformed input (ParseError)."""
     path, data = _config_file()
     config = {key: _config_int(path, data, key)
               for key in ("precision", "precision_bits", "depth_cap", "seed")
               if key in data}
-    fields = {}
-    precision = getattr(args, "precision",
-                        config.get("precision", config.get("precision_bits")))
-    if precision is not None:
-        fields["precision_bits"] = precision
-    if "depth_cap" in config:
-        fields["depth_cap"] = config["depth_cap"]
-    output = "json" if getattr(args, "json", False) else data.get("output")
-    if output is not None:
-        fields["output"] = output
-    if fields:
-        update_config(**fields)
+    flags = {}
+    if hasattr(args, "precision"):
+        flags["precision_bits"] = args.precision
+    if getattr(args, "json", False):
+        flags["output"] = "json"
+    from_file = {"precision_bits": config.get("precision",
+                                              config.get("precision_bits")),
+                 "depth_cap": config.get("depth_cap"),
+                 "output": data.get("output")}
+    try:
+        update_config(**{key: value for key, value in from_file.items()
+                         if value is not None and key not in flags})
+    except ValidationError as exc:
+        raise ParseError(f"config file {path}: {exc}") from exc
+    update_config(**flags)
     if not hasattr(args, "depths"):
         args.depths = str(data["depths"]) if "depths" in data else None
     return getattr(args, "seed", config.get("seed", DEFAULT_SEED))

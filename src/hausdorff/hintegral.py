@@ -76,10 +76,13 @@ class Poly(Expression):
         return len(self.coeffs) - 1
 
     def value_at(self, x: Rational) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
-        return acc
+        """p(x), by Horner's rule on integers and one Fraction at the end."""
+        if not self.coeffs:
+            return Fraction(0)
+        x = Fraction(x)
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        cs = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        return Fraction(_value(cs, x), den * x.denominator ** self.degree())
 
     def antiderivative(self) -> "Poly":
         return Poly([Fraction(0)]
@@ -683,35 +686,44 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
 def pos_part(f: PiecewiseFunction) -> PiecewiseFunction:
     """max(f, 0). Together with neg_part this splits f additively:
     f = pos_part(f) + neg_part(f) pointwise."""
-    return _signed_part(f, 1)
+    return PiecewiseFunction(
+        [(a, e) for a, e, sign in _signed_part(f) if sign > 0], f.domain)
 
 
 def neg_part(f: PiecewiseFunction) -> PiecewiseFunction:
     """min(f, 0), the signed lower part (not its absolute value)."""
-    return _signed_part(f, -1)
+    return PiecewiseFunction(
+        [(a, e) for a, e, sign in _signed_part(f) if sign < 0], f.domain)
 
 
-def _signed_part(f: PiecewiseFunction, side: int) -> PiecewiseFunction:
+def _signed_part(f: PiecewiseFunction) -> list:
+    """The sign split of f: (piece, expression, sign) triples, term by
+    term, on disjoint pieces where f keeps the sign +1 or -1. The pieces
+    cover the support of f but for the sign changes of polynomials, where
+    f vanishes. pos_part and neg_part filter the split, and the integral
+    of |f| flips its negative pieces.
+
+    An irrational sign change of a polynomial, and alternating values on
+    a harmonic sequence, raise NotRepresentable.
+    """
     out = []
     for atom, expr in f.terms:
-        out.extend(_signed_term(atom, expr, side))
-    return PiecewiseFunction(out, f.domain)
+        out.extend(_signed_term(atom, expr))
+    return out
 
 
-def _signed_term(atom: Atom, expr: Expression, side: int) -> list:
+def _signed_term(atom: Atom, expr: Expression) -> list:
     if isinstance(expr, Const):
-        return [(atom, expr)] if (expr.value > 0) == (side > 0) else []
+        return [(atom, expr, _sign(expr.value))]
     if isinstance(expr, Poly):
-        return _signed_poly(atom, expr, side)
-    return _signed_series(atom, expr.series, side)
+        return _signed_poly(atom, expr)
+    return _signed_series(atom, expr.series)
 
 
-def _signed_poly(atom: Interval, p: Poly, side: int) -> list:
+def _signed_poly(atom: Interval, p: Poly) -> list:
     lo, hi = atom.hull()
     out = []
     for a, b, sgn in _sign_regions(p, lo, hi):
-        if sgn != side:
-            continue
         dels = {d for d in atom.deletions
                 if (a is None or d >= a) and (b is None or d <= b)}
         # region boundaries at sign changes carry the value zero
@@ -719,30 +731,26 @@ def _signed_poly(atom: Interval, p: Poly, side: int) -> list:
             dels.add(a)
         if b is not None and (hi is None or b != hi):
             dels.add(b)
-        out.append((Interval(a, b, dels), p))
+        out.append((Interval(a, b, dels), p, sgn))
     return out
 
 
-def _signed_series(atom: CountableSeq, s: CoefficientSeries,
-                   side: int) -> list:
+def _signed_series(atom: CountableSeq, s: CoefficientSeries) -> list:
     sg = s.sign()
     if sg is not None:
-        return [(atom, SeriesValues(s))] if sg == side else []
+        return [(atom, SeriesValues(s), sg)]
     if isinstance(s, FiniteList):
         out = []
         for i, v in enumerate(s.values):
             x = atom.point(i + 1)
-            if v != 0 and (v > 0) == (side > 0) and atom.member(x):
-                out.append((FinitePoints([x]), Const(v)))
+            if v != 0 and atom.member(x):
+                out.append((FinitePoints([x]), Const(v), _sign(v)))
         return out
     # alternating geometric values: the even and odd index subsequences
     # have constant sign, and each is a sequence atom again
     assert isinstance(s, Geometric) and s.r < 0
-    out = []
-    for sub_atom, sub_series in _split_parity(atom, s):
-        if sub_series.sign() == side:
-            out.append((sub_atom, SeriesValues(sub_series)))
-    return out
+    return [(sub_atom, SeriesValues(sub_series), sub_series.sign())
+            for sub_atom, sub_series in _split_parity(atom, s)]
 
 
 def _split_parity(atom: CountableSeq, s: Geometric):

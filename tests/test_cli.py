@@ -353,6 +353,29 @@ def test_config_file_non_integer_is_rejected(capsys, monkeypatch, tmp_path,
     assert f"{key} must be an integer" in err
 
 
+@pytest.mark.parametrize("body, message", [
+    ('{"precision_bits": 10}', "precision_bits must be at least 64"),
+    ('{"precision": 10}', "precision_bits must be at least 64"),
+    ('{"depth_cap": 3}', "depth_cap must be at least 8"),
+    ('{"output": 5}', "output must be 'human' or 'json'")])
+def test_config_file_out_of_range_exits_2(capsys, monkeypatch, tmp_path,
+                                          body, message):
+    path = tmp_path / "config.json"
+    path.write_text(body)
+    assert _config_error(capsys, monkeypatch, path) == (
+        f"error: config file {path}: {message}\n")
+
+
+def test_flag_overrides_out_of_range_config_value(capsys, monkeypatch,
+                                                  tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"precision_bits": 10, "output": 5}')
+    monkeypatch.setenv("HAUSDORFF_CONFIG", str(path))
+    code, out, _ = run(capsys, "measure", "--precision", "128", "--json",
+                       '{"points": [1]}')
+    assert code == 0 and json.loads(out)["m"] == "1"
+
+
 def test_deeply_nested_document_exits_2(tmp_path):
     # json and parse_set both recurse once per level; at 400 levels the
     # document still answers, far deeper it is a parse error

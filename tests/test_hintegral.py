@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hausdorff.docio import print_document
 from hausdorff.errors import (DisjointnessViolated, DoesNotConverge,
                               MonotonicityViolated, NotRepresentable,
                               OrderNotVerified, UndefinedSum, ValidationError)
@@ -312,6 +313,76 @@ def test_pos_neg_parts_of_identity():
     assert support(fp) == RepSet.of(Interval(0, 1, (0,)))
     for x in (-1, F(-1, 2), 0, F(1, 3), 1):
         assert f.value_at(x) == fp.value_at(x) + fn.value_at(x)
+
+
+def _doc_terms(*terms):
+    return ('{"terms": [' + ", ".join(
+        '{"set": %s, "expr": %s}' % t for t in terms) + '], "domain": "all"}')
+
+
+CUBIC = '{"poly": ["0", "-1", "0", "1"]}'
+
+
+@pytest.mark.parametrize("f, pos, neg", [
+    (on([(Interval(-2, 2, (1,)), Poly([0, -1, 0, 1])),
+         (CantorAffine(4, 1), Const(-3)),
+         (CountableSeq(HARMONIC, 8, 1),
+          SeriesValues(FiniteList([1, -2, 0, 3])))]),
+     _doc_terms(('{"interval": ["-1", "0"], "delete": ["-1", "0"]}', CUBIC),
+                ('{"interval": ["1", "2"], "delete": ["1"]}', CUBIC),
+                ('{"points": ["9"]}', '{"const": "1"}'),
+                ('{"points": ["33/4"]}', '{"const": "3"}')),
+     _doc_terms(('{"interval": ["-2", "-1"], "delete": ["-1"]}', CUBIC),
+                ('{"interval": ["0", "1"], "delete": ["0", "1"]}', CUBIC),
+                ('{"cantor": {"t": "4", "s": "1"}}', '{"const": "-3"}'),
+                ('{"points": ["17/2"]}', '{"const": "-2"}'))),
+    (on([(CountableSeq(GEOMETRIC, 0, 1, F(1, 2), (F(1, 2), F(1, 32))),
+          SeriesValues(Geometric(1, F(-1, 2)))),
+         (Interval(2, None), Poly([-1, 0, 1]))]),
+     _doc_terms(('{"seq": {"kind": "geometric", "a": "0", "b": "2", '
+                 '"q": "1/4"}, "delete": ["1/32", "1/2"]}',
+                 '{"series": {"kind": "geometric", "a": "1", "r": "1/4"}}'),
+                ('{"interval": ["2", null]}', '{"poly": ["-1", "0", "1"]}')),
+     _doc_terms(('{"seq": {"kind": "geometric", "a": "0", "b": "1", '
+                 '"q": "1/4"}}',
+                 '{"series": {"kind": "geometric", "a": "-1/2", '
+                 '"r": "1/4"}}'))),
+    (on([(FinitePoints([0, 1, 2]), Const(F(-1, 2))),
+         (Interval(3, 5), Poly([4, -1])),
+         (CountableSeq(HARMONIC, 10, 1), SeriesValues(PSeries(-1, 2)))]),
+     _doc_terms(('{"interval": ["3", "4"], "delete": ["4"]}',
+                 '{"poly": ["4", "-1"]}')),
+     _doc_terms(('{"points": ["0", "1", "2"]}', '{"const": "-1/2"}'),
+                ('{"interval": ["4", "5"], "delete": ["4"]}',
+                 '{"poly": ["4", "-1"]}'),
+                ('{"seq": {"kind": "harmonic", "a": "10", "b": "1"}}',
+                 '{"series": {"kind": "pseries", "c": "-1", "p": "2"}}'))),
+])
+def test_pos_neg_parts_of_mixed_functions(f, pos, neg):
+    # the renders of the two-pass split, one pass per side
+    assert print_document(pos_part(f)) == pos
+    assert print_document(neg_part(f)) == neg
+
+
+def ref_value_at(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * F(x) + c
+    return acc
+
+
+HUGE = 10 ** 400
+huge_fractions = st.builds(F, st.integers(-HUGE, HUGE), st.integers(1, HUGE))
+small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(huge_fractions, small_fractions, st.just(F(0))),
+                max_size=7),
+       st.one_of(huge_fractions, small_fractions, st.integers(-9, 9)))
+def test_poly_value_at_matches_fraction_horner(coeffs, x):
+    got = Poly(coeffs).value_at(x)
+    assert type(got) is F and got == ref_value_at(coeffs, x)
 
 
 def test_pos_neg_parts_trivial_sides():

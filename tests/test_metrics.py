@@ -4,13 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hausdorff.errors import (NoLimitFound, NotInLH, NotRepresentable,
-                              ValidationError)
-from hausdorff.hintegral import (PiecewiseFunction, Poly, indicator,
-                                 zero_function)
-from hausdorff.hvalue import (DIM_CANTOR, POS_INF, Dimension, HPair,
-                              hpair_eq)
+from hausdorff.errors import (HausdorffError, NoLimitFound, NotInLH,
+                              NotRepresentable, ValidationError)
+from hausdorff.hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
+                                 SeriesValues, h_integral, indicator,
+                                 neg_part, pos_part, zero_function)
+from hausdorff.hvalue import (DIM_CANTOR, POS_INF, Dimension, FiniteList,
+                              Geometric, HPair, PSeries, hpair_add, hpair_eq)
 from hausdorff.metrics import (DEFAULT_SCHEDULE, AlternatingFunctionSeq,
                                ConstantFunctionSeq, HDistance,
                                PointPerturbation, PrefixPerturbation,
@@ -19,9 +22,9 @@ from hausdorff.metrics import (DEFAULT_SCHEDULE, AlternatingFunctionSeq,
                                finite_counting_mass, is_cauchy,
                                riesz_fischer_check, small_support_check,
                                triangle_ok)
-from hausdorff.setalg import (HARMONIC, CantorAffine, CountableSeq,
-                              FinitePoints, Interval, RepSet, diff, symdiff,
-                              union)
+from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine,
+                              CountableSeq, FinitePoints, Interval, RepSet,
+                              diff, symdiff, union)
 
 I01 = RepSet.of(Interval(0, 1))
 HARM = CountableSeq(HARMONIC, 0, 1)
@@ -206,6 +209,130 @@ def test_abs_integral_mixes_signs():
     f = PiecewiseFunction([(Interval(-1, 1), Poly([0, 1]))])
     assert abs_integral(f) == pair(1, 1)
     assert absolutely_integrable(f)
+
+
+# -- |f| from one sign split, against the two-pass reference -----------------
+
+def ref_abs_integral(f):
+    """The two-pass integral of |f|: both signed parts, integrated apart."""
+    up = h_integral(pos_part(f))
+    down = h_integral(neg_part(f))
+    return hpair_add(up, HPair(down.d, down.m.scale(-1)))
+
+
+def ref_absolutely_integrable(f):
+    return ref_abs_integral(f).m.is_finite()
+
+
+def _outcome(fn, f):
+    try:
+        value = fn(f)
+    except HausdorffError as exc:
+        return type(exc), str(exc)
+    return value.render() if isinstance(value, HPair) else value
+
+
+def _times(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _cell_poly(draw, c):
+    """lead * prod (x - r) * ((x - c)^2 - q)^e around c: rational roots,
+    repeated or not, and irrational ones c +- sqrt(q) with q not a square."""
+    cs = [F(draw(st.sampled_from((-3, -1, F(1, 2), 2))))]
+    for r in draw(st.lists(st.integers(-8, 8), max_size=3)):
+        cs = _times(cs, [-(c + F(r, 4)), F(1)])
+    for _ in range(draw(st.integers(0, 2))):
+        q = F(draw(st.sampled_from((2, 3, F(1, 2)))))
+        cs = _times(cs, [c * c - q, -2 * c, F(1)])
+    return Poly(cs)
+
+
+INTERVAL_KINDS = ("poly", "const_interval")
+KINDS_AT_DIM = {0: ("const_points", "const_seq", "series"),
+                DIM_CANTOR: ("const_cantor",),
+                1: INTERVAL_KINDS}
+
+
+@st.composite
+def _sequence(draw, lo):
+    if draw(st.booleans()):
+        seq = CountableSeq(HARMONIC, lo, 1)
+    else:
+        q = F(1, draw(st.sampled_from((2, 3))))
+        seq = CountableSeq(GEOMETRIC, lo, 2, q)
+    dels = draw(st.lists(st.integers(1, 6), max_size=2, unique=True))
+    return seq.with_deletions([seq.point(n) for n in dels])
+
+
+@st.composite
+def _series(draw):
+    kind = draw(st.sampled_from(("finite", "geometric", "pseries")))
+    if kind == "finite":
+        return FiniteList(draw(st.lists(st.integers(-3, 3), min_size=1,
+                                        max_size=5).filter(any)))
+    a = F(draw(st.sampled_from((-2, -1, 1, 3))))
+    if kind == "geometric":
+        return Geometric(a, draw(st.sampled_from(
+            (F(-1, 2), F(-1, 3), F(0), F(1, 3), F(1, 2)))))
+    return PSeries(a, draw(st.sampled_from((1, 2, 3))))
+
+
+@st.composite
+def _term(draw, kind, lo, hi):
+    """A term of the given kind on [lo, hi], or on a half-line when one
+    end is None."""
+    value = Const(draw(st.sampled_from((-2, -1, F(1, 3), 1, 5))))
+    if kind == "poly":
+        c = lo + 1 if hi is None else hi - 1
+        return Interval(lo, hi), draw(_cell_poly(c))
+    if kind == "const_interval":
+        return Interval(lo, hi), value
+    if kind == "const_cantor":
+        scale = draw(st.sampled_from((1, F(1, 2), F(1, 3), 3)))
+        return CantorAffine(lo, scale), value
+    if kind == "const_points":
+        pts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+        return FinitePoints([lo + F(k, 4) for k in pts]), value
+    seq = draw(_sequence(lo))
+    if kind == "const_seq":
+        return seq, value
+    return seq, SeriesValues(draw(_series()))
+
+
+@st.composite
+def signed_functions(draw):
+    """Functions whose top dimension is 0, log 2/log 3 or 1, on disjoint
+    cells [4k, 4k + 3]; the outer cells may be half-lines."""
+    top = draw(st.sampled_from((0, DIM_CANTOR, 1)))
+    allowed = [k for d, kinds in KINDS_AT_DIM.items()
+               for k in kinds if d == 0 or d == top or top == 1]
+    kinds = [draw(st.sampled_from(KINDS_AT_DIM[top]))]
+    kinds += draw(st.lists(st.sampled_from(allowed), max_size=3))
+    terms = [draw(_term(kind, F(4 * k), F(4 * k + 3)))
+             for k, kind in enumerate(kinds, start=1)]
+    if top == 1:
+        for lo, hi in ((None, F(-1)), (F(4 * len(kinds) + 4), None)):
+            if draw(st.booleans()):
+                terms.append(draw(_term(draw(st.sampled_from(INTERVAL_KINDS)),
+                                        lo, hi)))
+    domain = ALL_REALS
+    if draw(st.booleans()):
+        domain = RepSet.of(*(atom for atom, _ in terms))
+    return PiecewiseFunction(terms, domain)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(signed_functions())
+def test_abs_integral_matches_the_two_pass_reference(f):
+    assert _outcome(abs_integral, f) == _outcome(ref_abs_integral, f)
+    assert (_outcome(absolutely_integrable, f)
+            == _outcome(ref_absolutely_integrable, f))
 
 
 def _bump_points(rng, origin):
