@@ -1,6 +1,7 @@
 """Exact rational plumbing: interval arithmetic with Fraction endpoints,
 outward-rounded enclosures of ln, exp and sqrt from integer fixed-point
-kernels, and exact integer roots and power indices.
+kernels, zeta(p) by Euler-Maclaurin summation on the same integers, and
+exact integer roots and power indices.
 
 Everything downstream treats a RatInterval as a certificate: the true real
 value lies inside [lo, hi]. Endpoints are exact Fractions, so interval
@@ -246,6 +247,87 @@ def sqrt_interval(x: Rational, prec: int) -> RatInterval:
     # exact, and x has at most prec significant bits
     exact = r * r * den == num and n.bit_length() - (n & -n).bit_length() < prec
     return _round_out(r, r if exact else r + 1, -s, prec)
+
+
+_BERNOULLI = [Fraction(1)]  # B_0, B_2, B_4, ...; grown on first use
+
+
+def _bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n for even n >= 0, exactly.
+
+    From the recurrence sum_{k <= n} C(n+1, k) B_k = 0, in which every odd
+    B_k vanishes except B_1 = -1/2.
+    """
+    while len(_BERNOULLI) <= n // 2:
+        m = 2 * len(_BERNOULLI)
+        acc = Fraction(-(m + 1), 2)
+        for j, b in enumerate(_BERNOULLI):
+            acc += math.comb(m + 1, 2 * j) * b
+        _BERNOULLI.append(-acc / (m + 1))
+    return _BERNOULLI[n // 2]
+
+
+def zeta_interval(p: Rational, prec: int) -> RatInterval:
+    """Enclosure of zeta(p) for rational p > 1, about 2**-prec * zeta(p) wide.
+
+    A head 1..n-1, then Euler-Maclaurin for f(x) = x**-p from n on:
+    sum_{k >= n} f(k) = n**-p * (n/(p-1) + 1/2 + t_1 + ... + t_m + r),
+    t_j = B_2j/(2j)! * (p)_(2j-1) * n**(1-2j) with (p)_k rising, so the t_j
+    alternate in sign from t_1 > 0. f is completely monotone, so r lies
+    between 0 and t_(m+1) for every m. The terms shrink to about
+    exp(-2 pi n) before they grow again, which sets n; m stops at the first
+    |t_j| below 2**-prec * n**e, where n**-p <= n**-e for e = min(floor(p),
+    prec). Every quantity is a pair of integers in units of 2**-w, the low
+    end floored and the high end ceiled."""
+    p = Fraction(p)
+    if p <= 1:
+        raise ValidationError("zeta_interval needs a power above 1")
+    a, b = p.numerator, p.denominator
+    w = prec + _GUARD
+    one = 1 << w
+    n = math.ceil(prec * math.log(2) / (2 * math.pi)) + 2
+    power = [None, (one, one)]  # power[k] encloses k**-p
+    for k in range(2, n + 1):
+        if a * (k.bit_length() - 1) >= w * b:
+            power.append((0, 1))  # k**p >= 2**w, and no such power is built
+        elif b == 1:
+            q, r = divmod(one, k ** a)
+            power.append((q, q + (r > 0)))
+        elif (d := next((f for f in range(2, math.isqrt(k) + 1) if k % f == 0), k)) < k:
+            # a composite: the product of its factors' pairs
+            (lo1, hi1), (lo2, hi2) = power[d], power[k // d]
+            power.append((lo1 * lo2 >> w, -(-hi1 * hi2 >> w)))
+        else:
+            # -p ln k in units of 2**-w: floor, and a radius rounded up
+            m, err, e = _ln_fixed(k, 1, w)
+            shift = -w - e
+            x, x_err = (-a * m >> shift) // b, (a * err >> shift) // b + 2
+            lo, hi, e = _exp_fixed(x, x_err, w)
+            shift = -w - e  # x < 0, so exp(x) has a scale below 2**-w
+            power.append((lo >> shift, -(-hi >> shift)))
+    # the bracket of n/(p-1) + 1/2 + t_1 + ... and |t_j|
+    lo, hi = (n * b << w) // (a - b), -((-n * b << w) // (a - b))
+    lo, hi = lo + (one >> 1), hi + (one >> 1)
+    t_lo, t_hi = (a << w) // (12 * n * b), -((-a << w) // (12 * n * b))
+    limit = n ** min(a // b, prec) << _GUARD
+    j = 1
+    while t_hi > limit:
+        # |t_(j+1)| / |t_j| = |B_(2j+2) / B_2j| (p+2j-1)(p+2j) / ((2j+1)(2j+2) n**2)
+        b0, b1 = _bernoulli(2 * j), _bernoulli(2 * j + 2)
+        num = abs(b1.numerator) * b0.denominator * (a + (2 * j - 1) * b) * (a + 2 * j * b)
+        den = abs(b0.numerator) * b1.denominator * (b * n) ** 2 * (2 * j + 1) * (2 * j + 2)
+        next_lo, next_hi = t_lo * num // den, -(-t_hi * num // den)
+        if next_hi >= t_hi:
+            break  # the asymptotic series has stopped shrinking
+        lo, hi = (lo + t_lo, hi + t_hi) if j % 2 else (lo - t_hi, hi - t_lo)
+        t_lo, t_hi, j = next_lo, next_hi, j + 1
+    lo, hi = (lo, hi + t_hi) if j % 2 else (lo - t_hi, hi)
+    # lo stays near 1/2 or above, as each negative term follows a larger
+    # positive one, so the floored product below is of nonnegative ends
+    n_lo, n_hi = power[n]
+    lo = (lo * n_lo >> w) + sum(pair[0] for pair in power[1:n])
+    hi = -(-hi * n_hi >> w) + sum(pair[1] for pair in power[1:n])
+    return RatInterval(Fraction(lo, one), Fraction(hi, one))
 
 
 def exact_sqrt(x: Rational):

@@ -17,10 +17,10 @@ from dataclasses import asdict
 from ._numeric import parse_rational, render_rational
 from .checks import DEFAULT_SEED, all_passed, run_suite, suite_names
 from .config import get_config, set_config, update_config
-from .deficiency import (ConvexPolygon, PlanarSet, Points2D, Segment,
-                         convex_hull, defi_continuity_cluster,
-                         defi_continuity_dist, defi_continuity_osc,
-                         defi_convex, defi_even, oscillation, planar_measure)
+from .deficiency import (PlanarSet, Points2D, Segment, convex_hull,
+                         defi_continuity_cluster, defi_continuity_dist,
+                         defi_continuity_osc, defi_convex, defi_even,
+                         oscillation, planar_measure)
 from .docio import pair_payload, parse_document
 from .errors import HausdorffError, ParseError, ValidationError
 from .hintegral import PiecewiseFunction, h_integral

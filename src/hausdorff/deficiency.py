@@ -10,12 +10,11 @@ from convexity.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .config import get_config
 from .errors import NotRepresentable, NotSupported, ValidationError
-from .hvalue import (DIM_ONE, DIM_TWO, Dimension, ExtReal, HPair,
-                     Rational, ext_sum, hpair_add)
+from .hvalue import DIM_ONE, DIM_TWO, ExtReal, HPair, Rational, ext_sum
 from .hintegral import (ALL_REALS, AllReals, Const, Expression,
                         PiecewiseFunction, Poly, Region, SeriesValues,
                         add, h_integral, scalar_mul)

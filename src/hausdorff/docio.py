@@ -18,8 +18,7 @@ from .hintegral import (ALL_REALS, AllReals, Const, PiecewiseFunction, Poly,
                         SeriesValues)
 from .setalg import (GEOMETRIC, HARMONIC, Atom, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet, diff)
-from .deficiency import (ConvexPolygon, PlanarAtom, PlanarSet, Points2D,
-                         Segment)
+from .deficiency import ConvexPolygon, PlanarSet, Points2D, Segment
 
 __all__ = ["parse_document", "parse_set", "parse_function", "parse_planar",
            "print_document", "pair_payload", "Document"]

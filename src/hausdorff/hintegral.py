@@ -20,15 +20,14 @@ from ._numeric import Rational
 from .errors import (DisjointnessViolated, DoesNotConverge,
                      MonotonicityViolated, NotRepresentable, OrderNotVerified,
                      UndefinedSum, ValidationError)
-from .hvalue import (DIM_ONE, DIM_ZERO, EXT_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
-                     CoefficientSeries, ConstantTail, Dimension, ExtReal,
-                     FiniteList, Geometric, GrowthTail, HPair, HSeq,
-                     InterleaveTail, MeasureTail, PSeries, dim_max, ext_sum,
-                     hpair_eq, hpair_leq, hseq_liminf, hseq_limit, series_add)
-from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CantorAffine,
-                     CountableSeq, FinitePoints, Interval, RepSet,
-                     _hulls_meet, diff, hmeasure, intersect, normalize,
-                     union)
+from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
+                     CoefficientSeries, ConstantTail, ExtReal, FiniteList,
+                     Geometric, GrowthTail, HPair, HSeq, InterleaveTail,
+                     MeasureTail, PSeries, dim_max, ext_sum, hpair_eq,
+                     hpair_leq, hseq_liminf, hseq_limit, series_add)
+from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
+                     FinitePoints, Interval, RepSet, _hulls_meet, diff,
+                     hmeasure, intersect, normalize, union)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,12 @@ back to interval arithmetic with doubling precision.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from ._numeric import (RatInterval, Rational, log_interval, pow_interval,
-                       power_base, render_rational)
+from ._numeric import (RatInterval, Rational, log_interval, power_base,
+                       render_rational, zeta_interval)
 from .config import get_config
 from .errors import (DoesNotConverge, IncomparableDimensions, NotSupported,
                      UndefinedSum, ValidationError)
@@ -586,24 +585,6 @@ class Geometric(CoefficientSeries):
         return Geometric(self.a * self.r / (1 - self.r), self.r)
 
 
-_BERNOULLI = [Fraction(1)]  # B_0, B_2, B_4, ...; grown on first use
-
-
-def _bernoulli(n: int) -> Fraction:
-    """The Bernoulli number B_n for even n >= 0, exactly.
-
-    From the recurrence sum_{k <= n} C(n+1, k) B_k = 0, in which every odd
-    B_k vanishes except B_1 = -1/2.
-    """
-    while len(_BERNOULLI) <= n // 2:
-        m = 2 * len(_BERNOULLI)
-        acc = Fraction(-(m + 1), 2)
-        for j, b in enumerate(_BERNOULLI):
-            acc += math.comb(m + 1, 2 * j) * b
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[n // 2]
-
-
 @dataclass(frozen=True)
 class PSeries(CoefficientSeries):
     """Terms c / (i+1)**p for i = 0, 1, 2, ... with rational p > 0.
@@ -612,12 +593,13 @@ class PSeries(CoefficientSeries):
     which lets the same catalog describe vanishing but non-summable
     measure sequences such as -1/n.
 
-    The sum c * zeta(p) is enclosed by Euler-Maclaurin summation with a
-    rigorous remainder bracket: exact rationals for integer p (a power
-    k**-p below 2**-(precision_bits + 64) is enclosed by [0, that bound]),
-    one `pow_interval` per term of a short head plus one for the tail when
-    p is fractional. The enclosure is about 2**-precision_bits * max(1,
-    |c * zeta(p)|) wide, so a larger `precision_bits` tightens it.
+    The sum c * zeta(p) is c times `zeta_interval`: Euler-Maclaurin
+    summation with a rigorous remainder bracket, on integers in units of
+    2**-(precision_bits + 64). A head term is one integer division for
+    integer p, and for fractional p one fixed-point exp per prime (a
+    composite is the product of its factors); a power k**-p below one unit
+    is enclosed by [0, 1 unit]. The enclosure is about 2**-precision_bits *
+    max(1, |c * zeta(p)|) wide, so a larger `precision_bits` tightens it.
     """
 
     c: Fraction
@@ -643,47 +625,7 @@ class PSeries(CoefficientSeries):
             return EXT_ZERO
         if self.p <= 1:
             return POS_INF if self.c > 0 else NEG_INF
-        p = self.p
-        bits = get_config().precision_bits
-        # integer powers stay exact while k**p has at most `cap` bits; past
-        # that k**-p < 2**-cap, so [0, 2**-cap] encloses it at that width
-        cap = bits + 64
-        tiny = RatInterval(Fraction(0), Fraction(1, 1 << cap))
-
-        def power(k: int) -> RatInterval:
-            """Enclosure of k**-p."""
-            if p.denominator != 1:
-                return pow_interval(k, RatInterval.point(-p), bits)
-            # k**p >= 2**(p * (bit_length - 1)): no power past cap is built
-            if p.numerator * (k.bit_length() - 1) < cap:
-                kp = k ** p.numerator
-                if kp.bit_length() <= cap:
-                    return RatInterval.point(Fraction(1, kp))
-            return tiny
-
-        # head 1..n-1, then Euler-Maclaurin for f(x) = x**-p from n on:
-        # sum_{k >= n} f(k) = n**-p * (n/(p-1) + 1/2 + t_1 + ... + t_m + r),
-        # t_j = B_2j/(2j)! * (p)_(2j-1) * n**(1-2j) with (p)_k rising.
-        # f is completely monotone, so r lies between 0 and t_(m+1).
-        # The terms shrink to about exp(-2 pi n) before they grow again,
-        # which sets n; m stops at the first t_j below 2**-bits * n**e,
-        # where n**-p <= n**-e for e = min(floor(p), bits).
-        n = math.ceil(bits * math.log(2) / (2 * math.pi)) + 2
-        limit = Fraction(n ** min(math.floor(p), bits), 1 << bits)
-        body = n / (p - 1) + Fraction(1, 2)
-        g, j = p / (2 * n), 1  # t_j / B_2j
-        rest = _bernoulli(2) * g
-        while abs(rest) > limit:
-            g *= (p + 2 * j - 1) * (p + 2 * j) / ((2 * j + 1) * (2 * j + 2) * n * n)
-            j += 1
-            following = _bernoulli(2 * j) * g
-            if abs(following) >= abs(rest):
-                break  # the asymptotic series has stopped shrinking
-            body += rest
-            rest = following
-        tail = RatInterval(body + min(rest, 0), body + max(rest, 0)) * power(n)
-        head = sum((power(k) for k in range(1, n)), RatInterval.point(0))
-        return ExtReal.interval((head + tail) * self.c)
+        return ExtReal.interval(zeta_interval(self.p, get_config().precision_bits) * self.c)
 
     def partial_sum(self, n: int) -> Fraction:
         if self.p.denominator != 1:

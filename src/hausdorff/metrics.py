@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from ._numeric import Rational
 from .errors import NoLimitFound, NotInLH, ValidationError
 from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part, add,
                         h_integral, indicator, scalar_mul, support)
-from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, Dimension, ExtReal,
-                     FiniteList, Geometric, HPair, PSeries, dim_abs_diff,
-                     dim_max, hpair_eq, hpair_leq, hpair_lt)
+from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, FiniteList,
+                     Geometric, HPair, PSeries, dim_abs_diff, dim_max,
+                     hpair_eq, hpair_leq, hpair_lt)
 from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
                      symdiff)
 

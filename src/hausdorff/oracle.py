@@ -12,11 +12,11 @@ engine is evidence, not circularity.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple
 
 from .config import get_config
 from .errors import (NotSupported, TooLarge, Unbounded, ValidationError)
-from .hvalue import (CoefficientSeries, Dimension, ExtReal, HPair, Rational)
+from .hvalue import CoefficientSeries, Dimension, ExtReal, HPair
 from .hintegral import Const, PiecewiseFunction, Poly
 from .setalg import (HARMONIC, Atom, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet)

@@ -1,10 +1,12 @@
 """Command-line front end: subcommands, exit codes, config handling."""
 
+import ast
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,27 @@ def test_cli_needs_only_the_standard_library():
     assert lines[:2] == ["(1, 2)", "(log(2)/log(3), 0.6457601171650976)"]
     assert lines[2].startswith("box-count slope ~ 0.6309297")
     assert lines[-1] == "(1, 1.4142135623730951)"
+
+
+def test_engine_modules_read_every_name_they_import():
+    # a name listed in __all__ counts as read: the module exports it
+    unused = {}
+    for path in sorted(Path(hausdorff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                read |= set(ast.literal_eval(node.value))
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert not unused
 
 
 def test_distance_wrong_document_kind(capsys):

@@ -1,5 +1,6 @@
 """Order, algebra and limit behaviour of dimension-measure pairs."""
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hausdorff import hvalue
-from hausdorff._numeric import pow_interval
+from hausdorff import _numeric
+from hausdorff._numeric import RatInterval, _bernoulli, pow_interval
 from hausdorff.config import get_config, set_config, update_config
 from hausdorff.errors import (DoesNotConverge, IncomparableDimensions,
                               UndefinedSum, ValidationError)
@@ -353,22 +354,94 @@ def test_pseries_sum_large_integer_power_is_bounded(p):
     assert enc.hi - enc.lo <= F(1, 2 ** bits)
 
 
-def test_pseries_sum_makes_few_power_enclosures(monkeypatch):
+def test_pseries_sum_makes_few_exp_kernel_calls(monkeypatch):
+    # one fixed-point exp per prime of the head and tail, none for integer p
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return pow_interval(*args)
+        return exp_fixed(*args)
 
-    monkeypatch.setattr(hvalue, "pow_interval", counting)
+    exp_fixed = _numeric._exp_fixed
+    monkeypatch.setattr(_numeric, "_exp_fixed", counting)
+    PSeries(1, 2).sum()
+    assert not calls
     PSeries(1, F(3, 2)).sum()
-    assert 0 < len(calls) <= 64
+    assert 0 < len(calls) <= 11
 
 
 def test_bernoulli_numbers_first_values():
-    assert [hvalue._bernoulli(n) for n in range(2, 22, 2)] == [
+    assert [_bernoulli(n) for n in range(2, 22, 2)] == [
         F(1, 6), F(-1, 30), F(1, 42), F(-1, 30), F(5, 66), F(-691, 2730),
         F(7, 6), F(-3617, 510), F(43867, 798), F(-174611, 330)]
+
+
+def ref_pseries_sum(c, p, bits):
+    """c * zeta(p) for p > 1 the way `PSeries.sum` enclosed it on Fractions:
+    exact head terms for integer p (a power k**-p below 2**-(bits + 64) is
+    [0, that bound]), one `pow_interval` per term for fractional p, and the
+    Euler-Maclaurin tail as a Fraction bracket."""
+    cap = bits + 64
+    tiny = RatInterval(F(0), F(1, 1 << cap))
+
+    def power(k):
+        if p.denominator != 1:
+            return pow_interval(k, RatInterval.point(-p), bits)
+        if p.numerator * (k.bit_length() - 1) < cap:
+            kp = k ** p.numerator
+            if kp.bit_length() <= cap:
+                return RatInterval.point(F(1, kp))
+        return tiny
+
+    n = math.ceil(bits * math.log(2) / (2 * math.pi)) + 2
+    limit = F(n ** min(math.floor(p), bits), 1 << bits)
+    body = n / (p - 1) + F(1, 2)
+    g, j = p / (2 * n), 1  # t_j / B_2j
+    rest = _bernoulli(2) * g
+    while abs(rest) > limit:
+        g *= (p + 2 * j - 1) * (p + 2 * j) / ((2 * j + 1) * (2 * j + 2) * n * n)
+        j += 1
+        following = _bernoulli(2 * j) * g
+        if abs(following) >= abs(rest):
+            break
+        body += rest
+        rest = following
+    tail = RatInterval(body + min(rest, 0), body + max(rest, 0)) * power(n)
+    head = sum((power(k) for k in range(1, n)), RatInterval.point(0))
+    return (head + tail) * c
+
+
+def _zeta_cases():
+    rng = random.Random(12)
+    powers = [F(p) for p in list(range(2, 61)) + [200, 10 ** 3, 10 ** 5]]
+    for b in range(2, 13):
+        powers += [F(a, b) for a in rng.sample(range(b + 1, 12 * b + 1), 5)]
+    powers += [1 + F(1, q) for q in [1, 2, 3, 10 ** 3] + rng.sample(range(4, 10 ** 3), 8)]
+    # every power at 64 and 256 bits, every third one at 512 as well
+    cases = [(F(rng.randint(1, 99), rng.randint(1, 9)) * rng.choice((-1, 1)), p, bits)
+             for i, p in enumerate(powers) for bits in (64, 256, 512)[:2 + (i % 3 == 0)]]
+    # the reference takes 0.5 s for this power at 64 bits, and 4 s at 256
+    return cases + [(F(-5, 3), F(100001, 2), 64)]
+
+
+def test_pseries_sum_matches_the_fraction_reference():
+    cases = _zeta_cases()
+    assert len(cases) >= 300
+    for c, p, bits in cases:
+        previous = update_config(precision_bits=bits)
+        try:
+            enc = PSeries(c, p).sum().enclosure()
+        finally:
+            set_config(previous)
+        ref = ref_pseries_sum(c, p, bits)
+        lo, hi = _ref_bracket(c, p, bits)
+        assert enc.lo <= hi and lo <= enc.hi, (c, p, bits)
+        assert enc.lo <= ref.hi and ref.lo <= enc.hi, (c, p, bits)
+        # a head term is one unit of 2**-(bits + 64) wide, however small
+        # the power, where the reference can be far narrower
+        width = enc.hi - enc.lo
+        assert width <= 2 * (ref.hi - ref.lo) + abs(c) * F(1, 2 ** (bits + 48)), (c, p, bits)
+        assert width <= F(1, 2 ** (bits - 8)) * max(1, min(abs(lo), abs(hi))), (c, p, bits)
 
 
 def test_zeta_two_is_not_read_as_a_nearby_rational():
