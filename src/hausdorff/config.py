@@ -11,7 +11,7 @@ from .errors import ValidationError
 class Config:
     # interval-arithmetic working precision cap, in bits
     precision_bits: int = 256
-    # recursion depth cap for set-interaction decisions
+    # how often a Cantor copy may split before NotRepresentable
     depth_cap: int = 40
     # "human" or "json"
     output: str = "human"
@@ -21,6 +21,8 @@ class Config:
             raise ValidationError("precision_bits must be at least 64")
         if self.depth_cap < 8:
             raise ValidationError("depth_cap must be at least 8")
+        if self.depth_cap > 1000:
+            raise ValidationError("depth_cap must be at most 1000")
         if self.output not in ("human", "json"):
             raise ValidationError("output must be 'human' or 'json'")
 

@@ -20,7 +20,7 @@ class UndefinedSum(HausdorffError):
 
 class NotRepresentable(HausdorffError):
     """The requested set or function leaves the representable fragment,
-    or a disjointness/intersection decision exceeded the recursion depth cap."""
+    or a Cantor copy would split more than depth_cap times."""
 
 
 class NotSupported(HausdorffError):

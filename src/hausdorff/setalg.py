@@ -686,7 +686,6 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
     work = [a for a in atoms if not a.is_empty()]
     if len(work) < 2:
         return RepSet(tuple(work))
-    budget = get_config().depth_cap
     # a heap of (settle order, arrival, atom): FIFO within each kind
     pending = [(_SETTLE_ORDER[type(a)], k, a) for k, a in enumerate(work)]
     heapq.heapify(pending)
@@ -705,7 +704,7 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
             # the settled atom goes first on a rank tie: the reverse makes
             # touching Cantor copies trade their shared point forever
             pair = (x, y) if _rank(x) < _rank(y) else (y, x)
-            replacement = _resolve_pair(*pair, budget)
+            replacement = _resolve_pair(*pair)
             if replacement is not None:
                 settled.remove(number)
                 for a in replacement:
@@ -718,7 +717,7 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
     raise TooLarge("set normalization did not stabilize")
 
 
-def _resolve_pair(x: Atom, y: Atom, budget: int):
+def _resolve_pair(x: Atom, y: Atom):
     """None when x and y are certified disjoint; otherwise a list of atoms
     whose union equals x u y. Expects _rank(x) <= _rank(y)."""
     # point atoms rank lowest, so y is one only when x is one as well
@@ -735,8 +734,8 @@ def _resolve_pair(x: Atom, y: Atom, budget: int):
     if isinstance(x, Interval):
         if isinstance(y, Interval):
             return _resolve_interval_interval(x, y)
-        return _resolve_interval_cantor(x, y, budget)
-    return _resolve_cantor_cantor(x, y, budget)
+        return _resolve_interval_cantor(x, y)
+    return _resolve_cantor_cantor(x, y)
 
 
 def _point_atoms(points) -> list:
@@ -1034,34 +1033,40 @@ def _resolve_interval_interval(x: Interval, y: Interval):
 # -- interval vs Cantor copy ------------------------------------------------------
 
 
-def _ca_split_by_interval(ca: CantorAffine, lo: Endpoint, hi: Endpoint,
-                          budget: int):
+def _ca_split_by_interval(ca: CantorAffine, lo: Endpoint, hi: Endpoint):
     """Partition ca into (covered, kept): pieces inside [lo, hi] and pieces
-    disjoint from it. A single boundary touch becomes a point atom."""
-    hlo, hhi = ca.hull()
-    ilo = hlo if lo is None else max(hlo, lo)
-    ihi = hhi if hi is None else min(hhi, hi)
-    if ilo > ihi:
-        return [], [ca]
-    if ilo == hlo and ihi == hhi:
-        return [ca], []
-    if ilo == ihi:
-        p = ilo
-        if not ca.in_base(p):
-            return [], [ca]
-        covered = [] if p in ca.deletions else [FinitePoints([p])]
-        return covered, [ca.with_deletions([p])]
-    if budget <= 0:
-        raise NotRepresentable(
-            "interval cuts through a Cantor copy; the pieces are not catalog sets")
-    left, right = ca.children()
-    c1, k1 = _ca_split_by_interval(left, lo, hi, budget - 1)
-    c2, k2 = _ca_split_by_interval(right, lo, hi, budget - 1)
-    return c1 + c2, k1 + k2
+    disjoint from it, left to right. A single boundary touch becomes a
+    point atom. A copy may split depth_cap times before NotRepresentable;
+    TooLarge past _ITER_GUARD pieces."""
+    covered, kept = [], []
+    stack = [(ca, get_config().depth_cap)]  # (piece, splits left)
+    for _ in range(_ITER_GUARD):
+        if not stack:
+            return covered, kept
+        ca, budget = stack.pop()
+        hlo, hhi = ca.hull()
+        ilo = hlo if lo is None else max(hlo, lo)
+        ihi = hhi if hi is None else min(hhi, hi)
+        if ilo > ihi or (ilo == ihi and not ca.in_base(ilo)):
+            kept.append(ca)
+        elif ilo == hlo and ihi == hhi:
+            covered.append(ca)
+        elif ilo == ihi:
+            if ilo not in ca.deletions:
+                covered.append(FinitePoints([ilo]))
+            kept.append(ca.with_deletions([ilo]))
+        elif budget <= 0:
+            raise NotRepresentable(
+                "interval cuts through a Cantor copy; the pieces are not catalog sets")
+        else:
+            left, right = ca.children()
+            stack += [(right, budget - 1), (left, budget - 1)]
+    raise TooLarge(f"an interval cuts a Cantor copy into more than "
+                   f"{_ITER_GUARD} pieces")
 
 
-def _resolve_interval_cantor(x: Interval, y: CantorAffine, budget: int):
-    covered, kept = _ca_split_by_interval(y, x.lo, x.hi, budget)
+def _resolve_interval_cantor(x: Interval, y: CantorAffine):
+    covered, kept = _ca_split_by_interval(y, x.lo, x.hi)
     if not covered:
         return None
     return [x.restore(d for d in x.deletions if y.member(d))] + kept
@@ -1070,52 +1075,52 @@ def _resolve_interval_cantor(x: Interval, y: CantorAffine, budget: int):
 # -- Cantor copy vs Cantor copy -----------------------------------------------------
 
 
-def _ca_partition(base: CantorAffine, target: CantorAffine, budget: int):
+def _ca_partition(base: CantorAffine, target: CantorAffine):
     """Partition target against base: (common, rest), where common holds
-    the points of target whose positions also lie in base's base set."""
-    if not _hulls_meet(base, target):
-        return [], [target]
-    if (base.t, base.s) == (target.t, target.s):
-        return [target], []
-    hb, ht = base.hull(), target.hull()
-    touch = None
-    if hb[1] == ht[0]:
-        touch = hb[1]
-    elif ht[1] == hb[0]:
-        touch = ht[1]
-    if touch is not None:
-        if base.in_base(touch) and target.in_base(touch):
-            common = [] if touch in target.deletions else [FinitePoints([touch])]
-            return common, [target.with_deletions([touch])]
-        return [], [target]
-    if budget <= 0:
-        raise NotRepresentable(
-            "overlapping distinct Cantor copies are not jointly representable")
-    if target.s <= base.s:
-        left, right = base.children()
-        commons, rest = _ca_partition(left, target, budget - 1)
-        out_rest = []
-        for piece in rest:
-            if isinstance(piece, CantorAffine):
-                c2, r2 = _ca_partition(right, piece, budget - 1)
-                commons += c2
-                out_rest += r2
-            else:
-                inside = [p for p in piece.points if right.in_base(p)]
-                outside = [p for p in piece.points if not right.in_base(p)]
-                if inside:
-                    commons.append(FinitePoints(inside))
-                if outside:
-                    out_rest.append(FinitePoints(outside))
-        return commons, out_rest
-    tl, tr = target.children()
-    c1, r1 = _ca_partition(base, tl, budget - 1)
-    c2, r2 = _ca_partition(base, tr, budget - 1)
-    return c1 + c2, r1 + r2
+    the points of target whose positions also lie in base's base set, both
+    left to right. Each split of base or of target costs one of depth_cap
+    splits before NotRepresentable; TooLarge past _ITER_GUARD pieces."""
+    common, rest = [], []
+    # entries (piece of target, chain): the chain links the base pieces the
+    # piece still meets, in turn, as ((base piece, splits left), later);
+    # None once it has met them all
+    stack = [(target, ((base, get_config().depth_cap), None))]
+    for _ in range(_ITER_GUARD):
+        if not stack:
+            return common, rest
+        piece, chain = stack.pop()
+        if chain is None:
+            rest.append(piece)
+            continue
+        (base, budget), later = chain
+        hb, ht = base.hull(), piece.hull()
+        touch = hb[1] if hb[1] == ht[0] else ht[1] if ht[1] == hb[0] else None
+        if not _hulls_meet(base, piece):
+            stack.append((piece, later))
+        elif (base.t, base.s) == (piece.t, piece.s):
+            common.append(piece)
+        elif touch is not None:
+            if base.in_base(touch) and piece.in_base(touch):
+                if touch not in piece.deletions:
+                    common.append(FinitePoints([touch]))
+                piece = piece.with_deletions([touch])
+            stack.append((piece, later))
+        elif budget <= 0:
+            raise NotRepresentable(
+                "overlapping distinct Cantor copies are not jointly representable")
+        elif piece.s <= base.s:
+            left, right = base.children()
+            stack.append((piece, ((left, budget - 1),
+                                  ((right, budget - 1), later))))
+        else:
+            head = (base, budget - 1)
+            stack += [(child, (head, later)) for child in piece.children()[::-1]]
+    raise TooLarge(f"two Cantor copies split into more than {_ITER_GUARD} "
+                   f"pieces")
 
 
-def _resolve_cantor_cantor(x: CantorAffine, y: CantorAffine, budget: int):
-    common, y_only = _ca_partition(x, y, budget)
+def _resolve_cantor_cantor(x: CantorAffine, y: CantorAffine):
+    common, y_only = _ca_partition(x, y)
     if not common:
         return None
     return [x.restore(d for d in x.deletions if y.member(d))] + y_only
@@ -1164,7 +1169,6 @@ def _atom_minus_set(atom: Atom, s: RepSet) -> list:
 
 
 def _atom_minus_atom(x: Atom, y: Atom) -> list:
-    budget = get_config().depth_cap
     if x.is_empty():
         return []
     if isinstance(x, FinitePoints):
@@ -1174,8 +1178,8 @@ def _atom_minus_atom(x: Atom, y: Atom) -> list:
     if isinstance(x, CountableSeq):
         return _seq_minus(x, y)
     if isinstance(x, Interval):
-        return _interval_minus(x, y, budget)
-    return _cantor_minus(x, y, budget)
+        return _interval_minus(x, y)
+    return _cantor_minus(x, y)
 
 
 def _seq_minus(x: CountableSeq, y: Atom) -> list:
@@ -1207,7 +1211,7 @@ def _seq_minus(x: CountableSeq, y: Atom) -> list:
     return _point_atoms(head + rescued)
 
 
-def _interval_minus(x: Interval, y: Atom, budget: int) -> list:
+def _interval_minus(x: Interval, y: Atom) -> list:
     if isinstance(y, CountableSeq):
         kind, data = y.indices_within(x.lo, x.hi)
         if kind == "tail":
@@ -1217,7 +1221,7 @@ def _interval_minus(x: Interval, y: Atom, budget: int) -> list:
     if isinstance(y, Interval):
         return _interval_minus_interval(x, y)
     if isinstance(y, CantorAffine):
-        covered, _ = _ca_split_by_interval(y, x.lo, x.hi, budget)
+        covered, _ = _ca_split_by_interval(y, x.lo, x.hi)
         hits = []
         for piece in covered:
             if isinstance(piece, CantorAffine):
@@ -1246,14 +1250,14 @@ def _interval_minus_interval(x: Interval, y: Interval) -> list:
     return pieces + _point_atoms(survivors)
 
 
-def _cantor_minus(x: CantorAffine, y: Atom, budget: int) -> list:
+def _cantor_minus(x: CantorAffine, y: Atom) -> list:
     if isinstance(y, CountableSeq):
         return [_delete_commons(x, y, _seq_cantor_commons(y, x))]
     if isinstance(y, Interval):
-        _, kept = _ca_split_by_interval(x, y.lo, y.hi, budget)
+        _, kept = _ca_split_by_interval(x, y.lo, y.hi)
         return kept + _point_atoms([d for d in y.deletions if x.member(d)])
     if isinstance(y, CantorAffine):
-        common, x_only = _ca_partition(y, x, budget)
+        common, x_only = _ca_partition(y, x)
         extra = set()
         for piece in common:
             if isinstance(piece, FinitePoints):

@@ -380,6 +380,7 @@ def test_config_file_non_integer_is_rejected(capsys, monkeypatch, tmp_path,
     ('{"precision_bits": 10}', "precision_bits must be at least 64"),
     ('{"precision": 10}', "precision_bits must be at least 64"),
     ('{"depth_cap": 3}', "depth_cap must be at least 8"),
+    ('{"depth_cap": 1001}', "depth_cap must be at most 1000"),
     ('{"output": 5}', "output must be 'human' or 'json'")])
 def test_config_file_out_of_range_exits_2(capsys, monkeypatch, tmp_path,
                                           body, message):
@@ -387,6 +388,22 @@ def test_config_file_out_of_range_exits_2(capsys, monkeypatch, tmp_path,
     path.write_text(body)
     assert _config_error(capsys, monkeypatch, path) == (
         f"error: config file {path}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "sets", CANTOR, '{"interval": [-1, "1/4"]}'),
+    ("measure", '{"delete": [%s, {"interval": [-1, "1/4"]}]}' % CANTOR)])
+def test_deepest_cantor_cut_refuses_by_name(capsys, monkeypatch, tmp_path,
+                                            argv):
+    # 1/4 = 0.0202... in ternary, so the cut never settles; at the largest
+    # depth_cap it still ends in the split's own refusal
+    path = tmp_path / "config.json"
+    path.write_text('{"depth_cap": 1000}')
+    monkeypatch.setenv("HAUSDORFF_CONFIG", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == ("error: interval cuts through a Cantor copy; the pieces "
+                   "are not catalog sets\n")
 
 
 def test_flag_overrides_out_of_range_config_value(capsys, monkeypatch,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hausdorff import setalg
 from hausdorff._numeric import _ITER_GUARD
-from hausdorff.config import get_config
+from hausdorff.config import set_config, update_config
 from hausdorff.errors import (HausdorffError, NotRepresentable, TooLarge,
                               ValidationError)
 from hausdorff.hvalue import DIM_CANTOR, DIM_ONE, DIM_ZERO, HPair, ExtReal
@@ -653,16 +653,15 @@ def _probes(atoms):
 
 
 def _certified_disjoint(x, y):
-    budget = get_config().depth_cap
     if _rank(x) != _rank(y):
         if _rank(x) > _rank(y):
             x, y = y, x
-        return _resolve_pair(x, y, budget) is None
+        return _resolve_pair(x, y) is None
     # on a rank tie normalize puts the settled atom first, so the
     # certificate may hold in either order
     for a, b in ((x, y), (y, x)):
         try:
-            if _resolve_pair(a, b, budget) is None:
+            if _resolve_pair(a, b) is None:
                 return True
         except NotRepresentable:
             pass
@@ -816,7 +815,6 @@ def _normalize_by_scan(atoms):
     work = [a for a in atoms if not a.is_empty()]
     if len(work) < 2:
         return RepSet(tuple(work))
-    budget = get_config().depth_cap
     pending = [(_SETTLE_ORDER[type(a)], k, a) for k, a in enumerate(work)]
     heapq.heapify(pending)
     arrivals = itertools.count(len(work))
@@ -831,7 +829,7 @@ def _normalize_by_scan(atoms):
                     or (points and isinstance(y, FinitePoints))):
                 continue
             pair = (x, y) if _rank(x) < _rank(y) else (y, x)
-            replacement = setalg._resolve_pair(*pair, budget)
+            replacement = setalg._resolve_pair(*pair)
             if replacement is not None:
                 del settled[k]
                 for a in replacement:
@@ -1014,3 +1012,164 @@ def test_settled_index_lookups():
     index.remove(4)
     assert index.meeting(FinitePoints([F(-1, 2), F(2, 5)])) == [0]
     assert list(index.atoms.values()) == [wide, pieces[0], pieces[2]]
+
+
+# -- the Cantor splits ------------------------------------------------------
+#
+# setalg._ca_split_by_interval and setalg._ca_partition sweep an explicit
+# stack and read depth_cap themselves. The recursions they replaced are
+# kept here as the reference: the sweeps must emit the same pieces in the
+# same order (normalize settles pending atoms in arrival order) and raise
+# the same errors.
+
+
+def _split_by_recursion(ca, lo, hi, budget):
+    hlo, hhi = ca.hull()
+    ilo = hlo if lo is None else max(hlo, lo)
+    ihi = hhi if hi is None else min(hhi, hi)
+    if ilo > ihi:
+        return [], [ca]
+    if ilo == hlo and ihi == hhi:
+        return [ca], []
+    if ilo == ihi:
+        p = ilo
+        if not ca.in_base(p):
+            return [], [ca]
+        covered = [] if p in ca.deletions else [FinitePoints([p])]
+        return covered, [ca.with_deletions([p])]
+    if budget <= 0:
+        raise NotRepresentable(
+            "interval cuts through a Cantor copy; the pieces are not catalog sets")
+    left, right = ca.children()
+    c1, k1 = _split_by_recursion(left, lo, hi, budget - 1)
+    c2, k2 = _split_by_recursion(right, lo, hi, budget - 1)
+    return c1 + c2, k1 + k2
+
+
+def _partition_by_recursion(base, target, budget):
+    if not _hulls_meet(base, target):
+        return [], [target]
+    if (base.t, base.s) == (target.t, target.s):
+        return [target], []
+    hb, ht = base.hull(), target.hull()
+    touch = None
+    if hb[1] == ht[0]:
+        touch = hb[1]
+    elif ht[1] == hb[0]:
+        touch = ht[1]
+    if touch is not None:
+        if base.in_base(touch) and target.in_base(touch):
+            common = [] if touch in target.deletions else [FinitePoints([touch])]
+            return common, [target.with_deletions([touch])]
+        return [], [target]
+    if budget <= 0:
+        raise NotRepresentable(
+            "overlapping distinct Cantor copies are not jointly representable")
+    if target.s <= base.s:
+        left, right = base.children()
+        commons, rest = _partition_by_recursion(left, target, budget - 1)
+        out_rest = []
+        for piece in rest:
+            if isinstance(piece, CantorAffine):
+                c2, r2 = _partition_by_recursion(right, piece, budget - 1)
+                commons += c2
+                out_rest += r2
+            else:
+                inside = [p for p in piece.points if right.in_base(p)]
+                outside = [p for p in piece.points if not right.in_base(p)]
+                if inside:
+                    commons.append(FinitePoints(inside))
+                if outside:
+                    out_rest.append(FinitePoints(outside))
+        return commons, out_rest
+    tl, tr = target.children()
+    c1, r1 = _partition_by_recursion(base, tl, budget - 1)
+    c2, r2 = _partition_by_recursion(base, tr, budget - 1)
+    return c1 + c2, r1 + r2
+
+
+def _pieces_or_error(split, *args):
+    try:
+        return [[setalg._render_atom(a) for a in part] for part in split(*args)]
+    except HausdorffError as exc:
+        return type(exc), str(exc)
+
+
+CANTOR_POINTS = [F(0), F(1), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 9),
+                 F(8, 9), F(1, 10), F(1, 12)]
+
+
+@st.composite
+def cantor_copies(draw, unit=CantorAffine(0, 1)):
+    """A copy placed against unit, often so that it overlaps unit."""
+    if draw(st.booleans()):  # on the ternary grid: t = m/3^k, s = 3^-j (x2)
+        k = draw(st.integers(0, 4))
+        t = F(draw(st.integers(-3 ** k, 2 * 3 ** k)), 3 ** k)
+        s = F(draw(st.sampled_from([1, 2])), 3 ** draw(st.integers(0, 3)))
+    else:
+        t = F(draw(st.integers(-4, 8)), draw(st.sampled_from([1, 2, 4, 5, 7])))
+        s = F(draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 4, 5])))
+    ca = CantorAffine(unit.t + unit.s * t, unit.s * s)
+    dels = draw(st.lists(st.sampled_from(CANTOR_POINTS), max_size=3))
+    return ca.with_deletions(ca.t + ca.s * d for d in dels)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cantor_copies().flatmap(
+           lambda x: st.tuples(st.just(x), cantor_copies(x))),
+       st.sampled_from([8, 40]), st.one_of(st.none(), st.integers(-9, 27)),
+       st.one_of(st.none(), st.integers(0, 27)))
+def test_cantor_splits_match_the_recursion(pair, cap, start, width):
+    x, y = pair
+    # the cut [lo, hi] runs on x's grid of 27ths, so it often meets an end
+    # or a gap; None is an open end
+    lo = None if start is None else x.t + x.s * F(start, 27)
+    hi = None if width is None else x.t + x.s * F((start or 0) + width, 27)
+    previous = update_config(depth_cap=cap)
+    try:
+        assert (_pieces_or_error(setalg._ca_split_by_interval, x, lo, hi)
+                == _pieces_or_error(_split_by_recursion, x, lo, hi, cap))
+        for base, target in ((x, y), (y, x)):
+            assert (_pieces_or_error(setalg._ca_partition, base, target)
+                    == _pieces_or_error(_partition_by_recursion, base, target,
+                                        cap))
+    finally:
+        set_config(previous)
+
+
+def test_cantor_partition_budget_edge():
+    # C against C + m/3^k around the depth at which the split gives up:
+    # each branch of the sweep must spend exactly the recursion's splits
+    c = CantorAffine(0, 1)
+    for cap in (8, 9, 10):
+        previous = update_config(depth_cap=cap)
+        try:
+            for k, m in itertools.product(range(1, 7), (1, 2, 4, 5, 7)):
+                shifted = CantorAffine(F(m, 3 ** k), 1)
+                for base, target in ((c, shifted), (shifted, c)):
+                    assert (_pieces_or_error(setalg._ca_partition, base, target)
+                            == _pieces_or_error(_partition_by_recursion, base,
+                                                target, cap)), (cap, k, m)
+        finally:
+            set_config(previous)
+
+
+def test_cantor_overlap_still_settles():
+    # C u (C + 2/3^k) has 2^(k-1) + 1 atoms
+    got = union(RepSet.of(CantorAffine(0, 1)),
+                RepSet.of(CantorAffine(F(2, 3 ** 10), 1)))
+    assert len(got.atoms) == 513
+    assert hmeasure(got) == HPair(DIM_CANTOR, ExtReal.of(F(3, 2)))
+
+
+def test_cantor_overlap_work_is_bounded():
+    # past k = 13 the partition takes more than _ITER_GUARD pieces; it
+    # refuses in about a second, not after a minute. Past k = 20 it needs
+    # more than depth_cap splits
+    c = RepSet.of(CantorAffine(0, 1))
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        union(c, RepSet.of(CantorAffine(F(2, 3 ** 20), 1)))
+    assert time.perf_counter() - start < 5
+    with pytest.raises(NotRepresentable):
+        union(c, RepSet.of(CantorAffine(F(2, 3 ** 21), 1)))
