@@ -9,8 +9,8 @@ docio, checks, cli).
 __version__ = "0.1.0"
 
 from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, ZERO_PAIR, Dimension,
-                     ExtReal, HPair, HSeq, hpair_add, hpair_eq, hpair_lt,
-                     hpair_series, hpair_sum, hseq_limit)
+                     ExtReal, HPair, HSeq, hpair_add, hpair_eq, hpair_series,
+                     hpair_sum, hseq_limit)
 from .setalg import (CantorAffine, CountableSeq, EMPTY_SET, FinitePoints,
                      Interval, RepSet, diff, hmeasure, intersect, symdiff,
                      union)
@@ -21,8 +21,8 @@ from .checks import run_suite, suite_names
 
 __all__ = [
     "DIM_CANTOR", "DIM_ONE", "DIM_ZERO", "ZERO_PAIR", "Dimension",
-    "ExtReal", "HPair", "HSeq", "hpair_add", "hpair_eq", "hpair_lt",
-    "hpair_series", "hpair_sum", "hseq_limit",
+    "ExtReal", "HPair", "HSeq", "hpair_add", "hpair_eq", "hpair_series",
+    "hpair_sum", "hseq_limit",
     "CantorAffine", "CountableSeq", "EMPTY_SET", "FinitePoints",
     "Interval", "RepSet", "diff", "hmeasure", "intersect", "symdiff",
     "union",

@@ -23,8 +23,8 @@ from .errors import (DisjointnessViolated, DoesNotConverge,
 from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      CoefficientSeries, ConstantTail, ExtReal, FiniteList,
                      Geometric, GrowthTail, HPair, HSeq, InterleaveTail,
-                     MeasureTail, PSeries, dim_max, ext_sum, hpair_eq,
-                     hpair_leq, hseq_liminf, hseq_limit, series_add)
+                     MeasureTail, PSeries, ext_sum, hpair_eq, hpair_sum,
+                     hseq_liminf, hseq_limit, series_add, top_terms)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
                      FinitePoints, Interval, RepSet, _hulls_meet, diff,
                      hmeasure, intersect, normalize, union)
@@ -530,14 +530,11 @@ def h_integral(f: PiecewiseFunction, region: Region = ALL_REALS) -> HPair:
             trimmed = _live_piece(piece, e, origin)
             if trimmed is not None:
                 live.append((piece, e, origin, trimmed.dim()))
-    if not live:
+    top, kept = top_terms(live, lambda t: t[3])
+    if top is None:
         return ZERO_PAIR
-    top = live[0][3]
-    for _, _, _, d in live[1:]:
-        top = dim_max(top, d)
-    total = ext_sum(_piece_measure(piece, e, origin)
-                    for piece, e, origin, d in live if d.cmp(top) == 0)
-    return HPair(top, total)
+    return HPair(top, ext_sum(_piece_measure(piece, e, origin)
+                              for piece, e, origin, _ in kept))
 
 
 def is_integrable(f: PiecewiseFunction, region: Region = ALL_REALS) -> bool:
@@ -860,9 +857,7 @@ def countable_additivity(f: PiecewiseFunction, head: Sequence[RepSet],
         whole = union(whole, p)
     lhs = h_integral(f, whole)
 
-    head_pairs = [h_integral(f, p) for p in head]
-    dims = [pr.d for pr in head_pairs]
-    tail_series = None
+    pairs = [h_integral(f, p) for p in head]
     if tail is not None:
         tail_series = _tail_value_series(f, tail)
         if not (tail_series.abs_converges()
@@ -870,17 +865,8 @@ def countable_additivity(f: PiecewiseFunction, head: Sequence[RepSet],
             raise DoesNotConverge(
                 "the tail of per-part integrals has no order-independent "
                 "sum")
-        dims.append(DIM_ZERO)
-    if not dims:
-        rhs = ZERO_PAIR
-    else:
-        top = dims[0]
-        for d in dims[1:]:
-            top = dim_max(top, d)
-        masses = [pr.m for pr in head_pairs if pr.d.cmp(top) == 0]
-        if tail is not None and top.cmp(DIM_ZERO) == 0:
-            masses.append(tail_series.sum())
-        rhs = HPair(top, ext_sum(masses))
+        pairs.append(HPair(DIM_ZERO, tail_series.sum()))
+    rhs = hpair_sum(pairs)
     if not hpair_eq(lhs, rhs):
         raise ValidationError(
             f"partition sum {rhs.render()} disagrees with the whole "
@@ -935,7 +921,7 @@ def monotone_compare(f: PiecewiseFunction, g: PiecewiseFunction,
         raise OrderNotVerified(
             f"cannot refine g against f to compare them: {exc}") from exc
     verify_nonneg(gap, "g - f")
-    return hpair_leq(h_integral(f, region), h_integral(g, region))
+    return h_integral(f, region) <= h_integral(g, region)
 
 
 # ---------------------------------------------------------------------------
@@ -1270,4 +1256,4 @@ def fatou_check(seq: FunctionSeq, verify_terms: int = 4) -> bool:
     for n in range(1, verify_terms + 1):
         verify_nonneg(seq.term(n), f"f_{n}")
     limit = seq.limit_function()
-    return hpair_leq(h_integral(limit), hseq_liminf(seq.integral_seq()))
+    return h_integral(limit) <= hseq_liminf(seq.integral_seq())

@@ -3,9 +3,13 @@
 The value space is [0, 2] x [-inf, +inf] under the lexicographic order.
 Addition takes the maximum of the first coordinates and sums the second
 coordinates of the summands that attain it; the pair (0, 0) is the
-identity. Dimensions are kept symbolically (rational plus log-ratio
-terms) so equality is decided by canonical form and comparisons fall
-back to interval arithmetic with doubling precision.
+identity. `top_terms` is that rule, written once: every such sum in the
+package (of pairs, series, set atoms, integrand pieces) picks its
+summands through it and adds only theirs, so a measure below the top
+dimension is never evaluated or added and cannot raise. Dimensions are
+kept symbolically (rational plus log-ratio terms) so equality is decided
+by canonical form and comparisons fall back to interval arithmetic with
+doubling precision.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from ._numeric import (RatInterval, Rational, log_interval, power_base,
                        render_rational, zeta_interval)
@@ -201,10 +205,6 @@ DIM_TWO = Dimension(rat=Fraction(2))
 DIM_CANTOR = Dimension.log_ratio(2, 3)
 
 
-def dim_max(a: Dimension, b: Dimension) -> Dimension:
-    return a if a.cmp(b) >= 0 else b
-
-
 def dim_abs_diff(a: Dimension, b: Dimension) -> Dimension:
     diff = a._sub(b)
     if not diff.logs:
@@ -217,6 +217,7 @@ def dim_abs_diff(a: Dimension, b: Dimension) -> Dimension:
 
 
 _NEG, _FIN, _IVL, _POS = "-inf", "finite", "interval", "+inf"
+_RANK = {_NEG: 0, _FIN: 1, _IVL: 1, _POS: 2}  # ExtReal.cmp's coarse order
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,7 @@ class ExtReal:
 
     def cmp(self, other: "ExtReal") -> int:
         """Trichotomy; overlapping enclosures compare as equal."""
-        order = {_NEG: 0, _FIN: 1, _IVL: 1, _POS: 2}
-        ra, rb = order[self.kind], order[other.kind]
+        ra, rb = _RANK[self.kind], _RANK[other.kind]
         if ra != rb:
             return (ra > rb) - (ra < rb)
         if ra != 1:
@@ -355,9 +355,7 @@ def ext_sum(values: Iterable[ExtReal]) -> ExtReal:
             saw_neg = True
         if saw_pos and saw_neg:
             raise UndefinedSum("measure sum mixes +inf and -inf")
-        if v.kind in (_POS, _NEG):
-            continue
-        if total.is_finite():
+        if v.kind not in (_POS, _NEG):
             total = total + v
     if saw_pos:
         return POS_INF
@@ -407,14 +405,6 @@ class HPair:
 ZERO_PAIR = HPair(DIM_ZERO, EXT_ZERO)
 
 
-def hpair_leq(a: HPair, b: HPair) -> bool:
-    return a.cmp(b) <= 0
-
-
-def hpair_lt(a: HPair, b: HPair) -> bool:
-    return a.cmp(b) < 0
-
-
 def hpair_eq(a: HPair, b: HPair) -> bool:
     return a.cmp(b) == 0
 
@@ -428,16 +418,34 @@ def hpair_add(a: HPair, b: HPair) -> HPair:
     return HPair(a.d, a.m + b.m)
 
 
-def hpair_sum(items: Sequence[HPair]) -> HPair:
+_T = TypeVar("_T")
+
+
+def top_terms(items: Iterable[_T], dim: Callable[[_T], Dimension]
+              ) -> tuple[Optional[Dimension], list[_T]]:
+    """The max-dimension rule: the largest dimension among the items and
+    the items of that dimension in input order, or (None, []) for no
+    items. One pass and one comparison per item after the first: a larger
+    dimension restarts the kept list, a tie joins it. Callers sum the
+    measures of the kept items only, so nothing below the top is ever
+    evaluated."""
+    top, kept = None, []
+    for item in items:
+        d = dim(item)
+        c = -1 if top is None else top.cmp(d)
+        if c < 0:
+            top, kept = d, [item]
+        elif c == 0:
+            kept.append(item)
+    return top, kept
+
+
+def hpair_sum(items: Iterable[HPair]) -> HPair:
     """Sum with the max-dimension rule; the empty sum is (0, 0)."""
-    items = list(items)
-    if not items:
+    top, kept = top_terms(items, lambda h: h.d)
+    if top is None:
         return ZERO_PAIR
-    top = items[0].d
-    for h in items[1:]:
-        top = dim_max(top, h.d)
-    measures = [h.m for h in items if h.d.cmp(top) == 0]
-    return HPair(top, ext_sum(measures))
+    return HPair(top, ext_sum(h.m for h in kept))
 
 
 def hpair_inf(items: Sequence[HPair]) -> HPair:
@@ -842,11 +850,5 @@ def hpair_series(dims: Sequence[Dimension],
     if not ok:
         raise DoesNotConverge(
             "series must be absolutely convergent or have nonnegative terms")
-    top = dims[0]
-    for d in dims[1:]:
-        top = dim_max(top, d)
-    total = EXT_ZERO
-    for d, s in zip(dims, coeffs):
-        if d.cmp(top) == 0:
-            total = total + s.sum()
-    return HPair(top, total)
+    top, kept = top_terms(zip(dims, coeffs), lambda t: t[0])
+    return HPair(top, ext_sum(s.sum() for _, s in kept))

@@ -20,8 +20,8 @@ from .errors import NoLimitFound, NotInLH, ValidationError
 from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part, add,
                         h_integral, indicator, scalar_mul, support)
 from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, FiniteList,
-                     Geometric, HPair, PSeries, dim_abs_diff, dim_max,
-                     hpair_eq, hpair_leq, hpair_lt)
+                     Geometric, HPair, PSeries, dim_abs_diff, hpair_eq,
+                     top_terms)
 from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
                      symdiff)
 
@@ -60,7 +60,7 @@ class HDistance:
 
 def triangle_ok(ac: HDistance, ab: HDistance, bc: HDistance) -> bool:
     """Whether ac <= ab + bc in the lexicographic order."""
-    return hpair_leq(ac.value, ab.plus(bc).value)
+    return ac.value <= ab.plus(bc).value
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +97,8 @@ def absolutely_integrable(f: PiecewiseFunction) -> bool:
     f without integrating: it is infinite exactly when a piece of the top
     dimension carries infinite mass. It refuses exactly where
     abs_integral does, with the same error."""
-    pieces = [(a, e, a.dim()) for a, e, _ in _signed_part(f)]
-    top = DIM_ZERO
-    for _, _, d in pieces:
-        top = dim_max(top, d)
-    return not any(d.cmp(top) == 0 and _infinite_mass(a, e)
-                   for a, e, d in pieces)
+    _, kept = top_terms(_signed_part(f), lambda t: t[0].dim())
+    return not any(_infinite_mass(a, e) for a, e, _ in kept)
 
 
 def _infinite_mass(atom, expr) -> bool:
@@ -128,11 +124,11 @@ def d_H(f: PiecewiseFunction, g: PiecewiseFunction) -> HDistance:
 
 def ball_member(center, y, radius: HPair, metric: Callable) -> bool:
     """Whether y lies in the open ball around center, lexicographically."""
-    if not hpair_lt(ZERO_PAIR, radius):
+    if not ZERO_PAIR < radius:
         raise ValidationError("the ball radius must exceed (0, 0)")
     dist = metric(center, y)
     value = dist.value if isinstance(dist, HDistance) else dist
-    return hpair_lt(value, radius)
+    return value < radius
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ class AlternatingFunctionSeq(CauchySeq):
 
     def cauchy_index(self, eps):
         bound = HPair(DIM_ZERO, ExtReal.of(Fraction(eps)))
-        return 1 if hpair_lt(self.gap.value, bound) else None
+        return 1 if self.gap.value < bound else None
 
     def limit_index(self, eps):
         self.limit()
@@ -332,7 +328,7 @@ def is_cauchy(seq: CauchySeq,
         x_n = seq.term(n)
         for m in (n + 1, n + 5):
             got = d_H(x_n, seq.term(m))
-            if not hpair_lt(got.value, bound):
+            if not got.value < bound:
                 raise ValidationError(
                     f"certified index {n} fails against term {m}")
     return True
@@ -371,7 +367,7 @@ def riesz_fischer_check(seq: CauchySeq,
         bound = HPair(DIM_ZERO, ExtReal.of(eps))
         for k in (n, n + 3):
             got = d_H(seq.term(k), limit)
-            if not hpair_lt(got.value, bound):
+            if not got.value < bound:
                 raise ValidationError(
                     f"certified index {n} fails at term {k}")
         entries.append((eps, n))

@@ -29,7 +29,8 @@ from .config import get_config
 from .errors import (NotRepresentable, NotSupported, TooLarge,
                      ValidationError)
 from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, ZERO_PAIR,
-                     Dimension, ExtReal, HPair, dim_max, ext_sum, hpair_add)
+                     Dimension, ExtReal, HPair, ext_sum, hpair_add,
+                     top_terms)
 
 Endpoint = Optional[Fraction]  # None encodes a missing (infinite) endpoint
 
@@ -518,12 +519,8 @@ class RepSet:
         return any(a.member(x) for a in self.atoms)
 
     def dim(self) -> Dimension:
-        if not self.atoms:
-            return DIM_ZERO
-        d = self.atoms[0].dim()
-        for a in self.atoms[1:]:
-            d = dim_max(d, a.dim())
-        return d
+        top, _ = top_terms(self.atoms, lambda a: a.dim())
+        return DIM_ZERO if top is None else top
 
     def render(self) -> str:
         return " u ".join(_render_atom(a) for a in self.atoms) or "{}"
@@ -1277,11 +1274,10 @@ def _cantor_minus(x: CantorAffine, y: Atom) -> list:
 
 def hmeasure(s: RepSet) -> HPair:
     """The dimension-measure pair of a representable set."""
-    if s.is_empty():
+    top, kept = top_terms(s.atoms, lambda a: a.dim())
+    if top is None:
         return ZERO_PAIR
-    top = s.dim()
-    parts = [a.mu() for a in s.atoms if a.dim().cmp(top) == 0]
-    return HPair(top, ext_sum(parts))
+    return HPair(top, ext_sum(a.mu() for a in kept))
 
 
 def verify_monotone(a: RepSet, b: RepSet) -> tuple[HPair, HPair, bool]:

@@ -26,7 +26,7 @@ from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
                                  scalar_mul)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, ConstantTail, Dimension,
                               FiniteList, Geometric, HPair, HSeq, hpair_add,
-                              hpair_eq, hpair_lt, hpair_series, hseq_limit)
+                              hpair_eq, hpair_series, hseq_limit)
 from hausdorff.metrics import DEFAULT_SCHEDULE
 from hausdorff.oracle import box_dim_estimate, premeasure_estimate, quadrature
 from hausdorff.setalg import (HARMONIC, CantorAffine, CountableSeq,
@@ -74,7 +74,7 @@ def test_criterion_01_pinned_example_regressions():
     low, spike = g, indicator(RepSet.of(FinitePoints([0])))
     assert hpair_eq(h_integral(low), pair(1, -1))
     assert hpair_eq(h_integral(spike), pair(0, 1))
-    assert hpair_lt(h_integral(spike), h_integral(low))
+    assert h_integral(spike) < h_integral(low)
     with pytest.raises(OrderNotVerified):
         monotone_compare(low, spike)
 
@@ -147,7 +147,7 @@ def test_criterion_05_monotone_and_liminf_limits():
     assert report.signed and not report.agrees
     assert hpair_eq(report.limit_of_integrals, pair(1, 0))
     assert hpair_eq(report.integral_of_limit, pair(0, -1))
-    assert hpair_lt(report.integral_of_limit, report.limit_of_integrals)
+    assert report.integral_of_limit < report.limit_of_integrals
 
     ft = _suite("fatou")
     assert all_passed(ft)

@@ -22,8 +22,9 @@ from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
                                  pos_part, restrict_to_support, scalar_mul,
                                  support, verify_nonneg, zero_function)
 from hausdorff.hintegral import _sign_regions
-from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, FiniteList,
-                              Geometric, HPair, PSeries, hpair_add, hpair_eq)
+from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, Dimension,
+                              FiniteList, Geometric, HPair, PSeries,
+                              hpair_add, hpair_eq)
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet, diff, hmeasure,
                               intersect, union)
@@ -201,6 +202,29 @@ def test_lower_dimension_contributes_nothing():
             (FinitePoints([3, 4]), Const(50)),
             (CantorAffine(5, 1), Const(9))])
     assert h_integral(f) == pair(1, 2)
+
+
+def test_signed_infinities_below_the_top_are_never_summed():
+    # the two sequences carry +inf and -inf at dimension 0, under the
+    # interval's dimension 1: neither mass is evaluated, so nothing raises
+    f = on([(Interval(0, 1), Const(1)),
+            (CountableSeq(HARMONIC, 10, 1), SeriesValues(PSeries(1, 1))),
+            (CountableSeq(HARMONIC, 20, 1), SeriesValues(PSeries(-1, 1)))])
+    assert h_integral(f) == pair(1, 1)
+
+
+def test_integral_compares_each_piece_once(monkeypatch):
+    f = on([(Interval(0, 1), Const(1)),
+            (CountableSeq(HARMONIC, 10, 1), SeriesValues(PSeries(1, 1))),
+            (CountableSeq(HARMONIC, 20, 1), SeriesValues(PSeries(-1, 1))),
+            (FinitePoints([30]), Const(2)), (CantorAffine(40, 1), Const(3)),
+            (Interval(50, 51), Poly([0, 1]))])
+    calls = []
+    cmp = Dimension.cmp
+    monkeypatch.setattr(Dimension, "cmp",
+                        lambda a, b: calls.append(1) or cmp(a, b))
+    assert h_integral(f) == pair(1, F(103, 2))
+    assert len(calls) == len(f.terms) - 1 == 5
 
 
 def test_undefined_sum_of_signed_infinities():

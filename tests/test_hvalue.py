@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from hausdorff import _numeric
 from hausdorff._numeric import RatInterval, _bernoulli, pow_interval
 from hausdorff.config import get_config, set_config, update_config
-from hausdorff.errors import (DoesNotConverge, IncomparableDimensions,
-                              UndefinedSum, ValidationError)
+from hausdorff.errors import (DoesNotConverge, HausdorffError,
+                              IncomparableDimensions, UndefinedSum,
+                              ValidationError)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, NEG_INF,
                               POS_INF, ZERO_PAIR, ClimbTail, ConstantTail,
                               Dimension, ExtReal, FiniteList, Geometric,
                               GrowthTail, HPair, HSeq, InterleaveTail,
-                              MeasureTail, PSeries, dim_abs_diff, dim_max,
-                              ext_sum, hpair_add, hpair_eq, hpair_inf,
-                              hpair_leq, hpair_lt, hpair_series, hpair_sum,
-                              hpair_sup, hseq_liminf, hseq_limit,
-                              hseq_limsup)
+                              MeasureTail, PSeries, dim_abs_diff, ext_sum,
+                              hpair_add, hpair_eq, hpair_inf, hpair_series,
+                              hpair_sum, hpair_sup, hseq_liminf, hseq_limit,
+                              hseq_limsup, top_terms)
 
 
 def pair(d, m):
@@ -80,11 +80,11 @@ def test_incomparable_raises_at_cap():
 
 
 def test_lexicographic_order():
-    assert hpair_lt(pair(0, 10**9), pair(F(1, 2), -(10**9)))
-    assert hpair_lt(pair(DIM_CANTOR, POS_INF), pair(1, NEG_INF))
-    assert hpair_lt(pair(1, -5), pair(1, -4))
-    assert hpair_leq(pair(1, 3), pair(1, 3))
-    assert not hpair_lt(pair(1, 3), pair(1, 3))
+    assert pair(0, 10**9) < pair(F(1, 2), -(10**9))
+    assert pair(DIM_CANTOR, POS_INF) < pair(1, NEG_INF)
+    assert pair(1, -5) < pair(1, -4)
+    assert pair(1, 3) <= pair(1, 3)
+    assert not pair(1, 3) < pair(1, 3)
 
 
 # --------------------------------------------------------------------------
@@ -250,8 +250,8 @@ def test_monotone_limit_is_sup_of_range():
         limit = hseq_limit(s)
         terms = [s.term(n) for n in range(1, 60)]
         for a, b in zip(terms, terms[1:]):
-            assert hpair_leq(a, b)
-        assert all(hpair_leq(t, limit) for t in terms)
+            assert a <= b
+        assert all(t <= limit for t in terms)
         assert hpair_eq(hpair_sup(terms + [limit]), limit)
 
 
@@ -301,6 +301,98 @@ def test_series_matches_partial_sum_limit():
             expect = coeffs.partial_sum(n)
             assert seq.term(n).m.as_fraction() == expect
         assert hpair_eq(hseq_limit(seq), value)
+
+
+# --------------------------------------------------------------------------
+# the max-dimension rule against the two-pass sums it replaced
+
+
+def ref_top_terms(items, dim):
+    """The largest dimension by a fold, then a second pass that keeps the
+    items comparing equal to it."""
+    if not items:
+        return None, []
+    top = dim(items[0])
+    for item in items[1:]:
+        top = top if top.cmp(dim(item)) >= 0 else dim(item)
+    return top, [item for item in items if dim(item).cmp(top) == 0]
+
+
+def ref_hpair_sum(items):
+    items = list(items)
+    if not items:
+        return ZERO_PAIR
+    top, kept = ref_top_terms(items, lambda h: h.d)
+    return HPair(top, ext_sum([h.m for h in kept]))
+
+
+def ref_hpair_series(dims, coeffs):
+    if len(dims) != len(coeffs):
+        raise ValidationError("dims and coefficient series must pair up")
+    if not dims:
+        return ZERO_PAIR
+    for i, a in enumerate(dims):
+        for b in dims[i + 1:]:
+            if a.cmp(b) == 0:
+                raise ValidationError("dimensions must be distinct")
+    ok = (all(s.abs_converges() for s in coeffs)
+          or all(s.sign() is not None and s.sign() >= 0 for s in coeffs))
+    if not ok:
+        raise DoesNotConverge(
+            "series must be absolutely convergent or have nonnegative terms")
+    top, _ = ref_top_terms(list(dims), lambda d: d)
+    total = ExtReal.of(0)
+    for d, s in zip(dims, coeffs):
+        if d.cmp(top) == 0:
+            total = total + s.sum()
+    return HPair(top, total)
+
+
+# 1/2 + log 2/log 3 lies above 1 and below 2, so every pair of these
+# dimensions is separated exactly or by interval arithmetic
+RULE_DIMS = (DIM_ZERO, Dimension.rational(F(1, 2)), DIM_ONE,
+             Dimension.rational(2), DIM_CANTOR,
+             Dimension(rat=F(1, 2), logs=DIM_CANTOR.logs))
+# each series sums to an exact value, an enclosure or a signed infinity
+RULE_SERIES = st.one_of(
+    st.fractions(-9, 9, max_denominator=6).map(lambda v: FiniteList([v])),
+    st.integers(-3, 3).map(lambda c: PSeries(c or 1, 2)),
+    st.sampled_from([PSeries(1, 1), PSeries(-1, 1)]))
+
+
+def outcome(fn, *args):
+    """The rendered value, or the class and message of the error."""
+    try:
+        return fn(*args).render()
+    except HausdorffError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(RULE_DIMS), RULE_SERIES),
+                max_size=8))
+def test_top_terms_matches_the_two_pass_rule(drawn):
+    items = [HPair(d, s.sum()) for d, s in drawn]
+    top, kept = top_terms(items, lambda h: h.d)
+    ref_top, ref_kept = ref_top_terms(items, lambda h: h.d)
+    assert top == ref_top
+    assert [id(h) for h in kept] == [id(h) for h in ref_kept]
+    assert outcome(hpair_sum, items) == outcome(ref_hpair_sum, items)
+    dims, coeffs = [d for d, _ in drawn], [s for _, s in drawn]
+    assert (outcome(hpair_series, dims, coeffs)
+            == outcome(ref_hpair_series, dims, coeffs))
+    # one series per dimension, so the sum gets past the distinctness check
+    firsts = dict(reversed(drawn))
+    dims, coeffs = list(firsts), list(firsts.values())
+    assert (outcome(hpair_series, dims, coeffs)
+            == outcome(ref_hpair_series, dims, coeffs))
+
+
+def test_sum_below_the_top_never_adds_signed_infinities():
+    items = [pair(0, POS_INF), pair(0, NEG_INF), pair(1, 0)]
+    assert hpair_sum(items) == pair(1, 0)
+    with pytest.raises(UndefinedSum):
+        hpair_sum(items[:2])
 
 
 def _ref_bracket(c, p, bits):

@@ -17,7 +17,9 @@ from hausdorff._numeric import _ITER_GUARD
 from hausdorff.config import set_config, update_config
 from hausdorff.errors import (HausdorffError, NotRepresentable, TooLarge,
                               ValidationError)
-from hausdorff.hvalue import DIM_CANTOR, DIM_ONE, DIM_ZERO, HPair, ExtReal
+from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, NEG_INF, POS_INF,
+                              ZERO_PAIR, Dimension, ExtReal, HPair, PSeries,
+                              ext_sum)
 from hausdorff.setalg import (_SETTLE_ORDER, GEOMETRIC, HARMONIC,
                               CantorAffine, CountableSeq, EMPTY_SET,
                               FinitePoints, Interval, RepSet,
@@ -449,6 +451,84 @@ def test_measure_top_dimension_dominates():
     assert hmeasure(s) == HPair(DIM_ONE, ExtReal.of(1))
     s2 = RepSet.of(CantorAffine(2, 1), FinitePoints([5, 6]))
     assert hmeasure(s2) == HPair(DIM_CANTOR, ExtReal.of(1))
+
+
+def ref_dim(s):
+    """RepSet.dim before top_terms: a fold of the atom dimensions."""
+    if not s.atoms:
+        return DIM_ZERO
+    d = s.atoms[0].dim()
+    for a in s.atoms[1:]:
+        d = d if d.cmp(a.dim()) >= 0 else a.dim()
+    return d
+
+
+def ref_hmeasure(s):
+    """hmeasure before top_terms: the top dimension by a fold, then a
+    second pass for the measures of the atoms that compare equal to it."""
+    if s.is_empty():
+        return ZERO_PAIR
+    top = ref_dim(s)
+    return HPair(top, ext_sum([a.mu() for a in s.atoms
+                               if a.dim().cmp(top) == 0]))
+
+
+class _Carrier:
+    """A stand-in atom that carries a drawn dimension and measure, so the
+    rule is tested on dimensions no subset of the line has. It logs each
+    read of its measure."""
+
+    def __init__(self, d, m, reads):
+        self.d, self.m, self.reads = d, m, reads
+
+    def dim(self):
+        return self.d
+
+    def mu(self):
+        self.reads.append(self)
+        return self.m
+
+
+# 1/2 + log 2/log 3 lies above 1 and below 2
+RULE_DIMS = (DIM_ZERO, Dimension.rational(F(1, 2)), DIM_ONE,
+             Dimension.rational(2), DIM_CANTOR,
+             Dimension(rat=F(1, 2), logs=DIM_CANTOR.logs))
+RULE_MEASURES = st.one_of(
+    st.fractions(-9, 9, max_denominator=6).map(ExtReal.of),
+    st.integers(-3, 3).map(lambda c: PSeries(c or 1, 2).sum()),
+    st.sampled_from([POS_INF, NEG_INF]))
+
+
+def _outcome(fn, s):
+    try:
+        return fn(s).render()
+    except HausdorffError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(RULE_DIMS), RULE_MEASURES),
+                max_size=8))
+def test_hmeasure_matches_the_two_pass_rule(drawn):
+    reads = []
+    s = RepSet(tuple(_Carrier(d, m, reads) for d, m in drawn))
+    got = _outcome(hmeasure, s)
+    # only the atoms of the top dimension have their measure read
+    assert all(a.d == ref_dim(s) for a in reads)
+    assert got == _outcome(ref_hmeasure, s)
+    assert s.dim() == ref_dim(s)
+
+
+def test_hmeasure_compares_each_atom_once(monkeypatch):
+    s = RepSet.of(FinitePoints([-5, -4]), Interval(0, 1), CantorAffine(2, 1),
+                  Interval(4, None, (5,)), CountableSeq(HARMONIC, -10, 1),
+                  CantorAffine(-3, F(1, 3)))
+    calls = []
+    cmp = Dimension.cmp
+    monkeypatch.setattr(Dimension, "cmp",
+                        lambda a, b: calls.append(1) or cmp(a, b))
+    assert hmeasure(s) == HPair(DIM_ONE, POS_INF)
+    assert len(calls) == len(s.atoms) - 1 == 5
 
 
 def test_cantor_scaling_powers_of_three():
