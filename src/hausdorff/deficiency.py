@@ -17,7 +17,7 @@ from .errors import NotRepresentable, NotSupported, ValidationError
 from .hvalue import DIM_ONE, DIM_TWO, ExtReal, HPair, Rational, ext_sum
 from .hintegral import (ALL_REALS, AllReals, Const, Expression,
                         PiecewiseFunction, Poly, Region, SeriesValues,
-                        add, h_integral, scalar_mul)
+                        _value_on, add, h_integral, scalar_mul)
 from .metrics import abs_integral
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
                      Interval, RepSet)
@@ -110,10 +110,15 @@ def _tail_limits(expr: Expression) -> set:
     return {ZERO}
 
 
+def _cluster(f: PiecewiseFunction, x: Fraction) -> set:
+    """The limit values of f(x_n) over sequences x_n -> x, x_n allowed to
+    sit still: f(x) and the limits from either side."""
+    return ({f.value_at(x)} | _one_side_values(f, x, right=True)
+            | _one_side_values(f, x, right=False))
+
+
 def _omega_at(f: PiecewiseFunction, x: Fraction) -> Fraction:
-    cluster = {f.value_at(x)}
-    cluster |= _one_side_values(f, x, right=True)
-    cluster |= _one_side_values(f, x, right=False)
+    cluster = _cluster(f, x)
     return max(cluster) - min(cluster)
 
 
@@ -146,10 +151,7 @@ class OscillationProfile:
                 return w
         for atom, expr in self.seq_values:
             if atom.member(x):
-                n = atom.index_of(x)
-                if isinstance(expr, Const):
-                    return expr.value
-                return expr.series.term(n - 1)
+                return _value_on(atom, expr, x)
         return ZERO
 
     def as_function(self) -> PiecewiseFunction:
@@ -228,11 +230,7 @@ def cluster_set(f: PiecewiseFunction, x: Rational) -> RepSet:
     """All limit values of f(x_n) over sequences x_n -> x, x_n allowed to
     sit still.  Finite for the supported class, hence a point set."""
     _reject_cantor(f, "cluster sets")
-    x = Fraction(x)
-    vals = {f.value_at(x)}
-    vals |= _one_side_values(f, x, right=True)
-    vals |= _one_side_values(f, x, right=False)
-    return RepSet.of(FinitePoints(vals))
+    return RepSet.of(FinitePoints(_cluster(f, Fraction(x))))
 
 
 def defi_continuity_cluster(f: PiecewiseFunction) -> HPair:
@@ -241,10 +239,7 @@ def defi_continuity_cluster(f: PiecewiseFunction) -> HPair:
     _reject_cantor(f, "cluster sets")
     best = 1
     for x in _discontinuity_candidates(f):
-        vals = {f.value_at(x)}
-        vals |= _one_side_values(f, x, right=True)
-        vals |= _one_side_values(f, x, right=False)
-        best = max(best, len(vals))
+        best = max(best, len(_cluster(f, x)))
     for atom, expr in f.terms:
         # an interior sequence point with a nonzero value clusters to
         # both that value and the ambient zero

@@ -299,9 +299,9 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
     return count
 
 
-def _roots_within(p: Poly, lo: Optional[Fraction],
+def _roots_within(ps: list[int], lo: Optional[Fraction],
                   hi: Optional[Fraction]) -> list:
-    """Distinct real roots of p inside the closed range, increasing, as
+    """Distinct real roots of ps in the closed range, increasing, as
     (root if rational else None, odd multiplicity) pairs.
 
     The roots of the square-free part q are isolated by Sturm counts
@@ -310,7 +310,6 @@ def _roots_within(p: Poly, lo: Optional[Fraction],
     lead = |lc(q)|, so it is the one point k/lead of an isolating
     interval narrower than 1/lead; no integer needs factoring.
     """
-    ps = _int_coeffs(p)
     if len(ps) < 2:
         return []
     g = _gcd(ps, _derivative(ps))
@@ -364,48 +363,28 @@ def _isolated_root(ps: list[int], q: list[int], a: Fraction,
     return None, _order_at(ps, a)[1] != _sign(_value(ps, b))
 
 
-def _sample_between(p: Poly, lo: Optional[Fraction],
-                    hi: Optional[Fraction]) -> Fraction:
-    """A rational point strictly inside (lo, hi) where p does not vanish."""
-    if lo is None and hi is None:
-        x = Fraction(0)
-    elif lo is None:
-        x = hi - 1
-    elif hi is None:
-        x = lo + 1
-    else:
-        x = (lo + hi) / 2
-    step = Fraction(1, 2) if (lo is None or hi is None) else (hi - lo) / 4
-    for _ in range(64):
-        if p.value_at(x) != 0:
-            return x
-        x += step
-        step /= 2
-        if lo is not None and x <= lo:
-            x = lo + step
-        if hi is not None and x >= hi:
-            x = hi - step
-    raise ValidationError("could not sample the polynomial sign")
-
-
 def _sign_regions(p: Poly, lo: Optional[Fraction], hi: Optional[Fraction]):
     """Cut [lo, hi] at the sign changes of p: yields (a, b, sign) with
     constant sign on each open piece. Sign changes at irrational points
-    cannot be cut exactly and raise NotRepresentable."""
-    cuts = []
-    for root, odd in _roots_within(p, lo, hi):
+    cannot be cut exactly and raise NotRepresentable. The signs come from
+    the isolation: the first piece has p's sign just right of lo (or at
+    -infinity), and each odd rational root inside flips it."""
+    ps = _int_coeffs(p)
+    if not ps:
+        raise ValidationError("the zero polynomial has no sign regions")
+    sgn = (_sign(ps[-1]) * (-1) ** (len(ps) - 1) if lo is None
+           else _order_at(ps, lo)[1])
+    out, a = [], lo
+    for root, odd in _roots_within(ps, lo, hi):
         if not odd:
             continue
         if root is None:
             raise NotRepresentable(
                 "the sign of the polynomial changes at an irrational point")
         if (lo is None or root > lo) and (hi is None or root < hi):
-            cuts.append(root)
-    bounds = [lo] + cuts + [hi]
-    out = []
-    for a, b in zip(bounds, bounds[1:]):
-        x = _sample_between(p, a, b)
-        out.append((a, b, 1 if p.value_at(x) > 0 else -1))
+            out.append((a, root, sgn))
+            a, sgn = root, -sgn
+    out.append((a, hi, sgn))
     return out
 
 
@@ -431,7 +410,7 @@ def _support_pieces(atom: Atom, expr: Expression) -> list[Atom]:
         return [atom]
     if isinstance(expr, Poly):
         lo, hi = atom.hull()
-        roots = [r for r, _ in _roots_within(expr, lo, hi)
+        roots = [r for r, _ in _roots_within(_int_coeffs(expr), lo, hi)
                  if r is not None and atom.member(r)]
         return [atom.with_deletions(roots)]
     return _series_support(atom, expr.series)
@@ -880,33 +859,28 @@ def countable_additivity(f: PiecewiseFunction, head: Sequence[RepSet],
 def verify_nonneg(f: PiecewiseFunction, label: str = "f") -> None:
     """Certify f >= 0 everywhere or raise OrderNotVerified.
 
-    The check is exact: constants by sign, polynomials by root isolation
-    and sampling, series values by the sign of the series.
+    It reads the sign split term by term (see _signed_part): no piece
+    may be negative, and a sign change the split cannot cut refuses too.
     """
     for atom, expr in f.terms:
-        if isinstance(expr, Const):
-            if expr.value < 0:
-                raise OrderNotVerified(f"{label} is negative on {atom!r}")
-            continue
-        if isinstance(expr, Poly):
-            lo, hi = atom.hull()
-            try:
-                regions = _sign_regions(expr, lo, hi)
-            except NotRepresentable:
-                # an odd-order irrational root is still a sign change
-                raise OrderNotVerified(
-                    f"{label} changes sign inside {atom!r}")
-            for a, b, sgn in regions:
-                if sgn < 0:
-                    raise OrderNotVerified(
-                        f"{label} is negative between {a} and {b}")
-            continue
-        s = expr.series
-        sg = s.sign()
-        if sg is None or sg < 0:
-            raise OrderNotVerified(
-                f"the value series of {label} on {atom!r} is not "
-                "certifiably nonnegative")
+        try:
+            pieces = _signed_term(atom, expr)
+        except NotRepresentable:
+            # an odd-order irrational root is still a sign change
+            raise OrderNotVerified(f"{label} changes sign inside {atom!r}")
+        for piece, _, sgn in pieces:
+            if sgn < 0:
+                raise OrderNotVerified(f"{label} is negative on {piece!r}")
+
+
+def _certified_nonneg(*fs: PiecewiseFunction) -> bool:
+    """Whether verify_nonneg certifies every one of fs."""
+    try:
+        for f in fs:
+            verify_nonneg(f)
+    except OrderNotVerified:
+        return False
+    return True
 
 
 def monotone_compare(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -1122,12 +1096,7 @@ class Alternating(FunctionSeq):
         raise DoesNotConverge("the terms alternate without settling")
 
     def nonneg(self):
-        try:
-            verify_nonneg(self.first)
-            verify_nonneg(self.second)
-            return True
-        except OrderNotVerified:
-            return False
+        return _certified_nonneg(self.first, self.second)
 
     def nondecreasing(self):
         return self.first == self.second
@@ -1196,11 +1165,7 @@ class ConstantSeq(FunctionSeq):
         return self.fn
 
     def nonneg(self):
-        try:
-            verify_nonneg(self.fn)
-            return True
-        except OrderNotVerified:
-            return False
+        return _certified_nonneg(self.fn)
 
     def nondecreasing(self):
         return True

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from ._numeric import Rational
-from .errors import NoLimitFound, NotInLH, ValidationError
+from ._numeric import _ITER_GUARD, Rational
+from .errors import NoLimitFound, NotInLH, TooLarge, ValidationError
 from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part, add,
                         h_integral, indicator, scalar_mul, support)
 from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, FiniteList,
@@ -159,33 +159,45 @@ class CauchySeq:
         raise NotImplementedError
 
 
+def _least(pred: Callable[[int], bool]) -> int:
+    """The least n >= 1 with pred(n), for a pred that is false up to some
+    index and true from there on: gallop, then bisect. Raises TooLarge
+    when that n exceeds _ITER_GUARD."""
+    lo, hi = 0, 1
+    while not pred(hi):
+        if hi >= _ITER_GUARD:
+            raise TooLarge("perturbation index past the iteration guard")
+        lo, hi = hi, min(2 * hi, _ITER_GUARD)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
 class PerturbationSeq(CauchySeq):
     """Base + a vanishing dimension-zero perturbation; subclasses
-    provide the exact perturbation mass at each index."""
+    provide the exact perturbation mass at each index. The masses rise
+    strictly up to a peak and never after, so tail_mass is nonincreasing
+    and each index is one galloping search (see _least)."""
 
     def _mass(self, n: int) -> Fraction:
         raise NotImplementedError
 
+    def _peak(self) -> int:
+        """The first index whose successor's mass does not exceed it."""
+        return _least(lambda k: self._mass(k + 1) <= self._mass(k))
+
     def tail_mass(self, n: int) -> Fraction:
-        """max of _mass on [n, inf); the masses rise only finitely often."""
-        k, best = n, self._mass(n)
-        while self._mass(k + 1) > self._mass(k):
-            k += 1
-            best = max(best, self._mass(k))
-        return best
+        """max of _mass on [n, inf)."""
+        return self._mass(max(n, self._peak()))
 
     def cauchy_index(self, eps):
         # d(x_n, x_m) <= mass(n) + mass(m) <= 2 tail_mass(N)
-        eps, n = Fraction(eps), 1
-        while 2 * self.tail_mass(n) >= eps:
-            n += 1
-        return n
+        return self.limit_index(Fraction(eps) / 2)
 
     def limit_index(self, eps):
-        eps, n = Fraction(eps), 1
-        while self.tail_mass(n) >= eps:
-            n += 1
-        return n
+        eps, peak = Fraction(eps), self._peak()
+        return _least(lambda n: self._mass(max(n, peak)) < eps)
 
 
 @dataclass(frozen=True)

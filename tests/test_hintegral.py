@@ -21,7 +21,7 @@ from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
                                  is_integrable, monotone_compare, neg_part,
                                  pos_part, restrict_to_support, scalar_mul,
                                  support, verify_nonneg, zero_function)
-from hausdorff.hintegral import _sign_regions
+from hausdorff.hintegral import _int_coeffs, _roots_within, _sign_regions
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, Dimension,
                               FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
@@ -152,6 +152,103 @@ def test_sign_regions_cut_exactly_at_odd_rational_roots(case):
     first = sign_right_of(lo, p.coeffs[-1], roots, quads)
     assert [sgn for _, _, sgn in regions] == [
         first * (-1) ** i for i in range(len(regions))]
+
+
+# The sampling rule the sign regions used to follow, kept as an independent
+# reference: isolate the odd rational roots, then evaluate p at a rational
+# point inside each region.
+
+def ref_sample_between(p, lo, hi):
+    """A rational point strictly inside (lo, hi) where p does not vanish."""
+    if lo is None and hi is None:
+        x = F(0)
+    elif lo is None:
+        x = hi - 1
+    elif hi is None:
+        x = lo + 1
+    else:
+        x = (lo + hi) / 2
+    step = F(1, 2) if (lo is None or hi is None) else (hi - lo) / 4
+    for _ in range(64):
+        if p.value_at(x) != 0:
+            return x
+        x += step
+        step /= 2
+        if lo is not None and x <= lo:
+            x = lo + step
+        if hi is not None and x >= hi:
+            x = hi - step
+    raise ValidationError("could not sample the polynomial sign")
+
+
+def ref_sign_regions(p, lo, hi):
+    cuts = []
+    for root, odd in _roots_within(_int_coeffs(p), lo, hi):
+        if not odd:
+            continue
+        if root is None:
+            raise NotRepresentable(
+                "the sign of the polynomial changes at an irrational point")
+        if (lo is None or root > lo) and (hi is None or root < hi):
+            cuts.append(root)
+    bounds = [lo] + cuts + [hi]
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        x = ref_sample_between(p, a, b)
+        out.append((a, b, 1 if p.value_at(x) > 0 else -1))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotRepresentable, OrderNotVerified, ValidationError) as exc:
+        return type(exc)
+
+
+def _rand_factored(rng, origin, span):
+    """(coefficients, rational roots) of c * prod (x - r)^k *
+    prod ((x - origin)^2 - n)^m: rational roots r near [origin, origin +
+    span], some repeated, and irrational roots origin +- sqrt(n)."""
+    cs = [F(rng.choice([-1, 1]) * rng.randrange(1, 9), rng.randrange(1, 5))]
+    roots = []
+    for _ in range(rng.randrange(0, 5)):
+        r = origin + F(rng.randrange(-2, 4 * span + 3), rng.choice([1, 2, 3, 4]))
+        roots.append(r)
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            cs = poly_mul(cs, [-r, 1])
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        n = rng.choice([2, 3, 5])
+        for _ in range(rng.choice([1, 1, 2])):
+            cs = poly_mul(cs, [origin * origin - n, -2 * origin, 1])
+    return cs, roots
+
+
+def test_sign_regions_match_the_sampling_rule():
+    rng = random.Random(1515)
+    seen = {"regions": 0, "irrational": 0}
+    for _ in range(1500):
+        origin = F(rng.randrange(-6, 7), rng.choice([1, 2]))
+        cs, roots = _rand_factored(rng, origin, 2)
+        ends = [None, origin, origin + 1, origin + F(3, 2), origin + 2] + roots
+        lo, hi = rng.choice(ends), rng.choice(ends)
+        if lo is not None and hi is not None and lo >= hi:
+            lo, hi = (hi, lo) if lo > hi else (lo, None)
+        p = Poly(cs)
+        got, want = _outcome(_sign_regions, p, lo, hi), _outcome(
+            ref_sign_regions, p, lo, hi)
+        assert got == want, (cs, lo, hi)
+        seen["irrational" if want is NotRepresentable else "regions"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+@pytest.mark.parametrize("lo,hi", [(None, None), (F(0), None), (None, F(0)),
+                                   (F(0), F(1))])
+def test_sign_regions_of_the_zero_polynomial_refuse(lo, hi):
+    # terms never carry it (zero terms are dropped), but the function
+    # itself must refuse rather than loop or index an empty list
+    with pytest.raises(ValidationError):
+        _sign_regions(Poly([]), lo, hi)
 
 
 @settings(max_examples=300, deadline=None)
@@ -559,6 +656,117 @@ def test_verify_nonneg_poly_by_root_isolation():
     with pytest.raises(OrderNotVerified):
         # negative only beyond the last rational root
         verify_nonneg(on([(Interval(0, None), Poly([2, -1]))]))
+
+
+def ref_verify_nonneg(f, label="f"):
+    """The per-expression-kind check verify_nonneg used to make."""
+    for atom, expr in f.terms:
+        if isinstance(expr, Const):
+            if expr.value < 0:
+                raise OrderNotVerified(f"{label} is negative on {atom!r}")
+            continue
+        if isinstance(expr, Poly):
+            lo, hi = atom.hull()
+            try:
+                regions = ref_sign_regions(expr, lo, hi)
+            except NotRepresentable:
+                raise OrderNotVerified(
+                    f"{label} changes sign inside {atom!r}")
+            for a, b, sgn in regions:
+                if sgn < 0:
+                    raise OrderNotVerified(
+                        f"{label} is negative between {a} and {b}")
+            continue
+        sg = expr.series.sign()
+        if sg is None or sg < 0:
+            raise OrderNotVerified(
+                f"the value series of {label} on {atom!r} is not "
+                "certifiably nonnegative")
+
+
+def _signed_value(rng):
+    return rng.choice([-1, 0, 1, 1]) * F(rng.randrange(1, 7), rng.randrange(1, 4))
+
+
+def _rand_order_term(rng, origin, first, last):
+    """One term of any atom and expression kind inside [origin, origin + 2],
+    with deletions; half-lines only in the outer cells."""
+    kind = rng.choice(["interval", "interval", "points", "cantor", "seq"])
+    if kind == "interval":
+        lo = None if first and rng.random() < 0.3 else origin + F(rng.randrange(0, 3), 2)
+        hi = None if last and rng.random() < 0.3 else origin + F(rng.randrange(3, 5), 2)
+        if rng.random() < 0.3:
+            expr = Const(_signed_value(rng))
+        else:
+            expr = Poly(_rand_factored(rng, origin, 2)[0])
+        dels = {origin + F(rng.randrange(0, 9), 4) for _ in range(rng.randrange(0, 3))}
+        return Interval(lo, hi).with_deletions(dels), expr
+    if kind == "points":
+        pts = {origin + F(rng.randrange(0, 9), 4) for _ in range(rng.randrange(1, 4))}
+        return FinitePoints(pts), Const(_signed_value(rng))
+    if kind == "cantor":
+        atom = CantorAffine(origin, 2)
+        return atom.with_deletions([origin, origin + 2]), Const(_signed_value(rng))
+    if rng.random() < 0.5:
+        atom = CountableSeq(HARMONIC, origin, 1)
+    else:
+        atom = CountableSeq(GEOMETRIC, origin, 2, F(1, 2))
+    atom = atom.with_deletions(atom.point(n) for n in
+                               rng.sample(range(1, 7), rng.randrange(0, 4)))
+    pick = rng.random()
+    if pick < 0.15:
+        expr = Const(_signed_value(rng))
+    elif pick < 0.6:
+        expr = SeriesValues(FiniteList(
+            [_signed_value(rng) for _ in range(rng.randrange(1, 6))]))
+    elif pick < 0.85:
+        expr = SeriesValues(Geometric(_signed_value(rng),
+                                      rng.choice([F(1, 2), F(-1, 2), F(-1, 3), F(0)])))
+    else:
+        expr = SeriesValues(PSeries(_signed_value(rng), rng.choice([1, 2, 3])))
+    return atom, expr
+
+
+def _negatives_only_at_deletions(f):
+    """The one stated outcome change: a FiniteList of mixed signs whose
+    negative values all sit at deleted indices is certified now."""
+    for atom, expr in f.terms:
+        if isinstance(expr, SeriesValues) and isinstance(expr.series, FiniteList):
+            vals = expr.series.values
+            if expr.series.sign() is None and all(
+                    not atom.member(atom.point(i + 1))
+                    for i, v in enumerate(vals) if v < 0):
+                return True
+    return False
+
+
+def test_verify_nonneg_matches_the_per_kind_check():
+    rng = random.Random(880)
+    seen, excluded = {}, 0
+    for _ in range(1200):
+        k = rng.randrange(1, 4)
+        terms = [_rand_order_term(rng, F(4 * i), i == 0, i == k - 1)
+                 for i in range(k)]
+        f = PiecewiseFunction(terms)
+        if _negatives_only_at_deletions(f):
+            excluded += 1
+            continue
+        got = _outcome(verify_nonneg, f)
+        assert got == _outcome(ref_verify_nonneg, f), f
+        seen[got] = seen.get(got, 0) + 1
+    assert seen.get(None, 0) > 100 and seen.get(OrderNotVerified, 0) > 100, seen
+    assert set(seen) == {None, OrderNotVerified}
+    assert 0 < excluded < 100
+
+
+def test_verify_nonneg_ignores_negative_values_at_deleted_points():
+    # f is 1 at 1, 2 at 1/3 and 0 elsewhere: the -1 sits at the deleted 1/2
+    atom = CountableSeq(HARMONIC, 0, 1, deletions=(F(1, 2),))
+    f = on([(atom, SeriesValues(FiniteList([1, -1, 2])))])
+    verify_nonneg(f)
+    assert ConstantSeq(f).nonneg()
+    with pytest.raises(OrderNotVerified, match="negative on"):
+        verify_nonneg(on([(HARM, SeriesValues(FiniteList([1, -1, 2])))]))
 
 
 # -- convergence ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Distances on pairs, sets and functions, and the convergence notions."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hausdorff.errors import (HausdorffError, NoLimitFound, NotInLH,
-                              NotRepresentable, ValidationError)
+                              NotRepresentable, TooLarge, ValidationError)
 from hausdorff.hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
                                  SeriesValues, h_integral, indicator,
                                  neg_part, pos_part, zero_function)
@@ -504,6 +505,71 @@ def test_perturbation_overlapping_base_support():
     seq = PrefixPerturbation(indicator(I01), HARM)
     limit, _ = riesz_fischer_check(seq, [F(1, 1000)])
     assert limit == indicator(I01)
+
+
+# The index loops the perturbation certificates used to run, one step of n
+# at a time, kept as a reference for the galloping search.
+
+def ref_tail_mass(mass, n):
+    k, best = n, mass(n)
+    while mass(k + 1) > mass(k):
+        k += 1
+        best = max(best, mass(k))
+    return best
+
+
+def ref_cauchy_index(tail_mass, eps):
+    eps, n = F(eps), 1
+    while 2 * tail_mass(n) >= eps:
+        n += 1
+    return n
+
+
+def ref_limit_index(tail_mass, eps):
+    eps, n = F(eps), 1
+    while tail_mass(n) >= eps:
+        n += 1
+    return n
+
+
+def _memo(fn):
+    seen = {}
+    return lambda n: seen[n] if n in seen else seen.setdefault(n, fn(n))
+
+
+@pytest.mark.parametrize("ratio", [F(1, 2), F(1, 3), F(2, 3), F(9, 10),
+                                   F(99, 100)])
+def test_perturbation_indices_match_the_stepping_loop(ratio):
+    tols = [F(10), F(1), F(1, 2), F(1, 3), F(1, 10), F(3, 100), F(1, 100),
+            F(1, 1000), F(7, 10 ** 4), F(1, 10 ** 4)]
+    base = indicator(I01)
+    for coeff in (F(1), F(-5, 2), F(1, 1000), F(37)):
+        for seq in (PointPerturbation(base, 5, coeff, ratio),
+                    PrefixPerturbation(base, CountableSeq(HARMONIC, 5, 1),
+                                       coeff, ratio)):
+            mass = _memo(seq._mass)
+            tail = _memo(lambda n: ref_tail_mass(mass, n))
+            for n in (1, 2, 3, 7, 40, 150):
+                assert seq.tail_mass(n) == tail(n)
+            for eps in tols:
+                assert seq.limit_index(eps) == ref_limit_index(tail, eps)
+                assert seq.cauchy_index(eps) == ref_cauchy_index(tail, eps)
+
+
+def test_slow_ratio_certificate_takes_bounded_work():
+    # the index for 10^-6 is 13,809: stepping n by one costs minutes
+    seq = PointPerturbation(indicator(I01), 5, 1, F(999, 1000))
+    start = time.perf_counter()
+    _, cert = riesz_fischer_check(seq)
+    assert time.perf_counter() - start < 2
+    assert cert.index_for(F(1, 10)) == 2302
+    assert cert.index_for(F(1, 1000)) == 6905
+
+
+def test_perturbation_index_past_the_guard_is_too_large():
+    seq = PointPerturbation(indicator(I01), 5, 1, F(10 ** 6 - 1, 10 ** 6))
+    with pytest.raises(TooLarge):
+        seq.limit_index(F(1, 10 ** 6))
 
 
 # -- small supports --------------------------------------------------------------
