@@ -9,7 +9,7 @@ report the same facts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (MonotonicityViolated, NoLimitFound, NotInLH,
@@ -22,10 +22,10 @@ from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_TWO, DIM_ZERO, ConstantTail,
 from .setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet, diff, hmeasure,
                      symdiff, union)
-from .hintegral import (Alternating, Const, ConstantSeq, PiecewiseFunction,
-                        Poly, PrefixGrowth, SeriesValues, ShrinkingPlateau,
-                        SingletonTail, SlidingBump, StageClimb,
-                        SupportGrowth, add, additivity_over_region,
+from .hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
+                        PiecewiseFunction, Poly, PrefixGrowth, SeriesValues,
+                        ShrinkingPlateau, SingletonTail, SlidingBump,
+                        StageClimb, SupportGrowth, add, additivity_over_region,
                         beppo_levi_limit, countable_additivity, fatou_check,
                         h_integral, indicator, monotone_compare, neg_part,
                         pos_part, restrict_to_support, scalar_mul)
@@ -46,6 +46,8 @@ class CheckResult:
     trials: int = 1
     expected: str = ""
     actual: str = ""
+    # refused draws per error class; the text line leaves them out
+    skipped: dict = field(default_factory=dict, hash=False)
 
     def line(self) -> str:
         word = "pass" if self.passed else "FAIL"
@@ -64,22 +66,68 @@ def all_passed(results) -> bool:
     return all(r.passed for r in results)
 
 
-class _Tally:
-    """Counts cases for one law and keeps the first failure readable."""
+# a law may draw this many times its case count before it gives up
+_DRAW_CAP = 4
 
-    def __init__(self, name):
+
+class _Tally:
+    """Counts cases for one law and keeps the first failure readable.
+
+    ``while t.wants(n):`` draws until n cases are counted, or fails the
+    law after ``_DRAW_CAP * n`` draws. ``with t:`` swallows the law's
+    own refusal classes, counts each skip by class name and sets
+    ``t.refused``; any other exception propagates.
+    """
+
+    def __init__(self, name, *refusals):
         self.name = name
+        self.refusals = refusals
         self.trials = 0
+        self.draws = 0
+        self.skipped = {}
+        self.refused = False
         self.first_failure = ""
+
+    def wants(self, n):
+        if self.trials >= n:
+            return False
+        if self.draws >= _DRAW_CAP * n:
+            if not self.first_failure:
+                self.first_failure = (f"gave up after {self.draws} draws, "
+                                      f"skipped {self.skipped}")
+            return False
+        self.draws += 1
+        return True
 
     def count(self, ok, describe=""):
         self.trials += 1
         if not ok and not self.first_failure:
             self.first_failure = describe or f"case {self.trials}"
 
+    def __enter__(self):
+        self.refused = False
+        return self
+
+    def __exit__(self, kind, err, tb):
+        self.refused = kind is not None and issubclass(kind, self.refusals)
+        if self.refused:
+            name = kind.__name__
+            self.skipped[name] = self.skipped.get(name, 0) + 1
+        return self.refused
+
     def result(self):
         return CheckResult(self.name, not self.first_failure, self.trials,
-                           actual=self.first_failure)
+                           actual=self.first_failure,
+                           skipped=dict(self.skipped))
+
+
+def _raises(exc, fn, *args) -> bool:
+    """Whether ``fn(*args)`` refuses with ``exc``."""
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +227,6 @@ def _rand_set(rng, cells):
 # ---------------------------------------------------------------------------
 # pair algebra
 
-def _sorted_by_order(pairs):
-    out = list(pairs)
-    for i in range(1, len(out)):
-        j = i
-        while j > 0 and out[j] < out[j - 1]:
-            out[j], out[j - 1] = out[j - 1], out[j]
-            j -= 1
-    return out
-
-
 def _series_instance(rng, kind):
     """(dims, coeffs, partial-sum sequence, witnesses). Witnesses are
     (n, expected n-th partial) pairs checked against the sequence."""
@@ -274,7 +312,7 @@ def check_pair_algebra(seed: int = DEFAULT_SEED):
             absorb.count(hpair_eq(ab, b), case)
         le, ge = a <= b, b <= a
         total.count((le or ge) and ((le and ge) == hpair_eq(a, b)), case)
-        lo, _, hi = _sorted_by_order((a, b, c))
+        lo, _, hi = sorted((a, b, c))
         trans.count(lo <= hi, case)
 
     series = _Tally("series values are limits of their partial sums")
@@ -309,32 +347,28 @@ def check_set_metric(seed: int = DEFAULT_SEED):
         ok = ok and (ab.is_zero() == hpair_eq(a, b))
         axioms.count(ok, case)
 
-    sets = _Tally("set distance: axioms on representable triples")
-    while sets.trials < 500:
+    sets = _Tally("set distance: axioms on representable triples",
+                  NotRepresentable)
+    while sets.wants(500):
         cells = [(Fraction(4 * k), rng.choice(_CELL_KINDS)) for k in range(3)]
         a, b, c = (_rand_set(rng, cells) for _ in range(3))
-        try:
+        with sets:
             ab, bc, ac = d_s(a, b), d_s(b, c), d_s(a, c)
             ok = hpair_eq(ab.value, d_s(b, a).value)
             ok = ok and d_s(a, a).is_zero()
             ok = ok and (ab.is_zero() == symdiff(a, b).is_empty())
-            ok = ok and triangle_ok(ac, ab, bc)
-        except NotRepresentable:
-            continue
-        sets.count(ok)
+            sets.count(ok and triangle_ok(ac, ab, bc))
 
-    fns = _Tally("function distance: axioms on representable triples")
-    while fns.trials < 500:
+    fns = _Tally("function distance: axioms on representable triples",
+                 NotRepresentable, NotInLH)
+    while fns.wants(500):
         cells = _rand_cells(rng)
         f, g, h = (_rand_function(rng, cells) for _ in range(3))
-        try:
+        with fns:
             fg, gh, fh = d_H(f, g), d_H(g, h), d_H(f, h)
             ok = hpair_eq(fg.value, d_H(g, f).value)
             ok = ok and d_H(f, f).is_zero()
-            ok = ok and triangle_ok(fh, fg, gh)
-        except (NotRepresentable, NotInLH):
-            continue
-        fns.count(ok)
+            fns.count(ok and triangle_ok(fh, fg, gh))
     return [axioms.result(), sets.result(), fns.result()]
 
 
@@ -351,17 +385,16 @@ def _rand_region(rng, origin):
 def check_integral_laws(seed: int = DEFAULT_SEED):
     rng = random.Random(seed)
 
-    lin = _Tally("additivity on nonnegative sums")
-    while lin.trials < 500:
+    lin = _Tally("additivity on nonnegative sums", NotRepresentable)
+    while lin.wants(500):
         cells = _rand_cells(rng)
         f = _rand_function(rng, cells, nonneg=True)
         g = _rand_function(rng, cells, nonneg=True)
-        try:
+        with lin:
             s = add(f, g)
-        except NotRepresentable:
-            continue
-        lin.count(hpair_eq(h_integral(s),
-                           hpair_add(h_integral(f), h_integral(g))))
+        if not lin.refused:
+            lin.count(hpair_eq(h_integral(s),
+                               hpair_add(h_integral(f), h_integral(g))))
 
     sca = _Tally("scaling acts on the measure coordinate")
     for _ in range(500):
@@ -371,21 +404,20 @@ def check_integral_laws(seed: int = DEFAULT_SEED):
         sca.count(after.d.cmp(before.d) == 0
                   and after.m.cmp(before.m.scale(c)) == 0)
 
-    reg = _Tally("additivity over disjoint regions")
-    while reg.trials < 500:
+    reg = _Tally("additivity over disjoint regions", NotRepresentable)
+    while reg.wants(500):
         f = _rand_function(rng, _rand_cells(rng))
         zones = [_rand_region(rng, origin)
                  for origin in (Fraction(-4), Fraction(0), Fraction(4))]
         a = zones[0]
         b = rng.choice(zones[1:])
-        try:
+        with reg:
             whole, on_a, on_b = additivity_over_region(f, a, b)
-        except NotRepresentable:
-            continue
-        reg.count(hpair_eq(whole, hpair_add(on_a, on_b)))
+        if not reg.refused:
+            reg.count(hpair_eq(whole, hpair_add(on_a, on_b)))
 
-    cnt = _Tally("countable partitions resum the integral")
-    while cnt.trials < 500:
+    cnt = _Tally("countable partitions resum the integral", NotRepresentable)
+    while cnt.wants(500):
         base = _rand_function(rng, _rand_cells(rng))
         if rng.random() < 0.5:
             atom = CountableSeq(HARMONIC, 8, 1)
@@ -403,28 +435,21 @@ def check_integral_laws(seed: int = DEFAULT_SEED):
                 if rng.random() < 0.6]
         tail = (SingletonTail(atom, rng.randrange(1, 4))
                 if head == [] or rng.random() < 0.8 else None)
-        try:
+        with cnt:
             lhs, rhs = countable_additivity(f, head, tail)
-        except NotRepresentable:
-            continue
-        cnt.count(hpair_eq(lhs, rhs))
+        if not cnt.refused:
+            cnt.count(hpair_eq(lhs, rhs))
 
-    mon = _Tally("larger functions never integrate smaller")
-    while mon.trials < 500:
+    mon = _Tally("larger functions never integrate smaller",
+                 NotRepresentable, OrderNotVerified)
+    while mon.wants(500):
         cells = _rand_cells(rng)
         f = _rand_function(rng, cells, nonneg=True)
         h = _rand_function(rng, cells, nonneg=True)
         region = (RepSet.of(Interval(Fraction(-4), Fraction(6)))
-                  if rng.random() < 0.3 else None)
-        try:
-            g = add(f, h)
-            if region is None:
-                ok = monotone_compare(f, g)
-            else:
-                ok = monotone_compare(f, g, region)
-        except (NotRepresentable, OrderNotVerified):
-            continue
-        mon.count(ok)
+                  if rng.random() < 0.3 else ALL_REALS)
+        with mon:
+            mon.count(monotone_compare(f, add(f, h), region))
 
     sup = _Tally("restriction to the support changes nothing")
     for _ in range(500):
@@ -436,15 +461,15 @@ def check_integral_laws(seed: int = DEFAULT_SEED):
             full, restricted = restrict_to_support(f)
         sup.count(hpair_eq(full, restricted))
 
-    pn = _Tally("positive and negative parts rebuild the integral")
-    while pn.trials < 500:
+    pn = _Tally("positive and negative parts rebuild the integral",
+                NotRepresentable)
+    while pn.wants(500):
         f = _rand_function(rng, _rand_cells(rng))
-        try:
+        with pn:
             fp, fn = pos_part(f), neg_part(f)
-        except NotRepresentable:
-            continue
-        pn.count(hpair_eq(h_integral(f),
-                          hpair_add(h_integral(fp), h_integral(fn))))
+        if not pn.refused:
+            pn.count(hpair_eq(h_integral(f),
+                              hpair_add(h_integral(fp), h_integral(fn))))
 
     return [t.result() for t in (lin, sca, reg, cnt, mon, sup, pn)]
 
@@ -539,11 +564,8 @@ def check_beppo_levi(seed: int = DEFAULT_SEED):
                 indicator(RepSet.of(Interval(0, 1))),
                 indicator(RepSet.of(Interval(2, 3)),
                           Fraction(rng.randrange(2, 5))))
-        try:
-            beppo_levi_limit(chain)
-            rejected.count(False, type(chain).__name__)
-        except MonotonicityViolated:
-            rejected.count(True)
+        rejected.count(_raises(MonotonicityViolated, beppo_levi_limit, chain),
+                       type(chain).__name__)
     return [mono.result(), climb.result(), signed.result(),
             rejected.result()]
 
@@ -567,11 +589,8 @@ def check_fatou(seed: int = DEFAULT_SEED):
     for _ in range(10):
         chain = ShrinkingPlateau(Fraction(rng.randrange(-4, 5)), 1,
                                  -Fraction(rng.randrange(1, 5)))
-        try:
-            fatou_check(chain)
-            refused.count(False, type(chain).__name__)
-        except ValidationError:
-            refused.count(True)
+        refused.count(_raises(ValidationError, fatou_check, chain),
+                      type(chain).__name__)
     return [bound.result(), strict.result(), refused.result()]
 
 
@@ -580,14 +599,15 @@ def check_fatou(seed: int = DEFAULT_SEED):
 
 def check_riesz_fischer(seed: int = DEFAULT_SEED):
     rng = random.Random(seed)
-    conv = _Tally("vanishing perturbations converge with certificates")
-    while conv.trials < 100:
+    conv = _Tally("vanishing perturbations converge with certificates",
+                  NotRepresentable, NotInLH)
+    while conv.wants(100):
         base = _rand_function(rng, _rand_cells(rng))
         ratio = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
         coeff = Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]),
                          rng.randrange(1, 3))
         kind = rng.randrange(4)
-        try:
+        with conv:
             if kind == 0:
                 site = Fraction(rng.randrange(-24, 40), 2)
                 seq = PointPerturbation(base, site, coeff, ratio)
@@ -605,9 +625,7 @@ def check_riesz_fischer(seed: int = DEFAULT_SEED):
             limit, cert = riesz_fischer_check(seq)
             ok = ok and d_H(limit, seq.limit()).is_zero()
             ok = ok and tuple(e for e, _ in cert.entries) == DEFAULT_SCHEDULE
-        except (NotRepresentable, NotInLH):
-            continue
-        conv.count(ok, type(seq).__name__)
+            conv.count(ok, type(seq).__name__)
 
     apart = _Tally("alternating chains are refused")
     for _ in range(10):
@@ -616,13 +634,8 @@ def check_riesz_fischer(seed: int = DEFAULT_SEED):
         g = indicator(RepSet.of(Interval(0, 1)),
                       Fraction(rng.randrange(5, 9)))
         seq = AlternatingFunctionSeq(f, g)
-        ok = not is_cauchy(seq)
-        try:
-            riesz_fischer_check(seq)
-            ok = False
-        except NoLimitFound:
-            pass
-        apart.count(ok)
+        apart.count(not is_cauchy(seq)
+                    and _raises(NoLimitFound, riesz_fischer_check, seq))
     return [conv.result(), apart.result()]
 
 
@@ -651,11 +664,7 @@ def check_pinned_examples(seed: int = DEFAULT_SEED):
     low = scalar_mul(-1, indicator(unit))
     high = indicator(RepSet.of(FinitePoints([0])))
     il, ih = h_integral(low), h_integral(high)
-    try:
-        monotone_compare(low, high)
-        refused = False
-    except OrderNotVerified:
-        refused = True
+    refused = _raises(OrderNotVerified, monotone_compare, low, high)
     rows.append(CheckResult(
         "a signed function below a spike: the pair order reverses",
         passed=(hpair_eq(il, HPair.of(1, -1))
@@ -687,11 +696,7 @@ def check_pinned_examples(seed: int = DEFAULT_SEED):
                  HPair.of(1, Fraction(1, n)))
         for n in range(1, 1001))
     rising = ShrinkingPlateau(0, 1, 1)
-    try:
-        beppo_levi_limit(rising)
-        rejected = False
-    except MonotonicityViolated:
-        rejected = True
+    rejected = _raises(MonotonicityViolated, beppo_levi_limit, rising)
     rise_limit = hseq_limit(rising.integral_seq())
     rise_settle = h_integral(rising.limit_function())
     rows.append(CheckResult(
@@ -706,33 +711,20 @@ def check_pinned_examples(seed: int = DEFAULT_SEED):
                 f"value {rise_settle.render()}; "
                 + ("refused" if rejected else "accepted"))))
 
-    dust = hmeasure(RepSet.of(CantorAffine(0, 1)))
-    rows.append(CheckResult(
-        "middle-thirds dust carries unit mass at its own dimension",
-        passed=(dust.d.cmp(DIM_CANTOR) == 0
-                and dust.m.cmp(ExtReal.of(1)) == 0),
-        expected="(log(2)/log(3), 1)",
-        actual=dust.render()))
-
-    seg = hmeasure(unit)
-    rows.append(CheckResult(
-        "the unit interval has length one",
-        passed=hpair_eq(seg, HPair.of(1, 1)),
-        expected="(1, 1)", actual=seg.render()))
-
-    trio = hmeasure(RepSet.of(FinitePoints([0, Fraction(1, 2), 7])))
-    rows.append(CheckResult(
-        "three isolated points count themselves",
-        passed=hpair_eq(trio, HPair.of(0, 3)),
-        expected="(0, 3)", actual=trio.render()))
-
-    ladder = h_integral(PiecewiseFunction(
-        [(CountableSeq(HARMONIC, 0, 1),
-          SeriesValues(Geometric(1, Fraction(1, 2))))]))
-    rows.append(CheckResult(
-        "halving values down a harmonic sequence sum to two",
-        passed=hpair_eq(ladder, HPair.of(0, 2)),
-        expected="(0, 2)", actual=ladder.render()))
+    ladder = PiecewiseFunction([(CountableSeq(HARMONIC, 0, 1),
+                                 SeriesValues(Geometric(1, Fraction(1, 2))))])
+    for name, got, want in (
+            ("middle-thirds dust carries unit mass at its own dimension",
+             hmeasure(RepSet.of(CantorAffine(0, 1))), HPair.of(DIM_CANTOR, 1)),
+            ("the unit interval has length one",
+             hmeasure(unit), HPair.of(1, 1)),
+            ("three isolated points count themselves",
+             hmeasure(RepSet.of(FinitePoints([0, Fraction(1, 2), 7]))),
+             HPair.of(0, 3)),
+            ("halving values down a harmonic sequence sum to two",
+             h_integral(ladder), HPair.of(0, 2))):
+        rows.append(CheckResult(name, hpair_eq(got, want),
+                                expected=want.render(), actual=got.render()))
     return rows
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from hausdorff.checks import (CheckResult, all_passed, run_suite, suite_names)
-from hausdorff.errors import ValidationError
+from hausdorff.checks import (_DRAW_CAP, CheckResult, _Tally, all_passed,
+                              run_suite, suite_names)
+from hausdorff.errors import NotInLH, NotRepresentable, ValidationError
 
 
 def test_suite_names_cover_the_surface():
@@ -40,3 +41,43 @@ def test_result_line_format():
     bad = CheckResult("a law", False, expected="x", actual="y")
     text = bad.line()
     assert text.startswith("FAIL") and "x" in text and "y" in text
+    for r in (ok, bad):
+        skipping = CheckResult(r.name, r.passed, r.trials, r.expected,
+                               r.actual, skipped={"NotRepresentable": 3})
+        assert skipping.line() == r.line()
+
+
+def test_a_law_that_only_refuses_gives_up_at_the_draw_cap():
+    tally = _Tally("a law", NotRepresentable)
+    draws = 0
+    while tally.wants(500):
+        draws += 1
+        with tally:
+            raise NotRepresentable("outside the catalog")
+    result = tally.result()
+    assert draws == _DRAW_CAP * 500
+    assert not result.passed and result.trials == 0
+    assert result.skipped == {"NotRepresentable": _DRAW_CAP * 500}
+    assert "NotRepresentable" in result.line()
+
+
+def test_a_law_stops_drawing_once_its_cases_are_counted():
+    tally = _Tally("a law", NotRepresentable)
+    draws = 0
+    while tally.wants(3):
+        draws += 1
+        with tally:
+            if draws % 2:
+                raise NotRepresentable("outside the catalog")
+            tally.count(True)
+    result = tally.result()
+    assert draws == 6 and result.passed and result.trials == 3
+    assert result.skipped == {"NotRepresentable": 3}
+
+
+def test_refusals_outside_the_law_still_propagate():
+    tally = _Tally("a law", NotRepresentable)
+    with pytest.raises(NotInLH):
+        with tally:
+            raise NotInLH("not integrable")
+    assert tally.result().skipped == {}

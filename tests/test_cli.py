@@ -231,6 +231,13 @@ def test_check_suite_passes_and_is_deterministic(capsys):
     assert first == second
 
 
+def test_check_json_reports_skips_per_law(capsys):
+    code, out, _ = run(capsys, "--json", "check", "fatou")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"]
+    assert [r["skipped"] for r in payload["results"]] == [{}, {}, {}]
+
+
 def test_check_seed_flag(capsys):
     code, out, _ = run(capsys, "check", "beppo-levi", "--seed", "7")
     assert code == 0 and "(seed 7)" in out
