@@ -20,7 +20,7 @@ from .hintegral import (ALL_REALS, AllReals, Const, Expression,
                         _value_on, add, h_integral, scalar_mul)
 from .metrics import abs_integral
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
-                     Interval, RepSet)
+                     Interval, RepSet, meeting_pairs)
 from ._numeric import exact_sqrt, sqrt_interval
 
 __all__ = [
@@ -438,17 +438,29 @@ def _sqrt_ext(q: Fraction) -> ExtReal:
     return ExtReal.interval(sqrt_interval(q, get_config().precision_bits))
 
 
-def _atoms_disjoint(a: PlanarAtom, b: PlanarAtom) -> bool:
+def _box(atom: PlanarAtom) -> tuple:
+    """The exact bounding box (x_lo, x_hi, y_lo, y_hi) of an atom."""
+    xs = [p[0] for p in atom.points()]
+    ys = [p[1] for p in atom.points()]
+    return (min(xs), max(xs), min(ys), max(ys))
+
+
+def _atoms_disjoint(a: PlanarAtom, b: PlanarAtom, box_a: tuple,
+                    box_b: tuple) -> bool:
+    """Whether a and b, with bounding boxes box_a and box_b, are disjoint.
+    A point atom tests only its points inside the other atom's box."""
     if isinstance(b, Points2D) and not isinstance(a, Points2D):
-        a, b = b, a
+        a, b, box_b = b, a, box_a
     if isinstance(b, Segment) and isinstance(a, ConvexPolygon):
-        a, b = b, a
+        a, b, box_b = b, a, box_a
     if isinstance(a, Points2D):
+        x0, x1, y0, y1 = box_b
+        pts = [p for p in a.pts if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
         if isinstance(b, Points2D):
-            return not set(a.pts) & set(b.pts)
+            return not set(pts) & set(b.pts)
         if isinstance(b, Segment):
-            return not any(_on_segment(p, b.a, b.b) for p in a.pts)
-        return not any(b.contains(p) for p in a.pts)
+            return not any(_on_segment(p, b.a, b.b) for p in pts)
+        return not any(b.contains(p) for p in pts)
     if isinstance(a, Segment):
         if isinstance(b, Segment):
             return not _segments_meet(a.a, a.b, b.a, b.b)
@@ -468,7 +480,14 @@ def _atoms_disjoint(a: PlanarAtom, b: PlanarAtom) -> bool:
 
 @dataclass(frozen=True)
 class PlanarSet:
-    """A finite disjoint union of planar atoms."""
+    """A finite disjoint union of planar atoms.
+
+    Each atom's exact bounding box is taken once. A sweep over the x
+    extents (meeting_pairs) finds the pairs whose boxes can meet, in
+    (i, j) order, and a y test drops the rest; only the pairs left are
+    tested exactly, so the first overlap reported is the one an
+    all-pairs loop reports.
+    """
 
     atoms: tuple
 
@@ -477,11 +496,13 @@ class PlanarSet:
         for atom in atoms:
             if not isinstance(atom, PlanarAtom):
                 raise ValidationError(f"not a planar atom: {atom!r}")
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                if not _atoms_disjoint(atoms[i], atoms[j]):
-                    raise ValidationError(
-                        f"planar atoms overlap: {atoms[i]!r} and {atoms[j]!r}")
+        boxes = [_box(atom) for atom in atoms]
+        for i, j in meeting_pairs([box[:2] for box in boxes]):
+            if boxes[i][2] > boxes[j][3] or boxes[j][2] > boxes[i][3]:
+                continue
+            if not _atoms_disjoint(atoms[i], atoms[j], boxes[i], boxes[j]):
+                raise ValidationError(
+                    f"planar atoms overlap: {atoms[i]!r} and {atoms[j]!r}")
         object.__setattr__(self, "atoms", atoms)
 
 

@@ -10,7 +10,6 @@ integral of a sum, and so on) come out the way they do.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +25,9 @@ from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      MeasureTail, PSeries, ext_sum, hpair_eq, hpair_sum,
                      hseq_liminf, hseq_limit, series_add, top_terms)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
-                     FinitePoints, Interval, RepSet, _hulls_meet, diff,
-                     hmeasure, intersect, normalize, union)
+                     FinitePoints, Interval, RepSet, _hull_key, _hulls_meet,
+                     diff, hmeasure, intersect, meeting_pairs, normalize,
+                     union)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,10 @@ class PiecewiseFunction:
     the pieces that carry the function, and lie inside the declared
     domain; every instance is checked for both. Only pairs whose closed
     hulls overlap are intersected: an atom lies inside its closed hull,
-    so atoms with disjoint hulls are disjoint. Identically zero terms are
+    so atoms with disjoint hulls are disjoint. A sweep over the float
+    hulls (meeting_pairs) finds those pairs in (i, j) order, so the first
+    overlap reported is the one an all-pairs loop reports, and
+    _hulls_meet decides each of them exactly. Identically zero terms are
     dropped on construction, so the zero function is the one with no
     terms at all.
     """
@@ -166,7 +169,8 @@ class PiecewiseFunction:
         object.__setattr__(self, "terms", tuple(kept))
         object.__setattr__(self, "domain", domain)
         atoms = [atom for atom, _ in kept]
-        for x, y in itertools.combinations(atoms, 2):
+        for i, j in meeting_pairs([a.float_hull() for a in atoms]):
+            x, y = atoms[i], atoms[j]
             if (_hulls_meet(x, y)
                     and not intersect(RepSet.of(x), RepSet.of(y)).is_empty()):
                 raise ValidationError(f"term atoms overlap: {x!r} and {y!r}")
@@ -636,22 +640,30 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     the integrals; for signed summands no identity holds (a positive
     length and a negative length of equal size annihilate to dimension
     zero) and the sum is simply the pointwise function.
+
+    A sweep over the float hulls of both term lists (meeting_pairs) finds
+    the f x g pairs whose hulls meet. Each term is cut only by the other
+    side's terms in those pairs, in hull order as in a normalized union,
+    so the same cut refuses first; each pair carries the sum on its
+    intersection.
     """
-    f_union = normalize([a for a, _ in f.terms])
-    g_union = normalize([a for a, _ in g.terms])
+    terms, n = f.terms + g.terms, len(f.terms)
+    pairs = [(i, j) for i, j in meeting_pairs([a.float_hull()
+                                               for a, _ in terms])
+             if i < n <= j and _hulls_meet(terms[i][0], terms[j][0])]
+    cuts = [[] for _ in terms]
+    for i, j in pairs:
+        cuts[i].append(terms[j][0])
+        cuts[j].append(terms[i][0])
     out = []
-    for a, ea in f.terms:
-        for piece in diff(RepSet.of(a), g_union).atoms:
+    for (a, ea), cut in zip(terms, cuts):
+        rest = diff(RepSet.of(a), RepSet(tuple(sorted(cut, key=_hull_key))))
+        for piece in rest.atoms:
             out.extend(_combined_terms(piece, [(a, ea)]))
-    for b, eb in g.terms:
-        for piece in diff(RepSet.of(b), f_union).atoms:
-            out.extend(_combined_terms(piece, [(b, eb)]))
-    for a, ea in f.terms:
-        for b, eb in g.terms:
-            if not _hulls_meet(a, b):
-                continue
-            for piece in intersect(RepSet.of(a), RepSet.of(b)).atoms:
-                out.extend(_combined_terms(piece, [(a, ea), (b, eb)]))
+    for i, j in pairs:
+        (a, ea), (b, eb) = terms[i], terms[j]
+        for piece in intersect(RepSet.of(a), RepSet.of(b)).atoms:
+            out.extend(_combined_terms(piece, [(a, ea), (b, eb)]))
     return PiecewiseFunction(out, _domain_union(f.domain, g.domain))
 
 
@@ -828,7 +840,14 @@ def countable_additivity(f: PiecewiseFunction, head: Sequence[RepSet],
     parts = [p for p in head]
     if tail is not None:
         parts.append(tail.as_set())
-    for i, j in itertools.combinations(range(len(parts)), 2):
+    # only parts with atoms whose hulls meet can overlap
+    owned = [(k, a) for k, p in enumerate(parts) for a in p.atoms]
+    near = set()
+    for i, j in meeting_pairs([a.float_hull() for _, a in owned]):
+        (k, a), (l, b) = owned[i], owned[j]
+        if k != l and _hulls_meet(a, b):
+            near.add((k, l))
+    for i, j in sorted(near):
         if not intersect(parts[i], parts[j]).is_empty():
             raise DisjointnessViolated(f"partition parts {i} and {j} overlap")
     whole = EMPTY_SET

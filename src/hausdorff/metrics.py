@@ -116,9 +116,18 @@ def _infinite_mass(atom, expr) -> bool:
 def d_H(f: PiecewiseFunction, g: PiecewiseFunction) -> HDistance:
     """The integral of |f - g|. Both arguments must be absolutely
     integrable; the difference must stay in the catalog."""
-    for name, fn in (("left", f), ("right", g)):
-        if not absolutely_integrable(fn):
-            raise NotInLH(f"the {name} argument has an infinite |f| integral")
+    _require_lh(f, "left")
+    _require_lh(g, "right")
+    return _distance(f, g)
+
+
+def _require_lh(f: PiecewiseFunction, name: str) -> None:
+    if not absolutely_integrable(f):
+        raise NotInLH(f"the {name} argument has an infinite |f| integral")
+
+
+def _distance(f: PiecewiseFunction, g: PiecewiseFunction) -> HDistance:
+    """d_H for arguments already checked to be absolutely integrable."""
     return HDistance(abs_integral(add(f, scalar_mul(-1, g))))
 
 
@@ -338,8 +347,11 @@ def is_cauchy(seq: CauchySeq,
             return False
         bound = HPair(DIM_ZERO, ExtReal.of(eps))
         x_n = seq.term(n)
+        _require_lh(x_n, "left")
         for m in (n + 1, n + 5):
-            got = d_H(x_n, seq.term(m))
+            x_m = seq.term(m)
+            _require_lh(x_m, "right")
+            got = _distance(x_n, x_m)
             if not got.value < bound:
                 raise ValidationError(
                     f"certified index {n} fails against term {m}")
@@ -378,7 +390,9 @@ def riesz_fischer_check(seq: CauchySeq,
         n = seq.limit_index(eps)
         bound = HPair(DIM_ZERO, ExtReal.of(eps))
         for k in (n, n + 3):
-            got = d_H(seq.term(k), limit)
+            x_k = seq.term(k)
+            _require_lh(x_k, "left")  # the limit is checked above
+            got = _distance(x_k, limit)
             if not got.value < bound:
                 raise ValidationError(
                     f"certified index {n} fails at term {k}")

@@ -176,9 +176,9 @@ def box_dim_estimate(s: RepSet, depths: Sequence[int]):
         covers = _covers(s, k)
         count = sum(c for c, _ in covers)
         mesh = max(diam for _, diam in covers)
-        sized.append((k, count, mesh))
-    xs = [log_interval(1 / mesh, prec) for _, _, mesh in sized]
-    ys = [log_interval(count, prec) for _, count, _ in sized]
+        sized.append((k, count, mesh, covers))
+    xs = [log_interval(1 / mesh, prec) for _, _, mesh, _ in sized]
+    ys = [log_interval(count, prec) for _, count, _, _ in sized]
     n = len(sized)
     xbar = sum(xs, RatInterval.point(0)) * Fraction(1, n)
     ybar = sum(ys, RatInterval.point(0)) * Fraction(1, n)
@@ -187,9 +187,9 @@ def box_dim_estimate(s: RepSet, depths: Sequence[int]):
     sxx = sum(((x - xbar) * (x - xbar) for x in xs), RatInterval.point(0))
     slope = sxy * _inverse(sxx)
     reports = []
-    for k, count, mesh in sized:
+    for k, count, mesh, covers in sized:
         pm = RatInterval.point(0)
-        for c, diam in _covers(s, k):
+        for c, diam in covers:
             pm = pm + pow_interval(diam, slope, prec) * c
         reports.append(CoverReport(k, count, mesh, pm))
     return slope, reports

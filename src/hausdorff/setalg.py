@@ -72,6 +72,10 @@ class Atom:
         """A closed interval containing the atom, computed once per atom."""
         return (self._hulls or self._cache_hulls())[0]
 
+    def float_hull(self) -> tuple[float, float]:
+        """hull() rounded outward to floats, computed once per atom."""
+        return (self._hulls or self._cache_hulls())[1]
+
     def _hull(self) -> tuple[Endpoint, Endpoint]:
         raise NotImplementedError
 
@@ -481,6 +485,29 @@ def _hulls_meet(x: Atom, y: Atom) -> bool:
     if xhi < ylo or yhi < xlo:
         return False
     return _hull_overlap(hx, hy)
+
+
+def meeting_pairs(spans) -> list:
+    """The index pairs (i, j), i < j, whose closed spans (lo, hi) meet,
+    sorted: those of the all-pairs test lo_i <= hi_j and lo_j <= hi_i, for
+    spans with lo <= hi (floats, infinities included, or Fractions).
+
+    A sweep in the manner of Shamos and Hoey: the spans are taken by lower
+    end, and each meets exactly the active spans that have not ended
+    before it starts. Two spans or fewer are tested directly."""
+    if len(spans) < 3:
+        if (len(spans) == 2 and spans[0][0] <= spans[1][1]
+                and spans[1][0] <= spans[0][1]):
+            return [(0, 1)]
+        return []
+    pairs, active = [], []
+    for k in sorted(range(len(spans)), key=lambda k: spans[k][0]):
+        lo = spans[k][0]
+        active = [j for j in active if lo <= spans[j][1]]
+        pairs += [(j, k) if j < k else (k, j) for j in active]
+        active.append(k)
+    pairs.sort()
+    return pairs
 
 
 def _hull_key(atom: "Atom"):

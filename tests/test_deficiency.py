@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from hausdorff.deficiency import (ConvexPolygon, PlanarSet, Points2D, Segment,
+                                  _on_segment, _segments_meet,
                                   cluster_set, convex_hull, defi_continuity_cluster,
                                   defi_continuity_dist, defi_continuity_osc,
                                   defi_convex, defi_even, oscillation,
@@ -318,6 +319,73 @@ def test_planar_atoms_must_be_disjoint():
     with pytest.raises(ValidationError):
         PlanarSet([ConvexPolygon([(0, 0), (4, 0), (4, 4), (0, 4)]),
                    ConvexPolygon([(2, 2), (6, 2), (6, 6), (2, 6)])])
+
+
+def ref_atoms_disjoint(a, b):
+    """The exact pair test before bounding boxes gated it."""
+    if isinstance(b, Points2D) and not isinstance(a, Points2D):
+        a, b = b, a
+    if isinstance(b, Segment) and isinstance(a, ConvexPolygon):
+        a, b = b, a
+    if isinstance(a, Points2D):
+        if isinstance(b, Points2D):
+            return not set(a.pts) & set(b.pts)
+        if isinstance(b, Segment):
+            return not any(_on_segment(p, b.a, b.b) for p in a.pts)
+        return not any(b.contains(p) for p in a.pts)
+    if isinstance(a, Segment):
+        if isinstance(b, Segment):
+            return not _segments_meet(a.a, a.b, b.a, b.b)
+        if b.contains(a.a) or b.contains(a.b):
+            return False
+        return not any(_segments_meet(a.a, a.b, u, v) for u, v in b.edges())
+    if any(b.contains(p) for p in a.vertices):
+        return False
+    if any(a.contains(p) for p in b.vertices):
+        return False
+    return not any(_segments_meet(u, v, s, t)
+                   for u, v in a.edges() for s, t in b.edges())
+
+
+def ref_planar_set(atoms):
+    """The all-pairs loop: the scene's atoms, or the first overlap."""
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            if not ref_atoms_disjoint(atoms[i], atoms[j]):
+                return f"planar atoms overlap: {atoms[i]!r} and {atoms[j]!r}"
+    return tuple(atoms)
+
+
+def _rand_planar_atom(rng):
+    """A small atom on a coarse grid, so atoms touch, nest and cross."""
+    def pt():
+        return (F(rng.randrange(0, 21), 2), F(rng.randrange(0, 21), 2))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Points2D(pt() for _ in range(rng.randrange(1, 5)))
+    (x, y), w, h = pt(), F(rng.randrange(-3, 4), 2), F(rng.randrange(1, 4), 2)
+    if kind == 1:
+        return Segment((x, y), (x + w, y + h))
+    w = abs(w) or h
+    if rng.random() < 0.5:
+        return ConvexPolygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+    return ConvexPolygon([(x, y), (x + w, y), (x, y + h)])
+
+
+def test_planar_set_matches_the_all_pairs_loop():
+    rng = random.Random(1976)
+    accepted = 0
+    for _ in range(600):
+        atoms = [_rand_planar_atom(rng) for _ in range(rng.randrange(0, 10))]
+        want = ref_planar_set(atoms)
+        try:
+            got = PlanarSet(atoms).atoms
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == want
+        accepted += isinstance(want, tuple)
+    # both outcomes are drawn often
+    assert 200 < accepted < 500
 
 
 def test_polygon_validation():

@@ -1,5 +1,6 @@
 """Piecewise functions, their supports, and the pair-valued integral."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from hausdorff.docio import print_document
 from hausdorff.errors import (DisjointnessViolated, DoesNotConverge,
-                              MonotonicityViolated, NotRepresentable,
-                              OrderNotVerified, UndefinedSum, ValidationError)
+                              HausdorffError, MonotonicityViolated,
+                              NotRepresentable, OrderNotVerified, UndefinedSum,
+                              ValidationError)
 from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
                                  PiecewiseFunction, Poly, PrefixGrowth,
                                  SeriesValues, ShrinkingPlateau, SingletonTail,
@@ -21,13 +23,14 @@ from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
                                  is_integrable, monotone_compare, neg_part,
                                  pos_part, restrict_to_support, scalar_mul,
                                  support, verify_nonneg, zero_function)
-from hausdorff.hintegral import _int_coeffs, _roots_within, _sign_regions
+from hausdorff.hintegral import (_combined_terms, _domain_union, _int_coeffs,
+                                 _roots_within, _sign_regions)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, Dimension,
                               FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
-                              FinitePoints, Interval, RepSet, diff, hmeasure,
-                              intersect, union)
+                              FinitePoints, Interval, RepSet, _hulls_meet, diff,
+                              hmeasure, intersect, normalize, union)
 
 
 def pair(d, m):
@@ -417,6 +420,94 @@ def test_add_refinement_failure_is_an_error():
         add(f, g)
 
 
+def ref_add(f, g):
+    """add before the sweep: each term less the other function's whole
+    union, then every f x g pair whose hulls meet."""
+    f_union = normalize([a for a, _ in f.terms])
+    g_union = normalize([a for a, _ in g.terms])
+    out = []
+    for a, ea in f.terms:
+        for piece in diff(RepSet.of(a), g_union).atoms:
+            out.extend(_combined_terms(piece, [(a, ea)]))
+    for b, eb in g.terms:
+        for piece in diff(RepSet.of(b), f_union).atoms:
+            out.extend(_combined_terms(piece, [(b, eb)]))
+    for a, ea in f.terms:
+        for b, eb in g.terms:
+            if not _hulls_meet(a, b):
+                continue
+            for piece in intersect(RepSet.of(a), RepSet.of(b)).atoms:
+                out.extend(_combined_terms(piece, [(a, ea), (b, eb)]))
+    return PiecewiseFunction(out, _domain_union(f.domain, g.domain))
+
+
+ADD_GRID = [F(n, 4) for n in range(-8, 9)]
+
+
+def _rand_add_term(rng):
+    """A term on a narrow grid: intervals that touch or share an end, with
+    and without it, sequences with a deleted head point, Cantor copies at
+    several scales, and points."""
+    v = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return FinitePoints(rng.sample(ADD_GRID, rng.randrange(1, 4))), Const(v)
+    if kind == 1:
+        a, b = rng.choice(ADD_GRID), rng.choice([F(1), F(-1), F(1, 2)])
+        atom = (CountableSeq(HARMONIC, a, b) if rng.random() < 0.5
+                else CountableSeq(GEOMETRIC, a, b, F(1, 2)))
+        if rng.random() < 0.3:
+            atom = atom.with_deletions([atom.point(1)])
+        if rng.random() < 0.5:
+            return atom, SeriesValues(Geometric(v, F(1, 2)))
+        return atom, Const(v)
+    if kind in (2, 3):
+        lo = rng.choice(ADD_GRID)
+        hi = lo + rng.choice([F(1, 4), F(1, 2), F(1), F(2)])
+        atom = Interval(lo, hi, [d for d in (lo, hi) if rng.random() < 0.3])
+        if rng.random() < 0.5:
+            return atom, Poly([v, rng.randrange(-2, 3)])
+        return atom, Const(v)
+    if kind == 4:
+        end = rng.choice(ADD_GRID)
+        return (Interval(end, None) if rng.random() < 0.5
+                else Interval(None, end)), Const(v)
+    t, s = rng.choice(ADD_GRID), rng.choice([F(1), F(1, 3), F(3), F(1, 9), F(2, 3)])
+    return CantorAffine(t, s), Const(v)
+
+
+def _rand_add_function(rng):
+    """Up to six terms, each kept when it leaves the atoms disjoint."""
+    terms = []
+    for _ in range(rng.randrange(1, 7)):
+        term = _rand_add_term(rng)
+        try:
+            PiecewiseFunction(terms + [term])
+        except (NotRepresentable, ValidationError):
+            continue
+        terms.append(term)
+    return PiecewiseFunction(terms)
+
+
+def _add_outcome(add_fn, f, g):
+    try:
+        return print_document(add_fn(f, g))
+    except HausdorffError as exc:
+        return type(exc), str(exc)
+
+
+def test_add_matches_the_union_cut_reference():
+    rng = random.Random(1976)
+    answered = 0
+    for _ in range(700):
+        f, g = _rand_add_function(rng), _rand_add_function(rng)
+        want = _add_outcome(ref_add, f, g)
+        assert _add_outcome(add, f, g) == want, (f, g)
+        answered += isinstance(want, str)
+    # answers and refusals are both drawn often
+    assert 300 < answered < 600
+
+
 def test_add_series_values_same_base():
     f = on([(HARM, SeriesValues(HALVES))])
     g = on([(HARM, SeriesValues(Geometric(F(1, 4), F(1, 2))))])
@@ -614,6 +705,54 @@ def test_countable_additivity_reports_the_overlapping_pair(last, message):
     parts = [I01, RepSet.of(Interval(3, 4)), RepSet.of(last)]
     with pytest.raises(DisjointnessViolated, match=message):
         countable_additivity(f, parts)
+
+
+def ref_first_overlap(parts):
+    """The all-pairs disjointness test of the partition parts."""
+    for i, j in itertools.combinations(range(len(parts)), 2):
+        if not intersect(parts[i], parts[j]).is_empty():
+            return f"partition parts {i} and {j} overlap"
+    return None
+
+
+def _rand_part_atom(rng):
+    o = F(rng.randrange(-12, 13), 2)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return FinitePoints([o, o + F(1, 4)])
+    if kind == 1:
+        return CountableSeq(HARMONIC, o, rng.choice([F(1), F(-1), F(1, 2)]))
+    if kind == 2:
+        return Interval(o, o + rng.choice([F(1, 2), F(1), F(2)]),
+                        [o] if rng.random() < 0.5 else [])
+    return CantorAffine(o, rng.choice([F(1), F(1, 3), F(3)]))
+
+
+def test_countable_additivity_finds_the_all_pairs_overlap():
+    rng = random.Random(1976)
+    overlaps = 0
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randrange(2, 7)):
+            try:
+                parts.append(RepSet.of(*(_rand_part_atom(rng)
+                                         for _ in range(rng.randrange(1, 3)))))
+            except NotRepresentable:
+                pass
+        try:
+            want = ref_first_overlap(parts)
+        except NotRepresentable:
+            continue
+        try:
+            countable_additivity(zero_function(), parts)
+            got = None
+        except DisjointnessViolated as exc:
+            got = str(exc)
+        except NotRepresentable:
+            got = None  # the union of disjoint parts left the catalog
+        assert got == want, parts
+        overlaps += want is not None
+    assert 150 < overlaps < 250
 
 
 def test_countable_additivity_rejects_bad_partitions():

@@ -456,6 +456,23 @@ def test_riesz_fischer_point_perturbation():
     assert cert.index_for(F(1, 10 ** 6)) == 20
 
 
+def test_certificates_check_each_function_once(monkeypatch):
+    # the limit once up front and every term once, not again inside
+    # each distance
+    from hausdorff import metrics
+    seq = PointPerturbation(indicator(I01), 0)
+    checked = []
+    real = metrics.absolutely_integrable
+    monkeypatch.setattr(metrics, "absolutely_integrable",
+                        lambda f: checked.append(f) or real(f))
+    limit, _ = riesz_fischer_check(seq)
+    assert sum(f is limit for f in checked) == 1
+    assert len(checked) == 1 + 2 * len(DEFAULT_SCHEDULE)
+    checked.clear()
+    assert is_cauchy(seq)
+    assert len(checked) == 3 * len(DEFAULT_SCHEDULE)
+
+
 def test_riesz_fischer_prefix_perturbation():
     base = indicator(I01, 2)
     seq = PrefixPerturbation(base, HARM, coeff=3)

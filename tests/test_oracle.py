@@ -35,6 +35,18 @@ def test_cantor_slope_is_exact():
     assert reports[3].box_size == F(1, 81)
 
 
+def test_box_slope_takes_each_cover_once(monkeypatch):
+    from hausdorff import oracle
+    depths = []
+    real = oracle._covers
+    monkeypatch.setattr(oracle, "_covers",
+                        lambda s, k: depths.append(k) or real(s, k))
+    s = RepSet.of(CantorAffine(0, 1), Interval(2, 3))
+    _, reports = box_dim_estimate(s, [5, 2, 3, 3])
+    assert depths == [2, 3, 5]
+    assert [r.depth for r in reports] == [2, 3, 5]
+
+
 def test_affine_cantor_slope_matches():
     rng = random.Random(31)
     for _ in range(10):

@@ -26,8 +26,9 @@ from hausdorff.setalg import (_SETTLE_ORDER, GEOMETRIC, HARMONIC,
                               _hull_overlap, _hulls_meet, _rank,
                               _resolve_pair, _resolve_points,
                               cantor_gap, cantor_scale_measure, diff, hmeasure,
-                              in_cantor, intersect, normalize, symdiff, union,
-                              verify_monotone, verify_subadditive)
+                              in_cantor, intersect, meeting_pairs, normalize,
+                              symdiff, union, verify_monotone,
+                              verify_subadditive)
 
 
 # -- Cantor membership ------------------------------------------------------
@@ -1253,3 +1254,33 @@ def test_cantor_overlap_work_is_bounded():
     assert time.perf_counter() - start < 5
     with pytest.raises(NotRepresentable):
         union(c, RepSet.of(CantorAffine(F(2, 3 ** 21), 1)))
+
+
+# -- the sweep behind every pairwise disjointness test ------------------------
+
+
+def ref_meeting_pairs(spans):
+    """The all-pairs filter the sweep replaces."""
+    return [(i, j) for i, j in itertools.combinations(range(len(spans)), 2)
+            if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]]
+
+
+def test_meeting_pairs_matches_the_all_pairs_filter():
+    # few distinct ends, so lower ends tie and spans touch end to end;
+    # the ends include the infinities, and Fractions as well as floats
+    rng = random.Random(1976)
+    ends = [-math.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0, math.inf]
+    checked = 0
+    for trial in range(3000):
+        n = rng.choice([0, 1, 2, 3, 4, 6, 9, 14, 25])
+        spans = [tuple(sorted(rng.sample(ends, 2) if rng.random() < 0.8
+                              else [rng.choice(ends)] * 2))
+                 for _ in range(n)]
+        if trial % 3 == 0:
+            spans = [(F(lo) if math.isfinite(lo) else lo,
+                      F(hi) if math.isfinite(hi) else hi)
+                     for lo, hi in spans]
+        want = ref_meeting_pairs(spans)
+        assert meeting_pairs(spans) == want, spans
+        checked += len(want)
+    assert checked > 30000
