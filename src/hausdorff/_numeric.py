@@ -75,8 +75,6 @@ class RatInterval:
 
     def __mul__(self, other):
         other = _as_interval(other)
-        if self.lo >= 0 and other.lo >= 0:  # the four products' min and max
-            return RatInterval(self.lo * other.lo, self.hi * other.hi)
         products = [self.lo * other.lo, self.lo * other.hi,
                     self.hi * other.lo, self.hi * other.hi]
         return RatInterval(min(products), max(products))

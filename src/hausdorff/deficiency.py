@@ -445,22 +445,17 @@ def _box(atom: PlanarAtom) -> tuple:
     return (min(xs), max(xs), min(ys), max(ys))
 
 
-def _atoms_disjoint(a: PlanarAtom, b: PlanarAtom, box_a: tuple,
-                    box_b: tuple) -> bool:
-    """Whether a and b, with bounding boxes box_a and box_b, are disjoint.
-    A point atom tests only its points inside the other atom's box."""
+def _atoms_disjoint(a: PlanarAtom, b: PlanarAtom) -> bool:
     if isinstance(b, Points2D) and not isinstance(a, Points2D):
-        a, b, box_b = b, a, box_a
+        a, b = b, a
     if isinstance(b, Segment) and isinstance(a, ConvexPolygon):
-        a, b, box_b = b, a, box_a
+        a, b = b, a
     if isinstance(a, Points2D):
-        x0, x1, y0, y1 = box_b
-        pts = [p for p in a.pts if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
         if isinstance(b, Points2D):
-            return not set(pts) & set(b.pts)
+            return not set(a.pts) & set(b.pts)
         if isinstance(b, Segment):
-            return not any(_on_segment(p, b.a, b.b) for p in pts)
-        return not any(b.contains(p) for p in pts)
+            return not any(_on_segment(p, b.a, b.b) for p in a.pts)
+        return not any(b.contains(p) for p in a.pts)
     if isinstance(a, Segment):
         if isinstance(b, Segment):
             return not _segments_meet(a.a, a.b, b.a, b.b)
@@ -500,7 +495,7 @@ class PlanarSet:
         for i, j in meeting_pairs([box[:2] for box in boxes]):
             if boxes[i][2] > boxes[j][3] or boxes[j][2] > boxes[i][3]:
                 continue
-            if not _atoms_disjoint(atoms[i], atoms[j], boxes[i], boxes[j]):
+            if not _atoms_disjoint(atoms[i], atoms[j]):
                 raise ValidationError(
                     f"planar atoms overlap: {atoms[i]!r} and {atoms[j]!r}")
         object.__setattr__(self, "atoms", atoms)

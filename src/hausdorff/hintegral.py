@@ -25,9 +25,8 @@ from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      MeasureTail, PSeries, ext_sum, hpair_eq, hpair_sum,
                      hseq_liminf, hseq_limit, series_add, top_terms)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
-                     FinitePoints, Interval, RepSet, _hull_key, _hulls_meet,
-                     diff, hmeasure, intersect, meeting_pairs, normalize,
-                     union)
+                     FinitePoints, Interval, RepSet, _hulls_meet, diff,
+                     hmeasure, intersect, meeting_pairs, normalize, union)
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +641,9 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     zero) and the sum is simply the pointwise function.
 
     A sweep over the float hulls of both term lists (meeting_pairs) finds
-    the f x g pairs whose hulls meet. Each term is cut only by the other
-    side's terms in those pairs, in hull order as in a normalized union,
-    so the same cut refuses first; each pair carries the sum on its
-    intersection.
+    the f x g pairs whose hulls meet. Each term is cut only by the
+    normalized union of the other side's terms in those pairs, and each
+    pair carries the sum on its intersection.
     """
     terms, n = f.terms + g.terms, len(f.terms)
     pairs = [(i, j) for i, j in meeting_pairs([a.float_hull()
@@ -657,7 +655,7 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
         cuts[j].append(terms[i][0])
     out = []
     for (a, ea), cut in zip(terms, cuts):
-        rest = diff(RepSet.of(a), RepSet(tuple(sorted(cut, key=_hull_key))))
+        rest = diff(RepSet.of(a), RepSet.from_atoms(cut))
         for piece in rest.atoms:
             out.extend(_combined_terms(piece, [(a, ea)]))
     for i, j in pairs:

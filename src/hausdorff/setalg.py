@@ -494,12 +494,7 @@ def meeting_pairs(spans) -> list:
 
     A sweep in the manner of Shamos and Hoey: the spans are taken by lower
     end, and each meets exactly the active spans that have not ended
-    before it starts. Two spans or fewer are tested directly."""
-    if len(spans) < 3:
-        if (len(spans) == 2 and spans[0][0] <= spans[1][1]
-                and spans[1][0] <= spans[0][1]):
-            return [(0, 1)]
-        return []
+    before it starts."""
     pairs, active = [], []
     for k in sorted(range(len(spans)), key=lambda k: spans[k][0]):
         lo = spans[k][0]

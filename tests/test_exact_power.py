@@ -4,7 +4,6 @@ trial division they replaced, and against brute-force enumeration."""
 
 import itertools
 import math
-import random
 import time
 from fractions import Fraction as F
 
@@ -13,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hausdorff import oracle
-from hausdorff._numeric import (_ITER_GUARD, RatInterval, coprime_base,
-                                exact_root, geo_steps, iroot, power_base,
-                                power_index)
+from hausdorff._numeric import (_ITER_GUARD, coprime_base, exact_root,
+                                geo_steps, iroot, power_base, power_index)
 from hausdorff.errors import TooLarge
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CountableSeq,
                               FinitePoints, Interval, RepSet,
@@ -477,29 +475,3 @@ def test_tiny_coefficients_stay_fast():
     head = [p for p in map(seq.point, range(1, 1400)) if p < -1]
     assert len(head) == 1328
     assert set(got.atoms) == {FinitePoints(head), box}
-
-
-# ---------------------------------------------------------------------------
-# interval products
-
-
-def ref_interval_mul(x, y):
-    """The four-product rule, for every sign pattern."""
-    products = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
-    return min(products), max(products)
-
-
-def test_interval_product_matches_the_four_product_rule():
-    rng = random.Random(1976)
-    ends = [F(0), F(1), F(-1)] + [F(rng.randrange(-40, 41), rng.randrange(1, 9))
-                                  for _ in range(30)]
-    nonneg = 0
-    for _ in range(5000):
-        x = RatInterval(*sorted(rng.sample(ends, 2) if rng.random() < 0.9
-                                else [rng.choice(ends)] * 2))
-        y = RatInterval(*sorted(rng.sample(ends, 2)))
-        got = x * y
-        assert (got.lo, got.hi) == ref_interval_mul(x, y), (x, y)
-        assert type(got.lo) is type(got.hi) is F
-        nonneg += x.lo >= 0 and y.lo >= 0
-    assert nonneg > 500
