@@ -591,14 +591,14 @@ def _localize(piece: Atom, origin: Atom, expr: Expression) -> Expression:
 
 
 def _pointwise_terms(piece: FinitePoints, sources) -> list:
-    """Per-point constant terms for a finite piece."""
-    out = []
+    """Constant terms for a finite piece, one per distinct value, on the
+    points that take it."""
+    by_value = {}
     for x in piece.points:
         v = sum((_value_on(origin, expr, x) for origin, expr in sources),
                 Fraction(0))
-        if v != 0:
-            out.append((FinitePoints([x]), Const(v)))
-    return out
+        by_value.setdefault(v, []).append(x)
+    return [(FinitePoints(xs), Const(v)) for v, xs in by_value.items()]
 
 
 def _combined_terms(piece: Atom, sources) -> list:

@@ -658,23 +658,10 @@ def series_add(a: CoefficientSeries, b: CoefficientSeries):
     if isinstance(a, FiniteList) and isinstance(b, FiniteList):
         n = max(len(a.values), len(b.values))
         return FiniteList(a.term(i) + b.term(i) for i in range(n))
-    if isinstance(a, Geometric) and isinstance(b, Geometric):
-        if a.r == b.r:
-            return Geometric(a.a + b.a, a.r)
-        if a.a == 0:
-            return b
-        if b.a == 0:
-            return a
-        return None
+    if isinstance(a, Geometric) and isinstance(b, Geometric) and a.r == b.r:
+        return Geometric(a.a + b.a, a.r)
     if isinstance(a, PSeries) and isinstance(b, PSeries) and a.p == b.p:
         return PSeries(a.c + b.c, a.p)
-    for x, y in ((a, b), (b, a)):
-        if isinstance(x, FiniteList) and all(v == 0 for v in x.values):
-            return y
-        if isinstance(x, Geometric) and x.a == 0:
-            return y
-        if isinstance(x, PSeries) and x.c == 0:
-            return y
     return None
 
 

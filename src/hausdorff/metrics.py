@@ -19,9 +19,8 @@ from ._numeric import _ITER_GUARD, Rational
 from .errors import NoLimitFound, NotInLH, TooLarge, ValidationError
 from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part, add,
                         h_integral, indicator, scalar_mul, support)
-from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, FiniteList,
-                     Geometric, HPair, PSeries, dim_abs_diff, hpair_eq,
-                     top_terms)
+from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, HPair,
+                     dim_abs_diff, hpair_eq, top_terms)
 from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
                      symdiff)
 
@@ -406,14 +405,9 @@ def finite_counting_mass(f: PiecewiseFunction) -> bool:
     for atom, expr in f.terms:
         if isinstance(atom, FinitePoints):
             continue
-        if isinstance(atom, CountableSeq) and isinstance(expr, SeriesValues):
-            s = expr.series
-            if isinstance(s, FiniteList):
-                continue
-            if isinstance(s, Geometric):
-                continue
-            if isinstance(s, PSeries) and s.p > 1:
-                continue
+        if (isinstance(atom, CountableSeq) and isinstance(expr, SeriesValues)
+                and expr.series.abs_converges()):
+            continue
         # a nonzero value on an uncountable piece, or a sequence whose
         # values are not absolutely summable
         return False

@@ -382,49 +382,45 @@ class CantorAffine(Atom):
                 CantorAffine(self.t + 2 * third, third, highs))
 
 
-def in_cantor(y: Rational) -> bool:
-    """Exact membership of a rational in the middle-thirds Cantor set.
+def _ternary_walk(y: Fraction) -> Optional[int]:
+    """None for y in [0, 1] in the middle-thirds Cantor set, else the depth
+    k at which y enters a removed third.
 
     Uses the self-similarity C = C/3 u (2/3 + C/3): repeatedly map into
     the left or right third. A rational orbit either falls into the open
     middle gap (not a member) or revisits a state (member). For y = n/q
     every orbit point is some n'/q, so the walk keeps integers n' only.
     """
-    y = _frac(y)
-    if y < 0 or y > 1:
-        return False
     n, q = y.numerator, y.denominator
     seen = set()
     while n not in seen:
+        if q < 3 * n < 2 * q:
+            return len(seen)
         seen.add(n)
-        if 3 * n <= q:
-            n = 3 * n
-        elif 3 * n >= 2 * q:
-            n = 3 * n - 2 * q
-        else:
-            return False
+        n = 3 * n if 3 * n <= q else 3 * n - 2 * q
         if len(seen) > _ITER_GUARD:
             raise TooLarge("ternary expansion exceeded the iteration guard")
-    return True
+    return None
+
+
+def in_cantor(y: Rational) -> bool:
+    """Exact membership of a rational in the middle-thirds Cantor set."""
+    y = _frac(y)
+    return 0 <= y <= 1 and _ternary_walk(y) is None
 
 
 def cantor_gap(y: Rational) -> tuple[Fraction, Fraction]:
     """For a rational y in [0,1] outside the Cantor set, an open interval
-    around y containing no Cantor point."""
+    around y containing no Cantor point: the removed third it enters at
+    depth k, ((3P+1)/3^(k+1), (3P+2)/3^(k+1)) with P = floor(3^k y)."""
     y = _frac(y)
     if y < 0 or y > 1:
         raise ValidationError("point not inside the unit interval")
-    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
-    # the orbit value is always scale*y - shift
-    cur, scale, shift = y, Fraction(1), Fraction(0)
-    for _ in range(_ITER_GUARD):
-        if third < cur < two_thirds:
-            return ((third + shift) / scale, (two_thirds + shift) / scale)
-        if cur <= third:
-            cur, scale, shift = 3 * cur, 3 * scale, 3 * shift
-        else:
-            cur, scale, shift = 3 * cur - 2, 3 * scale, 3 * shift + 2
-    raise ValidationError("point is in the Cantor set, no gap exists")
+    k = _ternary_walk(y)
+    if k is None:
+        raise ValidationError("point is in the Cantor set, no gap exists")
+    p, scale = _floor(y * 3 ** k), 3 ** (k + 1)
+    return Fraction(3 * p + 1, scale), Fraction(3 * p + 2, scale)
 
 
 def cantor_scale_measure(s: Rational) -> ExtReal:
@@ -753,8 +749,7 @@ def _resolve_pair(x: Atom, y: Atom):
     if isinstance(x, Interval):
         if isinstance(y, Interval):
             return _resolve_interval_interval(x, y)
-        return _resolve_interval_cantor(x, y)
-    return _resolve_cantor_cantor(x, y)
+    return _resolve_with_cantor(x, y)
 
 
 def _point_atoms(points) -> list:
@@ -1049,56 +1044,17 @@ def _resolve_interval_interval(x: Interval, y: Interval):
     return [Interval(lo, hi, dels)]
 
 
-# -- interval vs Cantor copy ------------------------------------------------------
+# -- interval or Cantor copy vs Cantor copy -------------------------------------
 
 
-def _ca_split_by_interval(ca: CantorAffine, lo: Endpoint, hi: Endpoint):
-    """Partition ca into (covered, kept): pieces inside [lo, hi] and pieces
-    disjoint from it, left to right. A single boundary touch becomes a
-    point atom. A copy may split depth_cap times before NotRepresentable;
-    TooLarge past _ITER_GUARD pieces."""
-    covered, kept = [], []
-    stack = [(ca, get_config().depth_cap)]  # (piece, splits left)
-    for _ in range(_ITER_GUARD):
-        if not stack:
-            return covered, kept
-        ca, budget = stack.pop()
-        hlo, hhi = ca.hull()
-        ilo = hlo if lo is None else max(hlo, lo)
-        ihi = hhi if hi is None else min(hhi, hi)
-        if ilo > ihi or (ilo == ihi and not ca.in_base(ilo)):
-            kept.append(ca)
-        elif ilo == hlo and ihi == hhi:
-            covered.append(ca)
-        elif ilo == ihi:
-            if ilo not in ca.deletions:
-                covered.append(FinitePoints([ilo]))
-            kept.append(ca.with_deletions([ilo]))
-        elif budget <= 0:
-            raise NotRepresentable(
-                "interval cuts through a Cantor copy; the pieces are not catalog sets")
-        else:
-            left, right = ca.children()
-            stack += [(right, budget - 1), (left, budget - 1)]
-    raise TooLarge(f"an interval cuts a Cantor copy into more than "
-                   f"{_ITER_GUARD} pieces")
-
-
-def _resolve_interval_cantor(x: Interval, y: CantorAffine):
-    covered, kept = _ca_split_by_interval(y, x.lo, x.hi)
-    if not covered:
-        return None
-    return [x.restore(d for d in x.deletions if y.member(d))] + kept
-
-
-# -- Cantor copy vs Cantor copy -----------------------------------------------------
-
-
-def _ca_partition(base: CantorAffine, target: CantorAffine):
+def _ca_partition(base: Interval | CantorAffine, target: CantorAffine):
     """Partition target against base: (common, rest), where common holds
     the points of target whose positions also lie in base's base set, both
-    left to right. Each split of base or of target costs one of depth_cap
-    splits before NotRepresentable; TooLarge past _ITER_GUARD pieces."""
+    left to right. An interval base never splits; a piece lies inside it
+    when its hull does. Each split of base or of target costs one of
+    depth_cap splits before NotRepresentable; TooLarge past _ITER_GUARD
+    pieces."""
+    cut = isinstance(base, Interval)
     common, rest = [], []
     # entries (piece of target, chain): the chain links the base pieces the
     # piece still meets, in turn, as ((base piece, splits left), later);
@@ -1116,7 +1072,8 @@ def _ca_partition(base: CantorAffine, target: CantorAffine):
         touch = hb[1] if hb[1] == ht[0] else ht[1] if ht[1] == hb[0] else None
         if not _hulls_meet(base, piece):
             stack.append((piece, later))
-        elif (base.t, base.s) == (piece.t, piece.s):
+        elif (base.in_base(ht[0]) and base.in_base(ht[1]) if cut
+              else (base.t, base.s) == (piece.t, piece.s)):
             common.append(piece)
         elif touch is not None:
             if base.in_base(touch) and piece.in_base(touch):
@@ -1126,19 +1083,20 @@ def _ca_partition(base: CantorAffine, target: CantorAffine):
             stack.append((piece, later))
         elif budget <= 0:
             raise NotRepresentable(
+                "interval cuts through a Cantor copy; the pieces are not "
+                "catalog sets" if cut else
                 "overlapping distinct Cantor copies are not jointly representable")
-        elif piece.s <= base.s:
+        elif not cut and piece.s <= base.s:
             left, right = base.children()
             stack.append((piece, ((left, budget - 1),
                                   ((right, budget - 1), later))))
         else:
             head = (base, budget - 1)
             stack += [(child, (head, later)) for child in piece.children()[::-1]]
-    raise TooLarge(f"two Cantor copies split into more than {_ITER_GUARD} "
-                   f"pieces")
+    raise TooLarge(f"a Cantor copy splits into more than {_ITER_GUARD} pieces")
 
 
-def _resolve_cantor_cantor(x: CantorAffine, y: CantorAffine):
+def _resolve_with_cantor(x: Interval | CantorAffine, y: CantorAffine):
     common, y_only = _ca_partition(x, y)
     if not common:
         return None
@@ -1240,7 +1198,7 @@ def _interval_minus(x: Interval, y: Atom) -> list:
     if isinstance(y, Interval):
         return _interval_minus_interval(x, y)
     if isinstance(y, CantorAffine):
-        covered, _ = _ca_split_by_interval(y, x.lo, x.hi)
+        covered, _ = _ca_partition(x, y)
         hits = []
         for piece in covered:
             if isinstance(piece, CantorAffine):
@@ -1272,10 +1230,7 @@ def _interval_minus_interval(x: Interval, y: Interval) -> list:
 def _cantor_minus(x: CantorAffine, y: Atom) -> list:
     if isinstance(y, CountableSeq):
         return [_delete_commons(x, y, _seq_cantor_commons(y, x))]
-    if isinstance(y, Interval):
-        _, kept = _ca_split_by_interval(x, y.lo, y.hi)
-        return kept + _point_atoms([d for d in y.deletions if x.member(d)])
-    if isinstance(y, CantorAffine):
+    if isinstance(y, (Interval, CantorAffine)):
         common, x_only = _ca_partition(y, x)
         extra = set()
         for piece in common:

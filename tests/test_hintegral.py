@@ -514,6 +514,16 @@ def test_add_series_values_same_base():
     assert h_integral(add(f, g)) == pair(0, F(3, 2))
 
 
+def test_add_keeps_one_point_term_per_value():
+    # a constant bump on 50 points of an interval: the sum is 3 on all of
+    # them, carried by one point term rather than one term per point
+    bump = FinitePoints([F(k, 50) for k in range(50)])
+    s = add(on([(Interval(0, 1), Const(1))]), on([(bump, Const(2))]))
+    assert [t for t in s.terms if isinstance(t[0], FinitePoints)] == [
+        (bump, Const(3))]
+    assert h_integral(s) == pair(1, 1)
+
+
 # -- positive and negative parts --------------------------------------------
 
 def test_pos_neg_parts_of_identity():

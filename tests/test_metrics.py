@@ -595,6 +595,12 @@ def test_finite_counting_mass_examples():
     assert finite_counting_mass(indicator(RepSet.of(FinitePoints([1, 2])), 5))
     assert not finite_counting_mass(indicator(I01))
     assert not finite_counting_mass(indicator(RepSet.of(HARM)))
+    # series values on a sequence: finite exactly when absolutely summable
+    for series, finite in ((FiniteList([1, -2]), True),
+                           (Geometric(-1, F(-1, 2)), True),
+                           (PSeries(-1, 2), True), (PSeries(1, 1), False)):
+        f = PiecewiseFunction([(HARM, SeriesValues(series))])
+        assert finite_counting_mass(f) is finite, series
 
 
 def test_small_support_check_random():

@@ -58,6 +58,57 @@ def test_cantor_gap_is_gap():
     assert in_cantor(lo) and in_cantor(hi)
 
 
+def ref_cantor_gap(y):
+    """The orbit walk on Fractions that the integer walk replaced."""
+    y = F(y)
+    if y < 0 or y > 1:
+        raise ValidationError("point not inside the unit interval")
+    third, two_thirds = F(1, 3), F(2, 3)
+    # the orbit value is always scale*y - shift
+    cur, scale, shift = y, F(1), F(0)
+    for _ in range(_ITER_GUARD):
+        if third < cur < two_thirds:
+            return ((third + shift) / scale, (two_thirds + shift) / scale)
+        if cur <= third:
+            cur, scale, shift = 3 * cur, 3 * scale, 3 * shift
+        else:
+            cur, scale, shift = 3 * cur - 2, 3 * scale, 3 * shift + 2
+    raise ValidationError("point is in the Cantor set, no gap exists")
+
+
+def _gap_or_error(gap, y):
+    try:
+        return gap(y)
+    except HausdorffError as exc:
+        return type(exc)
+
+
+def test_cantor_gap_matches_the_fraction_walk():
+    # denominators with and without factors of 3, and points just outside
+    # [0, 1]. The reference takes seconds to refuse a member, after
+    # _ITER_GUARD steps, so members are held to the error it ends with
+    rng = random.Random(1932)
+    members = 0
+    for _ in range(2500):
+        q = rng.choice([rng.randint(1, 40),
+                        3 ** rng.randint(1, 6) * rng.randint(1, 20)])
+        y = F(rng.randint(-1, q + 1), q)
+        if in_cantor(y):
+            members += 1
+            want = ValidationError
+        else:
+            want = _gap_or_error(ref_cantor_gap, y)
+        assert _gap_or_error(cantor_gap, y) == want, y
+    assert 100 < members < 2000
+
+
+def test_cantor_gap_refuses_a_member_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        cantor_gap(F(1, 4))
+    assert time.perf_counter() - start < 1
+
+
 def _in_cantor_by_fractions(y):
     """The Fraction walk that in_cantor replaced, kept as its reference."""
     y = F(y)
@@ -1097,11 +1148,12 @@ def test_settled_index_lookups():
 
 # -- the Cantor splits ------------------------------------------------------
 #
-# setalg._ca_split_by_interval and setalg._ca_partition sweep an explicit
-# stack and read depth_cap themselves. The recursions they replaced are
-# kept here as the reference: the sweeps must emit the same pieces in the
-# same order (normalize settles pending atoms in arrival order) and raise
-# the same errors.
+# setalg._ca_partition sweeps an explicit stack and reads depth_cap itself;
+# its base is an interval, which never splits, or another Cantor copy. The
+# two recursions it replaced, the cut by an interval and the partition by a
+# copy, are kept here as the reference: the sweep must emit the same pieces
+# in the same order (normalize settles pending atoms in arrival order) and
+# raise the same errors.
 
 
 def _split_by_recursion(ca, lo, hi, budget):
@@ -1203,13 +1255,15 @@ def cantor_copies(draw, unit=CantorAffine(0, 1)):
 def test_cantor_splits_match_the_recursion(pair, cap, start, width):
     x, y = pair
     # the cut [lo, hi] runs on x's grid of 27ths, so it often meets an end
-    # or a gap; None is an open end
+    # or a gap; None is an open end. An interval has lo < hi, so a cut of
+    # width 0 is no interval and is not drawn into a split
     lo = None if start is None else x.t + x.s * F(start, 27)
     hi = None if width is None else x.t + x.s * F((start or 0) + width, 27)
     previous = update_config(depth_cap=cap)
     try:
-        assert (_pieces_or_error(setalg._ca_split_by_interval, x, lo, hi)
-                == _pieces_or_error(_split_by_recursion, x, lo, hi, cap))
+        if lo is None or hi is None or lo < hi:
+            assert (_pieces_or_error(setalg._ca_partition, Interval(lo, hi), x)
+                    == _pieces_or_error(_split_by_recursion, x, lo, hi, cap))
         for base, target in ((x, y), (y, x)):
             assert (_pieces_or_error(setalg._ca_partition, base, target)
                     == _pieces_or_error(_partition_by_recursion, base, target,
