@@ -416,7 +416,15 @@ def main(argv=None) -> int:
     previous = get_config()
     try:
         seed = _apply_config(args)
-        return _COMMANDS[args.command](args, seed)
+        code = _COMMANDS[args.command](args, seed)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: silence stdout, down to the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

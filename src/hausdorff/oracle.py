@@ -99,16 +99,16 @@ def _atom_cover(atom: Atom, depth: int) -> Tuple[int, Fraction]:
     raise ValidationError(f"no structural cover for {atom!r}")
 
 
-def _covers(s: RepSet, depth: int) -> list:
+def _covers(s: RepSet, depth: int) -> dict:
+    """{box diameter: box count}: atoms of one diameter pool their counts,
+    and a*c1 + a*c2 = a*(c1 + c2) takes each power once."""
     if s.is_empty():
         raise ValidationError("cannot cover the empty set")
-    return [_atom_cover(atom, depth) for atom in s.atoms]
-
-
-def _as_dimension(d) -> Dimension:
-    if isinstance(d, Dimension):
-        return d
-    return Dimension.rational(d)
+    counts = {}
+    for atom in s.atoms:
+        count, diam = _atom_cover(atom, depth)
+        counts[diam] = counts.get(diam, 0) + count
+    return counts
 
 
 def _rational_pow(x: Fraction, r: Fraction):
@@ -140,18 +140,25 @@ def _pow_dim(x: Fraction, d: Dimension, prec: int) -> RatInterval:
 def premeasure_estimate(s: RepSet, d, depth: int) -> RatInterval:
     """Sum of diameter**d over the depth-k structural cover: an upper
     view of the d-dimensional measure at that scale."""
-    d = _as_dimension(d)
+    d = d if isinstance(d, Dimension) else Dimension.rational(d)
     prec = get_config().precision_bits
-    total = RatInterval.point(0)
-    for count, diam in _covers(s, depth):
-        total = total + _pow_dim(diam, d, prec) * count
-    return total
+    return sum((_pow_dim(diam, d, prec) * count
+                for diam, count in _covers(s, depth).items()),
+               RatInterval.point(0))
 
 
-def _inverse(ivl: RatInterval) -> RatInterval:
-    if ivl.lo <= 0:
-        raise ValidationError("interval reciprocal needs a positive interval")
-    return RatInterval(1 / ivl.hi, 1 / ivl.lo)
+def _centred(vs: Sequence[RatInterval], den: int) -> list:
+    """n*den*(v - mean v) for each enclosure v, as an integer interval."""
+    los = [v.lo.numerator * (den // v.lo.denominator) for v in vs]
+    his = [v.hi.numerator * (den // v.hi.denominator) for v in vs]
+    n, lo_sum, hi_sum = len(vs), sum(los), sum(his)
+    return [(n * lo - hi_sum, n * hi - lo_sum) for lo, hi in zip(los, his)]
+
+
+def _dot(us: list, vs: list) -> Tuple[int, int]:
+    """Sum of integer interval products, each the min and max of four."""
+    products = [(a * c, a * d, b * c, b * d) for (a, b), (c, d) in zip(us, vs)]
+    return sum(map(min, products)), sum(map(max, products))
 
 
 def box_dim_estimate(s: RepSet, depths: Sequence[int]):
@@ -163,7 +170,9 @@ def box_dim_estimate(s: RepSet, depths: Sequence[int]):
     fills boxes there, so accumulating sequences report a strictly
     larger slope than the dimension their measure pair carries.  The
     isolated atom kinds (intervals, finite point sets, Cantor pieces)
-    agree with the exact dimension.
+    agree with the exact dimension.  The regression is exact, on
+    integers over one common denominator of the dyadic log enclosures;
+    only the slope's two ends are Fractions.
     """
     depths = sorted(set(int(k) for k in depths))
     if len(depths) < 2:
@@ -174,23 +183,21 @@ def box_dim_estimate(s: RepSet, depths: Sequence[int]):
     sized = []
     for k in depths:
         covers = _covers(s, k)
-        count = sum(c for c, _ in covers)
-        mesh = max(diam for _, diam in covers)
-        sized.append((k, count, mesh, covers))
+        sized.append((k, sum(covers.values()), max(covers), covers))
     xs = [log_interval(1 / mesh, prec) for _, _, mesh, _ in sized]
     ys = [log_interval(count, prec) for _, count, _, _ in sized]
-    n = len(sized)
-    xbar = sum(xs, RatInterval.point(0)) * Fraction(1, n)
-    ybar = sum(ys, RatInterval.point(0)) * Fraction(1, n)
-    sxy = sum(((x - xbar) * (y - ybar) for x, y in zip(xs, ys)),
-              RatInterval.point(0))
-    sxx = sum(((x - xbar) * (x - xbar) for x in xs), RatInterval.point(0))
-    slope = sxy * _inverse(sxx)
+    den = math.lcm(*(e.denominator for v in xs + ys for e in (v.lo, v.hi)))
+    cx, cy = _centred(xs, den), _centred(ys, den)
+    sxy, sxx = _dot(cx, cy), _dot(cx, cx)
+    if sxx[0] <= 0:
+        raise ValidationError("interval reciprocal needs a positive interval")
+    # sxy * [1/sxx.hi, 1/sxx.lo]: each end takes the outermost quotient
+    slope = RatInterval(Fraction(sxy[0], sxx[1] if sxy[0] >= 0 else sxx[0]),
+                        Fraction(sxy[1], sxx[0] if sxy[1] >= 0 else sxx[1]))
     reports = []
     for k, count, mesh, covers in sized:
-        pm = RatInterval.point(0)
-        for c, diam in covers:
-            pm = pm + pow_interval(diam, slope, prec) * c
+        pm = sum((pow_interval(diam, slope, prec) * c
+                  for diam, c in covers.items()), RatInterval.point(0))
         reports.append(CoverReport(k, count, mesh, pm))
     return slope, reports
 
@@ -207,18 +214,23 @@ def _second_derivative_bound(coeffs: Sequence[Fraction],
     return bound
 
 
-def _poly_value(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _power_sums(n: int, top: int) -> list:
+    """S_k(n) = sum of i**k over 0 <= i < n, for k = 0..top, from the
+    integer recurrence n**(k+1) = sum over j <= k of C(k+1, j) S_j(n)."""
+    sums = []
+    for k in range(top + 1):
+        rest = sum(math.comb(k + 1, j) * s_j for j, s_j in enumerate(sums))
+        sums.append((n ** (k + 1) - rest) // (k + 1))
+    return sums
 
 
 def quadrature(f: PiecewiseFunction, region: Interval, n: int) -> RatInterval:
     """Composite midpoint rule over the polynomial pieces meeting the
     region, with the textbook second-derivative error bound.  The
     returned interval contains the exact length integral; pieces of
-    length zero (points, sequences, dust) contribute nothing to it."""
+    length zero (points, sequences, dust) contribute nothing to it.  The
+    composite midpoint sum is summed in closed form, by power sums of the
+    panel index, so its cost does not depend on the panel count."""
     if region.lo is None or region.hi is None:
         raise ValidationError("quadrature needs a bounded region")
     if n < 1:
@@ -233,10 +245,12 @@ def quadrature(f: PiecewiseFunction, region: Interval, n: int) -> RatInterval:
             continue
         coeffs = expr.coeffs if isinstance(expr, Poly) else (expr.value,)
         h = Fraction(hi - lo, n)
-        acc = Fraction(0)
-        for i in range(n):
-            acc += _poly_value(coeffs, lo + h * i + h / 2)
-        mid_sum = acc * h
+        # p(m + h i) = sum of q_k i**k by Horner in i, m the first midpoint
+        m, q = lo + h / 2, []
+        for c in reversed(coeffs):  # q(i) <- q(i) * (m + h i) + c
+            q = [m * a + h * b for a, b in zip(q + [0], [0] + q)]
+            q[0] += c
+        mid_sum = h * sum(a * s_k for a, s_k in zip(q, _power_sums(n, len(q) - 1)))
         err = (hi - lo) * h * h * _second_derivative_bound(coeffs, lo, hi) / 24
         total = total + RatInterval(mid_sum - err, mid_sum + err)
     return total

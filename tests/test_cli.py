@@ -439,6 +439,26 @@ def test_deeply_nested_document_exits_2(tmp_path):
     assert done.stderr == "error: document nested too deeply\n"
 
 
+def test_closed_pipe_exits_1_without_traceback(tmp_path):
+    # the reader closes its end before the first line is written, whether
+    # print writes through (-u) or the output waits for a flush
+    src = os.path.dirname(os.path.dirname(hausdorff.__file__))
+    env = dict(os.environ, PYTHONPATH=src,
+               HAUSDORFF_CONFIG=str(tmp_path / "absent.json"))
+    env.pop("PYTHONUNBUFFERED", None)
+    for flags in (["-u"], []):
+        with subprocess.Popen(
+                [sys.executable, *flags, "-m", "hausdorff.cli", "estimate",
+                 "dim", CANTOR, "--depths", "1..40"], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err == ""  # nor an "Exception ignored" at the exit flush
+
+
 def test_config_restored_after_run(capsys):
     before = get_config()
     run(capsys, "measure", "--precision", "128", CANTOR)

@@ -1,10 +1,14 @@
 """Numerical cross-checks: covers, quadrature, brute enumeration."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from hausdorff import oracle
+from hausdorff._numeric import RatInterval, log_interval, pow_interval
+from hausdorff.config import get_config
 from hausdorff.errors import NotSupported, TooLarge, Unbounded, ValidationError
 from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
                                  h_integral)
@@ -25,6 +29,98 @@ def _slope_error(slope, dim, prec=256):
 
 
 # ---------------------------------------------------------------------------
+# references: the per-panel and RatInterval forms the fast paths replace
+
+def ref_quadrature(f, region, n):
+    """The composite midpoint rule summed panel by panel in Fractions."""
+    total = RatInterval.point(0)
+    for atom, expr in f.terms:
+        if not isinstance(atom, Interval):
+            continue
+        lo = region.lo if atom.lo is None else max(atom.lo, region.lo)
+        hi = region.hi if atom.hi is None else min(atom.hi, region.hi)
+        if lo >= hi:
+            continue
+        coeffs = expr.coeffs if isinstance(expr, Poly) else (expr.value,)
+        h = F(hi - lo, n)
+        acc = F(0)
+        for i in range(n):
+            x, value = lo + h * i + h / 2, F(0)
+            for c in reversed(coeffs):
+                value = value * x + c
+            acc += value
+        mid_sum = acc * h
+        err = (hi - lo) * h * h * oracle._second_derivative_bound(coeffs, lo, hi) / 24
+        total = total + RatInterval(mid_sum - err, mid_sum + err)
+    return total
+
+
+def _atom_covers(s, k):
+    return [oracle._atom_cover(atom, k) for atom in s.atoms]
+
+
+def ref_box_slope(s, depths):
+    """The least-squares slope in RatInterval arithmetic, with one power
+    per atom's cover in the reports."""
+    depths = sorted(set(depths))
+    if len(depths) < 2:
+        raise ValidationError("slope estimation needs at least two depths")
+    prec = get_config().precision_bits
+    sized = []
+    for k in depths:
+        covers = _atom_covers(s, k)
+        sized.append((k, sum(c for c, _ in covers),
+                      max(diam for _, diam in covers), covers))
+    xs = [log_interval(1 / mesh, prec) for _, _, mesh, _ in sized]
+    ys = [log_interval(count, prec) for _, count, _, _ in sized]
+    xbar = sum(xs, RatInterval.point(0)) * F(1, len(sized))
+    ybar = sum(ys, RatInterval.point(0)) * F(1, len(sized))
+    sxy = sum(((x - xbar) * (y - ybar) for x, y in zip(xs, ys)),
+              RatInterval.point(0))
+    sxx = sum(((x - xbar) * (x - xbar) for x in xs), RatInterval.point(0))
+    if sxx.lo <= 0:
+        raise ValidationError("interval reciprocal needs a positive interval")
+    slope = sxy * RatInterval(1 / sxx.hi, 1 / sxx.lo)
+    reports = []
+    for k, count, mesh, covers in sized:
+        pm = RatInterval.point(0)
+        for c, diam in covers:
+            pm = pm + pow_interval(diam, slope, prec) * c
+        reports.append(CoverReport(k, count, mesh, pm))
+    return slope, reports
+
+
+def ref_premeasure(s, d, depth):
+    prec = get_config().precision_bits
+    total = RatInterval.point(0)
+    for c, diam in _atom_covers(s, depth):
+        total = total + oracle._pow_dim(diam, d, prec) * c
+    return total
+
+
+def _random_set(rng):
+    """Disjoint atoms of every kind, one kind or several."""
+    atoms, base = [], F(rng.randint(-30, 30))
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(5)
+        width = F(rng.randint(1, 9), rng.randint(1, 4))
+        if kind == 0:
+            atoms.append(Interval(base, base + width))
+        elif kind == 1:
+            atoms.append(FinitePoints([base + width * i / 4
+                                       for i in range(rng.randint(1, 5))]))
+        elif kind == 2:
+            atoms.append(CountableSeq(HARMONIC, base, rng.choice([-1, 1]) * width))
+        elif kind == 3:
+            atoms.append(CountableSeq(GEOMETRIC, base, rng.choice([-1, 1]) * width,
+                                      F(1, rng.randint(2, 5))))
+        else:
+            atoms.append(CantorAffine(base, width))
+        base += 25
+    return RepSet.of(*atoms)
+
+
+# ---------------------------------------------------------------------------
 # box dimension
 
 def test_cantor_slope_is_exact():
@@ -36,7 +132,6 @@ def test_cantor_slope_is_exact():
 
 
 def test_box_slope_takes_each_cover_once(monkeypatch):
-    from hausdorff import oracle
     depths = []
     real = oracle._covers
     monkeypatch.setattr(oracle, "_covers",
@@ -45,6 +140,38 @@ def test_box_slope_takes_each_cover_once(monkeypatch):
     _, reports = box_dim_estimate(s, [5, 2, 3, 3])
     assert depths == [2, 3, 5]
     assert [r.depth for r in reports] == [2, 3, 5]
+
+
+def test_box_slope_raises_each_diameter_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "pow_interval",
+                        lambda *a: calls.append(a) or pow_interval(*a))
+    s = RepSet.of(Interval(0, 1), Interval(3, 4), Interval(8, 9),
+                  Interval(10, 12), FinitePoints([6, 7]))
+    assert len(s.atoms) == 5
+    _, reports = box_dim_estimate(s, [2, 3, 5])
+    assert len(calls) == 3
+    assert [r.box_count for r in reports] == [5 * 9 + 2, 5 * 27 + 2, 5 * 243 + 2]
+    calls.clear()
+    # 3**-3 to the power 1/2 is irrational: one enclosure for the depth
+    premeasure_estimate(s, F(1, 2), 3)
+    assert len(calls) == 1
+
+
+def test_box_slope_and_premeasure_match_the_references():
+    rng = random.Random(36)
+    for _ in range(200):
+        s = _random_set(rng)
+        depths = rng.sample(range(1, 25), rng.randint(2, 7))
+        assert box_dim_estimate(s, depths) == ref_box_slope(s, depths)
+        d = rng.choice([DIM_CANTOR, Dimension.rational(0),
+                        Dimension.rational(F(1, 2)), Dimension.rational(1)])
+        k = rng.randint(1, 12)
+        assert premeasure_estimate(s, d, k) == ref_premeasure(s, d, k)
+    for depths in ([], [4], [4, 4]):
+        for estimate in (box_dim_estimate, ref_box_slope):
+            with pytest.raises(ValidationError, match="at least two depths"):
+                estimate(_random_set(rng), depths)
 
 
 def test_affine_cantor_slope_matches():
@@ -203,6 +330,52 @@ def test_random_quadrature_contains_the_antiderivative():
         exact = anti.value_at(hi) - anti.value_at(lo)
         q = quadrature(f, Interval(lo, hi), rng.choice([37, 64, 200]))
         assert q.contains(exact)
+
+
+def test_quadrature_matches_the_panel_sum():
+    rng = random.Random(37)
+    for _ in range(1000):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(rng.randint(1, 7))]
+        lo = F(rng.randint(-8, 8), rng.randint(1, 4))
+        hi = lo + F(rng.randint(1, 9), rng.randint(1, 4))
+        expr = Poly(coeffs) if any(coeffs[1:]) else Const(coeffs[0])
+        terms = [(Interval(lo, hi), expr)]
+        if rng.random() < 0.3:
+            terms.append((FinitePoints([hi + 1]), Const(5)))
+        if rng.random() < 0.5:
+            region = Interval(lo, hi)  # unclipped
+        else:
+            a = lo + F(rng.randint(-8, 8), 4)
+            region = Interval(a, a + F(rng.randint(1, 12), 4))
+        n = rng.choice([1, 2, 3, 7, 16, 128, 1000])
+        f = PiecewiseFunction(terms)
+        assert quadrature(f, region, n) == ref_quadrature(f, region, n)
+
+
+def test_quadrature_work_does_not_grow_with_panels():
+    # for a cubic the midpoint sum is the integral less h**2/24 (p'(b) - p'(a))
+    # (Euler-Maclaurin at the midpoints); the error bound uses max|p''| <= 38/3
+    f = PiecewiseFunction([(Interval(0, 1), Poly([0, 1, F(1, 3), 2]))])
+    a, b = F(1, 7), F(1)
+    anti = Poly([0, 1, F(1, 3), 2]).antiderivative()
+    slope = Poly([1, F(2, 3), 6])
+
+    def closed_form(n):
+        h = (b - a) / n
+        mid = (anti.value_at(b) - anti.value_at(a)
+               - h * h / 24 * (slope.value_at(b) - slope.value_at(a)))
+        err = (b - a) * h * h * F(38, 3) / 24
+        return RatInterval(mid - err, mid + err)
+
+    start = time.perf_counter()
+    q = quadrature(f, Interval(a, b), 10 ** 12)
+    assert time.perf_counter() - start < 0.1
+    assert q == closed_form(10 ** 12)
+    q = quadrature(f, Interval(a, b), 10 ** 6)
+    assert q == closed_form(10 ** 6) == RatInterval(
+        F(330249999999841, 300125000000000), F(660500000000081, 600250000000000))
+    assert quadrature(f, Interval(a, b), 10 ** 100) == closed_form(10 ** 100)
 
 
 def test_quadrature_validation():
