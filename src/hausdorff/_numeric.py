@@ -48,10 +48,6 @@ class RatInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    @property
-    def rad(self) -> Fraction:
-        return (self.hi - self.lo) / 2
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 

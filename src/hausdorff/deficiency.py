@@ -86,7 +86,7 @@ def _one_side_values(f: PiecewiseFunction, x: Fraction, right: bool) -> set:
                 touches = (lo is None or lo < x) and (hi is None or hi >= x)
             if touches:
                 covered = True
-                vals.add(_limit_value(expr, x))
+                vals.add(expr.value_at(x))
         elif isinstance(atom, CountableSeq):
             if atom.a == x and (atom.b > 0) == right:
                 vals.update(_tail_limits(expr))
@@ -95,18 +95,10 @@ def _one_side_values(f: PiecewiseFunction, x: Fraction, right: bool) -> set:
     return vals
 
 
-def _limit_value(expr: Expression, x: Fraction) -> Fraction:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Poly):
-        return expr.value_at(x)
-    raise ValidationError("series values never sit on an interval piece")
-
-
 def _tail_limits(expr: Expression) -> set:
     # every catalog series decays, so only constant values survive
-    if isinstance(expr, Const):
-        return {expr.value}
+    if isinstance(expr, Poly):
+        return {expr.coeffs[0]}
     return {ZERO}
 
 
@@ -123,8 +115,9 @@ def _omega_at(f: PiecewiseFunction, x: Fraction) -> Fraction:
 
 
 def _abs_expression(expr: Expression) -> Expression:
-    if isinstance(expr, Const):
-        return Const(abs(expr.value))
+    # a sequence atom carries a constant or series values
+    if isinstance(expr, Poly):
+        return Const(abs(expr.coeffs[0]))
     return SeriesValues(expr.series.abs_series())
 
 
@@ -271,8 +264,8 @@ def _reflect_expression(expr: Expression) -> Expression:
     if isinstance(expr, Poly):
         return Poly(c if i % 2 == 0 else -c
                     for i, c in enumerate(expr.coeffs))
-    # constants are unchanged; sequence values follow their indices,
-    # and reflection maps the n-th point to the n-th point
+    # sequence values follow their indices, and reflection maps the
+    # n-th point to the n-th point
     return expr
 
 

@@ -14,7 +14,7 @@ from typing import Union
 from .errors import ParseError, ValidationError
 from ._numeric import parse_rational, render_rational
 from .hvalue import FiniteList, Geometric, HPair, PSeries
-from .hintegral import (ALL_REALS, AllReals, Const, PiecewiseFunction, Poly,
+from .hintegral import (ALL_REALS, AllReals, PiecewiseFunction, Poly,
                         SeriesValues)
 from .setalg import (GEOMETRIC, HARMONIC, Atom, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet, diff)
@@ -140,12 +140,11 @@ def _parse_expr(node, where: str):
         raise _fail(f"{where}: expected one of poly/const/series")
     key, body = next(iter(node.items()))
     if key == "const":
-        return Const(_rat(body, where))
+        return Poly((_rat(body, where),))
     if key == "poly":
         if not isinstance(body, list):
             raise _fail(f"{where}: poly takes a coefficient list")
-        coeffs = [_rat(c, where) for c in body]
-        return Poly(coeffs) if any(coeffs) else Const(0)
+        return Poly(_rat(c, where) for c in body)
     if key == "series":
         return SeriesValues(_parse_series(body, where))
     raise _fail(f"{where}: unknown expression {key!r}")
@@ -274,8 +273,8 @@ def _series_payload(series):
 
 
 def _expr_payload(expr):
-    if isinstance(expr, Const):
-        return {"const": render_rational(expr.value)}
+    if isinstance(expr, Poly) and expr.degree() == 0:
+        return {"const": render_rational(expr.coeffs[0])}
     if isinstance(expr, Poly):
         return {"poly": [render_rational(c) for c in expr.coeffs]}
     if isinstance(expr, SeriesValues):

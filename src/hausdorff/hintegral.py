@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from ._numeric import Rational
@@ -44,23 +45,10 @@ class Expression:
 
 
 @dataclass(frozen=True)
-class Const(Expression):
-    value: Fraction
-
-    def __init__(self, value: Rational):
-        object.__setattr__(self, "value", Fraction(value))
-
-    def is_zero(self):
-        return self.value == 0
-
-    def scale(self, c):
-        return Const(self.value * Fraction(c))
-
-
-@dataclass(frozen=True)
 class Poly(Expression):
     """Polynomial in the ambient variable, coefficients by ascending power.
-    Admitted on interval atoms only."""
+    A constant is the polynomial of degree 0 and is admitted on every
+    atom; higher degrees live on interval atoms only."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -74,9 +62,10 @@ class Poly(Expression):
         return len(self.coeffs) - 1
 
     def value_at(self, x: Rational) -> Fraction:
-        """p(x), by Horner's rule on integers and one Fraction at the end."""
-        if not self.coeffs:
-            return Fraction(0)
+        """p(x), by Horner's rule on integers and one Fraction at the end;
+        a constant is its own value."""
+        if len(self.coeffs) < 2:
+            return self.coeffs[0] if self.coeffs else Fraction(0)
         x = Fraction(x)
         den = math.lcm(*(c.denominator for c in self.coeffs))
         cs = [c.numerator * (den // c.denominator) for c in self.coeffs]
@@ -92,6 +81,11 @@ class Poly(Expression):
     def scale(self, c):
         k = Fraction(c)
         return Poly(v * k for v in self.coeffs)
+
+
+def Const(value: Rational) -> Poly:
+    """The constant expression: the polynomial of degree 0."""
+    return Poly((value,))
 
 
 @dataclass(frozen=True)
@@ -133,7 +127,8 @@ Region = Union[RepSet, AllReals]
 
 
 def _expr_fits(atom: Atom, expr: Expression) -> None:
-    if isinstance(expr, Poly) and not isinstance(atom, Interval):
+    if (isinstance(expr, Poly) and not isinstance(atom, Interval)
+            and expr.degree() > 0):
         raise ValidationError("polynomial terms live on interval atoms only")
     if isinstance(expr, SeriesValues) and not isinstance(atom, CountableSeq):
         raise ValidationError("series values bind to sequence atoms only")
@@ -191,8 +186,7 @@ class PiecewiseFunction:
 
 
 def _value_on(origin: Atom, expr: Expression, x: Fraction) -> Fraction:
-    if isinstance(expr, Const):
-        return expr.value
+    """The value of a term with atom origin at its point x."""
     if isinstance(expr, Poly):
         return expr.value_at(x)
     n = origin.index_of(x)
@@ -409,14 +403,14 @@ def support(f: PiecewiseFunction) -> RepSet:
 
 
 def _support_pieces(atom: Atom, expr: Expression) -> list[Atom]:
-    if isinstance(expr, Const):
+    if isinstance(expr, SeriesValues):
+        return _series_support(atom, expr.series)
+    if expr.degree() == 0:
         return [atom]
-    if isinstance(expr, Poly):
-        lo, hi = atom.hull()
-        roots = [r for r, _ in _roots_within(_int_coeffs(expr), lo, hi)
-                 if r is not None and atom.member(r)]
-        return [atom.with_deletions(roots)]
-    return _series_support(atom, expr.series)
+    lo, hi = atom.hull()
+    roots = [r for r, _ in _roots_within(_int_coeffs(expr), lo, hi)
+             if r is not None and atom.member(r)]
+    return [atom.with_deletions(roots)]
 
 
 def _series_support(atom: CountableSeq, s: CoefficientSeries) -> list[Atom]:
@@ -446,23 +440,17 @@ def _restricted_pieces(atom: Atom, expr: Expression, region: Region):
 def _live_piece(piece: Atom, expr: Expression, origin: Atom):
     """Shrink a piece to where the expression is nonzero, for dimension
     purposes; returns None when nothing survives."""
-    if isinstance(expr, Const):
-        return piece
-    if isinstance(expr, Poly):
-        if isinstance(piece, Interval):
-            return piece
-        if not isinstance(piece, FinitePoints):
-            raise NotRepresentable(
-                "a polynomial restricted to a fractal or sequence piece "
-                "has no catalog integral")
-        pts = [x for x in piece.points if expr.value_at(x) != 0]
-        return FinitePoints(pts) if pts else None
-    s = expr.series
     if isinstance(piece, FinitePoints):
-        pts = [x for x in piece.points
-               if s.term(origin.index_of(x) - 1) != 0]
-        return FinitePoints(pts) if pts else None
-    survivors = _series_support(piece, s)
+        # one live point gives the piece its dimension, zero
+        live = any(_value_on(origin, expr, x) != 0 for x in piece.points)
+        return piece if live else None
+    if isinstance(expr, Poly):
+        if isinstance(piece, Interval) or expr.degree() == 0:
+            return piece
+        raise NotRepresentable(
+            "a polynomial restricted to a fractal or sequence piece "
+            "has no catalog integral")
+    survivors = _series_support(piece, expr.series)
     if not survivors:
         return None
     live = survivors[0]
@@ -470,22 +458,18 @@ def _live_piece(piece: Atom, expr: Expression, origin: Atom):
 
 
 def _piece_measure(piece: Atom, expr: Expression, origin: Atom) -> ExtReal:
-    if isinstance(expr, Const):
-        return piece.mu().scale(expr.value)
-    if isinstance(expr, Poly):
-        if isinstance(piece, FinitePoints):
-            return ExtReal.of(sum((expr.value_at(x) for x in piece.points),
-                                  Fraction(0)))
-        anti = expr.antiderivative()
-        lo, hi = piece.hull()
-        return _anti_at(anti, hi, +1) - _anti_at(anti, lo, -1)
-    s = expr.series
     if isinstance(piece, FinitePoints):
-        return ExtReal.of(sum((s.term(origin.index_of(x) - 1)
+        return ExtReal.of(sum((_value_on(origin, expr, x)
                                for x in piece.points), Fraction(0)))
-    removed = sum((s.term(origin.index_of(x) - 1)
-                   for x in piece.deletions), Fraction(0))
-    return s.sum() - ExtReal.of(removed)
+    if isinstance(expr, SeriesValues):
+        removed = sum((_value_on(origin, expr, x) for x in piece.deletions),
+                      Fraction(0))
+        return expr.series.sum() - ExtReal.of(removed)
+    if expr.degree() == 0:
+        return piece.mu().scale(expr.coeffs[0])
+    anti = expr.antiderivative()
+    lo, hi = piece.hull()
+    return _anti_at(anti, hi, +1) - _anti_at(anti, lo, -1)
 
 
 def _anti_at(anti: Poly, bound: Optional[Fraction], side: int) -> ExtReal:
@@ -572,13 +556,9 @@ def _domain_union(a: Region, b: Region) -> Region:
 
 def _localize(piece: Atom, origin: Atom, expr: Expression) -> Expression:
     """Re-express a term on a sub-piece of its atom."""
-    if isinstance(expr, Const):
-        return expr
     if isinstance(expr, Poly):
-        if isinstance(piece, Interval):
+        if isinstance(piece, Interval) or expr.degree() == 0:
             return expr
-        if expr.degree() == 0:
-            return Const(expr.coeffs[0])
         raise NotRepresentable(
             "a polynomial is only constant enough for a fractal or "
             "sequence piece when it has degree zero")
@@ -617,14 +597,9 @@ def _combined_terms(piece: Atom, sources) -> list:
 
 
 def _expr_add(a: Expression, b: Expression) -> Optional[Expression]:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if isinstance(a, (Const, Poly)) and isinstance(b, (Const, Poly)):
-        pa = a.coeffs if isinstance(a, Poly) else (a.value,)
-        pb = b.coeffs if isinstance(b, Poly) else (b.value,)
-        n = max(len(pa), len(pb))
-        pad = lambda t: tuple(t) + (Fraction(0),) * (n - len(t))
-        return Poly(x + y for x, y in zip(pad(pa), pad(pb)))
+    if isinstance(a, Poly) and isinstance(b, Poly):
+        return Poly(x + y for x, y in zip_longest(a.coeffs, b.coeffs,
+                                                  fillvalue=0))
     if isinstance(a, SeriesValues) and isinstance(b, SeriesValues):
         s = series_add(a.series, b.series)
         return SeriesValues(s) if s is not None else None
@@ -698,11 +673,11 @@ def _signed_part(f: PiecewiseFunction) -> list:
 
 
 def _signed_term(atom: Atom, expr: Expression) -> list:
-    if isinstance(expr, Const):
-        return [(atom, expr, _sign(expr.value))]
-    if isinstance(expr, Poly):
-        return _signed_poly(atom, expr)
-    return _signed_series(atom, expr.series)
+    if isinstance(expr, SeriesValues):
+        return _signed_series(atom, expr.series)
+    if expr.degree() == 0:
+        return [(atom, expr, _sign(expr.coeffs[0]))]
+    return _signed_poly(atom, expr)
 
 
 def _signed_poly(atom: Interval, p: Poly) -> list:

@@ -509,11 +509,16 @@ class CoefficientSeries:
 
 @dataclass(frozen=True)
 class FiniteList(CoefficientSeries):
+    """Finitely many terms, zero after the last. Trailing zeros are
+    dropped, so equal series have one spelling."""
+
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Iterable[Rational]):
-        object.__setattr__(self, "values",
-                           tuple(Fraction(v) for v in values))
+        vs = [Fraction(v) for v in values]
+        while vs and vs[-1] == 0:
+            vs.pop()
+        object.__setattr__(self, "values", tuple(vs))
 
     def term(self, i: int) -> Fraction:
         return self.values[i] if 0 <= i < len(self.values) else Fraction(0)

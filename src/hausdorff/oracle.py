@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Tuple
 from .config import get_config
 from .errors import (NotSupported, TooLarge, Unbounded, ValidationError)
 from .hvalue import CoefficientSeries, Dimension, ExtReal, HPair
-from .hintegral import Const, PiecewiseFunction, Poly
+from .hintegral import PiecewiseFunction, Poly
 from .setalg import (HARMONIC, Atom, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet)
 from ._numeric import (RatInterval, exact_root, geo_steps, log_interval,
@@ -33,13 +33,11 @@ BRUTE_LIMIT = 1000
 
 @dataclass(frozen=True)
 class CoverReport:
-    """One depth of a structural cover: how many boxes, how large, and
-    what their diameters sum to at the probed dimension."""
+    """One depth of a structural cover: how many boxes, and how large."""
 
     depth: int
     box_count: int
     box_size: Fraction
-    premeasure: RatInterval
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +181,9 @@ def box_dim_estimate(s: RepSet, depths: Sequence[int]):
     sized = []
     for k in depths:
         covers = _covers(s, k)
-        sized.append((k, sum(covers.values()), max(covers), covers))
-    xs = [log_interval(1 / mesh, prec) for _, _, mesh, _ in sized]
-    ys = [log_interval(count, prec) for _, count, _, _ in sized]
+        sized.append((k, sum(covers.values()), max(covers)))
+    xs = [log_interval(1 / mesh, prec) for _, _, mesh in sized]
+    ys = [log_interval(count, prec) for _, count, _ in sized]
     den = math.lcm(*(e.denominator for v in xs + ys for e in (v.lo, v.hi)))
     cx, cy = _centred(xs, den), _centred(ys, den)
     sxy, sxx = _dot(cx, cy), _dot(cx, cx)
@@ -194,12 +192,7 @@ def box_dim_estimate(s: RepSet, depths: Sequence[int]):
     # sxy * [1/sxx.hi, 1/sxx.lo]: each end takes the outermost quotient
     slope = RatInterval(Fraction(sxy[0], sxx[1] if sxy[0] >= 0 else sxx[0]),
                         Fraction(sxy[1], sxx[0] if sxy[1] >= 0 else sxx[1]))
-    reports = []
-    for k, count, mesh, covers in sized:
-        pm = sum((pow_interval(diam, slope, prec) * c
-                  for diam, c in covers.items()), RatInterval.point(0))
-        reports.append(CoverReport(k, count, mesh, pm))
-    return slope, reports
+    return slope, [CoverReport(*row) for row in sized]
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +236,15 @@ def quadrature(f: PiecewiseFunction, region: Interval, n: int) -> RatInterval:
         hi = region.hi if atom.hi is None else min(atom.hi, region.hi)
         if lo >= hi:
             continue
-        coeffs = expr.coeffs if isinstance(expr, Poly) else (expr.value,)
         h = Fraction(hi - lo, n)
         # p(m + h i) = sum of q_k i**k by Horner in i, m the first midpoint
         m, q = lo + h / 2, []
-        for c in reversed(coeffs):  # q(i) <- q(i) * (m + h i) + c
+        for c in reversed(expr.coeffs):  # q(i) <- q(i) * (m + h i) + c
             q = [m * a + h * b for a, b in zip(q + [0], [0] + q)]
             q[0] += c
         mid_sum = h * sum(a * s_k for a, s_k in zip(q, _power_sums(n, len(q) - 1)))
-        err = (hi - lo) * h * h * _second_derivative_bound(coeffs, lo, hi) / 24
+        err = ((hi - lo) * h * h
+               * _second_derivative_bound(expr.coeffs, lo, hi) / 24)
         total = total + RatInterval(mid_sum - err, mid_sum + err)
     return total
 
@@ -294,12 +287,12 @@ def _brute_integral(f: PiecewiseFunction) -> HPair:
     for atom, expr in f.terms:
         if isinstance(atom, FinitePoints):
             for p in atom.points:
-                values.append(_point_value(expr, None))
+                values.append(_point_value(expr, p, None))
         elif isinstance(atom, CountableSeq):
             live = (k for k in range(1, 4 * BRUTE_LIMIT)
                     if atom.point(k) not in atom.deletions)
             for _, k in zip(range(BRUTE_LIMIT), live):
-                values.append(_point_value(expr, k))
+                values.append(_point_value(expr, atom.point(k), k))
         else:
             raise NotSupported(
                 "direct enumeration only covers countable supports")
@@ -311,9 +304,9 @@ def _brute_integral(f: PiecewiseFunction) -> HPair:
     return HPair.of(0, total)
 
 
-def _point_value(expr, index) -> Fraction:
-    if isinstance(expr, Const):
-        return expr.value
+def _point_value(expr, x, index) -> Fraction:
+    if isinstance(expr, Poly):
+        return expr.value_at(x)
     if index is None:
         raise NotSupported("series values need sequence indices")
     return expr.series.term(index - 1)

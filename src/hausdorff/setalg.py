@@ -26,8 +26,7 @@ from typing import Iterable, Optional
 from ._numeric import (_ITER_GUARD, Rational, coprime_base, geo_steps,
                        pow_interval, power_base, power_index)
 from .config import get_config
-from .errors import (NotRepresentable, NotSupported, TooLarge,
-                     ValidationError)
+from .errors import NotRepresentable, TooLarge, ValidationError
 from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, ZERO_PAIR,
                      Dimension, ExtReal, HPair, ext_sum, hpair_add,
                      top_terms)
@@ -1179,10 +1178,8 @@ def _seq_minus(x: CountableSeq, y: Atom) -> list:
         if kind == "finite":
             return [_delete_commons(x, y, map(x.point, data))]
         start = data
-    elif isinstance(y, CantorAffine):
+    else:  # a Cantor copy
         return [_delete_commons(x, y, _seq_cantor_commons(x, y))]
-    else:
-        raise NotSupported(f"difference against {type(y).__name__}")
     # the whole tail of x is removed; only a finite head remains
     head, rescued = _tail_split(x, start, y)
     return _point_atoms(head + rescued)
@@ -1197,16 +1194,15 @@ def _interval_minus(x: Interval, y: Atom) -> list:
         return [_delete_commons(x, y, map(y.point, data))]
     if isinstance(y, Interval):
         return _interval_minus_interval(x, y)
-    if isinstance(y, CantorAffine):
-        covered, _ = _ca_partition(x, y)
-        hits = []
-        for piece in covered:
-            if isinstance(piece, CantorAffine):
-                raise NotRepresentable(
-                    "an interval minus a Cantor copy is not a catalog set")
-            hits.extend(piece.points)
-        return [x.with_deletions(hits)]
-    raise NotSupported(f"difference against {type(y).__name__}")
+    # y is a Cantor copy
+    covered, _ = _ca_partition(x, y)
+    hits = []
+    for piece in covered:
+        if isinstance(piece, CantorAffine):
+            raise NotRepresentable(
+                "an interval minus a Cantor copy is not a catalog set")
+        hits.extend(piece.points)
+    return [x.with_deletions(hits)]
 
 
 def _interval_minus_interval(x: Interval, y: Interval) -> list:
@@ -1230,19 +1226,18 @@ def _interval_minus_interval(x: Interval, y: Interval) -> list:
 def _cantor_minus(x: CantorAffine, y: Atom) -> list:
     if isinstance(y, CountableSeq):
         return [_delete_commons(x, y, _seq_cantor_commons(y, x))]
-    if isinstance(y, (Interval, CantorAffine)):
-        common, x_only = _ca_partition(y, x)
-        extra = set()
-        for piece in common:
-            if isinstance(piece, FinitePoints):
-                extra |= {p for p in piece.points
-                          if x.member(p) and not y.member(p)}
-            else:
-                # a shared sub-copy: positions deleted from y survive in x
-                extra |= {d for d in y.deletions
-                          if piece.member(d) and x.member(d)}
-        return x_only + _point_atoms(extra)
-    raise NotSupported(f"difference against {type(y).__name__}")
+    # y is an interval or a Cantor copy
+    common, x_only = _ca_partition(y, x)
+    extra = set()
+    for piece in common:
+        if isinstance(piece, FinitePoints):
+            extra |= {p for p in piece.points
+                      if x.member(p) and not y.member(p)}
+        else:
+            # a shared sub-copy: positions deleted from y survive in x
+            extra |= {d for d in y.deletions
+                      if piece.member(d) and x.member(d)}
+    return x_only + _point_atoms(extra)
 
 
 # ---------------------------------------------------------------------------

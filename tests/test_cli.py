@@ -56,6 +56,12 @@ def test_integrate_step(capsys):
     assert code == 0 and out == "(1, 1)\n"
 
 
+def test_integrate_constant_poly_on_cantor(capsys):
+    doc = '{"terms": [{"set": {"cantor": {}}, "expr": {"poly": [3]}}]}'
+    code, out, _ = run(capsys, "integrate", doc)
+    assert code == 0 and out == "(log(2)/log(3), 3)\n"
+
+
 def test_integrate_on_region(capsys):
     code, out, _ = run(capsys, "integrate", STEP, "--on", '{"interval": [0, "1/2"]}')
     assert code == 0 and out == "(1, 1/2)\n"

@@ -9,8 +9,12 @@ import pytest
 from hausdorff.checks import _rand_cells, _rand_function, _rand_set
 from hausdorff.deficiency import ConvexPolygon, PlanarSet, Points2D, Segment
 from hausdorff.docio import pair_payload, parse_document, print_document
-from hausdorff.errors import ParseError, ValidationError
-from hausdorff.hintegral import ALL_REALS, Const, PiecewiseFunction, Poly, SeriesValues
+from hausdorff.errors import HausdorffError, ParseError, ValidationError
+from hausdorff.hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
+                                 SeriesValues, _signed_part, add, h_integral,
+                                 support)
+from hausdorff.metrics import d_H
+from hausdorff.oracle import quadrature
 from hausdorff.hvalue import DIM_CANTOR, FiniteList, Geometric, HPair, PSeries
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet, diff)
@@ -226,3 +230,74 @@ def test_pair_payload_renders_exactly():
     p = HPair.of(DIM_CANTOR, 1)
     assert pair_payload(p) == {"d": "log(2)/log(3)", "m": "1"}
     assert json.loads(print_document(p)) == {"d": "log(2)/log(3)", "m": "1"}
+
+
+# -- one expression for a constant ---------------------------------------------
+
+def _term_doc(atom_doc, expr_doc):
+    return json.dumps({"terms": [{"set": atom_doc, "expr": expr_doc}]})
+
+
+def test_a_constant_is_the_degree_zero_poly_on_every_atom():
+    for atom_doc in ({"cantor": {}}, {"points": [0, 1]},
+                     {"seq": {"kind": "harmonic", "a": 0, "b": 1}}):
+        as_poly = parse_document(_term_doc(atom_doc, {"poly": [3]}))
+        assert as_poly == parse_document(_term_doc(atom_doc, {"const": 3}))
+        assert json.loads(print_document(as_poly))["terms"][0]["expr"] \
+            == {"const": "3"}
+    cantor = parse_document(_term_doc({"cantor": {}}, {"poly": [3]}))
+    assert h_integral(cantor).render() == "(log(2)/log(3), 3)"
+    with pytest.raises(ValidationError,
+                       match="polynomial terms live on interval atoms only"):
+        parse_document(_term_doc({"cantor": {}}, {"poly": [3, 1]}))
+
+
+def _respell(node, rng):
+    """The same document with each constant spelled at random as const or
+    as a one-coefficient poly, and each finite value list padded with
+    zeros."""
+    if isinstance(node, list):
+        return [_respell(v, rng) for v in node]
+    if not isinstance(node, dict):
+        return node
+    if set(node) == {"const"} and rng.random() < 0.5:
+        return {"poly": [node["const"]]}
+    if node.get("kind") == "finite":
+        node = dict(node, values=node["values"] + [0] * rng.randrange(1, 4))
+    return {k: _respell(v, rng) for k, v in node.items()}
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except HausdorffError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _answers(f, others, regions):
+    out = [support(f), _outcome(_signed_part, f),
+           _outcome(quadrature, f, Interval(-4, 6), 8)]
+    out += [_outcome(h_integral, f, r) for r in regions]
+    out += [_outcome(lambda g: d_H(f, g).value, g) for g in others]
+    return out
+
+
+def test_respelling_constants_and_padding_values_changes_no_answer():
+    rng = random.Random(2020)
+    done = 0
+    while done < 40:
+        f = _rand_function(rng, _rand_cells(rng))
+        if rng.random() < 0.5:
+            # sums cancel polynomial terms down to constants
+            try:
+                f = add(f, _rand_function(rng, _rand_cells(rng)))
+            except HausdorffError:
+                continue
+        text = json.dumps(_respell(json.loads(print_document(f)), rng))
+        g = parse_document(text)
+        assert g == f
+        assert print_document(g) == print_document(f)
+        others = [_rand_function(rng, _rand_cells(rng)) for _ in range(2)]
+        regions = [ALL_REALS, _rand_set(rng, _rand_cells(rng))]
+        assert _answers(g, others, regions) == _answers(f, others, regions)
+        done += 1

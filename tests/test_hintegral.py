@@ -28,6 +28,7 @@ from hausdorff.hintegral import (_combined_terms, _domain_union, _int_coeffs,
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, Dimension,
                               FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
+from hausdorff.metrics import d_H
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet, _hulls_meet, diff,
                               hmeasure, intersect, normalize, union)
@@ -810,8 +811,8 @@ def test_verify_nonneg_poly_by_root_isolation():
 def ref_verify_nonneg(f, label="f"):
     """The per-expression-kind check verify_nonneg used to make."""
     for atom, expr in f.terms:
-        if isinstance(expr, Const):
-            if expr.value < 0:
+        if isinstance(expr, Poly) and expr.degree() == 0:
+            if expr.coeffs[0] < 0:
                 raise OrderNotVerified(f"{label} is negative on {atom!r}")
             continue
         if isinstance(expr, Poly):
@@ -1154,6 +1155,29 @@ def test_random_pos_neg_decomposition():
             assert f.value_at(x) == fp.value_at(x) + fn.value_at(x)
         done += 1
     assert done == 60
+
+
+def test_functions_equal_up_to_spelling_compare_equal():
+    # the constant left when polynomial terms cancel is the constant
+    f = indicator(RepSet.of(Interval(0, 1)))
+    g = add(on([(Interval(0, 1), Poly([0, 1]))]),
+            on([(Interval(0, 1), Poly([1, -1]))]))
+    assert f == g
+    assert d_H(f, g).value == pair(0, 0)
+    assert Alternating(f, g).limit_function() == f
+    report = beppo_levi_limit(Alternating(f, g))
+    assert report.agrees and not report.signed
+    assert beppo_levi_limit(ConstantSeq(g)).agrees
+
+
+def test_finite_values_that_cancel_compare_equal():
+    seq = CountableSeq(HARMONIC, 0, 1)
+    total = add(on([(seq, SeriesValues(FiniteList([1, 2])))]),
+                on([(seq, SeriesValues(FiniteList([0, -2])))]))
+    want = on([(seq, SeriesValues(FiniteList([1])))])
+    assert total == want
+    assert d_H(total, want).value == pair(0, 0)
+    assert Alternating(total, want).limit_function() == want
 
 
 def test_countable_support_resummation():
