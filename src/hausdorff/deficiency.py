@@ -8,6 +8,7 @@ size), distance from evenness, and, for finite planar scenes, distance
 from convexity.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -39,79 +40,65 @@ PAIR_ZERO = HPair.of(0, 0)
 # ---------------------------------------------------------------------------
 # oscillation
 
-def _reject_cantor(f: PiecewiseFunction, op: str) -> None:
+def _limits(f: PiecewiseFunction, op: str, at: Iterable = ()) -> dict:
+    """{x: (f(x), left limits, right limits)} in increasing x, at every
+    point where f can fail to be continuous and at the points of `at`.
+
+    Those points are finitely many: piece endpoints, deleted points,
+    point atoms and sequence accumulation points.  The points of a
+    sequence are left to the callers, since there are infinitely many.
+    A limit from one side is the value of the interval piece covering
+    that side, or the ambient zero when none does, together with the
+    limit of every sequence piece accumulating at x from that side.
+
+    The pieces are disjoint, so an interval holds or covers a side of
+    one of those points only at its own endpoints and deleted points:
+    each term writes only at its own points, the points of `at` and, for
+    a sequence, the points inside its hull.
+    """
+    points = set()
     for atom, _ in f.terms:
         if isinstance(atom, CantorAffine):
             raise NotRepresentable(
                 f"{op}: a Cantor piece is discontinuous at uncountably "
                 "many points, outside the supported class")
-
-
-def _discontinuity_candidates(f: PiecewiseFunction) -> list:
-    """Finitely many points where a piecewise function can fail to be
-    continuous: piece endpoints, deleted points, isolated value points,
-    and sequence accumulation points.  Points interior to a sequence are
-    handled separately because there are infinitely many of them."""
-    cands = set()
-    for atom, _ in f.terms:
         if isinstance(atom, Interval):
-            if atom.lo is not None:
-                cands.add(atom.lo)
-            if atom.hi is not None:
-                cands.add(atom.hi)
-            cands.update(atom.deletions)
+            points |= {atom.lo, atom.hi, *atom.deletions} - {None}
         elif isinstance(atom, FinitePoints):
-            cands.update(atom.points)
-        elif isinstance(atom, CountableSeq):
-            cands.add(atom.a)
-    return sorted(cands)
-
-
-def _one_side_values(f: PiecewiseFunction, x: Fraction, right: bool) -> set:
-    """All limit values of f along sequences approaching x from one side.
-
-    An interval piece covering that side contributes its polynomial
-    value; a sequence accumulating at x from that side contributes the
-    limit of its value series.  Ambient zero appears whenever the side
-    is not entirely covered by an interval piece.
-    """
-    vals = set()
-    covered = False
+            points.update(atom.points)
+        else:
+            points.add(atom.a)
+    at = {Fraction(x) for x in at}
+    keys = sorted(points | at)
+    value = dict.fromkeys(keys, ZERO)
+    cover = {x: [ZERO, ZERO] for x in keys}
+    tails = {x: (set(), set()) for x in keys}
     for atom, expr in f.terms:
         if isinstance(atom, Interval):
             lo, hi = atom.lo, atom.hi
-            if right:
-                touches = (lo is None or lo <= x) and (hi is None or hi > x)
-            else:
-                touches = (lo is None or lo < x) and (hi is None or hi >= x)
-            if touches:
-                covered = True
-                vals.add(expr.value_at(x))
-        elif isinstance(atom, CountableSeq):
-            if atom.a == x and (atom.b > 0) == right:
-                vals.update(_tail_limits(expr))
-    if not covered:
-        vals.add(ZERO)
-    return vals
-
-
-def _tail_limits(expr: Expression) -> set:
-    # every catalog series decays, so only constant values survive
-    if isinstance(expr, Poly):
-        return {expr.coeffs[0]}
-    return {ZERO}
-
-
-def _cluster(f: PiecewiseFunction, x: Fraction) -> set:
-    """The limit values of f(x_n) over sequences x_n -> x, x_n allowed to
-    sit still: f(x) and the limits from either side."""
-    return ({f.value_at(x)} | _one_side_values(f, x, right=True)
-            | _one_side_values(f, x, right=False))
-
-
-def _omega_at(f: PiecewiseFunction, x: Fraction) -> Fraction:
-    cluster = _cluster(f, x)
-    return max(cluster) - min(cluster)
+            for x in at | ({lo, hi, *atom.deletions} - {None}):
+                v = expr.value_at(x)
+                if atom.member(x):
+                    value[x] = v
+                if (lo is None or lo < x) and (hi is None or hi >= x):
+                    cover[x][0] = v
+                if (lo is None or lo <= x) and (hi is None or hi > x):
+                    cover[x][1] = v
+        elif isinstance(atom, FinitePoints):
+            for x in atom.points:
+                value[x] = expr.value_at(x)
+        else:
+            lo, hi = atom.hull()
+            for x in keys[bisect_left(keys, lo):bisect_right(keys, hi)]:
+                if atom.member(x):
+                    value[x] = _value_on(atom, expr, x)
+            # every catalog series decays, so only a constant value
+            # survives; the points lie on the side of a that b points to
+            tail = expr.coeffs[0] if isinstance(expr, Poly) else ZERO
+            tails[atom.a][atom.b > 0].add(tail)
+    return {x: (value[x], {cover[x][0]} | tails[x][0],
+                {cover[x][1]} | tails[x][1])
+            for x in keys}
 
 
 def _abs_expression(expr: Expression) -> Expression:
@@ -138,14 +125,7 @@ class OscillationProfile:
         return not self.point_values and not self.seq_values
 
     def omega_at(self, x: Rational) -> Fraction:
-        x = Fraction(x)
-        for p, w in self.point_values:
-            if p == x:
-                return w
-        for atom, expr in self.seq_values:
-            if atom.member(x):
-                return _value_on(atom, expr, x)
-        return ZERO
+        return self.as_function().value_at(x)
 
     def as_function(self) -> PiecewiseFunction:
         by_value = {}
@@ -163,11 +143,10 @@ def oscillation(f: PiecewiseFunction) -> OscillationProfile:
     Supported class: interval, point, and sequence pieces.  Cantor
     pieces oscillate on an uncountable set and are rejected.
     """
-    _reject_cantor(f, "oscillation")
-    cands = _discontinuity_candidates(f)
     points = []
-    for x in cands:
-        w = _omega_at(f, x)
+    for x, (value, left, right) in _limits(f, "oscillation").items():
+        cluster = {value} | left | right
+        w = max(cluster) - min(cluster)
         if w != 0:
             points.append((x, w))
     seq_entries = []
@@ -204,15 +183,12 @@ def defi_continuity_dist(f: PiecewiseFunction) -> HPair:
             raise NotSupported(
                 "repair distance needs finitely many discontinuities; "
                 "a sequence piece has infinitely many")
-    _reject_cantor(f, "repair distance")
     total = ZERO
-    for x in _discontinuity_candidates(f):
-        left = _one_side_values(f, x, right=False)
-        right = _one_side_values(f, x, right=True)
-        l, r = left.pop(), right.pop()
+    # with no sequence piece, each side has the one limit
+    for value, (l,), (r,) in _limits(f, "repair distance").values():
         if l != r:
             return HPair.of(1, 0)
-        total += abs(f.value_at(x) - l)
+        total += abs(value - l)
     return HPair.of(0, total)
 
 
@@ -222,21 +198,22 @@ def defi_continuity_dist(f: PiecewiseFunction) -> HPair:
 def cluster_set(f: PiecewiseFunction, x: Rational) -> RepSet:
     """All limit values of f(x_n) over sequences x_n -> x, x_n allowed to
     sit still.  Finite for the supported class, hence a point set."""
-    _reject_cantor(f, "cluster sets")
-    return RepSet.of(FinitePoints(_cluster(f, Fraction(x))))
+    table = _limits(f, "cluster sets", (x,))
+    value, left, right = table[Fraction(x)]
+    return RepSet.of(FinitePoints({value} | left | right))
 
 
 def defi_continuity_cluster(f: PiecewiseFunction) -> HPair:
     """(0, sup_x |cluster set at x|): 1 for continuous f, larger values
     count the distinct limits a worst point admits."""
-    _reject_cantor(f, "cluster sets")
     best = 1
-    for x in _discontinuity_candidates(f):
-        best = max(best, len(_cluster(f, x)))
-    for atom, expr in f.terms:
+    for value, left, right in _limits(f, "cluster sets").values():
+        best = max(best, len({value} | left | right))
+    for atom, _ in f.terms:
         # an interior sequence point with a nonzero value clusters to
-        # both that value and the ambient zero
-        if isinstance(atom, CountableSeq) and not expr.is_zero():
+        # both that value and the ambient zero; zero terms are dropped
+        # on construction
+        if isinstance(atom, CountableSeq):
             best = max(best, 2)
     return HPair.of(0, best)
 

@@ -458,6 +458,9 @@ def _live_piece(piece: Atom, expr: Expression, origin: Atom):
 
 
 def _piece_measure(piece: Atom, expr: Expression, origin: Atom) -> ExtReal:
+    # a constant weighs the piece, point by point included, in one step
+    if isinstance(expr, Poly) and expr.degree() == 0:
+        return piece.mu().scale(expr.coeffs[0])
     if isinstance(piece, FinitePoints):
         return ExtReal.of(sum((_value_on(origin, expr, x)
                                for x in piece.points), Fraction(0)))
@@ -465,8 +468,6 @@ def _piece_measure(piece: Atom, expr: Expression, origin: Atom) -> ExtReal:
         removed = sum((_value_on(origin, expr, x) for x in piece.deletions),
                       Fraction(0))
         return expr.series.sum() - ExtReal.of(removed)
-    if expr.degree() == 0:
-        return piece.mu().scale(expr.coeffs[0])
     anti = expr.antiderivative()
     lo, hi = piece.hull()
     return _anti_at(anti, hi, +1) - _anti_at(anti, lo, -1)
@@ -1082,8 +1083,12 @@ class Alternating(FunctionSeq):
             ConstantTail(h_integral(self.first)),
             ConstantTail(h_integral(self.second)))))
 
+    def _settles(self) -> bool:
+        # equal functions may be spelled with different pieces
+        return add(self.first, scalar_mul(-1, self.second)).is_zero()
+
     def limit_function(self):
-        if self.first == self.second:
+        if self._settles():
             return self.first
         raise DoesNotConverge("the terms alternate without settling")
 
@@ -1091,7 +1096,7 @@ class Alternating(FunctionSeq):
         return _certified_nonneg(self.first, self.second)
 
     def nondecreasing(self):
-        return self.first == self.second
+        return self._settles()
 
 
 @dataclass(frozen=True)

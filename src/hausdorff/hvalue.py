@@ -501,11 +501,6 @@ class CoefficientSeries:
         None when signs are mixed."""
         raise NotImplementedError
 
-    def remainders(self) -> Optional["CoefficientSeries"]:
-        """Series whose i-th term is sum of terms after index i, or None
-        when that tail has no closed form in the catalog."""
-        return None
-
 
 @dataclass(frozen=True)
 class FiniteList(CoefficientSeries):
@@ -543,14 +538,6 @@ class FiniteList(CoefficientSeries):
         if all(v <= 0 for v in self.values):
             return -1
         return None
-
-    def remainders(self):
-        total = sum(self.values, Fraction(0))
-        acc, out = total, []
-        for v in self.values:
-            acc -= v
-            out.append(acc)
-        return FiniteList(out)
 
 
 @dataclass(frozen=True)
@@ -594,7 +581,8 @@ class Geometric(CoefficientSeries):
             return 1 if self.a > 0 else -1
         return None
 
-    def remainders(self):
+    def remainders(self) -> "Geometric":
+        """The series whose i-th term sums the terms after index i."""
         return Geometric(self.a * self.r / (1 - self.r), self.r)
 
 
@@ -639,12 +627,6 @@ class PSeries(CoefficientSeries):
         if self.p <= 1:
             return POS_INF if self.c > 0 else NEG_INF
         return ExtReal.interval(zeta_interval(self.p, get_config().precision_bits) * self.c)
-
-    def partial_sum(self, n: int) -> Fraction:
-        if self.p.denominator != 1:
-            raise NotSupported("fractional-power partial sums are irrational")
-        return sum((self.c / Fraction(i) ** self.p for i in range(1, n + 1)),
-                   Fraction(0))
 
     def scale(self, k):
         return PSeries(self.c * Fraction(k), self.p)

@@ -307,8 +307,6 @@ def _brute_integral(f: PiecewiseFunction) -> HPair:
 def _point_value(expr, x, index) -> Fraction:
     if isinstance(expr, Poly):
         return expr.value_at(x)
-    if index is None:
-        raise NotSupported("series values need sequence indices")
     return expr.series.term(index - 1)
 
 

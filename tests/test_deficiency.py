@@ -156,6 +156,158 @@ def test_sequence_points_cluster_against_the_ambient():
     assert defi_continuity_cluster(g) == pair(0, 2)
 
 
+def test_cantor_refusals_name_the_entry_point():
+    dust = PiecewiseFunction([(Interval(None, -1), Const(1)),
+                              (CantorAffine(0, 1), Const(2))])
+    tail = ("a Cantor piece is discontinuous at uncountably many points, "
+            "outside the supported class")
+    for call, op in ((oscillation, "oscillation"),
+                     (defi_continuity_osc, "oscillation"),
+                     (defi_continuity_dist, "repair distance"),
+                     (defi_continuity_cluster, "cluster sets"),
+                     (lambda f: cluster_set(f, 5), "cluster sets")):
+        with pytest.raises(NotRepresentable) as err:
+            call(dust)
+        assert str(err.value) == f"{op}: {tail}"
+
+
+def test_repair_distance_refuses_a_sequence_before_a_cantor_piece():
+    f = PiecewiseFunction([(CantorAffine(0, 1), Const(2)),
+                           (CountableSeq(HARMONIC, 3, 1), Const(1))])
+    with pytest.raises(NotSupported) as err:
+        defi_continuity_dist(f)
+    assert str(err.value) == ("repair distance needs finitely many "
+                              "discontinuities; a sequence piece has "
+                              "infinitely many")
+
+
+# ---------------------------------------------------------------------------
+# the limit table against the scan it replaced: every candidate point
+# scanned every term, once for its value and once for each side
+
+def ref_candidates(f):
+    cands = set()
+    for atom, _ in f.terms:
+        if isinstance(atom, Interval):
+            cands |= {atom.lo, atom.hi, *atom.deletions} - {None}
+        elif isinstance(atom, FinitePoints):
+            cands.update(atom.points)
+        elif isinstance(atom, CountableSeq):
+            cands.add(atom.a)
+    return sorted(cands)
+
+
+def ref_one_side(f, x, right):
+    vals = set()
+    covered = False
+    for atom, expr in f.terms:
+        if isinstance(atom, Interval):
+            lo, hi = atom.lo, atom.hi
+            if right:
+                touches = (lo is None or lo <= x) and (hi is None or hi > x)
+            else:
+                touches = (lo is None or lo < x) and (hi is None or hi >= x)
+            if touches:
+                covered = True
+                vals.add(expr.value_at(x))
+        elif isinstance(atom, CountableSeq):
+            if atom.a == x and (atom.b > 0) == right:
+                vals.add(expr.coeffs[0] if isinstance(expr, Poly) else F(0))
+    if not covered:
+        vals.add(F(0))
+    return vals
+
+
+def ref_cluster(f, x):
+    return ({f.value_at(x)} | ref_one_side(f, x, right=True)
+            | ref_one_side(f, x, right=False))
+
+
+def _rand_touching(rng):
+    """Pieces on a half-integer grid that share endpoints: intervals
+    (unbounded at either end, with deleted endpoints or midpoints)
+    carrying polynomials, sequences accumulating at a cut from either
+    side, and point atoms on cuts and deleted midpoints.  A cut is owned
+    by at most one piece, so the pieces are disjoint by construction."""
+    cuts = sorted(rng.sample([F(k, 2) for k in range(-8, 9)],
+                             rng.randint(2, 5)))
+    gaps = list(zip(cuts, cuts[1:]))
+    if rng.random() < 0.3:
+        gaps.insert(0, (None, cuts[0]))
+    if rng.random() < 0.3:
+        gaps.append((cuts[-1], None))
+    terms, owned, free = [], set(), set(cuts)
+    for lo, hi in gaps:
+        kind = rng.choice("IIS.")
+        if kind == "I":
+            ends = {lo, hi} - {None}
+            dels = {e for e in ends if e in owned or rng.random() < 0.4}
+            if None not in (lo, hi) and rng.random() < 0.4:
+                dels.add((lo + hi) / 2)
+                free.add((lo + hi) / 2)
+            owned |= ends - dels
+            coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+            terms.append((Interval(lo, hi, dels), Poly(coeffs)))
+        elif kind == "S" and None not in (lo, hi):
+            # a step of the whole gap puts the first point on a cut
+            step = (hi - lo) / rng.choice([1, 2, 3])
+            a, b = (lo, step) if rng.random() < 0.5 else (hi, -step)
+            if a + b in owned:
+                continue
+            owned.add(a + b)
+            if rng.random() < 0.5:
+                seq = CountableSeq(HARMONIC, a, b)
+            else:
+                seq = CountableSeq(GEOMETRIC, a, b, F(1, 2))
+            expr = rng.choice([Const(rng.choice([-2, 1, 3])),
+                               SeriesValues(Geometric(1, F(1, 2))),
+                               SeriesValues(FiniteList([2, -1]))])
+            terms.append((seq, expr))
+    for x in sorted(free - owned):
+        if rng.random() < 0.5:
+            terms.append((FinitePoints([x]), Const(rng.choice([-1, 2, 5]))))
+    return PiecewiseFunction(terms)
+
+
+def test_limit_table_matches_the_scan():
+    rng = random.Random(2111)
+    for _ in range(300):
+        f = _rand_touching(rng)
+        cands = ref_candidates(f)
+        points = [(x, max(c) - min(c))
+                  for x, c in ((x, ref_cluster(f, x)) for x in cands)]
+        points = tuple((x, w) for x, w in points if w != 0)
+        prof = oscillation(f)
+        assert prof.point_values == points
+        seqs = tuple(atom.with_deletions(x for x, _ in points)
+                     for atom, _ in f.terms
+                     if isinstance(atom, CountableSeq))
+        assert tuple(atom for atom, _ in prof.seq_values) == seqs
+        has_seq = bool(seqs)
+        best = max([1] + [len(ref_cluster(f, x)) for x in cands])
+        assert defi_continuity_cluster(f) == pair(0, max(best, 2 * has_seq))
+        if not has_seq:
+            limits = [(f.value_at(x), ref_one_side(f, x, False).pop(),
+                       ref_one_side(f, x, True).pop()) for x in cands]
+            if any(left != right for _, left, right in limits):
+                want = pair(1, 0)
+            else:
+                want = pair(0, sum(abs(v - left) for v, left, _ in limits))
+            assert defi_continuity_dist(f) == want
+        # the seq points, a grid off the cuts and the cuts themselves
+        probes = cands + [F(rng.randint(-40, 40), 4) for _ in range(4)]
+        probes += [atom.point(k) for atom, _ in f.terms
+                   if isinstance(atom, CountableSeq) for k in (1, 2)]
+        for x in probes:
+            assert cluster_set(f, x) == RepSet.of(
+                FinitePoints(ref_cluster(f, x)))
+            want = dict(points).get(x)
+            if want is None:
+                want = abs(f.value_at(x)) if any(
+                    atom.member(x) for atom, _ in prof.seq_values) else 0
+            assert prof.omega_at(x) == want
+
+
 # ---------------------------------------------------------------------------
 # evenness
 

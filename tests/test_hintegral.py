@@ -976,6 +976,32 @@ def test_fatou_alternating_refuses():
         fatou_check(alt)
 
 
+# -- work ---------------------------------------------------------------------
+
+def test_constant_on_points_is_weighed_by_count(monkeypatch):
+    # one value is read to see the piece is live, none to weigh it
+    import hausdorff.hintegral as hi
+    reads = []
+
+    def counted(origin, expr, x):
+        reads.append(x)
+        return real(origin, expr, x)
+
+    real = hi._value_on
+    monkeypatch.setattr(hi, "_value_on", counted)
+    for n in (10, 2000):
+        reads.clear()
+        f = indicator(RepSet.of(FinitePoints(range(n))), F(3, 7))
+        assert h_integral(f) == pair(0, F(3 * n, 7))
+        assert len(reads) <= 1
+    # a sequence cut to finitely many points by the region
+    reads.clear()
+    f = on([(HARM, Const(2))])
+    cut = RepSet.of(Interval(F(1, 500), 1))
+    assert h_integral(f, cut) == pair(0, 1000)
+    assert len(reads) <= 1
+
+
 # -- construction validation ------------------------------------------------
 
 def test_function_validation():
@@ -1168,6 +1194,25 @@ def test_functions_equal_up_to_spelling_compare_equal():
     report = beppo_levi_limit(Alternating(f, g))
     assert report.agrees and not report.signed
     assert beppo_levi_limit(ConstantSeq(g)).agrees
+
+
+def test_alternating_between_spellings_of_one_function_settles():
+    # unequal terms, one function: the alternation has a limit
+    f = indicator(RepSet.of(Interval(0, 1)))
+    g = on([(Interval(0, F(1, 2)), Const(1)),
+            (Interval(F(1, 2), 1, deletions=[F(1, 2)]), Const(1))])
+    assert f != g
+    assert d_H(f, g).value == pair(0, 0)
+    assert Alternating(f, g).limit_function() == f
+    report = beppo_levi_limit(Alternating(f, g))
+    assert report.agrees and not report.signed
+
+
+def test_alternating_passes_on_a_refused_difference():
+    f = indicator(RepSet.of(CantorAffine(0, 1)))
+    g = indicator(RepSet.of(CantorAffine(F(1, 4), 1)))
+    with pytest.raises(NotRepresentable):
+        Alternating(f, g).limit_function()
 
 
 def test_finite_values_that_cancel_compare_equal():

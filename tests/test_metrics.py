@@ -573,6 +573,14 @@ def test_perturbation_indices_match_the_stepping_loop(ratio):
                 assert seq.cauchy_index(eps) == ref_cauchy_index(tail, eps)
 
 
+def test_slow_prefix_certificate_weighs_its_points_by_count():
+    # each term carries 11,661 points of one value with ~35,000 digits
+    seq = PrefixPerturbation(indicator(I01), CountableSeq(HARMONIC, 5, 1),
+                             1, F(999, 1000))
+    _, cert = riesz_fischer_check(seq, [F(1, 10)])
+    assert cert.entries == ((F(1, 10), 11661),)
+
+
 def test_slow_ratio_certificate_takes_bounded_work():
     # the index for 10^-6 is 13,809: stepping n by one costs minutes
     seq = PointPerturbation(indicator(I01), 5, 1, F(999, 1000))
