@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .config import DEFAULT_SEED, SUITE_NAMES
 from .errors import (MonotonicityViolated, NoLimitFound, NotInLH,
                      NotRepresentable, OrderNotVerified, ValidationError)
 from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_TWO, DIM_ZERO, ConstantTail,
@@ -33,8 +34,6 @@ from .metrics import (AlternatingFunctionSeq, ConstantFunctionSeq,
                       DEFAULT_SCHEDULE, PointPerturbation,
                       PrefixPerturbation, dH_pairs, d_H, d_s, is_cauchy,
                       riesz_fischer_check, triangle_ok)
-
-DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True)
@@ -731,15 +730,10 @@ def check_pinned_examples(seed: int = DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 # registry
 
-SUITES = {
-    "pair-algebra": check_pair_algebra,
-    "set-metric": check_set_metric,
-    "integral-laws": check_integral_laws,
-    "beppo-levi": check_beppo_levi,
-    "fatou": check_fatou,
-    "riesz-fischer": check_riesz_fischer,
-    "paper-examples": check_pinned_examples,
-}
+SUITES = dict(zip(SUITE_NAMES, (check_pair_algebra, check_set_metric,
+                                 check_integral_laws, check_beppo_levi,
+                                 check_fatou, check_riesz_fischer,
+                                 check_pinned_examples), strict=True))
 
 
 def suite_names():

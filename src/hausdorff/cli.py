@@ -3,6 +3,9 @@
 Documents are JSON (see docio); results print as dimension-measure
 pairs, either human-readable or as JSON with --json. Exit codes: 0
 success, 1 domain error, 2 parse error, 3 a check suite failed.
+
+Each subcommand imports the layers it runs when it runs, so a set
+measure loads neither the integral nor the check suites.
 """
 
 from __future__ import annotations
@@ -15,19 +18,9 @@ import sys
 from dataclasses import asdict
 
 from ._numeric import parse_rational, render_rational
-from .checks import DEFAULT_SEED, all_passed, run_suite, suite_names
-from .config import get_config, set_config, update_config
-from .deficiency import (PlanarSet, Points2D, Segment, convex_hull,
-                         defi_continuity_cluster, defi_continuity_dist,
-                         defi_continuity_osc, defi_convex, defi_even,
-                         oscillation, planar_measure)
-from .docio import pair_payload, parse_document
+from .config import (DEFAULT_SEED, SUITE_NAMES, get_config, set_config,
+                     update_config)
 from .errors import HausdorffError, ParseError, ValidationError
-from .hintegral import PiecewiseFunction, h_integral
-from .hvalue import DIM_ZERO, Dimension
-from .metrics import d_H, d_s
-from .oracle import box_dim_estimate, premeasure_estimate, quadrature
-from .setalg import Interval, RepSet, hmeasure
 
 _CONFIG_ENV = "HAUSDORFF_CONFIG"
 _CONFIG_PATH = ("~", ".config", "hausdorff", "config.json")
@@ -78,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common],
                        help="run a bundled self-check suite")
-    p.add_argument("suite", choices=suite_names())
+    p.add_argument("suite", choices=SUITE_NAMES)
 
     p = sub.add_parser("estimate", parents=[common],
                        help="independent numerical estimates")
@@ -175,16 +168,19 @@ def _read_text(arg: str) -> str:
 
 
 def _document(arg: str):
+    from .docio import parse_document
     return parse_document(_read_text(arg))
 
 
-def _want_set(value, what: str) -> RepSet:
+def _want_set(value, what: str):
+    from .setalg import RepSet
     if not isinstance(value, RepSet):
         raise ValidationError(f"{what} must be a set document")
     return value
 
 
-def _want_function(value, what: str) -> PiecewiseFunction:
+def _want_function(value, what: str):
+    from .hintegral import PiecewiseFunction
     if not isinstance(value, PiecewiseFunction):
         raise ValidationError(f"{what} must be a function document "
                               "(an object with \"terms\")")
@@ -197,6 +193,7 @@ def _json_out() -> bool:
 
 def _emit_pair(pair, branch: str = "") -> str:
     if _json_out():
+        from .docio import pair_payload
         payload = pair_payload(pair)
         if branch:
             payload["branch"] = branch
@@ -229,7 +226,8 @@ def _parse_depths(text, default=(1, 10)):
     return list(range(lo, hi + 1))
 
 
-def _parse_dim(text) -> Dimension:
+def _parse_dim(text):
+    from .hvalue import Dimension
     if text is None:
         raise ValidationError("estimate premeasure needs --d <dimension>")
     m = re.fullmatch(r"\s*log\((\d+)\)\s*/\s*log\((\d+)\)\s*", text)
@@ -242,18 +240,23 @@ def _parse_dim(text) -> Dimension:
 # subcommands
 
 def _cmd_measure(args, seed) -> int:
+    from .setalg import RepSet, hmeasure
     doc = _document(args.document)
     if isinstance(doc, RepSet):
         print(_emit_pair(hmeasure(doc)))
-    elif isinstance(doc, PlanarSet):
-        print(_emit_pair(planar_measure(doc)))
-    else:
+        return 0
+    # a function or a planar scene: parsing either loaded the integral
+    from .hintegral import PiecewiseFunction
+    if isinstance(doc, PiecewiseFunction):
         raise ValidationError("measure wants a set or planar document; "
                               "use integrate for functions")
+    from .deficiency import planar_measure
+    print(_emit_pair(planar_measure(doc)))
     return 0
 
 
 def _cmd_integrate(args, seed) -> int:
+    from .hintegral import h_integral
     f = _want_function(_document(args.document), "integrate")
     if args.on is None:
         print(_emit_pair(h_integral(f)))
@@ -264,6 +267,7 @@ def _cmd_integrate(args, seed) -> int:
 
 
 def _cmd_distance(args, seed) -> int:
+    from .metrics import d_H, d_s
     left, right = _document(args.left), _document(args.right)
     if args.kind == "sets":
         value = d_s(_want_set(left, "left"), _want_set(right, "right"))
@@ -275,6 +279,8 @@ def _cmd_distance(args, seed) -> int:
 
 
 def _defi_branch(kind: str, doc, result) -> str:
+    from .deficiency import Points2D, Segment, convex_hull, oscillation
+    from .hvalue import DIM_ZERO
     if kind == "continuity-osc":
         profile = oscillation(doc)
         if profile.is_empty():
@@ -309,6 +315,9 @@ def _defi_branch(kind: str, doc, result) -> str:
 
 
 def _cmd_defi(args, seed) -> int:
+    from .deficiency import (PlanarSet, defi_continuity_cluster,
+                             defi_continuity_dist, defi_continuity_osc,
+                             defi_convex, defi_even)
     doc = _document(args.document)
     if args.kind == "convex":
         if not isinstance(doc, PlanarSet):
@@ -326,6 +335,7 @@ def _cmd_defi(args, seed) -> int:
 
 
 def _cmd_check(args, seed) -> int:
+    from .checks import all_passed, run_suite
     results = run_suite(args.suite, seed)
     ok = all_passed(results)
     if _json_out():
@@ -342,6 +352,8 @@ def _cmd_check(args, seed) -> int:
 
 
 def _cmd_estimate(args, seed) -> int:
+    from .oracle import box_dim_estimate, premeasure_estimate, quadrature
+    from .setalg import Interval
     if args.kind == "quad":
         f = _want_function(_document(args.document), "estimate quad")
         if args.on is None:

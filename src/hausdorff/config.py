@@ -1,10 +1,17 @@
-"""Runtime configuration shared by the comparison, set and CLI layers."""
+"""Runtime configuration shared by the comparison, set and CLI layers,
+and the names and default seed of the check suites."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
+
+# The command line reads these without loading the suites; checks.py
+# binds each name to its runner.
+SUITE_NAMES = ("pair-algebra", "set-metric", "integral-laws", "beppo-levi",
+               "fatou", "riesz-fischer", "paper-examples")
+DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True)

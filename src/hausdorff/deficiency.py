@@ -18,7 +18,8 @@ from .errors import NotRepresentable, NotSupported, ValidationError
 from .hvalue import DIM_ONE, DIM_TWO, ExtReal, HPair, Rational, ext_sum
 from .hintegral import (ALL_REALS, AllReals, Const, Expression,
                         PiecewiseFunction, Poly, Region, SeriesValues,
-                        _value_on, add, h_integral, scalar_mul)
+                        _support_pieces, _value_on, add, h_integral,
+                        scalar_mul)
 from .metrics import abs_integral
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
                      Interval, RepSet, meeting_pairs)
@@ -101,6 +102,24 @@ def _limits(f: PiecewiseFunction, op: str, at: Iterable = ()) -> dict:
             for x in keys}
 
 
+def _off_table(f: PiecewiseFunction, table: dict):
+    """(sequence piece less the points of table, its expression) for each
+    sequence term that is nonzero somewhere off the table.
+
+    Off the table a sequence point has the ambient zero on both sides, so
+    it oscillates by its |value| and clusters to {value, 0}; the table
+    already holds omega and the cluster set at its own points.
+    """
+    keys = list(table)  # increasing
+    for atom, expr in f.terms:
+        if isinstance(atom, CountableSeq):
+            lo, hi = atom.hull()
+            rest = atom.with_deletions(
+                keys[bisect_left(keys, lo):bisect_right(keys, hi)])
+            if _support_pieces(rest, expr):
+                yield rest, expr
+
+
 def _abs_expression(expr: Expression) -> Expression:
     # a sequence atom carries a constant or series values
     if isinstance(expr, Poly):
@@ -143,22 +162,16 @@ def oscillation(f: PiecewiseFunction) -> OscillationProfile:
     Supported class: interval, point, and sequence pieces.  Cantor
     pieces oscillate on an uncountable set and are rejected.
     """
+    table = _limits(f, "oscillation")
     points = []
-    for x, (value, left, right) in _limits(f, "oscillation").items():
+    for x, (value, left, right) in table.items():
         cluster = {value} | left | right
         w = max(cluster) - min(cluster)
         if w != 0:
             points.append((x, w))
-    seq_entries = []
-    for atom, expr in f.terms:
-        if not isinstance(atom, CountableSeq):
-            continue
-        # candidate points already carry their own omega entries
-        entry_atom = atom.with_deletions(x for x, _ in points)
-        if entry_atom.is_empty():
-            continue
-        seq_entries.append((entry_atom, _abs_expression(expr)))
-    return OscillationProfile(tuple(points), tuple(seq_entries))
+    seq_entries = tuple((rest, _abs_expression(expr))
+                        for rest, expr in _off_table(f, table))
+    return OscillationProfile(tuple(points), seq_entries)
 
 
 def defi_continuity_osc(f: PiecewiseFunction) -> HPair:
@@ -206,15 +219,11 @@ def cluster_set(f: PiecewiseFunction, x: Rational) -> RepSet:
 def defi_continuity_cluster(f: PiecewiseFunction) -> HPair:
     """(0, sup_x |cluster set at x|): 1 for continuous f, larger values
     count the distinct limits a worst point admits."""
-    best = 1
-    for value, left, right in _limits(f, "cluster sets").values():
-        best = max(best, len({value} | left | right))
-    for atom, _ in f.terms:
-        # an interior sequence point with a nonzero value clusters to
-        # both that value and the ambient zero; zero terms are dropped
-        # on construction
-        if isinstance(atom, CountableSeq):
-            best = max(best, 2)
+    table = _limits(f, "cluster sets")
+    best = max((len({value} | left | right)
+                for value, left, right in table.values()), default=1)
+    if any(_off_table(f, table)):
+        best = max(best, 2)
     return HPair.of(0, best)
 
 

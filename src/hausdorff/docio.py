@@ -5,6 +5,9 @@ numbers are integers or exact rational strings "p/q"; floats are
 rejected so no binary rounding sneaks into an exact pipeline.  Parsing
 gives back catalog values, printing emits a canonical document, and the
 two compose to the identity on every supported value.
+
+Set documents need only the set layer; the integral's and the planar
+layer load with the first function or planar document.
 """
 
 import json
@@ -14,16 +17,14 @@ from typing import Union
 from .errors import ParseError, ValidationError
 from ._numeric import parse_rational, render_rational
 from .hvalue import FiniteList, Geometric, HPair, PSeries
-from .hintegral import (ALL_REALS, AllReals, PiecewiseFunction, Poly,
-                        SeriesValues)
 from .setalg import (GEOMETRIC, HARMONIC, Atom, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet, diff)
-from .deficiency import ConvexPolygon, PlanarSet, Points2D, Segment
 
 __all__ = ["parse_document", "parse_set", "parse_function", "parse_planar",
            "print_document", "pair_payload", "Document"]
 
-Document = Union[RepSet, PiecewiseFunction, PlanarSet]
+# the function and planar classes load with their layers
+Document = Union[RepSet, "PiecewiseFunction", "PlanarSet"]
 
 
 def _fail(msg: str) -> ParseError:
@@ -135,22 +136,23 @@ def _parse_series(body, where: str):
     raise _fail(f"{where}: unknown series kind {kind!r}")
 
 
-def _parse_expr(node, where: str):
+def _parse_expr(node, where: str, hintegral):
     if not isinstance(node, dict) or len(node) != 1:
         raise _fail(f"{where}: expected one of poly/const/series")
     key, body = next(iter(node.items()))
     if key == "const":
-        return Poly((_rat(body, where),))
+        return hintegral.Poly((_rat(body, where),))
     if key == "poly":
         if not isinstance(body, list):
             raise _fail(f"{where}: poly takes a coefficient list")
-        return Poly(_rat(c, where) for c in body)
+        return hintegral.Poly(_rat(c, where) for c in body)
     if key == "series":
-        return SeriesValues(_parse_series(body, where))
+        return hintegral.SeriesValues(_parse_series(body, where))
     raise _fail(f"{where}: unknown expression {key!r}")
 
 
-def parse_function(node, where: str = "function") -> PiecewiseFunction:
+def parse_function(node, where: str = "function"):
+    from . import hintegral
     if not isinstance(node, dict) or "terms" not in node:
         raise _fail(f"{where}: expected an object with terms")
     raw_terms = node["terms"]
@@ -162,15 +164,15 @@ def parse_function(node, where: str = "function") -> PiecewiseFunction:
         if not isinstance(item, dict) or "set" not in item or "expr" not in item:
             raise _fail(f"{spot}: each term needs a set and an expr")
         carrier = parse_set(item["set"], spot + ".set")
-        expr = _parse_expr(item["expr"], spot + ".expr")
+        expr = _parse_expr(item["expr"], spot + ".expr", hintegral)
         for atom in carrier.atoms:
             terms.append((atom, expr))
     domain = node.get("domain", "all")
     if domain == "all":
-        region = ALL_REALS
+        region = hintegral.ALL_REALS
     else:
         region = parse_set(domain, where + ".domain")
-    return PiecewiseFunction(terms, domain=region)
+    return hintegral.PiecewiseFunction(terms, domain=region)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +184,8 @@ def _point2(node, where: str):
     return (_rat(node[0], where), _rat(node[1], where))
 
 
-def parse_planar(node, where: str = "planar") -> PlanarSet:
+def parse_planar(node, where: str = "planar"):
+    from .deficiency import ConvexPolygon, PlanarSet, Points2D, Segment
     if not isinstance(node, dict) or "planar" not in node:
         raise _fail(f"{where}: expected an object with a planar list")
     body = node["planar"]
@@ -272,30 +275,32 @@ def _series_payload(series):
     raise ValidationError(f"cannot serialize {series!r}")
 
 
-def _expr_payload(expr):
-    if isinstance(expr, Poly) and expr.degree() == 0:
+def _expr_payload(expr, hintegral):
+    if isinstance(expr, hintegral.Poly) and expr.degree() == 0:
         return {"const": render_rational(expr.coeffs[0])}
-    if isinstance(expr, Poly):
+    if isinstance(expr, hintegral.Poly):
         return {"poly": [render_rational(c) for c in expr.coeffs]}
-    if isinstance(expr, SeriesValues):
+    if isinstance(expr, hintegral.SeriesValues):
         return {"series": _series_payload(expr.series)}
     raise ValidationError(f"cannot serialize {expr!r}")
 
 
-def _function_payload(f: PiecewiseFunction):
-    terms = [{"set": _atom_payload(atom), "expr": _expr_payload(expr)}
+def _function_payload(f, hintegral):
+    terms = [{"set": _atom_payload(atom),
+              "expr": _expr_payload(expr, hintegral)}
              for atom, expr in f.terms]
-    domain = "all" if isinstance(f.domain, AllReals) else _set_payload(f.domain)
+    domain = ("all" if isinstance(f.domain, hintegral.AllReals)
+              else _set_payload(f.domain))
     return {"terms": terms, "domain": domain}
 
 
-def _planar_payload(scene: PlanarSet):
+def _planar_payload(scene, deficiency):
     docs = []
     for atom in scene.atoms:
-        if isinstance(atom, Points2D):
+        if isinstance(atom, deficiency.Points2D):
             docs.append({"points2d": [[render_rational(x), render_rational(y)]
                                       for x, y in atom.pts]})
-        elif isinstance(atom, Segment):
+        elif isinstance(atom, deficiency.Segment):
             docs.append({"segment": [[render_rational(atom.a[0]),
                                       render_rational(atom.a[1])],
                                      [render_rational(atom.b[0]),
@@ -309,12 +314,13 @@ def _planar_payload(scene: PlanarSet):
 def print_document(value) -> str:
     """Canonical JSON for a set, function, planar scene, or result pair;
     parse_document inverts it for the document types."""
+    from . import deficiency, hintegral
     if isinstance(value, RepSet):
         payload = _set_payload(value)
-    elif isinstance(value, PiecewiseFunction):
-        payload = _function_payload(value)
-    elif isinstance(value, PlanarSet):
-        payload = _planar_payload(value)
+    elif isinstance(value, hintegral.PiecewiseFunction):
+        payload = _function_payload(value, hintegral)
+    elif isinstance(value, deficiency.PlanarSet):
+        payload = _planar_payload(value, deficiency)
     elif isinstance(value, HPair):
         payload = pair_payload(value)
     else:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hausdorff
-from hausdorff import cli
+from hausdorff import checks, cli
 from hausdorff.checks import CheckResult
 from hausdorff.config import get_config
 
@@ -223,7 +223,7 @@ def test_help_exits_0(capsys):
 
 def test_failing_suite_exits_3(capsys, monkeypatch):
     stub = [CheckResult("stub law", False, trials=5, expected="a", actual="b")]
-    monkeypatch.setattr(cli, "run_suite", lambda name, seed: stub)
+    monkeypatch.setattr(checks, "run_suite", lambda name, seed: stub)
     code, out, _ = run(capsys, "check", "fatou")
     assert code == 3 and "FAIL" in out
 

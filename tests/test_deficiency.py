@@ -156,6 +156,32 @@ def test_sequence_points_cluster_against_the_ambient():
     assert defi_continuity_cluster(g) == pair(0, 2)
 
 
+def test_a_value_only_on_a_deleted_point_is_continuous():
+    # the one nonzero value sits on the deleted first point: f is 0
+    seq = CountableSeq(HARMONIC, 0, 1, deletions=[1])
+    f = PiecewiseFunction([(seq, SeriesValues(FiniteList([1])))])
+    assert oscillation(f).is_empty()
+    assert defi_continuity_osc(f) == pair(0, 0)
+    assert defi_continuity_cluster(f) == pair(0, 1)
+
+
+def test_a_sequence_point_the_interval_meets_continuously():
+    # x(1 - x) on [0, 1] less 1/2, and the sequence 2 - 3/(2n) carries
+    # its value 1/4 at n = 1 and 0 after: f is x(1 - x) on [0, 1]
+    ramp = (Interval(0, 1, [F(1, 2)]), Poly([0, 1, -1]))
+    seq = (CountableSeq(HARMONIC, 2, F(-3, 2)),
+           SeriesValues(FiniteList([F(1, 4)])))
+    f = PiecewiseFunction([ramp, seq])
+    assert oscillation(f).is_empty()
+    assert defi_continuity_osc(f) == pair(0, 0)
+    assert defi_continuity_cluster(f) == pair(0, 1)
+    # a second value at n = 2, off the table, oscillates by itself
+    g = PiecewiseFunction([ramp, (seq[0], SeriesValues(FiniteList([F(1, 4),
+                                                                    5])))])
+    assert defi_continuity_osc(g) == pair(0, 5)
+    assert defi_continuity_cluster(g) == pair(0, 2)
+
+
 def test_cantor_refusals_name_the_entry_point():
     dust = PiecewiseFunction([(Interval(None, -1), Const(1)),
                               (CantorAffine(0, 1), Const(2))])
