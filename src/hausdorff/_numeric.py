@@ -66,9 +66,6 @@ class RatInterval:
     def __sub__(self, other):
         return self + (-_as_interval(other))
 
-    def __rsub__(self, other):
-        return _as_interval(other) + (-self)
-
     def __mul__(self, other):
         other = _as_interval(other)
         products = [self.lo * other.lo, self.lo * other.hi,
@@ -78,11 +75,8 @@ class RatInterval:
     __rmul__ = __mul__
 
     def __abs__(self):
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return RatInterval(Fraction(0), max(-self.lo, self.hi))
+        return RatInterval(max(Fraction(0), self.lo, -self.hi),
+                           max(-self.lo, self.hi))
 
     def sign(self):
         """-1, 0 or 1 when decided; None when the interval straddles zero."""
@@ -327,10 +321,9 @@ def zeta_interval(p: Rational, prec: int) -> RatInterval:
 
 
 def exact_sqrt(x: Rational):
-    """Fraction square root when x is a perfect square of rationals, else None."""
+    """Fraction square root when x is a perfect square of rationals, else
+    None; a negative numerator is no integer's square."""
     x = Fraction(x)
-    if x < 0:
-        return None
     rn = exact_root(x.numerator, 2)
     rd = exact_root(x.denominator, 2)
     if rn is None or rd is None:

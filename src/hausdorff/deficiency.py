@@ -18,9 +18,8 @@ from .errors import NotRepresentable, NotSupported, ValidationError
 from .hvalue import DIM_ONE, DIM_TWO, ExtReal, HPair, Rational, ext_sum
 from .hintegral import (ALL_REALS, AllReals, Const, Expression,
                         PiecewiseFunction, Poly, Region, SeriesValues,
-                        _support_pieces, _value_on, add, h_integral,
-                        scalar_mul)
-from .metrics import abs_integral
+                        _support_pieces, _value_on, abs_integral, add,
+                        h_integral, scalar_mul)
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
                      Interval, RepSet, meeting_pairs)
 from ._numeric import exact_sqrt, sqrt_interval
@@ -240,10 +239,8 @@ def _reflect_atom(atom: Atom) -> Atom:
         return Interval(lo, hi, dels)
     if isinstance(atom, CountableSeq):
         return CountableSeq(atom.family, -atom.a, -atom.b, atom.q, dels)
-    if isinstance(atom, CantorAffine):
-        # the constructor renormalises the negative scale
-        return CantorAffine(-atom.t, -atom.s, dels)
-    raise ValidationError(f"cannot reflect {atom!r}")
+    # a Cantor copy: the constructor renormalises the negative scale
+    return CantorAffine(-atom.t, -atom.s, dels)
 
 
 def _reflect_expression(expr: Expression) -> Expression:
@@ -320,8 +317,8 @@ def _segments_meet(p1, p2, p3, p4) -> bool:
 
 
 class PlanarAtom:
-    def points(self) -> tuple:
-        raise NotImplementedError
+    """Base class; concrete atoms provide points(), the exact points
+    that span the atom."""
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,11 @@ __all__ = ["parse_document", "parse_set", "parse_function", "parse_planar",
 Document = Union[RepSet, "PiecewiseFunction", "PlanarSet"]
 
 
-def _fail(msg: str) -> ParseError:
-    return ParseError(msg)
-
-
 def _rat(node, where: str) -> Fraction:
     try:
         return parse_rational(node)
     except ValidationError as exc:
-        raise _fail(f"{where}: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _load(text: str):
@@ -43,6 +39,8 @@ def _load(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # the only other refusal of json.loads
+        raise ParseError("a number has more digits than int() takes") from exc
     except RecursionError as exc:
         raise ParseError("document nested too deeply") from exc
 
@@ -53,48 +51,48 @@ def _load(text: str):
 def _deletions(obj: dict, where: str):
     raw = obj.get("delete", [])
     if not isinstance(raw, list):
-        raise _fail(f"{where}: delete takes a list of points")
+        raise ParseError(f"{where}: delete takes a list of points")
     return tuple(_rat(p, where + ".delete") for p in raw)
 
 
 def parse_set(node, where: str = "set") -> RepSet:
     if not isinstance(node, dict):
-        raise _fail(f"{where}: expected an object")
+        raise ParseError(f"{where}: expected an object")
     keys = [k for k in node if k != "delete"]
     if not keys and "delete" in node:
         # difference form: {"delete": [base, removed]}
         body = node["delete"]
         if not (isinstance(body, list) and len(body) == 2):
-            raise _fail(f"{where}: delete takes [base, removed]")
+            raise ParseError(f"{where}: delete takes [base, removed]")
         base = parse_set(body[0], where + ".delete[0]")
         removed = parse_set(body[1], where + ".delete[1]")
         return diff(base, removed)
     if len(keys) != 1:
-        raise _fail(f"{where}: expected exactly one of "
-                    "points/seq/interval/cantor/union/delete")
+        raise ParseError(f"{where}: expected exactly one of "
+                         "points/seq/interval/cantor/union/delete")
     key = keys[0]
     body = node[key]
     dels = _deletions(node, where)
     if key == "points":
         if dels:
-            raise _fail(f"{where}: point sets delete by omission")
+            raise ParseError(f"{where}: point sets delete by omission")
         if not isinstance(body, list):
-            raise _fail(f"{where}: points takes a list")
+            raise ParseError(f"{where}: points takes a list")
         return RepSet.of(FinitePoints(_rat(p, where) for p in body))
     if key == "interval":
         if not (isinstance(body, list) and len(body) == 2):
-            raise _fail(f"{where}: interval takes [lo, hi]")
+            raise ParseError(f"{where}: interval takes [lo, hi]")
         lo = None if body[0] is None else _rat(body[0], where)
         hi = None if body[1] is None else _rat(body[1], where)
         return RepSet.of(Interval(lo, hi, dels))
     if key == "cantor":
         if not isinstance(body, dict):
-            raise _fail(f"{where}: cantor takes an object with t and s")
+            raise ParseError(f"{where}: cantor takes an object with t and s")
         return RepSet.of(CantorAffine(_rat(body.get("t", 0), where),
                                       _rat(body.get("s", 1), where), dels))
     if key == "seq":
         if not isinstance(body, dict) or "kind" not in body:
-            raise _fail(f"{where}: seq needs a kind")
+            raise ParseError(f"{where}: seq needs a kind")
         kind = body["kind"]
         a = _rat(body.get("a", 0), where)
         b = _rat(body.get("b", 1), where)
@@ -103,16 +101,16 @@ def parse_set(node, where: str = "set") -> RepSet:
         if kind == "geometric":
             q = _rat(body.get("q", Fraction(1, 2)), where)
             return RepSet.of(CountableSeq(GEOMETRIC, a, b, q, deletions=dels))
-        raise _fail(f"{where}: unknown sequence kind {kind!r}")
+        raise ParseError(f"{where}: unknown sequence kind {kind!r}")
     if key == "union":
         if not isinstance(body, list):
-            raise _fail(f"{where}: union takes a list")
+            raise ParseError(f"{where}: union takes a list")
         atoms = []
         for i, sub in enumerate(body):
             atoms.extend(parse_set(sub, f"{where}.union[{i}]").atoms)
         # overlap is not an error here: normalization merges
         return RepSet.from_atoms(atoms)
-    raise _fail(f"{where}: unknown set form {key!r}")
+    raise ParseError(f"{where}: unknown set form {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def parse_set(node, where: str = "set") -> RepSet:
 
 def _parse_series(body, where: str):
     if not isinstance(body, dict) or "kind" not in body:
-        raise _fail(f"{where}: series needs a kind")
+        raise ParseError(f"{where}: series needs a kind")
     kind = body["kind"]
     if kind == "geometric":
         return Geometric(_rat(body.get("a", 1), where),
@@ -128,41 +126,41 @@ def _parse_series(body, where: str):
     if kind == "finite":
         values = body.get("values")
         if not isinstance(values, list):
-            raise _fail(f"{where}: finite series needs values")
+            raise ParseError(f"{where}: finite series needs values")
         return FiniteList(_rat(v, where) for v in values)
     if kind == "pseries":
         return PSeries(_rat(body.get("c", 1), where),
                        _rat(body.get("p", 2), where))
-    raise _fail(f"{where}: unknown series kind {kind!r}")
+    raise ParseError(f"{where}: unknown series kind {kind!r}")
 
 
 def _parse_expr(node, where: str, hintegral):
     if not isinstance(node, dict) or len(node) != 1:
-        raise _fail(f"{where}: expected one of poly/const/series")
+        raise ParseError(f"{where}: expected one of poly/const/series")
     key, body = next(iter(node.items()))
     if key == "const":
         return hintegral.Poly((_rat(body, where),))
     if key == "poly":
         if not isinstance(body, list):
-            raise _fail(f"{where}: poly takes a coefficient list")
+            raise ParseError(f"{where}: poly takes a coefficient list")
         return hintegral.Poly(_rat(c, where) for c in body)
     if key == "series":
         return hintegral.SeriesValues(_parse_series(body, where))
-    raise _fail(f"{where}: unknown expression {key!r}")
+    raise ParseError(f"{where}: unknown expression {key!r}")
 
 
 def parse_function(node, where: str = "function"):
     from . import hintegral
     if not isinstance(node, dict) or "terms" not in node:
-        raise _fail(f"{where}: expected an object with terms")
+        raise ParseError(f"{where}: expected an object with terms")
     raw_terms = node["terms"]
     if not isinstance(raw_terms, list):
-        raise _fail(f"{where}: terms takes a list")
+        raise ParseError(f"{where}: terms takes a list")
     terms = []
     for i, item in enumerate(raw_terms):
         spot = f"{where}.terms[{i}]"
         if not isinstance(item, dict) or "set" not in item or "expr" not in item:
-            raise _fail(f"{spot}: each term needs a set and an expr")
+            raise ParseError(f"{spot}: each term needs a set and an expr")
         carrier = parse_set(item["set"], spot + ".set")
         expr = _parse_expr(item["expr"], spot + ".expr", hintegral)
         for atom in carrier.atoms:
@@ -180,36 +178,39 @@ def parse_function(node, where: str = "function"):
 
 def _point2(node, where: str):
     if not (isinstance(node, list) and len(node) == 2):
-        raise _fail(f"{where}: a planar point is [x, y]")
+        raise ParseError(f"{where}: a planar point is [x, y]")
     return (_rat(node[0], where), _rat(node[1], where))
 
 
 def parse_planar(node, where: str = "planar"):
     from .deficiency import ConvexPolygon, PlanarSet, Points2D, Segment
     if not isinstance(node, dict) or "planar" not in node:
-        raise _fail(f"{where}: expected an object with a planar list")
+        raise ParseError(f"{where}: expected an object with a planar list")
     body = node["planar"]
     if not isinstance(body, list):
-        raise _fail(f"{where}: planar takes a list of atoms")
+        raise ParseError(f"{where}: planar takes a list of atoms")
     atoms = []
     for i, item in enumerate(body):
         spot = f"{where}[{i}]"
         if not isinstance(item, dict) or len(item) != 1:
-            raise _fail(f"{spot}: expected one of points2d/segment/polygon")
+            raise ParseError(
+                f"{spot}: expected one of points2d/segment/polygon")
         key, payload = next(iter(item.items()))
         if key == "points2d":
+            if not isinstance(payload, list):
+                raise ParseError(f"{spot}: points2d takes a point list")
             atoms.append(Points2D(_point2(p, spot) for p in payload))
         elif key == "segment":
             if not (isinstance(payload, list) and len(payload) == 2):
-                raise _fail(f"{spot}: segment takes two endpoints")
+                raise ParseError(f"{spot}: segment takes two endpoints")
             atoms.append(Segment(_point2(payload[0], spot),
                                  _point2(payload[1], spot)))
         elif key == "polygon":
             if not isinstance(payload, list):
-                raise _fail(f"{spot}: polygon takes a vertex list")
+                raise ParseError(f"{spot}: polygon takes a vertex list")
             atoms.append(ConvexPolygon(_point2(p, spot) for p in payload))
         else:
-            raise _fail(f"{spot}: unknown planar atom {key!r}")
+            raise ParseError(f"{spot}: unknown planar atom {key!r}")
     return PlanarSet(atoms)
 
 
@@ -221,7 +222,7 @@ def parse_document(text: str) -> Document:
     deciding by shape."""
     node = _load(text)
     if not isinstance(node, dict):
-        raise _fail("a document is a JSON object")
+        raise ParseError("a document is a JSON object")
     try:
         if "terms" in node:
             return parse_function(node)
@@ -249,14 +250,12 @@ def _atom_payload(atom: Atom):
     elif isinstance(atom, CantorAffine):
         doc["cantor"] = {"t": render_rational(atom.t),
                          "s": render_rational(atom.s)}
-    elif isinstance(atom, CountableSeq):
+    else:  # a sequence
         body = {"kind": atom.family, "a": render_rational(atom.a),
                 "b": render_rational(atom.b)}
         if atom.q is not None:
             body["q"] = render_rational(atom.q)
         doc["seq"] = body
-    else:
-        raise ValidationError(f"cannot serialize {atom!r}")
     if atom.deletions:
         doc["delete"] = [render_rational(d) for d in sorted(atom.deletions)]
     return doc
@@ -269,10 +268,8 @@ def _series_payload(series):
     if isinstance(series, FiniteList):
         return {"kind": "finite",
                 "values": [render_rational(v) for v in series.values]}
-    if isinstance(series, PSeries):
-        return {"kind": "pseries", "c": render_rational(series.c),
-                "p": render_rational(series.p)}
-    raise ValidationError(f"cannot serialize {series!r}")
+    return {"kind": "pseries", "c": render_rational(series.c),
+            "p": render_rational(series.p)}
 
 
 def _expr_payload(expr, hintegral):
@@ -280,9 +277,7 @@ def _expr_payload(expr, hintegral):
         return {"const": render_rational(expr.coeffs[0])}
     if isinstance(expr, hintegral.Poly):
         return {"poly": [render_rational(c) for c in expr.coeffs]}
-    if isinstance(expr, hintegral.SeriesValues):
-        return {"series": _series_payload(expr.series)}
-    raise ValidationError(f"cannot serialize {expr!r}")
+    return {"series": _series_payload(expr.series)}
 
 
 def _function_payload(f, hintegral):

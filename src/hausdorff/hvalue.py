@@ -70,10 +70,6 @@ class Dimension:
                 f"log({p})/log({q}) is not in (0, 1); the pair must satisfy p < q")
         return Dimension(logs=(((base_p, base_q), Fraction(u, v)),))
 
-    @staticmethod
-    def cantor() -> "Dimension":
-        return Dimension.log_ratio(2, 3)
-
     # -- helpers -------------------------------------------------------
 
     def is_rational(self) -> bool:
@@ -96,8 +92,6 @@ class Dimension:
                          logs=tuple(sorted(terms.items())))
 
     def _scale(self, c: Fraction) -> "Dimension":
-        if not c:
-            return Dimension()
         return Dimension(rat=self.rat * c,
                          logs=tuple((k, v * c) for k, v in self.logs))
 
@@ -127,18 +121,6 @@ class Dimension:
                     f"cannot separate {self.render()} and {other.render()} "
                     f"within {cap} bits")
             prec = min(2 * prec, cap)
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
 
     # -- rendering -------------------------------------------------------
 
@@ -312,12 +294,6 @@ class ExtReal:
             return 1
         return 0
 
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
     def sign(self) -> int:
         if self.kind == _POS:
             return 1
@@ -476,30 +452,14 @@ def hpair_sup(items: Sequence[HPair]) -> HPair:
 
 
 class CoefficientSeries:
-    """A summable description of countably many rational coefficients."""
+    """A summable description of countably many rational coefficients.
 
-    def term(self, i: int) -> Fraction:
-        raise NotImplementedError
-
-    def abs_converges(self) -> bool:
-        raise NotImplementedError
-
-    def sum(self) -> ExtReal:
-        raise NotImplementedError
+    Subclasses provide term(i), abs_converges(), sum(), scale(c),
+    abs_series() and sign(): 1 if every term >= 0, -1 if every term <= 0,
+    0 if all zero, None when signs are mixed."""
 
     def partial_sum(self, n: int) -> Fraction:
         return sum((self.term(i) for i in range(n)), Fraction(0))
-
-    def scale(self, c: Rational) -> "CoefficientSeries":
-        raise NotImplementedError
-
-    def abs_series(self) -> "CoefficientSeries":
-        raise NotImplementedError
-
-    def sign(self) -> Optional[int]:
-        """1 if every term >= 0, -1 if every term <= 0, 0 if all zero,
-        None when signs are mixed."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -564,8 +524,6 @@ class Geometric(CoefficientSeries):
         return ExtReal.of(self.a / (1 - self.r))
 
     def partial_sum(self, n: int) -> Fraction:
-        if self.r == 0:
-            return self.a if n >= 1 else Fraction(0)
         return self.a * (1 - self.r ** n) / (1 - self.r)
 
     def scale(self, c):
@@ -658,16 +616,8 @@ def series_add(a: CoefficientSeries, b: CoefficientSeries):
 
 class SeqTail:
     """Rule for the terms of a sequence after its explicit prefix.
-    Index k counts from 0 at the first tail position."""
-
-    def term(self, k: int) -> HPair:
-        raise NotImplementedError
-
-    def liminf(self) -> HPair:
-        raise NotImplementedError
-
-    def limsup(self) -> HPair:
-        raise NotImplementedError
+    Index k counts from 0 at the first tail position. Subclasses provide
+    term(k), liminf() and limsup()."""
 
 
 @dataclass(frozen=True)

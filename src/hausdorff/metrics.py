@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ._numeric import _ITER_GUARD, Rational
 from .errors import NoLimitFound, NotInLH, TooLarge, ValidationError
-from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part, add,
-                        h_integral, indicator, scalar_mul, support)
+from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part,
+                        abs_integral, add, indicator, scalar_mul, support)
 from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, HPair,
                      dim_abs_diff, hpair_eq, top_terms)
 from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
@@ -83,14 +83,6 @@ def d_s(a: RepSet, b: RepSet) -> HDistance:
     return HDistance(hmeasure(symdiff(a, b)))
 
 
-def abs_integral(f: PiecewiseFunction) -> HPair:
-    """Integral of |f|: the negative pieces of one sign split of f flip
-    sign, and the result is integrated once."""
-    return h_integral(PiecewiseFunction(
-        [(a, e if sign > 0 else e.scale(-1))
-         for a, e, sign in _signed_part(f)], f.domain))
-
-
 def absolutely_integrable(f: PiecewiseFunction) -> bool:
     """Whether the integral of |f| is finite, read off the sign split of
     f without integrating: it is infinite exactly when a piece of the top
@@ -149,22 +141,11 @@ class CauchySeq:
     """A finitely presented function sequence, indexed from 1, whose
     pairwise distances admit exact bounds.
 
+    Subclasses provide term(n), limit() and the two indices:
     cauchy_index(eps) returns an index N with d(x_n, x_m) < (0, eps)
     certified for all n, m >= N, or None when no index will do;
     limit_index(eps) does the same against the limit function.
     """
-
-    def term(self, n: int) -> PiecewiseFunction:
-        raise NotImplementedError
-
-    def limit(self) -> PiecewiseFunction:
-        raise NotImplementedError
-
-    def cauchy_index(self, eps: Fraction) -> Optional[int]:
-        raise NotImplementedError
-
-    def limit_index(self, eps: Fraction) -> int:
-        raise NotImplementedError
 
 
 def _least(pred: Callable[[int], bool]) -> int:
@@ -183,13 +164,31 @@ def _least(pred: Callable[[int], bool]) -> int:
 
 
 class PerturbationSeq(CauchySeq):
-    """Base + a vanishing dimension-zero perturbation; subclasses
-    provide the exact perturbation mass at each index. The masses rise
-    strictly up to a peak and never after, so tail_mass is nonincreasing
-    and each index is one galloping search (see _least)."""
+    """Base + coeff * ratio^n on a finite point set; subclasses provide
+    _points(n), that set, and _mass(n), the exact perturbation mass. The
+    masses rise strictly up to a peak and never after, so tail_mass is
+    nonincreasing and each index is one galloping search (see _least)."""
 
-    def _mass(self, n: int) -> Fraction:
-        raise NotImplementedError
+    def _set_fields(self, base, coeff, ratio, **where):
+        """Check and store base, coeff, ratio and the fields in where."""
+        coeff, ratio = Fraction(coeff), Fraction(ratio)
+        if coeff == 0:
+            raise ValidationError("the perturbation coefficient is zero")
+        if not 0 < ratio < 1:
+            raise ValidationError("need 0 < ratio < 1")
+        if not absolutely_integrable(base):
+            raise NotInLH("the base function has an infinite |f| integral")
+        for name, v in dict(where, base=base, coeff=coeff,
+                            ratio=ratio).items():
+            object.__setattr__(self, name, v)
+
+    def term(self, n):
+        bump = indicator(RepSet.of(FinitePoints(self._points(n))),
+                         self.coeff * self.ratio ** n)
+        return add(self.base, bump)
+
+    def limit(self):
+        return self.base
 
     def _peak(self) -> int:
         """The first index whose successor's mass does not exceed it."""
@@ -218,24 +217,10 @@ class PointPerturbation(PerturbationSeq):
     ratio: Fraction
 
     def __init__(self, base, site, coeff=1, ratio=Fraction(1, 2)):
-        site, coeff, ratio = Fraction(site), Fraction(coeff), Fraction(ratio)
-        if coeff == 0:
-            raise ValidationError("the perturbation coefficient is zero")
-        if not 0 < ratio < 1:
-            raise ValidationError("need 0 < ratio < 1")
-        if not absolutely_integrable(base):
-            raise NotInLH("the base function has an infinite |f| integral")
-        for name, v in (("base", base), ("site", site), ("coeff", coeff),
-                        ("ratio", ratio)):
-            object.__setattr__(self, name, v)
+        self._set_fields(base, coeff, ratio, site=Fraction(site))
 
-    def term(self, n):
-        bump = indicator(RepSet.of(FinitePoints([self.site])),
-                         self.coeff * self.ratio ** n)
-        return add(self.base, bump)
-
-    def limit(self):
-        return self.base
+    def _points(self, n):
+        return [self.site]
 
     def _mass(self, n):
         return abs(self.coeff) * self.ratio ** n
@@ -252,27 +237,12 @@ class PrefixPerturbation(PerturbationSeq):
     ratio: Fraction
 
     def __init__(self, base, atom, coeff=1, ratio=Fraction(1, 2)):
-        coeff, ratio = Fraction(coeff), Fraction(ratio)
         if atom.deletions:
             raise ValidationError("prefix perturbation wants a full sequence")
-        if coeff == 0:
-            raise ValidationError("the perturbation coefficient is zero")
-        if not 0 < ratio < 1:
-            raise ValidationError("need 0 < ratio < 1")
-        if not absolutely_integrable(base):
-            raise NotInLH("the base function has an infinite |f| integral")
-        for name, v in (("base", base), ("atom", atom), ("coeff", coeff),
-                        ("ratio", ratio)):
-            object.__setattr__(self, name, v)
+        self._set_fields(base, coeff, ratio, atom=atom)
 
-    def term(self, n):
-        pts = [self.atom.point(i) for i in range(1, n + 1)]
-        bump = indicator(RepSet.of(FinitePoints(pts)),
-                         self.coeff * self.ratio ** n)
-        return add(self.base, bump)
-
-    def limit(self):
-        return self.base
+    def _points(self, n):
+        return [self.atom.point(i) for i in range(1, n + 1)]
 
     def _mass(self, n):
         return n * abs(self.coeff) * self.ratio ** n

@@ -18,8 +18,8 @@ from .config import get_config
 from .errors import (NotSupported, TooLarge, Unbounded, ValidationError)
 from .hvalue import CoefficientSeries, Dimension, ExtReal, HPair
 from .hintegral import PiecewiseFunction, Poly
-from .setalg import (HARMONIC, Atom, CantorAffine, CountableSeq,
-                     FinitePoints, Interval, RepSet)
+from .setalg import (HARMONIC, Atom, CountableSeq, FinitePoints, Interval,
+                     RepSet)
 from ._numeric import (RatInterval, exact_root, geo_steps, log_interval,
                        pow_interval, power_index)
 
@@ -66,12 +66,12 @@ def _sequence_boxes(atom: CountableSeq, delta: Fraction) -> int:
     b = abs(atom.b)
     if atom.family == HARMONIC:
         # gap between consecutive points is b / (n (n + 1))
+        # m is the largest n with n (n + 1) < r; (isqrt(floor r) + 1)**2
+        # exceeds r, so the search only steps down
         r = b / delta
         m = math.isqrt(max(int(r), 0))
         while m >= 1 and m * (m + 1) >= r:
             m -= 1
-        while (m + 1) * (m + 2) < r:
-            m += 1
         tail = b / (m + 1)
     else:
         # gap is b q^n (1 - q)
@@ -91,10 +91,9 @@ def _atom_cover(atom: Atom, depth: int) -> Tuple[int, Fraction]:
         return _points_boxes(atom, delta), delta
     if isinstance(atom, CountableSeq):
         return _sequence_boxes(atom, delta), delta
-    if isinstance(atom, CantorAffine):
-        # the depth-k construction stage: 2^k intervals of width s 3^-k
-        return 2 ** depth, atom.s * delta
-    raise ValidationError(f"no structural cover for {atom!r}")
+    # a Cantor copy: the depth-k construction stage, 2^k intervals of
+    # width s 3^-k
+    return 2 ** depth, atom.s * delta
 
 
 def _covers(s: RepSet, depth: int) -> dict:
@@ -119,9 +118,8 @@ def _rational_pow(x: Fraction, r: Fraction):
 
 
 def _pow_dim(x: Fraction, d: Dimension, prec: int) -> RatInterval:
-    """Enclosure of x**d, exact whenever the arithmetic allows it."""
-    if x <= 0:
-        raise ValidationError("cover diameters must be positive")
+    """Enclosure of x**d for a cover diameter x > 0, exact whenever the
+    arithmetic allows it."""
     if d.is_rational():
         exact = _rational_pow(x, d.as_fraction())
         if exact is not None:

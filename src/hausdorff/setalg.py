@@ -51,17 +51,15 @@ def _ceil(x: Fraction) -> int:
 
 
 class Atom:
-    """Base class; concrete atoms are frozen dataclasses."""
+    """Base class; concrete atoms are frozen dataclasses that provide
+    in_base(x) (membership ignoring deletions), _hull(), dim() and mu()
+    (the Hausdorff measure of the atom in its own dimension)."""
 
     deletions: frozenset
     # ((lo, hi), (lo_f, hi_f)) once hull() has run: the closed hull and an
     # outward-rounded float copy of it. A plain attribute, not a field, so
     # it stays out of ==, hash, repr and dataclasses.replace.
     _hulls = None
-
-    def in_base(self, x: Fraction) -> bool:
-        """Membership in the atom ignoring deletions."""
-        raise NotImplementedError
 
     def member(self, x: Rational) -> bool:
         x = _frac(x)
@@ -75,21 +73,11 @@ class Atom:
         """hull() rounded outward to floats, computed once per atom."""
         return (self._hulls or self._cache_hulls())[1]
 
-    def _hull(self) -> tuple[Endpoint, Endpoint]:
-        raise NotImplementedError
-
     def _cache_hulls(self):
         lo, hi = hull = self._hull()
         hulls = (hull, (_float_past(lo, -math.inf), _float_past(hi, math.inf)))
         object.__setattr__(self, "_hulls", hulls)
         return hulls
-
-    def dim(self) -> Dimension:
-        raise NotImplementedError
-
-    def mu(self) -> ExtReal:
-        """Hausdorff measure of the atom in its own dimension."""
-        raise NotImplementedError
 
     def with_deletions(self, extra: Iterable[Fraction]) -> "Atom":
         """The atom less the points of extra in its base set; the atom
@@ -157,10 +145,6 @@ class FinitePoints(Atom):
 
     def mu(self):
         return ExtReal.of(len(self.points))
-
-    def with_deletions(self, extra):
-        gone = set(_frac(d) for d in extra)
-        return FinitePoints(p for p in self.points if p not in gone)
 
     def is_empty(self):
         return not self.points
@@ -826,21 +810,21 @@ def _exponents(x: Fraction, base: list) -> list:
 
 
 def _solve_two_unknowns(rows):
-    """Integer solution (n, m) of the system a*n + b*m = c, or None."""
-    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(rows, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        n = Fraction(c1 * b2 - c2 * b1, det)
-        m = Fraction(a1 * c2 - a2 * c1, det)
-        if n.denominator != 1 or m.denominator != 1:
+    """Integer solution (n, m) of the system a*n + b*m = c, or None; the
+    columns (a) and (b) are independent, so two rows fix n and m."""
+    (a1, b1, c1), (a2, b2, c2) = next(
+        (r, s) for r, s in itertools.combinations(rows, 2)
+        if r[0] * s[1] != s[0] * r[1])
+    det = a1 * b2 - a2 * b1
+    n = Fraction(c1 * b2 - c2 * b1, det)
+    m = Fraction(a1 * c2 - a2 * c1, det)
+    if n.denominator != 1 or m.denominator != 1:
+        return None
+    n, m = int(n), int(m)
+    for (a, b, c) in rows:
+        if a * n + b * m != c:
             return None
-        n, m = int(n), int(m)
-        for (a, b, c) in rows:
-            if a * n + b * m != c:
-                return None
-        return (n, m)
-    return None
+    return (n, m)
 
 
 def _common_points_finite(x: CountableSeq, y: CountableSeq) -> list:
@@ -863,9 +847,8 @@ def _common_points_finite(x: CountableSeq, y: CountableSeq) -> list:
 
 
 def _seq_base_subset(x: CountableSeq, y: CountableSeq) -> bool:
-    """Base-set containment x subset-of y (same accumulation, same side)."""
-    if x.a != y.a or (x.b > 0) != (y.b > 0):
-        return False
+    """Base-set containment x subset-of y, for sequences with the same
+    accumulation point on the same side of it."""
     if x.family == HARMONIC and y.family == HARMONIC:
         # x.b/n == y.b/m needs m = n * (y.b/x.b) integral for every n
         k = y.b / x.b
@@ -1022,9 +1005,8 @@ def _seq_cantor_commons(x: CountableSeq, y: CantorAffine) -> list:
     glo, ghi = y.t + y.s * glo, y.t + y.s * ghi
     pts = []
     for lo, hi in ((None, glo), (ghi, None)):
-        kind2, data2 = x.indices_within(lo, hi)
-        if kind2 == "tail":  # cannot happen: the limit is inside the gap
-            raise NotRepresentable("sequence does not settle inside the gap")
+        # finitely many: the limit is inside the gap
+        _, data2 = x.indices_within(lo, hi)
         for n in data2:
             p = x.point(n)
             if y.in_base(p):
@@ -1145,8 +1127,6 @@ def _atom_minus_set(atom: Atom, s: RepSet) -> list:
 
 
 def _atom_minus_atom(x: Atom, y: Atom) -> list:
-    if x.is_empty():
-        return []
     if isinstance(x, FinitePoints):
         return _point_atoms([p for p in x.points if not y.member(p)])
     if isinstance(y, FinitePoints):

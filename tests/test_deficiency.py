@@ -57,6 +57,10 @@ def test_geometric_values_on_harmonic_points():
     assert prof.omega_at(0) == 0
     assert prof.omega_at(F(1, 3)) == F(1, 8)
     assert defi_continuity_osc(g) == pair(0, 1)
+    # a negative p-series oscillates by its absolute values
+    zeta = PiecewiseFunction([(HARM, SeriesValues(PSeries(-1, 2)))])
+    assert oscillation(zeta).seq_values == ((HARM,
+                                             SeriesValues(PSeries(1, 2))),)
 
 
 def test_constant_sequence_value_oscillates_at_the_limit():
@@ -367,6 +371,10 @@ def test_reflection_is_an_involution():
         (CantorAffine(4, F(1, 2)), Const(1)),
     ])
     assert reflect_function(reflect_function(f)) == f
+    # a declared domain is reflected with the terms
+    g = PiecewiseFunction([(Interval(0, 1), Const(1))],
+                          domain=RepSet.of(Interval(-1, 2)))
+    assert reflect_function(g).domain == RepSet.of(Interval(-2, 1))
 
 
 def test_reflection_preserves_values():
@@ -497,6 +505,10 @@ def test_planar_atoms_must_be_disjoint():
     with pytest.raises(ValidationError):
         PlanarSet([ConvexPolygon([(0, 0), (4, 0), (4, 4), (0, 4)]),
                    ConvexPolygon([(2, 2), (6, 2), (6, 6), (2, 6)])])
+    # only one end of the second segment touches the first
+    for touching in (Segment((1, 0), (1, 1)), Segment((1, -1), (1, 0))):
+        with pytest.raises(ValidationError, match="planar atoms overlap"):
+            PlanarSet([Segment((0, 0), (2, 0)), touching])
 
 
 def ref_atoms_disjoint(a, b):
@@ -575,6 +587,11 @@ def test_polygon_validation():
         ConvexPolygon([(0, 0), (1, 0), (2, 0), (1, 1)])  # collinear run
     with pytest.raises(ValidationError):
         Segment((1, 1), (1, 1))
+    with pytest.raises(ValidationError,
+                       match="a planar point atom needs at least one point"):
+        Points2D([])
+    with pytest.raises(ValidationError, match="not a planar atom"):
+        PlanarSet([Interval(0, 1)])
 
 
 def test_triangle_of_points():

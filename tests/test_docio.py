@@ -5,10 +5,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hausdorff.checks import _rand_cells, _rand_function, _rand_set
 from hausdorff.deficiency import ConvexPolygon, PlanarSet, Points2D, Segment
-from hausdorff.docio import pair_payload, parse_document, print_document
+from hausdorff.docio import (pair_payload, parse_document, parse_function,
+                             parse_planar, print_document)
 from hausdorff.errors import HausdorffError, ParseError, ValidationError
 from hausdorff.hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
                                  SeriesValues, _signed_part, add, h_integral,
@@ -81,6 +84,13 @@ def test_floats_rejected_everywhere():
         parse_document('{"interval": [0, 0.5]}')
 
 
+def test_booleans_and_zero_denominators_are_not_rationals():
+    with pytest.raises(ParseError, match="booleans are not rationals"):
+        parse_document('{"interval": [0, true]}')
+    with pytest.raises(ParseError, match="not a rational: '1/0'"):
+        parse_document('{"interval": [0, "1/0"]}')
+
+
 @pytest.mark.parametrize("text", ["0.5", "1e3", "1e10000000"])
 def test_decimal_and_exponent_strings_rejected(text):
     # "1e10000000" would otherwise expand to a 33-million-bit integer
@@ -91,6 +101,11 @@ def test_decimal_and_exponent_strings_rejected(text):
 def test_syntax_error_carries_position():
     with pytest.raises(ParseError, match="line 1, column"):
         parse_document('{"interval": [0')
+
+
+def test_an_integer_literal_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="more digits than int"):
+        parse_document('{"interval": [0, ' + "1" * 5000 + ']}')
 
 
 def test_shape_error_names_the_path():
@@ -105,6 +120,64 @@ def test_unknown_document_shape():
         parse_document('{"blob": 3}')
     with pytest.raises(ParseError):
         parse_document('[1, 2]')
+    with pytest.raises(ParseError, match="document nested too deeply"):
+        parse_document("[" * 100_000 + "]" * 100_000)
+    # the parsers of one document kind check their own shape
+    with pytest.raises(ParseError, match="expected an object with terms"):
+        parse_function([])
+    with pytest.raises(ParseError,
+                       match="expected an object with a planar list"):
+        parse_planar({})
+    with pytest.raises(ValidationError, match="cannot serialize 3"):
+        print_document(3)
+
+
+def _term(expr):
+    return {"terms": [{"set": {"interval": [0, 1]}, "expr": expr}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"interval": [0, 1], "delete": 3}, "set: delete takes a list of points"),
+    ({"union": [3]}, "set.union[0]: expected an object"),
+    ({"delete": [{"interval": [0, 1]}]}, "set: delete takes [base, removed]"),
+    ({"interval": [0, 1], "points": [2]}, "set: expected exactly one of "
+     "points/seq/interval/cantor/union/delete"),
+    ({"points": [0], "delete": [0]}, "set: point sets delete by omission"),
+    ({"points": 3}, "set: points takes a list"),
+    ({"interval": [0]}, "set: interval takes [lo, hi]"),
+    ({"cantor": 3}, "set: cantor takes an object with t and s"),
+    ({"seq": {}}, "set: seq needs a kind"),
+    ({"seq": {"kind": "lucas"}}, "set: unknown sequence kind 'lucas'"),
+    ({"union": 3}, "set: union takes a list"),
+    ({"ball": 3}, "set: unknown set form 'ball'"),
+    (_term({"series": {}}), "function.terms[0].expr: series needs a kind"),
+    (_term({"series": {"kind": "finite"}}),
+     "function.terms[0].expr: finite series needs values"),
+    (_term({"series": {"kind": "bessel"}}),
+     "function.terms[0].expr: unknown series kind 'bessel'"),
+    (_term({"const": 1, "poly": [1]}),
+     "function.terms[0].expr: expected one of poly/const/series"),
+    (_term({"poly": 3}),
+     "function.terms[0].expr: poly takes a coefficient list"),
+    (_term({"exp": 1}), "function.terms[0].expr: unknown expression 'exp'"),
+    ({"terms": 3}, "function: terms takes a list"),
+    ({"terms": [{"set": {"points": [0]}}]},
+     "function.terms[0]: each term needs a set and an expr"),
+    ({"planar": 3}, "planar: planar takes a list of atoms"),
+    ({"planar": [{}]},
+     "planar[0]: expected one of points2d/segment/polygon"),
+    ({"planar": [{"points2d": 0}]}, "planar[0]: points2d takes a point list"),
+    ({"planar": [{"points2d": [[0]]}]}, "planar[0]: a planar point is [x, y]"),
+    ({"planar": [{"segment": [[0, 0]]}]},
+     "planar[0]: segment takes two endpoints"),
+    ({"planar": [{"polygon": 3}]}, "planar[0]: polygon takes a vertex list"),
+    ({"planar": [{"disc": 3}]}, "planar[0]: unknown planar atom 'disc'"),
+    ([1, 2], "a document is a JSON object"),
+])
+def test_each_refusal_names_its_place(doc, message):
+    with pytest.raises(ParseError) as caught:
+        parse_document(json.dumps(doc))
+    assert str(caught.value) == message
 
 
 # -- function documents -------------------------------------------------------
@@ -301,3 +374,168 @@ def test_respelling_constants_and_padding_values_changes_no_answer():
         regions = [ALL_REALS, _rand_set(rng, _rand_cells(rng))]
         assert _answers(g, others, regions) == _answers(f, others, regions)
         done += 1
+
+
+# -- the document boundary under fuzzing ---------------------------------------
+
+KEYS = ("points", "interval", "cantor", "seq", "union", "delete", "kind", "a",
+        "b", "q", "t", "s", "terms", "set", "expr", "poly", "const", "series",
+        "values", "r", "c", "p", "domain", "planar", "points2d", "segment",
+        "polygon")
+LEAVES = st.one_of(
+    st.integers(-9, 9), st.sampled_from(["1/2", "-3/4", "1/0", "2", "x"]),
+    st.sampled_from(["harmonic", "geometric", "finite", "pseries", "all"]),
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    LEAVES, lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), kids,
+                        max_size=3)),
+    max_leaves=12)
+
+
+@st.composite
+def atom_docs(draw, at, lo_open=False, hi_open=False):
+    """A valid atom document near the integer at, with deletions; an
+    interval may run off to -inf (lo_open) or +inf (hi_open)."""
+    kind = draw(st.integers(0, 3))
+    ns = draw(st.lists(st.integers(1, 4), max_size=2, unique=True))
+    base = at + F(draw(st.integers(-4, 4)), 4)
+    if kind == 0:
+        ks = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=4))
+        return {"points": [str(at + F(k, 4)) for k in ks]}
+    if kind == 1:
+        lo, hi = base, base + F(draw(st.integers(1, 8)), 4)
+        dels = [str(lo + (hi - lo) * F(n, 5)) for n in ns]
+        return {"interval": [None if lo_open and draw(st.booleans())
+                             else str(lo),
+                             None if hi_open and draw(st.booleans())
+                             else str(hi)], "delete": dels}
+    if kind == 2:
+        s = draw(st.sampled_from([F(1), F(-1), F(1, 3), F(2), F(-1, 9)]))
+        marks = (F(0), F(1), F(1, 3), F(2, 3), F(2, 9))
+        dels = [str(base + s * marks[n]) for n in ns]
+        return {"cantor": {"t": str(base), "s": str(s)}, "delete": dels}
+    b = draw(st.sampled_from([F(1), F(-1), F(1, 2), F(-2)]))
+    if draw(st.booleans()):
+        dels = [str(base + b / n) for n in ns]
+        return {"seq": {"kind": "harmonic", "a": str(base), "b": str(b)},
+                "delete": dels}
+    q = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3)]))
+    dels = [str(base + b * q ** n) for n in ns]
+    return {"seq": {"kind": "geometric", "a": str(base), "b": str(b),
+                    "q": str(q)}, "delete": dels}
+
+
+def atom_lists(draw):
+    """One to four atom documents at offsets 10 apart, so none overlap."""
+    n = draw(st.integers(1, 4))
+    return [draw(atom_docs(10 * i, i == 0, i == n - 1)) for i in range(n)]
+
+
+@st.composite
+def set_docs(draw):
+    docs = atom_lists(draw)
+    if len(docs) == 2 and draw(st.booleans()):
+        return {"delete": docs}  # the difference form
+    return docs[0] if len(docs) == 1 else {"union": docs}
+
+
+SMALL_RATS = st.integers(-4, 4).map(str) | st.sampled_from(["1/2", "-2/3"])
+
+
+@st.composite
+def function_docs(draw):
+    terms = []
+    for atom in atom_lists(draw):
+        expr = draw(st.one_of(
+            st.builds(lambda c: {"const": c}, SMALL_RATS),
+            st.builds(lambda c: {"poly": [c]}, SMALL_RATS)))
+        if "interval" in atom and draw(st.booleans()):
+            expr = {"poly": draw(st.lists(SMALL_RATS, max_size=4))}
+        if "seq" in atom and draw(st.booleans()):
+            expr = {"series": draw(st.one_of(
+                st.builds(lambda a, r: {"kind": "geometric", "a": a, "r": r},
+                          SMALL_RATS, st.sampled_from(["0", "1/2", "-1/3"])),
+                st.builds(lambda vs: {"kind": "finite", "values": vs},
+                          st.lists(SMALL_RATS, max_size=4)),
+                st.builds(lambda c, p: {"kind": "pseries", "c": c, "p": p},
+                          SMALL_RATS, st.integers(1, 3))))}
+        terms.append({"set": atom, "expr": expr})
+    doc = {"terms": terms}
+    domain = draw(st.sampled_from([None, "all", {"interval": [None, None]}]))
+    if domain is not None:
+        doc["domain"] = domain
+    return doc
+
+
+PLANAR_ATOMS = (lambda x: {"points2d": [[x, 0], [x + 1, "1/2"]]},
+                lambda x: {"segment": [[x, 0], [x + 2, 1]]},
+                lambda x: {"polygon": [[x, 0], [x + 2, 0], [x + 1, 2]]})
+
+
+@st.composite
+def planar_docs(draw):
+    makers = draw(st.lists(st.sampled_from(PLANAR_ATOMS), min_size=1,
+                           max_size=3))
+    return {"planar": [make(10 * i) for i, make in enumerate(makers)]}
+
+
+def _paths(node, path=()):
+    """The path of every subtree of a JSON value, the root's first."""
+    yield path
+    kids = (node.items() if isinstance(node, dict)
+            else enumerate(node) if isinstance(node, list) else ())
+    for key, kid in kids:
+        yield from _paths(kid, path + (key,))
+
+
+def _node_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(node, dict):
+        return dict(node, **{key: _replaced(node[key], rest, value)})
+    return node[:key] + [_replaced(node[key], rest, value)] + node[key + 1:]
+
+
+@st.composite
+def mutated(draw, docs):
+    """A valid document with one subtree, any one, replaced by an
+    arbitrary value, or with the key of one object renamed."""
+    doc = draw(docs)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if path and isinstance(path[-1], str) and draw(st.integers(0, 3)) == 0:
+        parent = _node_at(doc, path[:-1])
+        renamed = {draw(st.sampled_from(KEYS)) if k == path[-1] else k: v
+                   for k, v in parent.items()}
+        return _replaced(doc, path[:-1], renamed)
+    # a scalar half the time: most shape checks guard against one
+    return _replaced(doc, path, draw(LEAVES | JSON_VALUES))
+
+
+@pytest.mark.parametrize("nodes", [
+    JSON_VALUES, mutated(set_docs()), mutated(function_docs()),
+    mutated(planar_docs())], ids=["any", "set", "function", "planar"])
+def test_every_json_value_parses_or_refuses_by_name(nodes):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nodes)
+    def parses_or_refuses(node):
+        try:
+            parse_document(json.dumps(node))
+        except HausdorffError:
+            pass
+    parses_or_refuses()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(set_docs(), function_docs(), planar_docs()))
+def test_printing_a_parsed_document_parses_back_to_it(doc):
+    x = parse_document(json.dumps(doc))
+    assert parse_document(print_document(x)) == x

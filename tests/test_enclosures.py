@@ -17,7 +17,8 @@ from mpmath import iv, mp
 from mpmath.libmp import to_rational
 
 from hausdorff._numeric import (RatInterval, log_interval, pow_interval,
-                                sqrt_interval)
+                                sqrt_interval, zeta_interval)
+from hausdorff.errors import ValidationError
 from hausdorff.hvalue import DIM_CANTOR
 from hausdorff.oracle import box_dim_estimate
 from hausdorff.setalg import CantorAffine, RepSet
@@ -183,3 +184,22 @@ def test_exact_points_and_near_misses():
     # a dyadic square longer than prec bits stays an interval
     assert not sqrt_interval((2 ** 40 + 1) ** 2, 64).is_point()
     assert sqrt_interval((2 ** 40 + 1) ** 2, 128).is_point()
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (log_interval, (0, 64), "log_interval needs a positive argument"),
+    (pow_interval, (0, RatInterval.point(1), 64),
+     "pow_interval needs a positive base"),
+    (sqrt_interval, (-1, 64), "sqrt_interval needs a nonnegative argument"),
+    (zeta_interval, (1, 64), "zeta_interval needs a power above 1"),
+    (RatInterval, (F(2), F(1)), "interval endpoints out of order: 2 > 1"),
+])
+def test_argument_checks(call, args, message):
+    with pytest.raises(ValidationError, match=message):
+        call(*args)
+
+
+def test_absolute_value_of_an_interval():
+    assert abs(RatInterval(F(1), F(2))) == RatInterval(F(1), F(2))
+    assert abs(RatInterval(F(-2), F(-1))) == RatInterval(F(1), F(2))
+    assert abs(RatInterval(F(-3), F(2))) == RatInterval(F(0), F(3))

@@ -513,6 +513,21 @@ def test_add_series_values_same_base():
     f = on([(HARM, SeriesValues(HALVES))])
     g = on([(HARM, SeriesValues(Geometric(F(1, 4), F(1, 2))))])
     assert h_integral(add(f, g)) == pair(0, F(3, 2))
+    # p-series of one power add their coefficients: 3 zeta(2)
+    zeta = add(on([(HARM, SeriesValues(PSeries(1, 2)))]),
+               on([(HARM, SeriesValues(PSeries(2, 2)))]))
+    assert zeta.terms == ((HARM, SeriesValues(PSeries(3, 2))),)
+    assert h_integral(zeta).render() == "(0, 4.934802200544679)"
+    # a constant plus series values has no catalog expression
+    with pytest.raises(NotRepresentable, match="the pointwise sum leaves "
+                       "the expression catalog"):
+        add(on([(HARM, Const(1))]), on([(HARM, SeriesValues(HALVES))]))
+
+
+def test_adding_functions_joins_their_domains():
+    f = on([(Interval(0, 1), Const(1))], domain=I01)
+    g = on([(Interval(2, 3), Const(1))], domain=RepSet.of(Interval(1, 3)))
+    assert add(f, g).domain == RepSet.of(Interval(0, 3))
 
 
 def test_add_keeps_one_point_term_per_value():
@@ -697,6 +712,42 @@ def test_countable_additivity_head_plus_tail():
     assert both == (pair(0, 1), pair(0, 1))
 
 
+def test_countable_additivity_tail_values():
+    # a tail that meets no term carries the empty series
+    f = indicator(RepSet.of(Interval(2, 3)))
+    both = countable_additivity(f, [RepSet.of(Interval(2, 3))],
+                                SingletonTail(HARM))
+    assert both == (pair(1, 1), pair(1, 1))
+    # -1/n on the sequence: the tail sums to -inf in no order-free way
+    g = on([(HARM, SeriesValues(PSeries(-1, 1)))])
+    with pytest.raises(DoesNotConverge, match="no order-independent sum"):
+        countable_additivity(g, [], SingletonTail(HARM))
+
+
+@pytest.mark.parametrize("f, message", [
+    (on([(HARM, SeriesValues(PSeries(1, 2)))]),
+     "a shifted p-series leaves the catalog"),
+    (on([(HARM.with_deletions([F(1, 3)]), SeriesValues(HALVES))]),
+     "a deletion inside the tail breaks the value series"),
+    (on([(HARM, Const(1))]),
+     "constant tail values are outside the series catalog"),
+    (indicator(I01), "tail values straddle several terms of the function"),
+])
+def test_countable_additivity_refuses_tail_values_off_the_catalog(f, message):
+    # the point 1 as the head, the singletons from index 2 as the tail
+    with pytest.raises(NotRepresentable, match=message):
+        countable_additivity(f, [RepSet.of(FinitePoints([1]))],
+                             SingletonTail(HARM, 2))
+
+
+def test_singleton_tail_validation():
+    with pytest.raises(ValidationError, match="indices start at 1"):
+        SingletonTail(HARM, 0)
+    with pytest.raises(ValidationError,
+                       match="a partition tail enumerates a full sequence"):
+        SingletonTail(HARM.with_deletions([1]))
+
+
 def test_countable_additivity_parts_with_touching_hulls():
     # closed hulls meet only at 1, which the second part leaves out
     f = indicator(RepSet.of(Interval(0, 2)))
@@ -796,6 +847,10 @@ def test_monotone_compare_rejects_unordered_pair():
     g = on([(Interval(0, 1), Poly([0, 1]))])  # g < f on (0, 1)
     with pytest.raises(OrderNotVerified):
         monotone_compare(f, g)
+    # g - f leaves the catalog, so the order cannot be read
+    with pytest.raises(OrderNotVerified, match="cannot refine g against f"):
+        monotone_compare(on([(HARM, Const(1))]),
+                         on([(HARM, SeriesValues(Geometric(2, F(1, 2))))]))
 
 
 def test_verify_nonneg_poly_by_root_isolation():
@@ -968,6 +1023,29 @@ def test_fatou_escaping_mass():
 
 def test_fatou_constant_sequence():
     assert fatou_check(ConstantSeq(indicator(I01)))
+    with pytest.raises(ValidationError,
+                       match="fatou wants a nonnegative sequence"):
+        fatou_check(ConstantSeq(indicator(I01, -1)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SupportGrowth(0, 1, 1, 1), "need 0 < gap < hi - lo"),
+    (lambda: SupportGrowth(0, 1, 0, F(1, 2)),
+     "the plateau value must be nonzero"),
+    (lambda: ShrinkingPlateau(0, 0, 1), "the plateau width must be positive"),
+    (lambda: ShrinkingPlateau(0, 1, 0), "the plateau value must be nonzero"),
+    (lambda: PrefixGrowth(HARM.with_deletions([1]), 1),
+     "prefix growth wants a full sequence"),
+    (lambda: PrefixGrowth(HARM, 0), "the value must be nonzero"),
+    (lambda: SlidingBump(0), "the value must be nonzero"),
+    (lambda: StageClimb((), 1), "need at least one stage"),
+    (lambda: StageClimb((I01,), 0), "the value must be positive"),
+    (lambda: StageClimb((I01, RepSet.of(Interval(1, 2))), 1),
+     "stages must be nested increasingly"),
+])
+def test_generator_validation(make, message):
+    with pytest.raises(ValidationError, match=message):
+        make()
 
 
 def test_fatou_alternating_refuses():
@@ -1013,6 +1091,9 @@ def test_function_validation():
         on([(CantorAffine(0, 1), Poly([0, 1]))])
     with pytest.raises(ValidationError):
         on([(Interval(0, 1), SeriesValues(HALVES))])
+    with pytest.raises(ValidationError,
+                       match="fractional-power series values are irrational"):
+        SeriesValues(PSeries(1, F(3, 2)))
 
 
 _C = CantorAffine(0, 1)

@@ -13,16 +13,16 @@ from hausdorff import _numeric
 from hausdorff._numeric import RatInterval, _bernoulli, pow_interval
 from hausdorff.config import get_config, set_config, update_config
 from hausdorff.errors import (DoesNotConverge, HausdorffError,
-                              IncomparableDimensions, UndefinedSum,
-                              ValidationError)
-from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, NEG_INF,
-                              POS_INF, ZERO_PAIR, ClimbTail, ConstantTail,
-                              Dimension, ExtReal, FiniteList, Geometric,
-                              GrowthTail, HPair, HSeq, InterleaveTail,
-                              MeasureTail, PSeries, dim_abs_diff, ext_sum,
-                              hpair_add, hpair_eq, hpair_inf, hpair_series,
-                              hpair_sum, hpair_sup, hseq_liminf, hseq_limit,
-                              hseq_limsup, top_terms)
+                              IncomparableDimensions, NotSupported,
+                              UndefinedSum, ValidationError)
+from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, EXT_ZERO,
+                              NEG_INF, POS_INF, ZERO_PAIR, ClimbTail,
+                              ConstantTail, Dimension, ExtReal, FiniteList,
+                              Geometric, GrowthTail, HPair, HSeq,
+                              InterleaveTail, MeasureTail, PSeries,
+                              dim_abs_diff, ext_sum, hpair_add, hpair_eq,
+                              hpair_inf, hpair_series, hpair_sum, hpair_sup,
+                              hseq_liminf, hseq_limit, hseq_limsup, top_terms)
 
 
 def pair(d, m):
@@ -49,6 +49,17 @@ def test_log_ratio_validation():
         Dimension.log_ratio(1, 3)
     with pytest.raises(ValidationError):
         Dimension.rational(F(5, 2))  # outside [0, 2]
+    with pytest.raises(ValidationError,
+                       match="log_ratio arguments must be integers"):
+        Dimension.log_ratio(2.0, 3)
+
+
+def test_dimension_renders_and_refuses_a_rational_value():
+    gap = dim_abs_diff(DIM_ONE, DIM_CANTOR)
+    assert gap.render() == "1 - log(2)/log(3)"
+    assert repr(gap) == "Dimension(1 - log(2)/log(3))"
+    with pytest.raises(NotSupported, match=r"log\(2\)/log\(3\) is irrational"):
+        DIM_CANTOR.as_fraction()
 
 
 def test_dimension_compare_exact_power_trick():
@@ -102,6 +113,25 @@ def test_ext_arithmetic():
     assert ext_sum([ExtReal.of(1), POS_INF, ExtReal.of(-7)]) == POS_INF
     with pytest.raises(UndefinedSum):
         ext_sum([POS_INF, ExtReal.of(1), NEG_INF])
+    with pytest.raises(ValidationError, match=r"0 \* inf is undefined here"):
+        POS_INF.scale(0)
+    assert NEG_INF.sign() == -1
+    assert repr(ExtReal.of(F(-1, 2))) == "ExtReal(-1/2)"
+    assert repr(pair(DIM_CANTOR, 3)) == "HPair(log(2)/log(3), 3)"
+
+
+def test_ext_enclosures():
+    # a point enclosure is the exact value
+    assert ExtReal.interval(RatInterval.point(3)) == ExtReal.of(3)
+    assert ExtReal.of(3).is_exact()
+    ivl = ExtReal.interval(RatInterval(F(1), F(2)))
+    assert not ivl.is_exact()
+    assert -ivl == ExtReal.interval(RatInterval(F(-2), F(-1)))
+    with pytest.raises(NotSupported, match="has no exact rational value"):
+        ivl.as_fraction()
+    with pytest.raises(NotSupported,
+                       match="infinite value has no finite enclosure"):
+        POS_INF.enclosure()
 
 
 # --------------------------------------------------------------------------
@@ -187,6 +217,9 @@ def test_inf_sup_finite_sets():
     mixed = [pair(DIM_CANTOR, -3), pair(DIM_CANTOR, 5), pair(F(1, 2), 100)]
     assert hpair_eq(hpair_sup(mixed), pair(DIM_CANTOR, 5))
     assert hpair_eq(hpair_inf(mixed), pair(F(1, 2), 100))
+    # the lattice corners of [0, 1] x [0, inf]
+    assert hpair_inf([]) == pair(1, POS_INF)
+    assert hpair_sup([]) == ZERO_PAIR
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +232,8 @@ def test_constant_and_prefix():
     assert hpair_eq(s.term(2), pair(0, 2))
     assert hpair_eq(s.term(3), pair(1, 5))
     assert hpair_eq(hseq_limit(s), pair(1, 5))
+    with pytest.raises(ValidationError, match="sequence indices start at 1"):
+        s.term(0)
 
 
 def test_vanishing_measure_limit():
@@ -222,12 +257,17 @@ def test_dimension_climb_limit():
     assert hpair_eq(hseq_limit(s), pair(1, 0))
     irr = HSeq(tail=ClimbTail(DIM_CANTOR))
     assert hpair_eq(hseq_limit(irr), pair(DIM_CANTOR, 0))
+    with pytest.raises(ValidationError,
+                       match="a climb needs a positive limit dimension"):
+        ClimbTail(DIM_ZERO)
 
 
 def test_growth_tail():
     s = HSeq(tail=GrowthTail(DIM_ZERO, F(1)))
     assert hpair_eq(s.term(3), pair(0, 3))
     assert hpair_eq(hseq_limit(s), pair(0, POS_INF))
+    with pytest.raises(ValidationError, match="growth slope must be nonzero"):
+        GrowthTail(DIM_ONE, F(0))
 
 
 def test_interleaved_liminf_limsup():
@@ -237,6 +277,9 @@ def test_interleaved_liminf_limsup():
     assert hpair_eq(hseq_limsup(s), pair(1, 1))
     with pytest.raises(DoesNotConverge):
         hseq_limit(s)
+    with pytest.raises(ValidationError,
+                       match="interleave needs at least two rules"):
+        InterleaveTail((ConstantTail(pair(1, 1)),))
 
 
 def test_monotone_limit_is_sup_of_range():
@@ -285,6 +328,22 @@ def test_series_nonnegative_divergent_is_allowed():
 def test_series_rejects_conditional():
     with pytest.raises(DoesNotConverge):
         hpair_series([DIM_ZERO], [PSeries(-1, 1)])
+    with pytest.raises(ValidationError,
+                       match="dims and coefficient series must pair up"):
+        hpair_series([DIM_ZERO], [])
+
+
+def test_series_constructors_and_exact_edges():
+    with pytest.raises(ValidationError, match=r"geometric ratio must "
+                       r"satisfy \|r\| < 1, got -1"):
+        Geometric(1, -1)
+    with pytest.raises(ValidationError, match="power must be positive, got 0"):
+        PSeries(1, 0)
+    with pytest.raises(NotSupported, match="fractional-power series"):
+        PSeries(1, F(3, 2)).term(0)
+    assert PSeries(0, 2).sum() == EXT_ZERO
+    # a zero ratio: the closed form's 0**0 = 1 gives the one-term sums
+    assert [Geometric(5, 0).partial_sum(n) for n in range(4)] == [0, 5, 5, 5]
 
 
 def test_series_matches_partial_sum_limit():

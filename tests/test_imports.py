@@ -68,7 +68,15 @@ def test_planar_measure_loads_the_planar_layer():
     lines, modules = run_cli("measure", PLANAR)
     assert lines == ["(1, 1.4142135623730951)"]
     assert "deficiency" in modules
-    assert not modules & {"oracle", "checks"}
+    assert not modules & {"metrics", "oracle", "checks"}
+
+
+def test_defi_even_loads_no_metric_layer():
+    lines, modules = run_cli("defi", "even", FUNCTION)
+    assert lines == ["(1, 2)",
+                     "mass of |f(x) - f(-x)| over the asymmetric part"]
+    assert modules & LAYERS == {"cli", "docio", "hvalue", "setalg",
+                                "hintegral", "deficiency"}
 
 
 def test_star_import_binds_every_exported_name():

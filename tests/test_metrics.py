@@ -13,8 +13,9 @@ from hausdorff.errors import (HausdorffError, NoLimitFound, NotInLH,
 from hausdorff.hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
                                  SeriesValues, h_integral, indicator,
                                  neg_part, pos_part, zero_function)
-from hausdorff.hvalue import (DIM_CANTOR, POS_INF, Dimension, FiniteList,
-                              Geometric, HPair, PSeries, hpair_add, hpair_eq)
+from hausdorff.hvalue import (DIM_CANTOR, DIM_ZERO, POS_INF, Dimension,
+                              FiniteList, Geometric, HPair, PSeries,
+                              hpair_add, hpair_eq)
 from hausdorff.metrics import (DEFAULT_SCHEDULE, AlternatingFunctionSeq,
                                ConstantFunctionSeq, HDistance,
                                PointPerturbation, PrefixPerturbation,
@@ -54,6 +55,10 @@ def test_distance_plus_is_coordinatewise():
 
 def test_dH_pairs_equal_dimension_branch():
     assert dH_pairs(pair(1, 1), pair(1, 5)).value == pair(0, 4)
+    # enclosed measures: zeta(2) and 2 zeta(2) are a zeta(2) apart
+    zeta, twice = (HPair(DIM_ZERO, PSeries(c, 2).sum()) for c in (1, 2))
+    assert dH_pairs(zeta, twice).render() == "(0, 1.6449340668482264)"
+    assert dH_pairs(twice, zeta).render() == "(0, 1.6449340668482264)"
 
 
 def test_dH_pairs_dimension_branch():
@@ -496,6 +501,22 @@ def test_riesz_fischer_alternating_has_no_limit():
         riesz_fischer_check(seq)
 
 
+def test_alternating_between_equal_functions_converges():
+    f = indicator(I01)
+    g = PiecewiseFunction([(Interval(0, F(1, 2)), Const(1)),
+                           (Interval(F(1, 2), 1, [F(1, 2)]), Const(1))])
+    seq = AlternatingFunctionSeq(f, g)
+    assert seq.term(2) == g and is_cauchy(seq)
+    limit, cert = riesz_fischer_check(seq, [F(1, 10)])
+    assert limit == f and cert.index_for(F(1, 10)) == 1
+
+
+def test_riesz_fischer_wants_an_integrable_limit():
+    seq = ConstantFunctionSeq(indicator(RepSet.of(Interval(0, None))))
+    with pytest.raises(NotInLH, match="the limit has an infinite"):
+        riesz_fischer_check(seq)
+
+
 def test_riesz_fischer_slower_ratio():
     seq = PointPerturbation(indicator(I01), F(1, 2), coeff=5, ratio=F(2, 3))
     limit, cert = riesz_fischer_check(seq, [F(1, 100)])
@@ -507,14 +528,22 @@ def test_riesz_fischer_slower_ratio():
 
 
 def test_perturbation_validation():
-    with pytest.raises(ValidationError):
-        PointPerturbation(indicator(I01), 0, coeff=0)
-    with pytest.raises(ValidationError):
-        PointPerturbation(indicator(I01), 0, ratio=F(3, 2))
-    with pytest.raises(NotInLH):
-        PointPerturbation(indicator(RepSet.of(Interval(0, None))), 0)
-    with pytest.raises(ValidationError):
-        PrefixPerturbation(indicator(I01), CountableSeq(HARMONIC, 0, 1, deletions=(2,)))
+    unbounded = indicator(RepSet.of(Interval(0, None)))
+    for make in (PointPerturbation, PrefixPerturbation):
+        where = 0 if make is PointPerturbation else HARM
+        with pytest.raises(ValidationError,
+                           match="the perturbation coefficient is zero"):
+            make(indicator(I01), where, coeff=0)
+        with pytest.raises(ValidationError, match=r"need 0 < ratio < 1"):
+            make(indicator(I01), where, ratio=F(3, 2))
+        with pytest.raises(NotInLH, match="the base function has an "
+                           "infinite"):
+            make(unbounded, where)
+    # the sequence check comes first
+    with pytest.raises(ValidationError,
+                       match="prefix perturbation wants a full sequence"):
+        PrefixPerturbation(unbounded, HARM.with_deletions([F(1, 2)]),
+                           coeff=0)
 
 
 def test_perturbation_overlapping_base_support():

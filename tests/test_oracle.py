@@ -218,6 +218,8 @@ def test_unbounded_sets_are_rejected():
         box_dim_estimate(RepSet.of(), range(1, 5))
     with pytest.raises(ValidationError):
         box_dim_estimate(RepSet.of(Interval(0, 1)), [7])
+    with pytest.raises(ValidationError, match="cover depths start at 1"):
+        box_dim_estimate(RepSet.of(Interval(0, 1)), [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -461,5 +463,11 @@ def test_brute_budget_is_enforced():
     f = PiecewiseFunction([(Interval(0, 1), Const(1))])
     with pytest.raises(NotSupported):
         brute_recompute("h_integral", f)
+    # three sequences enumerate 3 * BRUTE_LIMIT values
+    seqs = PiecewiseFunction([(CountableSeq(HARMONIC, 10 * k, 1), Const(1))
+                              for k in range(3)])
+    with pytest.raises(TooLarge,
+                       match="enumeration exceeded the brute-force budget"):
+        brute_recompute("h_integral", seqs)
     with pytest.raises(ValidationError):
         brute_recompute("measure", [])

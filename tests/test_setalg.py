@@ -180,6 +180,16 @@ def test_atom_validation():
         Interval(0, 1, deletions=[2])
     with pytest.raises(ValidationError):
         CantorAffine(0, 1, deletions=[F(1, 2)])
+    with pytest.raises(ValidationError,
+                       match="unknown sequence family 'lucas'"):
+        CountableSeq("lucas", 0, 1)
+    with pytest.raises(ValidationError,
+                       match="harmonic sequences take no ratio"):
+        CountableSeq(HARMONIC, 0, 1, F(1, 2))
+    with pytest.raises(ValidationError, match="sequence indices start at 1"):
+        CountableSeq(HARMONIC, 0, 1).point(0)
+    # an empty point atom has a degenerate hull at the origin
+    assert FinitePoints([]).hull() == (0, 0)
 
 
 def test_sequence_indexing():
@@ -253,6 +263,23 @@ def test_interleaved_harmonics_not_representable():
     b = CountableSeq(HARMONIC, 0, 1)
     with pytest.raises(NotRepresentable):
         union(RepSet.of(a), RepSet.of(b))
+    with pytest.raises(NotRepresentable,
+                       match="the difference of these sequences is not a "
+                       "catalog set"):
+        diff(RepSet.of(a), RepSet.of(b))
+
+
+def test_geometric_sequences_of_one_base_ratio():
+    even = CountableSeq(GEOMETRIC, 0, 1, F(1, 4))      # 2**-2n
+    odd = CountableSeq(GEOMETRIC, 0, F(1, 2), F(1, 4))  # 2**-(2n+1)
+    assert set(union(RepSet.of(even), RepSet.of(odd)).atoms) == {even, odd}
+    assert intersect(RepSet.of(even), RepSet.of(odd)).is_empty()
+    # 2**-2n and 2**-3m share the points 2**-6k and neither holds the other
+    thirds = CountableSeq(GEOMETRIC, 0, 1, F(1, 8))
+    with pytest.raises(NotRepresentable,
+                       match="the union of these sequences is not a "
+                       "catalog set"):
+        union(RepSet.of(even), RepSet.of(thirds))
 
 
 def test_geometric_tail_inside_harmonic():
@@ -589,6 +616,7 @@ def test_cantor_scaling_powers_of_three():
     assert cantor_scale_measure(3).as_fraction() == F(2)
     assert cantor_scale_measure(27).as_fraction() == F(8)
     assert cantor_scale_measure(1).as_fraction() == F(1)
+    assert cantor_scale_measure(0).as_fraction() == F(0)
 
 
 def test_cantor_scaling_general_rational():
