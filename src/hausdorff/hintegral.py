@@ -418,28 +418,11 @@ def _series_support(atom: CountableSeq, s: CoefficientSeries) -> list[Atom]:
 # ---------------------------------------------------------------------------
 # the integral
 
-def _restricted_pieces(atom: Atom, expr: Expression, region: Region):
-    """Pieces of atom inside the region, each tagged with the expression
-    and the original atom (sequence indices are read off the original)."""
-    if isinstance(region, AllReals):
-        return [(atom, expr, atom)]
-    inside = intersect(RepSet.of(atom), region)
-    return [(piece, expr, atom) for piece in inside.atoms]
-
-
-def _live_piece(piece: Atom, expr: Expression, origin: Atom):
+def _live_piece(piece: Atom, expr: Expression):
     """Shrink a piece to where the expression is nonzero, for dimension
     purposes; returns None when nothing survives."""
-    if isinstance(piece, FinitePoints):
-        # one live point gives the piece its dimension, zero
-        live = any(_value_on(origin, expr, x) != 0 for x in piece.points)
-        return piece if live else None
     if isinstance(expr, Poly):
-        if isinstance(piece, Interval) or expr.degree() == 0:
-            return piece
-        raise NotRepresentable(
-            "a polynomial restricted to a fractal or sequence piece "
-            "has no catalog integral")
+        return piece
     survivors = _series_support(piece, expr.series)
     if not survivors:
         return None
@@ -447,15 +430,12 @@ def _live_piece(piece: Atom, expr: Expression, origin: Atom):
     return None if live.is_empty() else live
 
 
-def _piece_measure(piece: Atom, expr: Expression, origin: Atom) -> ExtReal:
+def _piece_measure(piece: Atom, expr: Expression) -> ExtReal:
     # a constant weighs the piece, point by point included, in one step
     if isinstance(expr, Poly) and expr.degree() == 0:
         return piece.mu().scale(expr.coeffs[0])
-    if isinstance(piece, FinitePoints):
-        return ExtReal.of(sum((_value_on(origin, expr, x)
-                               for x in piece.points), Fraction(0)))
     if isinstance(expr, SeriesValues):
-        removed = sum((_value_on(origin, expr, x) for x in piece.deletions),
+        removed = sum((_value_on(piece, expr, x) for x in piece.deletions),
                       Fraction(0))
         return expr.series.sum() - ExtReal.of(removed)
     anti = expr.antiderivative()
@@ -483,15 +463,17 @@ def h_integral(f: PiecewiseFunction, region: Region = ALL_REALS) -> HPair:
     """
     live = []
     for atom, expr in f.terms:
-        for piece, e, origin in _restricted_pieces(atom, expr, region):
-            trimmed = _live_piece(piece, e, origin)
+        pieces = ([atom] if isinstance(region, AllReals)
+                  else intersect(RepSet.of(atom), region).atoms)
+        for piece, e in _terms_on(pieces, atom, expr):
+            trimmed = _live_piece(piece, e)
             if trimmed is not None:
-                live.append((piece, e, origin, trimmed.dim()))
-    top, kept = top_terms(live, lambda t: t[3])
+                live.append((piece, e, trimmed.dim()))
+    top, kept = top_terms(live, lambda t: t[2])
     if top is None:
         return ZERO_PAIR
-    return HPair(top, ext_sum(_piece_measure(piece, e, origin)
-                              for piece, e, origin, _ in kept))
+    return HPair(top, ext_sum(_piece_measure(piece, e)
+                              for piece, e, _ in kept))
 
 
 def is_integrable(f: PiecewiseFunction, region: Region = ALL_REALS) -> bool:
@@ -562,14 +544,18 @@ def _localize(piece: Atom, origin: Atom, expr: Expression) -> Expression:
 
 
 def _pointwise_terms(piece: FinitePoints, sources) -> list:
-    """Constant terms for a finite piece, one per distinct value, on the
-    points that take it."""
+    """Constant terms for a finite piece, one per distinct nonzero value,
+    on the points that take it. Constant sources are added once for the
+    whole piece."""
+    if all(isinstance(e, Poly) and e.degree() == 0 for _, e in sources):
+        v = sum((e.coeffs[0] for _, e in sources), Fraction(0))
+        return [(piece, Const(v))] if v else []
     by_value = {}
     for x in piece.points:
         v = sum((_value_on(origin, expr, x) for origin, expr in sources),
                 Fraction(0))
         by_value.setdefault(v, []).append(x)
-    return [(FinitePoints(xs), Const(v)) for v, xs in by_value.items()]
+    return [(FinitePoints(xs), Const(v)) for v, xs in by_value.items() if v]
 
 
 def _combined_terms(piece: Atom, sources) -> list:
@@ -585,6 +571,13 @@ def _combined_terms(piece: Atom, sources) -> list:
                 "the pointwise sum leaves the expression catalog "
                 f"on {piece!r}")
     return [(piece, total)]
+
+
+def _terms_on(pieces, atom: Atom, expr: Expression) -> list:
+    """The term (atom, expr) on sub-pieces of its atom, as (piece,
+    expression) pairs whose values read on the piece alone."""
+    return [t for piece in pieces
+            for t in _combined_terms(piece, [(atom, expr)])]
 
 
 def _expr_add(a: Expression, b: Expression) -> Optional[Expression]:
@@ -622,8 +615,7 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     out = []
     for (a, ea), cut in zip(terms, cuts):
         rest = diff(RepSet.of(a), RepSet.from_atoms(cut))
-        for piece in rest.atoms:
-            out.extend(_combined_terms(piece, [(a, ea)]))
+        out.extend(_terms_on(rest.atoms, a, ea))
     for i, j in pairs:
         (a, ea), (b, eb) = terms[i], terms[j]
         for piece in intersect(RepSet.of(a), RepSet.of(b)).atoms:

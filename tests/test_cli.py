@@ -67,6 +67,23 @@ def test_integrate_on_region(capsys):
     assert code == 0 and out == "(1, 1/2)\n"
 
 
+@pytest.mark.parametrize("atom, expr, region, message", [
+    # 2^(1-n) at 1/n, over {2^-n}: the points keep their harmonic indices
+    ('{"seq": {"kind": "harmonic", "a": 0, "b": 1}}',
+     '{"series": {"kind": "geometric", "a": 1, "r": "1/2"}}',
+     '{"seq": {"kind": "geometric", "a": 0, "b": 1, "q": "1/2"}}',
+     "series values cannot be rebased onto a different sequence"),
+    (UNIT, '{"poly": [0, 1]}', CANTOR,
+     "a polynomial is only constant enough for a fractal or sequence piece "
+     "when it has degree zero"),
+], ids=["series-in-another-base", "polynomial-on-cantor"])
+def test_integrate_on_a_region_that_cannot_read_the_values(
+        capsys, atom, expr, region, message):
+    doc = f'{{"terms": [{{"set": {atom}, "expr": {expr}}}]}}'
+    code, out, err = run(capsys, "integrate", doc, "--on", region)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_distance_sets_and_functions(capsys):
     code, out, _ = run(capsys, "distance", "sets", UNIT, '{"interval": [0, "1/2"]}')
     assert code == 0 and out == "(1, 1/2)\n"

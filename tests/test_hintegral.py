@@ -289,6 +289,11 @@ def test_geometric_values_on_harmonic_points():
     assert f.value_at(F(2, 7)) == 0
 
 
+# 2^(1-n) at the points 1/n: the values are bound to the harmonic indices
+BASE_HALVES = on([(HARM, SeriesValues(Geometric(1, F(1, 2))))])
+RAMP = on([(Interval(0, 1), Poly([0, 1]))])
+
+
 def test_integral_restricted_to_subregions():
     f = on([(HARM, SeriesValues(HALVES))])
     # the four points 1, 1/2, 1/3, 1/4 lie in [1/4, 1]
@@ -296,6 +301,30 @@ def test_integral_restricted_to_subregions():
     # everything from 1/4 on lies in [0, 1/4]
     assert h_integral(f, RepSet.of(Interval(0, F(1, 4)))) == pair(0, F(1, 8))
     assert h_integral(f, RepSet.of(FinitePoints([F(1, 2)]))) == pair(0, F(1, 4))
+    # pieces of the values' own base: a head, and the base less a point
+    for region, want in [(Interval(F(1, 100), 1), pair(0, 2 - F(1, 2 ** 99))),
+                         (HARM.with_deletions([1]), pair(0, 1))]:
+        assert restrict_to_support(BASE_HALVES,
+                                   RepSet.of(region)) == (want, want)
+
+
+@pytest.mark.parametrize("f, region, message", [
+    # {2^-n} and {1/(2n)} meet {1/n} in a subsequence of another base,
+    # where a point's index is not its index in the value series
+    (BASE_HALVES, CountableSeq(GEOMETRIC, 0, 1, F(1, 2)),
+     "series values cannot be rebased onto a different sequence"),
+    (BASE_HALVES, CountableSeq(HARMONIC, 0, F(1, 2)),
+     "series values cannot be rebased onto a different sequence"),
+    (RAMP, HARM, "a polynomial is only constant enough for a fractal or "
+     "sequence piece when it has degree zero"),
+    (RAMP, CantorAffine(0, 1), "a polynomial is only constant enough"),
+], ids=["geometric-base", "half-harmonic-base", "ramp-on-sequence",
+        "ramp-on-cantor"])
+def test_integral_refuses_a_piece_its_values_cannot_be_read_on(f, region,
+                                                               message):
+    for integrate in (h_integral, restrict_to_support):
+        with pytest.raises(NotRepresentable, match=message):
+            integrate(f, RepSet.of(region))
 
 
 def test_lower_dimension_contributes_nothing():
@@ -1057,7 +1086,7 @@ def test_fatou_alternating_refuses():
 # -- work ---------------------------------------------------------------------
 
 def test_constant_on_points_is_weighed_by_count(monkeypatch):
-    # one value is read to see the piece is live, none to weigh it
+    # a constant on a point piece is weighed by count: no value is read
     import hausdorff.hintegral as hi
     reads = []
 
@@ -1071,13 +1100,22 @@ def test_constant_on_points_is_weighed_by_count(monkeypatch):
         reads.clear()
         f = indicator(RepSet.of(FinitePoints(range(n))), F(3, 7))
         assert h_integral(f) == pair(0, F(3 * n, 7))
-        assert len(reads) <= 1
+        assert len(reads) == 0
     # a sequence cut to finitely many points by the region
     reads.clear()
     f = on([(HARM, Const(2))])
     cut = RepSet.of(Interval(F(1, 500), 1))
     assert h_integral(f, cut) == pair(0, 1000)
-    assert len(reads) <= 1
+    assert len(reads) == 0
+    # add sums the constants once for a point piece, inside the interval
+    # and off it
+    for n in (10, 2000):
+        reads.clear()
+        pts = FinitePoints(F(k, n) for k in range(n // 2, n + n // 2))
+        s = add(indicator(I01), indicator(RepSet.of(pts), F(3, 7)))
+        assert len(reads) == 0
+        assert s.value_at(F(1, 2)) == F(10, 7)
+        assert s.value_at(F(3, 2) - F(1, n)) == F(3, 7)
 
 
 # -- construction validation ------------------------------------------------
