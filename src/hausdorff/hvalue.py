@@ -102,25 +102,16 @@ class Dimension:
     # -- comparison ----------------------------------------------------
 
     def cmp(self, other: "Dimension") -> int:
-        diff = self._sub(other)
-        if not diff.logs:
-            return (diff.rat > 0) - (diff.rat < 0)
-        if len(diff.logs) == 1:
-            sign = _sign_single_log(diff.rat, *diff.logs[0])
+        if self.logs == other.logs:
+            return (self.rat > other.rat) - (self.rat < other.rat)
+        if len(self.logs) + len(other.logs) == 1:
+            # a rational against one log term: their difference is that term
+            (key, coef), = self.logs or other.logs
+            sign = _sign_single_log(self.rat - other.rat, key,
+                                    coef if self.logs else -coef)
             if sign is not None:
                 return sign
-        # interval separation with doubling precision
-        prec = _START_PREC
-        cap = get_config().precision_bits
-        while True:
-            sign = _dim_enclosure(diff, prec).sign()
-            if sign is not None:
-                return sign
-            if prec >= cap:
-                raise IncomparableDimensions(
-                    f"cannot separate {self.render()} and {other.render()} "
-                    f"within {cap} bits")
-            prec = min(2 * prec, cap)
+        return _diff_sign(self._sub(other), self, other)
 
     # -- rendering -------------------------------------------------------
 
@@ -169,6 +160,26 @@ def _sign_single_log(rat: Fraction, key: tuple[int, int], coef: Fraction):
     return value_sign if coef > 0 else -value_sign
 
 
+def _diff_sign(diff: Dimension, a: Dimension, b: Dimension) -> int:
+    """The sign of diff = a - b, which has log terms: exact for one term,
+    else by interval separation with doubling precision."""
+    if len(diff.logs) == 1:
+        sign = _sign_single_log(diff.rat, *diff.logs[0])
+        if sign is not None:
+            return sign
+    prec = _START_PREC
+    cap = get_config().precision_bits
+    while True:
+        sign = _dim_enclosure(diff, prec).sign()
+        if sign is not None:
+            return sign
+        if prec >= cap:
+            raise IncomparableDimensions(
+                f"cannot separate {a.render()} and {b.render()} "
+                f"within {cap} bits")
+        prec = min(2 * prec, cap)
+
+
 @functools.lru_cache(maxsize=4096)
 def _dim_enclosure(dim: Dimension, prec: int) -> RatInterval:
     acc = RatInterval.point(dim.rat)
@@ -191,7 +202,7 @@ def dim_abs_diff(a: Dimension, b: Dimension) -> Dimension:
     diff = a._sub(b)
     if not diff.logs:
         return Dimension(rat=abs(diff.rat))
-    return diff if a.cmp(b) >= 0 else diff._scale(Fraction(-1))
+    return diff if _diff_sign(diff, a, b) >= 0 else diff._scale(Fraction(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +293,8 @@ class ExtReal:
 
     def cmp(self, other: "ExtReal") -> int:
         """Trichotomy; overlapping enclosures compare as equal."""
+        if self.kind == other.kind == _FIN:
+            return (self.value > other.value) - (self.value < other.value)
         ra, rb = _RANK[self.kind], _RANK[other.kind]
         if ra != rb:
             return (ra > rb) - (ra < rb)
@@ -299,6 +312,9 @@ class ExtReal:
             return 1
         if self.kind == _NEG:
             return -1
+        if self.kind == _FIN:
+            n = self.value.numerator
+            return (n > 0) - (n < 0)
         enc = self.enclosure()
         s = enc.sign()
         return 0 if s is None else s
@@ -580,6 +596,8 @@ class PSeries(CoefficientSeries):
         return self.c == 0 or self.p > 1
 
     def sum(self) -> ExtReal:
+        """c times the cached `zeta_interval(p, precision_bits)`: zeta(p) is
+        summed once per p and precision, and a higher precision sums again."""
         if self.c == 0:
             return EXT_ZERO
         if self.p <= 1:

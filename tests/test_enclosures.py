@@ -18,10 +18,11 @@ from mpmath.libmp import to_rational
 
 from hausdorff._numeric import (RatInterval, log_interval, pow_interval,
                                 sqrt_interval, zeta_interval)
+from hausdorff.config import set_config, update_config
 from hausdorff.errors import ValidationError
-from hausdorff.hvalue import DIM_CANTOR
+from hausdorff.hvalue import DIM_CANTOR, PSeries
 from hausdorff.oracle import box_dim_estimate
-from hausdorff.setalg import CantorAffine, RepSet
+from hausdorff.setalg import CantorAffine, RepSet, cantor_scale_measure
 
 PRECS = (64, 256, 512)
 SAMPLE = {"log": 1200, "sqrt": 1100, "pow": 1200}  # arguments per precision
@@ -203,3 +204,31 @@ def test_absolute_value_of_an_interval():
     assert abs(RatInterval(F(1), F(2))) == RatInterval(F(1), F(2))
     assert abs(RatInterval(F(-2), F(-1))) == RatInterval(F(1), F(2))
     assert abs(RatInterval(F(-3), F(2))) == RatInterval(F(0), F(3))
+
+
+def test_cached_enclosures_follow_the_precision():
+    # zeta(3/2) and (1/2)**(log 2/log 3) are cached per precision: a higher
+    # one computes a narrower enclosure inside the first, and going back
+    # returns the first one again
+    measures = (lambda: PSeries(1, F(3, 2)).sum().enclosure(),
+                lambda: cantor_scale_measure(F(1, 2)).enclosure())
+    previous = update_config(precision_bits=256)
+    try:
+        coarse = [measure() for measure in measures]
+        update_config(precision_bits=512)
+        for measure, first in zip(measures, coarse):
+            fine = measure()
+            assert first.lo <= fine.lo and fine.hi <= first.hi
+            assert fine.hi - fine.lo < first.hi - first.lo
+        update_config(precision_bits=256)
+        assert [measure() for measure in measures] == coarse
+    finally:
+        set_config(previous)
+
+
+def test_refused_enclosures_are_not_cached():
+    entries = zeta_interval.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="needs a power above 1"):
+            zeta_interval(1, 64)
+    assert zeta_interval.cache_info().currsize == entries

@@ -3,13 +3,14 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hausdorff import _numeric
+from hausdorff import _numeric, hvalue
 from hausdorff._numeric import RatInterval, _bernoulli, pow_interval
 from hausdorff.config import get_config, set_config, update_config
 from hausdorff.errors import (DoesNotConverge, HausdorffError,
@@ -132,6 +133,153 @@ def test_ext_enclosures():
     with pytest.raises(NotSupported,
                        match="infinite value has no finite enclosure"):
         POS_INF.enclosure()
+
+
+# --------------------------------------------------------------------------
+# exact comparisons
+
+
+def test_exact_comparisons_build_no_difference_and_no_enclosure(monkeypatch):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(Dimension, "_sub", counted("_sub", Dimension._sub))
+    monkeypatch.setattr(hvalue, "_dim_enclosure",
+                        counted("_dim_enclosure", hvalue._dim_enclosure))
+    shifted = Dimension(rat=F(1, 3), logs=DIM_CANTOR.logs)
+    # equal log parts compare their rationals
+    assert DIM_CANTOR.cmp(Dimension.log_ratio(4, 9)) == 0
+    assert shifted.cmp(DIM_CANTOR) == 1
+    assert Dimension.rational(F(1, 2)).cmp(Dimension.rational(F(2, 3))) == -1
+    # a rational against one log term is an integer power comparison
+    assert Dimension.rational(F(1, 2)).cmp(DIM_CANTOR) == -1
+    assert DIM_CANTOR.cmp(Dimension.rational(F(2, 3))) == -1
+    assert shifted.cmp(DIM_ONE) == -1
+    assert Dimension.log_ratio(4, 8).cmp(Dimension.rational(F(2, 3))) == 0
+    assert not calls
+
+    monkeypatch.setattr(RatInterval, "__post_init__",
+                        counted("RatInterval", RatInterval.__post_init__))
+    assert ExtReal.of(F(1, 3)).cmp(ExtReal.of(F(1, 2))) == -1
+    assert ExtReal.of(4).cmp(ExtReal.of(4)) == 0
+    assert [ExtReal.of(x).sign() for x in (F(-2, 7), 0, 5)] == [-1, 0, 1]
+    assert not calls
+
+
+def ref_dim_cmp(a, b):
+    """`Dimension.cmp` before its exact paths: the sign of a - b, exact for
+    at most one log term, else by interval separation."""
+    diff = a._sub(b)
+    if not diff.logs:
+        return (diff.rat > 0) - (diff.rat < 0)
+    if len(diff.logs) == 1:
+        sign = hvalue._sign_single_log(diff.rat, *diff.logs[0])
+        if sign is not None:
+            return sign
+    prec, cap = hvalue._START_PREC, get_config().precision_bits
+    while True:
+        sign = hvalue._dim_enclosure(diff, prec).sign()
+        if sign is not None:
+            return sign
+        if prec >= cap:
+            raise IncomparableDimensions(
+                f"cannot separate {a.render()} and {b.render()} "
+                f"within {cap} bits")
+        prec = min(2 * prec, cap)
+
+
+def ref_dim_abs_diff(a, b):
+    diff = a._sub(b)
+    if not diff.logs:
+        return Dimension(rat=abs(diff.rat))
+    return diff if ref_dim_cmp(a, b) >= 0 else diff._scale(F(-1))
+
+
+def ref_ext_cmp(x, y):
+    """`ExtReal.cmp` before its exact path: every finite value through its
+    enclosure, overlapping enclosures equal."""
+    rx, ry = hvalue._RANK[x.kind], hvalue._RANK[y.kind]
+    if rx != ry:
+        return (rx > ry) - (rx < ry)
+    if rx != 1:
+        return 0
+    ix, iy = x.enclosure(), y.enclosure()
+    if ix.hi < iy.lo:
+        return -1
+    if ix.lo > iy.hi:
+        return 1
+    return 0
+
+
+def ref_ext_sign(x):
+    if x == POS_INF:
+        return 1
+    if x == NEG_INF:
+        return -1
+    s = x.enclosure().sign()
+    return 0 if s is None else s
+
+
+def _outcome(call):
+    try:
+        return call()
+    except HausdorffError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _comparison_pools():
+    # a rational within 10**-40 of log(2)/log(3): too long for the integer
+    # power comparison, so it is separated by intervals
+    near = F(round(DIM_CANTOR.enclosure(512).mid * 10 ** 40), 10 ** 40)
+    rats = [F(0), F(1, 3), F(1, 2), F(63, 100), F(2, 3), F(1), F(3, 2),
+            F(2), near]
+    keys = [(2, 3), (2, 5), (3, 5), (2, 7)]
+    coefs = [F(1), F(-1), F(1, 2), F(2), F(-3, 2)]
+    exact = [F(0), F(1), F(-1), F(1, 3), F(-5, 2), F(1644934, 10 ** 6)]
+    intervals = [RatInterval(F(0), F(1)), RatInterval(F(-1), F(0)),
+                 RatInterval(F(1, 4), F(1, 2)), RatInterval(F(-3), F(-2)),
+                 RatInterval(F(1), F(2)),
+                 PSeries(1, 2).sum().enclosure(),
+                 PSeries(F(-7, 3), F(3, 2)).sum().enclosure()]
+    return rats, keys, coefs, exact, intervals
+
+
+def test_exact_comparisons_match_the_interval_reference():
+    rats, keys, coefs, exact, intervals = _comparison_pools()
+    rng = random.Random(27)
+
+    def dimension():
+        terms = rng.sample(keys, rng.choice((0, 0, 1, 1, 2)))
+        return Dimension(rat=rng.choice(rats), logs=tuple(sorted(
+            (key, rng.choice(coefs)) for key in terms)))
+
+    def measure():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice((POS_INF, NEG_INF))
+        if kind in (1, 2):
+            return ExtReal.of(rng.choice(exact))
+        return ExtReal.interval(rng.choice(intervals))
+
+    hits = Counter()
+    for _ in range(2000):
+        a, b = dimension(), dimension()
+        x, y = measure(), measure()
+        hits["equal logs"] += a.logs == b.logs
+        hits["rational and one log"] += len(a.logs) + len(b.logs) == 1
+        hits["two exact"] += x.is_exact() and y.is_exact()
+        hits["interval"] += not (x.is_exact() and y.is_exact()) and x.is_finite() and y.is_finite()
+        assert _outcome(lambda: a.cmp(b)) == _outcome(lambda: ref_dim_cmp(a, b)), (a, b)
+        assert _outcome(lambda: dim_abs_diff(a, b)) == \
+            _outcome(lambda: ref_dim_abs_diff(a, b)), (a, b)
+        assert x.cmp(y) == ref_ext_cmp(x, y), (x, y)
+        assert x.sign() == ref_ext_sign(x), x
+    assert min(hits.values()) >= 200, hits
 
 
 # --------------------------------------------------------------------------
@@ -515,10 +663,17 @@ def test_pseries_sum_makes_few_exp_kernel_calls(monkeypatch):
 
     exp_fixed = _numeric._exp_fixed
     monkeypatch.setattr(_numeric, "_exp_fixed", counting)
+    # an earlier test may have cached zeta(3/2) at this precision
+    _numeric.zeta_interval.cache_clear()
     PSeries(1, 2).sum()
     assert not calls
     PSeries(1, F(3, 2)).sum()
     assert 0 < len(calls) <= 11
+    # zeta(3/2) is summed once per precision, whatever the coefficient
+    cold = len(calls)
+    PSeries(1, F(3, 2)).sum()
+    PSeries(5, F(3, 2)).sum()
+    assert len(calls) == cold
 
 
 def test_bernoulli_numbers_first_values():
