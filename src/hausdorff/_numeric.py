@@ -89,6 +89,10 @@ class RatInterval:
         return None
 
 
+def _frac(x: Rational) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def _as_interval(x) -> RatInterval:
     if isinstance(x, RatInterval):
         return x

@@ -11,6 +11,7 @@ from convexity.
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .config import get_config
@@ -22,7 +23,7 @@ from .hintegral import (ALL_REALS, AllReals, Const, Expression,
                         h_integral, scalar_mul)
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
                      Interval, RepSet, meeting_pairs)
-from ._numeric import exact_sqrt, sqrt_interval
+from ._numeric import _frac, exact_sqrt, sqrt_interval
 
 __all__ = [
     "OscillationProfile", "oscillation",
@@ -279,12 +280,20 @@ Point2 = tuple  # (Fraction, Fraction)
 
 def _pt(p) -> Point2:
     x, y = p
-    return (Fraction(x), Fraction(y))
+    return (_frac(x), _frac(y))
 
 
-def _cross(o: Point2, a: Point2, b: Point2) -> Fraction:
-    return ((a[0] - o[0]) * (b[1] - o[1])
-            - (a[1] - o[1]) * (b[0] - o[0]))
+def _cross(o: Point2, a: Point2, b: Point2) -> int:
+    """(a - o) x (b - o) times the product of the six coordinates'
+    denominators: an int of the same sign, built from ints alone."""
+    oxn, oxd = o[0].as_integer_ratio()
+    oyn, oyd = o[1].as_integer_ratio()
+    axn, axd = a[0].as_integer_ratio()
+    ayn, ayd = a[1].as_integer_ratio()
+    bxn, bxd = b[0].as_integer_ratio()
+    byn, byd = b[1].as_integer_ratio()
+    return ((axn * oxd - oxn * axd) * (byn * oyd - oyn * byd) * ayd * bxd
+            - (ayn * oyd - oyn * ayd) * (bxn * oxd - oxn * bxd) * axd * byd)
 
 
 def _in_box(p: Point2, a: Point2, b: Point2) -> bool:
@@ -398,13 +407,21 @@ class ConvexPolygon(PlanarAtom):
         return all(_cross(a, b, p) >= 0 for a, b in self.edges())
 
     def area(self) -> Fraction:
-        total = ZERO
-        n = len(self.vertices)
-        for i in range(n):
-            x1, y1 = self.vertices[i]
-            x2, y2 = self.vertices[(i + 1) % n]
-            total += x1 * y2 - x2 * y1
-        return total / 2
+        """The shoelace sum over the integer points of _scaled."""
+        pts, scale = _scaled(self.vertices)
+        total = sum(pts[i - 1][0] * pts[i][1] - pts[i][0] * pts[i - 1][1]
+                    for i in range(len(pts)))
+        return Fraction(total, 2 * scale)
+
+
+def _scaled(points) -> tuple:
+    """The points as ints, x times the lcm X of the x denominators and y
+    times the lcm Y of the y ones, and XY: order and turns are kept."""
+    xs = [x.as_integer_ratio() for x, _ in points]
+    ys = [y.as_integer_ratio() for _, y in points]
+    sx, sy = lcm(*(d for _, d in xs)), lcm(*(d for _, d in ys))
+    return [(n * (sx // d), m * (sy // e))
+            for (n, d), (m, e) in zip(xs, ys)], sx * sy
 
 
 def _sqrt_ext(q: Fraction) -> ExtReal:
@@ -495,11 +512,13 @@ def planar_measure(H: PlanarSet) -> HPair:
 def convex_hull(H: PlanarSet) -> PlanarAtom:
     """Convex hull of a scene as a planar atom: a polygon in general
     position, degenerating to a segment or a single point."""
-    pts = sorted({p for atom in H.atoms for p in atom.points()})
+    pts = [p for atom in H.atoms for p in atom.points()]
     if not pts:
         raise ValidationError("cannot take the hull of an empty scene")
+    point = dict(zip(_scaled(pts)[0], pts))  # the chain runs on the keys
+    pts = sorted(point)
     if len(pts) == 1:
-        return Points2D(pts)
+        return Points2D(point.values())
     # monotone chain with strict turns, so collinear points drop out
     def half(seq):
         out = []
@@ -511,7 +530,7 @@ def convex_hull(H: PlanarSet) -> PlanarAtom:
 
     lower = half(pts)
     upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
+    hull = [point[p] for p in lower[:-1] + upper[:-1]]
     if len(hull) == 2:
         return Segment(hull[0], hull[1])
     return ConvexPolygon(hull)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
-from ._numeric import (RatInterval, Rational, log_interval, power_base,
+from ._numeric import (RatInterval, Rational, _frac, log_interval, power_base,
                        render_rational, zeta_interval)
 from .config import get_config
 from .errors import (DoesNotConverge, IncomparableDimensions, NotSupported,
@@ -49,7 +49,7 @@ class Dimension:
 
     @staticmethod
     def rational(x: Rational) -> "Dimension":
-        x = Fraction(x)
+        x = _frac(x)
         if not 0 <= x <= 2:
             raise ValidationError(f"dimension {x} outside [0, 2]")
         return Dimension(rat=x)
@@ -223,7 +223,7 @@ class ExtReal:
 
     @staticmethod
     def of(x: Rational) -> "ExtReal":
-        return ExtReal(_FIN, Fraction(x))
+        return ExtReal(_FIN, _frac(x))
 
     @staticmethod
     def interval(enc: RatInterval) -> "ExtReal":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from ._numeric import (_ITER_GUARD, Rational, coprime_base, geo_steps,
+from ._numeric import (_ITER_GUARD, Rational, _frac, coprime_base, geo_steps,
                        pow_interval, power_base, power_index)
 from .config import get_config
 from .errors import NotRepresentable, TooLarge, ValidationError
@@ -32,10 +32,6 @@ from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, ZERO_PAIR,
                      top_terms)
 
 Endpoint = Optional[Fraction]  # None encodes a missing (infinite) endpoint
-
-
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _floor(x: Fraction) -> int:

@@ -1,20 +1,24 @@
 """Deficiency measurements: distance from continuity, evenness, convexity."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from hausdorff import deficiency
 from hausdorff.deficiency import (ConvexPolygon, PlanarSet, Points2D, Segment,
-                                  _on_segment, _segments_meet,
+                                  _cross, _on_segment, _pt, _segments_meet,
                                   cluster_set, convex_hull, defi_continuity_cluster,
                                   defi_continuity_dist, defi_continuity_osc,
                                   defi_convex, defi_even, oscillation,
                                   planar_measure, reflect_function)
-from hausdorff.errors import NotRepresentable, NotSupported, ValidationError
+from hausdorff.errors import (HausdorffError, NotRepresentable, NotSupported,
+                              ValidationError)
 from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
                                  add, h_integral)
-from hausdorff.hvalue import DIM_CANTOR, FiniteList, Geometric, HPair, PSeries
+from hausdorff.hvalue import (DIM_CANTOR, Dimension, ExtReal, FiniteList,
+                              Geometric, HPair, PSeries)
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet)
 
@@ -576,6 +580,189 @@ def test_planar_set_matches_the_all_pairs_loop():
         accepted += isinstance(want, tuple)
     # both outcomes are drawn often
     assert 200 < accepted < 500
+
+
+def ref_cross(o, a, b):
+    """The orientation test in Fraction arithmetic: (a - o) x (b - o)."""
+    return ((a[0] - o[0]) * (b[1] - o[1])
+            - (a[1] - o[1]) * (b[0] - o[0]))
+
+
+def ref_area(vertices):
+    """The shoelace sum in Fraction arithmetic."""
+    total = F(0)
+    n = len(vertices)
+    for i in range(n):
+        x1, y1 = vertices[i]
+        x2, y2 = vertices[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return total / 2
+
+
+def ref_pt(p):
+    x, y = p
+    return (F(x), F(y))
+
+
+def ref_convex_hull(H):
+    """The monotone chain over the sorted Fraction points."""
+    pts = sorted({p for atom in H.atoms for p in atom.points()})
+    if not pts:
+        raise ValidationError("cannot take the hull of an empty scene")
+    if len(pts) == 1:
+        return Points2D(pts)
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ref_cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = half(pts)[:-1] + half(reversed(pts))[:-1]
+    if len(hull) == 2:
+        return Segment(*hull)
+    return ConvexPolygon(hull)
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _rand_coord(rng):
+    """A rational of either sign: on the coarse grid, with a small
+    denominator, or with numerator and denominator up to 10^30."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return F(rng.randrange(-20, 21), 2)
+    if kind == 1:
+        return F(rng.randrange(-10**4, 10**4), rng.randrange(1, 100))
+    return F(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**30))
+
+
+def test_cross_sign_matches_the_fraction_cross_product():
+    rng = random.Random(2028)
+    signs = Counter()
+    for _ in range(12000):
+        o, a = [(_rand_coord(rng), _rand_coord(rng)) for _ in range(2)]
+        draw = rng.random()
+        if draw < 0.4:
+            # on the line through o and a, or 10^-30 off it
+            t = _rand_coord(rng)
+            off = 0 if draw < 0.25 else F(rng.choice((-1, 1)), 10**30)
+            b = (o[0] + t * (a[0] - o[0]), o[1] + t * (a[1] - o[1]) + off)
+        else:
+            b = (_rand_coord(rng), _rand_coord(rng))
+        got = _cross(o, a, b)
+        assert type(got) is int
+        assert _sign(got) == _sign(ref_cross(o, a, b)), (o, a, b)
+        signs[_sign(got)] += 1
+    # every sign is drawn often, zero from the collinear triples
+    assert min(signs.values()) > 2500
+
+
+def test_integer_area_matches_the_fraction_shoelace():
+    rng = random.Random(2029)
+    polygons = 0
+    for _ in range(1500):
+        pts = {(_rand_coord(rng), _rand_coord(rng))
+               for _ in range(rng.randint(3, 9))}
+        hull = convex_hull(PlanarSet([Points2D(pts)]))
+        if isinstance(hull, ConvexPolygon):
+            got = hull.area()
+            assert type(got) is F and got == ref_area(hull.vertices) > 0
+            polygons += 1
+    assert polygons > 1400
+
+
+def test_orientation_test_builds_no_fraction(monkeypatch):
+    o, a, b = ((F(1, 3), F(-2, 7)), (F(10**30 + 1, 10**30), F(5)),
+               (F(-1, 2), F(3, 10**29)))
+    want = _sign(ref_cross(o, a, b))
+    x = F(2, 3)
+    built = []
+    original = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    assert _sign(_cross(o, a, b)) == want
+    # Fractions are kept as they are, not wrapped again
+    assert _pt(o)[0] is o[0] and _pt(o)[1] is o[1]
+    assert ExtReal.of(x).value is x
+    assert Dimension.rational(x).rat is x
+    assert not built
+    assert F(1, 2) + x and built
+
+
+def _moved(atom, f):
+    """The atom under the point map f."""
+    if isinstance(atom, Points2D):
+        return Points2D(map(f, atom.pts))
+    if isinstance(atom, Segment):
+        return Segment(f(atom.a), f(atom.b))
+    return ConvexPolygon(map(f, atom.vertices))
+
+
+def _planar_scene(seed):
+    """Up to nine grid atoms; half the scenes are moved by a map of
+    positive determinant, which keeps every incidence and orientation,
+    onto coordinates with coprime denominators near 10^30."""
+    rng = random.Random(seed)
+    atoms = [_rand_planar_atom(rng) for _ in range(rng.randrange(0, 10))]
+    if rng.random() < 0.5:
+        q, r = rng.randrange(10**29, 10**30), rng.randrange(10**29, 10**30)
+        s, u, v, tx, ty = (rng.randrange(-10**30, 10**30) for _ in range(5))
+        s, v = abs(s) or 1, abs(v) or 1
+
+        def move(p):
+            # (s x + u y) / q + tx / r and v y / q + ty / r, for the
+            # half-grid coordinates x = X/2, y = Y/2
+            (x, _), (y, _) = (2 * p[0]).as_integer_ratio(), \
+                (2 * p[1]).as_integer_ratio()
+            return (F((s * x + u * y) * r + 2 * q * tx, 2 * q * r),
+                    F(v * y * r + 2 * q * ty, 2 * q * r))
+        atoms = [_moved(atom, move) for atom in atoms]
+    return atoms
+
+
+def _outcome(call, *args):
+    """The value of call(*args), or its exception's class and message."""
+    try:
+        return call(*args)
+    except HausdorffError as exc:
+        return type(exc), str(exc)
+
+
+def _planar_outcomes(atoms):
+    """The scene or its refusal, then the scene's hull, measure and
+    convexity deficiency, each a value or a refusal."""
+    scene = _outcome(PlanarSet, atoms)
+    if not isinstance(scene, PlanarSet):
+        return (scene,)
+    return (scene.atoms, _outcome(deficiency.convex_hull, scene),
+            _outcome(planar_measure, scene), _outcome(defi_convex, scene))
+
+
+def test_planar_outcomes_match_the_fraction_reference(monkeypatch):
+    scenes = [_planar_scene(seed) for seed in range(2000)]
+    got = [_planar_outcomes(atoms) for atoms in scenes]
+    with monkeypatch.context() as m:
+        m.setattr(deficiency, "_cross", ref_cross)
+        m.setattr(deficiency, "_pt", ref_pt)
+        m.setattr(deficiency, "convex_hull", ref_convex_hull)
+        m.setattr(ConvexPolygon, "area", lambda self: ref_area(self.vertices))
+        want = [_planar_outcomes(atoms) for atoms in scenes]
+    assert got == want
+    # the all-pairs loop agrees, and every hull shape and refusal is drawn
+    for atoms, (scene, *rest) in zip(scenes, got):
+        assert ref_planar_set(atoms) == (scene if rest else scene[1])
+    hulls = Counter(type(o[1]).__name__ if len(o) > 1 else "overlap"
+                    for o in got)
+    assert len(hulls) == 5 and min(hulls.values()) > 5, hulls
 
 
 def test_polygon_validation():
