@@ -10,6 +10,7 @@ combinations never lose containment.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import re
@@ -498,3 +499,17 @@ def render_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def render_float(x: Fraction) -> str:
+    """repr(float(x)). Where float() overflows or flushes a nonzero x to
+    0.0, the same e-notation with 17 significant digits, the quotient of
+    x's integers rounded half to even."""
+    try:
+        if (f := float(x)) or not x:
+            return repr(f)
+    except OverflowError:
+        pass
+    ctx = decimal.Context(prec=17, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    return f"{ctx.divide(x.numerator, x.denominator):.16e}"

@@ -16,11 +16,11 @@ from typing import Iterable
 
 from .config import get_config
 from .errors import NotRepresentable, NotSupported, ValidationError
-from .hvalue import DIM_ONE, DIM_TWO, ExtReal, HPair, Rational, ext_sum
-from .hintegral import (ALL_REALS, AllReals, Const, Expression,
-                        PiecewiseFunction, Poly, Region, SeriesValues,
-                        _support_pieces, _value_on, abs_integral, add,
-                        h_integral, scalar_mul)
+from .hvalue import (DIM_ONE, DIM_TWO, ZERO_PAIR, ExtReal, HPair, Rational,
+                     ext_sum)
+from .hintegral import (Const, Expression, PiecewiseFunction, Poly,
+                        SeriesValues, _support_pieces, _value_on,
+                        abs_integral, add, h_integral, scalar_mul)
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
                      Interval, RepSet, meeting_pairs)
 from ._numeric import _frac, exact_sqrt, sqrt_interval
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-PAIR_ZERO = HPair.of(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +252,11 @@ def _reflect_expression(expr: Expression) -> Expression:
     return expr
 
 
-def _reflect_region(region: Region) -> Region:
-    if isinstance(region, AllReals):
-        return ALL_REALS
-    return RepSet.from_atoms(_reflect_atom(a) for a in region.atoms)
-
-
 def reflect_function(f: PiecewiseFunction) -> PiecewiseFunction:
     """The function x |-> f(-x), staying inside the catalog."""
     terms = [(_reflect_atom(atom), _reflect_expression(expr))
              for atom, expr in f.terms]
-    return PiecewiseFunction(terms, domain=_reflect_region(f.domain))
+    return PiecewiseFunction(terms)
 
 
 def defi_even(f: PiecewiseFunction) -> HPair:
@@ -548,7 +541,7 @@ def defi_convex(H: PlanarSet) -> HPair:
     """
     hull = convex_hull(H)
     if isinstance(hull, Points2D):
-        return PAIR_ZERO
+        return ZERO_PAIR
     if isinstance(hull, Segment):
         dx = hull.b[0] - hull.a[0]
         dy = hull.b[1] - hull.a[1]
@@ -562,12 +555,12 @@ def defi_convex(H: PlanarSet) -> HPair:
                 covered += abs(sx * dx + sy * dy) / denom
         gap = 1 - covered
         if gap == 0:
-            return PAIR_ZERO
+            return ZERO_PAIR
         return HPair(DIM_ONE, _sqrt_ext(gap * gap * denom))
     residual = hull.area()
     for atom in H.atoms:
         if isinstance(atom, ConvexPolygon):
             residual -= atom.area()
     if residual == 0:
-        return PAIR_ZERO
+        return ZERO_PAIR
     return HPair(DIM_TWO, ExtReal.of(residual))

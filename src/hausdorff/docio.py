@@ -109,7 +109,7 @@ def parse_set(node, where: str = "set") -> RepSet:
         for i, sub in enumerate(body):
             atoms.extend(parse_set(sub, f"{where}.union[{i}]").atoms)
         # overlap is not an error here: normalization merges
-        return RepSet.from_atoms(atoms)
+        return RepSet.of(*atoms)
     raise ParseError(f"{where}: unknown set form {key!r}")
 
 
@@ -165,12 +165,7 @@ def parse_function(node, where: str = "function"):
         expr = _parse_expr(item["expr"], spot + ".expr", hintegral)
         for atom in carrier.atoms:
             terms.append((atom, expr))
-    domain = node.get("domain", "all")
-    if domain == "all":
-        region = hintegral.ALL_REALS
-    else:
-        region = parse_set(domain, where + ".domain")
-    return hintegral.PiecewiseFunction(terms, domain=region)
+    return hintegral.PiecewiseFunction(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +276,9 @@ def _expr_payload(expr, hintegral):
 
 
 def _function_payload(f, hintegral):
-    terms = [{"set": _atom_payload(atom),
-              "expr": _expr_payload(expr, hintegral)}
-             for atom, expr in f.terms]
-    domain = ("all" if isinstance(f.domain, hintegral.AllReals)
-              else _set_payload(f.domain))
-    return {"terms": terms, "domain": domain}
+    return {"terms": [{"set": _atom_payload(atom),
+                       "expr": _expr_payload(expr, hintegral)}
+                      for atom, expr in f.terms]}
 
 
 def _planar_payload(scene, deficiency):

@@ -129,21 +129,19 @@ class PiecewiseFunction:
     """Finitely many (atom, expression) terms, zero off their union.
 
     Term atoms must be pairwise disjoint, since the integral sums over
-    the pieces that carry the function, and lie inside the declared
-    domain; every instance is checked for both. Only pairs whose closed
-    hulls overlap are intersected: an atom lies inside its closed hull,
-    so atoms with disjoint hulls are disjoint. A sweep over the float
-    hulls (meeting_pairs) finds those pairs in (i, j) order, so the first
-    overlap reported is the one an all-pairs loop reports, and
-    _hulls_meet decides each of them exactly. Identically zero terms are
-    dropped on construction, so the zero function is the one with no
-    terms at all.
+    the pieces that carry the function; every instance is checked. Only
+    pairs whose closed hulls overlap are intersected: an atom lies inside
+    its closed hull, so atoms with disjoint hulls are disjoint. A sweep
+    over the float hulls (meeting_pairs) finds those pairs in (i, j)
+    order, so the first overlap reported is the one an all-pairs loop
+    reports, and _hulls_meet decides each of them exactly. Identically
+    zero terms are dropped on construction, so the zero function is the
+    one with no terms at all.
     """
 
     terms: tuple[tuple[Atom, Expression], ...]
-    domain: Region = ALL_REALS
 
-    def __init__(self, terms, domain: Region = ALL_REALS):
+    def __init__(self, terms):
         kept = []
         for atom, expr in terms:
             if atom.is_empty() or expr.is_zero():
@@ -151,18 +149,12 @@ class PiecewiseFunction:
             _expr_fits(atom, expr)
             kept.append((atom, expr))
         object.__setattr__(self, "terms", tuple(kept))
-        object.__setattr__(self, "domain", domain)
         atoms = [atom for atom, _ in kept]
         for i, j in meeting_pairs([a.float_hull() for a in atoms]):
             x, y = atoms[i], atoms[j]
             if (_hulls_meet(x, y)
                     and not intersect(RepSet.of(x), RepSet.of(y)).is_empty()):
                 raise ValidationError(f"term atoms overlap: {x!r} and {y!r}")
-        if isinstance(domain, RepSet):
-            for atom, _ in kept:
-                if not diff(RepSet.of(atom), domain).is_empty():
-                    raise ValidationError(
-                        f"term atom {atom!r} escapes the declared domain")
 
     def value_at(self, x: Rational) -> Fraction:
         x = Fraction(x)
@@ -185,14 +177,13 @@ def _value_on(origin: Atom, expr: Expression, x: Fraction) -> Fraction:
     return expr.series.term(n - 1)
 
 
-def indicator(s: RepSet, value: Rational = 1,
-              domain: Region = ALL_REALS) -> PiecewiseFunction:
+def indicator(s: RepSet, value: Rational = 1) -> PiecewiseFunction:
     v = Fraction(value)
-    return PiecewiseFunction([(a, Const(v)) for a in s.atoms], domain)
+    return PiecewiseFunction([(a, Const(v)) for a in s.atoms])
 
 
-def zero_function(domain: Region = ALL_REALS) -> PiecewiseFunction:
-    return PiecewiseFunction((), domain)
+def zero_function() -> PiecewiseFunction:
+    return PiecewiseFunction(())
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +409,12 @@ def _series_support(atom: CountableSeq, s: CoefficientSeries) -> list[Atom]:
 # ---------------------------------------------------------------------------
 # the integral
 
-def _live_piece(piece: Atom, expr: Expression):
-    """Shrink a piece to where the expression is nonzero, for dimension
-    purposes; returns None when nothing survives."""
-    if isinstance(expr, Poly):
-        return piece
-    survivors = _series_support(piece, expr.series)
-    if not survivors:
-        return None
-    live = survivors[0]
-    return None if live.is_empty() else live
-
-
 def _piece_measure(piece: Atom, expr: Expression) -> ExtReal:
     # a constant weighs the piece, point by point included, in one step
     if isinstance(expr, Poly) and expr.degree() == 0:
         return piece.mu().scale(expr.coeffs[0])
     if isinstance(expr, SeriesValues):
+        # exactly 0 on a piece whose nonzero values are all deleted
         removed = sum((_value_on(piece, expr, x) for x in piece.deletions),
                       Fraction(0))
         return expr.series.sum() - ExtReal.of(removed)
@@ -461,19 +441,15 @@ def h_integral(f: PiecewiseFunction, region: Region = ALL_REALS) -> HPair:
     single signed infinity is a legitimate value, flagged as
     non-integrable by is_integrable.
     """
-    live = []
+    terms = []
     for atom, expr in f.terms:
         pieces = ([atom] if isinstance(region, AllReals)
                   else intersect(RepSet.of(atom), region).atoms)
-        for piece, e in _terms_on(pieces, atom, expr):
-            trimmed = _live_piece(piece, e)
-            if trimmed is not None:
-                live.append((piece, e, trimmed.dim()))
-    top, kept = top_terms(live, lambda t: t[2])
+        terms.extend(_terms_on(pieces, atom, expr))
+    top, kept = top_terms(terms, lambda t: t[0].dim())
     if top is None:
         return ZERO_PAIR
-    return HPair(top, ext_sum(_piece_measure(piece, e)
-                              for piece, e, _ in kept))
+    return HPair(top, ext_sum(_piece_measure(piece, e) for piece, e in kept))
 
 
 def is_integrable(f: PiecewiseFunction, region: Region = ALL_REALS) -> bool:
@@ -518,13 +494,7 @@ def scalar_mul(c: Rational, f: PiecewiseFunction) -> PiecewiseFunction:
         raise ValidationError(
             "scaling by zero collapses the support; build the zero "
             "function directly")
-    return PiecewiseFunction([(a, e.scale(c)) for a, e in f.terms], f.domain)
-
-
-def _domain_union(a: Region, b: Region) -> Region:
-    if isinstance(a, RepSet) and isinstance(b, RepSet):
-        return union(a, b)
-    return ALL_REALS
+    return PiecewiseFunction([(a, e.scale(c)) for a, e in f.terms])
 
 
 def _localize(piece: Atom, origin: Atom, expr: Expression) -> Expression:
@@ -614,13 +584,13 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
         cuts[j].append(terms[i][0])
     out = []
     for (a, ea), cut in zip(terms, cuts):
-        rest = diff(RepSet.of(a), RepSet.from_atoms(cut))
+        rest = diff(RepSet.of(a), RepSet.of(*cut))
         out.extend(_terms_on(rest.atoms, a, ea))
     for i, j in pairs:
         (a, ea), (b, eb) = terms[i], terms[j]
         for piece in intersect(RepSet.of(a), RepSet.of(b)).atoms:
             out.extend(_combined_terms(piece, [(a, ea), (b, eb)]))
-    return PiecewiseFunction(out, _domain_union(f.domain, g.domain))
+    return PiecewiseFunction(out)
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +600,13 @@ def pos_part(f: PiecewiseFunction) -> PiecewiseFunction:
     """max(f, 0). Together with neg_part this splits f additively:
     f = pos_part(f) + neg_part(f) pointwise."""
     return PiecewiseFunction(
-        [(a, e) for a, e, sign in _signed_part(f) if sign > 0], f.domain)
+        [(a, e) for a, e, sign in _signed_part(f) if sign > 0])
 
 
 def neg_part(f: PiecewiseFunction) -> PiecewiseFunction:
     """min(f, 0), the signed lower part (not its absolute value)."""
     return PiecewiseFunction(
-        [(a, e) for a, e, sign in _signed_part(f) if sign < 0], f.domain)
+        [(a, e) for a, e, sign in _signed_part(f) if sign < 0])
 
 
 def _signed_part(f: PiecewiseFunction) -> list:
@@ -660,7 +630,7 @@ def abs_integral(f: PiecewiseFunction) -> HPair:
     sign, and the result is integrated once."""
     return h_integral(PiecewiseFunction(
         [(a, e if sign > 0 else e.scale(-1))
-         for a, e, sign in _signed_part(f)], f.domain))
+         for a, e, sign in _signed_part(f)]))
 
 
 def _signed_term(atom: Atom, expr: Expression) -> list:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from ._numeric import (RatInterval, Rational, _frac, log_interval, power_base,
-                       render_rational, zeta_interval)
+                       render_float, render_rational, zeta_interval)
 from .config import get_config
 from .errors import (DoesNotConverge, IncomparableDimensions, NotSupported,
                      UndefinedSum, ValidationError)
@@ -326,7 +326,7 @@ class ExtReal:
             return "-inf"
         if self.kind == _FIN:
             return render_rational(self.value)
-        return repr(float(self.value.mid))
+        return render_float(self.value.mid)
 
     def __repr__(self):
         return f"ExtReal({self.render()})"

@@ -221,20 +221,19 @@ class CountableSeq(Atom):
     def mu(self):
         return POS_INF
 
-    def indices_within(self, lo: Endpoint, hi: Endpoint,
-                       lo_strict=False, hi_strict=False):
-        """Indices n with point(n) in the given (closed by default) range.
+    def indices_within(self, lo: Endpoint, hi: Endpoint):
+        """Indices n with point(n) in the closed range [lo, hi].
 
         Returns ("finite", tuple of indices) or ("tail", first index) when
         every later index qualifies as well.
         """
         if self.b > 0:
-            return self._indices_pos(lo, hi, lo_strict, hi_strict)
+            return self._indices_pos(lo, hi)
         mirror = CountableSeq(self.family, -self.a, -self.b, self.q)
         neg = lambda e: None if e is None else -e
-        return mirror._indices_pos(neg(hi), neg(lo), hi_strict, lo_strict)
+        return mirror._indices_pos(neg(hi), neg(lo))
 
-    def _indices_pos(self, lo, hi, lo_strict, hi_strict):
+    def _indices_pos(self, lo, hi):
         # offsets t_n = point(n) - a are positive and strictly decreasing
         upper = None if hi is None else hi - self.a
         lower = None if lo is None else lo - self.a
@@ -243,33 +242,30 @@ class CountableSeq(Atom):
         elif upper <= 0:
             return ("finite", ())
         else:
-            n_min = self._first_index_below(upper, hi_strict)
-        if lower is None or lower < 0 or lower == 0:
+            n_min = self._first_index_below(upper)
+        if lower is None or lower <= 0:
             n_max = None
         else:
-            n_max = self._last_index_above(lower, lo_strict)
+            n_max = self._last_index_above(lower)
             if n_max is None or n_max < n_min:
                 return ("finite", ())
         if n_max is None:
             return ("tail", n_min)
         return ("finite", tuple(_term_range(n_min, n_max + 1)))
 
-    def _first_index_below(self, bound: Fraction, strict: bool) -> int:
+    def _first_index_below(self, bound: Fraction) -> int:
+        """The least n with point(n) - a <= bound."""
         if self.family == HARMONIC:
-            n = max(1, _ceil(self.b / bound))
-            if strict and self.b / n == bound:
-                n += 1
-            return n
-        return max(1, geo_steps(self.q, bound / self.b, strict))
+            return max(1, _ceil(self.b / bound))
+        return max(1, geo_steps(self.q, bound / self.b, strict=False))
 
-    def _last_index_above(self, bound: Fraction, strict: bool):
+    def _last_index_above(self, bound: Fraction):
+        """The largest n with point(n) - a >= bound, or None."""
         if self.family == HARMONIC:
             n = _floor(self.b / bound)
-            if strict and n >= 1 and self.b / n == bound:
-                n -= 1
-            return n if n >= 1 else None
-        # one below the first index that fails the bound
-        n = geo_steps(self.q, bound / self.b, not strict) - 1
+        else:
+            # one below the first index that fails the bound
+            n = geo_steps(self.q, bound / self.b) - 1
         return n if n >= 1 else None
 
 
@@ -502,10 +498,6 @@ class RepSet:
 
     @staticmethod
     def of(*atoms: Atom) -> "RepSet":
-        return normalize(atoms)
-
-    @staticmethod
-    def from_atoms(atoms: Iterable[Atom]) -> "RepSet":
         return normalize(atoms)
 
     def is_empty(self) -> bool:

@@ -9,11 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hausdorff
 from hausdorff import checks, cli
 from hausdorff.checks import CheckResult
 from hausdorff.config import get_config
+from test_docio import function_docs, set_docs
 
 UNIT = '{"interval": [0, 1]}'
 CANTOR = '{"cantor": {"t": 0, "s": 1}}'
@@ -226,6 +229,27 @@ def test_huge_sequence_range_exits_1(capsys):
            '{"interval": ["1/1' + "0" * 400 + '", 2]}]}')
     code, _, err = run(capsys, "measure", doc)
     assert code == 1 and "sequence terms" in err
+
+
+BIG = "1" + "0" * 2000
+
+
+def test_measures_beyond_the_float_range_print_17_digits(capsys):
+    # the Cantor measure of scale 10**2000 overflows a float, and that of
+    # scale 10**-2000 used to print 0.0
+    code, out, err = run(capsys, "measure", '{"cantor": {"s": "%s"}}' % BIG)
+    assert (code, out, err) == (
+        0, "(log(2)/log(3), 7.2361430358934550e+1261)\n", "")
+    code, out, _ = run(capsys, "--json", "measure",
+                       '{"cantor": {"s": "1/%s"}}' % BIG)
+    assert code == 0 and json.loads(out) == {
+        "d": "log(2)/log(3)", "m": "1.3819516765211771e-1262"}
+    basel = ('{"terms": [{"set": {"seq": {"kind": "harmonic"}}, "expr": '
+             '{"series": {"kind": "pseries", "c": "%s", "p": 2}}}]}' % BIG)
+    assert run(capsys, "integrate", basel)[:2] == (
+        0, "(0, 1.6449340668482264e+2000)\n")
+    code, out, _ = run(capsys, "defi", "even", basel)
+    assert code == 0 and out.startswith("(0, 3.2898681336964529e+2000)\n")
 
 
 def test_usage_error_exits_2(capsys):
@@ -486,3 +510,53 @@ def test_config_restored_after_run(capsys):
     before = get_config()
     run(capsys, "measure", "--precision", "128", CANTOR)
     assert get_config() == before
+
+
+# -- every command under fuzzing ---------------------------------------------
+
+DIGITS = ("1" + "0" * 400, BIG)
+HUGE_SETS = st.builds(
+    lambda t, s: {"cantor": {"t": t, "s": s}}, st.sampled_from(["0", "-3"]),
+    st.sampled_from([p + n for n in DIGITS for p in ("", "-", "1/")]))
+HUGE_FUNCTIONS = st.builds(
+    lambda series: {"terms": [{"set": {"seq": {"kind": "harmonic"}},
+                               "expr": {"series": series}}]},
+    st.sampled_from(DIGITS).flatmap(lambda c: st.sampled_from([
+        {"kind": "pseries", "c": c, "p": 2},
+        {"kind": "geometric", "a": "-" + c, "r": "1/2"},
+        {"kind": "finite", "values": [c, "1/" + c]}])))
+SETS = (set_docs() | HUGE_SETS).map(json.dumps)
+FUNCTIONS = (function_docs() | HUGE_FUNCTIONS).map(json.dumps)
+INTERVALS = st.builds(lambda lo, w: json.dumps({"interval": [lo, lo + w]}),
+                      st.integers(-5, 5), st.integers(1, 40))
+COMMANDS = {
+    "measure": st.tuples(st.just("measure"), SETS),
+    "integrate": st.tuples(st.just("integrate"), FUNCTIONS),
+    "integrate-on": st.tuples(st.just("integrate"), FUNCTIONS, st.just("--on"),
+                              SETS),
+    "distance-sets": st.tuples(st.just("distance"), st.just("sets"), SETS,
+                               SETS),
+    "distance-functions": st.tuples(st.just("distance"), st.just("functions"),
+                                    FUNCTIONS, FUNCTIONS),
+    "defi": st.tuples(st.just("defi"), st.sampled_from(
+        ["continuity-osc", "continuity-dist", "continuity-cluster", "even"]),
+        FUNCTIONS),
+    "estimate-dim": st.tuples(st.just("estimate"), st.just("dim"), SETS),
+    "estimate-premeasure": st.tuples(
+        st.just("estimate"), st.just("premeasure"), SETS, st.just("--d"),
+        st.sampled_from(["1/2", "1", "log(2)/log(3)"])),
+    "estimate-quad": st.tuples(st.just("estimate"), st.just("quad"), FUNCTIONS,
+                               st.just("--on"), SETS | INTERVALS),
+}
+
+
+@pytest.mark.parametrize("calls", COMMANDS.values(), ids=COMMANDS.keys())
+def test_every_command_answers_or_refuses_by_exit_code(capsys, calls):
+    # in process, so an escaping exception fails the example; 9 x 22
+    # examples in all
+    @settings(max_examples=22, deadline=None, derandomize=True)
+    @given(argv=calls, as_json=st.booleans())
+    def exits_0_1_or_2(argv, as_json):
+        code, _, err = run(capsys, *(["--json"] if as_json else []), *argv)
+        assert code in (0, 1, 2) and (code == 0) == (err == "")
+    exits_0_1_or_2()

@@ -375,10 +375,6 @@ def test_reflection_is_an_involution():
         (CantorAffine(4, F(1, 2)), Const(1)),
     ])
     assert reflect_function(reflect_function(f)) == f
-    # a declared domain is reflected with the terms
-    g = PiecewiseFunction([(Interval(0, 1), Const(1))],
-                          domain=RepSet.of(Interval(-1, 2)))
-    assert reflect_function(g).domain == RepSet.of(Interval(-2, 1))
 
 
 def test_reflection_preserves_values():

@@ -190,14 +190,19 @@ def test_parse_function_terms_and_domain():
     assert isinstance(f, PiecewiseFunction)
     assert f.terms == ((Interval(0, 1), Poly((0, 1))),
                        (FinitePoints([2]), Const(F(1, 3))))
-    assert f.domain == RepSet.of(Interval(0, 3))
+    # a "domain" key is ignored like any other: the terms are the function
+    assert f == parse_document(text[:text.index(', "domain"')] + "}")
     assert f.value_at(F(1, 2)) == F(1, 2) and f.value_at(2) == F(1, 3)
 
 
 def test_parse_function_domain_defaults_to_all():
-    f = parse_document('{"terms": [{"set": {"interval": [0, 1]},'
-                       ' "expr": {"const": 1}}]}')
-    assert f.domain is ALL_REALS
+    # a function document in the form printed with a "domain" key parses,
+    # and prints back as its terms alone
+    terms = ('{"terms": [{"set": {"interval": ["0", "1"]}, '
+             '"expr": {"const": "1"}}]')
+    f = parse_document(terms + ', "domain": "all"}')
+    assert print_document(f) == terms + "}"
+    assert h_integral(f) == HPair.of(1, 1)
 
 
 def test_zero_poly_collapses_to_zero_function():
@@ -273,8 +278,7 @@ FN_SAMPLES = (
                         SeriesValues(PSeries(F(1, 4), 2)))]),
     PiecewiseFunction([(CountableSeq(GEOMETRIC, 0, 1, F(1, 2)),
                         SeriesValues(FiniteList((1, 0, -2))))]),
-    PiecewiseFunction([(Interval(0, 2), Const(1))],
-                      domain=RepSet.of(Interval(0, 4))),
+    PiecewiseFunction([(Interval(0, 2), Const(1))]),
 )
 
 

@@ -9,6 +9,7 @@ misses the value at 4096 bits is false; it sets no width or point target.
 
 import functools
 import random
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -16,6 +17,7 @@ import pytest
 from mpmath import iv, mp
 from mpmath.libmp import to_rational
 
+from hausdorff import _numeric
 from hausdorff._numeric import (RatInterval, log_interval, pow_interval,
                                 sqrt_interval, zeta_interval)
 from hausdorff.config import set_config, update_config
@@ -232,3 +234,59 @@ def test_refused_enclosures_are_not_cached():
         with pytest.raises(ValidationError, match="needs a power above 1"):
             zeta_interval(1, 64)
     assert zeta_interval.cache_info().currsize == entries
+
+
+@pytest.mark.parametrize("s", [F(10) ** 2000, F(1, 10 ** 2000),
+                               F(-7, 3) * F(10) ** -600])
+def test_measures_beyond_the_float_range_print_17_digits(s):
+    # float() overflows at 10**2000 and flushes the others to 0.0; the
+    # printed value is within one unit of its 17th digit of mpmath's
+    m = cantor_scale_measure(s)
+    text = m.render()
+    assert re.fullmatch(r"\d\.\d{16}e[+-]\d{3,}", text)
+    with mp.workdps(80):
+        want = _fraction(((mpmath.mpf(abs(s.numerator)) / s.denominator)
+                          ** (mpmath.log(2) / mpmath.log(3)))._mpf_)
+    assert abs(F(text) - want) < F(10) ** (int(text.split("e")[1]) - 16)
+    assert (-m).render() == "-" + text
+
+
+def ref_render_beyond_floats(x):
+    """17 significant digits of x != 0 by integer division, rounded half to
+    even, in float repr's e-notation."""
+    n, d = abs(x.numerator), x.denominator
+    k = 16 - (len(str(n)) - len(str(d)))  # within one of the final k
+    while True:
+        q, r = divmod(n * 10 ** k, d) if k >= 0 else divmod(n, d * 10 ** -k)
+        if 10 ** 16 <= q < 10 ** 17:
+            break
+        k += 1 if q < 10 ** 16 else -1
+    den = d if k >= 0 else d * 10 ** -k
+    q += 2 * r > den or (2 * r == den and q % 2)
+    if q == 10 ** 17:
+        q, k = q // 10, k - 1
+    digits = str(q)
+    return f"{'-' * (x < 0)}{digits[0]}.{digits[1:]}e{16 - k:+d}"
+
+
+def test_render_beyond_floats_matches_integer_rounding():
+    rng = random.Random(29)
+    for _ in range(3000):
+        digits = lambda: 10 ** rng.randrange(1, 40)
+        x = (F(rng.choice([-1, 1]) * rng.randrange(1, digits()),
+               rng.randrange(1, digits()))
+             * F(10) ** rng.choice([rng.randrange(350, 3000),
+                                    -rng.randrange(370, 3000)]))
+        assert _numeric.render_float(x) == ref_render_beyond_floats(x)
+    # ties past the 17th digit round to even, carrying into the exponent
+    for q, text in ((123456789012345665, "1.2345678901234566e+517"),
+                    (123456789012345675, "1.2345678901234568e+517"),
+                    (-999999999999999995, "-1.0000000000000000e+518")):
+        x = q * F(10) ** 500
+        assert _numeric.render_float(x) == ref_render_beyond_floats(x) == text
+
+
+def test_in_range_measures_print_as_floats():
+    for m in (cantor_scale_measure(F(1, 2)), PSeries(10 ** 300, 2).sum(),
+              cantor_scale_measure(F(1, 10 ** 500))):
+        assert m.render() == repr(float(m.enclosure().mid))

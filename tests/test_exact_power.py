@@ -99,33 +99,29 @@ def ref_in_base(seq, x):
     return ref_index_of(seq, x) is not None
 
 
-def ref_first_index_below(seq, bound, strict):
+def ref_first_index_below(seq, bound):
     if seq.family == HARMONIC:
-        n = max(1, math.ceil(seq.b / bound))
-        return n + 1 if strict and seq.b / n == bound else n
+        return max(1, math.ceil(seq.b / bound))
     val, n = seq.b * seq.q, 1
-    while not (val < bound or (val == bound and not strict)):
+    while val > bound:
         val, n = val * seq.q, n + 1
     return n
 
 
-def ref_last_index_above(seq, bound, strict):
+def ref_last_index_above(seq, bound):
     if seq.family == HARMONIC:
         n = math.floor(seq.b / bound)
-        if strict and n >= 1 and seq.b / n == bound:
-            n -= 1
         return n if n >= 1 else None
     val, n, best = seq.b * seq.q, 1, None
-    while not (val < bound or (val == bound and strict)):
+    while val >= bound:
         best, val, n = n, val * seq.q, n + 1
     return best
 
 
-def ref_indices_within(seq, lo, hi, lo_strict=False, hi_strict=False):
+def ref_indices_within(seq, lo, hi):
     if seq.b < 0:
         seq = CountableSeq(seq.family, -seq.a, -seq.b, seq.q)
         lo, hi = (None if hi is None else -hi), (None if lo is None else -lo)
-        lo_strict, hi_strict = hi_strict, lo_strict
     upper = None if hi is None else hi - seq.a
     lower = None if lo is None else lo - seq.a
     if upper is None:
@@ -133,10 +129,10 @@ def ref_indices_within(seq, lo, hi, lo_strict=False, hi_strict=False):
     elif upper <= 0:
         return ("finite", ())
     else:
-        n_min = ref_first_index_below(seq, upper, hi_strict)
+        n_min = ref_first_index_below(seq, upper)
     if lower is None or lower <= 0:
         return ("tail", n_min)
-    n_max = ref_last_index_above(seq, lower, lo_strict)
+    n_max = ref_last_index_above(seq, lower)
     if n_max is None or n_max < n_min:
         return ("finite", ())
     return ("finite", tuple(range(n_min, n_max + 1)))
@@ -307,19 +303,19 @@ def test_power_index_and_geo_steps(q, n, c, strict):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(q=RATIOS, a=st.sampled_from([F(0), F(1), F(-1, 2)]), b=COEFS,
-       n=st.integers(1, 300), j=st.integers(1, 300), strict=st.booleans())
-def test_sequence_indices(q, a, b, n, j, strict):
+       n=st.integers(1, 300), j=st.integers(1, 300))
+def test_sequence_indices(q, a, b, n, j):
     for seq in (CountableSeq(GEOMETRIC, a, b, q), CountableSeq(HARMONIC, a, b)):
         pts = [seq.point(k) for k in range(1, BRUTE + 1)]
         for x in (seq.point(n), seq.point(n) + F(1, 10 ** 9), a, a + b):
             assert seq.index_of(x) == ref_index_of(seq, x)
         lo, hi = sorted((seq.point(n), seq.point(j)))
         for lo_, hi_ in ((lo, hi), (None, hi), (lo, None), (a, hi)):
-            got = seq.indices_within(lo_, hi_, strict, not strict)
-            assert got == ref_indices_within(seq, lo_, hi_, strict, not strict)
+            got = seq.indices_within(lo_, hi_)
+            assert got == ref_indices_within(seq, lo_, hi_)
             brute = [k for k, p in enumerate(pts, 1)
-                     if (lo_ is None or (p > lo_ if strict else p >= lo_))
-                     and (hi_ is None or (p <= hi_ if strict else p < hi_))]
+                     if (lo_ is None or lo_ <= p)
+                     and (hi_ is None or p <= hi_)]
             kind, data = got
             listed = (data if kind == "finite" else range(data, BRUTE + 1))
             assert [k for k in listed if k <= BRUTE] == brute
@@ -464,7 +460,7 @@ def test_tiny_coefficients_stay_fast():
     box = Interval(F(1, 10 ** 500), 1)
     got = _timed(lambda: normalize([seq, box]))
     inside = [seq.point(n) for n in range(1, 333)]
-    assert ref_last_index_above(seq, box.lo, False) == 332
+    assert ref_last_index_above(seq, box.lo) == 332
     assert got == RepSet((seq.with_deletions(inside), box))
     # mirrored: a head of 1,328 points outside the interval, the tail in it
     seq = CountableSeq(GEOMETRIC, 0, -10 ** 400, F(1, 2))

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from hausdorff.errors import (HausdorffError, NoLimitFound, NotInLH,
                               NotRepresentable, TooLarge, ValidationError)
-from hausdorff.hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
-                                 SeriesValues, h_integral, indicator,
-                                 neg_part, pos_part, zero_function)
+from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
+                                 h_integral, indicator, neg_part, pos_part,
+                                 zero_function)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ZERO, POS_INF, Dimension,
                               FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
@@ -327,10 +327,7 @@ def signed_functions(draw):
             if draw(st.booleans()):
                 terms.append(draw(_term(draw(st.sampled_from(INTERVAL_KINDS)),
                                         lo, hi)))
-    domain = ALL_REALS
-    if draw(st.booleans()):
-        domain = RepSet.of(*(atom for atom, _ in terms))
-    return PiecewiseFunction(terms, domain)
+    return PiecewiseFunction(terms)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
