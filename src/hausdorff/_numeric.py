@@ -495,10 +495,11 @@ def parse_rational(text) -> Fraction:
 
 
 def render_rational(x: Fraction) -> str:
+    """n or n/d: a Decimal prints every digit, where str() of an int
+    refuses past the interpreter's digit limit."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    n, d = (str(decimal.Decimal(k)) for k in (x.numerator, x.denominator))
+    return n if d == "1" else f"{n}/{d}"
 
 
 def render_float(x: Fraction) -> str:

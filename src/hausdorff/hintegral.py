@@ -26,8 +26,9 @@ from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      MeasureTail, PSeries, ext_sum, hpair_eq, hpair_sum,
                      hseq_liminf, hseq_limit, series_add, top_terms)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
-                     FinitePoints, Interval, RepSet, _hulls_meet, diff,
-                     hmeasure, intersect, meeting_pairs, normalize, union)
+                     FinitePoints, Interval, RepSet, _atom_meet, _hulls_meet,
+                     diff, hmeasure, intersect, meeting_pairs, normalize,
+                     union)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +153,7 @@ class PiecewiseFunction:
         atoms = [atom for atom, _ in kept]
         for i, j in meeting_pairs([a.float_hull() for a in atoms]):
             x, y = atoms[i], atoms[j]
-            if (_hulls_meet(x, y)
-                    and not intersect(RepSet.of(x), RepSet.of(y)).is_empty()):
+            if _hulls_meet(x, y) and _atom_meet(x, y):
                 raise ValidationError(f"term atoms overlap: {x!r} and {y!r}")
 
     def value_at(self, x: Rational) -> Fraction:

@@ -441,26 +441,12 @@ def hpair_sum(items: Iterable[HPair]) -> HPair:
 
 
 def hpair_inf(items: Sequence[HPair]) -> HPair:
-    items = list(items)
-    if not items:
-        # internal lattice corner: empty infimum is the top of [0,1]x[0,inf]
-        return HPair(DIM_ONE, POS_INF)
-    best = items[0]
-    for h in items[1:]:
-        if h.cmp(best) < 0:
-            best = h
-    return best
+    # the empty infimum is the top of the lattice [0, 1] x [0, inf]
+    return min(items, default=HPair(DIM_ONE, POS_INF))
 
 
 def hpair_sup(items: Sequence[HPair]) -> HPair:
-    items = list(items)
-    if not items:
-        return ZERO_PAIR
-    best = items[0]
-    for h in items[1:]:
-        if h.cmp(best) > 0:
-            best = h
-    return best
+    return max(items, default=ZERO_PAIR)
 
 
 # ---------------------------------------------------------------------------

@@ -712,11 +712,7 @@ def _resolve_pair(x: Atom, y: Atom):
     if isinstance(x, FinitePoints):
         return _resolve_points(x, y)
     if isinstance(x, CountableSeq):
-        if isinstance(y, CountableSeq):
-            return _resolve_seq_seq(x, y)
-        if isinstance(y, Interval):
-            return _resolve_seq_interval(x, y)
-        return _move_commons(x, y, _seq_cantor_commons(x, y))
+        return _resolve_seq(x, y)
     if isinstance(x, Interval):
         if isinstance(y, Interval):
             return _resolve_interval_interval(x, y)
@@ -749,12 +745,6 @@ def _resolve_points(x: FinitePoints, y: Atom):
     return [y.restore(undelete)] + _point_atoms(keep)
 
 
-def _delete_commons(x: Atom, y: Atom, commons: Iterable[Fraction]) -> Atom:
-    """x less the candidate common points that y holds; x itself when
-    that deletes nothing."""
-    return x.with_deletions(p for p in commons if y.member(p))
-
-
 def _tail_split(seq: CountableSeq, start: int, other: Atom):
     """For a sequence whose terms from index start onward lie in other's
     base set: (seq's head points outside that base set, other's deleted
@@ -762,16 +752,6 @@ def _tail_split(seq: CountableSeq, start: int, other: Atom):
     head = [p for p in map(seq.point, _term_range(1, start))
             if seq.member(p) and not other.in_base(p)]
     return head, [d for d in other.deletions if seq.member(d)]
-
-
-def _move_commons(x: CountableSeq, y: Atom, commons: Iterable[Fraction]):
-    """Union of x with an atom y that holds the candidate common points in
-    its base set: the ones x holds leave x and are restored in y. None
-    when x holds none of them."""
-    moved = [p for p in commons if x.member(p)]
-    if not moved:
-        return None
-    return [x.with_deletions(moved), y.restore(moved)]
 
 
 # -- sequence vs sequence -----------------------------------------------------
@@ -946,11 +926,26 @@ def _seq_seq_commons(x: CountableSeq, y: CountableSeq):
     return _same_accumulation_commons(x, y)
 
 
-def _resolve_seq_seq(x: CountableSeq, y: CountableSeq):
-    commons = _seq_seq_commons(x, y)
-    if commons is None:
-        raise NotRepresentable(
-            "the union of these sequences is not a catalog set")
+def _seq_commons(x: CountableSeq, y: Atom, op: str):
+    """How a sequence meets a sequence, an interval or a Cantor copy, as
+    _seq_seq_commons says; NotRepresentable names the op ("union", ...)
+    when two sequences share infinitely many interleaved points."""
+    if isinstance(y, CountableSeq):
+        commons = _seq_seq_commons(x, y)
+        if commons is None:
+            raise NotRepresentable(
+                f"the {op} of these sequences is not a catalog set")
+        return commons
+    if isinstance(y, Interval):
+        kind, data = x.indices_within(y.lo, y.hi)
+        if kind == "finite":
+            return ("finite", [x.point(n) for n in data])
+        return ("tail", (x, data))
+    return ("finite", _seq_cantor_commons(x, y))
+
+
+def _resolve_seq(x: CountableSeq, y: Atom):
+    commons = _seq_commons(x, y, "union")
     if commons == "disjoint":
         return None
     kind, payload = commons
@@ -959,20 +954,13 @@ def _resolve_seq_seq(x: CountableSeq, y: CountableSeq):
         other = y if seq is x else x
         head, rescued = _tail_split(seq, start, other)
         return [other.restore(rescued)] + _point_atoms(head)
-    y_less = _delete_commons(y, x, payload)
-    return None if y_less is y else [x, y_less]
-
-
-# -- sequence vs interval -----------------------------------------------------
-
-
-def _resolve_seq_interval(x: CountableSeq, y: Interval):
-    kind, data = x.indices_within(y.lo, y.hi)
-    if kind == "finite":
-        return _move_commons(x, y, map(x.point, data))
-    # an infinite tail lies inside the interval: the sequence dissolves
-    head, rescued = _tail_split(x, data, y)
-    return [y.restore(rescued)] + _point_atoms(head)
+    if isinstance(y, CountableSeq):
+        y_less = y.with_deletions(p for p in payload if x.member(p))
+        return None if y_less is y else [x, y_less]
+    # y holds the candidate points in its base set: the ones x holds
+    # leave x and are restored in y
+    moved = [p for p in payload if x.member(p)]
+    return [x.with_deletions(moved), y.restore(moved)] if moved else None
 
 
 # -- sequence vs Cantor copy ----------------------------------------------------
@@ -986,14 +974,23 @@ def _seq_cantor_commons(x: CountableSeq, y: CantorAffine) -> list:
     if kind == "finite":
         return sorted(p for p in (x.point(n) for n in data) if y.in_base(p))
     # infinitely many terms in the hull, so the limit lies in it as well
-    if y.in_base(x.a):
-        raise NotRepresentable(
-            "a sequence accumulating inside a Cantor copy cannot be combined with it")
-    glo, ghi = cantor_gap((x.a - y.t) / y.s)
+    u = (x.a - y.t) / y.s
+    if not in_cantor(u):
+        glo, ghi = cantor_gap(u)
+    else:
+        # u = j/3^m ends the gap (u, u + 3^-m) when j = 1 (mod 3) and the
+        # gap (u - 3^-m, u) when j = 2 (mod 3): terms that reach u through
+        # that gap leave finitely many in the copy
+        side = 1 if x.b > 0 else -1
+        if (u.numerator % 3 != side % 3
+                or power_index(u.denominator, 3) is None):
+            raise NotRepresentable("a sequence accumulating inside a Cantor "
+                                   "copy cannot be combined with it")
+        glo, ghi = sorted((u, u + Fraction(side, u.denominator)))
     glo, ghi = y.t + y.s * glo, y.t + y.s * ghi
     pts = []
     for lo, hi in ((None, glo), (ghi, None)):
-        # finitely many: the limit is inside the gap
+        # finitely many: the limit is inside the gap, or ends it
         _, data2 = x.indices_within(lo, hi)
         for n in data2:
             p = x.point(n)
@@ -1092,12 +1089,48 @@ def symdiff(a: RepSet, b: RepSet) -> RepSet:
 
 
 def intersect(a: RepSet, b: RepSet) -> RepSet:
-    # a minus (a minus b); representability is not symmetric in the
-    # two complements, so fall back to the mirror image
-    try:
-        return diff(a, diff(a, b))
-    except NotRepresentable:
-        return diff(b, diff(b, a))
+    """The meets of the atom pairs, one atom from each side, whose closed
+    hulls meet; a sweep over the float hulls (meeting_pairs) finds them.
+    The pieces are normalized in _hull_key order, so the answer is the
+    same in either argument order."""
+    atoms, n = a.atoms + b.atoms, len(a.atoms)
+    pieces = []
+    for i, j in meeting_pairs([x.float_hull() for x in atoms]):
+        if i < n <= j and _hulls_meet(atoms[i], atoms[j]):
+            pieces += _atom_meet(atoms[i], atoms[j])
+    return normalize(sorted(pieces, key=_hull_key))
+
+
+def _atom_meet(x: Atom, y: Atom) -> list:
+    """Pairwise disjoint atoms whose union is x n y, for atoms whose
+    closed hulls meet; the same list in either argument order.
+    NotRepresentable when the meet leaves the catalog."""
+    if (_rank(y), _hull_key(y)) < (_rank(x), _hull_key(x)):
+        x, y = y, x
+    if isinstance(x, FinitePoints):
+        return _point_atoms([p for p in x.points if y.member(p)])
+    if isinstance(x, CountableSeq):
+        commons = _seq_commons(x, y, "meet")
+        if commons == "disjoint":
+            return []
+        kind, payload = commons
+        if kind == "finite":
+            return _point_atoms([p for p in payload
+                                 if x.member(p) and y.member(p)])
+        seq, start = payload
+        head, rescued = _tail_split(seq, start, y if seq is x else x)
+        return [seq.with_deletions(head + rescued)]
+    if isinstance(y, Interval):
+        lo = max((e for e in (x.lo, y.lo) if e is not None), default=None)
+        hi = min((e for e in (x.hi, y.hi) if e is not None), default=None)
+        if lo is not None and lo == hi:
+            return _point_atoms([lo] if x.member(lo) and y.member(lo) else [])
+        return [Interval(lo, hi).with_deletions(x.deletions | y.deletions)]
+    # the pieces of the copy y that lie in x's base set, less x's
+    # deleted points
+    common, _ = _ca_partition(x, y)
+    holes = FinitePoints(x.deletions)
+    return [p for piece in common for p in _atom_minus_atom(piece, holes)]
 
 
 def _atom_minus_set(atom: Atom, s: RepSet) -> list:
@@ -1121,56 +1154,37 @@ def _atom_minus_atom(x: Atom, y: Atom) -> list:
         return [x.with_deletions(y.points)]
     if isinstance(x, CountableSeq):
         return _seq_minus(x, y)
-    if isinstance(x, Interval):
-        return _interval_minus(x, y)
-    return _cantor_minus(x, y)
+    if isinstance(x, Interval) and isinstance(y, Interval):
+        return _interval_minus_interval(x, y)
+    if isinstance(x, CantorAffine) and not isinstance(y, CountableSeq):
+        return _cantor_minus(x, y)
+    # an interval less a sequence or a copy, or a copy less a sequence:
+    # x loses the finitely many points it shares with y
+    shared = []
+    for piece in _atom_meet(x, y):
+        if not isinstance(piece, FinitePoints):
+            what = ("an infinite sequence" if isinstance(piece, CountableSeq)
+                    else "a Cantor copy")
+            raise NotRepresentable(
+                f"an interval minus {what} is not a catalog set")
+        shared += piece.points
+    return [x.with_deletions(shared)]
 
 
 def _seq_minus(x: CountableSeq, y: Atom) -> list:
-    if isinstance(y, CountableSeq):
-        commons = _seq_seq_commons(x, y)
-        if commons is None:
-            raise NotRepresentable(
-                "the difference of these sequences is not a catalog set")
-        if commons == "disjoint":
-            return [x]
-        kind, payload = commons
-        if kind == "finite":
-            return [_delete_commons(x, y, payload)]
-        seq, start = payload
-        if seq is not x:
-            raise NotRepresentable(
-                "removing an interleaved subsequence leaves a non-catalog set")
-    elif isinstance(y, Interval):
-        kind, data = x.indices_within(y.lo, y.hi)
-        if kind == "finite":
-            return [_delete_commons(x, y, map(x.point, data))]
-        start = data
-    else:  # a Cantor copy
-        return [_delete_commons(x, y, _seq_cantor_commons(x, y))]
+    commons = _seq_commons(x, y, "difference")
+    if commons == "disjoint":
+        return [x]
+    kind, payload = commons
+    if kind == "finite":
+        return [x.with_deletions(p for p in payload if y.member(p))]
+    seq, start = payload
+    if seq is not x:
+        raise NotRepresentable(
+            "removing an interleaved subsequence leaves a non-catalog set")
     # the whole tail of x is removed; only a finite head remains
     head, rescued = _tail_split(x, start, y)
     return _point_atoms(head + rescued)
-
-
-def _interval_minus(x: Interval, y: Atom) -> list:
-    if isinstance(y, CountableSeq):
-        kind, data = y.indices_within(x.lo, x.hi)
-        if kind == "tail":
-            raise NotRepresentable(
-                "an interval minus an infinite sequence is not a catalog set")
-        return [_delete_commons(x, y, map(y.point, data))]
-    if isinstance(y, Interval):
-        return _interval_minus_interval(x, y)
-    # y is a Cantor copy
-    covered, _ = _ca_partition(x, y)
-    hits = []
-    for piece in covered:
-        if isinstance(piece, CantorAffine):
-            raise NotRepresentable(
-                "an interval minus a Cantor copy is not a catalog set")
-        hits.extend(piece.points)
-    return [x.with_deletions(hits)]
 
 
 def _interval_minus_interval(x: Interval, y: Interval) -> list:
@@ -1191,10 +1205,7 @@ def _interval_minus_interval(x: Interval, y: Interval) -> list:
     return pieces + _point_atoms(survivors)
 
 
-def _cantor_minus(x: CantorAffine, y: Atom) -> list:
-    if isinstance(y, CountableSeq):
-        return [_delete_commons(x, y, _seq_cantor_commons(y, x))]
-    # y is an interval or a Cantor copy
+def _cantor_minus(x: CantorAffine, y: Interval | CantorAffine) -> list:
     common, x_only = _ca_partition(y, x)
     extra = set()
     for piece in common:

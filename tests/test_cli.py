@@ -252,6 +252,15 @@ def test_measures_beyond_the_float_range_print_17_digits(capsys):
     assert code == 0 and out.startswith("(0, 3.2898681336964529e+2000)\n")
 
 
+def test_exact_answers_print_past_the_int_string_limit(capsys):
+    # c x on [0, c] integrates to c^3/2, 12,000 digits for c = 10^4000
+    c = "1" + "0" * 4000
+    doc = ('{"terms": [{"set": {"interval": [0, "%s"]}, '
+           '"expr": {"poly": [0, "%s"]}}]}' % (c, c))
+    assert run(capsys, "integrate", doc) == (
+        0, "(1, 5" + "0" * 11999 + ")\n", "")
+
+
 def test_usage_error_exits_2(capsys):
     assert run(capsys, "check", "no-such-suite")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

@@ -286,6 +286,14 @@ def test_render_beyond_floats_matches_integer_rounding():
         assert _numeric.render_float(x) == ref_render_beyond_floats(x) == text
 
 
+def test_exact_values_print_every_digit_past_the_int_string_limit():
+    # str() of an int refuses past 4,300 digits by default
+    big = F(10) ** 12000
+    assert _numeric.render_rational(big) == "1" + "0" * 12000
+    assert _numeric.render_rational(-big / 7) == "-1" + "0" * 12000 + "/7"
+    assert _numeric.render_rational(F(-5, 7)) == "-5/7"
+
+
 def test_in_range_measures_print_as_floats():
     for m in (cantor_scale_measure(F(1, 2)), PSeries(10 ** 300, 2).sum(),
               cantor_scale_measure(F(1, 10 ** 500))):

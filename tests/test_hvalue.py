@@ -368,6 +368,10 @@ def test_inf_sup_finite_sets():
     # the lattice corners of [0, 1] x [0, inf]
     assert hpair_inf([]) == pair(1, POS_INF)
     assert hpair_sup([]) == ZERO_PAIR
+    # ties keep the first item
+    first, tie = pair(1, 2), pair(1, 2)
+    assert hpair_inf([first, tie]) is first
+    assert hpair_sup([first, tie]) is first
 
 
 # --------------------------------------------------------------------------

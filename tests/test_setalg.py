@@ -267,6 +267,10 @@ def test_interleaved_harmonics_not_representable():
                        match="the difference of these sequences is not a "
                        "catalog set"):
         diff(RepSet.of(a), RepSet.of(b))
+    with pytest.raises(NotRepresentable,
+                       match="the meet of these sequences is not a "
+                       "catalog set"):
+        intersect(RepSet.of(a), RepSet.of(b))
 
 
 def test_geometric_sequences_of_one_base_ratio():
@@ -749,24 +753,6 @@ def test_monotone_and_subadditive_random():
     assert done >= 40
 
 
-def test_intersection_via_differences_random():
-    rng = random.Random(5150)
-    done = 0
-    for _ in range(300):
-        xa, xb = _random_atom(rng), _random_atom(rng)
-        try:
-            a, b = RepSet.of(xa), RepSet.of(xb)
-            i = intersect(a, b)
-        except NotRepresentable:
-            continue
-        done += 1
-        for p in _sample_points([xa, xb], rng):
-            assert i.member(p) == (a.member(p) and b.member(p)), (xa, xb, p)
-        if done >= 50:
-            break
-    assert done >= 30
-
-
 SMALL = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6, 9]))
 
 
@@ -844,6 +830,67 @@ def test_normalize_properties(inputs):
     except NotRepresentable:
         return
     assert hmeasure(r) == hmeasure(s)
+
+
+def ref_intersect(a, b):
+    """a minus (a minus b), or the mirror image when that refuses: the
+    intersection as two differences, before the per-pair meet."""
+    try:
+        return diff(a, diff(a, b))
+    except NotRepresentable:
+        return diff(b, diff(b, a))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(small_atoms(), min_size=1, max_size=3),
+       st.lists(small_atoms(), min_size=1, max_size=3))
+def test_intersection_via_differences_random(xs, ys):
+    try:
+        a, b = normalize(xs), normalize(ys)
+        i = intersect(a, b)
+    except NotRepresentable:
+        return
+    assert intersect(b, a).render() == i.render()
+    for p in _probes(xs + ys):
+        assert i.member(p) == (a.member(p) and b.member(p)), p
+    for x, y in ((a, b), (b, a)):
+        try:
+            ref = ref_intersect(x, y)
+        except NotRepresentable:
+            continue
+        assert hmeasure(i) == hmeasure(ref)
+
+
+def test_intersect_answers_where_both_double_differences_refuse():
+    a = RepSet.of(Interval(0, 1), CountableSeq(HARMONIC, 3, 1))
+    b = RepSet.of(Interval(F(5, 2), F(7, 2)),
+                  CountableSeq(HARMONIC, F(1, 2), F(1, 4)))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(NotRepresentable):
+            ref_intersect(x, y)
+        i = intersect(x, y)
+        assert i.render() == "{1/2 + 1/4/n} u {3 + 1/n} \\ {4}"
+        assert hmeasure(i) == HPair(DIM_ZERO, POS_INF)
+
+
+@pytest.mark.parametrize("seq, common", [
+    # 1/3, 1/2, 5/9, ...: 2/3 ends the gap (1/3, 2/3) on its left
+    (CountableSeq(HARMONIC, F(2, 3), F(-1, 3)), [F(1, 3)]),
+    # 1/2, 5/12, 3/8, ...: 1/3 ends the gap (1/3, 2/3) on its right
+    (CountableSeq(GEOMETRIC, F(1, 3), F(1, 3), F(1, 2)), []),
+])
+def test_sequence_reaching_a_cantor_point_through_its_gap(seq, common):
+    whole = CantorAffine(0, 1)
+    c, s = RepSet.of(whole), RepSet.of(seq)
+    meet = normalize([FinitePoints(common)])
+    assert intersect(c, s) == intersect(s, c) == meet
+    assert diff(c, s).atoms == (whole.with_deletions(common),)
+    assert diff(s, c).atoms == (seq.with_deletions(common),)
+    joined = RepSet((whole, seq.with_deletions(common)))
+    assert union(c, s) == union(s, c) == joined
+    # 0, 1/6, 2/9, ...: reaching 1/3 from the left, not through its gap
+    with pytest.raises(NotRepresentable, match="accumulating inside a Cantor"):
+        union(c, RepSet.of(CountableSeq(HARMONIC, F(1, 3), F(-1, 3))))
 
 
 # -- the hull gate ----------------------------------------------------------
