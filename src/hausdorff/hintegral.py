@@ -27,8 +27,8 @@ from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      hseq_liminf, hseq_limit, series_add, top_terms)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
                      FinitePoints, Interval, RepSet, _atom_meet, _hulls_meet,
-                     diff, hmeasure, intersect, meeting_pairs, normalize,
-                     union)
+                     cross_pairs, diff, hmeasure, intersect, meeting_pairs,
+                     normalize, union)
 
 
 # ---------------------------------------------------------------------------
@@ -569,15 +569,13 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
     length and a negative length of equal size annihilate to dimension
     zero) and the sum is simply the pointwise function.
 
-    A sweep over the float hulls of both term lists (meeting_pairs) finds
-    the f x g pairs whose hulls meet. Each term is cut only by the
-    normalized union of the other side's terms in those pairs, and each
-    pair carries the sum on its intersection.
+    cross_pairs finds the f x g pairs whose hulls meet. Each term is cut
+    only by the normalized union of the other side's terms in those
+    pairs, and each pair carries the sum on its intersection.
     """
     terms, n = f.terms + g.terms, len(f.terms)
-    pairs = [(i, j) for i, j in meeting_pairs([a.float_hull()
-                                               for a, _ in terms])
-             if i < n <= j and _hulls_meet(terms[i][0], terms[j][0])]
+    pairs = [(i, n + j) for i, j in cross_pairs([a for a, _ in f.terms],
+                                                [b for b, _ in g.terms])]
     cuts = [[] for _ in terms]
     for i, j in pairs:
         cuts[i].append(terms[j][0])
@@ -588,7 +586,7 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
         out.extend(_terms_on(rest.atoms, a, ea))
     for i, j in pairs:
         (a, ea), (b, eb) = terms[i], terms[j]
-        for piece in intersect(RepSet.of(a), RepSet.of(b)).atoms:
+        for piece in normalize(_atom_meet(a, b)).atoms:
             out.extend(_combined_terms(piece, [(a, ea), (b, eb)]))
     return PiecewiseFunction(out)
 

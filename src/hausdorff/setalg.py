@@ -1088,16 +1088,21 @@ def symdiff(a: RepSet, b: RepSet) -> RepSet:
     return union(diff(a, b), diff(b, a))
 
 
+def cross_pairs(xs, ys) -> list:
+    """The index pairs (i, j), sorted, of the atoms xs[i] and ys[j] whose
+    closed hulls meet: a sweep over the float hulls of both lists
+    (meeting_pairs) finds the candidates and _hulls_meet decides each."""
+    atoms, n = list(xs) + list(ys), len(xs)
+    return [(i, j - n) for i, j in meeting_pairs([x.float_hull() for x in atoms])
+            if i < n <= j and _hulls_meet(atoms[i], atoms[j])]
+
+
 def intersect(a: RepSet, b: RepSet) -> RepSet:
     """The meets of the atom pairs, one atom from each side, whose closed
-    hulls meet; a sweep over the float hulls (meeting_pairs) finds them.
-    The pieces are normalized in _hull_key order, so the answer is the
-    same in either argument order."""
-    atoms, n = a.atoms + b.atoms, len(a.atoms)
-    pieces = []
-    for i, j in meeting_pairs([x.float_hull() for x in atoms]):
-        if i < n <= j and _hulls_meet(atoms[i], atoms[j]):
-            pieces += _atom_meet(atoms[i], atoms[j])
+    hulls meet (cross_pairs). The pieces are normalized in _hull_key
+    order, so the answer is the same in either argument order."""
+    pieces = [p for i, j in cross_pairs(a.atoms, b.atoms)
+              for p in _atom_meet(a.atoms[i], b.atoms[j])]
     return normalize(sorted(pieces, key=_hull_key))
 
 
