@@ -1089,17 +1089,15 @@ def symdiff(a: RepSet, b: RepSet) -> RepSet:
 
 
 def cross_pairs(xs, ys) -> list:
-    """The index pairs (i, j), sorted, of the atoms xs[i] and ys[j] whose
-    closed hulls meet: a sweep over the float hulls of both lists
-    (meeting_pairs) finds the candidates and _hulls_meet decides each."""
+    """The sorted pairs (i, j) of atoms xs[i], ys[j] whose closed hulls meet:
+    the float-hull sweep meeting_pairs proposes them, _hulls_meet decides."""
     atoms, n = list(xs) + list(ys), len(xs)
     return [(i, j - n) for i, j in meeting_pairs([x.float_hull() for x in atoms])
             if i < n <= j and _hulls_meet(atoms[i], atoms[j])]
 
 
 def intersect(a: RepSet, b: RepSet) -> RepSet:
-    """The meets of the atom pairs, one atom from each side, whose closed
-    hulls meet (cross_pairs). The pieces are normalized in _hull_key
+    """The meets of the cross_pairs of atoms, normalized in _hull_key
     order, so the answer is the same in either argument order."""
     pieces = [p for i, j in cross_pairs(a.atoms, b.atoms)
               for p in _atom_meet(a.atoms[i], b.atoms[j])]
