@@ -22,14 +22,16 @@ from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_TWO, DIM_ZERO, ConstantTail,
                      top_terms)
 from .setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet, diff, hmeasure,
-                     symdiff, union)
+                     symdiff, union, verify_monotone, verify_subadditive)
 from .hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
                         PiecewiseFunction, Poly, PrefixGrowth, SeriesValues,
                         ShrinkingPlateau, SingletonTail, SlidingBump,
                         StageClimb, SupportGrowth, add, additivity_over_region,
                         beppo_levi_limit, countable_additivity, fatou_check,
-                        h_integral, indicator, monotone_compare, neg_part,
-                        pos_part, restrict_to_support, scalar_mul)
+                        h_integral, indicator, indicator_bridge,
+                        monotone_compare, neg_part, pos_part,
+                        restrict_to_support, scalar_mul)
+from .deficiency import cluster_set, defi_continuity_cluster
 from .metrics import (AlternatingFunctionSeq, ConstantFunctionSeq,
                       DEFAULT_SCHEDULE, PointPerturbation,
                       PrefixPerturbation, dH_pairs, d_H, d_s, is_cauchy,
@@ -98,10 +100,13 @@ class _Tally:
         self.draws += 1
         return True
 
-    def count(self, ok, describe=""):
+    def count(self, ok, describe=None):
+        """Count one case; ``describe()`` names the first failure, and
+        runs only then."""
         self.trials += 1
         if not ok and not self.first_failure:
-            self.first_failure = describe or f"case {self.trials}"
+            self.first_failure = (describe() if describe
+                                  else f"case {self.trials}")
 
     def __enter__(self):
         self.refused = False
@@ -301,12 +306,12 @@ def check_pair_algebra(seed: int = DEFAULT_SEED):
     trans = _Tally("the lexicographic order is transitive")
     for _ in range(10_000):
         a, b, c = (_rand_pair(rng) for _ in range(3))
-        case = f"{a.render()}, {b.render()}, {c.render()}"
+        case = lambda: f"{a.render()}, {b.render()}, {c.render()}"
         ab = hpair_add(a, b)
         comm.count(hpair_eq(ab, hpair_add(b, a)), case)
         asso.count(hpair_eq(hpair_add(ab, c), hpair_add(a, hpair_add(b, c))),
                    case)
-        ident.count(hpair_eq(hpair_add(a, ZERO_PAIR), a), a.render())
+        ident.count(hpair_eq(hpair_add(a, ZERO_PAIR), a), a.render)
         if a.d.cmp(b.d) < 0:
             absorb.count(hpair_eq(ab, b), case)
         le, ge = a <= b, b <= a
@@ -324,7 +329,7 @@ def check_pair_algebra(seed: int = DEFAULT_SEED):
         if i % 5 == 3:
             # the climb really starts below the limit dimension
             ok = ok and seq.term(1).d.cmp(value.d) < 0
-        series.count(ok, f"case {i}: value {value.render()}")
+        series.count(ok, lambda: f"case {i}: value {value.render()}")
     return [t.result() for t in
             (comm, asso, ident, absorb, total, trans, series)]
 
@@ -337,7 +342,7 @@ def check_set_metric(seed: int = DEFAULT_SEED):
     axioms = _Tally("pair distance: symmetry, identity, triangle")
     for _ in range(10_000):
         a, b, c = (_rand_metric_pair(rng) for _ in range(3))
-        case = f"{a.render()}, {b.render()}, {c.render()}"
+        case = lambda: f"{a.render()}, {b.render()}, {c.render()}"
         ab, bc, ac = dH_pairs(a, b), dH_pairs(b, c), dH_pairs(a, c)
         ok = hpair_eq(ab.value, dH_pairs(b, a).value)
         ok = ok and dH_pairs(a, a).is_zero()
@@ -368,7 +373,20 @@ def check_set_metric(seed: int = DEFAULT_SEED):
             ok = hpair_eq(fg.value, d_H(g, f).value)
             ok = ok and d_H(f, f).is_zero()
             fns.count(ok and triangle_ok(fh, fg, gh))
-    return [axioms.result(), sets.result(), fns.result()]
+
+    meas = _Tally("set measure: monotone under inclusion and subadditive",
+                  NotRepresentable)
+    while meas.wants(500):
+        cells = [(Fraction(4 * k), rng.choice(_CELL_KINDS)) for k in range(3)]
+        a, b = (_rand_set(rng, cells) for _ in range(2))
+        with meas:
+            u = union(a, b)
+            try:
+                ok = verify_monotone(a, u)[2]
+            except ValidationError:  # a is not inside a | b
+                ok = False
+            meas.count(ok and verify_subadditive(a, b)[3])
+    return [axioms.result(), sets.result(), fns.result(), meas.result()]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +488,12 @@ def check_integral_laws(seed: int = DEFAULT_SEED):
             pn.count(hpair_eq(h_integral(f),
                               hpair_add(h_integral(fp), h_integral(fn))))
 
-    return [t.result() for t in (lin, sca, reg, cnt, mon, sup, pn)]
+    bridge = _Tally("indicators integrate to the measure of their set")
+    for _ in range(500):
+        s = _rand_set(rng, _rand_cells(rng))
+        bridge.count(not _raises(ValidationError, indicator_bridge, s))
+
+    return [t.result() for t in (lin, sca, reg, cnt, mon, sup, pn, bridge)]
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +557,7 @@ def check_beppo_levi(seed: int = DEFAULT_SEED):
         chain = _rand_nonneg_chain(rng)
         report = beppo_levi_limit(chain)
         ok = report.agrees and not report.signed
-        mono.count(ok, type(chain).__name__)
+        mono.count(ok, lambda: type(chain).__name__)
         if isinstance(chain, StageClimb):
             first = h_integral(chain.term(1))
             climb.count(ok and first.d.cmp(report.integral_of_limit.d) < 0)
@@ -549,7 +572,7 @@ def check_beppo_levi(seed: int = DEFAULT_SEED):
         ok = ok and hpair_eq(report.limit_of_integrals, HPair.of(1, 0))
         ok = ok and hpair_eq(report.integral_of_limit, HPair.of(0, -v))
         ok = ok and report.integral_of_limit < report.limit_of_integrals
-        signed.count(ok, chain.__class__.__name__)
+        signed.count(ok, lambda: chain.__class__.__name__)
 
     rejected = _Tally("chains that fail monotonicity are refused")
     for _ in range(25):
@@ -564,7 +587,7 @@ def check_beppo_levi(seed: int = DEFAULT_SEED):
                 indicator(RepSet.of(Interval(2, 3)),
                           Fraction(rng.randrange(2, 5))))
         rejected.count(_raises(MonotonicityViolated, beppo_levi_limit, chain),
-                       type(chain).__name__)
+                       lambda: type(chain).__name__)
     return [mono.result(), climb.result(), signed.result(),
             rejected.result()]
 
@@ -576,7 +599,7 @@ def check_fatou(seed: int = DEFAULT_SEED):
     for _ in range(200):
         chain = _rand_nonneg_chain(rng, sliding=True)
         ok = fatou_check(chain)
-        bound.count(ok, type(chain).__name__)
+        bound.count(ok, lambda: type(chain).__name__)
         if isinstance(chain, SlidingBump):
             strict.count(ok and h_integral(chain.limit_function())
                          < hseq_liminf(chain.integral_seq()))
@@ -589,7 +612,7 @@ def check_fatou(seed: int = DEFAULT_SEED):
         chain = ShrinkingPlateau(Fraction(rng.randrange(-4, 5)), 1,
                                  -Fraction(rng.randrange(1, 5)))
         refused.count(_raises(ValidationError, fatou_check, chain),
-                      type(chain).__name__)
+                      lambda: type(chain).__name__)
     return [bound.result(), strict.result(), refused.result()]
 
 
@@ -624,7 +647,7 @@ def check_riesz_fischer(seed: int = DEFAULT_SEED):
             limit, cert = riesz_fischer_check(seq)
             ok = ok and d_H(limit, seq.limit()).is_zero()
             ok = ok and tuple(e for e, _ in cert.entries) == DEFAULT_SCHEDULE
-            conv.count(ok, type(seq).__name__)
+            conv.count(ok, lambda: type(seq).__name__)
 
     apart = _Tally("alternating chains are refused")
     for _ in range(10):
@@ -724,6 +747,21 @@ def check_pinned_examples(seed: int = DEFAULT_SEED):
              h_integral(ladder), HPair.of(0, 2))):
         rows.append(CheckResult(name, hpair_eq(got, want),
                                 expected=want.render(), actual=got.render()))
+
+    # -1 left of 0, 1 right of it and 5 at it: three limits at one point
+    three_way = PiecewiseFunction([
+        (Interval(None, 0, deletions=[0]), Const(-1)),
+        (Interval(0, None, deletions=[0]), Const(1)),
+        (FinitePoints([0]), Const(5))])
+    (at_zero,) = cluster_set(three_way, 0).atoms
+    widest = defi_continuity_cluster(three_way)
+    rows.append(CheckResult(
+        "a three-way jump clusters at three values",
+        passed=(at_zero == FinitePoints([-1, 1, 5])
+                and hpair_eq(widest, HPair.of(0, 3))),
+        expected="cluster set at 0 {-1, 1, 5}; widest cluster (0, 3)",
+        actual=(f"cluster set at 0 {{{', '.join(map(str, at_zero.points))}}}"
+                f"; widest cluster {widest.render()}")))
     return rows
 
 

@@ -17,10 +17,10 @@ import re
 import sys
 from dataclasses import asdict
 
-from ._numeric import parse_rational, render_rational
+from ._numeric import _ITER_GUARD, parse_rational, render_rational
 from .config import (DEFAULT_SEED, SUITE_NAMES, get_config, set_config,
                      update_config)
-from .errors import HausdorffError, ParseError, ValidationError
+from .errors import HausdorffError, ParseError, TooLarge, ValidationError
 
 _CONFIG_ENV = "HAUSDORFF_CONFIG"
 _CONFIG_PATH = ("~", ".config", "hausdorff", "config.json")
@@ -220,9 +220,17 @@ def _parse_depths(text, default=(1, 10)):
         m = re.fullmatch(r"\s*(\d+)\.\.(\d+)\s*", text)
         if m is None:
             raise ParseError(f"expected a depth range like 1..12, got {text!r}")
-        lo, hi = int(m.group(1)), int(m.group(2))
+        try:
+            lo, hi = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:
+            raise ParseError("a depth bound has more digits than int() "
+                             "takes") from exc
     if lo < 1 or hi < lo:
         raise ValidationError(f"bad depth range {lo}..{hi}")
+    # the depths are listed and each cover holds numbers of about k digits
+    # at depth k, so a range is refused before either grows without bound
+    if hi > _ITER_GUARD:
+        raise TooLarge(f"a depth range may not go past {_ITER_GUARD}")
     return list(range(lo, hi + 1))
 
 
@@ -382,7 +390,8 @@ def _cmd_estimate(args, seed) -> int:
         if _json_out():
             print(json.dumps({
                 "slope": _interval_payload(slope),
-                "covers": [{"depth": c.depth, "count": c.box_count,
+                "covers": [{"depth": c.depth,
+                            "count": render_rational(c.box_count),
                             "box_size": render_rational(c.box_size)}
                            for c in covers]}))
         else:
@@ -390,7 +399,8 @@ def _cmd_estimate(args, seed) -> int:
             print(f"box-count slope ~ {float(slope.mid):.12f} "
                   f"(enclosure width {float(width):.3e})")
             for c in covers:
-                print(f"  depth {c.depth:3d}: {c.box_count} boxes of size "
+                print(f"  depth {c.depth:3d}: "
+                      f"{render_rational(c.box_count)} boxes of size "
                       f"{render_rational(c.box_size)}")
         return 0
 

@@ -142,9 +142,6 @@ class OscillationProfile:
     def is_empty(self) -> bool:
         return not self.point_values and not self.seq_values
 
-    def omega_at(self, x: Rational) -> Fraction:
-        return self.as_function().value_at(x)
-
     def as_function(self) -> PiecewiseFunction:
         by_value = {}
         for x, w in self.point_values:

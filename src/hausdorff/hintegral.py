@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 from ._numeric import Rational
 from .errors import (DisjointnessViolated, DoesNotConverge,
                      MonotonicityViolated, NotRepresentable, OrderNotVerified,
-                     UndefinedSum, ValidationError)
+                     ValidationError)
 from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
                      CoefficientSeries, ConstantTail, ExtReal, FiniteList,
                      Geometric, GrowthTail, HPair, HSeq, InterleaveTail,
@@ -438,8 +438,7 @@ def h_integral(f: PiecewiseFunction, region: Region = ALL_REALS) -> HPair:
 
     Lower-dimensional terms contribute nothing to the second coordinate.
     Signed infinite masses of the top dimension raise UndefinedSum; a
-    single signed infinity is a legitimate value, flagged as
-    non-integrable by is_integrable.
+    single signed infinity is a legitimate value.
     """
     terms = []
     for atom, expr in f.terms:
@@ -450,13 +449,6 @@ def h_integral(f: PiecewiseFunction, region: Region = ALL_REALS) -> HPair:
     if top is None:
         return ZERO_PAIR
     return HPair(top, ext_sum(_piece_measure(piece, e) for piece, e in kept))
-
-
-def is_integrable(f: PiecewiseFunction, region: Region = ALL_REALS) -> bool:
-    try:
-        return h_integral(f, region).m.is_finite()
-    except UndefinedSum:
-        return False
 
 
 def restrict_to_support(f: PiecewiseFunction,

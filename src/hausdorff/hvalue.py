@@ -741,10 +741,6 @@ def hseq_liminf(seq: HSeq) -> HPair:
     return seq.tail.liminf()
 
 
-def hseq_limsup(seq: HSeq) -> HPair:
-    return seq.tail.limsup()
-
-
 def hseq_limit(seq: HSeq) -> HPair:
     lo, hi = seq.tail.liminf(), seq.tail.limsup()
     if not hpair_eq(lo, hi):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from ._numeric import _ITER_GUARD, Rational
 from .errors import NoLimitFound, NotInLH, TooLarge, ValidationError
 from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part,
-                        abs_integral, add, indicator, scalar_mul, support)
+                        abs_integral, add, indicator, scalar_mul)
 from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, HPair,
                      dim_abs_diff, hpair_eq, top_terms)
 from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
@@ -40,10 +40,6 @@ class HDistance:
             raise ValidationError(
                 f"a distance cannot be negative: {value.render()}")
         object.__setattr__(self, "value", value)
-
-    @staticmethod
-    def of(d, m) -> "HDistance":
-        return HDistance(HPair.of(d, m))
 
     def is_zero(self) -> bool:
         return hpair_eq(self.value, ZERO_PAIR)
@@ -120,15 +116,6 @@ def _require_lh(f: PiecewiseFunction, name: str) -> None:
 def _distance(f: PiecewiseFunction, g: PiecewiseFunction) -> HDistance:
     """d_H for arguments already checked to be absolutely integrable."""
     return HDistance(abs_integral(add(f, scalar_mul(-1, g))))
-
-
-def ball_member(center, y, radius: HPair, metric: Callable) -> bool:
-    """Whether y lies in the open ball around center, lexicographically."""
-    if not ZERO_PAIR < radius:
-        raise ValidationError("the ball radius must exceed (0, 0)")
-    dist = metric(center, y)
-    value = dist.value if isinstance(dist, HDistance) else dist
-    return value < radius
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +321,6 @@ class ConvergenceCertificate:
 
     entries: tuple[tuple[Fraction, int], ...]
 
-    def index_for(self, eps) -> int:
-        eps = Fraction(eps)
-        for tol, n in self.entries:
-            if tol == eps:
-                return n
-        raise KeyError(f"no certificate entry for {eps}")
-
 
 def riesz_fischer_check(seq: CauchySeq,
                         schedule: Sequence[Rational] = DEFAULT_SCHEDULE
@@ -367,26 +347,3 @@ def riesz_fischer_check(seq: CauchySeq,
                     f"certified index {n} fails at term {k}")
         entries.append((eps, n))
     return limit, ConvergenceCertificate(tuple(entries))
-
-
-def finite_counting_mass(f: PiecewiseFunction) -> bool:
-    """Whether the integral of |f| against the counting measure is
-    finite: only finitely presented point masses with summable values."""
-    for atom, expr in f.terms:
-        if isinstance(atom, FinitePoints):
-            continue
-        if (isinstance(atom, CountableSeq) and isinstance(expr, SeriesValues)
-                and expr.series.abs_converges()):
-            continue
-        # a nonzero value on an uncountable piece, or a sequence whose
-        # values are not absolutely summable
-        return False
-    return True
-
-
-def small_support_check(f: PiecewiseFunction) -> bool:
-    """A finite counting-measure integral forces dimension-zero support."""
-    if not finite_counting_mass(f):
-        return True
-    dom = support(f)
-    return dom.is_empty() or hmeasure(dom).d.cmp(DIM_ZERO) == 0

@@ -1,34 +1,30 @@
 """Independent numerical cross-checks for the exact engine.
 
-Box-counting dimension estimates, cover premeasure sums, rigorous
-quadrature, and brute-force recomputation by direct enumeration.  The
-oracle consumes the catalog data types but reimplements every
-computation from scratch: covers are built structurally from the atom
-definitions (no sampling), quadrature carries an explicit error bound,
-and enumeration sums values term by term.  Agreement with the exact
-engine is evidence, not circularity.
+Box-counting dimension estimates, cover premeasure sums and rigorous
+quadrature.  The oracle consumes the catalog data types but
+reimplements every computation from scratch: covers are built
+structurally from the atom definitions (no sampling), and quadrature
+carries an explicit error bound.  Agreement with the exact engine is
+evidence, not circularity.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .config import get_config
-from .errors import (NotSupported, TooLarge, Unbounded, ValidationError)
-from .hvalue import CoefficientSeries, Dimension, ExtReal, HPair
-from .hintegral import PiecewiseFunction, Poly
+from .errors import Unbounded, ValidationError
+from .hvalue import Dimension
+from .hintegral import PiecewiseFunction
 from .setalg import (HARMONIC, Atom, CountableSeq, FinitePoints, Interval,
                      RepSet)
 from ._numeric import (RatInterval, exact_root, geo_steps, log_interval,
                        pow_interval, power_index)
 
 __all__ = [
-    "CoverReport", "box_dim_estimate", "premeasure_estimate",
-    "quadrature", "brute_recompute", "BRUTE_LIMIT",
+    "CoverReport", "box_dim_estimate", "premeasure_estimate", "quadrature",
 ]
-
-BRUTE_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -245,77 +241,3 @@ def quadrature(f: PiecewiseFunction, region: Interval, n: int) -> RatInterval:
                * _second_derivative_bound(expr.coeffs, lo, hi) / 24)
         total = total + RatInterval(mid_sum - err, mid_sum + err)
     return total
-
-
-# ---------------------------------------------------------------------------
-# brute-force recomputation
-
-def _brute_pair_sum(pairs: Iterable[HPair]) -> HPair:
-    pairs = list(pairs)
-    if len(pairs) > BRUTE_LIMIT:
-        raise TooLarge(f"brute sum capped at {BRUTE_LIMIT} pairs")
-    top = None
-    for p in pairs:
-        if top is None or p.d.cmp(top) > 0:
-            top = p.d
-    if top is None:
-        return HPair.of(0, 0)
-    m = ExtReal.of(0)
-    for p in pairs:
-        if p.d.cmp(top) == 0:
-            m = m + p.m
-    return HPair(top, m)
-
-
-def _brute_series(job) -> HPair:
-    if isinstance(job, CoefficientSeries):
-        total = Fraction(0)
-        for k in range(BRUTE_LIMIT):
-            total += job.term(k)
-        return HPair.of(0, total)
-    dims, coeffs = job
-    per = BRUTE_LIMIT // max(len(coeffs), 1)
-    pairs = [HPair.of(d, series.term(k))
-             for d, series in zip(dims, coeffs) for k in range(per)]
-    return _brute_pair_sum(pairs)
-
-
-def _brute_integral(f: PiecewiseFunction) -> HPair:
-    values = []
-    for atom, expr in f.terms:
-        if isinstance(atom, FinitePoints):
-            for p in atom.points:
-                values.append(_point_value(expr, p, None))
-        elif isinstance(atom, CountableSeq):
-            live = (k for k in range(1, 4 * BRUTE_LIMIT)
-                    if atom.point(k) not in atom.deletions)
-            for _, k in zip(range(BRUTE_LIMIT), live):
-                values.append(_point_value(expr, atom.point(k), k))
-        else:
-            raise NotSupported(
-                "direct enumeration only covers countable supports")
-        if len(values) > 2 * BRUTE_LIMIT:
-            raise TooLarge("enumeration exceeded the brute-force budget")
-    total = Fraction(0)
-    for v in values:
-        total += v
-    return HPair.of(0, total)
-
-
-def _point_value(expr, x, index) -> Fraction:
-    if isinstance(expr, Poly):
-        return expr.value_at(x)
-    return expr.series.term(index - 1)
-
-
-def brute_recompute(op: str, inputs) -> HPair:
-    """Recompute a result by direct enumeration, sidestepping the main
-    code paths.  Series are truncated at the brute-force budget, so
-    geometric tails beyond it are the only slack."""
-    if op == "hpair_sum":
-        return _brute_pair_sum(inputs)
-    if op == "hpair_series":
-        return _brute_series(inputs)
-    if op == "h_integral":
-        return _brute_integral(inputs)
-    raise ValidationError(f"unknown brute-force operation {op!r}")

@@ -1,11 +1,15 @@
 """Command-line front end: subcommands, exit codes, config handling."""
 
 import ast
+import decimal
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -142,6 +146,36 @@ def test_engine_modules_read_every_name_they_import():
         if imported - read:
             unused[path.name] = sorted(imported - read)
     assert not unused
+
+
+def test_every_engine_definition_has_a_caller():
+    # a function, class or method counts as called when its name occurs
+    # as a word in the engine away from its own def or class line and
+    # from __all__, occurs in the benchmark, or is exported by the package
+    src = Path(hausdorff.__file__).parent
+    words, own = Counter(), Counter()
+    for path in sorted(src.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        skip = set()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own[node.name] += re.findall(r"\w+", lines[node.lineno - 1]
+                                             ).count(node.name)
+            elif (isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets)):
+                skip.update(range(node.lineno - 1, node.end_lineno))
+        words.update(w for n, line in enumerate(lines) if n not in skip
+                     for w in re.findall(r"\w+", line))
+    bench = set(re.findall(r"\w+", "\n".join(
+        p.read_text(encoding="utf-8")
+        for p in (src.parents[1] / "perfbench").glob("*.py"))))
+    uncalled = sorted(
+        name for name in own
+        if not (name.startswith("__") and name.endswith("__"))
+        and words[name] <= own[name]
+        and name not in bench and name not in hausdorff.__all__)
+    assert not uncalled
 
 
 def test_distance_wrong_document_kind(capsys):
@@ -344,6 +378,40 @@ def test_estimate_quad_requires_interval_region(capsys):
 def test_estimate_bad_depths_exits_2(capsys):
     code, _, err = run(capsys, "estimate", "dim", UNIT, "--depths", "nope")
     assert code == 2 and "depth range" in err
+
+
+def test_estimate_prints_counts_past_the_int_digit_limit(capsys):
+    # 2^14290 boxes: str() of that int refuses, at 4,302 digits
+    count = str(decimal.Decimal(2 ** 14290))
+    code, out, _ = run(capsys, "estimate", "dim", CANTOR,
+                       "--depths", "14290..14291")
+    assert code == 0
+    assert out.splitlines()[1] == (f"  depth 14290: {count} boxes of size "
+                                   f"1/{decimal.Decimal(3 ** 14290)}")
+    code, out, _ = run(capsys, "--json", "estimate", "dim", CANTOR,
+                       "--depths", "14290..14291")
+    assert code == 0 and json.loads(out)["covers"][0]["count"] == count
+
+
+def test_estimate_depth_bound_past_the_int_digit_limit_exits_2(capsys):
+    code, out, err = run(capsys, "estimate", "dim", CANTOR,
+                         "--depths", "1.." + "9" * 5001)
+    assert (code, out) == (2, "")
+    assert err == "error: a depth bound has more digits than int() takes\n"
+
+
+def test_estimate_depth_range_past_the_guard_refuses(capsys, monkeypatch,
+                                                      tmp_path):
+    refusal = "error: a depth range may not go past 100000\n"
+    start = time.perf_counter()
+    assert run(capsys, "estimate", "dim", CANTOR,
+               "--depths", "1..1000000000") == (1, "", refusal)
+    assert time.perf_counter() - start < 1
+    # the config file's depths key takes the same path
+    config = tmp_path / "config.json"
+    config.write_text('{"depths": "1..1000000000"}')
+    monkeypatch.setenv("HAUSDORFF_CONFIG", str(config))
+    assert run(capsys, "estimate", "dim", CANTOR) == (1, "", refusal)
 
 
 def eval_frac(text):

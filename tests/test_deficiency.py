@@ -51,15 +51,15 @@ def test_ramp_with_cliff_oscillates_at_the_cliff():
     ramp = PiecewiseFunction([(Interval(0, 1), Poly([0, 1]))])
     prof = oscillation(ramp)
     assert prof.point_values == ((F(1), F(1)),)
-    assert prof.omega_at(0) == 0
+    assert prof.as_function().value_at(0) == 0
 
 
 def test_geometric_values_on_harmonic_points():
     g = PiecewiseFunction([(HARM, SeriesValues(Geometric(F(1, 2), F(1, 2))))])
     prof = oscillation(g)
     # terms vanish toward the accumulation point, so omega(0) = 0
-    assert prof.omega_at(0) == 0
-    assert prof.omega_at(F(1, 3)) == F(1, 8)
+    assert prof.as_function().value_at(0) == 0
+    assert prof.as_function().value_at(F(1, 3)) == F(1, 8)
     assert defi_continuity_osc(g) == pair(0, 1)
     # a negative p-series oscillates by its absolute values
     zeta = PiecewiseFunction([(HARM, SeriesValues(PSeries(-1, 2)))])
@@ -70,7 +70,7 @@ def test_geometric_values_on_harmonic_points():
 def test_constant_sequence_value_oscillates_at_the_limit():
     g = PiecewiseFunction([(HARM, Const(3))])
     prof = oscillation(g)
-    assert prof.omega_at(0) == 3
+    assert prof.as_function().value_at(0) == 3
     assert defi_continuity_osc(g).m.is_finite() is False
 
 
@@ -80,8 +80,8 @@ def test_interval_endpoint_owned_away_from_sequence():
     seq = CountableSeq(HARMONIC, 0, 1, deletions=[F(1, 2), 1])
     f = PiecewiseFunction([(seq, Const(3)), (Interval(F(1, 2), 2), Const(7))])
     prof = oscillation(f)
-    assert prof.omega_at(F(1, 2)) == 7
-    assert prof.omega_at(F(1, 3)) == 3
+    assert prof.as_function().value_at(F(1, 2)) == 7
+    assert prof.as_function().value_at(F(1, 3)) == 3
     (atom, _), = prof.seq_values
     assert F(1, 2) in atom.deletions
     # profile atoms stay disjoint, so integrating it is legal
@@ -339,7 +339,7 @@ def test_limit_table_matches_the_scan():
             if want is None:
                 want = abs(f.value_at(x)) if any(
                     atom.member(x) for atom, _ in prof.seq_values) else 0
-            assert prof.omega_at(x) == want
+            assert prof.as_function().value_at(x) == want
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +430,7 @@ def test_random_steps_oscillation_matches_probes():
         for x in cuts:
             vals = {f.value_at(x - DELTA), f.value_at(x), f.value_at(x + DELTA)}
             w = max(vals) - min(vals)
-            assert prof.omega_at(x) == w
+            assert prof.as_function().value_at(x) == w
             total += w
         assert defi_continuity_osc(f) == pair(0, total)
 

@@ -14,14 +14,14 @@ from hausdorff.errors import (DisjointnessViolated, DoesNotConverge,
                               NotRepresentable, OrderNotVerified, UndefinedSum,
                               ValidationError)
 from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
-                                 PiecewiseFunction, Poly, PrefixGrowth,
+                                 PiecewiseFunction, Poly, PrefixGrowth, Region,
                                  SeriesValues, ShrinkingPlateau, SingletonTail,
                                  SlidingBump, StageClimb, SupportGrowth,
                                  abs_integral, add, additivity_over_region,
                                  beppo_levi_limit,
                                  countable_additivity, fatou_check,
                                  h_integral, indicator, indicator_bridge,
-                                 is_integrable, monotone_compare, neg_part,
+                                 monotone_compare, neg_part,
                                  pos_part, restrict_to_support, scalar_mul,
                                  support, verify_nonneg, zero_function)
 from hausdorff.hintegral import (_combined_terms, _int_coeffs, _roots_within,
@@ -356,6 +356,13 @@ def test_integral_compares_each_piece_once(monkeypatch):
                         lambda a, b: calls.append(1) or cmp(a, b))
     assert h_integral(f) == pair(1, F(103, 2))
     assert len(calls) == len(f.terms) - 1 == 5
+
+
+def is_integrable(f: PiecewiseFunction, region: Region = ALL_REALS) -> bool:
+    try:
+        return h_integral(f, region).m.is_finite()
+    except UndefinedSum:
+        return False
 
 
 def test_undefined_sum_of_signed_infinities():

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction as F
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -12,21 +13,19 @@ from hausdorff.errors import (HausdorffError, NoLimitFound, NotInLH,
                               NotRepresentable, TooLarge, ValidationError)
 from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
                                  h_integral, indicator, neg_part, pos_part,
-                                 zero_function)
-from hausdorff.hvalue import (DIM_CANTOR, DIM_ZERO, POS_INF, Dimension,
-                              FiniteList, Geometric, HPair, PSeries,
+                                 support, zero_function)
+from hausdorff.hvalue import (DIM_CANTOR, DIM_ZERO, POS_INF, ZERO_PAIR,
+                              Dimension, FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
 from hausdorff.metrics import (DEFAULT_SCHEDULE, AlternatingFunctionSeq,
                                ConstantFunctionSeq, HDistance,
                                PointPerturbation, PrefixPerturbation,
                                abs_integral, absolutely_integrable,
-                               ball_member, dH_pairs, d_H, d_s,
-                               finite_counting_mass, is_cauchy,
-                               riesz_fischer_check, small_support_check,
-                               triangle_ok)
+                               dH_pairs, d_H, d_s, is_cauchy,
+                               riesz_fischer_check, triangle_ok)
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine,
                               CountableSeq, FinitePoints, Interval, RepSet,
-                              diff, symdiff, union)
+                              diff, hmeasure, symdiff, union)
 
 I01 = RepSet.of(Interval(0, 1))
 HARM = CountableSeq(HARMONIC, 0, 1)
@@ -36,17 +35,29 @@ def pair(d, m):
     return HPair.of(d, m)
 
 
+def hdistance_of(d, m) -> HDistance:
+    return HDistance(HPair.of(d, m))
+
+
+def index_for(cert, eps) -> int:
+    eps = F(eps)
+    for tol, n in cert.entries:
+        if tol == eps:
+            return n
+    raise KeyError(f"no certificate entry for {eps}")
+
+
 # -- distance values ---------------------------------------------------------
 
 def test_distance_rejects_negative_measure():
     with pytest.raises(ValidationError):
-        HDistance.of(0, -1)
+        hdistance_of(0, -1)
 
 
 def test_distance_plus_is_coordinatewise():
-    s = HDistance.of(F(1, 2), 3).plus(HDistance.of(F(1, 2), 4))
+    s = hdistance_of(F(1, 2), 3).plus(hdistance_of(F(1, 2), 4))
     assert s.value == pair(1, 7)
-    t = HDistance.of(2, 0).plus(HDistance.of(2, 0))
+    t = hdistance_of(2, 0).plus(hdistance_of(2, 0))
     assert t.value.m.sign() == 0
     assert t.value.d.cmp(Dimension.rational(2)) > 0  # transient value 4
 
@@ -119,7 +130,7 @@ def test_dH_pairs_axioms_random():
 def test_second_projection_is_not_a_pseudo_metric():
     # distances (1,1), (2,0), (2,0) satisfy the pair triangle while the
     # second coordinates alone violate 1 <= 0 + 0
-    xz, xy, yz = HDistance.of(1, 1), HDistance.of(2, 0), HDistance.of(2, 0)
+    xz, xy, yz = hdistance_of(1, 1), hdistance_of(2, 0), hdistance_of(2, 0)
     assert triangle_ok(xz, xy, yz)
     assert not xz.value.m.cmp(xy.value.m + yz.value.m) <= 0
 
@@ -391,6 +402,15 @@ def test_d_H_axioms_random():
 
 # -- balls ---------------------------------------------------------------------
 
+def ball_member(center, y, radius: HPair, metric: Callable) -> bool:
+    """Whether y lies in the open ball around center, lexicographically."""
+    if not ZERO_PAIR < radius:
+        raise ValidationError("the ball radius must exceed (0, 0)")
+    dist = metric(center, y)
+    value = dist.value if isinstance(dist, HDistance) else dist
+    return value < radius
+
+
 def test_ball_member_measure_radius():
     assert ball_member(pair(1, 1), pair(1, 2), pair(0, 2), dH_pairs)
 
@@ -455,7 +475,7 @@ def test_riesz_fischer_point_perturbation():
     for eps, n in cert.entries:
         assert d_H(seq.term(n), limit).value < pair(0, eps)
         assert d_H(seq.term(n + 10), limit).value < pair(0, eps)
-    assert cert.index_for(F(1, 10 ** 6)) == 20
+    assert index_for(cert, F(1, 10 ** 6)) == 20
 
 
 def test_certificates_check_each_function_once(monkeypatch):
@@ -488,7 +508,7 @@ def test_riesz_fischer_constant():
     base = indicator(RepSet.of(FinitePoints([5])), -2)
     limit, cert = riesz_fischer_check(ConstantFunctionSeq(base))
     assert limit == base
-    assert cert.index_for(1) == 1
+    assert index_for(cert, 1) == 1
 
 
 def test_riesz_fischer_alternating_has_no_limit():
@@ -505,7 +525,7 @@ def test_alternating_between_equal_functions_converges():
     seq = AlternatingFunctionSeq(f, g)
     assert seq.term(2) == g and is_cauchy(seq)
     limit, cert = riesz_fischer_check(seq, [F(1, 10)])
-    assert limit == f and cert.index_for(F(1, 10)) == 1
+    assert limit == f and index_for(cert, F(1, 10)) == 1
 
 
 def test_riesz_fischer_wants_an_integrable_limit():
@@ -518,10 +538,10 @@ def test_riesz_fischer_slower_ratio():
     seq = PointPerturbation(indicator(I01), F(1, 2), coeff=5, ratio=F(2, 3))
     limit, cert = riesz_fischer_check(seq, [F(1, 100)])
     assert limit == indicator(I01)
-    n = cert.index_for(F(1, 100))
+    n = index_for(cert, F(1, 100))
     assert F(5) * F(2, 3) ** n < F(1, 100)
     with pytest.raises(KeyError):
-        cert.index_for(F(1, 7))
+        index_for(cert, F(1, 7))
 
 
 def test_perturbation_validation():
@@ -613,8 +633,8 @@ def test_slow_ratio_certificate_takes_bounded_work():
     start = time.perf_counter()
     _, cert = riesz_fischer_check(seq)
     assert time.perf_counter() - start < 2
-    assert cert.index_for(F(1, 10)) == 2302
-    assert cert.index_for(F(1, 1000)) == 6905
+    assert index_for(cert, F(1, 10)) == 2302
+    assert index_for(cert, F(1, 1000)) == 6905
 
 
 def test_perturbation_index_past_the_guard_is_too_large():
@@ -624,6 +644,29 @@ def test_perturbation_index_past_the_guard_is_too_large():
 
 
 # -- small supports --------------------------------------------------------------
+
+def finite_counting_mass(f: PiecewiseFunction) -> bool:
+    """Whether the integral of |f| against the counting measure is
+    finite: only finitely presented point masses with summable values."""
+    for atom, expr in f.terms:
+        if isinstance(atom, FinitePoints):
+            continue
+        if (isinstance(atom, CountableSeq) and isinstance(expr, SeriesValues)
+                and expr.series.abs_converges()):
+            continue
+        # a nonzero value on an uncountable piece, or a sequence whose
+        # values are not absolutely summable
+        return False
+    return True
+
+
+def small_support_check(f: PiecewiseFunction) -> bool:
+    """A finite counting-measure integral forces dimension-zero support."""
+    if not finite_counting_mass(f):
+        return True
+    dom = support(f)
+    return dom.is_empty() or hmeasure(dom).d.cmp(DIM_ZERO) == 0
+
 
 def test_finite_counting_mass_examples():
     assert finite_counting_mass(indicator(RepSet.of(FinitePoints([1, 2])), 5))

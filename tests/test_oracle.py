@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction as F
+from typing import Iterable
 
 import pytest
 
@@ -12,10 +13,11 @@ from hausdorff.config import get_config
 from hausdorff.errors import NotSupported, TooLarge, Unbounded, ValidationError
 from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
                                  h_integral)
-from hausdorff.hvalue import (DIM_CANTOR, Dimension, FiniteList, Geometric,
-                              HPair, PSeries, hpair_series, hpair_sum)
-from hausdorff.oracle import (BRUTE_LIMIT, CoverReport, box_dim_estimate,
-                              brute_recompute, premeasure_estimate, quadrature)
+from hausdorff.hvalue import (DIM_CANTOR, CoefficientSeries, Dimension, ExtReal,
+                              FiniteList, Geometric, HPair, PSeries,
+                              hpair_series, hpair_sum)
+from hausdorff.oracle import (CoverReport, box_dim_estimate,
+                              premeasure_estimate, quadrature)
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet)
 
@@ -383,7 +385,82 @@ def test_quadrature_validation():
 
 
 # ---------------------------------------------------------------------------
-# brute-force recomputation
+# brute-force recomputation: a test oracle that sums by direct enumeration,
+# sidestepping the engine's code paths
+
+BRUTE_LIMIT = 1000
+
+
+def _brute_pair_sum(pairs: Iterable[HPair]) -> HPair:
+    pairs = list(pairs)
+    if len(pairs) > BRUTE_LIMIT:
+        raise TooLarge(f"brute sum capped at {BRUTE_LIMIT} pairs")
+    top = None
+    for p in pairs:
+        if top is None or p.d.cmp(top) > 0:
+            top = p.d
+    if top is None:
+        return HPair.of(0, 0)
+    m = ExtReal.of(0)
+    for p in pairs:
+        if p.d.cmp(top) == 0:
+            m = m + p.m
+    return HPair(top, m)
+
+
+def _brute_series(job) -> HPair:
+    if isinstance(job, CoefficientSeries):
+        total = F(0)
+        for k in range(BRUTE_LIMIT):
+            total += job.term(k)
+        return HPair.of(0, total)
+    dims, coeffs = job
+    per = BRUTE_LIMIT // max(len(coeffs), 1)
+    pairs = [HPair.of(d, series.term(k))
+             for d, series in zip(dims, coeffs) for k in range(per)]
+    return _brute_pair_sum(pairs)
+
+
+def _brute_integral(f: PiecewiseFunction) -> HPair:
+    values = []
+    for atom, expr in f.terms:
+        if isinstance(atom, FinitePoints):
+            for p in atom.points:
+                values.append(_point_value(expr, p, None))
+        elif isinstance(atom, CountableSeq):
+            live = (k for k in range(1, 4 * BRUTE_LIMIT)
+                    if atom.point(k) not in atom.deletions)
+            for _, k in zip(range(BRUTE_LIMIT), live):
+                values.append(_point_value(expr, atom.point(k), k))
+        else:
+            raise NotSupported(
+                "direct enumeration only covers countable supports")
+        if len(values) > 2 * BRUTE_LIMIT:
+            raise TooLarge("enumeration exceeded the brute-force budget")
+    total = F(0)
+    for v in values:
+        total += v
+    return HPair.of(0, total)
+
+
+def _point_value(expr, x, index) -> F:
+    if isinstance(expr, Poly):
+        return expr.value_at(x)
+    return expr.series.term(index - 1)
+
+
+def brute_recompute(op: str, inputs) -> HPair:
+    """Recompute a result by direct enumeration, sidestepping the main
+    code paths.  Series are truncated at the brute-force budget, so
+    geometric tails beyond it are the only slack."""
+    if op == "hpair_sum":
+        return _brute_pair_sum(inputs)
+    if op == "hpair_series":
+        return _brute_series(inputs)
+    if op == "h_integral":
+        return _brute_integral(inputs)
+    raise ValidationError(f"unknown brute-force operation {op!r}")
+
 
 def test_brute_empty_sum_is_zero():
     assert brute_recompute("hpair_sum", []) == HPair.of(0, 0)
