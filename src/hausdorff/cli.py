@@ -24,6 +24,8 @@ from .errors import HausdorffError, ParseError, TooLarge, ValidationError
 
 _CONFIG_ENV = "HAUSDORFF_CONFIG"
 _CONFIG_PATH = ("~", ".config", "hausdorff", "config.json")
+# depths 1..4471 add up to just under this and print 8-10 MB of covers
+_DEPTH_SUM = 10_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,9 +230,14 @@ def _parse_depths(text, default=(1, 10)):
     if lo < 1 or hi < lo:
         raise ValidationError(f"bad depth range {lo}..{hi}")
     # the depths are listed and each cover holds numbers of about k digits
-    # at depth k, so a range is refused before either grows without bound
+    # at depth k, so a range is refused before either grows without bound:
+    # first by its end, then by the sum of its depths, which the printed
+    # digits follow
     if hi > _ITER_GUARD:
         raise TooLarge(f"a depth range may not go past {_ITER_GUARD}")
+    if (lo + hi) * (hi - lo + 1) // 2 > _DEPTH_SUM:
+        raise TooLarge(f"the depths of a range may not add up to more than "
+                       f"{_DEPTH_SUM}")
     return list(range(lo, hi + 1))
 
 

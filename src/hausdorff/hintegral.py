@@ -10,6 +10,7 @@ integral of a sum, and so on) come out the way they do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -341,12 +342,19 @@ def _isolated_root(ps: list[int], q: list[int], a: Fraction,
     return None, _order_at(ps, a)[1] != _sign(_value(ps, b))
 
 
+# d_H, is_cauchy and riesz_fischer_check split the same polynomial on the
+# same interval many times in one call (every |f_n - f_m| repeats the
+# terms the sequence keeps). Nothing in the key or the isolation reads the
+# config, so a cached answer holds under any precision.
+@functools.lru_cache(maxsize=128)
 def _sign_regions(p: Poly, lo: Optional[Fraction], hi: Optional[Fraction]):
-    """Cut [lo, hi] at the sign changes of p: yields (a, b, sign) with
+    """Cut [lo, hi] at the sign changes of p: a tuple of (a, b, sign) with
     constant sign on each open piece. Sign changes at irrational points
     cannot be cut exactly and raise NotRepresentable. The signs come from
     the isolation: the first piece has p's sign just right of lo (or at
-    -infinity), and each odd rational root inside flips it."""
+    -infinity), and each odd rational root inside flips it. Cached per
+    (p, lo, hi) for the 128 most recent triples; a refusal is not cached,
+    so it is raised again on every call."""
     ps = _int_coeffs(p)
     if not ps:
         raise ValidationError("the zero polynomial has no sign regions")
@@ -363,7 +371,7 @@ def _sign_regions(p: Poly, lo: Optional[Fraction], hi: Optional[Fraction]):
             out.append((a, root, sgn))
             a, sgn = root, -sgn
     out.append((a, hi, sgn))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1106,8 +1106,11 @@ def intersect(a: RepSet, b: RepSet) -> RepSet:
 
 def _atom_meet(x: Atom, y: Atom) -> list:
     """Pairwise disjoint atoms whose union is x n y, for atoms whose
-    closed hulls meet; the same list in either argument order.
-    NotRepresentable when the meet leaves the catalog."""
+    closed hulls meet; the same list in either argument order. Two equal
+    atoms meet in [x] at once, with no sweep. NotRepresentable when the
+    meet leaves the catalog."""
+    if x == y:
+        return [x]
     if (_rank(y), _hull_key(y)) < (_rank(x), _hull_key(x)):
         x, y = y, x
     if isinstance(x, FinitePoints):
@@ -1151,6 +1154,10 @@ def _atom_minus_set(atom: Atom, s: RepSet) -> list:
 
 
 def _atom_minus_atom(x: Atom, y: Atom) -> list:
+    """Pairwise disjoint atoms whose union is x less y; [] for two equal
+    atoms. NotRepresentable when the difference leaves the catalog."""
+    if x == y:
+        return []
     if isinstance(x, FinitePoints):
         return _point_atoms([p for p in x.points if not y.member(p)])
     if isinstance(y, FinitePoints):

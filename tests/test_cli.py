@@ -414,6 +414,22 @@ def test_estimate_depth_range_past_the_guard_refuses(capsys, monkeypatch,
     assert run(capsys, "estimate", "dim", CANTOR) == (1, "", refusal)
 
 
+@pytest.mark.parametrize("depths", ["1..4472", "1..25600", "4000..6000"])
+def test_estimate_depth_range_past_the_work_bound_refuses(capsys, depths):
+    # the sum of the depths tracks the digits the covers print, so a range
+    # under the end guard that would print too much is refused unlisted
+    refusal = ("error: the depths of a range may not add up to more than "
+               "10000000\n")
+    start = time.perf_counter()
+    for command in ("dim", "premeasure --d 1"):
+        assert run(capsys, "estimate", *command.split(), CANTOR,
+                   "--depths", depths) == (1, "", refusal)
+    assert time.perf_counter() - start < 1
+    assert run(capsys, "estimate", "dim", CANTOR,
+               "--depths", "4471..4472")[0] == 0
+    assert len(cli._parse_depths("1..4471")) == 4471
+
+
 def eval_frac(text):
     num, _, den = text.partition("/")
     return int(num) / int(den or "1")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -201,7 +202,7 @@ def ref_sign_regions(p, lo, hi):
     for a, b in zip(bounds, bounds[1:]):
         x = ref_sample_between(p, a, b)
         out.append((a, b, 1 if p.value_at(x) > 0 else -1))
-    return out
+    return tuple(out)
 
 
 def _outcome(fn, *args):
@@ -1186,6 +1187,17 @@ def test_disjointness_check_at_closed_hull_ends(first, second, overlap):
                 on(terms)
         else:
             assert on(terms).terms == tuple(terms)
+
+
+@pytest.mark.parametrize("atom", [
+    FinitePoints([0, F(1, 2)]), HARM.with_deletions([F(1, 2)]),
+    Interval(None, 1, (0,)), _C.with_deletions([F(1, 3)])])
+def test_terms_on_equal_atoms_overlap(atom):
+    # an equal atom, built anew, meets the first one in the whole atom
+    twin = (FinitePoints(atom.points) if isinstance(atom, FinitePoints)
+            else replace(atom))
+    with pytest.raises(ValidationError, match="term atoms overlap"):
+        on([(atom, Const(1)), (twin, Const(2))])
 
 
 # -- randomized law checks ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from typing import Callable
 
@@ -493,6 +494,65 @@ def test_certificates_check_each_function_once(monkeypatch):
     checked.clear()
     assert is_cauchy(seq)
     assert len(checked) == 3 * len(DEFAULT_SCHEDULE)
+
+
+# Four cells as in the benchmark's sequence requests: a polynomial with a
+# deleted point, a Cantor constant, a second polynomial and series values.
+CELLS = [(Interval(0, 3, [1]), Poly([F(3, 2), F(-5, 2), 1])),
+         (CantorAffine(4, 3), Const(2)),
+         (Interval(8, 11), Poly([-9, 1])),
+         (CountableSeq(GEOMETRIC, 12, 3, F(1, 2)),
+          SeriesValues(Geometric(1, F(1, 3))))]
+
+
+def _respelled(terms):
+    """The same function from fresh atoms, its terms in reverse order."""
+    return PiecewiseFunction([(replace(a), e) for a, e in reversed(terms)])
+
+
+def _isolations(monkeypatch):
+    """Empty the sign-region cache and record every (p, lo, hi) the sign
+    split asks it for."""
+    from hausdorff import hintegral
+    cached = hintegral._sign_regions
+    cached.cache_clear()
+    asked = []
+    monkeypatch.setattr(hintegral, "_sign_regions",
+                        lambda *key: asked.append(key) or cached(*key))
+    return cached, asked
+
+
+@pytest.mark.parametrize("work", [
+    "d_H respelled", "d_H both ways", "is_cauchy", "riesz_fischer_check"])
+def test_each_polynomial_is_isolated_once_per_interval(monkeypatch, work):
+    f = PiecewiseFunction(CELLS)
+    # g doubles the first polynomial, so |f - g| splits a third one
+    g = PiecewiseFunction([(CELLS[0][0], CELLS[0][1].scale(2))] + CELLS[1:])
+    cached, asked = _isolations(monkeypatch)
+    if work == "d_H respelled":
+        assert d_H(f, _respelled(CELLS)).is_zero()
+    elif work == "d_H both ways":
+        assert d_H(f, g) == d_H(g, f)
+    elif work == "is_cauchy":
+        assert is_cauchy(PointPerturbation(f, 1))
+    else:
+        limit, _ = riesz_fischer_check(PointPerturbation(f, 9))
+        assert limit == f
+    info = cached.cache_info()
+    assert info.misses == len(set(asked)) < info.maxsize
+    assert info.hits == len(asked) - info.misses > 0
+    assert all(type(cached(*key)) is tuple for key in asked)
+
+
+def test_an_irrational_sign_change_refuses_every_time(monkeypatch):
+    f = PiecewiseFunction([(Interval(0, 2), Poly([-2, 0, 1]))] + CELLS[1:])
+    cached, asked = _isolations(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(NotRepresentable, match="irrational point"):
+            d_H(f, _respelled(f.terms))
+    info = cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    assert len(asked) == 2
 
 
 def test_riesz_fischer_prefix_perturbation():

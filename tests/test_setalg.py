@@ -979,6 +979,39 @@ def test_intersection_via_differences_random(xs, ys):
         assert ref.member(p) == i.member(p), p
 
 
+def _respelled(x):
+    """An atom equal to x that is not x itself."""
+    return FinitePoints(x.points) if isinstance(x, FinitePoints) else replace(x)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_atoms())
+def test_equal_atoms_meet_in_one_step(x):
+    y = _respelled(x)
+    assert y == x and y is not x
+    for a, b in ((x, x), (x, y), (y, x)):
+        assert normalize(setalg._atom_meet(a, b)) == RepSet.of(x)
+        assert setalg._atom_minus_atom(a, b) == []
+    # the kind-specific difference leaves nothing either
+    assert ref_atom_minus_atom(x, y) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(small_atoms(), min_size=1, max_size=4))
+def test_a_set_meets_itself_whole_and_less_itself_empty(xs):
+    try:
+        a = normalize(xs)
+    except NotRepresentable:
+        return
+    b = normalize([_respelled(x) for x in reversed(a.atoms)])
+    assert b == a
+    for other in (a, b):
+        assert diff(a, other) == EMPTY_SET
+        assert intersect(a, other) == a
+    # the double difference through the kind-specific sweeps agrees
+    assert ref_intersect(a, b) == a
+
+
 def test_intersect_answers_where_both_double_differences_refuse():
     a = RepSet.of(Interval(0, 1), CountableSeq(HARMONIC, 3, 1))
     b = RepSet.of(Interval(F(5, 2), F(7, 2)),
