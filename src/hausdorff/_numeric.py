@@ -94,6 +94,15 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _trimmed(xs) -> tuple[Fraction, ...]:
+    """The values as Fractions, trailing zeros dropped: the normal form of
+    a coefficient list, whose missing terms read as zero."""
+    out = [_frac(x) for x in xs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def _as_interval(x) -> RatInterval:
     if isinstance(x, RatInterval):
         return x
@@ -334,15 +343,15 @@ def zeta_interval(p: Rational, prec: int) -> RatInterval:
     return RatInterval(Fraction(lo, one), Fraction(hi, one))
 
 
-def exact_sqrt(x: Rational):
-    """Fraction square root when x is a perfect square of rationals, else
-    None; a negative numerator is no integer's square."""
-    x = Fraction(x)
-    rn = exact_root(x.numerator, 2)
-    rd = exact_root(x.denominator, 2)
-    if rn is None or rd is None:
+def exact_pow(x: Rational, r: Fraction) -> Optional[Fraction]:
+    """x**r as an exact Fraction for x >= 0, or None when it is irrational:
+    x**(u/v) is rational exactly when both terms of x are v-th powers."""
+    x = _frac(x)
+    num = exact_root(x.numerator, r.denominator)
+    den = exact_root(x.denominator, r.denominator)
+    if num is None or den is None:
         return None
-    return Fraction(rn, rd)
+    return Fraction(num, den) ** r.numerator
 
 
 # ---------------------------------------------------------------------------

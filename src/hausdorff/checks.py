@@ -32,10 +32,9 @@ from .hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
                         monotone_compare, neg_part, pos_part,
                         restrict_to_support, scalar_mul)
 from .deficiency import cluster_set, defi_continuity_cluster
-from .metrics import (AlternatingFunctionSeq, ConstantFunctionSeq,
-                      DEFAULT_SCHEDULE, PointPerturbation,
-                      PrefixPerturbation, dH_pairs, d_H, d_s, is_cauchy,
-                      riesz_fischer_check, triangle_ok)
+from .metrics import (AlternatingFunctionSeq, DEFAULT_SCHEDULE,
+                      PointPerturbation, PrefixPerturbation, dH_pairs, d_H,
+                      d_s, is_cauchy, riesz_fischer_check, triangle_ok)
 
 
 @dataclass(frozen=True)
@@ -640,7 +639,7 @@ def check_riesz_fischer(seed: int = DEFAULT_SEED):
                 atom = CountableSeq(GEOMETRIC, 20, 1, Fraction(1, 2))
                 seq = PrefixPerturbation(base, atom, coeff, ratio)
             else:
-                seq = ConstantFunctionSeq(base)
+                seq = ConstantSeq(base)
             # the certificate itself re-verifies two exact distances per
             # tolerance; spot-check the Cauchy certificates on a sample
             ok = conv.trials % 3 != 0 or is_cauchy(seq)

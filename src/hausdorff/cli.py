@@ -127,8 +127,9 @@ def _config_int(path, data: dict, key: str):
 
 
 def _apply_config(args) -> int:
-    """Merge the config file under the flags; returns the check seed.
-    An out-of-range value from the file is malformed input (ParseError)."""
+    """Merge the config file under the flags (args.json and args.depths
+    too); returns the check seed. An out-of-range file value is malformed
+    input (ParseError)."""
     path, data = _config_file()
     config = {key: _config_int(path, data, key)
               for key in ("precision", "precision_bits", "depth_cap", "seed")
@@ -136,17 +137,19 @@ def _apply_config(args) -> int:
     flags = {}
     if hasattr(args, "precision"):
         flags["precision_bits"] = args.precision
-    if getattr(args, "json", False):
-        flags["output"] = "json"
     from_file = {"precision_bits": config.get("precision",
                                               config.get("precision_bits")),
-                 "depth_cap": config.get("depth_cap"),
-                 "output": data.get("output")}
+                 "depth_cap": config.get("depth_cap")}
     try:
         update_config(**{key: value for key, value in from_file.items()
                          if value is not None and key not in flags})
     except ValidationError as exc:
         raise ParseError(f"config file {path}: {exc}") from exc
+    if not hasattr(args, "json"):
+        if data.get("output") not in (None, "human", "json"):
+            raise ParseError(
+                f"config file {path}: output must be 'human' or 'json'")
+        args.json = data.get("output") == "json"
     update_config(**flags)
     if not hasattr(args, "depths"):
         args.depths = str(data["depths"]) if "depths" in data else None
@@ -189,12 +192,8 @@ def _want_function(value, what: str):
     return value
 
 
-def _json_out() -> bool:
-    return get_config().output == "json"
-
-
-def _emit_pair(pair, branch: str = "") -> str:
-    if _json_out():
+def _emit_pair(args, pair, branch: str = "") -> str:
+    if args.json:
         from .docio import pair_payload
         payload = pair_payload(pair)
         if branch:
@@ -258,7 +257,7 @@ def _cmd_measure(args, seed) -> int:
     from .setalg import RepSet, hmeasure
     doc = _document(args.document)
     if isinstance(doc, RepSet):
-        print(_emit_pair(hmeasure(doc)))
+        print(_emit_pair(args, hmeasure(doc)))
         return 0
     # a function or a planar scene: parsing either loaded the integral
     from .hintegral import PiecewiseFunction
@@ -266,7 +265,7 @@ def _cmd_measure(args, seed) -> int:
         raise ValidationError("measure wants a set or planar document; "
                               "use integrate for functions")
     from .deficiency import planar_measure
-    print(_emit_pair(planar_measure(doc)))
+    print(_emit_pair(args, planar_measure(doc)))
     return 0
 
 
@@ -274,10 +273,10 @@ def _cmd_integrate(args, seed) -> int:
     from .hintegral import h_integral
     f = _want_function(_document(args.document), "integrate")
     if args.on is None:
-        print(_emit_pair(h_integral(f)))
+        print(_emit_pair(args, h_integral(f)))
     else:
         region = _want_set(_document(args.on), "--on")
-        print(_emit_pair(h_integral(f, region)))
+        print(_emit_pair(args, h_integral(f, region)))
     return 0
 
 
@@ -289,7 +288,7 @@ def _cmd_distance(args, seed) -> int:
     else:
         value = d_H(_want_function(left, "left"),
                     _want_function(right, "right"))
-    print(_emit_pair(value.value))
+    print(_emit_pair(args, value.value))
     return 0
 
 
@@ -345,7 +344,7 @@ def _cmd_defi(args, seed) -> int:
               "continuity-cluster": defi_continuity_cluster,
               "even": defi_even}[args.kind]
         result = fn(f)
-    print(_emit_pair(result, _defi_branch(args.kind, doc, result)))
+    print(_emit_pair(args, result, _defi_branch(args.kind, doc, result)))
     return 0
 
 
@@ -353,7 +352,7 @@ def _cmd_check(args, seed) -> int:
     from .checks import all_passed, run_suite
     results = run_suite(args.suite, seed)
     ok = all_passed(results)
-    if _json_out():
+    if args.json:
         print(json.dumps({"suite": args.suite, "seed": seed,
                           "passed": ok,
                           "results": [asdict(r) for r in results]}))
@@ -382,7 +381,7 @@ def _cmd_estimate(args, seed) -> int:
         if args.panels < 1:
             raise ValidationError("panel count must be positive")
         ivl = quadrature(f, atoms[0], args.panels)
-        if _json_out():
+        if args.json:
             print(json.dumps({"integral": _interval_payload(ivl),
                               "panels": args.panels}))
         else:
@@ -394,7 +393,7 @@ def _cmd_estimate(args, seed) -> int:
     if args.kind == "dim":
         depths = _parse_depths(args.depths)
         slope, covers = box_dim_estimate(s, depths)
-        if _json_out():
+        if args.json:
             print(json.dumps({
                 "slope": _interval_payload(slope),
                 "covers": [{"depth": c.depth,
@@ -414,7 +413,7 @@ def _cmd_estimate(args, seed) -> int:
     d = _parse_dim(args.dim)
     depths = _parse_depths(args.depths, default=(1, 8))
     rows = [(k, premeasure_estimate(s, d, k)) for k in depths]
-    if _json_out():
+    if args.json:
         print(json.dumps({"d": d.render(),
                           "premeasure": [{"depth": k,
                                           **_interval_payload(ivl)}

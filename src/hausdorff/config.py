@@ -16,22 +16,20 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class Config:
-    # interval-arithmetic working precision cap, in bits
+    # enclosure precision in bits; 1024 bounds one zeta(p) sum to under 1 s
     precision_bits: int = 256
     # how often a Cantor copy may split before NotRepresentable
     depth_cap: int = 40
-    # "human" or "json"
-    output: str = "human"
 
     def __post_init__(self):
         if self.precision_bits < 64:
             raise ValidationError("precision_bits must be at least 64")
+        if self.precision_bits > 1024:
+            raise ValidationError("precision_bits must be at most 1024")
         if self.depth_cap < 8:
             raise ValidationError("depth_cap must be at least 8")
         if self.depth_cap > 1000:
             raise ValidationError("depth_cap must be at most 1000")
-        if self.output not in ("human", "json"):
-            raise ValidationError("output must be 'human' or 'json'")
 
 
 _current = Config()

@@ -23,7 +23,7 @@ from .hintegral import (Const, Expression, PiecewiseFunction, Poly,
                         abs_integral, add, h_integral, scalar_mul)
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
                      Interval, RepSet, meeting_pairs)
-from ._numeric import _frac, exact_sqrt, sqrt_interval
+from ._numeric import _frac, exact_pow, sqrt_interval
 
 __all__ = [
     "OscillationProfile", "oscillation",
@@ -415,7 +415,7 @@ def _scaled(points) -> tuple:
 
 
 def _sqrt_ext(q: Fraction) -> ExtReal:
-    root = exact_sqrt(q)
+    root = exact_pow(q, Fraction(1, 2))
     if root is not None:
         return ExtReal.of(root)
     return ExtReal.interval(sqrt_interval(q, get_config().precision_bits))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
-from ._numeric import Rational
+from ._numeric import Rational, _frac, _trimmed
 from .errors import (DisjointnessViolated, DoesNotConverge,
                      MonotonicityViolated, NotRepresentable, OrderNotVerified,
                      ValidationError)
@@ -50,10 +50,7 @@ class Poly(Expression):
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Rational]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trimmed(coeffs))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -76,7 +73,7 @@ class Poly(Expression):
         return not self.coeffs
 
     def scale(self, c):
-        k = Fraction(c)
+        k = _frac(c)
         return Poly(v * k for v in self.coeffs)
 
 
@@ -446,13 +443,15 @@ def h_integral(f: PiecewiseFunction, region: Region = ALL_REALS) -> HPair:
 
     Lower-dimensional terms contribute nothing to the second coordinate.
     Signed infinite masses of the top dimension raise UndefinedSum; a
-    single signed infinity is a legitimate value.
+    single signed infinity is a legitimate value. On the whole line the
+    terms are f's own; a region re-reads each term on its pieces there
+    (_terms_on), which may refuse.
     """
-    terms = []
-    for atom, expr in f.terms:
-        pieces = ([atom] if isinstance(region, AllReals)
-                  else intersect(RepSet.of(atom), region).atoms)
-        terms.extend(_terms_on(pieces, atom, expr))
+    terms = f.terms
+    if not isinstance(region, AllReals):
+        terms = [t for atom, expr in f.terms
+                 for t in _terms_on(intersect(RepSet.of(atom), region).atoms,
+                                    atom, expr)]
     top, kept = top_terms(terms, lambda t: t[0].dim())
     if top is None:
         return ZERO_PAIR
@@ -1090,6 +1089,10 @@ class StageClimb(FunctionSeq):
 
 @dataclass(frozen=True)
 class ConstantSeq(FunctionSeq):
+    """f_n = fn for every n; also a metrics.CauchySeq, whose d_H limit is
+    fn and whose two indices are 1 for every tolerance: every term is at
+    distance 0 from every other and from fn."""
+
     fn: PiecewiseFunction
 
     def term(self, n):
@@ -1100,6 +1103,13 @@ class ConstantSeq(FunctionSeq):
 
     def limit_function(self):
         return self.fn
+
+    limit = limit_function
+
+    def cauchy_index(self, eps):
+        return 1
+
+    limit_index = cauchy_index
 
     def nonneg(self):
         return _certified_nonneg(self.fn)

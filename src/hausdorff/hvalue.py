@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
-from ._numeric import (RatInterval, Rational, _frac, log_interval, power_base,
-                       render_float, render_rational, zeta_interval)
+from ._numeric import (RatInterval, Rational, _frac, _trimmed, log_interval,
+                       power_base, render_float, render_rational,
+                       zeta_interval)
 from .config import get_config
 from .errors import (DoesNotConverge, IncomparableDimensions, NotSupported,
                      UndefinedSum, ValidationError)
@@ -274,7 +275,7 @@ class ExtReal:
         return self + (-other)
 
     def scale(self, c: Rational) -> "ExtReal":
-        c = Fraction(c)
+        c = _frac(c)
         if self.kind in (_POS, _NEG):
             if c == 0:
                 raise ValidationError("0 * inf is undefined here")
@@ -472,10 +473,7 @@ class FiniteList(CoefficientSeries):
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Iterable[Rational]):
-        vs = [Fraction(v) for v in values]
-        while vs and vs[-1] == 0:
-            vs.pop()
-        object.__setattr__(self, "values", tuple(vs))
+        object.__setattr__(self, "values", _trimmed(values))
 
     def term(self, i: int) -> Fraction:
         return self.values[i] if 0 <= i < len(self.values) else Fraction(0)
@@ -487,7 +485,8 @@ class FiniteList(CoefficientSeries):
         return ExtReal.of(sum(self.values, Fraction(0)))
 
     def scale(self, c):
-        return FiniteList(v * Fraction(c) for v in self.values)
+        c = _frac(c)
+        return FiniteList(v * c for v in self.values)
 
     def abs_series(self):
         return FiniteList(abs(v) for v in self.values)
@@ -510,7 +509,7 @@ class Geometric(CoefficientSeries):
     r: Fraction
 
     def __init__(self, a: Rational, r: Rational):
-        a, r = Fraction(a), Fraction(r)
+        a, r = _frac(a), _frac(r)
         if not abs(r) < 1:
             raise ValidationError(f"geometric ratio must satisfy |r| < 1, got {r}")
         object.__setattr__(self, "a", a)
@@ -529,7 +528,7 @@ class Geometric(CoefficientSeries):
         return self.a * (1 - self.r ** n) / (1 - self.r)
 
     def scale(self, c):
-        return Geometric(self.a * Fraction(c), self.r)
+        return Geometric(self.a * _frac(c), self.r)
 
     def abs_series(self):
         return Geometric(abs(self.a), abs(self.r))
@@ -567,7 +566,7 @@ class PSeries(CoefficientSeries):
     p: Fraction
 
     def __init__(self, c: Rational, p: Rational):
-        c, p = Fraction(c), Fraction(p)
+        c, p = _frac(c), _frac(p)
         if p <= 0:
             raise ValidationError(f"power must be positive, got {p}")
         object.__setattr__(self, "c", c)
@@ -591,7 +590,7 @@ class PSeries(CoefficientSeries):
         return ExtReal.interval(zeta_interval(self.p, get_config().precision_bits) * self.c)
 
     def scale(self, k):
-        return PSeries(self.c * Fraction(k), self.p)
+        return PSeries(self.c * _frac(k), self.p)
 
     def abs_series(self):
         return PSeries(abs(self.c), self.p)

@@ -235,23 +235,6 @@ class PrefixPerturbation(PerturbationSeq):
         return n * abs(self.coeff) * self.ratio ** n
 
 
-@dataclass(frozen=True)
-class ConstantFunctionSeq(CauchySeq):
-    fn: PiecewiseFunction
-
-    def term(self, n):
-        return self.fn
-
-    def limit(self):
-        return self.fn
-
-    def cauchy_index(self, eps):
-        return 1
-
-    def limit_index(self, eps):
-        return 1
-
-
 class AlternatingFunctionSeq(CauchySeq):
     """Terms hopping between two functions; Cauchy only if they agree."""
 

@@ -19,7 +19,7 @@ from .hvalue import Dimension
 from .hintegral import PiecewiseFunction
 from .setalg import (HARMONIC, Atom, CountableSeq, FinitePoints, Interval,
                      RepSet)
-from ._numeric import (RatInterval, exact_root, geo_steps, log_interval,
+from ._numeric import (RatInterval, exact_pow, geo_steps, log_interval,
                        pow_interval, power_index)
 
 __all__ = [
@@ -104,20 +104,11 @@ def _covers(s: RepSet, depth: int) -> dict:
     return counts
 
 
-def _rational_pow(x: Fraction, r: Fraction):
-    """x**r as an exact Fraction, or None when the root is irrational."""
-    num = exact_root(x.numerator, r.denominator)
-    den = exact_root(x.denominator, r.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den) ** r.numerator
-
-
 def _pow_dim(x: Fraction, d: Dimension, prec: int) -> RatInterval:
     """Enclosure of x**d for a cover diameter x > 0, exact whenever the
     arithmetic allows it."""
     if d.is_rational():
-        exact = _rational_pow(x, d.as_fraction())
+        exact = exact_pow(x, d.as_fraction())
         if exact is not None:
             return RatInterval.point(exact)
     elif d.rat == 0 and len(d.logs) == 1:

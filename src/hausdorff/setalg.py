@@ -34,14 +34,6 @@ from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, ZERO_PAIR,
 Endpoint = Optional[Fraction]  # None encodes a missing (infinite) endpoint
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 # ---------------------------------------------------------------------------
 # atoms
 
@@ -256,13 +248,13 @@ class CountableSeq(Atom):
     def _first_index_below(self, bound: Fraction) -> int:
         """The least n with point(n) - a <= bound."""
         if self.family == HARMONIC:
-            return max(1, _ceil(self.b / bound))
+            return max(1, math.ceil(self.b / bound))
         return max(1, geo_steps(self.q, bound / self.b, strict=False))
 
     def _last_index_above(self, bound: Fraction):
         """The largest n with point(n) - a >= bound, or None."""
         if self.family == HARMONIC:
-            n = _floor(self.b / bound)
+            n = math.floor(self.b / bound)
         else:
             # one below the first index that fails the bound
             n = geo_steps(self.q, bound / self.b) - 1
@@ -394,7 +386,7 @@ def cantor_gap(y: Rational) -> tuple[Fraction, Fraction]:
     k = _ternary_walk(y)
     if k is None:
         raise ValidationError("point is in the Cantor set, no gap exists")
-    p, scale = _floor(y * 3 ** k), 3 ** (k + 1)
+    p, scale = math.floor(y * 3 ** k), 3 ** (k + 1)
     return Fraction(3 * p + 1, scale), Fraction(3 * p + 2, scale)
 
 
@@ -804,7 +796,7 @@ def _common_points_finite(x: CountableSeq, y: CountableSeq) -> list:
     commons = []
     for seq, other in ((x, y), (y, x)):
         if seq.family == HARMONIC:
-            stop = max(1, _ceil(2 * abs(seq.b) / delta)) + 1
+            stop = max(1, math.ceil(2 * abs(seq.b) / delta)) + 1
         else:  # the indices n with 2*|b|*q**n >= delta
             stop = geo_steps(seq.q, delta / (2 * abs(seq.b)))
         for n in range(1, stop):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,14 @@ from hypothesis import strategies as st
 import hausdorff
 from hausdorff import checks, cli
 from hausdorff.checks import CheckResult
-from hausdorff.config import get_config
+from hausdorff.config import Config, get_config
 from test_docio import function_docs, set_docs
 
 UNIT = '{"interval": [0, 1]}'
 CANTOR = '{"cantor": {"t": 0, "s": 1}}'
 STEP = '{"terms": [{"set": {"interval": [0, 1]}, "expr": {"const": 1}}]}'
+BASEL = ('{"terms": [{"set": {"seq": {"kind": "harmonic", "a": 0, "b": 1}}, '
+         '"expr": {"series": {"kind": "pseries", "c": 1, "p": 2}}}]}')
 
 
 @pytest.fixture(autouse=True)
@@ -200,6 +203,15 @@ def test_precision_flag_before_subcommand(capsys):
     code, _, err = run(capsys, "--precision", "10", "measure", CANTOR)
     assert code == 1 and "precision_bits" in err
     assert run(capsys, "--precision", "128", "measure", CANTOR)[0] == 0
+
+
+def test_precision_flag_above_the_cap_refuses_by_name(capsys):
+    # refused before any enclosure is computed; the cap itself answers
+    code, out, err = run(capsys, "--precision", "1000000", "integrate", BASEL)
+    assert (code, out) == (1, "")
+    assert err == "error: precision_bits must be at most 1024\n"
+    assert run(capsys, "--precision", "1024", "integrate", BASEL)[:2] == (
+        0, "(0, 1.6449340668482264)\n")
 
 
 def test_depths_flag_before_subcommand(capsys):
@@ -528,6 +540,7 @@ def test_config_file_non_integer_is_rejected(capsys, monkeypatch, tmp_path,
     ('{"precision": 10}', "precision_bits must be at least 64"),
     ('{"depth_cap": 3}', "depth_cap must be at least 8"),
     ('{"depth_cap": 1001}', "depth_cap must be at most 1000"),
+    ('{"precision": 1025}', "precision_bits must be at most 1024"),
     ('{"output": 5}', "output must be 'human' or 'json'")])
 def test_config_file_out_of_range_exits_2(capsys, monkeypatch, tmp_path,
                                           body, message):
@@ -603,6 +616,22 @@ def test_config_restored_after_run(capsys):
     before = get_config()
     run(capsys, "measure", "--precision", "128", CANTOR)
     assert get_config() == before
+
+
+def test_config_file_output_is_a_cli_setting(capsys, monkeypatch, tmp_path):
+    # the engine's Config has no output field; the file's "output" reaches
+    # the command as args.json and leaves the engine's config alone
+    assert "output" not in {f.name for f in fields(Config)}
+    path = tmp_path / "config.json"
+    path.write_text('{"output": "json"}')
+    monkeypatch.setenv("HAUSDORFF_CONFIG", str(path))
+    code, out, _ = run(capsys, "measure", CANTOR)
+    assert code == 0 and json.loads(out) == {"d": "log(2)/log(3)", "m": "1"}
+    before, seen = get_config(), []
+    monkeypatch.setitem(cli._COMMANDS, "measure", lambda args, seed: (
+        seen.append((get_config(), args.json)) or 0))
+    assert run(capsys, "measure", CANTOR)[0] == 0
+    assert seen == [(before, True)] and get_config() == before
 
 
 # -- every command under fuzzing ---------------------------------------------

@@ -4,6 +4,7 @@ trial division they replaced, and against brute-force enumeration."""
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction as F
 
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hausdorff import oracle
-from hausdorff._numeric import (_ITER_GUARD, coprime_base, exact_root,
-                                geo_steps, iroot, power_base, power_index)
+from hausdorff._numeric import (_ITER_GUARD, _trimmed, coprime_base,
+                                exact_pow, exact_root, geo_steps, iroot,
+                                power_base, power_index)
 from hausdorff.errors import TooLarge
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CountableSeq,
                               FinitePoints, Interval, RepSet,
@@ -253,8 +255,74 @@ def ref_seq_seq_commons(x, y):
     return ref_harm_geo_commons(y, x)
 
 
+def ref_exact_sqrt(x):
+    """The square root that deficiency's planar lengths read."""
+    x = F(x)
+    rn = exact_root(x.numerator, 2)
+    rd = exact_root(x.denominator, 2)
+    if rn is None or rd is None:
+        return None
+    return F(rn, rd)
+
+
+def ref_rational_pow(x, r):
+    """The power that the oracle's cover premeasures read."""
+    num = exact_root(x.numerator, r.denominator)
+    den = exact_root(x.denominator, r.denominator)
+    if num is None or den is None:
+        return None
+    return F(num, den) ** r.numerator
+
+
+def ref_trimmed(xs):
+    """The normal form Poly and FiniteList each wrote out."""
+    out = [F(x) for x in xs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # integer roots, power bases and coprime bases
+
+
+def _rand_base(rng):
+    """0, 1, a perfect power, a non-power or a 400-digit term."""
+    kind = rng.randrange(5)
+    if kind < 2:
+        return kind
+    if kind == 2:
+        return rng.randrange(1, 40) ** rng.randrange(2, 7)
+    if kind == 3:
+        return rng.randrange(2, 10 ** 6)
+    return rng.randrange(10 ** 399, 10 ** 400)
+
+
+def test_exact_pow_matches_the_square_root_and_the_rational_power():
+    rng = random.Random(2000)
+    roots = 0
+    for _ in range(3000):
+        x = F(_rand_base(rng), max(1, _rand_base(rng)))
+        if rng.random() < 0.5:  # make a perfect power of x
+            x **= rng.randrange(1, 7)
+        assert exact_pow(x, F(1, 2)) == ref_exact_sqrt(x)
+        assert exact_pow(-x, F(1, 2)) == ref_exact_sqrt(-x)
+        r = F(rng.randrange(1, 6), rng.randrange(1, 7))
+        got = exact_pow(x, r)
+        assert got == ref_rational_pow(x, r)
+        roots += got is not None
+    assert 500 < roots < 2500  # both answers are drawn often
+
+
+def test_trimmed_matches_the_constructor_loop():
+    rng = random.Random(474)
+    values = [0, 0, 1, -3, F(0), F(2, 3), F(-5, 7), "0", "3/4", "-2", "0/5"]
+    for _ in range(2000):
+        xs = [rng.choice(values) for _ in range(rng.randrange(0, 7))]
+        got = _trimmed(xs)
+        assert got == ref_trimmed(xs) and type(got) is tuple
+        assert all(type(v) is F for v in got)
+    assert _trimmed([0, F(0), "0"]) == () == _trimmed([])
 
 
 def test_roots_and_power_bases():

@@ -25,11 +25,12 @@ from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
                                  monotone_compare, neg_part,
                                  pos_part, restrict_to_support, scalar_mul,
                                  support, verify_nonneg, zero_function)
-from hausdorff.hintegral import (_combined_terms, _int_coeffs, _roots_within,
-                                 _sign_regions)
+from hausdorff.hintegral import (_combined_terms, _int_coeffs, _piece_measure,
+                                 _roots_within, _sign_regions, _terms_on)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF,
-                              Dimension, FiniteList, Geometric, HPair, PSeries,
-                              hpair_add, hpair_eq)
+                              ZERO_PAIR, Dimension, FiniteList, Geometric,
+                              HPair, PSeries, ext_sum, hpair_add, hpair_eq,
+                              top_terms)
 from hausdorff.metrics import d_H
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet, _hulls_meet, diff,
@@ -545,6 +546,73 @@ def test_add_matches_the_union_cut_reference():
         answered += isinstance(want, str)
     # answers and refusals are both drawn often
     assert 300 < answered < 600
+
+
+def ref_whole_line_integral(f):
+    """h_integral on the whole line as it was: each of f's terms passed
+    through _terms_on on its own atom."""
+    terms = []
+    for atom, expr in f.terms:
+        terms.extend(_terms_on([atom], atom, expr))
+    top, kept = top_terms(terms, lambda t: t[0].dim())
+    if top is None:
+        return ZERO_PAIR
+    return HPair(top, ext_sum(_piece_measure(piece, e) for piece, e in kept))
+
+
+def _rand_series_term(rng):
+    """A term of any of the four atom kinds; most are sequences, spread
+    wider than ADD_GRID so that several fit side by side, whose series
+    values are geometric, p-series (divergent for p = 1) or a finite
+    list."""
+    kind = rng.randrange(6)
+    if kind > 2:
+        return _rand_add_term(rng)
+    v = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    a, b = rng.randrange(-12, 13), rng.choice([F(1), F(-1), F(1, 2)])
+    atom = (CountableSeq(HARMONIC, a, b) if kind < 2
+            else CountableSeq(GEOMETRIC, a, b, F(1, 2)))
+    if rng.random() < 0.3:
+        atom = atom.with_deletions([atom.point(1)])
+    return atom, SeriesValues(rng.choice([
+        Geometric(v, F(1, 2)), PSeries(v, rng.choice([1, 1, 2, 3])),
+        FiniteList([v, 0, -v, v])]))
+
+
+def _rand_series_function(rng):
+    """Up to six disjoint terms; half the draws keep their countable
+    terms only, so that the series decide the integral."""
+    countable = rng.random() < 0.5
+    terms = []
+    for _ in range(rng.randrange(1, 7)):
+        term = _rand_series_term(rng)
+        if countable and not isinstance(term[0], (CountableSeq, FinitePoints)):
+            continue
+        try:
+            PiecewiseFunction(terms + [term])
+        except (NotRepresentable, ValidationError):
+            continue
+        terms.append(term)
+    return PiecewiseFunction(terms)
+
+
+def _integral_outcome(f, integral):
+    try:
+        return integral(f)
+    except HausdorffError as exc:
+        return type(exc), str(exc)
+
+
+def test_whole_line_integral_matches_the_term_by_term_reference():
+    rng = random.Random(451)
+    answered = 0
+    for _ in range(1500):
+        f = _rand_series_function(rng)
+        want = _integral_outcome(f, ref_whole_line_integral)
+        assert _integral_outcome(f, h_integral) == want, f
+        answered += isinstance(want, HPair)
+    # refusals (signed infinities of the top dimension) are drawn too
+    assert 1000 < answered < 1470
 
 
 def test_add_series_values_same_base():

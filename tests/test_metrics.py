@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from hausdorff.errors import (HausdorffError, NoLimitFound, NotInLH,
                               NotRepresentable, TooLarge, ValidationError)
-from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
-                                 h_integral, indicator, neg_part, pos_part,
-                                 support, zero_function)
+from hausdorff.hintegral import (Const, ConstantSeq, PiecewiseFunction, Poly,
+                                 SeriesValues, h_integral, indicator,
+                                 neg_part, pos_part, support, zero_function)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ZERO, POS_INF, ZERO_PAIR,
                               Dimension, FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
 from hausdorff.metrics import (DEFAULT_SCHEDULE, AlternatingFunctionSeq,
-                               ConstantFunctionSeq, HDistance,
-                               PointPerturbation, PrefixPerturbation,
+                               HDistance, PointPerturbation,
+                               PrefixPerturbation,
                                abs_integral, absolutely_integrable,
                                dH_pairs, d_H, d_s, is_cauchy,
                                riesz_fischer_check, triangle_ok)
@@ -448,7 +448,7 @@ def test_prefix_perturbation_is_cauchy():
 
 
 def test_constant_sequence_is_cauchy():
-    assert is_cauchy(ConstantFunctionSeq(indicator(I01)))
+    assert is_cauchy(ConstantSeq(indicator(I01)))
 
 
 def test_alternating_sequence_is_not_cauchy():
@@ -460,7 +460,7 @@ def test_alternating_sequence_is_not_cauchy():
 
 
 def test_schedule_validation():
-    seq = ConstantFunctionSeq(indicator(I01))
+    seq = ConstantSeq(indicator(I01))
     with pytest.raises(ValidationError):
         is_cauchy(seq, [])
     with pytest.raises(ValidationError):
@@ -566,7 +566,7 @@ def test_riesz_fischer_prefix_perturbation():
 
 def test_riesz_fischer_constant():
     base = indicator(RepSet.of(FinitePoints([5])), -2)
-    limit, cert = riesz_fischer_check(ConstantFunctionSeq(base))
+    limit, cert = riesz_fischer_check(ConstantSeq(base))
     assert limit == base
     assert index_for(cert, 1) == 1
 
@@ -589,7 +589,7 @@ def test_alternating_between_equal_functions_converges():
 
 
 def test_riesz_fischer_wants_an_integrable_limit():
-    seq = ConstantFunctionSeq(indicator(RepSet.of(Interval(0, None))))
+    seq = ConstantSeq(indicator(RepSet.of(Interval(0, None))))
     with pytest.raises(NotInLH, match="the limit has an infinite"):
         riesz_fischer_check(seq)
 
