@@ -497,7 +497,9 @@ def parse_rational(text) -> Fraction:
         match = _RATIONAL.fullmatch(text.strip())
         if match is not None:
             try:
-                return Fraction(int(match[1]), int(match[2] or 1))
+                if match[2] is None:  # an integer needs no gcd
+                    return Fraction(int(match[1]))
+                return Fraction(int(match[1]), int(match[2]))
             except (ValueError, ZeroDivisionError):
                 pass  # a zero denominator, or more digits than int() takes
     raise ValidationError(f"not a rational: {text!r}")

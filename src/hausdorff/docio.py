@@ -6,6 +6,12 @@ rejected so no binary rounding sneaks into an exact pipeline.  Parsing
 gives back catalog values, printing emits a canonical document, and the
 two compose to the identity on every supported value.
 
+A set leaf (points, interval, cantor, seq) parses to its atom as it
+stands, and each union gathers the atoms of its members and normalizes
+them once; a difference is one diff of its two parsed sets. So a union
+nested in a union normalizes on its own first, and refuses where that
+does.
+
 Set documents need only the set layer; the integral's and the planar
 layer load with the first function or planar document.
 """
@@ -18,7 +24,7 @@ from .errors import ParseError, ValidationError
 from ._numeric import parse_rational, render_rational
 from .hvalue import FiniteList, Geometric, HPair, PSeries
 from .setalg import (GEOMETRIC, HARMONIC, Atom, CantorAffine, CountableSeq,
-                     FinitePoints, Interval, RepSet, diff)
+                     FinitePoints, Interval, RepSet, diff, normalize)
 
 __all__ = ["parse_document", "parse_set", "parse_function", "parse_planar",
            "print_document", "pair_payload", "Document"]
@@ -56,6 +62,13 @@ def _deletions(obj: dict, where: str):
 
 
 def parse_set(node, where: str = "set") -> RepSet:
+    return RepSet(_set_atoms(node, where))
+
+
+def _set_atoms(node, where: str) -> tuple:
+    """The atoms of a set document in canonical form: a leaf's own atom
+    (none for an empty point list), or the atoms of a union or a
+    difference, each computed once."""
     if not isinstance(node, dict):
         raise ParseError(f"{where}: expected an object")
     keys = [k for k in node if k != "delete"]
@@ -66,7 +79,7 @@ def parse_set(node, where: str = "set") -> RepSet:
             raise ParseError(f"{where}: delete takes [base, removed]")
         base = parse_set(body[0], where + ".delete[0]")
         removed = parse_set(body[1], where + ".delete[1]")
-        return diff(base, removed)
+        return diff(base, removed).atoms
     if len(keys) != 1:
         raise ParseError(f"{where}: expected exactly one of "
                          "points/seq/interval/cantor/union/delete")
@@ -78,18 +91,19 @@ def parse_set(node, where: str = "set") -> RepSet:
             raise ParseError(f"{where}: point sets delete by omission")
         if not isinstance(body, list):
             raise ParseError(f"{where}: points takes a list")
-        return RepSet.of(FinitePoints(_rat(p, where) for p in body))
+        atom = FinitePoints(_rat(p, where) for p in body)
+        return (atom,) if atom.points else ()
     if key == "interval":
         if not (isinstance(body, list) and len(body) == 2):
             raise ParseError(f"{where}: interval takes [lo, hi]")
         lo = None if body[0] is None else _rat(body[0], where)
         hi = None if body[1] is None else _rat(body[1], where)
-        return RepSet.of(Interval(lo, hi, dels))
+        return (Interval(lo, hi, dels),)
     if key == "cantor":
         if not isinstance(body, dict):
             raise ParseError(f"{where}: cantor takes an object with t and s")
-        return RepSet.of(CantorAffine(_rat(body.get("t", 0), where),
-                                      _rat(body.get("s", 1), where), dels))
+        return (CantorAffine(_rat(body.get("t", 0), where),
+                             _rat(body.get("s", 1), where), dels),)
     if key == "seq":
         if not isinstance(body, dict) or "kind" not in body:
             raise ParseError(f"{where}: seq needs a kind")
@@ -97,19 +111,19 @@ def parse_set(node, where: str = "set") -> RepSet:
         a = _rat(body.get("a", 0), where)
         b = _rat(body.get("b", 1), where)
         if kind == "harmonic":
-            return RepSet.of(CountableSeq(HARMONIC, a, b, deletions=dels))
+            return (CountableSeq(HARMONIC, a, b, deletions=dels),)
         if kind == "geometric":
             q = _rat(body.get("q", Fraction(1, 2)), where)
-            return RepSet.of(CountableSeq(GEOMETRIC, a, b, q, deletions=dels))
+            return (CountableSeq(GEOMETRIC, a, b, q, deletions=dels),)
         raise ParseError(f"{where}: unknown sequence kind {kind!r}")
     if key == "union":
         if not isinstance(body, list):
             raise ParseError(f"{where}: union takes a list")
         atoms = []
         for i, sub in enumerate(body):
-            atoms.extend(parse_set(sub, f"{where}.union[{i}]").atoms)
+            atoms.extend(_set_atoms(sub, f"{where}.union[{i}]"))
         # overlap is not an error here: normalization merges
-        return RepSet.of(*atoms)
+        return normalize(atoms).atoms
     raise ParseError(f"{where}: unknown set form {key!r}")
 
 

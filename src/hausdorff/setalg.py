@@ -530,15 +530,31 @@ def _render_atom(a: Atom) -> str:
 # ---------------------------------------------------------------------------
 # normalization: a worklist of pending atoms settled one at a time
 #
-# Invariant: the settled atoms are pairwise disjoint. A pending atom is
-# resolved against the settled atoms whose closed hull meets its own, in
-# the order they settled, and against the settled point atom when it is a
-# point atom itself (all points collapse into one canonical atom). The
-# first pair that _resolve_pair does not return None for wins: the settled
-# partner is withdrawn and the replacement atoms go back to pending.
+# Invariant: the settled atoms are pairwise disjoint, and no point of the
+# settled point atom lies in the base set of another settled atom. The
+# point atoms of the input are folded into one before the work starts.
 # Intervals settle first, then Cantor copies, sequences and points: an
 # interval that covers a limit or cuts a Cantor copy turns a pair that is
 # not representable on its own into one that is.
+#
+# A pending non-point atom is resolved against the settled atoms whose
+# closed hull meets its own, in the order they settled. The first pair that
+# _resolve_pair does not return None for wins: the settled partner is
+# withdrawn and the replacement atoms go back to pending.
+#
+# A pending point atom is settled in one pass by _settle_points. It takes
+# the settled atoms whose hulls can hold one of its points, in settle
+# order, and _claim_points decides each point once, at the first partner
+# that holds or deletes it: a held point is dropped, a deleted one is
+# restored in the partner, and the restored partner goes back to pending.
+# The settled point atom, if any, merges in, and the undecided points
+# settle at once with it as one atom. Each claim is the one _resolve_points
+# makes for the same pair, so the rule is that of pairwise resolution and
+# the set is the same; only the order of work differs. Pairwise, every
+# partner a point atom resolves with goes back to pending and settles
+# again later, so which of two atoms holds a point that both could hold,
+# and the order of two atoms with one hull, may differ from a pairwise
+# run, as they already differ between two orders of the same input.
 #
 # The settled atoms live in a _SettledIndex that hands out only the
 # partners whose hulls can meet, sorted by settle order. It skips only
@@ -546,12 +562,12 @@ def _render_atom(a: Atom) -> str:
 # and every answer and refusal, are those of a scan over every settled
 # atom. It is keyed on the hulls rounded outward to floats, computed once
 # per atom: disjoint float bounds prove the hulls disjoint, and every
-# partner it hands out still passes the exact test of _hulls_meet. A point
-# atom asks once per point rather than once for its hull, and a non-point
-# atom meets the settled point atom only when one of its points falls
-# inside: _resolve_points returns None for a partner whose hull holds none
-# of the points. _resolve_pair keeps its own hull guard, so a pair it is
-# handed outside normalize is certified disjoint by the same test.
+# partner it hands out still passes an exact test. A point atom asks once
+# per point rather than once for its hull, and a non-point atom meets the
+# settled point atom only when one of its points falls inside:
+# _resolve_points returns None for a partner whose hull holds none of the
+# points. _resolve_pair keeps its own hull guard, so a pair it is handed
+# outside normalize is certified disjoint by the same test.
 
 _SETTLE_ORDER = {Interval: 0, CantorAffine: 1, CountableSeq: 2, FinitePoints: 3}
 _RANK = {FinitePoints: 0, CountableSeq: 1, Interval: 2, CantorAffine: 3}
@@ -655,29 +671,42 @@ class _SettledIndex:
 
 def normalize(atoms: Iterable[Atom]) -> RepSet:
     """Settle the atoms one at a time into a pairwise disjoint, canonically
-    ordered list. Each pending atom is resolved against the settled atoms
-    whose hulls meet its own, found through a _SettledIndex in the order
-    they settled, and a point atom also against the settled point atom;
-    the first pair that resolves wins. A point atom looks up each of its
-    points. Raises NotRepresentable when the union leaves the fragment and
-    TooLarge when the resolution does not settle."""
+    ordered list. The point atoms are folded into one first. Each pending
+    non-point atom is resolved against the settled atoms whose hulls meet
+    its own, found through a _SettledIndex in the order they settled; the
+    first pair that resolves wins. A pending point atom settles in one pass
+    over the settled atoms its points can meet (_settle_points). Raises
+    NotRepresentable when the union leaves the fragment and TooLarge when
+    the resolution does not settle."""
     work = [a for a in atoms if not a.is_empty()]
     if len(work) < 2:
         return RepSet(tuple(work))
+    points = [a for a in work if isinstance(a, FinitePoints)]
+    if len(points) > 1:
+        work = [a for a in work if not isinstance(a, FinitePoints)]
+        work.append(FinitePoints(p for a in points for p in a.points))
     # a heap of (settle order, arrival, atom): FIFO within each kind
     pending = [(_SETTLE_ORDER[type(a)], k, a) for k, a in enumerate(work)]
     heapq.heapify(pending)
     arrivals = itertools.count(len(work))
+
+    def push(replacement):
+        for a in replacement:
+            if not a.is_empty():
+                heapq.heappush(pending, (_SETTLE_ORDER[type(a)],
+                                         next(arrivals), a))
+
     settled = _SettledIndex()  # pairwise disjoint
     for _ in range(_ITER_GUARD):
         if not pending:
             return RepSet(tuple(sorted(settled.atoms.values(), key=_hull_key)))
         x = heapq.heappop(pending)[2]
-        points = isinstance(x, FinitePoints)
+        if isinstance(x, FinitePoints):
+            _settle_points(x, settled, push)
+            continue
         for number in settled.meeting(x):
             y = settled.atoms[number]
-            if not (_hulls_meet(x, y)
-                    or (points and isinstance(y, FinitePoints))):
+            if not _hulls_meet(x, y):
                 continue
             # the settled atom goes first on a rank tie: the reverse makes
             # touching Cantor copies trade their shared point forever
@@ -685,14 +714,39 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
             replacement = _resolve_pair(*pair)
             if replacement is not None:
                 settled.remove(number)
-                for a in replacement:
-                    if not a.is_empty():
-                        heapq.heappush(pending, (_SETTLE_ORDER[type(a)],
-                                                 next(arrivals), a))
+                push(replacement)
                 break
         else:
             settled.add(x)
     raise TooLarge("set normalization did not stabilize")
+
+
+def _settle_points(x: FinitePoints, settled: _SettledIndex, push):
+    """Settle the point atom x in one pass: each settled atom its points
+    can meet, in settle order, claims the undecided points it holds or
+    deletes (_claim_points). A partner that deletes a claimed point is
+    withdrawn and pushed back restored. The settled point atom is withdrawn
+    too, and its points, which no other settled atom's base set holds,
+    settle with x's unclaimed points as one atom."""
+    pts = x.points
+    # by index: the points {c*2^-n} collide in Fraction.__hash__
+    claimed = set()
+    merged = []
+    for number in settled.meeting(x):
+        y = settled.atoms[number]
+        if number == settled.points:
+            merged = list(y.points)
+            settled.remove(number)
+            continue
+        undelete = _claim_points(pts, y, claimed)
+        if undelete:
+            settled.remove(number)
+            push([y.restore(undelete)])
+    if claimed or merged:
+        x = FinitePoints([p for k, p in enumerate(pts) if k not in claimed]
+                         + merged)
+    if not x.is_empty():
+        settled.add(x)
 
 
 def _resolve_pair(x: Atom, y: Atom):
@@ -716,24 +770,38 @@ def _point_atoms(points) -> list:
     return [FinitePoints(points)] if points else []
 
 
-def _resolve_points(x: FinitePoints, y: Atom):
-    if isinstance(y, FinitePoints):
-        return [FinitePoints(x.points + y.points)]
-    # only the points inside y's closed hull can meet y
+def _claim_points(pts: tuple, y: Atom, claimed: set) -> list:
+    """Decide the points of pts (sorted) inside y's closed hull whose
+    indices are not in claimed yet: add to claimed the index of each point
+    that y holds or deletes, and return the ones it deletes, to be restored
+    in y rather than kept as stray points. The other points stay open."""
     lo, hi = y.hull()
-    pts = x.points
     i = 0 if lo is None else bisect.bisect_left(pts, lo)
     j = len(pts) if hi is None else bisect.bisect_right(pts, hi)
-    keep, undelete = list(pts[:i] + pts[j:]), []
-    for p in pts[i:j]:
-        if y.member(p):
-            continue  # covered by y
+    undelete = []
+    for k in range(i, j):
+        if k in claimed:
+            continue
+        p = pts[k]
         if p in y.deletions:
-            undelete.append(p)  # restore in y instead of keeping a stray point
-        else:
-            keep.append(p)
-    if len(keep) == len(x.points):
+            undelete.append(p)
+        elif not y.in_base(p):
+            continue
+        claimed.add(k)
+    return undelete
+
+
+def _resolve_points(x: FinitePoints, y: Atom):
+    """x u y for a point atom x: two point atoms merge (normalize itself
+    merges them in _settle_points); against another atom, the points y
+    claims are dropped or restored in it. None when y claims none."""
+    if isinstance(y, FinitePoints):
+        return [FinitePoints(x.points + y.points)]
+    claimed = set()
+    undelete = _claim_points(x.points, y, claimed)
+    if not claimed:
         return None
+    keep = [p for k, p in enumerate(x.points) if k not in claimed]
     return [y.restore(undelete)] + _point_atoms(keep)
 
 

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hausdorff import docio, setalg
+from hausdorff._numeric import _RATIONAL, parse_rational
 from hausdorff.checks import _rand_cells, _rand_function, _rand_set
 from hausdorff.deficiency import ConvexPolygon, PlanarSet, Points2D, Segment
 from hausdorff.docio import (pair_payload, parse_document, parse_function,
                              parse_planar, print_document)
-from hausdorff.errors import HausdorffError, ParseError, ValidationError
+from hausdorff.errors import (HausdorffError, NotRepresentable, ParseError,
+                              ValidationError)
 from hausdorff.hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
                                  SeriesValues, _signed_part, add, h_integral,
                                  support)
@@ -63,6 +66,59 @@ def test_union_merges_overlapping_intervals():
     assert got == RepSet.of(Interval(0, F(3, 2)))
 
 
+def _normalize_calls(doc):
+    """(the parsed set, how often parsing it called normalize)."""
+    calls = 0
+    normalize = setalg.normalize
+
+    def counting(atoms):
+        nonlocal calls
+        calls += 1
+        return normalize(atoms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(setalg, "normalize", counting)
+        patch.setattr(docio, "normalize", counting)
+        return parse_document(doc), calls
+
+
+def test_a_union_normalizes_once_and_its_leaves_not_at_all():
+    leaves = [{"points": [3, "7/2"]}, {"interval": [0, 1], "delete": ["1/2"]},
+              {"interval": ["1/2", 2]}, {"cantor": {"t": 4, "s": "1/3"}},
+              {"seq": {"kind": "harmonic", "a": 6, "b": 1}},
+              {"seq": {"kind": "geometric", "a": 8, "b": -1, "q": "1/3"}},
+              {"points": []}, {"points": [6, "13/2", 9]}]
+    got, calls = _normalize_calls(json.dumps({"union": leaves}))
+    assert calls == 1
+    assert got == RepSet.of(*(parse_document(json.dumps(leaf)).atoms[0]
+                              for leaf in leaves if leaf != {"points": []}))
+    for leaf in leaves:
+        got, calls = _normalize_calls(json.dumps(leaf))
+        assert calls == 0 and len(got.atoms) == (leaf != {"points": []})
+    # each union level normalizes once
+    nested = {"union": [{"union": leaves[:3]}, {"union": leaves[3:]}]}
+    assert _normalize_calls(json.dumps(nested))[1] == 3
+
+
+def test_a_nested_union_refuses_where_its_own_level_does():
+    # a limit inside a Cantor copy refuses; an interval over the copy and
+    # the limit turns the flat union into one that answers, but not a
+    # nested union that meets the copy and the limit alone
+    cantor = {"cantor": {"t": 0, "s": 1}}
+    seq = {"seq": {"kind": "harmonic", "a": "1/4", "b": 1}}
+    interval = {"interval": [0, 1]}
+    flat = parse_document(json.dumps({"union": [cantor, seq, interval]}))
+    assert flat.render() == "[0, 1] u {5/4}"
+    nested = parse_document(json.dumps(
+        {"union": [{"union": [cantor, interval]}, seq]}))
+    assert nested == flat
+    for doc in ({"union": [cantor, seq]},
+                {"union": [{"union": [cantor, seq]}, interval]},
+                {"union": [{"union": [cantor]}, seq, {"points": [5]}]}):
+        with pytest.raises(NotRepresentable,
+                           match="a sequence accumulating inside a Cantor"):
+            parse_document(json.dumps(doc))
+
+
 def test_sibling_delete_removes_points_from_atom():
     got = parse_document('{"interval": [0, 1], "delete": ["1/2"]}')
     assert got == RepSet.of(Interval(0, 1, deletions=[F(1, 2)]))
@@ -106,6 +162,54 @@ def test_syntax_error_carries_position():
 def test_an_integer_literal_past_the_digit_limit_is_a_parse_error():
     with pytest.raises(ParseError, match="more digits than int"):
         parse_document('{"interval": [0, ' + "1" * 5000 + ']}')
+
+
+def _parse_rational_by_gcd(text):
+    """parse_rational's string branch as it was: every literal went through
+    Fraction(p, q), an integer as p/1."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is not None:
+        try:
+            return F(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"not a rational: {text!r}")
+
+
+def test_integer_literals_parse_as_through_a_gcd():
+    # an integer literal skips the gcd of Fraction(p, 1); the values and
+    # every refusal text stay those of the old expression
+    rng = random.Random(34)
+
+    def digits(n):
+        return str(rng.randrange(10 ** (n - 1) if n > 1 else 0, 10 ** n))
+    texts = ["0", "-0", "+0", "0/5", "-0/3", "1/0", "-7/0", " 12 ", "\t-3/4\n",
+             "6/4", "00012", "-6/-4", "", " ", "+", "1/", "1" * 5000,
+             "-" + "9" * 4301, "1/" + "3" * 5000]
+    for _ in range(400):
+        sign = rng.choice(["", "-", "+"])
+        p = digits(rng.choice([1, 2, 5, 20, 400]))
+        form = rng.randrange(3)
+        if form == 0:
+            text = sign + p
+        elif form == 1:
+            text = f"{sign}{p}/{digits(rng.choice([1, 3, 400]))}"
+        else:
+            text = f"{sign}{p}/0"
+        pad = rng.choice(["", " ", "\t", "\n "])
+        texts.append(pad + text + pad)
+    for text in texts:
+        try:
+            want = _parse_rational_by_gcd(text)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                parse_rational(text)
+            assert str(got.value) == str(exc)
+            continue
+        got = parse_rational(text)
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
 
 
 def test_shape_error_names_the_path():

@@ -1342,6 +1342,133 @@ def test_normalize_work_is_linear_in_the_atoms(layout):
     assert scan["resolve"] > 3 * n and scan["exact"] > 4 * n, scan
 
 
+@st.composite
+def point_heavy_lists(draw):
+    """Point atoms drawn from one pool of points that the other atoms hold
+    or delete: sequence terms and heads, Cantor points and gap ends, points
+    that two atoms both delete, and points c*2^-n, whose Fraction hashes
+    collide (the hash modulus is 2^61 - 1, so 2^-1 and 2^-62 hash alike).
+    Any two of the sequences share the term o + 1/2, and an interval
+    across a Cantor gap touches the copy at both gap ends."""
+    o = draw(SMALL)
+    seqs = draw(st.lists(st.sampled_from([
+        CountableSeq(HARMONIC, o, 1), CountableSeq(HARMONIC, o + 1, -1),
+        CountableSeq(GEOMETRIC, o, 1, F(1, 2)),
+        CountableSeq(GEOMETRIC, o + 1, -1, F(1, 2))]),
+        min_size=1, max_size=2, unique=True))
+    # the copy holds no limit: a limit inside it refuses every union
+    cantor = draw(st.sampled_from([CantorAffine(o + F(1, 3), F(1, 3)),
+                                   CantorAffine(o + F(1, 3), F(1, 9)),
+                                   CantorAffine(o + 2, 1)]))
+    terms = sorted({s.point(n) for s in seqs for n in range(1, 7)})
+    cantor_points = [cantor.t + cantor.s * c for c in CANTOR_POINTS[:8]]
+    dyadic = [o + F(c, 2 ** n) for n in (1, 2, 62, 63, 123) for c in (1, 3)]
+    pool = sorted(set(terms + cantor_points + dyadic + [s.a for s in seqs]
+                      + [o + F(1, 7), o + F(5, 2)]))
+    shared = draw(st.lists(st.sampled_from(terms), max_size=2))
+    atoms = [s.with_deletions(shared + draw(st.lists(st.sampled_from(terms),
+                                                     max_size=2)))
+             for s in seqs]
+    if draw(st.booleans()):
+        atoms.append(cantor.with_deletions(
+            draw(st.lists(st.sampled_from(cantor_points), max_size=3))))
+    if draw(st.booleans()):  # across the middle gap, touching both ends
+        atoms.append(Interval(cantor.t + cantor.s / 3,
+                              cantor.t + 2 * cantor.s / 3))
+    for lo, hi in draw(st.lists(st.tuples(st.sampled_from(pool),
+                                          st.sampled_from(pool)),
+                                max_size=2)):
+        if lo != hi:
+            lo, hi = min(lo, hi), max(lo, hi)
+            inside = [p for p in pool if lo <= p <= hi]
+            atoms.append(Interval(lo, hi, draw(
+                st.lists(st.sampled_from(inside), max_size=3))))
+    if draw(st.booleans()):  # a term that an interval deletes as well
+        p = draw(st.sampled_from(terms))
+        atoms.append(Interval(p, p + 1, [p]))
+    atoms += [FinitePoints(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                         max_size=5)))
+              for _ in range(draw(st.integers(2, 8)))]
+    atoms = draw(st.permutations(atoms))
+    offset = draw(st.sampled_from([0, 0, F(10) ** 400, -F(10) ** 400]))
+    return [_moved(a, offset, 1) for a in atoms]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(point_heavy_lists())
+def test_point_atoms_settle_as_the_scan(atoms):
+    # the input's point atoms are folded into one, which settles in one
+    # pass; the scan resolves each point atom pairwise and puts back every
+    # partner it resolves with. They refuse alike and give the same set.
+    # Where a point is deleted by two atoms, or touches a Cantor copy at a
+    # gap end, the atoms that hold it follow the order of work, in the scan
+    # too, whose renders can differ between the two input orders
+    for order in (atoms, atoms[::-1]):
+        got = _outcome(normalize, order)
+        want = _outcome(_normalize_by_scan, order)
+        if got != want:
+            assert isinstance(got, str) and isinstance(want, str), order
+            got, want = normalize(order), _normalize_by_scan(order)
+            assert diff(got, want).is_empty(), order
+            assert diff(want, got).is_empty(), order
+
+
+def test_where_the_order_of_work_shows():
+    # 1/2 is a term of both sequences and deleted by both. The first point
+    # atom resolves against the harmonic sequence, which the scan then
+    # settles again after the geometric one, so the scan restores 1/2 in
+    # the geometric sequence; the one pass restores it in the harmonic
+    harmonic = CountableSeq(HARMONIC, 0, F(1, 2), deletions=[F(1, 2)])
+    geometric = CountableSeq(GEOMETRIC, 1, -1, F(1, 2), deletions=[F(1, 2)])
+    atoms = [harmonic, geometric, FinitePoints([F(1, 4)]),
+             FinitePoints([F(1, 2)])]
+    got, want = normalize(atoms), _normalize_by_scan(atoms)
+    assert got.render() == "{0 + 1/2/n} u {1 + -1*(1/2)^n} \\ {1/2}"
+    assert want.render() == "{0 + 1/2/n} \\ {1/2} u {1 + -1*(1/2)^n}"
+    # an interval across a Cantor gap: the scan puts it back once per
+    # point atom, and its second meeting with the copy splits the copy
+    copy = CantorAffine(2, 1, [F(7, 3), F(8, 3)])
+    gap = Interval(F(7, 3), F(8, 3))
+    atoms = [CountableSeq(HARMONIC, 0, 1), copy, gap,
+             FinitePoints([F(7, 3)]), FinitePoints([F(7, 3)])]
+    got, want = normalize(atoms), _normalize_by_scan(atoms)
+    assert got.atoms[1:] == (copy, gap)
+    assert want.render().endswith("u (2 + 1/3*C) \\ {7/3} u [7/3, 8/3] "
+                                  "u (8/3 + 1/3*C) \\ {8/3}")
+    # with one point atom the scan keeps the copy whole as well
+    assert _normalize_by_scan(atoms[1:4]).atoms == (copy, gap)
+
+
+def test_each_open_point_is_claimed_once():
+    pts = (F(0), F(1, 4), F(1, 2), F(3, 4), F(2))
+    interval = Interval(F(1, 4), 1, [F(1, 2)])
+    claimed = {1}  # 1/4, decided by an earlier partner
+    # 1/2 is restored, 3/4 dropped; 0 and 2 lie outside the hull
+    assert setalg._claim_points(pts, interval, claimed) == [F(1, 2)]
+    assert claimed == {1, 2, 3}
+    assert setalg._claim_points(pts, interval, claimed) == []
+
+
+def test_point_atoms_are_built_a_bounded_number_of_times():
+    # the input's point atoms fold into one and settle in one pass: two
+    # FinitePoints per normalize however many cells there are, where
+    # merging two at a time built one per merge
+    for n in (32, 64, 128):
+        atoms = _cells_union(n)
+        built = 0
+        init = FinitePoints.__init__
+
+        def counting(self, points):
+            nonlocal built
+            built += 1
+            init(self, points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FinitePoints, "__init__", counting)
+            got = normalize(atoms).render()
+        assert got == _normalize_by_scan(atoms).render()
+        assert built <= 2, (n, built)
+
+
 def test_cantor_overlap_matches_the_scan():
     # 2,049 atoms, most of them nested in the gaps of larger copies
     a = RepSet.of(CantorAffine(0, 1))
