@@ -1,7 +1,14 @@
-"""Exact rational plumbing: interval arithmetic with Fraction endpoints,
-outward-rounded enclosures of ln, exp and sqrt from integer fixed-point
-kernels, zeta(p) by Euler-Maclaurin summation on the same integers, and
-exact integer roots and power indices.
+"""Exact rational plumbing: the engine's Fraction, interval arithmetic with
+Fraction endpoints, outward-rounded enclosures of ln, exp and sqrt from
+integer fixed-point kernels, zeta(p) by Euler-Maclaurin summation on the
+same integers, and exact integer roots and power indices.
+
+The engine's Fraction is a subclass of fractions.Fraction: every value it
+makes is equal, hash-equal and printed alike to a plain Fraction, and it
+mixes with plain ones and ints. Its arithmetic and comparisons take
+integer fast paths, with CPython's own gcd-splitting formulas, and leave
+every other operand to the base class. Every engine module takes Fraction
+from here.
 
 Everything downstream treats a RatInterval as a certificate: the true real
 value lies inside [lo, hi]. Endpoints are exact Fractions, so interval
@@ -11,14 +18,211 @@ combinations never lose containment.
 from __future__ import annotations
 
 import decimal
+import fractions
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import TooLarge, ValidationError
+
+_Base = fractions.Fraction
+_new = object.__new__
+_gcd = math.gcd
+
+
+def _q(n: int, d: int) -> "Fraction":
+    """The engine Fraction n/d for coprime ints n and d > 0, unchecked."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+# The four operations on (numerator, denominator) pairs of normalized
+# operands, by the formulas of fractions.Fraction (Knuth, TAOCP 4.5.1):
+# each gcd is taken of the smaller terms, and the result needs no other.
+
+def _add(na, da, nb, db):
+    g = _gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _sub(na, da, nb, db):
+    return _add(na, da, -nb, db)
+
+
+def _mul(na, da, nb, db):
+    g1 = _gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, db * da)
+
+
+def _div(na, da, nb, db):  # nb != 0
+    g1 = _gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = _gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    return _q(-n, -d) if d < 0 else _q(n, d)
+
+
+def _arithmetic(core, name):
+    """The forward and reflected dunders of one operation: core on the
+    terms of an int or a Fraction operand, the base class otherwise. A
+    zero divisor goes to the base class too, for its error text."""
+    base, rbase = getattr(_Base, f"__{name}__"), getattr(_Base, f"__r{name}__")
+    divides = core is _div
+
+    def forward(a, b):
+        tb = type(b)
+        if tb is int:
+            nb, db = b, 1
+        elif tb is Fraction or tb is _Base:
+            nb, db = b._numerator, b._denominator
+        else:
+            return base(a, b)
+        if divides and not nb:
+            return base(a, b)
+        return core(a._numerator, a._denominator, nb, db)
+
+    def reverse(a, b):  # b op a
+        tb = type(b)
+        if tb is int:
+            nb, db = b, 1
+        elif tb is Fraction or tb is _Base:
+            nb, db = b._numerator, b._denominator
+        else:
+            return rbase(a, b)
+        if divides and not a._numerator:
+            return rbase(a, b)
+        return core(nb, db, a._numerator, a._denominator)
+
+    forward.__name__, reverse.__name__ = f"__{name}__", f"__r{name}__"
+    return forward, reverse
+
+
+def _comparison(op):
+    """a op b for an order comparison, by cross products of the terms."""
+    base = getattr(_Base, f"__{op.__name__}__")
+
+    def compare(a, b):
+        tb = type(b)
+        if tb is int:
+            return op(a._numerator, b * a._denominator)
+        if tb is Fraction or tb is _Base:
+            return op(a._numerator * b._denominator,
+                      a._denominator * b._numerator)
+        return base(a, b)
+
+    compare.__name__ = f"__{op.__name__}__"
+    return compare
+
+
+class Fraction(fractions.Fraction):
+    """A fractions.Fraction whose exact operations dispatch on the operand
+    type: an int, an engine Fraction or a plain one takes an integer fast
+    path and gives an engine Fraction; a float, a bool or another Rational
+    takes the base class's code. The hash is kept once computed."""
+
+    __slots__ = ("_hash",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        if denominator is None:
+            t = type(numerator)
+            if t is int:
+                return _q(numerator, 1)
+            if t is Fraction:
+                return numerator
+            if t is _Base:
+                return _q(numerator._numerator, numerator._denominator)
+        elif type(numerator) is int is type(denominator) and denominator:
+            g = _gcd(numerator, denominator)
+            if denominator < 0:
+                g = -g
+            return _q(numerator // g, denominator // g)
+        return super().__new__(cls, numerator, denominator)
+
+    __add__, __radd__ = _arithmetic(_add, "add")
+    __sub__, __rsub__ = _arithmetic(_sub, "sub")
+    __mul__, __rmul__ = _arithmetic(_mul, "mul")
+    __truediv__, __rtruediv__ = _arithmetic(_div, "truediv")
+
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
+
+    def __eq__(a, b):
+        tb = type(b)
+        if tb is int:
+            return a._numerator == b and a._denominator == 1
+        if tb is Fraction or tb is _Base:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return _Base.__eq__(a, b)
+
+    def __ne__(a, b):
+        tb = type(b)
+        if tb is int:
+            return a._numerator != b or a._denominator != 1
+        if tb is Fraction or tb is _Base:
+            return a._numerator != b._numerator or a._denominator != b._denominator
+        return _Base.__ne__(a, b)
+
+    def __hash__(self):
+        if self._denominator == 1:  # an integer's hash, with nothing to keep
+            return hash(self._numerator)
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = _Base.__hash__(self)
+            return h
+
+    def __pow__(a, b):
+        tb = type(b)
+        if (tb is Fraction or tb is _Base) and b._denominator == 1:
+            b, tb = b._numerator, int
+        if tb is int:
+            n, d = a._numerator, a._denominator
+            if b >= 0:
+                return _q(n ** b, d ** b)
+            if n > 0:
+                return _q(d ** -b, n ** -b)
+            if n < 0:
+                return _q((-d) ** -b, (-n) ** -b)
+        return _Base.__pow__(a, b)
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+    def __pos__(a):
+        return a
+
+    def __abs__(a):
+        return a if a._numerator >= 0 else _q(-a._numerator, a._denominator)
+
+    def __float__(a):
+        return a._numerator / a._denominator
+
 
 Rational = Union[int, Fraction]
 
@@ -91,7 +295,9 @@ class RatInterval:
 
 
 def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if type(x) is Fraction:  # no abc check on the common case
+        return x
+    return x if isinstance(x, _Base) else Fraction(x)
 
 
 def _trimmed(xs) -> tuple[Fraction, ...]:
@@ -483,14 +689,6 @@ def geo_steps(q: Fraction, r: Fraction, strict: bool = True) -> int:
 
 def parse_rational(text) -> Fraction:
     """Accept ints and 'p/q' / 'p' strings. Floats are rejected on purpose."""
-    if isinstance(text, bool):
-        raise ValidationError("booleans are not rationals")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, float):
-        raise ValidationError(f"floats are not accepted, write a rational string: {text!r}")
     if isinstance(text, str):
         # digits and one slash only: no decimals, exponents or underscores,
         # so no short string can stand for a huge number
@@ -502,6 +700,14 @@ def parse_rational(text) -> Fraction:
                 return Fraction(int(match[1]), int(match[2]))
             except (ValueError, ZeroDivisionError):
                 pass  # a zero denominator, or more digits than int() takes
+    elif isinstance(text, bool):
+        raise ValidationError("booleans are not rationals")
+    elif isinstance(text, int):
+        return Fraction(text)
+    elif isinstance(text, _Base):
+        return text
+    elif isinstance(text, float):
+        raise ValidationError(f"floats are not accepted, write a rational string: {text!r}")
     raise ValidationError(f"not a rational: {text!r}")
 
 

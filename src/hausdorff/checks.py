@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from ._numeric import Fraction
 from .config import DEFAULT_SEED, SUITE_NAMES
 from .errors import (MonotonicityViolated, NoLimitFound, NotInLH,
                      NotRepresentable, OrderNotVerified, ValidationError)

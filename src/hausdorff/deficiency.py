@@ -10,7 +10,6 @@ from convexity.
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
@@ -23,7 +22,7 @@ from .hintegral import (Const, Expression, PiecewiseFunction, Poly,
                         abs_integral, add, h_integral, scalar_mul)
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
                      Interval, RepSet, meeting_pairs)
-from ._numeric import _frac, exact_pow, sqrt_interval
+from ._numeric import Fraction, _frac, exact_pow, sqrt_interval
 
 __all__ = [
     "OscillationProfile", "oscillation",

@@ -17,11 +17,10 @@ layer load with the first function or planar document.
 """
 
 import json
-from fractions import Fraction
 from typing import Union
 
 from .errors import ParseError, ValidationError
-from ._numeric import parse_rational, render_rational
+from ._numeric import Fraction, parse_rational, render_rational
 from .hvalue import FiniteList, Geometric, HPair, PSeries
 from .setalg import (GEOMETRIC, HARMONIC, Atom, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet, diff, normalize)

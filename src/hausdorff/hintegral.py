@@ -13,11 +13,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
-from ._numeric import Rational, _frac, _trimmed
+from ._numeric import Fraction, Rational, _frac, _trimmed
 from .errors import (DisjointnessViolated, DoesNotConverge,
                      MonotonicityViolated, NotRepresentable, OrderNotVerified,
                      ValidationError)

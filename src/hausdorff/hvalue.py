@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
-from ._numeric import (RatInterval, Rational, _frac, _trimmed, log_interval,
-                       power_base, render_float, render_rational,
-                       zeta_interval)
+from ._numeric import (Fraction, RatInterval, Rational, _frac, _trimmed,
+                       log_interval, power_base, render_float,
+                       render_rational, zeta_interval)
 from .config import get_config
 from .errors import (DoesNotConverge, IncomparableDimensions, NotSupported,
                      UndefinedSum, ValidationError)

@@ -12,10 +12,9 @@ Cauchy sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from ._numeric import _ITER_GUARD, Rational
+from ._numeric import _ITER_GUARD, Fraction, Rational
 from .errors import NoLimitFound, NotInLH, TooLarge, ValidationError
 from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part,
                         abs_integral, add, indicator, scalar_mul)

@@ -10,7 +10,6 @@ evidence, not circularity.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .config import get_config
@@ -19,8 +18,8 @@ from .hvalue import Dimension
 from .hintegral import PiecewiseFunction
 from .setalg import (HARMONIC, Atom, CountableSeq, FinitePoints, Interval,
                      RepSet)
-from ._numeric import (RatInterval, exact_pow, geo_steps, log_interval,
-                       pow_interval, power_index)
+from ._numeric import (Fraction, RatInterval, exact_pow, geo_steps,
+                       log_interval, pow_interval, power_index)
 
 __all__ = [
     "CoverReport", "box_dim_estimate", "premeasure_estimate", "quadrature",

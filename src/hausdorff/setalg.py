@@ -20,11 +20,10 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Optional
 
-from ._numeric import (_ITER_GUARD, Rational, _frac, coprime_base, geo_steps,
-                       pow_interval, power_base, power_index)
+from ._numeric import (_ITER_GUARD, Fraction, Rational, _frac, coprime_base,
+                       geo_steps, pow_interval, power_base, power_index)
 from .config import get_config
 from .errors import NotRepresentable, TooLarge, ValidationError
 from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, ZERO_PAIR,

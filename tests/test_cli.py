@@ -181,6 +181,19 @@ def test_every_engine_definition_has_a_caller():
     assert not uncalled
 
 
+def test_only_numeric_imports_the_fractions_module():
+    # every other module takes its Fraction, with the integer fast paths,
+    # from _numeric; fractions.Fraction is the base class it extends
+    importers = sorted(
+        path.name
+        for path in Path(hausdorff.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import)
+            and any(alias.name == "fractions" for alias in node.names)))
+    assert importers == ["_numeric.py"]
+
+
 def test_distance_wrong_document_kind(capsys):
     code, _, err = run(capsys, "distance", "sets", UNIT, STEP)
     assert code == 1 and err.startswith("error:")

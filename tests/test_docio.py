@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hausdorff import docio, setalg
-from hausdorff._numeric import _RATIONAL, parse_rational
+from hausdorff._numeric import _RATIONAL, Fraction, parse_rational
 from hausdorff.checks import _rand_cells, _rand_function, _rand_set
 from hausdorff.deficiency import ConvexPolygon, PlanarSet, Points2D, Segment
 from hausdorff.docio import (pair_payload, parse_document, parse_function,
@@ -207,7 +207,7 @@ def test_integer_literals_parse_as_through_a_gcd():
             assert str(got.value) == str(exc)
             continue
         got = parse_rational(text)
-        assert type(got) is F
+        assert type(got) is Fraction
         assert (got.numerator, got.denominator) == (want.numerator,
                                                     want.denominator)
 

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hausdorff import oracle
-from hausdorff._numeric import (_ITER_GUARD, _trimmed, coprime_base,
-                                exact_pow, exact_root, geo_steps, iroot,
-                                power_base, power_index)
+from hausdorff._numeric import (_ITER_GUARD, Fraction, _trimmed,
+                                coprime_base, exact_pow, exact_root,
+                                geo_steps, iroot, power_base, power_index)
 from hausdorff.errors import TooLarge
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CountableSeq,
                               FinitePoints, Interval, RepSet,
@@ -321,7 +321,10 @@ def test_trimmed_matches_the_constructor_loop():
         xs = [rng.choice(values) for _ in range(rng.randrange(0, 7))]
         got = _trimmed(xs)
         assert got == ref_trimmed(xs) and type(got) is tuple
-        assert all(type(v) is F for v in got)
+        # a plain Fraction is kept as it is; an int or a string becomes
+        # an engine Fraction
+        assert [type(v) for v in got] == [F if type(x) is F else Fraction
+                                          for x in xs[:len(got)]]
     assert _trimmed([0, F(0), "0"]) == () == _trimmed([])
 
 
