@@ -496,8 +496,12 @@ def zeta_interval(p: Rational, prec: int) -> RatInterval:
     between 0 and t_(m+1) for every m. The terms shrink to about
     exp(-2 pi n) before they grow again, which sets n; m stops at the first
     |t_j| below 2**-prec * n**e, where n**-p <= n**-e for e = min(floor(p),
-    prec). Every quantity is a pair of integers in units of 2**-w, the low
-    end floored and the high end ceiled."""
+    prec). The bracket is then met with the integral test's,
+    sum_{k >= n} f(k) in n**-p * [1, 1 + n/(p-1)], which is the narrower
+    for a large p: there n**-p is below 2**-w, and its enclosure's upper
+    end, one unit, no longer shrinks a wide bracket. Every quantity is a
+    pair of integers in units of 2**-w, the low end floored and the high
+    end ceiled."""
     p = Fraction(p)
     if p <= 1:
         raise ValidationError("zeta_interval needs a power above 1")
@@ -541,6 +545,9 @@ def zeta_interval(p: Rational, prec: int) -> RatInterval:
         lo, hi = (lo + t_lo, hi + t_hi) if j % 2 else (lo - t_hi, hi - t_lo)
         t_lo, t_hi, j = next_lo, next_hi, j + 1
     lo, hi = (lo, hi + t_hi) if j % 2 else (lo - t_hi, hi)
+    # meet with the integral test's [1, 1 + n/(p-1)]: the narrower for a
+    # large p, where power[n] encloses n**-p no tighter than one unit
+    lo, hi = max(lo, one), min(hi, one - ((-n * b << w) // (a - b)))
     # lo stays near 1/2 or above, as each negative term follows a larger
     # positive one, so the floored product below is of nonnegative ends
     n_lo, n_hi = power[n]

@@ -569,7 +569,11 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
 
     cross_pairs finds the f x g pairs whose hulls meet. Each term is cut
     only by the normalized union of the other side's terms in those
-    pairs, and each pair carries the sum on its intersection.
+    pairs, and each pair carries the sum on its intersection. A term in
+    no pair passes through whole: its atom less nothing is itself, and
+    re-reading an expression on its own atom gives it back (the
+    constructor admits only terms that read so), so diff, normalize and
+    _terms_on are skipped and the output order is unchanged.
     """
     terms, n = f.terms + g.terms, len(f.terms)
     pairs = [(i, n + j) for i, j in cross_pairs([a for a, _ in f.terms],
@@ -580,6 +584,9 @@ def add(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
         cuts[j].append(terms[i][0])
     out = []
     for (a, ea), cut in zip(terms, cuts):
+        if not cut:
+            out.append((a, ea))
+            continue
         rest = diff(RepSet.of(a), RepSet.of(*cut))
         out.extend(_terms_on(rest.atoms, a, ea))
     for i, j in pairs:

@@ -101,7 +101,9 @@ def _infinite_mass(atom, expr) -> bool:
 
 def d_H(f: PiecewiseFunction, g: PiecewiseFunction) -> HDistance:
     """The integral of |f - g|. Both arguments must be absolutely
-    integrable; the difference must stay in the catalog."""
+    integrable; the difference must stay in the catalog. Only the terms
+    that differ are subtracted (see _distance): a term both share is
+    zero in f - g, so it cannot change the integral, nor refuse."""
     _require_lh(f, "left")
     _require_lh(g, "right")
     return _distance(f, g)
@@ -113,7 +115,17 @@ def _require_lh(f: PiecewiseFunction, name: str) -> None:
 
 
 def _distance(f: PiecewiseFunction, g: PiecewiseFunction) -> HDistance:
-    """d_H for arguments already checked to be absolutely integrable."""
+    """d_H for arguments already checked to be absolutely integrable.
+
+    The (atom, expression) terms that f and g share are dropped before
+    the subtraction. The terms of each function are pairwise disjoint, so
+    a shared atom meets no other term of either side, and there f - g is
+    exactly 0: the difference keeps no term there anyway, and no other
+    point changes. The trimmed functions are built and checked again."""
+    shared = set(f.terms) & set(g.terms)
+    if shared:
+        f = PiecewiseFunction([t for t in f.terms if t not in shared])
+        g = PiecewiseFunction([t for t in g.terms if t not in shared])
     return HDistance(abs_integral(add(f, scalar_mul(-1, g))))
 
 

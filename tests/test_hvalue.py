@@ -645,16 +645,26 @@ def test_pseries_sum_contains_zeta_at_precision_width(bits):
         set_config(previous)
 
 
-@pytest.mark.parametrize("p", [200, 10 ** 3, 10 ** 5])
-def test_pseries_sum_large_integer_power_is_bounded(p):
-    # terms k**-p below 2**-(bits + 64) are enclosed, not summed exactly
-    bits = get_config().precision_bits
-    start = time.perf_counter()
-    enc = PSeries(1, p).sum().enclosure()
-    assert time.perf_counter() - start < 0.5
-    lo, hi = _ref_bracket(F(1), F(p), bits)
-    assert enc.lo <= hi and lo <= enc.hi
-    assert enc.hi - enc.lo <= F(1, 2 ** bits)
+@pytest.mark.parametrize("p, bits", [
+    *(pytest.param(p, None, id=str(p)) for p in (200, 10 ** 3, 10 ** 5)),
+    *(pytest.param(10 ** k, bits, id=f"1e{k}-{bits}bits")
+      for k in (30, 100, 400) for bits in (64, 256, 1024))])
+def test_pseries_sum_large_integer_power_is_bounded(p, bits):
+    # terms k**-p below 2**-(bits + 64) are enclosed, not summed exactly;
+    # past p ~ 10**22 at 256 bits the tail is bracketed by the integral
+    # test, and the width stays below 2**-bits (bits None: the default)
+    previous = update_config(precision_bits=bits) if bits else None
+    try:
+        bits = get_config().precision_bits
+        start = time.perf_counter()
+        enc = PSeries(1, p).sum().enclosure()
+        assert time.perf_counter() - start < 0.5
+        lo, hi = _ref_bracket(F(1), F(p), bits)
+        assert enc.lo <= hi and lo <= enc.hi
+        assert enc.hi - enc.lo <= F(1, 2 ** bits)
+    finally:
+        if previous is not None:
+            set_config(previous)
 
 
 def test_pseries_sum_makes_few_exp_kernel_calls(monkeypatch):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hausdorff.errors import (HausdorffError, NoLimitFound, NotInLH,
                               NotRepresentable, TooLarge, ValidationError)
 from hausdorff.hintegral import (Const, ConstantSeq, PiecewiseFunction, Poly,
-                                 SeriesValues, h_integral, indicator,
-                                 neg_part, pos_part, support, zero_function)
+                                 SeriesValues, _combined_terms, _terms_on, add,
+                                 h_integral, indicator, neg_part, pos_part,
+                                 scalar_mul, support, zero_function)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ZERO, POS_INF, ZERO_PAIR,
                               Dimension, FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
@@ -26,7 +27,8 @@ from hausdorff.metrics import (DEFAULT_SCHEDULE, AlternatingFunctionSeq,
                                riesz_fischer_check, triangle_ok)
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine,
                               CountableSeq, FinitePoints, Interval, RepSet,
-                              diff, hmeasure, symdiff, union)
+                              _atom_meet, cross_pairs, diff, hmeasure,
+                              normalize, symdiff, union)
 
 I01 = RepSet.of(Interval(0, 1))
 HARM = CountableSeq(HARMONIC, 0, 1)
@@ -399,6 +401,183 @@ def test_d_H_axioms_random():
         assert triangle_ok(HDistance(HPair(fh.value.d, zero)),
                            HDistance(HPair(fg.value.d, zero)),
                            HDistance(HPair(gh.value.d, zero)))
+
+
+# -- shared terms: d_H and add against the full term loop -------------------
+
+def ref_add(f, g):
+    """add as it was before terms in no pair passed through: every term
+    is cut by its partners, re-normalized and re-read, even with no
+    partner at all."""
+    terms, n = f.terms + g.terms, len(f.terms)
+    pairs = [(i, n + j) for i, j in cross_pairs([a for a, _ in f.terms],
+                                                [b for b, _ in g.terms])]
+    cuts = [[] for _ in terms]
+    for i, j in pairs:
+        cuts[i].append(terms[j][0])
+        cuts[j].append(terms[i][0])
+    out = []
+    for (a, ea), cut in zip(terms, cuts):
+        rest = diff(RepSet.of(a), RepSet.of(*cut))
+        out.extend(_terms_on(rest.atoms, a, ea))
+    for i, j in pairs:
+        (a, ea), (b, eb) = terms[i], terms[j]
+        for piece in normalize(_atom_meet(a, b)).atoms:
+            out.extend(_combined_terms(piece, [(a, ea), (b, eb)]))
+    return PiecewiseFunction(out)
+
+
+def ref_d_H(f, g):
+    """d_H subtracting all of both functions, shared terms included."""
+    for h in (f, g):
+        if not absolutely_integrable(h):
+            raise NotInLH("an argument has an infinite |f| integral")
+    return HDistance(abs_integral(ref_add(f, scalar_mul(-1, g))))
+
+
+def _refusal_or(fn, f, g):
+    """fn(f, g) as a comparable value: the terms of a function, the pair
+    of a distance, or the class of a refusal."""
+    try:
+        value = fn(f, g)
+    except HausdorffError as exc:
+        return type(exc)
+    return value.terms if isinstance(value, PiecewiseFunction) else value.value
+
+
+def _off_atom_points(atom):
+    """Points of the atom's bounded hull, on a grid of 1/8, off the atom
+    itself: a bump there is disjoint from the atom and still meets its
+    hull."""
+    lo, hi = atom.hull()
+    if lo is None or hi is None:
+        return []
+    return [x for x in (lo + F(j, 8) for j in range(25))
+            if x <= hi and not atom.member(x)]
+
+
+def _member_point(atom):
+    if isinstance(atom, FinitePoints):
+        return atom.points[0]
+    if isinstance(atom, CountableSeq):
+        return atom.point(7)  # the drawn deletions are among the first six
+    if isinstance(atom, CantorAffine):
+        return atom.t
+    lo, hi = atom.hull()
+    return (hi - 1) if lo is None else lo + F(1, 2)
+
+
+@st.composite
+def sharing_pairs(draw):
+    """(f, g) whose terms g shares with f none, some or all of the time:
+    term by term, g shares f's term, keeps its atom under a new value,
+    puts a fresh term on its cell, drops it, or shares it and adds a point
+    bump inside its hull but off its atom. Some pairs then get a point
+    bump each at one site inside a term, as x_n = base + bump_n."""
+    f = draw(signed_functions())
+    g_terms = []
+    for atom, expr in f.terms:
+        move = draw(st.sampled_from(("share", "value", "fresh", "drop",
+                                     "bump")))
+        if move == "value":
+            g_terms.append((atom, expr.scale(draw(st.sampled_from((-1, 2))))))
+        elif move == "fresh":
+            lo, hi = atom.hull()
+            if lo is None or hi is None:  # a half-line, as its own cell
+                kind = draw(st.sampled_from(INTERVAL_KINDS))
+                g_terms.append(draw(_term(kind, lo, hi)))
+            else:
+                kind = draw(st.sampled_from(
+                    [k for kinds in KINDS_AT_DIM.values() for k in kinds]))
+                g_terms.append(draw(_term(kind, 4 * (lo // 4),
+                                          4 * (lo // 4) + 3)))
+        elif move != "drop":
+            g_terms.append((atom, expr))
+            sites = _off_atom_points(atom) if move == "bump" else []
+            if sites:
+                g_terms.append((FinitePoints([draw(st.sampled_from(sites))]),
+                                Const(draw(st.sampled_from((-2, 1, 3))))))
+    g = PiecewiseFunction(g_terms)
+    if f.terms and draw(st.booleans()):
+        site = _member_point(draw(st.sampled_from(f.terms))[0])
+        bumped = []
+        for h in (f, g):
+            v = draw(st.sampled_from((F(1, 2), F(1, 4), -3)))
+            try:
+                bumped.append(add(h, indicator(RepSet.of(FinitePoints([site])),
+                                               v)))
+            except HausdorffError:
+                bumped.append(h)
+        f, g = bumped
+    return f, g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sharing_pairs())
+def test_d_H_and_add_match_the_full_term_loop(pair):
+    # equal term lists from add, equal pairs from d_H, and the same
+    # refusal class wherever either side refuses
+    f, g = pair
+    for x, y in ((f, g), (g, f)):
+        assert _refusal_or(add, x, y) == _refusal_or(ref_add, x, y)
+        assert _refusal_or(d_H, x, y) == _refusal_or(ref_d_H, x, y)
+
+
+def _counted_diffs(monkeypatch):
+    """Record every diff the function algebra makes."""
+    from hausdorff import hintegral
+    calls = []
+    real = hintegral.diff
+    monkeypatch.setattr(hintegral, "diff",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    return calls
+
+
+def _cells_base(k):
+    """k constant and polynomial terms on the cells [4i, 4i + 3]."""
+    return PiecewiseFunction(
+        [(Interval(4 * i, 4 * i + 3), Poly([i + 1, 1] if i % 2 else [i + 1]))
+         for i in range(k)])
+
+
+@pytest.mark.parametrize("site", [F(1, 2), F(7, 2)], ids=["inside", "gap"])
+def test_add_of_a_point_bump_cuts_only_what_it_meets(monkeypatch, site):
+    # inside the first cell the bump and that cell's term are cut; in the
+    # gap after it nothing meets and nothing is cut: the other k - 1 or k
+    # terms pass through whole, so the work does not grow with k
+    bump = indicator(RepSet.of(FinitePoints([site])), 5)
+    calls = _counted_diffs(monkeypatch)
+    counts = []
+    for k in (1, 4, 16):
+        calls.clear()
+        base = _cells_base(k)
+        total = add(base, bump)
+        counts.append(len(calls))
+        assert total.terms == ref_add(base, bump).terms
+        assert total.value_at(site) == base.value_at(site) + 5
+    assert counts == [2 if site < 3 else 0] * 3
+
+
+def test_distance_hands_add_only_the_differing_terms(monkeypatch):
+    from hausdorff import metrics
+    seq = PointPerturbation(_cells_base(6), F(17, 2), coeff=3)
+    x_n, x_m = seq.term(3), seq.term(5)
+    shared = set(x_n.terms) & set(x_m.terms)
+    assert len(shared) == len(x_n.terms) - 1 == len(x_m.terms) - 1 == 6
+    handed = []
+    real = metrics.add
+    monkeypatch.setattr(metrics, "add",
+                        lambda f, g: handed.append((f, g)) or real(f, g))
+    calls = _counted_diffs(monkeypatch)
+    # the site lies in the cell of value 3: |(3 + 3/8) - (3 + 3/32)|
+    assert metrics._distance(x_n, x_m).value == HPair.of(0, F(9, 32))
+    (f, g), = handed
+    point = FinitePoints([F(17, 2)])
+    assert f.terms == ((point, Const(F(27, 8))),)
+    assert g.terms == ((point, Const(F(-99, 32))),)
+    # the two point terms meet, so each is cut by the other; the six
+    # shared terms are neither cut nor met
+    assert len(calls) == 2
 
 
 # -- balls ---------------------------------------------------------------------
