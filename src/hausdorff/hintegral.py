@@ -20,11 +20,11 @@ from ._numeric import Fraction, Rational, _frac, _trimmed
 from .errors import (DisjointnessViolated, DoesNotConverge,
                      MonotonicityViolated, NotRepresentable, OrderNotVerified,
                      ValidationError)
-from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, ZERO_PAIR,
-                     CoefficientSeries, ConstantTail, ExtReal, FiniteList,
-                     Geometric, GrowthTail, HPair, HSeq, InterleaveTail,
-                     MeasureTail, PSeries, ext_sum, hpair_eq, hpair_sum,
-                     hseq_liminf, hseq_limit, series_add, top_terms)
+from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, CoefficientSeries,
+                     ConstantTail, ExtReal, FiniteList, Geometric, GrowthTail,
+                     HPair, HSeq, InterleaveTail, MeasureTail, PSeries,
+                     hpair_eq, hpair_sum, hseq_liminf, hseq_limit, series_add,
+                     top_sum)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
                      FinitePoints, Interval, RepSet, _atom_meet, _hulls_meet,
                      cross_pairs, diff, hmeasure, intersect, meeting_pairs,
@@ -451,10 +451,7 @@ def h_integral(f: PiecewiseFunction, region: Region = ALL_REALS) -> HPair:
         terms = [t for atom, expr in f.terms
                  for t in _terms_on(intersect(RepSet.of(atom), region).atoms,
                                     atom, expr)]
-    top, kept = top_terms(terms, lambda t: t[0].dim())
-    if top is None:
-        return ZERO_PAIR
-    return HPair(top, ext_sum(_piece_measure(piece, e) for piece, e in kept))
+    return top_sum(terms, lambda t: t[0].dim(), lambda t: _piece_measure(*t))
 
 
 def restrict_to_support(f: PiecewiseFunction,

@@ -3,19 +3,20 @@
 The value space is [0, 2] x [-inf, +inf] under the lexicographic order.
 Addition takes the maximum of the first coordinates and sums the second
 coordinates of the summands that attain it; the pair (0, 0) is the
-identity. `top_terms` is that rule, written once: every such sum in the
-package (of pairs, series, set atoms, integrand pieces) picks its
-summands through it and adds only theirs, so a measure below the top
-dimension is never evaluated or added and cannot raise. Dimensions are
-kept symbolically (rational plus log-ratio terms) so equality is decided
-by canonical form and comparisons fall back to interval arithmetic with
-doubling precision.
+identity. `top_sum` is that rule, written once: every such sum in the
+package (of pairs, series, set atoms, integrand pieces) is a call to it.
+It picks the summands through `top_terms` and adds only theirs, so a
+measure below the top dimension is never evaluated or added and cannot
+raise. Dimensions are kept symbolically (rational plus log-ratio terms)
+so equality is decided by canonical form and comparisons fall back to
+interval arithmetic with doubling precision.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from ._numeric import (Fraction, RatInterval, Rational, _frac, _trimmed,
@@ -80,7 +81,7 @@ class Dimension:
             raise NotSupported(f"{self.render()} is irrational")
         return self.rat
 
-    def _sub(self, other: "Dimension") -> "Dimension":
+    def __sub__(self, other: "Dimension") -> "Dimension":
         terms = dict(self.logs)
         for key, coef in other.logs:
             acc = terms.get(key, Fraction(0)) - coef
@@ -91,7 +92,7 @@ class Dimension:
         return Dimension(rat=self.rat - other.rat,
                          logs=tuple(sorted(terms.items())))
 
-    def _scale(self, c: Fraction) -> "Dimension":
+    def scale(self, c: Rational) -> "Dimension":
         return Dimension(rat=self.rat * c,
                          logs=tuple((k, v * c) for k, v in self.logs))
 
@@ -111,7 +112,7 @@ class Dimension:
                                     coef if self.logs else -coef)
             if sign is not None:
                 return sign
-        return _diff_sign(self._sub(other), self, other)
+        return _diff_sign(self - other, self, other)
 
     # -- rendering -------------------------------------------------------
 
@@ -196,13 +197,6 @@ DIM_ZERO = Dimension()
 DIM_ONE = Dimension(rat=Fraction(1))
 DIM_TWO = Dimension(rat=Fraction(2))
 DIM_CANTOR = Dimension.log_ratio(2, 3)
-
-
-def dim_abs_diff(a: Dimension, b: Dimension) -> Dimension:
-    diff = a._sub(b)
-    if not diff.logs:
-        return Dimension(rat=abs(diff.rat))
-    return diff if _diff_sign(diff, a, b) >= 0 else diff._scale(Fraction(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +332,7 @@ EXT_ZERO = ExtReal.of(0)
 
 
 def ext_sum(values: Iterable[ExtReal]) -> ExtReal:
-    total = EXT_ZERO
-    saw_pos = saw_neg = False
-    for v in values:
-        if v.kind == _POS:
-            saw_pos = True
-        elif v.kind == _NEG:
-            saw_neg = True
-        if saw_pos and saw_neg:
-            raise UndefinedSum("measure sum mixes +inf and -inf")
-        if v.kind not in (_POS, _NEG):
-            total = total + v
-    if saw_pos:
-        return POS_INF
-    if saw_neg:
-        return NEG_INF
-    return total
+    return functools.reduce(ExtReal.__add__, values, EXT_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +411,19 @@ def top_terms(items: Iterable[_T], dim: Callable[[_T], Dimension]
     return top, kept
 
 
-def hpair_sum(items: Iterable[HPair]) -> HPair:
-    """Sum with the max-dimension rule; the empty sum is (0, 0)."""
-    top, kept = top_terms(items, lambda h: h.d)
+def top_sum(items: Iterable[_T], dim: Callable[[_T], Dimension],
+            mass: Callable[[_T], ExtReal]) -> HPair:
+    """The max-dimension sum: the top dimension of the items, with the
+    measures of the items that attain it summed; (0, 0) for no items."""
+    top, kept = top_terms(items, dim)
     if top is None:
         return ZERO_PAIR
-    return HPair(top, ext_sum(h.m for h in kept))
+    return HPair(top, ext_sum(map(mass, kept)))
+
+
+def hpair_sum(items: Iterable[HPair]) -> HPair:
+    """Sum with the max-dimension rule; the empty sum is (0, 0)."""
+    return top_sum(items, attrgetter("d"), attrgetter("m"))
 
 
 def hpair_inf(items: Sequence[HPair]) -> HPair:
@@ -667,7 +653,7 @@ class ClimbTail(SeqTail):
             raise ValidationError("a climb needs a positive limit dimension")
 
     def term(self, k):
-        d = self.limit_dim._scale(1 - Fraction(1, 2 ** (k + 1)))
+        d = self.limit_dim.scale(1 - Fraction(1, 2 ** (k + 1)))
         m = self.measures.term(k) if self.measures is not None else Fraction(0)
         return HPair(d, ExtReal.of(m))
 
@@ -772,5 +758,4 @@ def hpair_series(dims: Sequence[Dimension],
     if not ok:
         raise DoesNotConverge(
             "series must be absolutely convergent or have nonnegative terms")
-    top, kept = top_terms(zip(dims, coeffs), lambda t: t[0])
-    return HPair(top, ext_sum(s.sum() for _, s in kept))
+    return top_sum(zip(dims, coeffs), itemgetter(0), lambda t: t[1].sum())

@@ -19,7 +19,7 @@ from .errors import NoLimitFound, NotInLH, TooLarge, ValidationError
 from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part,
                         abs_integral, add, indicator, scalar_mul)
 from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, HPair,
-                     dim_abs_diff, hpair_eq, top_terms)
+                     hpair_eq, top_terms)
 from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
                      symdiff)
 
@@ -45,7 +45,7 @@ class HDistance:
 
     def plus(self, other: "HDistance") -> "HDistance":
         """Coordinatewise sum, the addition the metric axioms use."""
-        d = self.value.d._sub(other.value.d._scale(Fraction(-1)))
+        d = self.value.d - other.value.d.scale(-1)
         return HDistance(HPair(d, self.value.m + other.value.m))
 
     def render(self) -> str:
@@ -66,8 +66,10 @@ def dH_pairs(a: HPair, b: HPair) -> HDistance:
     dimension zero when they coincide. Wants nonnegative measures."""
     if a.m.sign() < 0 or b.m.sign() < 0:
         raise ValidationError("dH_pairs compares pairs with m >= 0")
-    if a.d.cmp(b.d) != 0:
-        return HDistance(HPair(dim_abs_diff(a.d, b.d), EXT_ZERO))
+    c = a.d.cmp(b.d)
+    if c:
+        gap = a.d - b.d
+        return HDistance(HPair(gap if c > 0 else gap.scale(-1), EXT_ZERO))
     if a.m.cmp(b.m) == 0:
         return HDistance(ZERO_PAIR)
     return HDistance(HPair(DIM_ZERO, abs(a.m - b.m)))

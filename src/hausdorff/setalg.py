@@ -26,9 +26,8 @@ from ._numeric import (_ITER_GUARD, Fraction, Rational, _frac, coprime_base,
                        geo_steps, pow_interval, power_base, power_index)
 from .config import get_config
 from .errors import NotRepresentable, TooLarge, ValidationError
-from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, ZERO_PAIR,
-                     Dimension, ExtReal, HPair, ext_sum, hpair_add,
-                     top_terms)
+from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, Dimension,
+                     ExtReal, HPair, hpair_add, top_sum, top_terms)
 
 Endpoint = Optional[Fraction]  # None encodes a missing (infinite) endpoint
 
@@ -857,20 +856,16 @@ def _solve_two_unknowns(rows):
 def _common_points_finite(x: CountableSeq, y: CountableSeq) -> list:
     """Common base points of sequences with distinct accumulation points:
     always finitely many. A common point is at least half the accumulation
-    gap away from one of the two limits, so enumerating both heads down to
-    that offset is exhaustive."""
-    delta = abs(y.a - x.a)
-    commons = []
+    gap away from one of the two limits, so listing both heads down to
+    that offset is exhaustive; a head of more than _ITER_GUARD terms
+    raises TooLarge before it is listed."""
+    half = abs(y.a - x.a) / 2
+    commons = set()
     for seq, other in ((x, y), (y, x)):
-        if seq.family == HARMONIC:
-            stop = max(1, math.ceil(2 * abs(seq.b) / delta)) + 1
-        else:  # the indices n with 2*|b|*q**n >= delta
-            stop = geo_steps(seq.q, delta / (2 * abs(seq.b)))
-        for n in range(1, stop):
-            p = seq.point(n)
-            if other.in_base(p):
-                commons.append(p)
-    return sorted(set(commons))
+        _, head = (seq.indices_within(seq.a + half, None) if seq.b > 0
+                   else seq.indices_within(None, seq.a - half))
+        commons.update(p for p in map(seq.point, head) if other.in_base(p))
+    return sorted(commons)
 
 
 def _seq_base_subset(x: CountableSeq, y: CountableSeq) -> bool:
@@ -1294,10 +1289,7 @@ def _cantor_minus(x: CantorAffine, y: Interval | CantorAffine) -> list:
 
 def hmeasure(s: RepSet) -> HPair:
     """The dimension-measure pair of a representable set."""
-    top, kept = top_terms(s.atoms, lambda a: a.dim())
-    if top is None:
-        return ZERO_PAIR
-    return HPair(top, ext_sum(a.mu() for a in kept))
+    return top_sum(s.atoms, lambda a: a.dim(), lambda a: a.mu())
 
 
 def verify_monotone(a: RepSet, b: RepSet) -> tuple[HPair, HPair, bool]:

@@ -526,6 +526,40 @@ def test_huge_index_ranges_refuse_fast():
     assert kind == "finite" and len(data) == _ITER_GUARD
 
 
+# the head that listing would walk: 364,285 terms for the first pair,
+# 6*10^6 and 6*10^400 for the next two; in the last, a geometric head of
+# about 100 terms against a harmonic one of 4.6*10^30, the two limits
+# 1.3*10^-30 apart
+FAR = CountableSeq(HARMONIC, F(-10, 3), 1100)
+LONG_HEADS = [
+    (CountableSeq(HARMONIC, -3, F(425000, 7)), FAR),
+    (CountableSeq(HARMONIC, -3, 10 ** 6), FAR),
+    (CountableSeq(HARMONIC, -3, 10 ** 400), FAR),
+    (CountableSeq(GEOMETRIC, F(13, 10 ** 31), 1, F(1, 2)),
+     CountableSeq(HARMONIC, 0, 3))]
+
+
+@pytest.mark.parametrize("x, y", LONG_HEADS)
+def test_long_sequence_heads_refuse_before_they_are_listed(x, y, monkeypatch):
+    calls = []
+    point = CountableSeq.point
+    monkeypatch.setattr(CountableSeq, "point",
+                        lambda self, n: calls.append(n) or point(self, n))
+    message = f"more than {_ITER_GUARD} sequence terms to list"
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(TooLarge, match=message):
+            _seq_seq_commons(a, b)
+        with pytest.raises(TooLarge, match=message):
+            normalize([a, b])
+    assert len(calls) < _ITER_GUARD
+
+
+def test_a_head_of_exactly_the_guard_is_listed():
+    # limits 1/50000 apart: each harmonic head is 100,000 terms long
+    x, y = CountableSeq(HARMONIC, 0, 1), CountableSeq(HARMONIC, F(1, 50000), 1)
+    assert _seq_seq_commons(x, y) == ("finite", ref_common_points_finite(x, y))
+
+
 def test_tiny_coefficients_stay_fast():
     seq = CountableSeq(GEOMETRIC, 0, F(1, 10 ** 400), F(1, 2))
     box = Interval(F(1, 10 ** 500), 1)

@@ -21,9 +21,11 @@ from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, EXT_ZERO,
                               ConstantTail, Dimension, ExtReal, FiniteList,
                               Geometric, GrowthTail, HPair, HSeq,
                               InterleaveTail, MeasureTail, PSeries,
-                              dim_abs_diff, ext_sum, hpair_add, hpair_eq,
+                              ext_sum, hpair_add, hpair_eq,
                               hpair_inf, hpair_series, hpair_sum, hpair_sup,
                               hseq_liminf, hseq_limit, top_terms)
+from hausdorff.metrics import dH_pairs
+from hausdorff.setalg import cantor_scale_measure
 
 
 def pair(d, m):
@@ -56,7 +58,7 @@ def test_log_ratio_validation():
 
 
 def test_dimension_renders_and_refuses_a_rational_value():
-    gap = dim_abs_diff(DIM_ONE, DIM_CANTOR)
+    gap = DIM_ONE - DIM_CANTOR
     assert gap.render() == "1 - log(2)/log(3)"
     assert repr(gap) == "Dimension(1 - log(2)/log(3))"
     with pytest.raises(NotSupported, match=r"log\(2\)/log\(3\) is irrational"):
@@ -75,7 +77,7 @@ def test_dimension_compare_exact_power_trick():
 
 def test_dimension_lincomb_cancellation():
     # log(2)/log(3) - log(2)/log(9) equals log(2)/log(9) exactly
-    gap = dim_abs_diff(DIM_CANTOR, Dimension.log_ratio(2, 9))
+    gap = DIM_CANTOR - Dimension.log_ratio(2, 9)
     assert gap.cmp(Dimension.log_ratio(2, 9)) == 0
 
 
@@ -135,6 +137,49 @@ def test_ext_enclosures():
         POS_INF.enclosure()
 
 
+def ref_ext_sum(values):
+    """`ext_sum` before it was a fold of `ExtReal.__add__`: the infinities
+    are tracked apart and the finite values summed."""
+    total = EXT_ZERO
+    saw_pos = saw_neg = False
+    for v in values:
+        if v == POS_INF:
+            saw_pos = True
+        elif v == NEG_INF:
+            saw_neg = True
+        if saw_pos and saw_neg:
+            raise UndefinedSum("measure sum mixes +inf and -inf")
+        if v not in (POS_INF, NEG_INF):
+            total = total + v
+    if saw_pos:
+        return POS_INF
+    if saw_neg:
+        return NEG_INF
+    return total
+
+
+def _sum_outcome(fn, values):
+    """The sum, or the class of the error."""
+    try:
+        return fn(iter(values))
+    except HausdorffError as exc:
+        return type(exc)
+
+
+EXT_VALUES = st.one_of(
+    st.fractions(-9, 9, max_denominator=6).map(ExtReal.of),
+    st.builds(lambda c, p: PSeries(c, p).sum(),
+              st.sampled_from([1, -2, F(7, 3)]), st.sampled_from([2, F(3, 2)])),
+    st.builds(cantor_scale_measure, st.sampled_from([F(1, 2), F(5, 7), 2])),
+    st.sampled_from([POS_INF, NEG_INF]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(EXT_VALUES, max_size=8))
+def test_ext_sum_matches_the_loop_it_replaced(values):
+    assert _sum_outcome(ext_sum, values) == _sum_outcome(ref_ext_sum, values)
+
+
 # --------------------------------------------------------------------------
 # exact comparisons
 
@@ -148,7 +193,8 @@ def test_exact_comparisons_build_no_difference_and_no_enclosure(monkeypatch):
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(Dimension, "_sub", counted("_sub", Dimension._sub))
+    monkeypatch.setattr(Dimension, "__sub__",
+                        counted("__sub__", Dimension.__sub__))
     monkeypatch.setattr(hvalue, "_dim_enclosure",
                         counted("_dim_enclosure", hvalue._dim_enclosure))
     shifted = Dimension(rat=F(1, 3), logs=DIM_CANTOR.logs)
@@ -174,7 +220,7 @@ def test_exact_comparisons_build_no_difference_and_no_enclosure(monkeypatch):
 def ref_dim_cmp(a, b):
     """`Dimension.cmp` before its exact paths: the sign of a - b, exact for
     at most one log term, else by interval separation."""
-    diff = a._sub(b)
+    diff = a - b
     if not diff.logs:
         return (diff.rat > 0) - (diff.rat < 0)
     if len(diff.logs) == 1:
@@ -194,10 +240,10 @@ def ref_dim_cmp(a, b):
 
 
 def ref_dim_abs_diff(a, b):
-    diff = a._sub(b)
+    diff = a - b
     if not diff.logs:
         return Dimension(rat=abs(diff.rat))
-    return diff if ref_dim_cmp(a, b) >= 0 else diff._scale(F(-1))
+    return diff if ref_dim_cmp(a, b) >= 0 else diff.scale(F(-1))
 
 
 def ref_ext_cmp(x, y):
@@ -275,11 +321,37 @@ def test_exact_comparisons_match_the_interval_reference():
         hits["two exact"] += x.is_exact() and y.is_exact()
         hits["interval"] += not (x.is_exact() and y.is_exact()) and x.is_finite() and y.is_finite()
         assert _outcome(lambda: a.cmp(b)) == _outcome(lambda: ref_dim_cmp(a, b)), (a, b)
-        assert _outcome(lambda: dim_abs_diff(a, b)) == \
+        assert _outcome(lambda: dH_pairs(HPair(a, EXT_ZERO),
+                                         HPair(b, EXT_ZERO)).value.d) == \
             _outcome(lambda: ref_dim_abs_diff(a, b)), (a, b)
         assert x.cmp(y) == ref_ext_cmp(x, y), (x, y)
         assert x.sign() == ref_ext_sign(x), x
     assert min(hits.values()) >= 200, hits
+
+
+def test_dH_pairs_signs_a_dimension_gap_once(monkeypatch):
+    calls = Counter()
+    diff_sign = hvalue._diff_sign
+
+    def counted(*args):
+        calls["_diff_sign"] += 1
+        return diff_sign(*args)
+
+    monkeypatch.setattr(hvalue, "_diff_sign", counted)
+    l25 = Dimension.log_ratio(2, 5)
+    cases = [
+        # two log terms in the difference: interval separation
+        (DIM_CANTOR, l25),
+        (Dimension(rat=F(1, 2), logs=l25.logs), DIM_CANTOR),
+        # one log term left in the difference: an integer power comparison
+        (Dimension(rat=F(1, 10), logs=DIM_CANTOR.logs + l25.logs),
+         Dimension(logs=DIM_CANTOR.logs))]
+    for a, b in cases:
+        for x, y in ((a, b), (b, a)):
+            calls.clear()
+            gap = dH_pairs(HPair(x, EXT_ZERO), HPair(y, EXT_ZERO)).value.d
+            assert calls == {"_diff_sign": 1}, (x, y)
+            assert gap == ref_dim_abs_diff(x, y)
 
 
 # --------------------------------------------------------------------------
