@@ -503,6 +503,10 @@ def _localize(piece: Atom, origin: Atom, expr: Expression) -> Expression:
     if isinstance(piece, CountableSeq):
         if piece.base_key == origin.base_key:
             return expr
+        # a tail of origin from index j reads origin's values from j on
+        j = origin.index_of(piece.point(1))
+        if origin.index_of(piece.point(2)) == j + 1:
+            return SeriesValues(_shift_series(expr.series, j - 1))
         raise NotRepresentable(
             "series values cannot be rebased onto a different sequence")
     raise NotRepresentable("series values survive only on their sequence")

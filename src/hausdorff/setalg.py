@@ -535,37 +535,33 @@ def _render_atom(a: Atom) -> str:
 # interval that covers a limit or cuts a Cantor copy turns a pair that is
 # not representable on its own into one that is.
 #
-# A pending non-point atom is resolved against the settled atoms whose
-# closed hull meets its own, in the order they settled. The first pair that
-# _resolve_pair does not return None for wins: the settled partner is
-# withdrawn and the replacement atoms go back to pending.
+# A pending non-point atom is resolved against the settled non-point atoms
+# whose closed hull meets its own, in the order they settled. The first
+# pair that _resolve_pair does not return None for wins: the settled
+# partner is withdrawn and the replacement atoms go back to pending.
 #
-# A pending point atom is settled in one pass by _settle_points. It takes
-# the settled atoms whose hulls can hold one of its points, in settle
-# order, and _claim_points decides each point once, at the first partner
-# that holds or deletes it: a held point is dropped, a deleted one is
-# restored in the partner, and the restored partner goes back to pending.
-# The settled point atom, if any, merges in, and the undecided points
-# settle at once with it as one atom. Each claim is the one _resolve_points
-# makes for the same pair, so the rule is that of pairwise resolution and
-# the set is the same; only the order of work differs. Pairwise, every
-# partner a point atom resolves with goes back to pending and settles
-# again later, so which of two atoms holds a point that both could hold,
-# and the order of two atoms with one hull, may differ from a pairwise
-# run, as they already differ between two orders of the same input.
+# A pending point atom settles in one pass (_settle_points): each settled
+# atom whose hull can hold one of its points, in settle order, claims the
+# undecided points it holds (dropped) or deletes (restored in it, and the
+# partner goes back to pending); the rest merge with the settled point
+# atom. Pairwise resolution claims the same points, so the set is the same,
+# but which of two atoms holds a point both could hold, and the order of
+# two atoms with one hull, may differ, as between two orders of one input.
 #
-# The settled atoms live in a _SettledIndex that hands out only the
-# partners whose hulls can meet, sorted by settle order. It skips only
+# Points settle last, so a point atom pops only when no non-point atom is
+# pending. Every non-point atom pushed after that is a restored partner or
+# made by resolving such partners, within base sets that hold none of the
+# settled points, so no pending non-point atom can hold or delete one: the
+# settled point atom stays beside the index, in normalize.
+#
+# The settled non-point atoms live in a _SettledIndex that hands out only
+# the partners whose hulls can meet, sorted by settle order. It skips only
 # pairs for which _resolve_pair would return None, so the pair that wins,
 # and every answer and refusal, are those of a scan over every settled
 # atom. It is keyed on the hulls rounded outward to floats, computed once
 # per atom: disjoint float bounds prove the hulls disjoint, and every
-# partner it hands out still passes an exact test. A point atom asks once
-# per point rather than once for its hull, and a non-point atom meets the
-# settled point atom only when one of its points falls inside:
-# _resolve_points returns None for a partner whose hull holds none of the
-# points. _resolve_pair keeps its own hull guard, so a pair it is handed
-# outside normalize is certified disjoint by the same test.
+# partner it hands out still passes the exact test in _resolve_pair. A
+# point atom asks once per point (holding) rather than once for its hull.
 
 _SETTLE_ORDER = {Interval: 0, CantorAffine: 1, CountableSeq: 2, FinitePoints: 3}
 _RANK = {FinitePoints: 0, CountableSeq: 1, Interval: 2, CantorAffine: 3}
@@ -576,37 +572,31 @@ def _rank(atom: Atom) -> int:
 
 
 class _SettledIndex:
-    """The settled atoms of one normalization, found by float hull.
+    """The settled non-point atoms of one normalization, by float hull.
 
     Each settled atom has a settle number; atoms maps the numbers to the
-    atoms in settle order. The non-point atoms also sit in chains: three
-    parallel lists (lower float bounds, upper float bounds, numbers) sorted
-    by both bounds at once, so no hull in a chain contains another and the
-    hulls meeting [lo, hi] form one slice, found by two bisections. An atom
-    joins the first chain where it keeps both orders or opens a new one, so
-    a hull that nests others (an unbounded interval, a sequence over
-    interval pieces, a Cantor copy over its gaps) costs one more chain to
-    bisect, not a scan of the others. At most one point atom is settled at
-    a time, since a second one always merges with it; it is found through
-    the floats of its points.
+    atoms in settle order. The atoms also sit in chains: three parallel
+    lists (lower float bounds, upper float bounds, numbers) sorted by both
+    bounds at once, so no hull in a chain contains another and the hulls
+    meeting [lo, hi] form one slice, found by two bisections. An atom joins
+    the first chain where it keeps both orders or opens a new one, so a
+    hull that nests others (an unbounded interval, a sequence over interval
+    pieces, a Cantor copy over its gaps) costs one more chain to bisect,
+    not a scan of the others.
     """
 
-    __slots__ = ("atoms", "chain_of", "chains", "points", "settled")
+    __slots__ = ("atoms", "chain_of", "chains", "settled")
 
     def __init__(self):
         self.atoms = {}  # settle number -> atom, in settle order
-        self.chain_of = {}  # settle number -> chain, for non-point atoms
+        self.chain_of = {}  # settle number -> chain
         self.chains = []
-        self.points = None  # settle number of the settled point atom
         self.settled = 0  # settle numbers handed out
 
     def add(self, x: Atom):
         number = self.settled
         self.settled = number + 1
         self.atoms[number] = x
-        if isinstance(x, FinitePoints):
-            self.points = number
-            return
         lo, hi = (x._hulls or x._cache_hulls())[1]
         k = 0
         for los, his, numbers in self.chains:
@@ -624,9 +614,6 @@ class _SettledIndex:
 
     def remove(self, number: int):
         y = self.atoms.pop(number)
-        if number == self.points:
-            self.points = None
-            return
         los, his, numbers = self.chains[self.chain_of.pop(number)]
         i = bisect.bisect_left(los, y._hulls[1][0])
         while numbers[i] != number:
@@ -635,54 +622,48 @@ class _SettledIndex:
 
     def meeting(self, x: Atom) -> list:
         """The settle numbers of the atoms whose hulls can meet x's, in
-        settle order: for a point atom, those whose hulls can hold one of
-        its points, and the settled point atom."""
+        settle order."""
+        lo, hi = (x._hulls or x._cache_hulls())[1]
+        found = []
+        for los, his, numbers in self.chains:
+            j = bisect.bisect_right(los, hi)
+            if j:
+                found += numbers[bisect.bisect_left(his, lo, 0, j):j]
+        return sorted(found)
+
+    def holding(self, x: Atom) -> list:
+        """The settle numbers of the atoms whose hulls can hold one of the
+        points of the point atom x, in settle order."""
         if not self.atoms:
             return []
-        found = []
-        if isinstance(x, FinitePoints):
-            floats = x.point_floats()
-            for los, his, numbers in self.chains:
-                done = 0  # the slices move right as the points do
-                for f in floats:
-                    j = bisect.bisect_right(los, f)
-                    if j > done:
-                        found += numbers[bisect.bisect_left(his, f, done, j):j]
-                        done = j
-            if self.points is not None:
-                found.append(self.points)
-        else:
-            lo, hi = (x._hulls or x._cache_hulls())[1]
-            for los, his, numbers in self.chains:
-                j = bisect.bisect_right(los, hi)
-                if j:
-                    found += numbers[bisect.bisect_left(his, lo, 0, j):j]
-            if self.points is not None:
-                floats = self.atoms[self.points].point_floats()
-                i = bisect.bisect_left(floats, lo)
-                if i < len(floats) and floats[i] <= hi:
-                    found.append(self.points)
-        if len(found) > 1:
-            found.sort()
-        return found
+        floats, found = x.point_floats(), []
+        for los, his, numbers in self.chains:
+            done = 0  # the slices move right as the points do
+            for f in floats:
+                j = bisect.bisect_right(los, f)
+                if j > done:
+                    found += numbers[bisect.bisect_left(his, f, done, j):j]
+                    done = j
+        return sorted(found)
 
 
 def normalize(atoms: Iterable[Atom]) -> RepSet:
     """Settle the atoms one at a time into a pairwise disjoint, canonically
     ordered list. The point atoms are folded into one first. Each pending
-    non-point atom is resolved against the settled atoms whose hulls meet
-    its own, found through a _SettledIndex in the order they settled; the
-    first pair that resolves wins. A pending point atom settles in one pass
-    over the settled atoms its points can meet (_settle_points). Raises
+    non-point atom is resolved against the settled non-point atoms whose
+    hulls meet its own, found through a _SettledIndex in the order they
+    settled; the first pair that resolves wins. A pending point atom
+    settles in one pass over the settled atoms its points can meet, and
+    merges with the settled point atom (_settle_points). Raises
     NotRepresentable when the union leaves the fragment and TooLarge when
     the resolution does not settle."""
     work = [a for a in atoms if not a.is_empty()]
     if len(work) < 2:
         return RepSet(tuple(work))
-    points = [a for a in work if isinstance(a, FinitePoints)]
-    if len(points) > 1:
+    folded = [a for a in work if isinstance(a, FinitePoints)]
+    if len(folded) > 1:
         work = [a for a in work if not isinstance(a, FinitePoints)]
-        work.append(FinitePoints(p for a in points for p in a.points))
+        work.append(FinitePoints(p for a in folded for p in a.points))
     # a heap of (settle order, arrival, atom): FIFO within each kind
     pending = [(_SETTLE_ORDER[type(a)], k, a) for k, a in enumerate(work)]
     heapq.heapify(pending)
@@ -694,18 +675,20 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
                 heapq.heappush(pending, (_SETTLE_ORDER[type(a)],
                                          next(arrivals), a))
 
-    settled = _SettledIndex()  # pairwise disjoint
+    settled = _SettledIndex()  # pairwise disjoint non-point atoms
+    points = None  # the settled point atom
     for _ in range(_ITER_GUARD):
         if not pending:
-            return RepSet(tuple(sorted(settled.atoms.values(), key=_hull_key)))
+            out = list(settled.atoms.values())
+            if points is not None:
+                out.append(points)
+            return RepSet(tuple(sorted(out, key=_hull_key)))
         x = heapq.heappop(pending)[2]
         if isinstance(x, FinitePoints):
-            _settle_points(x, settled, push)
+            points = _settle_points(x, points, settled, push)
             continue
         for number in settled.meeting(x):
             y = settled.atoms[number]
-            if not _hulls_meet(x, y):
-                continue
             # the settled atom goes first on a rank tie: the reverse makes
             # touching Cantor copies trade their shared point forever
             pair = (x, y) if _rank(x) < _rank(y) else (y, x)
@@ -719,42 +702,34 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
     raise TooLarge("set normalization did not stabilize")
 
 
-def _settle_points(x: FinitePoints, settled: _SettledIndex, push):
+def _settle_points(x: FinitePoints, points, settled: _SettledIndex, push):
     """Settle the point atom x in one pass: each settled atom its points
     can meet, in settle order, claims the undecided points it holds or
-    deletes (_claim_points). A partner that deletes a claimed point is
-    withdrawn and pushed back restored. The settled point atom is withdrawn
-    too, and its points, which no other settled atom's base set holds,
-    settle with x's unclaimed points as one atom."""
+    deletes (_claim_points), and one that deletes a claimed point is
+    withdrawn and pushed back restored. Returns the new settled point atom,
+    x's unclaimed points merged with those of points, or None."""
     pts = x.points
     # by index: the points {c*2^-n} collide in Fraction.__hash__
     claimed = set()
-    merged = []
-    for number in settled.meeting(x):
+    for number in settled.holding(x):
         y = settled.atoms[number]
-        if number == settled.points:
-            merged = list(y.points)
-            settled.remove(number)
-            continue
         undelete = _claim_points(pts, y, claimed)
         if undelete:
             settled.remove(number)
             push([y.restore(undelete)])
+    merged = () if points is None else points.points
     if claimed or merged:
         x = FinitePoints([p for k, p in enumerate(pts) if k not in claimed]
-                         + merged)
-    if not x.is_empty():
-        settled.add(x)
+                         + list(merged))
+    return None if x.is_empty() else x
 
 
 def _resolve_pair(x: Atom, y: Atom):
     """None when x and y are certified disjoint; otherwise a list of atoms
-    whose union equals x u y. Expects _rank(x) <= _rank(y)."""
-    # point atoms rank lowest, so y is one only when x is one as well
-    if not (_hulls_meet(x, y) or isinstance(y, FinitePoints)):
+    whose union equals x u y, for non-point atoms. Expects
+    _rank(x) <= _rank(y)."""
+    if not _hulls_meet(x, y):
         return None
-    if isinstance(x, FinitePoints):
-        return _resolve_points(x, y)
     if isinstance(x, CountableSeq):
         return _resolve_seq(x, y)
     if isinstance(x, Interval):
@@ -787,20 +762,6 @@ def _claim_points(pts: tuple, y: Atom, claimed: set) -> list:
             continue
         claimed.add(k)
     return undelete
-
-
-def _resolve_points(x: FinitePoints, y: Atom):
-    """x u y for a point atom x: two point atoms merge (normalize itself
-    merges them in _settle_points); against another atom, the points y
-    claims are dropped or restored in it. None when y claims none."""
-    if isinstance(y, FinitePoints):
-        return [FinitePoints(x.points + y.points)]
-    claimed = set()
-    undelete = _claim_points(x.points, y, claimed)
-    if not claimed:
-        return None
-    keep = [p for k, p in enumerate(x.points) if k not in claimed]
-    return [y.restore(undelete)] + _point_atoms(keep)
 
 
 def _tail_split(seq: CountableSeq, start: int, other: Atom):
@@ -1244,8 +1205,11 @@ def _seq_minus(x: CountableSeq, y: Atom) -> list:
         return [x.with_deletions(p for p in payload if y.member(p))]
     seq, start = payload
     if seq is not x:
-        raise NotRepresentable(
-            "removing an interleaved subsequence leaves a non-catalog set")
+        # y lies in x, and is x's tail when two terms follow on in x
+        start = x.index_of(y.point(1))
+        if x.index_of(y.point(2)) != start + 1:
+            raise NotRepresentable(
+                "removing an interleaved subsequence leaves a non-catalog set")
     # the whole tail of x is removed; only a finite head remains
     head, rescued = _tail_split(x, start, y)
     return _point_atoms(head + rescued)

@@ -73,6 +73,17 @@ def test_support_finite_value_list():
     assert support(f) == RepSet.of(FinitePoints([1, F(1, 3)]))
 
 
+def test_support_of_geometric_values_with_ratio_zero():
+    # a * 0^(n-1) is a at the first point and 0 after it
+    f = on([(HARM, SeriesValues(Geometric(3, 0)))])
+    assert support(f) == RepSet.of(FinitePoints([1]))
+    assert restrict_to_support(f) == (pair(0, 3), pair(0, 3))
+    # with the first point deleted nothing is left
+    f = on([(HARM.with_deletions([1]), SeriesValues(Geometric(3, 0)))])
+    assert support(f).is_empty()
+    assert h_integral(f) == pair(0, 0)
+
+
 def test_support_irrational_roots_stay():
     # x^2 - 2 changes sign at +-sqrt(2); no rational point to delete
     f = on([(Interval(0, 2), Poly([-2, 0, 1]))])
@@ -296,6 +307,8 @@ def test_geometric_values_on_harmonic_points():
 # 2^(1-n) at the points 1/n: the values are bound to the harmonic indices
 BASE_HALVES = on([(HARM, SeriesValues(Geometric(1, F(1, 2))))])
 RAMP = on([(Interval(0, 1), Poly([0, 1]))])
+GEO = CountableSeq(GEOMETRIC, 0, 1, F(1, 2))  # the points 2^-n
+GEO_TAIL = CountableSeq(GEOMETRIC, 0, F(1, 4), F(1, 2))  # GEO from index 3
 
 
 def test_integral_restricted_to_subregions():
@@ -319,16 +332,45 @@ def test_integral_restricted_to_subregions():
      "series values cannot be rebased onto a different sequence"),
     (BASE_HALVES, CountableSeq(HARMONIC, 0, F(1, 2)),
      "series values cannot be rebased onto a different sequence"),
+    # every other term of 2^-n is no tail of it; a tail shifts a p-series
+    # out of the catalog
+    (on([(GEO, SeriesValues(HALVES))]), CountableSeq(GEOMETRIC, 0, 1, F(1, 4)),
+     "series values cannot be rebased onto a different sequence"),
+    (on([(GEO, SeriesValues(PSeries(1, 2)))]), GEO_TAIL,
+     "a shifted p-series leaves the catalog"),
     (RAMP, HARM, "a polynomial is only constant enough for a fractal or "
      "sequence piece when it has degree zero"),
     (RAMP, CantorAffine(0, 1), "a polynomial is only constant enough"),
-], ids=["geometric-base", "half-harmonic-base", "ramp-on-sequence",
-        "ramp-on-cantor"])
+], ids=["geometric-base", "half-harmonic-base", "every-other-term",
+        "p-series-on-a-tail", "ramp-on-sequence", "ramp-on-cantor"])
 def test_integral_refuses_a_piece_its_values_cannot_be_read_on(f, region,
                                                                message):
     for integrate in (h_integral, restrict_to_support):
         with pytest.raises(NotRepresentable, match=message):
             integrate(f, RepSet.of(region))
+
+
+def test_values_are_read_on_a_tail_of_their_sequence():
+    # term n of the tail is term n + 2 of GEO, so the values shift by two
+    tail = RepSet.of(GEO_TAIL)
+    for series, want in [(Geometric(1, F(1, 2)), pair(0, F(1, 2))),
+                         (FiniteList([1, 2, 3, 4, 5]), pair(0, 12))]:
+        f = on([(GEO, SeriesValues(series))])
+        assert h_integral(f, tail) == want
+        assert restrict_to_support(f, tail) == (want, want)
+
+
+def test_add_values_on_a_sequence_and_on_its_tail():
+    f = on([(GEO, SeriesValues(Geometric(1, F(1, 2))))])
+    g = on([(GEO_TAIL, SeriesValues(Geometric(1, F(1, 2))))])
+    total = add(f, g)
+    # f reads 1/4, 1/8, ... on the tail, plus g's 1, 1/2, ...
+    assert (GEO_TAIL, SeriesValues(Geometric(F(5, 4), F(1, 2)))) in total.terms
+    assert set(total.terms) == {
+        (FinitePoints([F(1, 2)]), Const(1)),
+        (FinitePoints([F(1, 4)]), Const(F(1, 2))),
+        (GEO_TAIL, SeriesValues(Geometric(F(5, 4), F(1, 2))))}
+    assert h_integral(total) == pair(0, 4)
 
 
 def test_lower_dimension_contributes_nothing():
@@ -1140,6 +1182,26 @@ def test_beppo_levi_rejects_decreasing_chain():
         beppo_levi_limit(ShrinkingPlateau(0, 1, 1))
     with pytest.raises(MonotonicityViolated):
         beppo_levi_limit(SlidingBump(1))
+
+
+def test_beppo_levi_catches_a_generator_that_lies():
+    class ClaimsNondecreasing(ShrinkingPlateau):
+        def nondecreasing(self):
+            return True
+
+    # the chain shrinks, so the direct step check refutes the claim
+    with pytest.raises(MonotonicityViolated) as info:
+        beppo_levi_limit(ClaimsNondecreasing(0, 1, 1))
+    assert isinstance(info.value.__cause__, OrderNotVerified)
+
+    class WrongIntegrals(SupportGrowth):
+        def integral_seq(self):
+            return SupportGrowth(0, 1, 2, F(1, 2)).integral_seq()
+
+    with pytest.raises(ValidationError,
+                       match="the declared integral sequence clashes with "
+                       "direct integration at n = 1"):
+        beppo_levi_limit(WrongIntegrals(0, 1, 1, F(1, 2)))
 
 
 def test_beppo_levi_dimension_climb():

@@ -626,6 +626,26 @@ def test_prefix_perturbation_is_cauchy():
     assert is_cauchy(seq)
 
 
+class _FalseCertificates(PointPerturbation):
+    """Certifies index 1 at every tolerance; the bump there is 1/2."""
+
+    def cauchy_index(self, eps):
+        return 1
+
+    def limit_index(self, eps):
+        return 1
+
+
+def test_spot_checks_refute_a_false_certificate():
+    seq = _FalseCertificates(indicator(I01), 0)
+    with pytest.raises(ValidationError,
+                       match="certified index 1 fails against term 2"):
+        is_cauchy(seq)
+    with pytest.raises(ValidationError,
+                       match="certified index 1 fails at term 1"):
+        riesz_fischer_check(seq)
+
+
 def test_constant_sequence_is_cauchy():
     assert is_cauchy(ConstantSeq(indicator(I01)))
 

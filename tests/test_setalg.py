@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -25,7 +26,7 @@ from hausdorff.setalg import (_SETTLE_ORDER, GEOMETRIC, HARMONIC,
                               CantorAffine, CountableSeq, EMPTY_SET,
                               FinitePoints, Interval, RepSet,
                               _hull_overlap, _hulls_meet, _rank,
-                              _resolve_pair, _resolve_points,
+                              _resolve_pair,
                               cantor_gap, cantor_scale_measure, diff, hmeasure,
                               in_cantor, intersect, meeting_pairs, normalize,
                               symdiff, union, verify_monotone,
@@ -287,6 +288,24 @@ def test_geometric_sequences_of_one_base_ratio():
         union(RepSet.of(even), RepSet.of(thirds))
 
 
+def test_a_sequence_less_its_own_tail_is_its_head():
+    halves = RepSet.of(CountableSeq(GEOMETRIC, 0, 1, F(1, 2)))  # 2^-n
+    tail = CountableSeq(GEOMETRIC, 0, F(1, 4), F(1, 2))  # from 1/8 on
+    out = diff(halves, RepSet.of(tail))
+    assert out == RepSet.of(FinitePoints([F(1, 2), F(1, 4)]))
+    assert hmeasure(out) == HPair.of(0, 2)
+    # a point the tail deletes stays in the difference
+    out = diff(halves, RepSet.of(tail.with_deletions([F(1, 16)])))
+    assert out == RepSet.of(FinitePoints([F(1, 2), F(1, 4), F(1, 16)]))
+    # every other term, and 2^-n inside 1/n, are not tails: still refused
+    for x, y in [(halves, CountableSeq(GEOMETRIC, 0, 1, F(1, 4))),
+                 (RepSet.of(CountableSeq(HARMONIC, 0, 1)), halves.atoms[0])]:
+        with pytest.raises(NotRepresentable,
+                           match="removing an interleaved subsequence "
+                           "leaves a non-catalog set"):
+            diff(x, RepSet.of(y))
+
+
 def test_geometric_tail_inside_harmonic():
     h = CountableSeq(HARMONIC, 0, 1)
     g = CountableSeq(GEOMETRIC, 0, 4, F(1, 2))  # 2, 1, 1/2, 1/4, ...
@@ -379,27 +398,32 @@ def test_union_answer_independent_of_atom_order(atoms, render):
         assert normalize(order).render() == render
 
 
+def _settled(*atoms):
+    return set(normalize(atoms).atoms)
+
+
 def test_points_at_closed_hull_ends_are_resolved():
-    out = _resolve_points(FinitePoints([0, 1, 2, 3]), Interval(1, 2))
-    assert out == [Interval(1, 2), FinitePoints([0, 3])]
+    out = _settled(FinitePoints([0, 1, 2, 3]), Interval(1, 2))
+    assert out == {Interval(1, 2), FinitePoints([0, 3])}
     # deleted hull ends are restored in the other atom
-    out = _resolve_points(FinitePoints([1, 2, 5]),
-                          Interval(1, 2, deletions=[1, 2]))
-    assert out == [Interval(1, 2), FinitePoints([5])]
-    out = _resolve_points(FinitePoints([0, F(1, 2), 1, 2]), CantorAffine(0, 1))
-    assert out == [CantorAffine(0, 1), FinitePoints([F(1, 2), 2])]
+    out = _settled(FinitePoints([1, 2, 5]), Interval(1, 2, deletions=[1, 2]))
+    assert out == {Interval(1, 2), FinitePoints([5])}
+    out = _settled(FinitePoints([0, F(1, 2), 1, 2]), CantorAffine(0, 1))
+    assert out == {CantorAffine(0, 1), FinitePoints([F(1, 2), 2])}
     # the accumulation point is a hull end but not a member
     h = CountableSeq(HARMONIC, 0, 1)
-    assert _resolve_points(FinitePoints([0, 1]), h) == [h, FinitePoints([0])]
-    assert _resolve_points(FinitePoints([-1, 3]), Interval(0, 2)) is None
+    assert _settled(FinitePoints([0, 1]), h) == {h, FinitePoints([0])}
+    out = _settled(FinitePoints([-1, 3]), Interval(0, 2))
+    assert out == {FinitePoints([-1, 3]), Interval(0, 2)}
 
 
 def test_points_against_unbounded_intervals():
-    out = _resolve_points(FinitePoints([-5, 0, 1]), Interval(None, 0))
-    assert out == [Interval(None, 0), FinitePoints([1])]
-    out = _resolve_points(FinitePoints([-1, 0, 7]), Interval(0, None))
-    assert out == [Interval(0, None), FinitePoints([-1])]
-    assert _resolve_points(FinitePoints([-1]), Interval(0, None)) is None
+    out = _settled(FinitePoints([-5, 0, 1]), Interval(None, 0))
+    assert out == {Interval(None, 0), FinitePoints([1])}
+    out = _settled(FinitePoints([-1, 0, 7]), Interval(0, None))
+    assert out == {Interval(0, None), FinitePoints([-1])}
+    out = _settled(FinitePoints([-1]), Interval(0, None))
+    assert out == {FinitePoints([-1]), Interval(0, None)}
 
 
 def test_point_atoms_collapse_into_one():
@@ -800,6 +824,8 @@ def _probes(atoms):
 
 
 def _certified_disjoint(x, y):
+    if isinstance(x, FinitePoints) or isinstance(y, FinitePoints):
+        return not setalg._atom_meet(x, y)
     if _rank(x) != _rank(y):
         if _rank(x) > _rank(y):
             x, y = y, x
@@ -1167,9 +1193,24 @@ def _scan_hull_key(atom):
     return (lo_key, hi_key, _rank(atom))
 
 
+def _scan_resolve(x, y):
+    """x u y for a point atom x, pairwise: two point atoms merge; against
+    another atom, the points y claims are dropped or restored in it. None
+    when y claims none."""
+    if isinstance(y, FinitePoints):
+        return [FinitePoints(x.points + y.points)]
+    claimed = set()
+    undelete = setalg._claim_points(x.points, y, claimed)
+    if not claimed:
+        return None
+    keep = [p for k, p in enumerate(x.points) if k not in claimed]
+    return [y.restore(undelete)] + setalg._point_atoms(keep)
+
+
 def _normalize_by_scan(atoms):
     """normalize as it was before the settled index: each pending atom is
-    tested against every settled atom, in settle order."""
+    tested against every settled atom, in settle order, and a point atom is
+    resolved pairwise (_scan_resolve)."""
     work = [a for a in atoms if not a.is_empty()]
     if len(work) < 2:
         return RepSet(tuple(work))
@@ -1187,7 +1228,9 @@ def _normalize_by_scan(atoms):
                     or (points and isinstance(y, FinitePoints))):
                 continue
             pair = (x, y) if _rank(x) < _rank(y) else (y, x)
-            replacement = setalg._resolve_pair(*pair)
+            resolve = (_scan_resolve if isinstance(pair[0], FinitePoints)
+                       else setalg._resolve_pair)
+            replacement = resolve(*pair)
             if replacement is not None:
                 del settled[k]
                 for a in replacement:
@@ -1314,16 +1357,18 @@ def _sequence_over_pieces(n_atoms):
 
 
 def _counted(normalizer, atoms):
-    """(the rendered result, how often it called _resolve_pair and the
-    exact hull test _hull_overlap)."""
+    """(the rendered result, how often it called _resolve_pair or the
+    scan's _scan_resolve, and the exact hull test _hull_overlap)."""
     counts = {"resolve": 0, "exact": 0}
     with pytest.MonkeyPatch.context() as patch:
-        for name, key in (("_resolve_pair", "resolve"),
-                          ("_hull_overlap", "exact")):
-            def counting(*args, _inner=getattr(setalg, name), _key=key):
+        for module, name, key in ((setalg, "_resolve_pair", "resolve"),
+                                  (sys.modules[__name__], "_scan_resolve",
+                                   "resolve"),
+                                  (setalg, "_hull_overlap", "exact")):
+            def counting(*args, _inner=getattr(module, name), _key=key):
                 counts[_key] += 1
                 return _inner(*args)
-            patch.setattr(setalg, name, counting)
+            patch.setattr(module, name, counting)
         return normalizer(atoms).render(), counts
 
 
@@ -1484,19 +1529,37 @@ def test_settled_index_lookups():
     wide = CountableSeq(HARMONIC, 0, 1)  # hull [0, 1]
     pieces = [Interval(F(1, n + 1) + F(1, 100), F(1, n) - F(1, 100))
               for n in (1, 2, 3)]
-    for atom in [wide] + pieces + [FinitePoints([F(-1), F(3, 4), 5])]:
+    for atom in [wide] + pieces + [Interval(-1, F(3, 4))]:
         index.add(atom)
-    # the wide hull takes a chain of its own; the pieces share one
-    assert sorted(len(numbers) for _, _, numbers in index.chains) == [1, 3]
+    # the wide hull and [-1, 3/4] keep both orders in one chain; the
+    # pieces, nested in the wide hull, share another
+    assert sorted(len(numbers) for _, _, numbers in index.chains) == [2, 3]
     assert index.meeting(Interval(F(5, 8), F(7, 8))) == [0, 1, 4]
     assert index.meeting(Interval(2, 3)) == []
-    assert index.meeting(Interval(4, None)) == [4]
-    # a point atom asks for each point, and always meets the point atom
-    assert index.meeting(FinitePoints([F(-1, 2), F(2, 5)])) == [0, 2, 4]
+    assert index.meeting(Interval(4, None)) == []
+    # a point atom asks for each point: -1/2 meets [-1, 3/4] alone
+    assert index.holding(FinitePoints([F(-1, 2), F(2, 5)])) == [0, 2, 4]
     index.remove(2)
     index.remove(4)
-    assert index.meeting(FinitePoints([F(-1, 2), F(2, 5)])) == [0]
+    assert index.holding(FinitePoints([F(-1, 2), F(2, 5)])) == [0]
     assert list(index.atoms.values()) == [wide, pieces[0], pieces[2]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(index_lists(), point_heavy_lists()))
+def test_normalize_resolves_no_point_atom_pairwise(atoms):
+    # points settle last, in one pass, and no atom pending after them can
+    # hold or delete a settled point: _resolve_pair only sees non-points
+    handed = []
+
+    def watching(x, y, _inner=setalg._resolve_pair):
+        handed.extend(a for a in (x, y) if isinstance(a, FinitePoints))
+        return _inner(x, y)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(setalg, "_resolve_pair", watching)
+        for order in (atoms, atoms[::-1]):
+            _outcome(normalize, order)
+    assert not handed, atoms
 
 
 # -- the Cantor splits ------------------------------------------------------
