@@ -27,8 +27,8 @@ from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, CoefficientSeries,
                      top_sum)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
                      FinitePoints, Interval, RepSet, _atom_meet, _hulls_meet,
-                     cross_pairs, diff, hmeasure, intersect, meeting_pairs,
-                     normalize, union)
+                     _tail_start, cross_pairs, diff, hmeasure, intersect,
+                     meeting_pairs, normalize, union)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +504,7 @@ def _localize(piece: Atom, origin: Atom, expr: Expression) -> Expression:
         if piece.base_key == origin.base_key:
             return expr
         # a tail of origin from index j reads origin's values from j on
-        j = origin.index_of(piece.point(1))
-        if origin.index_of(piece.point(2)) == j + 1:
+        if (j := _tail_start(origin, piece)) is not None:
             return SeriesValues(_shift_series(expr.series, j - 1))
         raise NotRepresentable(
             "series values cannot be rebased onto a different sequence")

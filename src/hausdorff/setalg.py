@@ -634,8 +634,6 @@ class _SettledIndex:
     def holding(self, x: Atom) -> list:
         """The settle numbers of the atoms whose hulls can hold one of the
         points of the point atom x, in settle order."""
-        if not self.atoms:
-            return []
         floats, found = x.point_floats(), []
         for los, his, numbers in self.chains:
             done = 0  # the slices move right as the points do
@@ -676,12 +674,10 @@ def normalize(atoms: Iterable[Atom]) -> RepSet:
                                          next(arrivals), a))
 
     settled = _SettledIndex()  # pairwise disjoint non-point atoms
-    points = None  # the settled point atom
+    points = []  # the settled point atom, if any
     for _ in range(_ITER_GUARD):
         if not pending:
-            out = list(settled.atoms.values())
-            if points is not None:
-                out.append(points)
+            out = [*settled.atoms.values(), *points]
             return RepSet(tuple(sorted(out, key=_hull_key)))
         x = heapq.heappop(pending)[2]
         if isinstance(x, FinitePoints):
@@ -706,8 +702,8 @@ def _settle_points(x: FinitePoints, points, settled: _SettledIndex, push):
     """Settle the point atom x in one pass: each settled atom its points
     can meet, in settle order, claims the undecided points it holds or
     deletes (_claim_points), and one that deletes a claimed point is
-    withdrawn and pushed back restored. Returns the new settled point atom,
-    x's unclaimed points merged with those of points, or None."""
+    withdrawn and pushed back restored. Returns the settled point atoms:
+    [x's unclaimed points merged with those of points], or []."""
     pts = x.points
     # by index: the points {c*2^-n} collide in Fraction.__hash__
     claimed = set()
@@ -717,11 +713,10 @@ def _settle_points(x: FinitePoints, points, settled: _SettledIndex, push):
         if undelete:
             settled.remove(number)
             push([y.restore(undelete)])
-    merged = () if points is None else points.points
-    if claimed or merged:
+    if claimed or points:
         x = FinitePoints([p for k, p in enumerate(pts) if k not in claimed]
-                         + list(merged))
-    return None if x.is_empty() else x
+                         + [p for a in points for p in a.points])
+    return [] if x.is_empty() else [x]
 
 
 def _resolve_pair(x: Atom, y: Atom):
@@ -732,9 +727,8 @@ def _resolve_pair(x: Atom, y: Atom):
         return None
     if isinstance(x, CountableSeq):
         return _resolve_seq(x, y)
-    if isinstance(x, Interval):
-        if isinstance(y, Interval):
-            return _resolve_interval_interval(x, y)
+    if isinstance(y, Interval):  # and so is x, by rank
+        return _resolve_interval_interval(x, y)
     return _resolve_with_cantor(x, y)
 
 
@@ -771,6 +765,15 @@ def _tail_split(seq: CountableSeq, start: int, other: Atom):
     head = [p for p in map(seq.point, _term_range(1, start))
             if seq.member(p) and not other.in_base(p)]
     return head, [d for d in other.deletions if seq.member(d)]
+
+
+def _tail_start(x: CountableSeq, y: CountableSeq) -> Optional[int]:
+    """The index j of x where y starts when y is x's tail, else None. Only
+    a geometric y with x's a and q, and y.b == x.b * q**(j-1), is a tail."""
+    if x.family == y.family == GEOMETRIC and (x.a, x.q) == (y.a, y.q):
+        m = power_index(y.b / x.b, x.q)
+        return m + 1 if m is not None and m >= 0 else None
+    return None
 
 
 # -- sequence vs sequence -----------------------------------------------------
@@ -1205,9 +1208,9 @@ def _seq_minus(x: CountableSeq, y: Atom) -> list:
         return [x.with_deletions(p for p in payload if y.member(p))]
     seq, start = payload
     if seq is not x:
-        # y lies in x, and is x's tail when two terms follow on in x
-        start = x.index_of(y.point(1))
-        if x.index_of(y.point(2)) != start + 1:
+        # y lies in x; unless y is x's tail, its terms interleave x's
+        start = _tail_start(x, y)
+        if start is None:
             raise NotRepresentable(
                 "removing an interleaved subsequence leaves a non-catalog set")
     # the whole tail of x is removed; only a finite head remains

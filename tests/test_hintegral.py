@@ -332,6 +332,10 @@ def test_integral_restricted_to_subregions():
      "series values cannot be rebased onto a different sequence"),
     (BASE_HALVES, CountableSeq(HARMONIC, 0, F(1, 2)),
      "series values cannot be rebased onto a different sequence"),
+    # 1, 1/2, 1/4, ... opens with two consecutive terms of 1/n, but 1/4 is
+    # its fourth: no geometric sequence is a tail of a harmonic one
+    (BASE_HALVES, CountableSeq(GEOMETRIC, 0, 2, F(1, 2)),
+     "series values cannot be rebased onto a different sequence"),
     # every other term of 2^-n is no tail of it; a tail shifts a p-series
     # out of the catalog
     (on([(GEO, SeriesValues(HALVES))]), CountableSeq(GEOMETRIC, 0, 1, F(1, 4)),
@@ -341,7 +345,8 @@ def test_integral_restricted_to_subregions():
     (RAMP, HARM, "a polynomial is only constant enough for a fractal or "
      "sequence piece when it has degree zero"),
     (RAMP, CantorAffine(0, 1), "a polynomial is only constant enough"),
-], ids=["geometric-base", "half-harmonic-base", "every-other-term",
+], ids=["geometric-base", "half-harmonic-base", "geometric-from-one",
+        "every-other-term",
         "p-series-on-a-tail", "ramp-on-sequence", "ramp-on-cantor"])
 def test_integral_refuses_a_piece_its_values_cannot_be_read_on(f, region,
                                                                message):
@@ -371,6 +376,12 @@ def test_add_values_on_a_sequence_and_on_its_tail():
         (FinitePoints([F(1, 4)]), Const(F(1, 2))),
         (GEO_TAIL, SeriesValues(Geometric(F(5, 4), F(1, 2))))}
     assert h_integral(total) == pair(0, 4)
+    # 1, 1/2, 1/4, ... inside 1/n is no tail of it: still refused
+    g = on([(CountableSeq(GEOMETRIC, 0, 2, F(1, 2)),
+             SeriesValues(Geometric(1, F(1, 2))))])
+    with pytest.raises(NotRepresentable,
+                       match="removing an interleaved subsequence"):
+        add(BASE_HALVES, g)
 
 
 def test_lower_dimension_contributes_nothing():

@@ -297,9 +297,15 @@ def test_a_sequence_less_its_own_tail_is_its_head():
     # a point the tail deletes stays in the difference
     out = diff(halves, RepSet.of(tail.with_deletions([F(1, 16)])))
     assert out == RepSet.of(FinitePoints([F(1, 2), F(1, 4), F(1, 16)]))
-    # every other term, and 2^-n inside 1/n, are not tails: still refused
+    # every other term, and 2^-n inside 1/n, are not tails: still refused;
+    # nor is 1, 1/2, 1/4, ... though it opens with 1/n's first two terms,
+    # and likewise 1 + 3(1/2)^(n-1) inside 1 + 3/n
+    harmonic = RepSet.of(CountableSeq(HARMONIC, 0, 1))
     for x, y in [(halves, CountableSeq(GEOMETRIC, 0, 1, F(1, 4))),
-                 (RepSet.of(CountableSeq(HARMONIC, 0, 1)), halves.atoms[0])]:
+                 (harmonic, halves.atoms[0]),
+                 (harmonic, CountableSeq(GEOMETRIC, 0, 2, F(1, 2))),
+                 (RepSet.of(CountableSeq(HARMONIC, 1, 3)),
+                  CountableSeq(GEOMETRIC, 1, 6, F(1, 2)))]:
         with pytest.raises(NotRepresentable,
                            match="removing an interleaved subsequence "
                            "leaves a non-catalog set"):
@@ -824,8 +830,11 @@ def _probes(atoms):
 
 
 def _certified_disjoint(x, y):
-    if isinstance(x, FinitePoints) or isinstance(y, FinitePoints):
-        return not setalg._atom_meet(x, y)
+    if isinstance(y, FinitePoints):
+        x, y = y, x
+    if isinstance(x, FinitePoints):
+        # y neither holds nor deletes a point of x, as the scan resolves it
+        return _scan_resolve(x, y) is None
     if _rank(x) != _rank(y):
         if _rank(x) > _rank(y):
             x, y = y, x
