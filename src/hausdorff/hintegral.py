@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from ._numeric import Fraction, Rational, _frac, _trimmed
@@ -777,14 +777,8 @@ def countable_additivity(f: PiecewiseFunction, head: Sequence[RepSet],
     parts = [p for p in head]
     if tail is not None:
         parts.append(tail.as_set())
-    # only parts with atoms whose hulls meet can overlap
-    owned = [(k, a) for k, p in enumerate(parts) for a in p.atoms]
-    near = set()
-    for i, j in meeting_pairs([a.float_hull() for _, a in owned]):
-        (k, a), (l, b) = owned[i], owned[j]
-        if k != l and _hulls_meet(a, b):
-            near.add((k, l))
-    for i, j in sorted(near):
+    # intersect meets only the atoms whose hulls meet (cross_pairs)
+    for i, j in combinations(range(len(parts)), 2):
         if not intersect(parts[i], parts[j]).is_empty():
             raise DisjointnessViolated(f"partition parts {i} and {j} overlap")
     whole = EMPTY_SET

@@ -832,34 +832,11 @@ def _common_points_finite(x: CountableSeq, y: CountableSeq) -> list:
     return sorted(commons)
 
 
-def _seq_base_subset(x: CountableSeq, y: CountableSeq) -> bool:
-    """Base-set containment x subset-of y, for sequences with the same
-    accumulation point on the same side of it."""
-    if x.family == HARMONIC and y.family == HARMONIC:
-        # x.b/n == y.b/m needs m = n * (y.b/x.b) integral for every n
-        k = y.b / x.b
-        return k.denominator == 1 and k >= 1
-    if x.family == GEOMETRIC and y.family == GEOMETRIC:
-        # x.q == y.q**k and x.b == y.b * y.q**j: term n of x is term
-        # k*n + j of y
-        k = power_index(x.q, y.q)
-        if k is None or k < 1:
-            return False
-        j = power_index(x.b / y.b, y.q)
-        return j is not None and j + k >= 1
-    if x.family == GEOMETRIC and y.family == HARMONIC:
-        # a + b*q^n == a + y.b/m needs m = (y.b/x.b) * (1/q)^n integral
-        if x.q.numerator != 1:
-            return False
-        first = (y.b / x.b) * x.q.denominator
-        return first.denominator == 1 and first >= 1
-    return False  # a harmonic sequence is never inside a geometric one
-
-
 def _geo_geo_commons(x: CountableSeq, y: CountableSeq):
-    """Intersection structure of same-accumulation geometric sequences not
-    in containment: "disjoint", ("finite", pts), or None when the
-    intersection is infinite and interleaved."""
+    """Intersection structure of geometric sequences with the same
+    accumulation point and side: "disjoint", ("finite", pts), ("tail",
+    (seq, start)) as _seq_seq_commons says, or None when the intersection
+    is infinite and interleaved."""
     rho, e = _primitive_ratio(x.q)
     sigma, f = _primitive_ratio(y.q)
     target = y.b / x.b  # common points need x.q**n / y.q**m == target
@@ -877,21 +854,27 @@ def _geo_geo_commons(x: CountableSeq, y: CountableSeq):
         if n >= 1 and m >= 1 and x.b * x.q ** n == y.b * y.q ** m:
             return ("finite", [x.point(n)])
         return "disjoint"
+    # common index pairs solve e*n - f*m == z: none unless gcd(e, f)
+    # divides z. Once f divides e, each n >= (z + f) / e has its m >= 1,
+    # so x's tail lies in y; once e divides f, each m >= (e - z) / f has
+    # its n, and y's tail lies in x. Otherwise both are interleaved. With
+    # e == f both hold, and x from index 1 lies in y exactly when z <= 0.
     z = power_index(target, rho)
-    if z is None:
+    g = math.gcd(e, f)
+    if z is None or z % g != 0:
         return "disjoint"
-    # common points need e*n - f*m == z: solvable iff gcd(e, f) divides z,
-    # and then the solutions fill an infinite lattice line
-    if z % math.gcd(e, f) != 0:
-        return "disjoint"
+    if f == g and (e != f or z <= 0):
+        return ("tail", (x, max(1, -((-z - f) // e))))
+    if e == g:
+        return ("tail", (y, max(1, -((z - e) // f))))
     return None
 
 
 def _harm_geo_commons(h: CountableSeq, g: CountableSeq):
     """Intersection structure of a harmonic and a geometric sequence with
-    the same accumulation point and side, outside containment: "disjoint",
-    ("finite", pts), or ("tail", (g, start)) when exactly the terms of g
-    from index start onward are common."""
+    the same accumulation point and side: "disjoint", ("finite", pts), or
+    ("tail", (g, start)) when exactly the terms of g from index start
+    onward are common."""
     # h.b/n == g.b * q^m  =>  n = (alpha/beta) * (v/u)^m, an integer
     # exactly when beta divides v^m and u^m divides alpha
     ratio = h.b / g.b  # positive: same side of the accumulation point
@@ -914,20 +897,6 @@ def _harm_geo_commons(h: CountableSeq, g: CountableSeq):
     return ("finite", pts) if pts else "disjoint"
 
 
-def _same_accumulation_commons(x: CountableSeq, y: CountableSeq):
-    """Dispatch for same-accumulation, same-side pairs not in containment."""
-    if x.family == HARMONIC and y.family == HARMONIC:
-        # common indices fill the lattice n = den*k, m = num*k of the
-        # reduced coefficient ratio; outside containment both parts are
-        # >= 2, so the intersection is infinite and co-infinite in both
-        return None
-    if x.family == GEOMETRIC and y.family == GEOMETRIC:
-        return _geo_geo_commons(x, y)
-    if x.family == HARMONIC:
-        return _harm_geo_commons(x, y)
-    return _harm_geo_commons(y, x)
-
-
 def _seq_seq_commons(x: CountableSeq, y: CountableSeq):
     """How two sequences meet: "disjoint", ("finite", candidate common
     points), ("tail", (seq, start)) when the terms of seq from index start
@@ -937,11 +906,20 @@ def _seq_seq_commons(x: CountableSeq, y: CountableSeq):
         return ("finite", _common_points_finite(x, y))
     if (x.b > 0) != (y.b > 0):
         return "disjoint"  # opposite sides of the shared accumulation point
-    if _seq_base_subset(x, y):
+    if x.family != y.family:
+        return (_harm_geo_commons(x, y) if x.family == HARMONIC
+                else _harm_geo_commons(y, x))
+    if x.family == GEOMETRIC:
+        return _geo_geo_commons(x, y)
+    # x.b/n == y.b/m needs m = n * r: all of x lies in y when r is an
+    # integer, all of y in x when 1/r is; otherwise the common indices
+    # fill the lattice n = den*k, m = num*k, infinite and interleaved
+    r = y.b / x.b
+    if r.denominator == 1:
         return ("tail", (x, 1))
-    if _seq_base_subset(y, x):
+    if r.numerator == 1:
         return ("tail", (y, 1))
-    return _same_accumulation_commons(x, y)
+    return None
 
 
 def _seq_commons(x: CountableSeq, y: Atom, op: str):

@@ -175,15 +175,6 @@ def ref_seq_base_subset(x, y):
     if x.family == HARMONIC and y.family == HARMONIC:
         k = y.b / x.b
         return k.denominator == 1 and k >= 1
-    if x.family == GEOMETRIC and y.family == GEOMETRIC:
-        if x.q == y.q:
-            z = ref_power_index(x.b / y.b, x.q)
-            return z is not None and z >= 0
-        k = ref_power_index(x.q, y.q)
-        if k is None or k < 1:
-            return False
-        j = ref_power_index(x.b / y.b, y.q)
-        return j is not None and j + k >= 1
     if x.family == GEOMETRIC and y.family == HARMONIC:
         if x.q.numerator != 1:
             return False
@@ -212,7 +203,23 @@ def ref_geo_geo_commons(x, y):
     z = ref_power_index(y.b / x.b, rho)
     if f is None or z is None or z % math.gcd(e, f) != 0:
         return "disjoint"
-    return None
+    # the common index pairs solve e*n - f*m == z; a tail of x lies in y
+    # when every n past some index has its m >= 1, and the other way round
+    tails = []
+    if e % f == 0:
+        n = 1
+        while e * n - z < f:
+            n += 1
+        tails.append((n, 0, x))
+    if f % e == 0:
+        m = 1
+        while z + f * m < e:
+            m += 1
+        tails.append((m, 1, y))
+    if not tails:
+        return None
+    start, _, seq = min(tails)
+    return ("tail", (seq, start))
 
 
 def ref_harm_geo_commons(h, g):

@@ -679,8 +679,8 @@ def test_riesz_fischer_point_perturbation():
 
 
 def test_certificates_check_each_function_once(monkeypatch):
-    # the limit once up front and every term once, not again inside
-    # each distance
+    # the generator certifies its terms (see CauchySeq): riesz_fischer_check
+    # checks its limit alone, and is_cauchy the first term it builds
     from hausdorff import metrics
     seq = PointPerturbation(indicator(I01), 0)
     checked = []
@@ -688,11 +688,16 @@ def test_certificates_check_each_function_once(monkeypatch):
     monkeypatch.setattr(metrics, "absolutely_integrable",
                         lambda f: checked.append(f) or real(f))
     limit, _ = riesz_fischer_check(seq)
-    assert sum(f is limit for f in checked) == 1
-    assert len(checked) == 1 + 2 * len(DEFAULT_SCHEDULE)
+    assert len(checked) == 1 and checked[0] is limit
     checked.clear()
     assert is_cauchy(seq)
-    assert len(checked) == 3 * len(DEFAULT_SCHEDULE)
+    assert len(checked) == 1 and checked[0] == seq.term(seq.cauchy_index(1))
+
+
+def test_is_cauchy_refuses_a_constant_outside_lh():
+    seq = ConstantSeq(indicator(RepSet.of(Interval(0, None))))
+    with pytest.raises(NotInLH, match="the left argument has an infinite"):
+        is_cauchy(seq)
 
 
 # Four cells as in the benchmark's sequence requests: a polynomial with a

@@ -312,6 +312,27 @@ def test_a_sequence_less_its_own_tail_is_its_head():
             diff(x, RepSet.of(y))
 
 
+def test_a_geometric_tail_past_index_one_combines():
+    # {4^(1-n)} = 1, 1/4, 1/16, ...: its tail from 1/4 on lies in {2^-n}
+    x = RepSet.of(CountableSeq(GEOMETRIC, 0, 4, F(1, 4)))
+    y = RepSet.of(CountableSeq(GEOMETRIC, 0, 1, F(1, 2)))
+    u, meet, less = union(x, y), intersect(x, y), diff(x, y)
+    assert u.render() == "{0 + 1*(1/2)^n} u {1}"
+    assert union(y, x).render() == u.render()
+    assert meet.render() == "{0 + 4*(1/4)^n} \\ {1}"
+    assert less.render() == "{1}" and hmeasure(less) == HPair.of(0, 1)
+    with pytest.raises(NotRepresentable,
+                       match="removing an interleaved subsequence "
+                       "leaves a non-catalog set"):
+        diff(y, x)
+    for s in (x, y):
+        for p in map(s.atoms[0].point, range(1, 1001)):
+            inx, iny = x.member(p), y.member(p)
+            assert u.member(p) == (inx or iny)
+            assert meet.member(p) == (inx and iny)
+            assert less.member(p) == (inx and not iny)
+
+
 def test_geometric_tail_inside_harmonic():
     h = CountableSeq(HARMONIC, 0, 1)
     g = CountableSeq(GEOMETRIC, 0, 4, F(1, 2))  # 2, 1, 1/2, 1/4, ...
