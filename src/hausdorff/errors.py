@@ -44,10 +44,6 @@ class DisjointnessViolated(HausdorffError):
     """Pieces that must be pairwise disjoint overlap."""
 
 
-class NoLimitFound(HausdorffError):
-    """A limit object was requested from a generator that cannot certify one."""
-
-
 class DoesNotConverge(HausdorffError):
     """The sequence has distinct liminf and limsup."""
 

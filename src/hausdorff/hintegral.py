@@ -22,13 +22,12 @@ from .errors import (DisjointnessViolated, DoesNotConverge,
                      ValidationError)
 from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, CoefficientSeries,
                      ConstantTail, ExtReal, FiniteList, Geometric, GrowthTail,
-                     HPair, HSeq, InterleaveTail, MeasureTail, PSeries,
-                     hpair_eq, hpair_sum, hseq_liminf, hseq_limit, series_add,
-                     top_sum)
+                     HPair, HSeq, MeasureTail, PSeries, hpair_eq, hpair_sum,
+                     hseq_liminf, hseq_limit, series_add, top_sum)
 from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
                      FinitePoints, Interval, RepSet, _atom_meet, _hulls_meet,
-                     _tail_start, cross_pairs, diff, hmeasure, intersect,
-                     meeting_pairs, normalize, union)
+                     _tail_start, _term_range, cross_pairs, diff, hmeasure,
+                     intersect, meeting_pairs, normalize, union)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +726,7 @@ class SingletonTail:
         object.__setattr__(self, "start", start)
 
     def as_set(self) -> RepSet:
-        skipped = [self.atom.point(n) for n in range(1, self.start)]
+        skipped = list(map(self.atom.point, _term_range(1, self.start)))
         return RepSet.of(self.atom.with_deletions(skipped))
 
 
@@ -854,11 +853,24 @@ def monotone_compare(f: PiecewiseFunction, g: PiecewiseFunction,
 class FunctionSeq:
     """A generated sequence of piecewise functions, indexed from 1.
 
-    Generators know their own sign, monotonicity, integral sequence and
-    pointwise limit exactly, which is what makes the convergence
-    theorems checkable at the desk: subclasses provide term(n),
-    integral_seq(), limit_function(), nonneg() and nondecreasing().
+    Generators know their terms and limit exactly, which makes the
+    convergence theorems checkable at the desk. Each provides term(n)
+    and limit(). Monotone convergence and Fatou's lemma read
+    integral_seq(), nonneg() and nondecreasing(). Completeness reads
+    limit_index(eps), an index N with d_H(f_n, limit) < (0, eps)
+    certified for all n >= N, and cauchy_index(eps), the same for
+    d_H(f_n, f_m), or None when no index will do.
+
+    Every term lies in L_H when one does: the generator certifies its
+    terms, and the metrics checks certify one term only. A
+    PerturbationSeq certifies its base, and each bump adds finitely many
+    finite values; an Alternating's d_H certifies both of its functions;
+    a ConstantSeq's terms are its limit.
     """
+
+    def cauchy_index(self, eps):
+        # d(f_n, f_m) <= d(f_n, limit) + d(limit, f_m)
+        return self.limit_index(Fraction(eps) / 2)
 
     def check_step(self, n: int) -> None:
         """Certify term(n) <= term(n+1) pointwise, or raise
@@ -897,7 +909,7 @@ class SupportGrowth(FunctionSeq):
         return HSeq((), MeasureTail(DIM_ONE,
                                     PSeries(-self.value * self.gap, 1), base))
 
-    def limit_function(self):
+    def limit(self):
         return PiecewiseFunction(
             [(Interval(self.lo, self.hi, (self.hi,)), Const(self.value))])
 
@@ -936,7 +948,7 @@ class ShrinkingPlateau(FunctionSeq):
         return HSeq((), MeasureTail(DIM_ONE,
                                     PSeries(self.value * self.width, 1)))
 
-    def limit_function(self):
+    def limit(self):
         return PiecewiseFunction(
             [(FinitePoints([self.base]), Const(self.value))])
 
@@ -970,7 +982,7 @@ class PrefixGrowth(FunctionSeq):
     def integral_seq(self):
         return HSeq((), GrowthTail(DIM_ZERO, self.value))
 
-    def limit_function(self):
+    def limit(self):
         return PiecewiseFunction([(self.atom, Const(self.value))])
 
     def nonneg(self):
@@ -1000,7 +1012,7 @@ class SlidingBump(FunctionSeq):
     def integral_seq(self):
         return HSeq((), ConstantTail(HPair(DIM_ONE, ExtReal.of(self.value))))
 
-    def limit_function(self):
+    def limit(self):
         return zero_function()
 
     def nonneg(self):
@@ -1008,38 +1020,6 @@ class SlidingBump(FunctionSeq):
 
     def nondecreasing(self):
         return False
-
-
-@dataclass(frozen=True)
-class Alternating(FunctionSeq):
-    """Terms alternating between two functions; no pointwise limit unless
-    they coincide."""
-
-    first: PiecewiseFunction
-    second: PiecewiseFunction
-
-    def term(self, n):
-        return self.first if n % 2 == 1 else self.second
-
-    def integral_seq(self):
-        return HSeq((), InterleaveTail((
-            ConstantTail(h_integral(self.first)),
-            ConstantTail(h_integral(self.second)))))
-
-    def _settles(self) -> bool:
-        # equal functions may be spelled with different pieces
-        return add(self.first, scalar_mul(-1, self.second)).is_zero()
-
-    def limit_function(self):
-        if self._settles():
-            return self.first
-        raise DoesNotConverge("the terms alternate without settling")
-
-    def nonneg(self):
-        return _certified_nonneg(self.first, self.second)
-
-    def nondecreasing(self):
-        return self._settles()
 
 
 @dataclass(frozen=True)
@@ -1072,7 +1052,7 @@ class StageClimb(FunctionSeq):
         pairs = [h_integral(indicator(s, self.value)) for s in self.stages]
         return HSeq(tuple(pairs[:-1]), ConstantTail(pairs[-1]))
 
-    def limit_function(self):
+    def limit(self):
         return indicator(self.stages[-1], self.value)
 
     def nonneg(self):
@@ -1089,9 +1069,8 @@ class StageClimb(FunctionSeq):
 
 @dataclass(frozen=True)
 class ConstantSeq(FunctionSeq):
-    """f_n = fn for every n; also a metrics.CauchySeq, whose d_H limit is
-    fn and whose two indices are 1 for every tolerance: every term is at
-    distance 0 from every other and from fn."""
+    """f_n = fn for every n: every term is at distance 0 from fn, so the
+    limit index is 1 for every tolerance."""
 
     fn: PiecewiseFunction
 
@@ -1101,15 +1080,11 @@ class ConstantSeq(FunctionSeq):
     def integral_seq(self):
         return HSeq((), ConstantTail(h_integral(self.fn)))
 
-    def limit_function(self):
+    def limit(self):
         return self.fn
 
-    limit = limit_function
-
-    def cauchy_index(self, eps):
+    def limit_index(self, eps):
         return 1
-
-    limit_index = cauchy_index
 
     def nonneg(self):
         return _certified_nonneg(self.fn)
@@ -1136,6 +1111,18 @@ class MonotoneLimitReport:
 _VERIFY_TERMS = 4
 
 
+def _checked_integrals(seq: FunctionSeq) -> HSeq:
+    """seq's declared integral sequence, its first terms checked against
+    direct integration."""
+    ints = seq.integral_seq()
+    for n in range(1, _VERIFY_TERMS + 1):
+        if not hpair_eq(ints.term(n), h_integral(seq.term(n))):
+            raise ValidationError(
+                "the declared integral sequence clashes with direct "
+                f"integration at n = {n}")
+    return ints
+
+
 def beppo_levi_limit(seq: FunctionSeq) -> MonotoneLimitReport:
     """Monotone-convergence data for a generated nondecreasing chain.
 
@@ -1151,14 +1138,9 @@ def beppo_levi_limit(seq: FunctionSeq) -> MonotoneLimitReport:
             seq.check_step(n)
         except OrderNotVerified as exc:
             raise MonotonicityViolated(str(exc)) from exc
-    ints = seq.integral_seq()
-    for n in range(1, _VERIFY_TERMS + 1):
-        if not hpair_eq(ints.term(n), h_integral(seq.term(n))):
-            raise ValidationError(
-                "the declared integral sequence clashes with direct "
-                f"integration at n = {n}")
+    ints = _checked_integrals(seq)
     lim = hseq_limit(ints)
-    il = h_integral(seq.limit_function())
+    il = h_integral(seq.limit())
     return MonotoneLimitReport(ints, lim, il, hpair_eq(lim, il),
                                not seq.nonneg())
 
@@ -1170,5 +1152,5 @@ def fatou_check(seq: FunctionSeq) -> bool:
         raise ValidationError("fatou wants a nonnegative sequence")
     for n in range(1, _VERIFY_TERMS + 1):
         verify_nonneg(seq.term(n), f"f_{n}")
-    limit = seq.limit_function()
-    return h_integral(limit) <= hseq_liminf(seq.integral_seq())
+    limit = seq.limit()
+    return h_integral(limit) <= hseq_liminf(_checked_integrals(seq))

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._numeric import _ITER_GUARD, Fraction, Rational
-from .errors import NoLimitFound, NotInLH, TooLarge, ValidationError
-from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part,
-                        abs_integral, add, indicator, scalar_mul)
-from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ExtReal, HPair,
-                     hpair_eq, top_terms)
+from .errors import DoesNotConverge, NotInLH, TooLarge, ValidationError
+from .hintegral import (FunctionSeq, PiecewiseFunction, SeriesValues,
+                        _certified_nonneg, _signed_part, abs_integral, add,
+                        h_integral, indicator, scalar_mul)
+from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ConstantTail, ExtReal,
+                     HPair, HSeq, InterleaveTail, hpair_eq, top_terms)
 from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
                      symdiff)
 
@@ -137,23 +138,6 @@ def _distance(f: PiecewiseFunction, g: PiecewiseFunction) -> HDistance:
 DEFAULT_SCHEDULE = tuple(Fraction(1, 10 ** k) for k in range(7))
 
 
-class CauchySeq:
-    """A finitely presented function sequence, indexed from 1, whose
-    pairwise distances admit exact bounds.
-
-    Subclasses provide term(n), limit() and the two indices:
-    cauchy_index(eps) returns an index N with d(x_n, x_m) < (0, eps)
-    certified for all n, m >= N, or None when no index will do;
-    limit_index(eps) does the same against the limit function.
-
-    Every term lies in L_H when one does: the generator certifies its
-    terms, and the checks below certify one term only. A PerturbationSeq
-    certifies its base, and each bump adds finitely many finite values;
-    an AlternatingFunctionSeq's d_H certifies both of its functions; a
-    hintegral.ConstantSeq's terms are its limit.
-    """
-
-
 def _least(pred: Callable[[int], bool]) -> int:
     """The least n >= 1 with pred(n), for a pred that is false up to some
     index and true from there on: gallop, then bisect. Raises TooLarge
@@ -169,7 +153,7 @@ def _least(pred: Callable[[int], bool]) -> int:
     return hi
 
 
-class PerturbationSeq(CauchySeq):
+class PerturbationSeq(FunctionSeq):
     """Base + coeff * ratio^n on a finite point set; subclasses provide
     _points(n), that set, and _mass(n), the exact perturbation mass. The
     masses rise strictly up to a peak and never after, so tail_mass is
@@ -203,10 +187,6 @@ class PerturbationSeq(CauchySeq):
     def tail_mass(self, n: int) -> Fraction:
         """max of _mass on [n, inf)."""
         return self._mass(max(n, self._peak()))
-
-    def cauchy_index(self, eps):
-        # d(x_n, x_m) <= mass(n) + mass(m) <= 2 tail_mass(N)
-        return self.limit_index(Fraction(eps) / 2)
 
     def limit_index(self, eps):
         eps, peak = Fraction(eps), self._peak()
@@ -254,29 +234,44 @@ class PrefixPerturbation(PerturbationSeq):
         return n * abs(self.coeff) * self.ratio ** n
 
 
-class AlternatingFunctionSeq(CauchySeq):
-    """Terms hopping between two functions; Cauchy only if they agree."""
+@dataclass(frozen=True)
+class Alternating(FunctionSeq):
+    """Terms alternating between two functions; no limit unless they
+    coincide."""
 
-    def __init__(self, first: PiecewiseFunction, second: PiecewiseFunction):
-        self.first = first
-        self.second = second
-        self.gap = d_H(first, second)
+    first: PiecewiseFunction
+    second: PiecewiseFunction
 
     def term(self, n):
         return self.first if n % 2 == 1 else self.second
 
-    def limit(self):
-        if self.gap.is_zero():
-            return self.first
-        raise NoLimitFound("the terms alternate at a positive distance")
+    def integral_seq(self):
+        return HSeq((), InterleaveTail((
+            ConstantTail(h_integral(self.first)),
+            ConstantTail(h_integral(self.second)))))
 
-    def cauchy_index(self, eps):
-        bound = HPair(DIM_ZERO, ExtReal.of(Fraction(eps)))
-        return 1 if self.gap.value < bound else None
+    def _settles(self) -> bool:
+        # equal functions may be spelled with different pieces
+        return add(self.first, scalar_mul(-1, self.second)).is_zero()
+
+    def limit(self):
+        if self._settles():
+            return self.first
+        raise DoesNotConverge("the terms alternate without settling")
 
     def limit_index(self, eps):
         self.limit()
         return 1
+
+    def cauchy_index(self, eps):
+        bound = HPair(DIM_ZERO, ExtReal.of(Fraction(eps)))
+        return 1 if d_H(self.first, self.second).value < bound else None
+
+    def nonneg(self):
+        return _certified_nonneg(self.first, self.second)
+
+    def nondecreasing(self):
+        return self._settles()
 
 
 def _check_schedule(schedule) -> list[Fraction]:
@@ -291,7 +286,7 @@ def _check_schedule(schedule) -> list[Fraction]:
     return out
 
 
-def is_cauchy(seq: CauchySeq,
+def is_cauchy(seq: FunctionSeq,
               schedule: Sequence[Rational] = DEFAULT_SCHEDULE) -> bool:
     """Whether the generator certifies an index for every tolerance.
 
@@ -299,7 +294,7 @@ def is_cauchy(seq: CauchySeq,
     a failing certificate is a library bug, not a domain answer, so it
     raises instead of returning False. Only the first term built is
     checked to lie in L_H; the generator certifies the rest (see
-    CauchySeq).
+    hintegral.FunctionSeq).
     """
     for k, eps in enumerate(_check_schedule(schedule)):
         n = seq.cauchy_index(eps)
@@ -325,7 +320,7 @@ class ConvergenceCertificate:
     entries: tuple[tuple[Fraction, int], ...]
 
 
-def riesz_fischer_check(seq: CauchySeq,
+def riesz_fischer_check(seq: FunctionSeq,
                         schedule: Sequence[Rational] = DEFAULT_SCHEDULE
                         ) -> tuple[PiecewiseFunction, ConvergenceCertificate]:
     """The limit of a perturbation-style generator plus a certificate.
@@ -333,7 +328,7 @@ def riesz_fischer_check(seq: CauchySeq,
     The certificate lists, for each tolerance in the schedule, an index
     past which the distance to the limit is below (0, eps); the first
     and one later index are re-verified with exact distances. The terms
-    lie in L_H with the limit (see CauchySeq).
+    lie in L_H with the limit (see hintegral.FunctionSeq).
     """
     limit = seq.limit()
     if not absolutely_integrable(limit):

@@ -13,9 +13,9 @@ from hausdorff._numeric import Fraction
 from hausdorff.docio import parse_document, print_document
 from hausdorff.errors import (DisjointnessViolated, DoesNotConverge,
                               HausdorffError, MonotonicityViolated,
-                              NotRepresentable, OrderNotVerified, UndefinedSum,
-                              ValidationError)
-from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
+                              NotRepresentable, OrderNotVerified, TooLarge,
+                              UndefinedSum, ValidationError)
+from hausdorff.hintegral import (ALL_REALS, Const, ConstantSeq,
                                  PiecewiseFunction, Poly, PrefixGrowth, Region,
                                  SeriesValues, ShrinkingPlateau, SingletonTail,
                                  SlidingBump, StageClimb, SupportGrowth,
@@ -29,10 +29,10 @@ from hausdorff.hintegral import (ALL_REALS, Alternating, Const, ConstantSeq,
 from hausdorff.hintegral import (_combined_terms, _int_coeffs, _piece_measure,
                                  _roots_within, _sign_regions, _terms_on)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF,
-                              ZERO_PAIR, Dimension, FiniteList, Geometric,
-                              HPair, PSeries, ext_sum, hpair_add, hpair_eq,
-                              top_terms)
-from hausdorff.metrics import d_H
+                              ZERO_PAIR, ConstantTail, Dimension, FiniteList,
+                              Geometric, HPair, HSeq, PSeries, ext_sum,
+                              hpair_add, hpair_eq, top_terms)
+from hausdorff.metrics import Alternating, d_H
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet, _hulls_meet, diff,
                               hmeasure, intersect, normalize, union)
@@ -937,6 +937,20 @@ def test_singleton_tail_validation():
         SingletonTail(HARM.with_deletions([1]))
 
 
+def test_singleton_tail_refuses_a_long_head_before_listing_it(monkeypatch):
+    listed = []
+    real = CountableSeq.point
+    monkeypatch.setattr(CountableSeq, "point",
+                        lambda self, n: listed.append(n) or real(self, n))
+    assert SingletonTail(HARM, 4).as_set() == RepSet.of(
+        HARM.with_deletions([1, F(1, 2), F(1, 3)]))
+    assert listed == [1, 2, 3]
+    listed.clear()
+    with pytest.raises(TooLarge, match="sequence terms to list"):
+        SingletonTail(HARM, 100_002).as_set()
+    assert listed == []
+
+
 def test_countable_additivity_parts_with_touching_hulls():
     # closed hulls meet only at 1, which the second part leaves out
     f = indicator(RepSet.of(Interval(0, 2)))
@@ -1230,6 +1244,18 @@ def test_fatou_escaping_mass():
     assert fatou_check(SlidingBump(1))
 
 
+def test_fatou_checks_the_declared_integrals():
+    class WrongIntegrals(SupportGrowth):
+        def integral_seq(self):
+            return HSeq((), ConstantTail(pair(0, 1)))
+
+    # the integrals (1, 2 - 1/n) of the terms have liminf (1, 2), not (0, 1)
+    with pytest.raises(ValidationError,
+                       match="the declared integral sequence clashes with "
+                       "direct integration at n = 1"):
+        fatou_check(WrongIntegrals(0, 2, 1, 1))
+
+
 def test_fatou_constant_sequence():
     assert fatou_check(ConstantSeq(indicator(I01)))
     with pytest.raises(ValidationError,
@@ -1498,7 +1524,7 @@ def test_functions_equal_up_to_spelling_compare_equal():
             on([(Interval(0, 1), Poly([1, -1]))]))
     assert f == g
     assert d_H(f, g).value == pair(0, 0)
-    assert Alternating(f, g).limit_function() == f
+    assert Alternating(f, g).limit() == f
     report = beppo_levi_limit(Alternating(f, g))
     assert report.agrees and not report.signed
     assert beppo_levi_limit(ConstantSeq(g)).agrees
@@ -1511,7 +1537,7 @@ def test_alternating_between_spellings_of_one_function_settles():
             (Interval(F(1, 2), 1, deletions=[F(1, 2)]), Const(1))])
     assert f != g
     assert d_H(f, g).value == pair(0, 0)
-    assert Alternating(f, g).limit_function() == f
+    assert Alternating(f, g).limit() == f
     report = beppo_levi_limit(Alternating(f, g))
     assert report.agrees and not report.signed
 
@@ -1520,7 +1546,7 @@ def test_alternating_passes_on_a_refused_difference():
     f = indicator(RepSet.of(CantorAffine(0, 1)))
     g = indicator(RepSet.of(CantorAffine(F(1, 4), 1)))
     with pytest.raises(NotRepresentable):
-        Alternating(f, g).limit_function()
+        Alternating(f, g).limit()
 
 
 def test_finite_values_that_cancel_compare_equal():
@@ -1530,7 +1556,7 @@ def test_finite_values_that_cancel_compare_equal():
     want = on([(seq, SeriesValues(FiniteList([1])))])
     assert total == want
     assert d_H(total, want).value == pair(0, 0)
-    assert Alternating(total, want).limit_function() == want
+    assert Alternating(total, want).limit() == want
 
 
 def test_countable_support_resummation():

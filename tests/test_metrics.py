@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hausdorff.errors import (HausdorffError, NoLimitFound, NotInLH,
+from hausdorff.errors import (DoesNotConverge, HausdorffError, NotInLH,
                               NotRepresentable, TooLarge, ValidationError)
 from hausdorff.hintegral import (Const, ConstantSeq, PiecewiseFunction, Poly,
                                  SeriesValues, _combined_terms, _terms_on, add,
@@ -19,7 +19,7 @@ from hausdorff.hintegral import (Const, ConstantSeq, PiecewiseFunction, Poly,
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ZERO, POS_INF, ZERO_PAIR,
                               Dimension, FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
-from hausdorff.metrics import (DEFAULT_SCHEDULE, AlternatingFunctionSeq,
+from hausdorff.metrics import (DEFAULT_SCHEDULE, Alternating,
                                HDistance, PointPerturbation,
                                PrefixPerturbation,
                                abs_integral, absolutely_integrable,
@@ -651,8 +651,7 @@ def test_constant_sequence_is_cauchy():
 
 
 def test_alternating_sequence_is_not_cauchy():
-    seq = AlternatingFunctionSeq(indicator(I01),
-                                 indicator(RepSet.of(Interval(2, 3))))
+    seq = Alternating(indicator(I01), indicator(RepSet.of(Interval(2, 3))))
     assert not is_cauchy(seq)
     # a coarse schedule that the gap (1, ...) still defeats
     assert not is_cauchy(seq, [F(100)])
@@ -679,7 +678,7 @@ def test_riesz_fischer_point_perturbation():
 
 
 def test_certificates_check_each_function_once(monkeypatch):
-    # the generator certifies its terms (see CauchySeq): riesz_fischer_check
+    # the generator certifies its terms (see FunctionSeq): riesz_fischer_check
     # checks its limit alone, and is_cauchy the first term it builds
     from hausdorff import metrics
     seq = PointPerturbation(indicator(I01), 0)
@@ -776,9 +775,8 @@ def test_riesz_fischer_constant():
 
 
 def test_riesz_fischer_alternating_has_no_limit():
-    seq = AlternatingFunctionSeq(indicator(I01),
-                                 indicator(RepSet.of(Interval(2, 3))))
-    with pytest.raises(NoLimitFound):
+    seq = Alternating(indicator(I01), indicator(RepSet.of(Interval(2, 3))))
+    with pytest.raises(DoesNotConverge):
         riesz_fischer_check(seq)
 
 
@@ -786,10 +784,25 @@ def test_alternating_between_equal_functions_converges():
     f = indicator(I01)
     g = PiecewiseFunction([(Interval(0, F(1, 2)), Const(1)),
                            (Interval(F(1, 2), 1, [F(1, 2)]), Const(1))])
-    seq = AlternatingFunctionSeq(f, g)
+    seq = Alternating(f, g)
     assert seq.term(2) == g and is_cauchy(seq)
     limit, cert = riesz_fischer_check(seq, [F(1, 10)])
     assert limit == f and index_for(cert, F(1, 10)) == 1
+
+
+def test_alternating_is_cauchy_by_its_distance():
+    # the functions differ by 1/1000 at one point: d_H = (0, 1/1000)
+    f = indicator(I01)
+    g = add(f, indicator(RepSet.of(FinitePoints([F(1, 2)])), F(1, 1000)))
+    seq = Alternating(f, g)
+    assert is_cauchy(seq, [1, F(1, 10)])
+    assert not is_cauchy(seq)
+    with pytest.raises(DoesNotConverge,
+                       match="the terms alternate without settling"):
+        seq.limit()
+    outside = Alternating(f, indicator(RepSet.of(Interval(0, None))))
+    with pytest.raises(NotInLH, match="the right argument has an infinite"):
+        is_cauchy(outside)
 
 
 def test_riesz_fischer_wants_an_integrable_limit():
