@@ -9,6 +9,7 @@ report the same facts.
 from __future__ import annotations
 
 import random
+import traceback
 from dataclasses import dataclass, field
 
 from ._numeric import Fraction
@@ -45,8 +46,10 @@ class CheckResult:
     trials: int = 1
     expected: str = ""
     actual: str = ""
-    # refused draws per error class; the text line leaves them out
+    # refused draws per error class, and per raise site ("module.function"
+    # of the innermost engine frame); the text line leaves both out
     skipped: dict = field(default_factory=dict, hash=False)
+    skipped_at: dict = field(default_factory=dict, hash=False)
 
     def line(self) -> str:
         word = "pass" if self.passed else "FAIL"
@@ -74,8 +77,8 @@ class _Tally:
 
     ``while t.wants(n):`` draws until n cases are counted, or fails the
     law after ``_DRAW_CAP * n`` draws. ``with t:`` swallows the law's
-    own refusal classes, counts each skip by class name and sets
-    ``t.refused``; any other exception propagates.
+    own refusal classes, counts each skip by class name and by raise
+    site, and sets ``t.refused``; any other exception propagates.
     """
 
     def __init__(self, name, *refusals):
@@ -84,6 +87,7 @@ class _Tally:
         self.trials = 0
         self.draws = 0
         self.skipped = {}
+        self.skipped_at = {}
         self.refused = False
         self.first_failure = ""
 
@@ -115,12 +119,19 @@ class _Tally:
         if self.refused:
             name = kind.__name__
             self.skipped[name] = self.skipped.get(name, 0) + 1
+            # the innermost engine frame, else the innermost frame
+            sites = [f.f_globals["__name__"] + "." + f.f_code.co_name
+                     for f, _ in traceback.walk_tb(tb)]
+            site = ([s for s in sites if s.startswith("hausdorff.")]
+                    or sites)[-1].removeprefix("hausdorff.")
+            self.skipped_at[site] = self.skipped_at.get(site, 0) + 1
         return self.refused
 
     def result(self):
         return CheckResult(self.name, not self.first_failure, self.trials,
                            actual=self.first_failure,
-                           skipped=dict(self.skipped))
+                           skipped=dict(self.skipped),
+                           skipped_at=dict(self.skipped_at))
 
 
 def _raises(exc, fn, *args) -> bool:

@@ -262,7 +262,7 @@ def defi_even(f: PiecewiseFunction) -> HPair:
 
 
 # ---------------------------------------------------------------------------
-# planar scenes
+# planar scenes: the predicates run on int points, on the grid of _scaled
 
 Point2 = tuple  # (Fraction, Fraction)
 
@@ -272,17 +272,19 @@ def _pt(p) -> Point2:
     return (_frac(x), _frac(y))
 
 
+def _scaled(points) -> tuple:
+    """The Fraction points as ints, x times the lcm X of the x denominators
+    and y times the lcm Y of the y ones, in order, then X and Y. That keeps
+    order and equality, and multiplies cross products and areas by XY."""
+    sx = lcm(*[x._denominator for x, _ in points])
+    sy = lcm(*[y._denominator for _, y in points])
+    return [(x._numerator * (sx // x._denominator),
+             y._numerator * (sy // y._denominator)) for x, y in points], sx, sy
+
+
 def _cross(o: Point2, a: Point2, b: Point2) -> int:
-    """(a - o) x (b - o) times the product of the six coordinates'
-    denominators: an int of the same sign, built from ints alone."""
-    oxn, oxd = o[0].as_integer_ratio()
-    oyn, oyd = o[1].as_integer_ratio()
-    axn, axd = a[0].as_integer_ratio()
-    ayn, ayd = a[1].as_integer_ratio()
-    bxn, bxd = b[0].as_integer_ratio()
-    byn, byd = b[1].as_integer_ratio()
-    return ((axn * oxd - oxn * axd) * (byn * oyd - oyn * byd) * ayd * bxd
-            - (ayn * oyd - oyn * ayd) * (bxn * oxd - oxn * bxd) * axd * byd)
+    """(a - o) x (b - o) of int points: positive for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _in_box(p: Point2, a: Point2, b: Point2) -> bool:
@@ -290,28 +292,23 @@ def _in_box(p: Point2, a: Point2, b: Point2) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def _on_segment(p: Point2, a: Point2, b: Point2) -> bool:
-    return _cross(a, b, p) == 0 and _in_box(p, a, b)
-
-
 def _segments_meet(p1, p2, p3, p4) -> bool:
-    """Closed-segment intersection, endpoints included."""
-    d1 = _cross(p3, p4, p1)
-    d2 = _cross(p3, p4, p2)
-    d3 = _cross(p1, p2, p3)
-    d4 = _cross(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
-            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-    if d1 == 0 and _in_box(p1, p3, p4):
-        return True
-    if d2 == 0 and _in_box(p2, p3, p4):
-        return True
-    if d3 == 0 and _in_box(p3, p1, p2):
-        return True
-    if d4 == 0 and _in_box(p4, p1, p2):
-        return True
-    return False
+    """Closed-segment intersection, endpoints included: a proper crossing
+    when no end is on the other segment's line, else an end in its box."""
+    d1, d2 = _cross(p3, p4, p1), _cross(p3, p4, p2)
+    d3, d4 = _cross(p1, p2, p3), _cross(p1, p2, p4)
+    if 0 not in (d1, d2, d3, d4):
+        return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
+    return ((d1 == 0 and _in_box(p1, p3, p4))
+            or (d2 == 0 and _in_box(p2, p3, p4))
+            or (d3 == 0 and _in_box(p3, p1, p2))
+            or (d4 == 0 and _in_box(p4, p1, p2)))
+
+
+def _shoelace(verts: list) -> int:
+    """Twice the signed area of the polygon of the int vertices."""
+    return sum(verts[i - 1][0] * verts[i][1] - verts[i][0] * verts[i - 1][1]
+               for i in range(len(verts)))
 
 
 class PlanarAtom:
@@ -373,44 +370,26 @@ class ConvexPolygon(PlanarAtom):
         n = len(verts)
         if n < 3:
             raise ValidationError("a polygon needs at least three vertices")
+        grid = _scaled(verts)[0]
+        if any(_cross(grid[i - 2], grid[i - 1], grid[i]) <= 0
+               for i in range(n)):
+            raise ValidationError(
+                "vertices must make strict counterclockwise turns")
         # rotate so the listing starts at the smallest vertex; equality
         # is then independent of the caller's starting point
-        k = verts.index(min(verts))
-        verts = verts[k:] + verts[:k]
-        for i in range(n):
-            o, a, b = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-            if _cross(o, a, b) <= 0:
-                raise ValidationError(
-                    "vertices must make strict counterclockwise turns")
-        object.__setattr__(self, "vertices", verts)
+        k = grid.index(min(grid))
+        object.__setattr__(self, "vertices", verts[k:] + verts[:k])
 
     def points(self):
         return self.vertices
 
-    def edges(self):
-        n = len(self.vertices)
-        return [(self.vertices[i], self.vertices[(i + 1) % n])
-                for i in range(n)]
-
     def contains(self, p: Point2) -> bool:
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges())
+        *verts, q = _scaled(self.vertices + (_pt(p),))[0]
+        return _holds(self, verts, q)
 
     def area(self) -> Fraction:
-        """The shoelace sum over the integer points of _scaled."""
-        pts, scale = _scaled(self.vertices)
-        total = sum(pts[i - 1][0] * pts[i][1] - pts[i][0] * pts[i - 1][1]
-                    for i in range(len(pts)))
-        return Fraction(total, 2 * scale)
-
-
-def _scaled(points) -> tuple:
-    """The points as ints, x times the lcm X of the x denominators and y
-    times the lcm Y of the y ones, and XY: order and turns are kept."""
-    xs = [x.as_integer_ratio() for x, _ in points]
-    ys = [y.as_integer_ratio() for _, y in points]
-    sx, sy = lcm(*(d for _, d in xs)), lcm(*(d for _, d in ys))
-    return [(n * (sx // d), m * (sy // e))
-            for (n, d), (m, e) in zip(xs, ys)], sx * sy
+        verts, sx, sy = _scaled(self.vertices)
+        return Fraction(_shoelace(verts), 2 * sx * sy)
 
 
 def _sqrt_ext(q: Fraction) -> ExtReal:
@@ -420,67 +399,73 @@ def _sqrt_ext(q: Fraction) -> ExtReal:
     return ExtReal.interval(sqrt_interval(q, get_config().precision_bits))
 
 
-def _box(atom: PlanarAtom) -> tuple:
-    """The exact bounding box (x_lo, x_hi, y_lo, y_hi) of an atom."""
-    xs = [p[0] for p in atom.points()]
-    ys = [p[1] for p in atom.points()]
-    return (min(xs), max(xs), min(ys), max(ys))
+def _holds(atom: PlanarAtom, pts: list, p: Point2) -> bool:
+    """Whether a segment or polygon holds p, given its points pts on p's grid."""
+    if isinstance(atom, Segment):
+        return _cross(*pts, p) == 0 and _in_box(p, *pts)
+    return all(_cross(pts[i - 1], pts[i], p) >= 0 for i in range(len(pts)))
 
 
-def _atoms_disjoint(a: PlanarAtom, b: PlanarAtom) -> bool:
-    if isinstance(b, Points2D) and not isinstance(a, Points2D):
-        a, b = b, a
-    if isinstance(b, Segment) and isinstance(a, ConvexPolygon):
-        a, b = b, a
+def _sides(atom: PlanarAtom, pts: list) -> list:
+    """A polygon's edges, a segment itself, or no side for point atoms."""
+    if isinstance(atom, ConvexPolygon):
+        return [(pts[i - 1], pts[i]) for i in range(len(pts))]
+    return [pts] if isinstance(atom, Segment) else []
+
+
+def _atoms_disjoint(a: PlanarAtom, pa: list, b: PlanarAtom, pb: list) -> bool:
+    """Whether a and b, given their points on one grid, share no point:
+    neither holds a point of the other (a point atom holds only its own),
+    and no side of one (a polygon's edge, or a segment) meets the other's."""
     if isinstance(a, Points2D):
-        if isinstance(b, Points2D):
-            return not set(a.pts) & set(b.pts)
-        if isinstance(b, Segment):
-            return not any(_on_segment(p, b.a, b.b) for p in a.pts)
-        return not any(b.contains(p) for p in a.pts)
-    if isinstance(a, Segment):
-        if isinstance(b, Segment):
-            return not _segments_meet(a.a, a.b, b.a, b.b)
-        # b is a polygon: the segment misses it iff no endpoint lies
-        # inside and no polygon edge touches it
-        if b.contains(a.a) or b.contains(a.b):
-            return False
-        return not any(_segments_meet(a.a, a.b, u, v) for u, v in b.edges())
-    # two convex polygons
-    if any(b.contains(p) for p in a.vertices):
+        a, pa, b, pb = b, pb, a, pa
+    if isinstance(a, Points2D):
+        return set(pa).isdisjoint(pb)
+    if any(_holds(a, pa, p) for p in pb):
         return False
-    if any(a.contains(p) for p in b.vertices):
+    if not isinstance(b, Points2D) and any(_holds(b, pb, p) for p in pa):
         return False
-    return not any(_segments_meet(u, v, s, t)
-                   for u, v in a.edges() for s, t in b.edges())
+    return not any(_segments_meet(*u, *v)
+                   for u in _sides(a, pa) for v in _sides(b, pb))
 
 
 @dataclass(frozen=True)
 class PlanarSet:
     """A finite disjoint union of planar atoms.
 
-    Each atom's exact bounding box is taken once. A sweep over the x
-    extents (meeting_pairs) finds the pairs whose boxes can meet, in
-    (i, j) order, and a y test drops the rest; only the pairs left are
-    tested exactly, so the first overlap reported is the one an
-    all-pairs loop reports.
+    The scene's points are put on one grid once, and each atom's box is
+    read off it. A sweep over the x extents (meeting_pairs) finds the
+    pairs whose boxes can meet, in (i, j) order, and a y test drops the
+    rest; only the pairs left are tested exactly, so the first overlap
+    reported is the one an all-pairs loop reports.
     """
 
     atoms: tuple
+    # (each atom's points on the scene's grid, X, Y). A plain attribute,
+    # not a field, so it stays out of ==, hash and repr.
+    _grid = None
 
     def __init__(self, atoms: Iterable[PlanarAtom]):
         atoms = tuple(atoms)
         for atom in atoms:
             if not isinstance(atom, PlanarAtom):
                 raise ValidationError(f"not a planar atom: {atom!r}")
-        boxes = [_box(atom) for atom in atoms]
+        points = [atom.points() for atom in atoms]
+        flat, X, Y = _scaled([p for pts in points for p in pts])
+        grid, k = [], 0
+        for pts in points:
+            grid.append(flat[k:k + len(pts)])
+            k += len(pts)
+        boxes = [(min(xs), max(xs), min(ys), max(ys))
+                 for xs, ys in (zip(*pts) for pts in grid)]
         for i, j in meeting_pairs([box[:2] for box in boxes]):
             if boxes[i][2] > boxes[j][3] or boxes[j][2] > boxes[i][3]:
                 continue
-            if not _atoms_disjoint(atoms[i], atoms[j]):
+            if not _atoms_disjoint(atoms[i], grid[i], atoms[j], grid[j]):
                 raise ValidationError(
                     f"planar atoms overlap: {atoms[i]!r} and {atoms[j]!r}")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_grid", (grid, X, Y))
 
 
 def planar_measure(H: PlanarSet) -> HPair:
@@ -498,16 +483,12 @@ def planar_measure(H: PlanarSet) -> HPair:
     return HPair.of(0, count)
 
 
-def convex_hull(H: PlanarSet) -> PlanarAtom:
-    """Convex hull of a scene as a planar atom: a polygon in general
-    position, degenerating to a segment or a single point."""
-    pts = [p for atom in H.atoms for p in atom.points()]
+def _hull_chain(H: PlanarSet) -> list:
+    """The scene's hull on its grid, counterclockwise from the least
+    point: that point alone, the two ends of a collinear scene, or more."""
+    pts = sorted({p for pts in H._grid[0] for p in pts})
     if not pts:
         raise ValidationError("cannot take the hull of an empty scene")
-    point = dict(zip(_scaled(pts)[0], pts))  # the chain runs on the keys
-    pts = sorted(point)
-    if len(pts) == 1:
-        return Points2D(point.values())
     # monotone chain with strict turns, so collinear points drop out
     def half(seq):
         out = []
@@ -517,9 +498,16 @@ def convex_hull(H: PlanarSet) -> PlanarAtom:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = [point[p] for p in lower[:-1] + upper[:-1]]
+    return half(pts)[:-1] + half(reversed(pts))[:-1] or pts  # one point
+
+
+def convex_hull(H: PlanarSet) -> PlanarAtom:
+    """Convex hull of a scene as a planar atom: a polygon in general
+    position, degenerating to a segment or a single point."""
+    _, X, Y = H._grid
+    hull = [(Fraction(x, X), Fraction(y, Y)) for x, y in _hull_chain(H)]
+    if len(hull) == 1:
+        return Points2D(hull)
     if len(hull) == 2:
         return Segment(hull[0], hull[1])
     return ConvexPolygon(hull)
@@ -535,12 +523,13 @@ def defi_convex(H: PlanarSet) -> HPair:
     finite nonempty point set, which a convex hull of disjoint atoms
     never produces.
     """
-    hull = convex_hull(H)
-    if isinstance(hull, Points2D):
+    hull = _hull_chain(H)
+    grid, X, Y = H._grid
+    if len(hull) == 1:
         return ZERO_PAIR
-    if isinstance(hull, Segment):
-        dx = hull.b[0] - hull.a[0]
-        dy = hull.b[1] - hull.a[1]
+    if len(hull) == 2:
+        (ax, ay), (bx, by) = hull
+        dx, dy = Fraction(bx - ax, X), Fraction(by - ay, Y)
         denom = dx * dx + dy * dy
         covered = ZERO
         for atom in H.atoms:
@@ -553,10 +542,10 @@ def defi_convex(H: PlanarSet) -> HPair:
         if gap == 0:
             return ZERO_PAIR
         return HPair(DIM_ONE, _sqrt_ext(gap * gap * denom))
-    residual = hull.area()
-    for atom in H.atoms:
-        if isinstance(atom, ConvexPolygon):
-            residual -= atom.area()
+    # the hull's area less the polygons', all on the scene's grid
+    residual = _shoelace(hull) - sum(
+        _shoelace(pts) for atom, pts in zip(H.atoms, grid)
+        if isinstance(atom, ConvexPolygon))
     if residual == 0:
         return ZERO_PAIR
-    return HPair(DIM_TWO, ExtReal.of(residual))
+    return HPair(DIM_TWO, ExtReal.of(Fraction(residual, 2 * X * Y)))

@@ -58,8 +58,16 @@ def _skips(results):
     At the default seed these counts witness the RNG stream. Every skip
     is a pointwise sum that leaves the expression catalog, so closing the
     catalog under + (ROADMAP open item 4) is expected to take them to 0.
+    Every skip is also counted at its raise site.
     """
+    for r in results:
+        assert sum(r.skipped_at.values()) == sum(r.skipped.values()), r.name
     return {r.name: r.skipped for r in results if r.skipped}
+
+
+def _skip_sites(results):
+    """Refused draws per law and raise site, for the laws that refused any."""
+    return {r.name: r.skipped_at for r in results if r.skipped_at}
 
 
 def _done(n, label):
@@ -145,6 +153,10 @@ def test_criterion_04_integral_laws():
     assert _skips(results) == {
         "additivity on nonnegative sums": {"NotRepresentable": 145},
         "larger functions never integrate smaller": {"NotRepresentable": 131}}
+    assert _skip_sites(results) == {
+        "additivity on nonnegative sums": {"hintegral._combined_terms": 145},
+        "larger functions never integrate smaller":
+            {"hintegral._combined_terms": 131}}
     # every generated path is rational, so the comparisons are exact;
     # the interval-arithmetic path is exercised in criterion 8
     _done(4, "integral laws, 500 seeded cases each, exact")
@@ -183,6 +195,9 @@ def test_criterion_06_metric_axioms():
     assert _skips(results) == {
         "function distance: axioms on representable triples":
             {"NotRepresentable": 328}}
+    assert _skip_sites(results) == {
+        "function distance: axioms on representable triples":
+            {"hintegral._combined_terms": 328}}
     _done(6, "metric axioms: 10^4 pair triples, 500 set and function triples")
 
 

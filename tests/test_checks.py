@@ -43,7 +43,8 @@ def test_result_line_format():
     assert text.startswith("FAIL") and "x" in text and "y" in text
     for r in (ok, bad):
         skipping = CheckResult(r.name, r.passed, r.trials, r.expected,
-                               r.actual, skipped={"NotRepresentable": 3})
+                               r.actual, skipped={"NotRepresentable": 3},
+                               skipped_at={"hintegral._combined_terms": 3})
         assert skipping.line() == r.line()
 
 
@@ -73,6 +74,22 @@ def test_a_law_stops_drawing_once_its_cases_are_counted():
     result = tally.result()
     assert draws == 6 and result.passed and result.trials == 3
     assert result.skipped == {"NotRepresentable": 3}
+
+
+def test_skips_are_counted_by_raise_site():
+    tally = _Tally("a law", ValidationError)
+    for _ in range(3):
+        with tally:
+            run_suite("no-such-suite")
+    with tally:
+        raise ValidationError("refused outside the engine")
+    result = tally.result()
+    assert result.skipped == {"ValidationError": 4}
+    # the innermost engine frame names the site; a refusal raised outside
+    # the engine is charged to its own innermost frame
+    assert result.skipped_at == {
+        "checks.run_suite": 3,
+        f"{__name__}.test_skips_are_counted_by_raise_site": 1}
 
 
 def test_refusals_outside_the_law_still_propagate():

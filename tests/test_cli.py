@@ -351,6 +351,7 @@ def test_check_json_reports_skips_per_law(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["passed"]
     assert [r["skipped"] for r in payload["results"]] == [{}, {}, {}]
+    assert [r["skipped_at"] for r in payload["results"]] == [{}, {}, {}]
 
 
 def test_check_seed_flag(capsys):

@@ -9,8 +9,8 @@ import pytest
 from hausdorff import deficiency
 from hausdorff._numeric import Fraction
 from hausdorff.deficiency import (ConvexPolygon, PlanarSet, Points2D, Segment,
-                                  _cross, _on_segment, _pt, _segments_meet,
-                                  cluster_set, convex_hull, defi_continuity_cluster,
+                                  _cross, _pt, _scaled, cluster_set,
+                                  convex_hull, defi_continuity_cluster,
                                   defi_continuity_dist, defi_continuity_osc,
                                   defi_convex, defi_even, oscillation,
                                   planar_measure, reflect_function)
@@ -510,10 +510,49 @@ def test_planar_atoms_must_be_disjoint():
     for touching in (Segment((1, 0), (1, 1)), Segment((1, -1), (1, 0))):
         with pytest.raises(ValidationError, match="planar atoms overlap"):
             PlanarSet([Segment((0, 0), (2, 0)), touching])
+    # an atom strictly inside a polygon, listed before or after it
+    square = ConvexPolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+    for inner in (Segment((1, 1), (2, 1)), ConvexPolygon([(1, 1), (2, 1), (1, 2)])):
+        for atoms in ([inner, square], [square, inner]):
+            with pytest.raises(ValidationError, match="planar atoms overlap"):
+                PlanarSet(atoms)
+
+
+def ref_cross(o, a, b):
+    """The orientation test in Fraction arithmetic: (a - o) x (b - o)."""
+    return ((a[0] - o[0]) * (b[1] - o[1])
+            - (a[1] - o[1]) * (b[0] - o[0]))
+
+
+def ref_in_box(p, a, b):
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def ref_segments_meet(p1, p2, p3, p4):
+    """The closed segments p1p2 and p3p4 cross properly, or an end of one
+    lies on the other."""
+    d1, d2 = ref_cross(p3, p4, p1), ref_cross(p3, p4, p2)
+    d3, d4 = ref_cross(p1, p2, p3), ref_cross(p1, p2, p4)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return ((d1 == 0 and ref_in_box(p1, p3, p4))
+            or (d2 == 0 and ref_in_box(p2, p3, p4))
+            or (d3 == 0 and ref_in_box(p3, p1, p2))
+            or (d4 == 0 and ref_in_box(p4, p1, p2)))
+
+
+def ref_edges(vertices):
+    return [(vertices[i - 1], vertices[i]) for i in range(len(vertices))]
+
+
+def ref_contains(vertices, p):
+    """p lies in the filled polygon of the counterclockwise vertices."""
+    return all(ref_cross(u, v, p) >= 0 for u, v in ref_edges(vertices))
 
 
 def ref_atoms_disjoint(a, b):
-    """The exact pair test before bounding boxes gated it."""
+    """The exact pair test in Fraction arithmetic, with no bounding box."""
     if isinstance(b, Points2D) and not isinstance(a, Points2D):
         a, b = b, a
     if isinstance(b, Segment) and isinstance(a, ConvexPolygon):
@@ -522,20 +561,23 @@ def ref_atoms_disjoint(a, b):
         if isinstance(b, Points2D):
             return not set(a.pts) & set(b.pts)
         if isinstance(b, Segment):
-            return not any(_on_segment(p, b.a, b.b) for p in a.pts)
-        return not any(b.contains(p) for p in a.pts)
+            return not any(ref_cross(b.a, b.b, p) == 0
+                           and ref_in_box(p, b.a, b.b) for p in a.pts)
+        return not any(ref_contains(b.vertices, p) for p in a.pts)
     if isinstance(a, Segment):
         if isinstance(b, Segment):
-            return not _segments_meet(a.a, a.b, b.a, b.b)
-        if b.contains(a.a) or b.contains(a.b):
+            return not ref_segments_meet(a.a, a.b, b.a, b.b)
+        if ref_contains(b.vertices, a.a) or ref_contains(b.vertices, a.b):
             return False
-        return not any(_segments_meet(a.a, a.b, u, v) for u, v in b.edges())
-    if any(b.contains(p) for p in a.vertices):
+        return not any(ref_segments_meet(a.a, a.b, u, v)
+                       for u, v in ref_edges(b.vertices))
+    if any(ref_contains(b.vertices, p) for p in a.vertices):
         return False
-    if any(a.contains(p) for p in b.vertices):
+    if any(ref_contains(a.vertices, p) for p in b.vertices):
         return False
-    return not any(_segments_meet(u, v, s, t)
-                   for u, v in a.edges() for s, t in b.edges())
+    return not any(ref_segments_meet(u, v, s, t)
+                   for u, v in ref_edges(a.vertices)
+                   for s, t in ref_edges(b.vertices))
 
 
 def ref_planar_set(atoms):
@@ -579,12 +621,6 @@ def test_planar_set_matches_the_all_pairs_loop():
     assert 200 < accepted < 500
 
 
-def ref_cross(o, a, b):
-    """The orientation test in Fraction arithmetic: (a - o) x (b - o)."""
-    return ((a[0] - o[0]) * (b[1] - o[1])
-            - (a[1] - o[1]) * (b[0] - o[0]))
-
-
 def ref_area(vertices):
     """The shoelace sum in Fraction arithmetic."""
     total = F(0)
@@ -623,6 +659,28 @@ def ref_convex_hull(H):
     return ConvexPolygon(hull)
 
 
+def ref_defi_convex(H):
+    """The reference hull less the scene, in Fraction arithmetic: the
+    uncovered part of a segment hull, whose length is the uncovered share
+    of the hull's, or the hull's area less the polygons'."""
+    hull = ref_convex_hull(H)
+    if isinstance(hull, Points2D):
+        return pair(0, 0)
+    if isinstance(hull, Segment):
+        dx, dy = hull.b[0] - hull.a[0], hull.b[1] - hull.a[1]
+        # a collinear segment covers the share its projection takes
+        gap = 1 - sum((abs((s.b[0] - s.a[0]) * dx + (s.b[1] - s.a[1]) * dy)
+                       / (dx * dx + dy * dy)
+                       for s in H.atoms if isinstance(s, Segment)), F(0))
+        if gap == 0:
+            return pair(0, 0)
+        return pair(1, Segment((0, 0), (gap * dx, gap * dy)).length())
+    residual = ref_area(hull.vertices) - sum(
+        (ref_area(a.vertices) for a in H.atoms
+         if isinstance(a, ConvexPolygon)), F(0))
+    return pair(2, residual) if residual else pair(0, 0)
+
+
 def _sign(v):
     return (v > 0) - (v < 0)
 
@@ -651,7 +709,7 @@ def test_cross_sign_matches_the_fraction_cross_product():
             b = (o[0] + t * (a[0] - o[0]), o[1] + t * (a[1] - o[1]) + off)
         else:
             b = (_rand_coord(rng), _rand_coord(rng))
-        got = _cross(o, a, b)
+        got = _cross(*_scaled([o, a, b])[0])
         assert type(got) is int
         assert _sign(got) == _sign(ref_cross(o, a, b)), (o, a, b)
         signs[_sign(got)] += 1
@@ -686,7 +744,7 @@ def test_orientation_test_builds_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(F, "__new__", staticmethod(counted))
-    assert _sign(_cross(o, a, b)) == want
+    assert _sign(_cross(*_scaled([o, a, b])[0])) == want
     # Fractions are kept as they are, not wrapped again
     assert _pt(o)[0] is o[0] and _pt(o)[1] is o[1]
     assert ExtReal.of(x).value is x
@@ -741,16 +799,17 @@ def _planar_outcomes(atoms):
     if not isinstance(scene, PlanarSet):
         return (scene,)
     return (scene.atoms, _outcome(deficiency.convex_hull, scene),
-            _outcome(planar_measure, scene), _outcome(defi_convex, scene))
+            _outcome(planar_measure, scene),
+            _outcome(deficiency.defi_convex, scene))
 
 
 def test_planar_outcomes_match_the_fraction_reference(monkeypatch):
     scenes = [_planar_scene(seed) for seed in range(2000)]
     got = [_planar_outcomes(atoms) for atoms in scenes]
     with monkeypatch.context() as m:
-        m.setattr(deficiency, "_cross", ref_cross)
         m.setattr(deficiency, "_pt", ref_pt)
         m.setattr(deficiency, "convex_hull", ref_convex_hull)
+        m.setattr(deficiency, "defi_convex", ref_defi_convex)
         m.setattr(ConvexPolygon, "area", lambda self: ref_area(self.vertices))
         want = [_planar_outcomes(atoms) for atoms in scenes]
     assert got == want
