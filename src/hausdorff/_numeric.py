@@ -230,7 +230,8 @@ Rational = Union[int, Fraction]
 # normalize pops or ternary digits: past it they raise TooLarge
 _ITER_GUARD = 100_000
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# \s is the whitespace that str.strip() drops
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 @dataclass(frozen=True)
@@ -303,8 +304,8 @@ def _frac(x: Rational) -> Fraction:
 def _trimmed(xs) -> tuple[Fraction, ...]:
     """The values as Fractions, trailing zeros dropped: the normal form of
     a coefficient list, whose missing terms read as zero."""
-    out = [_frac(x) for x in xs]
-    while out and out[-1] == 0:
+    out = [x if type(x) is Fraction else _frac(x) for x in xs]
+    while out and not out[-1]._numerator:
         out.pop()
     return tuple(out)
 
@@ -695,22 +696,28 @@ def geo_steps(q: Fraction, r: Fraction, strict: bool = True) -> int:
 
 
 def parse_rational(text) -> Fraction:
-    """Accept ints and 'p/q' / 'p' strings. Floats are rejected on purpose."""
+    """Accept ints and 'p/q' / 'p' strings. Floats are rejected on purpose.
+    The Fraction is built from its integer terms, with one gcd at most."""
     if isinstance(text, str):
         # digits and one slash only: no decimals, exponents or underscores,
         # so no short string can stand for a huge number
-        match = _RATIONAL.fullmatch(text.strip())
+        match = _RATIONAL.fullmatch(text)
         if match is not None:
+            p, q = match.groups()
             try:
-                if match[2] is None:  # an integer needs no gcd
-                    return Fraction(int(match[1]))
-                return Fraction(int(match[1]), int(match[2]))
-            except (ValueError, ZeroDivisionError):
-                pass  # a zero denominator, or more digits than int() takes
+                n, d = int(p), int(q) if q else 1
+            except ValueError:
+                pass  # more digits than int() takes
+            else:
+                if d == 1:  # an integer needs no gcd
+                    return _q(n, 1)
+                if d:  # else a zero denominator
+                    g = _gcd(n, d)
+                    return _q(n // g, d // g)
     elif isinstance(text, bool):
         raise ValidationError("booleans are not rationals")
     elif isinstance(text, int):
-        return Fraction(text)
+        return _q(int(text), 1)
     elif isinstance(text, _Base):
         return text
     elif isinstance(text, float):

@@ -293,7 +293,7 @@ def _cmd_distance(args, seed) -> int:
 
 
 def _defi_branch(kind: str, doc, result) -> str:
-    from .deficiency import Points2D, Segment, convex_hull, oscillation
+    from .deficiency import _hull_chain, oscillation
     from .hvalue import DIM_ZERO
     if kind == "continuity-osc":
         profile = oscillation(doc)
@@ -320,10 +320,10 @@ def _defi_branch(kind: str, doc, result) -> str:
         if result.m.sign() == 0 and result.d.cmp(DIM_ZERO) == 0:
             return "the function equals its mirror image"
         return "mass of |f(x) - f(-x)| over the asymmetric part"
-    hull = convex_hull(doc)
-    if isinstance(hull, Points2D):
+    corners = len(_hull_chain(doc))  # 1: a point, 2: a segment
+    if corners == 1:
         return "the points span no segment: nothing to fill"
-    if isinstance(hull, Segment):
+    if corners == 2:
         return "the hull is a segment: the gap is its uncovered length"
     return "the hull is a polygon: the gap is its uncovered area"
 

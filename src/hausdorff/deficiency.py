@@ -471,12 +471,14 @@ class PlanarSet:
 def planar_measure(H: PlanarSet) -> HPair:
     """Dimension-measure pair of a planar scene: total area if any
     polygon is present, else total length, else point count."""
-    polys = [a for a in H.atoms if isinstance(a, ConvexPolygon)]
+    grid, X, Y = H._grid
+    polys = [pts for atom, pts in zip(H.atoms, grid)
+             if isinstance(atom, ConvexPolygon)]
     segs = [a for a in H.atoms if isinstance(a, Segment)]
     pts = [a for a in H.atoms if isinstance(a, Points2D)]
-    if polys:
-        area = sum((p.area() for p in polys), ZERO)
-        return HPair(DIM_TWO, ExtReal.of(area))
+    if polys:  # twice the areas, on the scene's grid
+        twice = sum(abs(_shoelace(verts)) for verts in polys)
+        return HPair(DIM_TWO, ExtReal.of(Fraction(twice, 2 * X * Y)))
     if segs:
         return HPair(DIM_ONE, ext_sum(s.length() for s in segs))
     count = sum(len(p.pts) for p in pts)

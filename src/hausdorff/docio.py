@@ -32,6 +32,9 @@ __all__ = ["parse_document", "parse_set", "parse_function", "parse_planar",
 Document = Union[RepSet, "PiecewiseFunction", "PlanarSet"]
 
 
+_HALF = Fraction(1, 2)  # the default ratio of a geometric sequence or series
+
+
 def _rat(node, where: str) -> Fraction:
     try:
         return parse_rational(node)
@@ -53,11 +56,11 @@ def _load(text: str):
 # ---------------------------------------------------------------------------
 # sets
 
-def _deletions(obj: dict, where: str):
-    raw = obj.get("delete", [])
+def _deletions(raw, where: str):
+    """The points of a leaf's delete list; () for an empty one."""
     if not isinstance(raw, list):
         raise ParseError(f"{where}: delete takes a list of points")
-    return tuple(_rat(p, where + ".delete") for p in raw)
+    return tuple([_rat(p, where + ".delete") for p in raw]) if raw else ()
 
 
 def parse_set(node, where: str = "set") -> RepSet:
@@ -70,27 +73,30 @@ def _set_atoms(node, where: str) -> tuple:
     difference, each computed once."""
     if not isinstance(node, dict):
         raise ParseError(f"{where}: expected an object")
-    keys = [k for k in node if k != "delete"]
-    if not keys and "delete" in node:
-        # difference form: {"delete": [base, removed]}
-        body = node["delete"]
-        if not (isinstance(body, list) and len(body) == 2):
-            raise ParseError(f"{where}: delete takes [base, removed]")
-        base = parse_set(body[0], where + ".delete[0]")
-        removed = parse_set(body[1], where + ".delete[1]")
-        return diff(base, removed).atoms
-    if len(keys) != 1:
-        raise ParseError(f"{where}: expected exactly one of "
-                         "points/seq/interval/cantor/union/delete")
-    key = keys[0]
-    body = node[key]
-    dels = _deletions(node, where)
+    if len(node) == 1:  # a leaf with no delete key, or a difference
+        (key, body), = node.items()
+        dels = ()
+        if key == "delete":
+            # difference form: {"delete": [base, removed]}
+            if not (isinstance(body, list) and len(body) == 2):
+                raise ParseError(f"{where}: delete takes [base, removed]")
+            base = parse_set(body[0], where + ".delete[0]")
+            removed = parse_set(body[1], where + ".delete[1]")
+            return diff(base, removed).atoms
+    else:
+        keys = [k for k in node if k != "delete"]
+        if len(keys) != 1:
+            raise ParseError(f"{where}: expected exactly one of "
+                             "points/seq/interval/cantor/union/delete")
+        key = keys[0]
+        body = node[key]
+        dels = _deletions(node["delete"], where)
     if key == "points":
         if dels:
             raise ParseError(f"{where}: point sets delete by omission")
         if not isinstance(body, list):
             raise ParseError(f"{where}: points takes a list")
-        atom = FinitePoints(_rat(p, where) for p in body)
+        atom = FinitePoints([_rat(p, where) for p in body])
         return (atom,) if atom.points else ()
     if key == "interval":
         if not (isinstance(body, list) and len(body) == 2):
@@ -112,7 +118,7 @@ def _set_atoms(node, where: str) -> tuple:
         if kind == "harmonic":
             return (CountableSeq(HARMONIC, a, b, deletions=dels),)
         if kind == "geometric":
-            q = _rat(body.get("q", Fraction(1, 2)), where)
+            q = _rat(body.get("q", _HALF), where)
             return (CountableSeq(GEOMETRIC, a, b, q, deletions=dels),)
         raise ParseError(f"{where}: unknown sequence kind {kind!r}")
     if key == "union":
@@ -135,7 +141,7 @@ def _parse_series(body, where: str):
     kind = body["kind"]
     if kind == "geometric":
         return Geometric(_rat(body.get("a", 1), where),
-                         _rat(body.get("r", Fraction(1, 2)), where))
+                         _rat(body.get("r", _HALF), where))
     if kind == "finite":
         values = body.get("values")
         if not isinstance(values, list):
@@ -150,13 +156,13 @@ def _parse_series(body, where: str):
 def _parse_expr(node, where: str, hintegral):
     if not isinstance(node, dict) or len(node) != 1:
         raise ParseError(f"{where}: expected one of poly/const/series")
-    key, body = next(iter(node.items()))
+    (key, body), = node.items()
     if key == "const":
         return hintegral.Poly((_rat(body, where),))
     if key == "poly":
         if not isinstance(body, list):
             raise ParseError(f"{where}: poly takes a coefficient list")
-        return hintegral.Poly(_rat(c, where) for c in body)
+        return hintegral.Poly([_rat(c, where) for c in body])
     if key == "series":
         return hintegral.SeriesValues(_parse_series(body, where))
     raise ParseError(f"{where}: unknown expression {key!r}")
@@ -174,10 +180,9 @@ def parse_function(node, where: str = "function"):
         spot = f"{where}.terms[{i}]"
         if not isinstance(item, dict) or "set" not in item or "expr" not in item:
             raise ParseError(f"{spot}: each term needs a set and an expr")
-        carrier = parse_set(item["set"], spot + ".set")
+        atoms = _set_atoms(item["set"], spot + ".set")
         expr = _parse_expr(item["expr"], spot + ".expr", hintegral)
-        for atom in carrier.atoms:
-            terms.append((atom, expr))
+        terms += [(atom, expr) for atom in atoms]
     return hintegral.PiecewiseFunction(terms)
 
 

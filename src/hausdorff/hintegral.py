@@ -48,7 +48,7 @@ class Poly(Expression):
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Rational]):
-        object.__setattr__(self, "coeffs", _trimmed(coeffs))
+        self.__dict__["coeffs"] = _trimmed(coeffs)  # as setalg's atoms do
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -91,7 +91,7 @@ class SeriesValues(Expression):
         if isinstance(series, PSeries) and series.p.denominator != 1:
             raise ValidationError(
                 "fractional-power series values are irrational")
-        object.__setattr__(self, "series", series)
+        self.__dict__["series"] = series
 
     def is_zero(self):
         return self.series.sign() == 0
@@ -114,10 +114,11 @@ Region = Union[RepSet, AllReals]
 
 
 def _expr_fits(atom: Atom, expr: Expression) -> None:
-    if (isinstance(expr, Poly) and not isinstance(atom, Interval)
-            and expr.degree() > 0):
-        raise ValidationError("polynomial terms live on interval atoms only")
-    if isinstance(expr, SeriesValues) and not isinstance(atom, CountableSeq):
+    if isinstance(expr, Poly):
+        if len(expr.coeffs) > 1 and not isinstance(atom, Interval):
+            raise ValidationError(
+                "polynomial terms live on interval atoms only")
+    elif isinstance(expr, SeriesValues) and not isinstance(atom, CountableSeq):
         raise ValidationError("series values bind to sequence atoms only")
 
 
@@ -145,10 +146,9 @@ class PiecewiseFunction:
                 continue
             _expr_fits(atom, expr)
             kept.append((atom, expr))
-        object.__setattr__(self, "terms", tuple(kept))
-        atoms = [atom for atom, _ in kept]
-        for i, j in meeting_pairs([a.float_hull() for a in atoms]):
-            x, y = atoms[i], atoms[j]
+        self.__dict__["terms"] = kept = tuple(kept)
+        for i, j in meeting_pairs([atom.float_hull() for atom, _ in kept]):
+            x, y = kept[i][0], kept[j][0]
             if _hulls_meet(x, y) and _atom_meet(x, y):
                 raise ValidationError(f"term atoms overlap: {x!r} and {y!r}")
 

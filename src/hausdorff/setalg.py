@@ -39,7 +39,8 @@ Endpoint = Optional[Fraction]  # None encodes a missing (infinite) endpoint
 class Atom:
     """Base class; concrete atoms are frozen dataclasses that provide
     in_base(x) (membership ignoring deletions), _hull(), dim() and mu()
-    (the Hausdorff measure of the atom in its own dimension)."""
+    (the Hausdorff measure of the atom in its own dimension). Fields are
+    written into __dict__, which is cheaper than object.__setattr__."""
 
     deletions: frozenset
     # ((lo, hi), (lo_f, hi_f)) once hull() has run: the closed hull and an
@@ -62,7 +63,7 @@ class Atom:
     def _cache_hulls(self):
         lo, hi = hull = self._hull()
         hulls = (hull, (_float_past(lo, -math.inf), _float_past(hi, math.inf)))
-        object.__setattr__(self, "_hulls", hulls)
+        self.__dict__["_hulls"] = hulls
         return hulls
 
     def with_deletions(self, extra: Iterable[Fraction]) -> "Atom":
@@ -77,11 +78,14 @@ class Atom:
         return self if dels == self.deletions else replace(self, deletions=dels)
 
     def _set_deletions(self, deletions, outside: str):
-        dels = frozenset(_frac(d) for d in deletions)
+        """Check and store the deleted points; none keeps the field default."""
+        if not deletions:
+            return
+        dels = frozenset(map(_frac, deletions))
         for d in dels:
             if not self.in_base(d):
                 raise ValidationError(f"deleted point {d} {outside}")
-        object.__setattr__(self, "deletions", dels)
+        self.__dict__["deletions"] = dels
 
     def is_empty(self) -> bool:
         return False
@@ -94,9 +98,9 @@ class FinitePoints(Atom):
     _floats = None  # point_floats(), once it has run; not a field
 
     def __init__(self, points: Iterable[Rational]):
-        pts = tuple(sorted(set(_frac(p) for p in points)))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "deletions", frozenset())
+        pts = sorted(map(_frac, points))  # dedup by neighbours: no hashing
+        pts[1:] = [q for p, q in zip(pts, pts[1:]) if p != q]
+        self.__dict__["points"] = tuple(pts)
 
     def in_base(self, x):
         return x in self.points
@@ -167,10 +171,9 @@ class CountableSeq(Atom):
                 raise ValidationError("geometric ratio must satisfy 0 < q < 1")
         elif q is not None:
             raise ValidationError("harmonic sequences take no ratio")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "q", q)
+        fields = self.__dict__
+        fields["family"], fields["a"] = family, a
+        fields["b"], fields["q"] = b, q
         self._set_deletions(deletions, "is not in the sequence")
 
     def point(self, n: int) -> Fraction:
@@ -280,8 +283,8 @@ class Interval(Atom):
         hi = None if hi is None else _frac(hi)
         if lo is not None and hi is not None and lo >= hi:
             raise ValidationError(f"interval endpoints out of order: [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        fields = self.__dict__
+        fields["lo"], fields["hi"] = lo, hi
         self._set_deletions(deletions, "is outside the interval")
 
     def in_base(self, x):
@@ -321,8 +324,8 @@ class CantorAffine(Atom):
             raise ValidationError("Cantor scale must be nonzero")
         if s < 0:
             t, s = t + s, -s
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "s", s)
+        fields = self.__dict__
+        fields["t"], fields["s"] = t, s
         self._set_deletions(deletions, "is not in the set")
 
     def in_base(self, x):
@@ -422,8 +425,8 @@ def _float_past(x: Endpoint, toward: float) -> float:
     its sign."""
     if x is None:
         return toward
-    try:
-        return math.nextafter(float(x), toward)
+    try:  # float(x), the quotient of its terms, without the dunder dispatch
+        return math.nextafter(x._numerator / x._denominator, toward)
     except OverflowError:
         if (x > 0) == (toward > 0):
             return toward
@@ -456,12 +459,18 @@ def meeting_pairs(spans) -> list:
     A sweep in the manner of Shamos and Hoey: the spans are taken by lower
     end, and each meets exactly the active spans that have not ended
     before it starts."""
-    pairs, active = [], []
-    for k in sorted(range(len(spans)), key=lambda k: spans[k][0]):
-        lo = spans[k][0]
-        active = [j for j in active if lo <= spans[j][1]]
-        pairs += [(j, k) if j < k else (k, j) for j in active]
+    pairs, active, top = [], [], -math.inf  # top: the highest end so far
+    los = [lo for lo, _ in spans]
+    for k in sorted(range(len(spans)), key=los.__getitem__):
+        lo, hi = spans[k]
+        if lo > top:  # every active span has ended
+            active = []
+        else:
+            active = [j for j in active if lo <= spans[j][1]]
+            pairs += [(j, k) if j < k else (k, j) for j in active]
         active.append(k)
+        if hi > top:
+            top = hi
     pairs.sort()
     return pairs
 

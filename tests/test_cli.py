@@ -252,6 +252,20 @@ def test_defi_convex_names_hull_gap(capsys):
     assert "hull" in out
 
 
+def test_defi_convex_branch_follows_the_hull_shape(capsys):
+    for doc, branch in [
+            ('{"planar": [{"points2d": [[1, 2]]}]}',
+             "the points span no segment: nothing to fill"),
+            ('{"planar": [{"points2d": [[0, 0], [1, 1]]}, '
+             '{"segment": [[2, 2], [3, 3]]}]}',
+             "the hull is a segment: the gap is its uncovered length"),
+            ('{"planar": [{"points2d": [[0, 0], [1, 0], [0, 1]]}]}',
+             "the hull is a polygon: the gap is its uncovered area")]:
+        code, out, _ = run(capsys, "defi", "convex", "--json", doc)
+        assert code == 0
+        assert json.loads(out)["branch"] == branch
+
+
 def test_defi_even_json(capsys):
     ramp = '{"terms": [{"set": {"interval": [0, 1]}, "expr": {"poly": [0, 1]}}]}'
     code, out, _ = run(capsys, "defi", "even", "--json", ramp)

@@ -821,6 +821,21 @@ def test_planar_outcomes_match_the_fraction_reference(monkeypatch):
     assert len(hulls) == 5 and min(hulls.values()) > 5, hulls
 
 
+def test_planar_measure_sums_the_polygon_areas():
+    # the scene grid's shoelace sums agree with each polygon's own area()
+    seen = 0
+    for seed in range(400):
+        scene = _outcome(PlanarSet, _planar_scene(seed))
+        if not isinstance(scene, PlanarSet):
+            continue
+        polys = [a for a in scene.atoms if isinstance(a, ConvexPolygon)]
+        if polys:
+            seen += 1
+            want = sum((p.area() for p in polys), Fraction(0))
+            assert planar_measure(scene) == pair(2, want)
+    assert seen > 50
+
+
 def test_polygon_validation():
     with pytest.raises(ValidationError):
         ConvexPolygon([(0, 0), (1, 0)])

@@ -211,6 +211,67 @@ def test_integer_literals_parse_as_through_a_gcd():
         assert (got.numerator, got.denominator) == (want.numerator,
                                                     want.denominator)
 
+    # inputs that are not plain strings keep their values, types and
+    # refusal texts too; an int past the digit limit never becomes a string
+    class Int(int):
+        pass
+
+    class Str(str):
+        pass
+    big = 10 ** 4400 + 3
+    for value, want in [(-7, (-7, 1)), (0, (0, 1)), (-big, (-big, 1)),
+                        (Int(-5), (-5, 1)), (Int(big), (big, 1)),
+                        (Str(" -6/4 "), (-3, 2)), (Str("7"), (7, 1))]:
+        got = parse_rational(value)
+        assert type(got) is Fraction and type(got.numerator) is int
+        assert (got.numerator, got.denominator) == want
+    plain = F(-6, 4)
+    assert parse_rational(plain) is plain  # a plain Fraction passes as is
+    for value, text in [
+            (True, "booleans are not rationals"),
+            (False, "booleans are not rationals"),
+            (1.5, "floats are not accepted, write a rational string: 1.5"),
+            (0.0, "floats are not accepted, write a rational string: 0.0"),
+            (None, "not a rational: None"), ([1], "not a rational: [1]"),
+            ([], "not a rational: []"), (Str("x"), "not a rational: 'x'")]:
+        with pytest.raises(ValidationError) as got:
+            parse_rational(value)
+        assert str(got.value) == text
+
+
+def test_every_empty_deletion_spelling_gives_one_atom():
+    kinds = [
+        (lambda **kw: Interval(0, 1, **kw), '{"interval": [0, 1]', "2",
+         "is outside the interval"),
+        (lambda **kw: CantorAffine(0, 1, **kw), '{"cantor": {}', "1/2",
+         "is not in the set"),
+        (lambda **kw: CountableSeq(HARMONIC, 0, 1, **kw),
+         '{"seq": {"kind": "harmonic"}', "2", "is not in the sequence"),
+        (lambda **kw: CountableSeq(GEOMETRIC, 0, 1, F(1, 2), **kw),
+         '{"seq": {"kind": "geometric"}', "3/4", "is not in the sequence")]
+    for make, doc, outside, where in kinds:
+        atom = make()
+        assert atom.deletions == frozenset()
+        spellings = [make(deletions=()), make(deletions=[]),
+                     make(deletions=frozenset()),
+                     make(deletions=(d for d in ())),
+                     parse_document(doc + "}").atoms[0],
+                     parse_document(doc + ', "delete": []}').atoms[0]]
+        for other in spellings:
+            assert other == atom and hash(other) == hash(atom)
+            assert repr(other) == repr(atom)
+            assert other.deletions == frozenset()
+        # a deletion outside the base set still refuses
+        for bad in (lambda: make(deletions=[F(outside)]),
+                    lambda: parse_document(
+                        doc + f', "delete": ["{outside}"]}}')):
+            with pytest.raises(ValidationError) as got:
+                bad()
+            assert str(got.value) == f"deleted point {outside} {where}"
+    points = parse_document('{"points": [1, "1/2"], "delete": []}').atoms[0]
+    assert points == FinitePoints([F(1, 2), 1])
+    assert points.deletions == frozenset()
+
 
 def test_shape_error_names_the_path():
     with pytest.raises(ParseError, match="not a rational"):
