@@ -23,9 +23,9 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._value import frozen
 from .errors import TooLarge, ValidationError
 
 _Base = fractions.Fraction
@@ -38,6 +38,7 @@ def _q(n: int, d: int) -> "Fraction":
     q = _new(Fraction)
     q._numerator = n
     q._denominator = d
+    q._hash = None
     return q
 
 
@@ -142,7 +143,8 @@ class Fraction(fractions.Fraction):
     """A fractions.Fraction whose exact operations dispatch on the operand
     type: an int, an engine Fraction or a plain one takes an integer fast
     path and gives an engine Fraction; a float, a bool or another Rational
-    takes the base class's code. The hash is kept once computed."""
+    takes the base class's code. The hash is kept once computed, in a
+    slot that every way of building one sets to None first."""
 
     __slots__ = ("_hash",)
 
@@ -160,7 +162,13 @@ class Fraction(fractions.Fraction):
             if denominator < 0:
                 g = -g
             return _q(numerator // g, denominator // g)
-        return super().__new__(cls, numerator, denominator)
+        q = super().__new__(cls, numerator, denominator)
+        q._hash = None
+        return q
+
+    # the base class builds from_float and from_decimal with this from
+    # Python 3.12 on
+    _from_coprime_ints = staticmethod(_q)
 
     __add__, __radd__ = _arithmetic(_add, "add")
     __sub__, __rsub__ = _arithmetic(_sub, "sub")
@@ -191,11 +199,10 @@ class Fraction(fractions.Fraction):
     def __hash__(self):
         if self._denominator == 1:  # an integer's hash, with nothing to keep
             return hash(self._numerator)
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = self._hash = _Base.__hash__(self)
-            return h
+        return h
 
     def __pow__(a, b):
         tb = type(b)
@@ -234,16 +241,18 @@ _ITER_GUARD = 100_000
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-@dataclass(frozen=True)
+@frozen
 class RatInterval:
     """Closed interval [lo, hi] with exact rational endpoints, lo <= hi."""
 
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValidationError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo, hi):
+        if lo > hi:
+            raise ValidationError(f"interval endpoints out of order: {lo} > {hi}")
+        fields = self.__dict__
+        fields["lo"], fields["hi"] = lo, hi
 
     @staticmethod
     def point(x: Rational) -> "RatInterval":

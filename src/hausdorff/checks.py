@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 import traceback
-from dataclasses import dataclass, field
 
 from ._numeric import Fraction
+from ._value import field, frozen
 from .config import DEFAULT_SEED, SUITE_NAMES
 from .errors import (DoesNotConverge, MonotonicityViolated, NotInLH,
                      NotRepresentable, OrderNotVerified, ValidationError)
@@ -37,7 +37,7 @@ from .metrics import (DEFAULT_SCHEDULE, Alternating, PointPerturbation,
                       riesz_fischer_check, triangle_ok)
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     """Outcome of one law or pinned example inside a suite."""
 

@@ -15,9 +15,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 
 from ._numeric import _ITER_GUARD, parse_rational, render_rational
+from ._value import asdict
 from .config import (DEFAULT_SEED, SUITE_NAMES, get_config, set_config,
                      update_config)
 from .errors import HausdorffError, ParseError, TooLarge, ValidationError

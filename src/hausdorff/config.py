@@ -3,8 +3,7 @@ and the names and default seed of the check suites."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from ._value import frozen, replace
 from .errors import ValidationError
 
 # The command line reads these without loading the suites; checks.py
@@ -14,7 +13,7 @@ SUITE_NAMES = ("pair-algebra", "set-metric", "integral-laws", "beppo-levi",
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
+@frozen
 class Config:
     # enclosure precision in bits; 1024 bounds one zeta(p) sum to under 1 s
     precision_bits: int = 256

@@ -9,7 +9,6 @@ from convexity.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterable
 
@@ -23,6 +22,7 @@ from .hintegral import (Const, Expression, PiecewiseFunction, Poly,
 from .setalg import (Atom, CantorAffine, CountableSeq, FinitePoints,
                      Interval, RepSet, meeting_pairs)
 from ._numeric import Fraction, _frac, exact_pow, sqrt_interval
+from ._value import frozen
 
 __all__ = [
     "OscillationProfile", "oscillation",
@@ -125,7 +125,7 @@ def _abs_expression(expr: Expression) -> Expression:
     return SeriesValues(expr.series.abs_series())
 
 
-@dataclass(frozen=True)
+@frozen
 class OscillationProfile:
     """The oscillation of a function, recorded where it is nonzero.
 
@@ -316,7 +316,7 @@ class PlanarAtom:
     that span the atom."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Points2D(PlanarAtom):
     pts: tuple
 
@@ -324,13 +324,13 @@ class Points2D(PlanarAtom):
         seen = tuple(sorted({_pt(p) for p in pts}))
         if not seen:
             raise ValidationError("a planar point atom needs at least one point")
-        object.__setattr__(self, "pts", seen)
+        self.__dict__["pts"] = seen
 
     def points(self):
         return self.pts
 
 
-@dataclass(frozen=True)
+@frozen
 class Segment(PlanarAtom):
     a: Point2
     b: Point2
@@ -341,8 +341,8 @@ class Segment(PlanarAtom):
             raise ValidationError("degenerate segment")
         if b < a:
             a, b = b, a
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        fields = self.__dict__
+        fields["a"], fields["b"] = a, b
 
     def points(self):
         return (self.a, self.b)
@@ -356,7 +356,7 @@ class Segment(PlanarAtom):
         return _sqrt_ext(self.length_squared())
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvexPolygon(PlanarAtom):
     """Filled convex polygon, vertices in counterclockwise order.
 
@@ -378,7 +378,7 @@ class ConvexPolygon(PlanarAtom):
         # rotate so the listing starts at the smallest vertex; equality
         # is then independent of the caller's starting point
         k = grid.index(min(grid))
-        object.__setattr__(self, "vertices", verts[k:] + verts[:k])
+        self.__dict__["vertices"] = verts[k:] + verts[:k]
 
     def points(self):
         return self.vertices
@@ -429,7 +429,7 @@ def _atoms_disjoint(a: PlanarAtom, pa: list, b: PlanarAtom, pb: list) -> bool:
                    for u in _sides(a, pa) for v in _sides(b, pb))
 
 
-@dataclass(frozen=True)
+@frozen
 class PlanarSet:
     """A finite disjoint union of planar atoms.
 
@@ -464,8 +464,8 @@ class PlanarSet:
             if not _atoms_disjoint(atoms[i], grid[i], atoms[j], grid[j]):
                 raise ValidationError(
                     f"planar atoms overlap: {atoms[i]!r} and {atoms[j]!r}")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_grid", (grid, X, Y))
+        fields = self.__dict__
+        fields["atoms"], fields["_grid"] = atoms, (grid, X, Y)
 
 
 def planar_measure(H: PlanarSet) -> HPair:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from ._numeric import Fraction, Rational, _frac, _trimmed
+from ._value import frozen
 from .errors import (DisjointnessViolated, DoesNotConverge,
                      MonotonicityViolated, NotRepresentable, OrderNotVerified,
                      ValidationError)
@@ -39,7 +39,7 @@ class Expression:
     scale(c)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Poly(Expression):
     """Polynomial in the ambient variable, coefficients by ascending power.
     A constant is the polynomial of degree 0 and is admitted on every
@@ -59,9 +59,9 @@ class Poly(Expression):
         if len(self.coeffs) < 2:
             return self.coeffs[0] if self.coeffs else Fraction(0)
         x = Fraction(x)
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        cs = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        return Fraction(_value(cs, x), den * x.denominator ** self.degree())
+        den = math.lcm(*(c._denominator for c in self.coeffs))
+        cs = [c._numerator * (den // c._denominator) for c in self.coeffs]
+        return Fraction(_value(cs, x), den * x._denominator ** self.degree())
 
     def antiderivative(self) -> "Poly":
         return Poly([Fraction(0)]
@@ -80,7 +80,7 @@ def Const(value: Rational) -> Poly:
     return Poly((value,))
 
 
-@dataclass(frozen=True)
+@frozen
 class SeriesValues(Expression):
     """Values bound to the indices of a CountableSeq atom: the point with
     index n carries the series term of rank n - 1."""
@@ -104,7 +104,7 @@ class SeriesValues(Expression):
 # functions
 
 
-@dataclass(frozen=True)
+@frozen
 class AllReals:
     """Sentinel region: the whole line."""
 
@@ -122,7 +122,7 @@ def _expr_fits(atom: Atom, expr: Expression) -> None:
         raise ValidationError("series values bind to sequence atoms only")
 
 
-@dataclass(frozen=True)
+@frozen
 class PiecewiseFunction:
     """Finitely many (atom, expression) terms, zero off their union.
 
@@ -202,8 +202,8 @@ def _primitive(cs: list[int]) -> list[int]:
 
 
 def _int_coeffs(p: Poly) -> list[int]:
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator)
+    den = math.lcm(*(c._denominator for c in p.coeffs))
+    return _primitive([c._numerator * (den // c._denominator)
                        for c in p.coeffs])
 
 
@@ -213,10 +213,12 @@ def _derivative(cs: list[int]) -> list[int]:
 
 def _value(cs: list[int], x: Fraction) -> int:
     """cs at x, times the positive factor x.denominator ** degree."""
+    # the slots of a Fraction, not its properties
+    n, d = (x, 1) if type(x) is int else (x._numerator, x._denominator)
     acc, w = 0, 1
     for c in reversed(cs):
-        acc = acc * x.numerator + c * w
-        w *= x.denominator
+        acc = acc * n + c * w
+        w *= d
     return acc
 
 
@@ -707,7 +709,7 @@ def additivity_over_region(f: PiecewiseFunction, region_a: RepSet,
             h_integral(f, region_b))
 
 
-@dataclass(frozen=True)
+@frozen
 class SingletonTail:
     """The tail of a countable partition: one singleton per sequence point
     with index at or above start."""
@@ -722,8 +724,8 @@ class SingletonTail:
             raise ValidationError(
                 "a partition tail enumerates a full sequence; delete "
                 "points from the head sets instead")
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "start", start)
+        fields = self.__dict__
+        fields["atom"], fields["start"] = atom, start
 
     def as_set(self) -> RepSet:
         skipped = list(map(self.atom.point, _term_range(1, self.start)))
@@ -880,7 +882,7 @@ class FunctionSeq:
         verify_nonneg(step, f"f_{n + 1} - f_{n}")
 
 
-@dataclass(frozen=True)
+@frozen
 class SupportGrowth(FunctionSeq):
     """f_n = value on [lo, hi - gap/n]: the support climbs to [lo, hi)."""
 
@@ -896,9 +898,7 @@ class SupportGrowth(FunctionSeq):
             raise ValidationError("need 0 < gap < hi - lo")
         if value == 0:
             raise ValidationError("the plateau value must be nonzero")
-        for name, v in (("lo", lo), ("hi", hi), ("value", value),
-                        ("gap", gap)):
-            object.__setattr__(self, name, v)
+        self.__dict__.update(lo=lo, hi=hi, value=value, gap=gap)
 
     def term(self, n):
         return PiecewiseFunction(
@@ -920,7 +920,7 @@ class SupportGrowth(FunctionSeq):
         return self.value > 0
 
 
-@dataclass(frozen=True)
+@frozen
 class ShrinkingPlateau(FunctionSeq):
     """f_n = value on [base, base + width/n]: the mass dies, one point
     survives. With a negative value this is the classic signed chain
@@ -936,8 +936,7 @@ class ShrinkingPlateau(FunctionSeq):
             raise ValidationError("the plateau width must be positive")
         if value == 0:
             raise ValidationError("the plateau value must be nonzero")
-        for name, v in (("base", base), ("width", width), ("value", value)):
-            object.__setattr__(self, name, v)
+        self.__dict__.update(base=base, width=width, value=value)
 
     def term(self, n):
         return PiecewiseFunction(
@@ -959,7 +958,7 @@ class ShrinkingPlateau(FunctionSeq):
         return self.value < 0
 
 
-@dataclass(frozen=True)
+@frozen
 class PrefixGrowth(FunctionSeq):
     """f_n = value on the first n points of a sequence atom."""
 
@@ -972,8 +971,8 @@ class PrefixGrowth(FunctionSeq):
             raise ValidationError("prefix growth wants a full sequence")
         if value == 0:
             raise ValidationError("the value must be nonzero")
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "value", value)
+        fields = self.__dict__
+        fields["atom"], fields["value"] = atom, value
 
     def term(self, n):
         pts = [self.atom.point(i) for i in range(1, n + 1)]
@@ -992,7 +991,7 @@ class PrefixGrowth(FunctionSeq):
         return self.value > 0
 
 
-@dataclass(frozen=True)
+@frozen
 class SlidingBump(FunctionSeq):
     """f_n = value on [n, n+1]: constant mass escaping to infinity; the
     pointwise limit is zero."""
@@ -1003,7 +1002,7 @@ class SlidingBump(FunctionSeq):
         value = Fraction(value)
         if value == 0:
             raise ValidationError("the value must be nonzero")
-        object.__setattr__(self, "value", value)
+        self.__dict__["value"] = value
 
     def term(self, n):
         return PiecewiseFunction(
@@ -1022,7 +1021,7 @@ class SlidingBump(FunctionSeq):
         return False
 
 
-@dataclass(frozen=True)
+@frozen
 class StageClimb(FunctionSeq):
     """f_n = value on the n-th of finitely many nested stages, constant
     after the last. Stages with strictly growing dimension exercise the
@@ -1041,8 +1040,8 @@ class StageClimb(FunctionSeq):
         for cur, nxt in zip(stages, stages[1:]):
             if not diff(cur, nxt).is_empty():
                 raise ValidationError("stages must be nested increasingly")
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "value", value)
+        fields = self.__dict__
+        fields["stages"], fields["value"] = stages, value
 
     def term(self, n):
         stage = self.stages[min(n, len(self.stages)) - 1]
@@ -1067,7 +1066,7 @@ class StageClimb(FunctionSeq):
         the catalog (interval minus a Cantor copy)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstantSeq(FunctionSeq):
     """f_n = fn for every n: every term is at distance 0 from fn, so the
     limit index is 1 for every tolerance."""
@@ -1096,7 +1095,7 @@ class ConstantSeq(FunctionSeq):
 # ---------------------------------------------------------------------------
 # convergence theorems
 
-@dataclass(frozen=True)
+@frozen
 class MonotoneLimitReport:
     """What monotone convergence produced on one chain."""
 

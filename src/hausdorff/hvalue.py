@@ -15,13 +15,13 @@ interval arithmetic with doubling precision.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from ._numeric import (Fraction, RatInterval, Rational, _frac, _trimmed,
                        log_interval, power_base, render_float,
                        render_rational, zeta_interval)
+from ._value import frozen
 from .config import get_config
 from .errors import (DoesNotConverge, IncomparableDimensions, NotSupported,
                      UndefinedSum, ValidationError)
@@ -34,7 +34,7 @@ _POW_BIT_GUARD = 1 << 20  # largest big-int comparison we will attempt
 # dimensions
 
 
-@dataclass(frozen=True)
+@frozen
 class Dimension:
     """Value rat + sum(coef * log(P)/log(Q)) in canonical form.
 
@@ -45,6 +45,12 @@ class Dimension:
 
     rat: Fraction = Fraction(0)
     logs: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+
+    def __init__(self, rat: Fraction = rat, logs: tuple = logs):
+        # pair algebra builds many: no generic constructor, and the
+        # defaults are the class attributes above
+        fields = self.__dict__
+        fields["rat"], fields["logs"] = rat, logs
 
     # -- constructors -------------------------------------------------
 
@@ -207,13 +213,17 @@ _NEG, _FIN, _IVL, _POS = "-inf", "finite", "interval", "+inf"
 _RANK = {_NEG: 0, _FIN: 1, _IVL: 1, _POS: 2}  # ExtReal.cmp's coarse order
 
 
-@dataclass(frozen=True)
+@frozen
 class ExtReal:
     """A point of [-inf, +inf]: exact rational, certified enclosure, or
     one of the two infinities."""
 
     kind: str
     value: Union[Fraction, RatInterval, None] = None
+
+    def __init__(self, kind: str, value=None):
+        fields = self.__dict__
+        fields["kind"], fields["value"] = kind, value
 
     @staticmethod
     def of(x: Rational) -> "ExtReal":
@@ -339,12 +349,16 @@ def ext_sum(values: Iterable[ExtReal]) -> ExtReal:
 # pairs
 
 
-@dataclass(frozen=True)
+@frozen
 class HPair:
     """A dimension-measure pair, ordered lexicographically."""
 
     d: Dimension
     m: ExtReal
+
+    def __init__(self, d: Dimension, m: ExtReal):
+        fields = self.__dict__
+        fields["d"], fields["m"] = d, m
 
     @staticmethod
     def of(d, m) -> "HPair":
@@ -450,7 +464,7 @@ class CoefficientSeries:
         return sum((self.term(i) for i in range(n)), Fraction(0))
 
 
-@dataclass(frozen=True)
+@frozen
 class FiniteList(CoefficientSeries):
     """Finitely many terms, zero after the last. Trailing zeros are
     dropped, so equal series have one spelling."""
@@ -458,7 +472,7 @@ class FiniteList(CoefficientSeries):
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Iterable[Rational]):
-        object.__setattr__(self, "values", _trimmed(values))
+        self.__dict__["values"] = _trimmed(values)
 
     def term(self, i: int) -> Fraction:
         return self.values[i] if 0 <= i < len(self.values) else Fraction(0)
@@ -486,7 +500,7 @@ class FiniteList(CoefficientSeries):
         return None
 
 
-@dataclass(frozen=True)
+@frozen
 class Geometric(CoefficientSeries):
     """Terms a * r**i for i = 0, 1, 2, ... with |r| < 1."""
 
@@ -497,8 +511,8 @@ class Geometric(CoefficientSeries):
         a, r = _frac(a), _frac(r)
         if not abs(r) < 1:
             raise ValidationError(f"geometric ratio must satisfy |r| < 1, got {r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "r", r)
+        fields = self.__dict__
+        fields["a"], fields["r"] = a, r
 
     def term(self, i: int) -> Fraction:
         return self.a * self.r ** i
@@ -530,7 +544,7 @@ class Geometric(CoefficientSeries):
         return Geometric(self.a * self.r / (1 - self.r), self.r)
 
 
-@dataclass(frozen=True)
+@frozen
 class PSeries(CoefficientSeries):
     """Terms c / (i+1)**p for i = 0, 1, 2, ... with rational p > 0.
 
@@ -554,8 +568,8 @@ class PSeries(CoefficientSeries):
         c, p = _frac(c), _frac(p)
         if p <= 0:
             raise ValidationError(f"power must be positive, got {p}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "p", p)
+        fields = self.__dict__
+        fields["c"], fields["p"] = c, p
 
     def term(self, i: int) -> Fraction:
         if self.p.denominator != 1:
@@ -608,7 +622,7 @@ class SeqTail:
     term(k), liminf() and limsup()."""
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstantTail(SeqTail):
     value: HPair
 
@@ -621,7 +635,7 @@ class ConstantTail(SeqTail):
     limsup = liminf
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasureTail(SeqTail):
     """Terms (d, base + coeffs[k]); the coefficients vanish, so the tail
     converges to (d, base)."""
@@ -639,7 +653,7 @@ class MeasureTail(SeqTail):
     limsup = liminf
 
 
-@dataclass(frozen=True)
+@frozen
 class ClimbTail(SeqTail):
     """Terms (d_k, m_k) with d_k strictly below the limit dimension and
     d_k -> limit. Any bounded measure rule is allowed; the order-topology
@@ -663,7 +677,7 @@ class ClimbTail(SeqTail):
     limsup = liminf
 
 
-@dataclass(frozen=True)
+@frozen
 class GrowthTail(SeqTail):
     """Terms (d, slope * (k+1)): measures drift monotonically to a signed
     infinity."""
@@ -684,7 +698,7 @@ class GrowthTail(SeqTail):
     limsup = liminf
 
 
-@dataclass(frozen=True)
+@frozen
 class InterleaveTail(SeqTail):
     """Round-robin interleaving of component tails."""
 
@@ -705,7 +719,7 @@ class InterleaveTail(SeqTail):
         return hpair_sup([t.limsup() for t in self.tails])
 
 
-@dataclass(frozen=True)
+@frozen
 class HSeq:
     """A sequence of pairs: explicit prefix followed by a tail rule."""
 

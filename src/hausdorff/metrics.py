@@ -11,10 +11,10 @@ Cauchy sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ._numeric import _ITER_GUARD, Fraction, Rational
+from ._value import frozen
 from .errors import DoesNotConverge, NotInLH, TooLarge, ValidationError
 from .hintegral import (FunctionSeq, PiecewiseFunction, SeriesValues,
                         _certified_nonneg, _signed_part, abs_integral, add,
@@ -25,7 +25,7 @@ from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
                      symdiff)
 
 
-@dataclass(frozen=True)
+@frozen
 class HDistance:
     """A distance value: a pair with nonnegative measure coordinate.
 
@@ -39,7 +39,7 @@ class HDistance:
         if value.m.sign() < 0:
             raise ValidationError(
                 f"a distance cannot be negative: {value.render()}")
-        object.__setattr__(self, "value", value)
+        self.__dict__["value"] = value
 
     def is_zero(self) -> bool:
         return hpair_eq(self.value, ZERO_PAIR)
@@ -168,9 +168,7 @@ class PerturbationSeq(FunctionSeq):
             raise ValidationError("need 0 < ratio < 1")
         if not absolutely_integrable(base):
             raise NotInLH("the base function has an infinite |f| integral")
-        for name, v in dict(where, base=base, coeff=coeff,
-                            ratio=ratio).items():
-            object.__setattr__(self, name, v)
+        self.__dict__.update(where, base=base, coeff=coeff, ratio=ratio)
 
     def term(self, n):
         bump = indicator(RepSet.of(FinitePoints(self._points(n))),
@@ -193,7 +191,7 @@ class PerturbationSeq(FunctionSeq):
         return _least(lambda n: self._mass(max(n, peak)) < eps)
 
 
-@dataclass(frozen=True)
+@frozen
 class PointPerturbation(PerturbationSeq):
     """x_n = base + coeff * ratio^n at one point."""
 
@@ -212,7 +210,7 @@ class PointPerturbation(PerturbationSeq):
         return abs(self.coeff) * self.ratio ** n
 
 
-@dataclass(frozen=True)
+@frozen
 class PrefixPerturbation(PerturbationSeq):
     """x_n = base + coeff * ratio^n on the first n points of a sequence
     atom; the added mass n |coeff| ratio^n is summable and dies out."""
@@ -234,7 +232,7 @@ class PrefixPerturbation(PerturbationSeq):
         return n * abs(self.coeff) * self.ratio ** n
 
 
-@dataclass(frozen=True)
+@frozen
 class Alternating(FunctionSeq):
     """Terms alternating between two functions; no limit unless they
     coincide."""
@@ -312,7 +310,7 @@ def is_cauchy(seq: FunctionSeq,
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvergenceCertificate:
     """Per-tolerance indices: past entry (eps, n) the distance to the
     limit stays below (0, eps)."""

@@ -9,7 +9,6 @@ evidence, not circularity.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .config import get_config
@@ -20,13 +19,14 @@ from .setalg import (HARMONIC, Atom, CountableSeq, FinitePoints, Interval,
                      RepSet)
 from ._numeric import (Fraction, RatInterval, exact_pow, geo_steps,
                        log_interval, pow_interval, power_index)
+from ._value import frozen
 
 __all__ = [
     "CoverReport", "box_dim_estimate", "premeasure_estimate", "quadrature",
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class CoverReport:
     """One depth of a structural cover: how many boxes, and how large."""
 

@@ -19,11 +19,11 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from ._numeric import (_ITER_GUARD, Fraction, Rational, _frac, coprime_base,
                        geo_steps, pow_interval, power_base, power_index)
+from ._value import frozen, replace
 from .config import get_config
 from .errors import NotRepresentable, TooLarge, ValidationError
 from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF, Dimension,
@@ -37,7 +37,7 @@ Endpoint = Optional[Fraction]  # None encodes a missing (infinite) endpoint
 
 
 class Atom:
-    """Base class; concrete atoms are frozen dataclasses that provide
+    """Base class; concrete atoms are frozen value classes that provide
     in_base(x) (membership ignoring deletions), _hull(), dim() and mu()
     (the Hausdorff measure of the atom in its own dimension). Fields are
     written into __dict__, which is cheaper than object.__setattr__."""
@@ -45,7 +45,7 @@ class Atom:
     deletions: frozenset
     # ((lo, hi), (lo_f, hi_f)) once hull() has run: the closed hull and an
     # outward-rounded float copy of it. A plain attribute, not a field, so
-    # it stays out of ==, hash, repr and dataclasses.replace.
+    # it stays out of ==, hash, repr and replace.
     _hulls = None
 
     def member(self, x: Rational) -> bool:
@@ -91,7 +91,7 @@ class Atom:
         return False
 
 
-@dataclass(frozen=True)
+@frozen
 class FinitePoints(Atom):
     points: tuple[Fraction, ...]
     deletions: frozenset = frozenset()  # always empty, kept for the interface
@@ -117,12 +117,12 @@ class FinitePoints(Atom):
                     floats.append(float(p))
                 except OverflowError:  # past the float range
                     floats.append(math.inf if p > 0 else -math.inf)
-            object.__setattr__(self, "_floats", tuple(floats))
+            self.__dict__["_floats"] = tuple(floats)
             if self._hulls is None and floats:
-                object.__setattr__(self, "_hulls", (
+                self.__dict__["_hulls"] = (
                     (self.points[0], self.points[-1]),
                     (math.nextafter(floats[0], -math.inf),
-                     math.nextafter(floats[-1], math.inf))))
+                     math.nextafter(floats[-1], math.inf)))
         return self._floats
 
     def _hull(self):
@@ -144,7 +144,7 @@ HARMONIC = "harmonic"
 GEOMETRIC = "geometric"
 
 
-@dataclass(frozen=True)
+@frozen
 class CountableSeq(Atom):
     """Catalog sequence: harmonic a + b/n or geometric a + b*q**n, n >= 1.
 
@@ -270,7 +270,7 @@ def _term_range(start: int, stop: int) -> range:
     return range(start, stop)
 
 
-@dataclass(frozen=True)
+@frozen
 class Interval(Atom):
     """Closed interval [lo, hi]; a missing endpoint means unbounded."""
 
@@ -306,7 +306,7 @@ class Interval(Atom):
         return self.lo is not None and self.hi is not None
 
 
-@dataclass(frozen=True)
+@frozen
 class CantorAffine(Atom):
     """The set t + s*C for the middle-thirds Cantor set C.
 
@@ -489,11 +489,14 @@ def _hull_key(atom: "Atom"):
 # representable sets
 
 
-@dataclass(frozen=True)
+@frozen
 class RepSet:
     """Canonical finite disjoint union of atoms."""
 
     atoms: tuple
+
+    def __init__(self, atoms: tuple):
+        self.__dict__["atoms"] = atoms  # set algebra builds many
 
     @staticmethod
     def of(*atoms: Atom) -> "RepSet":

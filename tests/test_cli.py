@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 import hausdorff
 from hausdorff import checks, cli
+from hausdorff._value import fields
 from hausdorff.checks import CheckResult
 from hausdorff.config import Config, get_config
 from test_docio import function_docs, set_docs

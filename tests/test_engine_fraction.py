@@ -8,6 +8,7 @@ The checks are plain functions, so they also run without pytest: call
 them on any operands."""
 
 import copy
+import decimal
 import math
 import operator
 import pickle
@@ -153,3 +154,21 @@ def test_engine_values_mix_with_plain_ones():
     assert type(sum([x, p, 1])) is Fraction and sum([x, p, 1]) == F(5, 3)
     assert sorted([Fraction(1, 2), F(1, 3), 0]) == [0, F(1, 3), F(1, 2)]
     assert Fraction(x) is x and Fraction(p) is not p
+
+
+def test_every_way_of_building_one_hashes_as_fractions():
+    # the first hash reads the kept-hash slot, which each way of building
+    # an engine Fraction sets; a value built around it would raise here
+    made = [Fraction(-1), Fraction(-2, 1), Fraction(7), Fraction(-3, 9),
+            Fraction("2/7"), Fraction(" -5/10 "), Fraction(0.375),
+            Fraction(decimal.Decimal("-1.25")), Fraction(F(-4, 6)),
+            Fraction.from_float(0.1), Fraction.from_float(-1.0),
+            Fraction.from_decimal(decimal.Decimal("2.5")),
+            Fraction(1, 3) + Fraction(1, 6), -Fraction(1, 3),
+            Fraction(2, 3) ** -2, abs(Fraction(-5, 7)),
+            pickle.loads(pickle.dumps(Fraction(-1, 2))),
+            copy.copy(Fraction(5, 9)), copy.deepcopy(Fraction(-5, 9))]
+    for x in made:
+        assert type(x) is Fraction, x
+        p = F(x.numerator, x.denominator)
+        assert hash(x) == hash(p) == hash(x), x

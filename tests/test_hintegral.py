@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hausdorff._numeric import Fraction
+from hausdorff._value import replace
 from hausdorff.docio import parse_document, print_document
 from hausdorff.errors import (DisjointnessViolated, DoesNotConverge,
                               HausdorffError, MonotonicityViolated,

@@ -2,7 +2,6 @@
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 from typing import Callable
 
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hausdorff._value import replace
 from hausdorff.errors import (DoesNotConverge, HausdorffError, NotInLH,
                               NotRepresentable, TooLarge, ValidationError)
 from hausdorff.hintegral import (Const, ConstantSeq, PiecewiseFunction, Poly,

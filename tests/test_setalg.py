@@ -6,7 +6,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 
 from hausdorff import setalg
 from hausdorff._numeric import _ITER_GUARD
+from hausdorff._value import replace
 from hausdorff.config import set_config, update_config
 from hausdorff.errors import (HausdorffError, NotRepresentable, TooLarge,
                               ValidationError)
