@@ -551,6 +551,13 @@ def _render_atom(a: Atom) -> str:
 # whose closed hull meets its own, in the order they settled. The first
 # pair that _resolve_pair does not return None for wins: the settled
 # partner is withdrawn and the replacement atoms go back to pending.
+# Two intervals merge. Any other pair keeps one atom, the keeper, with its
+# deleted points that the other holds restored, and replaces the other by
+# its difference with the restored keeper: the interval or copy over a
+# sequence, the sequence that holds another's tail, and otherwise the
+# partner ranked first (the settled one on a tie). Two sequences that meet
+# finitely keep their common points in that first one, unrestored. The
+# difference is read from the relation the union computed (_relation).
 #
 # A pending point atom settles in one pass (_settle_points): each settled
 # atom whose hull can hold one of its points, in settle order, claims the
@@ -733,15 +740,36 @@ def _settle_points(x: FinitePoints, points, settled: _SettledIndex, push):
 
 def _resolve_pair(x: Atom, y: Atom):
     """None when x and y are certified disjoint; otherwise a list of atoms
-    whose union equals x u y, for non-point atoms. Expects
-    _rank(x) <= _rank(y)."""
+    whose union equals x u y, for non-point atoms with _rank(x) <= _rank(y).
+    Two intervals merge; any other pair is [K'] + (other less K'), where the
+    keeper K is y when only x is a sequence, the container when one
+    sequence's tail lies in the other, and otherwise x, and K' is K with its
+    deleted points that the other holds restored (K itself for sequences
+    that meet finitely). None when the relation has no common part, or when
+    K' is K and the other atom loses nothing."""
     if not _hulls_meet(x, y):
         return None
-    if isinstance(x, CountableSeq):
-        return _resolve_seq(x, y)
-    if isinstance(y, Interval):  # and so is x, by rank
-        return _resolve_interval_interval(x, y)
-    return _resolve_with_cantor(x, y)
+    if isinstance(x, Interval) and isinstance(y, Interval):
+        lo = None if (x.lo is None or y.lo is None) else min(x.lo, y.lo)
+        hi = None if (x.hi is None or y.hi is None) else max(x.hi, y.hi)
+        return [Interval(lo, hi, [d for d in (x.deletions | y.deletions)
+                                  if not x.member(d) and not y.member(d)])]
+    rel = _relation(x, y, "union")
+    sequence = isinstance(x, CountableSeq)
+    if not (rel[1] if sequence else rel[0]):  # no common point or piece
+        return None
+    keeper, other = x, y
+    if sequence and not isinstance(y, CountableSeq):
+        keeper, other = y, x
+    elif sequence and rel[0] == "tail":
+        other = rel[1][0]
+        keeper = y if other is x else x
+    elif sequence:  # the finitely many common points stay in x
+        rest = _minus_of(y, x, rel)
+        return None if rest == [y] else [x] + rest
+    kept = keeper.restore(d for d in keeper.deletions if other.member(d))
+    rest = _minus_of(other, kept, rel)
+    return None if kept is keeper and rest == [other] else [kept] + rest
 
 
 def _point_atoms(points) -> list:
@@ -934,43 +962,6 @@ def _seq_seq_commons(x: CountableSeq, y: CountableSeq):
     return None
 
 
-def _seq_commons(x: CountableSeq, y: Atom, op: str):
-    """How a sequence meets a sequence, an interval or a Cantor copy, as
-    _seq_seq_commons says; NotRepresentable names the op ("union", ...)
-    when two sequences share infinitely many interleaved points."""
-    if isinstance(y, CountableSeq):
-        commons = _seq_seq_commons(x, y)
-        if commons is None:
-            raise NotRepresentable(
-                f"the {op} of these sequences is not a catalog set")
-        return commons
-    if isinstance(y, Interval):
-        kind, data = x.indices_within(y.lo, y.hi)
-        if kind == "finite":
-            return ("finite", [x.point(n) for n in data])
-        return ("tail", (x, data))
-    return ("finite", _seq_cantor_commons(x, y))
-
-
-def _resolve_seq(x: CountableSeq, y: Atom):
-    commons = _seq_commons(x, y, "union")
-    if commons == "disjoint":
-        return None
-    kind, payload = commons
-    if kind == "tail":  # the tail of seq lies in other
-        seq, start = payload
-        other = y if seq is x else x
-        head, rescued = _tail_split(seq, start, other)
-        return [other.restore(rescued)] + _point_atoms(head)
-    if isinstance(y, CountableSeq):
-        y_less = y.with_deletions(p for p in payload if x.member(p))
-        return None if y_less is y else [x, y_less]
-    # y holds the candidate points in its base set: the ones x holds
-    # leave x and are restored in y
-    moved = [p for p in payload if x.member(p)]
-    return [x.with_deletions(moved), y.restore(moved)] if moved else None
-
-
 # -- sequence vs Cantor copy ----------------------------------------------------
 
 
@@ -1005,17 +996,6 @@ def _seq_cantor_commons(x: CountableSeq, y: CantorAffine) -> list:
             if y.in_base(p):
                 pts.append(p)
     return sorted(set(pts))
-
-
-# -- interval vs interval -------------------------------------------------------
-
-
-def _resolve_interval_interval(x: Interval, y: Interval):
-    lo = None if (x.lo is None or y.lo is None) else min(x.lo, y.lo)
-    hi = None if (x.hi is None or y.hi is None) else max(x.hi, y.hi)
-    dels = [d for d in (x.deletions | y.deletions)
-            if not x.member(d) and not y.member(d)]
-    return [Interval(lo, hi, dels)]
 
 
 # -- interval or Cantor copy vs Cantor copy -------------------------------------
@@ -1070,11 +1050,29 @@ def _ca_partition(base: Interval | CantorAffine, target: CantorAffine):
     raise TooLarge(f"a Cantor copy splits into more than {_ITER_GUARD} pieces")
 
 
-def _resolve_with_cantor(x: Interval | CantorAffine, y: CantorAffine):
-    common, y_only = _ca_partition(x, y)
-    if not common:
-        return None
-    return [x.restore(d for d in x.deletions if y.member(d))] + y_only
+# -- the relation of two atoms --------------------------------------------------
+
+
+def _relation(x: Atom, y: Atom, op: str):
+    """How the base sets of two non-point atoms meet, for _rank(x) <=
+    _rank(y) and not two intervals: for a sequence x, ("finite", common
+    points) or ("tail", (seq, start)) as _seq_seq_commons says, and
+    NotRepresentable naming the op for interleaved sequences; for an
+    interval or a copy x and a copy y, _ca_partition(x, y)."""
+    if isinstance(y, CountableSeq):
+        commons = _seq_seq_commons(x, y)
+        if commons is None:
+            raise NotRepresentable(
+                f"the {op} of these sequences is not a catalog set")
+        return ("finite", ()) if commons == "disjoint" else commons
+    if isinstance(y, Interval):  # and x is a sequence, by rank
+        kind, data = x.indices_within(y.lo, y.hi)
+        if kind == "finite":
+            return ("finite", [x.point(n) for n in data])
+        return ("tail", (x, data))
+    if isinstance(x, CountableSeq):
+        return ("finite", _seq_cantor_commons(x, y))
+    return _ca_partition(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,26 +1121,28 @@ def _atom_meet(x: Atom, y: Atom) -> list:
         x, y = y, x
     if isinstance(x, FinitePoints):
         return _point_atoms([p for p in x.points if y.member(p)])
+    if isinstance(x, Interval) and isinstance(y, Interval):
+        lo = max((e for e in (x.lo, y.lo) if e is not None), default=None)
+        hi = min((e for e in (x.hi, y.hi) if e is not None), default=None)
+        if lo is not None and lo == hi:
+            return _point_atoms([lo] if x.member(lo) and y.member(lo) else [])
+        return [Interval(lo, hi).with_deletions(x.deletions | y.deletions)]
+    return _meet_of(x, y, _relation(x, y, "meet"))
+
+
+def _meet_of(x: Atom, y: Atom, rel) -> list:
+    """x n y, read from rel = _relation(x, y, ...)."""
     if isinstance(x, CountableSeq):
-        commons = _seq_commons(x, y, "meet")
-        if commons == "disjoint":
-            return []
-        kind, payload = commons
+        kind, payload = rel
         if kind == "finite":
             return _point_atoms([p for p in payload
                                  if x.member(p) and y.member(p)])
         seq, start = payload
         head, rescued = _tail_split(seq, start, y if seq is x else x)
         return [seq.with_deletions(head + rescued)]
-    if isinstance(y, Interval):
-        lo = max((e for e in (x.lo, y.lo) if e is not None), default=None)
-        hi = min((e for e in (x.hi, y.hi) if e is not None), default=None)
-        if lo is not None and lo == hi:
-            return _point_atoms([lo] if x.member(lo) and y.member(lo) else [])
-        return [Interval(lo, hi).with_deletions(x.deletions | y.deletions)]
     # the pieces of the copy y that lie in x's base set, less x's
     # deleted points
-    common, _ = _ca_partition(x, y)
+    common, _ = rel
     holes = FinitePoints(x.deletions)
     return [p for piece in common for p in _atom_minus_atom(piece, holes)]
 
@@ -1170,42 +1170,40 @@ def _atom_minus_atom(x: Atom, y: Atom) -> list:
         return _point_atoms([p for p in x.points if not y.member(p)])
     if isinstance(y, FinitePoints):
         return [x.with_deletions(y.points)]
-    if isinstance(x, CountableSeq):
-        return _seq_minus(x, y)
     if isinstance(x, Interval) and isinstance(y, Interval):
         return _interval_minus_interval(x, y)
+    # a copy is split against the atom it loses
+    if _rank(y) < _rank(x) or isinstance(x, CantorAffine):
+        return _minus_of(x, y, _relation(y, x, "difference"))
+    return _minus_of(x, y, _relation(x, y, "difference"))
+
+
+def _minus_of(x: Atom, y: Atom, rel) -> list:
+    """x less y, read from rel: the _relation of the pair in rank order,
+    or for two copies _relation(y, x, ...), which splits x against y."""
     if isinstance(x, CantorAffine) and not isinstance(y, CountableSeq):
-        return _cantor_minus(x, y)
-    # an interval less a sequence or a copy, or a copy less a sequence:
-    # x loses the finitely many points it shares with y
-    shared = []
-    for piece in _atom_meet(x, y):
-        if not isinstance(piece, FinitePoints):
-            what = ("an infinite sequence" if isinstance(piece, CountableSeq)
-                    else "a Cantor copy")
-            raise NotRepresentable(
-                f"an interval minus {what} is not a catalog set")
-        shared += piece.points
-    return [x.with_deletions(shared)]
-
-
-def _seq_minus(x: CountableSeq, y: Atom) -> list:
-    commons = _seq_commons(x, y, "difference")
-    if commons == "disjoint":
-        return [x]
-    kind, payload = commons
-    if kind == "finite":
-        return [x.with_deletions(p for p in payload if y.member(p))]
-    seq, start = payload
-    if seq is not x:
-        # y lies in x; unless y is x's tail, its terms interleave x's
-        start = _tail_start(x, y)
-        if start is None:
-            raise NotRepresentable(
-                "removing an interleaved subsequence leaves a non-catalog set")
-    # the whole tail of x is removed; only a finite head remains
-    head, rescued = _tail_split(x, start, y)
-    return _point_atoms(head + rescued)
+        common, x_only = rel
+        # the points y deletes inside a common piece stay in x
+        return x_only + _point_atoms(
+            {d for d in y.deletions if any(p.member(d) for p in common)})
+    if isinstance(x, CountableSeq) and rel[0] == "tail":
+        seq, start = rel[1]
+        if seq is not x:
+            # y lies in x; unless y is x's tail, its terms interleave x's
+            start = _tail_start(x, y)
+            if start is None:
+                raise NotRepresentable(
+                    "removing an interleaved subsequence leaves a non-catalog set")
+        # the whole tail of x is removed; only a finite head remains
+        head, rescued = _tail_split(x, start, y)
+        return _point_atoms(head + rescued)
+    # otherwise x loses the finitely many points it shares with y
+    shared = _meet_of(*sorted((x, y), key=_rank), rel)
+    if not all(isinstance(p, FinitePoints) for p in shared):
+        what = ("an infinite sequence" if isinstance(y, CountableSeq)
+                else "a Cantor copy")
+        raise NotRepresentable(f"an interval minus {what} is not a catalog set")
+    return [x.with_deletions(p for piece in shared for p in piece.points)]
 
 
 def _interval_minus_interval(x: Interval, y: Interval) -> list:
@@ -1224,20 +1222,6 @@ def _interval_minus_interval(x: Interval, y: Interval) -> list:
     survivors = [d for d in y.deletions
                  if x.member(d) and not any(p.in_base(d) for p in pieces)]
     return pieces + _point_atoms(survivors)
-
-
-def _cantor_minus(x: CantorAffine, y: Interval | CantorAffine) -> list:
-    common, x_only = _ca_partition(y, x)
-    extra = set()
-    for piece in common:
-        if isinstance(piece, FinitePoints):
-            extra |= {p for p in piece.points
-                      if x.member(p) and not y.member(p)}
-        else:
-            # a shared sub-copy: positions deleted from y survive in x
-            extra |= {d for d in y.deletions
-                      if piece.member(d) and x.member(d)}
-    return x_only + _point_atoms(extra)
 
 
 # ---------------------------------------------------------------------------

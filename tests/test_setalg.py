@@ -1,5 +1,6 @@
 """Set algebra: membership, normalization, operations, measures."""
 
+import collections
 import heapq
 import itertools
 import math
@@ -942,6 +943,167 @@ def ref_seq_minus(x, y):
     return setalg._point_atoms(head + rescued)
 
 
+# The pair layer as it stood when each rule was written out in each
+# operation: the union resolved a sequence (ref_resolve_seq) or a copy
+# (ref_resolve_with_cantor) by rules of its own, and the differences of a
+# sequence, of two intervals and of a copy had theirs. setalg now reads one
+# relation per pair three ways; these copies are the reference it must
+# match, atom for atom and refusal for refusal.
+
+def ref_seq_commons(x, y, op):
+    if isinstance(y, CountableSeq):
+        commons = setalg._seq_seq_commons(x, y)
+        if commons is None:
+            raise NotRepresentable(
+                f"the {op} of these sequences is not a catalog set")
+        return commons
+    if isinstance(y, Interval):
+        kind, data = x.indices_within(y.lo, y.hi)
+        if kind == "finite":
+            return ("finite", [x.point(n) for n in data])
+        return ("tail", (x, data))
+    return ("finite", setalg._seq_cantor_commons(x, y))
+
+
+def ref_resolve_seq(x, y):
+    commons = ref_seq_commons(x, y, "union")
+    if commons == "disjoint":
+        return None
+    kind, payload = commons
+    if kind == "tail":  # the tail of seq lies in other
+        seq, start = payload
+        other = y if seq is x else x
+        head, rescued = setalg._tail_split(seq, start, other)
+        return [other.restore(rescued)] + setalg._point_atoms(head)
+    if isinstance(y, CountableSeq):
+        y_less = y.with_deletions(p for p in payload if x.member(p))
+        return None if y_less is y else [x, y_less]
+    # y holds the candidate points in its base set: the ones x holds
+    # leave x and are restored in y
+    moved = [p for p in payload if x.member(p)]
+    return [x.with_deletions(moved), y.restore(moved)] if moved else None
+
+
+def ref_resolve_with_cantor(x, y):
+    common, y_only = setalg._ca_partition(x, y)
+    if not common:
+        return None
+    return [x.restore(d for d in x.deletions if y.member(d))] + y_only
+
+
+def ref_resolve_pair(x, y):
+    if not setalg._hulls_meet(x, y):
+        return None
+    if isinstance(x, CountableSeq):
+        return ref_resolve_seq(x, y)
+    if isinstance(y, Interval):  # and so is x, by rank
+        lo = None if (x.lo is None or y.lo is None) else min(x.lo, y.lo)
+        hi = None if (x.hi is None or y.hi is None) else max(x.hi, y.hi)
+        dels = [d for d in (x.deletions | y.deletions)
+                if not x.member(d) and not y.member(d)]
+        return [Interval(lo, hi, dels)]
+    return ref_resolve_with_cantor(x, y)
+
+
+def ref_interval_minus_interval(x, y):
+    pieces = []
+    if y.lo is not None and (x.lo is None or x.lo < y.lo):
+        dels = {d for d in x.deletions if d <= y.lo}
+        if y.lo not in y.deletions:
+            dels.add(y.lo)
+        pieces.append(Interval(x.lo, y.lo, dels))
+    if y.hi is not None and (x.hi is None or x.hi > y.hi):
+        dels = {d for d in x.deletions if d >= y.hi}
+        if y.hi not in y.deletions:
+            dels.add(y.hi)
+        pieces.append(Interval(y.hi, x.hi, dels))
+    # deleted positions of y interior to x survive the subtraction
+    survivors = [d for d in y.deletions
+                 if x.member(d) and not any(p.in_base(d) for p in pieces)]
+    return pieces + setalg._point_atoms(survivors)
+
+
+def ref_cantor_minus(x, y):
+    common, x_only = setalg._ca_partition(y, x)
+    extra = set()
+    for piece in common:
+        if isinstance(piece, FinitePoints):
+            extra |= {p for p in piece.points
+                      if x.member(p) and not y.member(p)}
+        else:
+            # a shared sub-copy: positions deleted from y survive in x
+            extra |= {d for d in y.deletions
+                      if piece.member(d) and x.member(d)}
+    return x_only + setalg._point_atoms(extra)
+
+
+def ref_pair_meet(x, y):
+    if x == y:
+        return [x]
+    if (_rank(y), setalg._hull_key(y)) < (_rank(x), setalg._hull_key(x)):
+        x, y = y, x
+    if isinstance(x, FinitePoints):
+        return setalg._point_atoms([p for p in x.points if y.member(p)])
+    if isinstance(x, CountableSeq):
+        commons = ref_seq_commons(x, y, "meet")
+        if commons == "disjoint":
+            return []
+        kind, payload = commons
+        if kind == "finite":
+            return setalg._point_atoms([p for p in payload
+                                        if x.member(p) and y.member(p)])
+        seq, start = payload
+        head, rescued = setalg._tail_split(seq, start, y if seq is x else x)
+        return [seq.with_deletions(head + rescued)]
+    if isinstance(y, Interval):
+        lo = max((e for e in (x.lo, y.lo) if e is not None), default=None)
+        hi = min((e for e in (x.hi, y.hi) if e is not None), default=None)
+        if lo is not None and lo == hi:
+            return setalg._point_atoms(
+                [lo] if x.member(lo) and y.member(lo) else [])
+        return [Interval(lo, hi).with_deletions(x.deletions | y.deletions)]
+    common, _ = setalg._ca_partition(x, y)
+    holes = FinitePoints(x.deletions)
+    return [p for piece in common for p in ref_pair_minus(piece, holes)]
+
+
+def ref_pair_minus(x, y):
+    if x == y:
+        return []
+    if isinstance(x, FinitePoints):
+        return setalg._point_atoms([p for p in x.points if not y.member(p)])
+    if isinstance(y, FinitePoints):
+        return [x.with_deletions(y.points)]
+    if isinstance(x, CountableSeq):
+        commons = ref_seq_commons(x, y, "difference")
+        if commons == "disjoint":
+            return [x]
+        kind, payload = commons
+        if kind == "finite":
+            return [x.with_deletions(p for p in payload if y.member(p))]
+        seq, start = payload
+        if seq is not x:
+            start = setalg._tail_start(x, y)
+            if start is None:
+                raise NotRepresentable(
+                    "removing an interleaved subsequence leaves a non-catalog set")
+        head, rescued = setalg._tail_split(x, start, y)
+        return setalg._point_atoms(head + rescued)
+    if isinstance(x, Interval) and isinstance(y, Interval):
+        return ref_interval_minus_interval(x, y)
+    if isinstance(x, CantorAffine) and not isinstance(y, CountableSeq):
+        return ref_cantor_minus(x, y)
+    shared = []
+    for piece in ref_pair_meet(x, y):
+        if not isinstance(piece, FinitePoints):
+            what = ("an infinite sequence" if isinstance(piece, CountableSeq)
+                    else "a Cantor copy")
+            raise NotRepresentable(
+                f"an interval minus {what} is not a catalog set")
+        shared += piece.points
+    return [x.with_deletions(shared)]
+
+
 def ref_interval_minus(x, y):
     if isinstance(y, CountableSeq):
         kind, data = y.indices_within(x.lo, x.hi)
@@ -950,7 +1112,7 @@ def ref_interval_minus(x, y):
                 "an interval minus an infinite sequence is not a catalog set")
         return [_ref_delete_commons(x, y, map(y.point, data))]
     if isinstance(y, Interval):
-        return setalg._interval_minus_interval(x, y)
+        return ref_interval_minus_interval(x, y)
     covered, _ = setalg._ca_partition(x, y)
     hits = []
     for piece in covered:
@@ -972,7 +1134,7 @@ def ref_atom_minus_atom(x, y):
         return ref_interval_minus(x, y)
     if isinstance(y, CountableSeq):
         return [_ref_delete_commons(x, y, ref_seq_cantor_commons(y, x))]
-    return setalg._cantor_minus(x, y)
+    return ref_cantor_minus(x, y)
 
 
 def ref_intersect(a, b):
@@ -984,6 +1146,165 @@ def ref_intersect(a, b):
             return diff(a, diff(a, b))
         except NotRepresentable:
             return diff(b, diff(b, a))
+
+
+SIXTHS = [F(n, 6) for n in range(-8, 14)]
+TRIADIC = [F(n, 27) for n in range(-27, 55)]
+
+
+def _random_atom_with_deletions(rng):
+    """An atom of a random kind, on the sixths or on a triadic grid, half
+    each; every kind but a point atom carries 0-2 deleted points."""
+    grid = TRIADIC if rng.random() < 0.5 else SIXTHS
+    kind = rng.randrange(4)
+    if kind == 0:
+        return FinitePoints(rng.sample(grid, rng.randrange(1, 4)))
+    if kind == 1:
+        a = rng.choice(grid)
+        b = rng.choice([F(1), F(-1), F(1, 2), F(-1, 3), F(2), F(1, 9)])
+        if rng.random() < 0.5:
+            atom = CountableSeq(HARMONIC, a, b)
+        else:
+            atom = CountableSeq(GEOMETRIC, a, b, rng.choice(
+                [F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(1, 9)]))
+        return atom.with_deletions(
+            map(atom.point, rng.sample(range(1, 7), rng.randrange(3))))
+    if kind == 2:
+        lo = rng.choice(grid)
+        hi = lo + rng.choice([F(1, 27), F(1, 3), F(1, 2), F(1), F(2)])
+        atom = Interval(*rng.choice([(lo, hi)] * 4 + [(None, hi), (lo, None)]))
+        return atom.with_deletions([lo, hi] + rng.sample(grid, 6))
+    atom = CantorAffine(rng.choice(grid), rng.choice(
+        [F(1), F(1, 3), F(3), F(1, 9), F(-1, 3), F(1, 27), F(2, 9)]))
+    ends = [0, F(1, 3), F(2, 3), 1, F(1, 4), F(2, 9), F(7, 9), F(3, 4)]
+    return atom.with_deletions(atom.t + atom.s * e
+                               for e in rng.sample(ends, rng.randrange(3)))
+
+
+def _pair_outcome(fn, x, y):
+    """The atoms fn returns as a multiset, None, or the refusal's class
+    and text."""
+    try:
+        atoms = fn(x, y)
+    except HausdorffError as exc:
+        return (type(exc).__name__, str(exc))
+    return None if atoms is None else collections.Counter(atoms)
+
+
+def test_pair_layer_matches_the_per_rule_reference():
+    # the union, the meet and the difference read one relation per pair;
+    # each gives the atoms, or the refusal, that its own rules gave
+    rng = random.Random(44)
+    seen, unions = collections.Counter(), set()
+    for _ in range(2500):
+        x, y = _random_atom_with_deletions(rng), _random_atom_with_deletions(rng)
+        for fn, ref in ((setalg._atom_meet, ref_pair_meet),
+                        (setalg._atom_minus_atom, ref_pair_minus)):
+            got = _pair_outcome(fn, x, y)
+            assert got == _pair_outcome(ref, x, y), (fn.__name__, x, y)
+            seen[fn.__name__, type(got).__name__] += 1
+        for a, b in ((x, y), (y, x)):
+            if _rank(a) == 0 or _rank(a) > _rank(b):
+                continue
+            got = _pair_outcome(_resolve_pair, a, b)
+            assert got == _pair_outcome(ref_resolve_pair, a, b), (a, b)
+            seen["_resolve_pair", type(got).__name__] += 1
+            unions.add((type(a), type(b)))
+    # every kind pair the union resolves is drawn, and every operation
+    # both answers and refuses
+    assert len(unions) == 6
+    for name in ("_atom_meet", "_atom_minus_atom", "_resolve_pair"):
+        assert seen[name, "Counter"] >= 200 and seen[name, "tuple"] >= 10, seen
+
+
+H, G = HARMONIC, GEOMETRIC
+
+
+@pytest.mark.parametrize("x, y, spelled, reversed_spelling", [
+    # two sequences that meet finitely, at 1/2: x deletes it and is not
+    # restored, so y keeps it
+    (CountableSeq(H, 0, 1, deletions=[F(1, 2)]), CountableSeq(H, 1, -1),
+     "{0 + 1/n} \\ {1/2} u {1 + -1/n}", "{1 + -1/n} u {0 + 1/n} \\ {1/2}"),
+    # ... and where x holds it, it leaves y
+    (CountableSeq(H, 0, 1), CountableSeq(H, 1, -1),
+     "{0 + 1/n} u {1 + -1/n} \\ {1/2}", "{1 + -1/n} u {0 + 1/n} \\ {1/2}"),
+    # {4^(1-n)} has its tail in {2^-n}, which keeps its deleted 1/16
+    # restored; the head point 1 stays apart
+    (CountableSeq(G, 0, 4, F(1, 4), deletions=[F(1, 4)]),
+     CountableSeq(G, 0, 1, F(1, 2), deletions=[F(1, 16)]),
+     "{0 + 1*(1/2)^n} u {1}", "{0 + 1*(1/2)^n} u {1}"),
+    # a sequence over an interval, finitely: the interval keeps 1/2
+    # restored, the sequence loses 1/3 and 1/2
+    (CountableSeq(H, 0, 1), Interval(F(1, 3), F(2, 3), [F(1, 2)]),
+     "{0 + 1/n} \\ {1/3, 1/2} u [1/3, 2/3]",
+     "{0 + 1/n} \\ {1/3, 1/2} u [1/3, 2/3]"),
+    # ... and by tail: the interval keeps 1/5 restored, the head stays
+    (CountableSeq(H, 0, 1, deletions=[F(1, 4)]), Interval(0, F(1, 3), [F(1, 5)]),
+     "[0, 1/3] u {1/2, 1}", "[0, 1/3] u {1/2, 1}"),
+    # a sequence over a copy, through the gap 1/3 ends
+    (CountableSeq(H, F(2, 3), F(-1, 3)), CantorAffine(0, 1, [F(1, 3)]),
+     "(0 + 1*C) u {2/3 + -1/3/n} \\ {1/3}",
+     "(0 + 1*C) u {2/3 + -1/3/n} \\ {1/3}"),
+    # an interval against a copy: across a third, and at a touching end
+    (Interval(0, F(1, 3), [F(1, 3)]), CantorAffine(0, 1),
+     "[0, 1/3] u (2/3 + 1/3*C)", "[0, 1/3] u (2/3 + 1/3*C)"),
+    (Interval(1, 2, [1]), CantorAffine(0, 1),
+     "(0 + 1*C) \\ {1} u [1, 2]", "(0 + 1*C) \\ {1} u [1, 2]"),
+    # two copies that resolve to None, and keep their spellings: their
+    # hulls touch at 1, which the second deletes, or the second lies in a
+    # gap of the first
+    (CantorAffine(0, 1), CantorAffine(1, 1, [1]),
+     "(0 + 1*C) u (1 + 1*C) \\ {1}", "(0 + 1*C) \\ {1} u (1 + 1*C)"),
+    (CantorAffine(0, 1), CantorAffine(F(4, 9), F(1, 27)),
+     "(0 + 1*C) u (4/9 + 1/27*C)", "(0 + 1*C) u (4/9 + 1/27*C)"),
+])
+def test_union_spellings_of_each_keeper(x, y, spelled, reversed_spelling):
+    assert union(RepSet.of(x), RepSet.of(y)).render() == spelled
+    assert union(RepSet.of(y), RepSet.of(x)).render() == reversed_spelling
+    if isinstance(x, CantorAffine):
+        assert _resolve_pair(x, y) is None
+
+
+def _relations_counted(fn, pairs):
+    """fn over the pairs, with the calls of _ca_partition and
+    _seq_seq_commons each pair made, and the answers or refusals."""
+    counts, outcomes = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_ca_partition", "_seq_seq_commons"):
+            def counting(*args, _inner=getattr(setalg, name)):
+                counts[-1] += 1
+                return _inner(*args)
+            patch.setattr(setalg, name, counting)
+        for x, y in pairs:
+            counts.append(0)
+            outcomes.append(_pair_outcome(fn, x, y))
+    return counts, outcomes
+
+
+# one overlapping pair per kind pair, in rank order, deletions included
+_KIND_PAIRS = [
+    (CountableSeq(H, 0, 1, deletions=[F(1, 3)]), CountableSeq(H, 1, -1)),
+    (CountableSeq(G, 0, 1, F(1, 2)), CountableSeq(H, 0, 1, deletions=[F(1, 4)])),
+    (CountableSeq(H, 0, 1), Interval(F(1, 3), F(2, 3), [F(1, 2)])),
+    (CountableSeq(H, F(2, 3), F(-1, 3)), CantorAffine(0, 1, [F(1, 3)])),
+    (Interval(0, 1, [F(1, 2)]), Interval(F(1, 2), 2)),
+    (Interval(0, F(1, 3), [F(1, 3)]), CantorAffine(0, 1)),
+    (CantorAffine(0, 1), CantorAffine(0, F(1, 3), [F(1, 3)])),
+    (CantorAffine(0, 1, [1]), CantorAffine(1, 1)),
+    (FinitePoints([F(1, 2), 2]), CountableSeq(H, 0, 1)),
+]
+
+
+def test_each_pair_operation_computes_its_relation_once():
+    pairs = _KIND_PAIRS + [(y, x) for x, y in _KIND_PAIRS]
+    for fn, ref, these in (
+            (_resolve_pair, ref_resolve_pair, _KIND_PAIRS[:-1]),
+            (setalg._atom_meet, ref_pair_meet, pairs),
+            (setalg._atom_minus_atom, ref_pair_minus, pairs)):
+        counts, got = _relations_counted(fn, these)
+        ref_counts, want = _relations_counted(ref, these)
+        assert got == want
+        assert max(counts) <= 1 and sum(counts) <= sum(ref_counts), counts
 
 
 def test_intersection_answers_random_atom_pairs():
