@@ -2,8 +2,8 @@
 and the integral graded by them.
 
 The headline objects are re-exported here; the submodules hold the
-full surface (hvalue, setalg, hintegral, metrics, deficiency, oracle,
-docio, checks, cli).
+full surface (hvalue, setalg, hintegral, theorems, metrics, deficiency,
+oracle, docio, checks, cli).
 
 `import hausdorff` loads no submodule: a re-exported name loads its
 submodule on first use (PEP 562), so a caller pays only for the layers
@@ -35,9 +35,9 @@ _HOME = {name: module for module, names in {
     "setalg": ("CantorAffine", "CountableSeq", "EMPTY_SET", "FinitePoints",
                "Interval", "RepSet", "diff", "hmeasure", "intersect",
                "symdiff", "union"),
-    "hintegral": ("PiecewiseFunction", "add", "beppo_levi_limit",
-                  "fatou_check", "h_integral", "indicator",
-                  "monotone_compare", "scalar_mul"),
+    "hintegral": ("PiecewiseFunction", "add", "h_integral", "indicator",
+                  "scalar_mul"),
+    "theorems": ("beppo_levi_limit", "fatou_check", "monotone_compare"),
     "metrics": ("d_H", "d_s", "dH_pairs", "is_cauchy", "riesz_fischer_check"),
     "checks": ("run_suite", "suite_names"),
 }.items() for name in names}

@@ -5,7 +5,8 @@ and hash over its fields, a repr that lists them, and instances whose
 attributes cannot be assigned or deleted. The fields are the class's own
 annotations, in order. The methods are defined once here and shared by
 every class, so decorating a class compiles and runs no code; a method
-the class defines itself is kept. Behaviour follows dataclasses
+the class defines itself is kept. A class of one field gets an == that
+reads that field alone, which is faster than comparing 1-tuples. Behaviour follows dataclasses
 (PEP 557) with eq=True and frozen=True: the same repr text, == only
 between instances of one class, the same hash values and the same error
 texts.
@@ -65,13 +66,15 @@ def frozen(cls):
         f.name = name
         found.append(f)
     cls.__value_fields__ = tuple(found)
-    cls.__value_key__ = _key([f.name for f in found])
+    names = [f.name for f in found]
+    # one field is compared as itself (_eq_one), not as a 1-tuple
+    cls.__value_key__ = attrgetter(*names) if len(names) == 1 else _key(names)
     cls.__value_hash_key__ = _key([f.name for f in found if f.hash])
     own = cls.__dict__
     own_hash = own.get("__hash__", _MISSING)
     # Python sets __hash__ to None in a class that defines __eq__ alone
     hashes = own_hash is _MISSING or (own_hash is None and "__eq__" in own)
-    for name, method in _METHODS.items():
+    for name, method in (_ONE_FIELD if len(names) == 1 else _METHODS).items():
         if name not in own:
             setattr(cls, name, method)
     if hashes:
@@ -132,6 +135,16 @@ def _eq(self, other):
     return NotImplemented
 
 
+def _eq_one(self, other):
+    # what (a,) == (b,) answers, identity first, without the two tuples
+    cls = self.__class__
+    if other.__class__ is cls:
+        get = cls.__value_key__
+        a, b = get(self), get(other)
+        return True if a is b or a == b else False
+    return NotImplemented
+
+
 def _hash(self):
     return hash(self.__class__.__value_hash_key__(self))
 
@@ -146,6 +159,7 @@ def _delattr(self, name):
 
 _METHODS = {"__init__": _init, "__repr__": _repr, "__eq__": _eq,
             "__setattr__": _setattr, "__delattr__": _delattr}
+_ONE_FIELD = {**_METHODS, "__eq__": _eq_one}
 
 
 def replace(obj, **changes):

@@ -23,14 +23,16 @@ from .hvalue import (DIM_CANTOR, DIM_ONE, DIM_TWO, DIM_ZERO, ConstantTail,
                      top_terms)
 from .setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                      FinitePoints, Interval, RepSet, diff, hmeasure,
-                     symdiff, union, verify_monotone, verify_subadditive)
-from .hintegral import (ALL_REALS, Const, ConstantSeq, PiecewiseFunction,
-                        Poly, PrefixGrowth, SeriesValues, ShrinkingPlateau,
-                        SingletonTail, SlidingBump, StageClimb, SupportGrowth,
-                        add, additivity_over_region, beppo_levi_limit,
-                        countable_additivity, fatou_check, h_integral,
-                        indicator, indicator_bridge, monotone_compare,
-                        neg_part, pos_part, restrict_to_support, scalar_mul)
+                     symdiff, union)
+from .hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
+                        SeriesValues, add, h_integral, indicator, neg_part,
+                        pos_part, scalar_mul)
+from .theorems import (ConstantSeq, PrefixGrowth, ShrinkingPlateau,
+                       SingletonTail, SlidingBump, StageClimb, SupportGrowth,
+                       additivity_over_region, beppo_levi_limit,
+                       countable_additivity, fatou_check, indicator_bridge,
+                       monotone_compare, restrict_to_support,
+                       verify_monotone, verify_subadditive)
 from .deficiency import cluster_set, defi_continuity_cluster
 from .metrics import (DEFAULT_SCHEDULE, Alternating, PointPerturbation,
                       PrefixPerturbation, dH_pairs, d_H, d_s, is_cauchy,

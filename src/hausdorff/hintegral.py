@@ -10,24 +10,18 @@ integral of a sum, and so on) come out the way they do.
 
 from __future__ import annotations
 
-import functools
 import math
-from itertools import combinations, zip_longest
-from typing import Iterable, Optional, Sequence, Union
+from itertools import zip_longest
+from typing import Iterable, Optional, Union
 
 from ._numeric import Fraction, Rational, _frac, _trimmed
 from ._value import frozen
-from .errors import (DisjointnessViolated, DoesNotConverge,
-                     MonotonicityViolated, NotRepresentable, OrderNotVerified,
-                     ValidationError)
-from .hvalue import (DIM_ONE, DIM_ZERO, NEG_INF, POS_INF, CoefficientSeries,
-                     ConstantTail, ExtReal, FiniteList, Geometric, GrowthTail,
-                     HPair, HSeq, MeasureTail, PSeries, hpair_eq, hpair_sum,
-                     hseq_liminf, hseq_limit, series_add, top_sum)
-from .setalg import (EMPTY_SET, GEOMETRIC, HARMONIC, Atom, CountableSeq,
-                     FinitePoints, Interval, RepSet, _atom_meet, _hulls_meet,
-                     _tail_start, _term_range, cross_pairs, diff, hmeasure,
-                     intersect, meeting_pairs, normalize, union)
+from .errors import NotRepresentable, ValidationError
+from .hvalue import (NEG_INF, POS_INF, CoefficientSeries, ExtReal, FiniteList,
+                     Geometric, HPair, PSeries, series_add, top_sum)
+from .setalg import (Atom, CountableSeq, FinitePoints, Interval, RepSet,
+                     _atom_meet, _hulls_meet, cross_pairs, diff, intersect,
+                     meeting_pairs, normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +67,17 @@ class Poly(Expression):
     def scale(self, c):
         k = _frac(c)
         return Poly(v * k for v in self.coeffs)
+
+
+def _value(cs: list[int], x: Fraction) -> int:
+    """cs at x, times the positive factor x.denominator ** degree."""
+    # the slots of a Fraction, not its properties
+    n, d = (x, 1) if type(x) is int else (x._numerator, x._denominator)
+    acc, w = 0, 1
+    for c in reversed(cs):
+        acc = acc * n + c * w
+        w *= d
+    return acc
 
 
 def Const(value: Rational) -> Poly:
@@ -183,195 +188,6 @@ def zero_function() -> PiecewiseFunction:
 
 
 # ---------------------------------------------------------------------------
-# polynomial root bookkeeping
-
-# Polynomials are worked on as primitive integer coefficient lists
-# (ascending powers). The sign of such a list at a rational u/v is the sign
-# of its homogeneous value sum c_i u^i v^(n-i), so every step is integer
-# arithmetic: Sturm chains kept as Fractions grow far faster with degree.
-
-
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _primitive(cs: list[int]) -> list[int]:
-    """cs divided by the gcd of its entries."""
-    g = math.gcd(*cs)
-    return [c // g for c in cs] if g > 1 else cs
-
-
-def _int_coeffs(p: Poly) -> list[int]:
-    den = math.lcm(*(c._denominator for c in p.coeffs))
-    return _primitive([c._numerator * (den // c._denominator)
-                       for c in p.coeffs])
-
-
-def _derivative(cs: list[int]) -> list[int]:
-    return [i * c for i, c in enumerate(cs)][1:]
-
-
-def _value(cs: list[int], x: Fraction) -> int:
-    """cs at x, times the positive factor x.denominator ** degree."""
-    # the slots of a Fraction, not its properties
-    n, d = (x, 1) if type(x) is int else (x._numerator, x._denominator)
-    acc, w = 0, 1
-    for c in reversed(cs):
-        acc = acc * n + c * w
-        w *= d
-    return acc
-
-
-def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b, both times one positive integer."""
-    a, db, lb = list(a), len(b) - 1, b[-1]
-    scale, sb = abs(lb), _sign(lb)
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) > db:
-        shift, la = len(a) - 1 - db, a[-1] * sb
-        quot = [scale * c for c in quot]
-        quot[shift] += la
-        a = [scale * c for c in a]
-        for i, c in enumerate(b):
-            a[i + shift] -= la * c
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return quot, a
-
-
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    while b:
-        a, b = b, _primitive(_pdivmod(a, b)[1])
-    return a
-
-
-def _order_at(cs: list[int], x: Fraction) -> tuple[int, int]:
-    """(k, s): x is a root of cs of order k, and s is the sign of the k-th
-    derivative at x, which is the sign of cs just right of x."""
-    k = 0
-    while True:
-        s = _sign(_value(cs, x))
-        if s:
-            return k, s
-        cs, k = _derivative(cs), k + 1
-
-
-def _sturm_chain(q: list[int]) -> list[list[int]]:
-    chain = [q, _derivative(q)]
-    while len(chain[-1]) > 1:
-        chain.append(_primitive([-c for c in
-                                 _pdivmod(chain[-2], chain[-1])[1]]))
-    return chain
-
-
-def _variations(chain: list[list[int]], x: Fraction) -> int:
-    count, last = 0, 0
-    for cs in chain:
-        s = _sign(_value(cs, x))
-        if s:
-            count += last == -s
-            last = s
-    return count
-
-
-def _roots_within(ps: list[int], lo: Optional[Fraction],
-                  hi: Optional[Fraction]) -> list:
-    """Distinct real roots of ps in the closed range, increasing, as
-    (root if rational else None, odd multiplicity) pairs.
-
-    The roots of the square-free part q are isolated by Sturm counts
-    (which count the roots in a half-open (a, b]) and bisection. A
-    rational root of the primitive integer q has a denominator dividing
-    lead = |lc(q)|, so it is the one point k/lead of an isolating
-    interval narrower than 1/lead; no integer needs factoring.
-    """
-    if len(ps) < 2:
-        return []
-    g = _gcd(ps, _derivative(ps))
-    q = _primitive(_pdivmod(ps, g)[0]) if len(g) > 1 else ps
-    out = []
-    if lo is not None and _value(q, lo) == 0:
-        out.append((lo, _order_at(ps, lo)[0] % 2 == 1))
-    # Cauchy: every root lies strictly inside (-bound, bound)
-    bound = Fraction(2 + max(abs(c) for c in q[:-1]) // abs(q[-1]))
-    a = -bound if lo is None else max(lo, -bound)
-    b = bound if hi is None else min(hi, bound)
-    if a >= b:
-        return out
-    chain = _sturm_chain(q)
-    todo = [(a, b, _variations(chain, a), _variations(chain, b))]
-    isolated = []
-    while todo:
-        a, b, va, vb = todo.pop()
-        if va - vb == 1:
-            isolated.append((a, b))
-        elif va - vb > 1:
-            m = (a + b) / 2
-            vm = _variations(chain, m)
-            todo += [(a, m, va, vm), (m, b, vm, vb)]
-    for a, b in sorted(isolated):
-        out.append(_isolated_root(ps, q, a, b))
-    return out
-
-
-def _isolated_root(ps: list[int], q: list[int], a: Fraction,
-                   b: Fraction) -> tuple:
-    """The root of p (coefficients ps) that is the only root of its
-    square-free part q in (a, b]."""
-    lead = abs(q[-1])
-    side = _order_at(q, a)[1]
-    # q has a simple root here, so it changes sign there
-    while (b - a) * lead >= 1:
-        m = (a + b) / 2
-        s = _sign(_value(q, m))
-        if s == 0:
-            return m, _order_at(ps, m)[0] % 2 == 1
-        if s == side:
-            a = m
-        else:
-            b = m
-    x = Fraction(math.floor(a * lead) + 1, lead)
-    if x <= b and _value(q, x) == 0:
-        return x, _order_at(ps, x)[0] % 2 == 1
-    # irrational; its order is odd exactly when p changes sign across
-    # (a, b], where it is the only root of p and b is none
-    return None, _order_at(ps, a)[1] != _sign(_value(ps, b))
-
-
-# d_H, is_cauchy and riesz_fischer_check split the same polynomial on the
-# same interval many times in one call (every |f_n - f_m| repeats the
-# terms the sequence keeps). Nothing in the key or the isolation reads the
-# config, so a cached answer holds under any precision.
-@functools.lru_cache(maxsize=128)
-def _sign_regions(p: Poly, lo: Optional[Fraction], hi: Optional[Fraction]):
-    """Cut [lo, hi] at the sign changes of p: a tuple of (a, b, sign) with
-    constant sign on each open piece. Sign changes at irrational points
-    cannot be cut exactly and raise NotRepresentable. The signs come from
-    the isolation: the first piece has p's sign just right of lo (or at
-    -infinity), and each odd rational root inside flips it. Cached per
-    (p, lo, hi) for the 128 most recent triples; a refusal is not cached,
-    so it is raised again on every call."""
-    ps = _int_coeffs(p)
-    if not ps:
-        raise ValidationError("the zero polynomial has no sign regions")
-    sgn = (_sign(ps[-1]) * (-1) ** (len(ps) - 1) if lo is None
-           else _order_at(ps, lo)[1])
-    out, a = [], lo
-    for root, odd in _roots_within(ps, lo, hi):
-        if not odd:
-            continue
-        if root is None:
-            raise NotRepresentable(
-                "the sign of the polynomial changes at an irrational point")
-        if (lo is None or root > lo) and (hi is None or root < hi):
-            out.append((a, root, sgn))
-            a, sgn = root, -sgn
-    out.append((a, hi, sgn))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # support
 
 def support(f: PiecewiseFunction) -> RepSet:
@@ -393,6 +209,7 @@ def _support_pieces(atom: Atom, expr: Expression) -> list[Atom]:
         return _series_support(atom, expr.series)
     if expr.degree() == 0:
         return [atom]
+    from ._roots import _int_coeffs, _roots_within
     lo, hi = atom.hull()
     roots = [r for r, _ in _roots_within(_int_coeffs(expr), lo, hi)
              if r is not None and atom.member(r)]
@@ -455,30 +272,6 @@ def h_integral(f: PiecewiseFunction, region: Region = ALL_REALS) -> HPair:
     return top_sum(terms, lambda t: t[0].dim(), lambda t: _piece_measure(*t))
 
 
-def restrict_to_support(f: PiecewiseFunction,
-                        region: Region = ALL_REALS) -> tuple[HPair, HPair]:
-    """Integral over the region and over the support inside it.
-
-    The two agree: integrating where f vanishes adds nothing.
-    """
-    base = h_integral(f, region)
-    dom = support(f)
-    if isinstance(region, RepSet):
-        dom = intersect(dom, region)
-    return base, h_integral(f, dom)
-
-
-def indicator_bridge(s: RepSet) -> HPair:
-    """Integral of the indicator of s, checked against the measure of s."""
-    got = h_integral(indicator(s))
-    want = hmeasure(s)
-    if not hpair_eq(got, want):
-        raise ValidationError(
-            f"indicator integral {got.render()} disagrees with "
-            f"the measure {want.render()}")
-    return got
-
-
 # ---------------------------------------------------------------------------
 # linear structure
 
@@ -505,11 +298,22 @@ def _localize(piece: Atom, origin: Atom, expr: Expression) -> Expression:
         if piece.base_key == origin.base_key:
             return expr
         # a tail of origin from index j reads origin's values from j on
+        from ._seqmeet import _tail_start
         if (j := _tail_start(origin, piece)) is not None:
             return SeriesValues(_shift_series(expr.series, j - 1))
         raise NotRepresentable(
             "series values cannot be rebased onto a different sequence")
     raise NotRepresentable("series values survive only on their sequence")
+
+
+def _shift_series(s: CoefficientSeries, k: int) -> CoefficientSeries:
+    if k == 0:
+        return s
+    if isinstance(s, FiniteList):
+        return FiniteList(s.values[k:])
+    if isinstance(s, Geometric):
+        return Geometric(s.a * s.r ** k, s.r)
+    raise NotRepresentable("a shifted p-series leaves the catalog")
 
 
 def _pointwise_terms(piece: FinitePoints, sources) -> list:
@@ -623,6 +427,7 @@ def _signed_part(f: PiecewiseFunction) -> list:
     An irrational sign change of a polynomial, and alternating values on
     a harmonic sequence, raise NotRepresentable.
     """
+    from ._roots import _signed_term
     out = []
     for atom, expr in f.terms:
         out.extend(_signed_term(atom, expr))
@@ -635,521 +440,3 @@ def abs_integral(f: PiecewiseFunction) -> HPair:
     return h_integral(PiecewiseFunction(
         [(a, e if sign > 0 else e.scale(-1))
          for a, e, sign in _signed_part(f)]))
-
-
-def _signed_term(atom: Atom, expr: Expression) -> list:
-    if isinstance(expr, SeriesValues):
-        return _signed_series(atom, expr.series)
-    if expr.degree() == 0:
-        return [(atom, expr, _sign(expr.coeffs[0]))]
-    return _signed_poly(atom, expr)
-
-
-def _signed_poly(atom: Interval, p: Poly) -> list:
-    lo, hi = atom.hull()
-    out = []
-    for a, b, sgn in _sign_regions(p, lo, hi):
-        dels = {d for d in atom.deletions
-                if (a is None or d >= a) and (b is None or d <= b)}
-        # region boundaries at sign changes carry the value zero
-        if a is not None and (lo is None or a != lo):
-            dels.add(a)
-        if b is not None and (hi is None or b != hi):
-            dels.add(b)
-        out.append((Interval(a, b, dels), p, sgn))
-    return out
-
-
-def _signed_series(atom: CountableSeq, s: CoefficientSeries) -> list:
-    sg = s.sign()
-    if sg is not None:
-        return [(atom, SeriesValues(s), sg)]
-    if isinstance(s, FiniteList):
-        out = []
-        for i, v in enumerate(s.values):
-            x = atom.point(i + 1)
-            if v != 0 and atom.member(x):
-                out.append((FinitePoints([x]), Const(v), _sign(v)))
-        return out
-    # alternating geometric values: the even and odd index subsequences
-    # have constant sign, and each is a sequence atom again
-    assert isinstance(s, Geometric) and s.r < 0
-    return [(sub_atom, SeriesValues(sub_series), sub_series.sign())
-            for sub_atom, sub_series in _split_parity(atom, s)]
-
-
-def _split_parity(atom: CountableSeq, s: Geometric):
-    """Split a sequence atom and its value series by index parity."""
-    if atom.family == HARMONIC:
-        # points a + b/(2k-1) are not a harmonic sequence
-        raise NotRepresentable(
-            "odd-index points of a harmonic sequence are not a "
-            "catalog sequence")
-    # each keeps the deletions in its own base set: those of its parity
-    odd = CountableSeq(GEOMETRIC, atom.a, atom.b / atom.q,
-                       atom.q ** 2).with_deletions(atom.deletions)
-    even = CountableSeq(GEOMETRIC, atom.a, atom.b,
-                        atom.q ** 2).with_deletions(atom.deletions)
-    # original index n = 2k-1 reads series rank 2k-2, n = 2k reads 2k-1
-    return ((odd, Geometric(s.a, s.r ** 2)),
-            (even, Geometric(s.a * s.r, s.r ** 2)))
-
-
-# ---------------------------------------------------------------------------
-# additivity
-
-def additivity_over_region(f: PiecewiseFunction, region_a: RepSet,
-                           region_b: RepSet) -> tuple[HPair, HPair, HPair]:
-    """(integral over the union, over A, over B) for disjoint A and B.
-    The first is the pair sum of the other two whenever all exist."""
-    if not intersect(region_a, region_b).is_empty():
-        raise DisjointnessViolated("the regions overlap")
-    return (h_integral(f, union(region_a, region_b)),
-            h_integral(f, region_a),
-            h_integral(f, region_b))
-
-
-@frozen
-class SingletonTail:
-    """The tail of a countable partition: one singleton per sequence point
-    with index at or above start."""
-
-    atom: CountableSeq
-    start: int = 1
-
-    def __init__(self, atom: CountableSeq, start: int = 1):
-        if start < 1:
-            raise ValidationError("indices start at 1")
-        if atom.deletions:
-            raise ValidationError(
-                "a partition tail enumerates a full sequence; delete "
-                "points from the head sets instead")
-        fields = self.__dict__
-        fields["atom"], fields["start"] = atom, start
-
-    def as_set(self) -> RepSet:
-        skipped = list(map(self.atom.point, _term_range(1, self.start)))
-        return RepSet.of(self.atom.with_deletions(skipped))
-
-
-def _tail_value_series(f: PiecewiseFunction,
-                       tail: SingletonTail) -> CoefficientSeries:
-    """f's values at the tail's points, as a catalog series indexed from
-    the tail's start."""
-    for atom, expr in f.terms:
-        if (not isinstance(atom, CountableSeq)
-                or atom.base_key != tail.atom.base_key):
-            continue
-        for d in atom.deletions:
-            if atom.index_of(d) >= tail.start:
-                raise NotRepresentable(
-                    "a deletion inside the tail breaks the value series")
-        if not isinstance(expr, SeriesValues):
-            raise NotRepresentable(
-                "constant tail values are outside the series catalog")
-        return _shift_series(expr.series, tail.start - 1)
-    tail_set = tail.as_set()
-    for atom, _ in f.terms:
-        if not intersect(RepSet.of(atom), tail_set).is_empty():
-            raise NotRepresentable(
-                "tail values straddle several terms of the function")
-    return FiniteList([])
-
-
-def _shift_series(s: CoefficientSeries, k: int) -> CoefficientSeries:
-    if k == 0:
-        return s
-    if isinstance(s, FiniteList):
-        return FiniteList(s.values[k:])
-    if isinstance(s, Geometric):
-        return Geometric(s.a * s.r ** k, s.r)
-    raise NotRepresentable("a shifted p-series leaves the catalog")
-
-
-def countable_additivity(f: PiecewiseFunction, head: Sequence[RepSet],
-                         tail: Optional[SingletonTail] = None
-                         ) -> tuple[HPair, HPair]:
-    """Integral over the union of the parts against the sum of the pair
-    series of per-part integrals. Returns both; they must agree.
-
-    The partition is finitely presented: explicit head sets plus an
-    optional singleton tail running down a sequence atom.
-    """
-    parts = [p for p in head]
-    if tail is not None:
-        parts.append(tail.as_set())
-    # intersect meets only the atoms whose hulls meet (cross_pairs)
-    for i, j in combinations(range(len(parts)), 2):
-        if not intersect(parts[i], parts[j]).is_empty():
-            raise DisjointnessViolated(f"partition parts {i} and {j} overlap")
-    whole = EMPTY_SET
-    for p in parts:
-        whole = union(whole, p)
-    lhs = h_integral(f, whole)
-
-    pairs = [h_integral(f, p) for p in head]
-    if tail is not None:
-        tail_series = _tail_value_series(f, tail)
-        if not (tail_series.abs_converges()
-                or (tail_series.sign() or 0) >= 0):
-            raise DoesNotConverge(
-                "the tail of per-part integrals has no order-independent "
-                "sum")
-        pairs.append(HPair(DIM_ZERO, tail_series.sum()))
-    rhs = hpair_sum(pairs)
-    if not hpair_eq(lhs, rhs):
-        raise ValidationError(
-            f"partition sum {rhs.render()} disagrees with the whole "
-            f"integral {lhs.render()}")
-    return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# order
-
-def verify_nonneg(f: PiecewiseFunction, label: str = "f") -> None:
-    """Certify f >= 0 everywhere or raise OrderNotVerified.
-
-    It reads the sign split term by term (see _signed_part): no piece
-    may be negative, and a sign change the split cannot cut refuses too.
-    """
-    for atom, expr in f.terms:
-        try:
-            pieces = _signed_term(atom, expr)
-        except NotRepresentable:
-            # an odd-order irrational root is still a sign change
-            raise OrderNotVerified(f"{label} changes sign inside {atom!r}")
-        for piece, _, sgn in pieces:
-            if sgn < 0:
-                raise OrderNotVerified(f"{label} is negative on {piece!r}")
-
-
-def _certified_nonneg(*fs: PiecewiseFunction) -> bool:
-    """Whether verify_nonneg certifies every one of fs."""
-    try:
-        for f in fs:
-            verify_nonneg(f)
-    except OrderNotVerified:
-        return False
-    return True
-
-
-def monotone_compare(f: PiecewiseFunction, g: PiecewiseFunction,
-                     region: Region = ALL_REALS) -> bool:
-    """For 0 <= f <= g (verified exactly), whether the integral of f is
-    at most the integral of g. The theorem says always; the return value
-    lets the caller see it happen."""
-    verify_nonneg(f, "f")
-    try:
-        gap = add(g, scalar_mul(-1, f))
-    except NotRepresentable as exc:
-        raise OrderNotVerified(
-            f"cannot refine g against f to compare them: {exc}") from exc
-    verify_nonneg(gap, "g - f")
-    return h_integral(f, region) <= h_integral(g, region)
-
-
-# ---------------------------------------------------------------------------
-# generated sequences of functions
-
-class FunctionSeq:
-    """A generated sequence of piecewise functions, indexed from 1.
-
-    Generators know their terms and limit exactly, which makes the
-    convergence theorems checkable at the desk. Each provides term(n)
-    and limit(). Monotone convergence and Fatou's lemma read
-    integral_seq(), nonneg() and nondecreasing(). Completeness reads
-    limit_index(eps), an index N with d_H(f_n, limit) < (0, eps)
-    certified for all n >= N, and cauchy_index(eps), the same for
-    d_H(f_n, f_m), or None when no index will do.
-
-    Every term lies in L_H when one does: the generator certifies its
-    terms, and the metrics checks certify one term only. A
-    PerturbationSeq certifies its base, and each bump adds finitely many
-    finite values; an Alternating's d_H certifies both of its functions;
-    a ConstantSeq's terms are its limit.
-    """
-
-    def cauchy_index(self, eps):
-        # d(f_n, f_m) <= d(f_n, limit) + d(limit, f_m)
-        return self.limit_index(Fraction(eps) / 2)
-
-    def check_step(self, n: int) -> None:
-        """Certify term(n) <= term(n+1) pointwise, or raise
-        OrderNotVerified. The default subtracts and checks the sign;
-        generators whose monotonicity is structural override it."""
-        step = add(self.term(n + 1), scalar_mul(-1, self.term(n)))
-        verify_nonneg(step, f"f_{n + 1} - f_{n}")
-
-
-@frozen
-class SupportGrowth(FunctionSeq):
-    """f_n = value on [lo, hi - gap/n]: the support climbs to [lo, hi)."""
-
-    lo: Fraction
-    hi: Fraction
-    value: Fraction
-    gap: Fraction
-
-    def __init__(self, lo, hi, value, gap):
-        lo, hi = Fraction(lo), Fraction(hi)
-        value, gap = Fraction(value), Fraction(gap)
-        if not 0 < gap < hi - lo:
-            raise ValidationError("need 0 < gap < hi - lo")
-        if value == 0:
-            raise ValidationError("the plateau value must be nonzero")
-        self.__dict__.update(lo=lo, hi=hi, value=value, gap=gap)
-
-    def term(self, n):
-        return PiecewiseFunction(
-            [(Interval(self.lo, self.hi - self.gap / n), Const(self.value))])
-
-    def integral_seq(self):
-        base = ExtReal.of(self.value * (self.hi - self.lo))
-        return HSeq((), MeasureTail(DIM_ONE,
-                                    PSeries(-self.value * self.gap, 1), base))
-
-    def limit(self):
-        return PiecewiseFunction(
-            [(Interval(self.lo, self.hi, (self.hi,)), Const(self.value))])
-
-    def nonneg(self):
-        return self.value > 0
-
-    def nondecreasing(self):
-        return self.value > 0
-
-
-@frozen
-class ShrinkingPlateau(FunctionSeq):
-    """f_n = value on [base, base + width/n]: the mass dies, one point
-    survives. With a negative value this is the classic signed chain
-    whose limit of integrals (d, 0) misses the integral of the limit."""
-
-    base: Fraction
-    width: Fraction
-    value: Fraction
-
-    def __init__(self, base, width, value):
-        base, width, value = Fraction(base), Fraction(width), Fraction(value)
-        if width <= 0:
-            raise ValidationError("the plateau width must be positive")
-        if value == 0:
-            raise ValidationError("the plateau value must be nonzero")
-        self.__dict__.update(base=base, width=width, value=value)
-
-    def term(self, n):
-        return PiecewiseFunction(
-            [(Interval(self.base, self.base + self.width / n),
-              Const(self.value))])
-
-    def integral_seq(self):
-        return HSeq((), MeasureTail(DIM_ONE,
-                                    PSeries(self.value * self.width, 1)))
-
-    def limit(self):
-        return PiecewiseFunction(
-            [(FinitePoints([self.base]), Const(self.value))])
-
-    def nonneg(self):
-        return self.value > 0
-
-    def nondecreasing(self):
-        return self.value < 0
-
-
-@frozen
-class PrefixGrowth(FunctionSeq):
-    """f_n = value on the first n points of a sequence atom."""
-
-    atom: CountableSeq
-    value: Fraction
-
-    def __init__(self, atom, value):
-        value = Fraction(value)
-        if atom.deletions:
-            raise ValidationError("prefix growth wants a full sequence")
-        if value == 0:
-            raise ValidationError("the value must be nonzero")
-        fields = self.__dict__
-        fields["atom"], fields["value"] = atom, value
-
-    def term(self, n):
-        pts = [self.atom.point(i) for i in range(1, n + 1)]
-        return PiecewiseFunction([(FinitePoints(pts), Const(self.value))])
-
-    def integral_seq(self):
-        return HSeq((), GrowthTail(DIM_ZERO, self.value))
-
-    def limit(self):
-        return PiecewiseFunction([(self.atom, Const(self.value))])
-
-    def nonneg(self):
-        return self.value > 0
-
-    def nondecreasing(self):
-        return self.value > 0
-
-
-@frozen
-class SlidingBump(FunctionSeq):
-    """f_n = value on [n, n+1]: constant mass escaping to infinity; the
-    pointwise limit is zero."""
-
-    value: Fraction
-
-    def __init__(self, value):
-        value = Fraction(value)
-        if value == 0:
-            raise ValidationError("the value must be nonzero")
-        self.__dict__["value"] = value
-
-    def term(self, n):
-        return PiecewiseFunction(
-            [(Interval(Fraction(n), Fraction(n + 1)), Const(self.value))])
-
-    def integral_seq(self):
-        return HSeq((), ConstantTail(HPair(DIM_ONE, ExtReal.of(self.value))))
-
-    def limit(self):
-        return zero_function()
-
-    def nonneg(self):
-        return self.value > 0
-
-    def nondecreasing(self):
-        return False
-
-
-@frozen
-class StageClimb(FunctionSeq):
-    """f_n = value on the n-th of finitely many nested stages, constant
-    after the last. Stages with strictly growing dimension exercise the
-    dimension-climb branch of monotone convergence."""
-
-    stages: tuple[RepSet, ...]
-    value: Fraction
-
-    def __init__(self, stages, value):
-        stages = tuple(stages)
-        value = Fraction(value)
-        if not stages:
-            raise ValidationError("need at least one stage")
-        if value <= 0:
-            raise ValidationError("the value must be positive")
-        for cur, nxt in zip(stages, stages[1:]):
-            if not diff(cur, nxt).is_empty():
-                raise ValidationError("stages must be nested increasingly")
-        fields = self.__dict__
-        fields["stages"], fields["value"] = stages, value
-
-    def term(self, n):
-        stage = self.stages[min(n, len(self.stages)) - 1]
-        return indicator(stage, self.value)
-
-    def integral_seq(self):
-        pairs = [h_integral(indicator(s, self.value)) for s in self.stages]
-        return HSeq(tuple(pairs[:-1]), ConstantTail(pairs[-1]))
-
-    def limit(self):
-        return indicator(self.stages[-1], self.value)
-
-    def nonneg(self):
-        return True
-
-    def nondecreasing(self):
-        return True
-
-    def check_step(self, n):
-        """Containment of stages is the pointwise order for indicators,
-        and the constructor verified it; the subtraction form may leave
-        the catalog (interval minus a Cantor copy)."""
-
-
-@frozen
-class ConstantSeq(FunctionSeq):
-    """f_n = fn for every n: every term is at distance 0 from fn, so the
-    limit index is 1 for every tolerance."""
-
-    fn: PiecewiseFunction
-
-    def term(self, n):
-        return self.fn
-
-    def integral_seq(self):
-        return HSeq((), ConstantTail(h_integral(self.fn)))
-
-    def limit(self):
-        return self.fn
-
-    def limit_index(self, eps):
-        return 1
-
-    def nonneg(self):
-        return _certified_nonneg(self.fn)
-
-    def nondecreasing(self):
-        return True
-
-
-# ---------------------------------------------------------------------------
-# convergence theorems
-
-@frozen
-class MonotoneLimitReport:
-    """What monotone convergence produced on one chain."""
-
-    integrals: HSeq
-    limit_of_integrals: HPair
-    integral_of_limit: HPair
-    agrees: bool
-    signed: bool
-
-
-# the convergence checks compare the first terms directly
-_VERIFY_TERMS = 4
-
-
-def _checked_integrals(seq: FunctionSeq) -> HSeq:
-    """seq's declared integral sequence, its first terms checked against
-    direct integration."""
-    ints = seq.integral_seq()
-    for n in range(1, _VERIFY_TERMS + 1):
-        if not hpair_eq(ints.term(n), h_integral(seq.term(n))):
-            raise ValidationError(
-                "the declared integral sequence clashes with direct "
-                f"integration at n = {n}")
-    return ints
-
-
-def beppo_levi_limit(seq: FunctionSeq) -> MonotoneLimitReport:
-    """Monotone-convergence data for a generated nondecreasing chain.
-
-    For nonnegative chains the limit of the integrals equals the
-    integral of the limit in the lexicographic order topology. A signed
-    chain is admitted but reported with signed=True and no equality
-    claim: the nonnegativity hypothesis is sharp.
-    """
-    if not seq.nondecreasing():
-        raise MonotonicityViolated("the chain must be pointwise nondecreasing")
-    for n in range(1, _VERIFY_TERMS):
-        try:
-            seq.check_step(n)
-        except OrderNotVerified as exc:
-            raise MonotonicityViolated(str(exc)) from exc
-    ints = _checked_integrals(seq)
-    lim = hseq_limit(ints)
-    il = h_integral(seq.limit())
-    return MonotoneLimitReport(ints, lim, il, hpair_eq(lim, il),
-                               not seq.nonneg())
-
-
-def fatou_check(seq: FunctionSeq) -> bool:
-    """For a nonnegative generated sequence with a pointwise limit:
-    integral of the limit <= liminf of the integrals."""
-    if not seq.nonneg():
-        raise ValidationError("fatou wants a nonnegative sequence")
-    for n in range(1, _VERIFY_TERMS + 1):
-        verify_nonneg(seq.term(n), f"f_{n}")
-    limit = seq.limit()
-    return h_integral(limit) <= hseq_liminf(_checked_integrals(seq))

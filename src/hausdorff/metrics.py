@@ -16,13 +16,13 @@ from typing import Callable, Sequence
 from ._numeric import _ITER_GUARD, Fraction, Rational
 from ._value import frozen
 from .errors import DoesNotConverge, NotInLH, TooLarge, ValidationError
-from .hintegral import (FunctionSeq, PiecewiseFunction, SeriesValues,
-                        _certified_nonneg, _signed_part, abs_integral, add,
-                        h_integral, indicator, scalar_mul)
+from .hintegral import (PiecewiseFunction, SeriesValues, _signed_part,
+                        abs_integral, add, h_integral, indicator, scalar_mul)
 from .hvalue import (DIM_ZERO, EXT_ZERO, ZERO_PAIR, ConstantTail, ExtReal,
                      HPair, HSeq, InterleaveTail, hpair_eq, top_terms)
 from .setalg import (CountableSeq, FinitePoints, Interval, RepSet, hmeasure,
                      symdiff)
+from .theorems import FunctionSeq, _certified_nonneg
 
 
 @frozen
@@ -292,7 +292,7 @@ def is_cauchy(seq: FunctionSeq,
     a failing certificate is a library bug, not a domain answer, so it
     raises instead of returning False. Only the first term built is
     checked to lie in L_H; the generator certifies the rest (see
-    hintegral.FunctionSeq).
+    theorems.FunctionSeq).
     """
     for k, eps in enumerate(_check_schedule(schedule)):
         n = seq.cauchy_index(eps)
@@ -326,7 +326,7 @@ def riesz_fischer_check(seq: FunctionSeq,
     The certificate lists, for each tolerance in the schedule, an index
     past which the distance to the limit is below (0, eps); the first
     and one later index are re-verified with exact distances. The terms
-    lie in L_H with the limit (see hintegral.FunctionSeq).
+    lie in L_H with the limit (see theorems.FunctionSeq).
     """
     limit = seq.limit()
     if not absolutely_integrable(limit):

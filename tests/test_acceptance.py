@@ -21,9 +21,7 @@ from hausdorff.deficiency import (ConvexPolygon, PlanarSet, Points2D,
                                   defi_convex, defi_even)
 from hausdorff.errors import OrderNotVerified
 from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
-                                 ShrinkingPlateau, add, beppo_levi_limit,
-                                 h_integral, indicator, monotone_compare,
-                                 scalar_mul)
+                                 add, h_integral, indicator, scalar_mul)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, ConstantTail, Dimension,
                               FiniteList, Geometric, HPair, HSeq, hpair_add,
                               hpair_eq, hpair_series, hseq_limit)
@@ -31,6 +29,8 @@ from hausdorff.metrics import DEFAULT_SCHEDULE
 from hausdorff.oracle import box_dim_estimate, premeasure_estimate, quadrature
 from hausdorff.setalg import (HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet, hmeasure)
+from hausdorff.theorems import (ShrinkingPlateau, beppo_levi_limit,
+                                monotone_compare)
 
 TOL_SLOPE = F(1, 10 ** 12)    # criterion 8, box-count slope
 TOL_SCALING = F(1, 10 ** 9)   # criterion 8, measure under affine scaling

@@ -16,10 +16,10 @@ from hausdorff import oracle
 from hausdorff._numeric import (_ITER_GUARD, Fraction, _trimmed,
                                 coprime_base, exact_pow, exact_root,
                                 geo_steps, iroot, power_base, power_index)
-from hausdorff.errors import TooLarge
+from hausdorff._seqmeet import _primitive_ratio, _seq_seq_commons
+from hausdorff.errors import NotRepresentable, TooLarge
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CountableSeq,
-                              FinitePoints, Interval, RepSet,
-                              _primitive_ratio, _seq_seq_commons, normalize)
+                              FinitePoints, Interval, RepSet, diff, normalize)
 
 BRUTE = 60  # indices enumerated by the brute-force checks
 
@@ -560,6 +560,25 @@ def test_long_sequence_heads_refuse_before_they_are_listed(x, y, monkeypatch):
             normalize([a, b])
     assert len(calls) < _ITER_GUARD
 
+
+
+@pytest.mark.parametrize("width", [F(1, 1000), F(1, 10 ** 6), F(1, 10 ** 400)])
+def test_an_interval_less_a_sequence_inside_it_refuses_unlisted(
+        width, monkeypatch):
+    # [0, width] holds the tail of {1/n}, so the difference is no catalog
+    # set whatever the head of about 1/width terms outside it; that head
+    # is not listed on the way
+    calls = []
+    point = CountableSeq.point
+    monkeypatch.setattr(CountableSeq, "point",
+                        lambda self, n: calls.append(n) or point(self, n))
+    with pytest.raises(NotRepresentable) as refused:
+        diff(RepSet.of(Interval(0, width)),
+             RepSet.of(CountableSeq(HARMONIC, 0, 1)))
+    assert type(refused.value) is NotRepresentable
+    assert str(refused.value) == (
+        "an interval minus an infinite sequence is not a catalog set")
+    assert len(calls) < 100
 
 def test_a_head_of_exactly_the_guard_is_listed():
     # limits 1/50000 apart: each harmonic head is 100,000 terms long

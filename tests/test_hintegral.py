@@ -15,19 +15,12 @@ from hausdorff.errors import (DisjointnessViolated, DoesNotConverge,
                               HausdorffError, MonotonicityViolated,
                               NotRepresentable, OrderNotVerified, TooLarge,
                               UndefinedSum, ValidationError)
-from hausdorff.hintegral import (ALL_REALS, Const, ConstantSeq,
-                                 PiecewiseFunction, Poly, PrefixGrowth, Region,
-                                 SeriesValues, ShrinkingPlateau, SingletonTail,
-                                 SlidingBump, StageClimb, SupportGrowth,
-                                 abs_integral, add, additivity_over_region,
-                                 beppo_levi_limit,
-                                 countable_additivity, fatou_check,
-                                 h_integral, indicator, indicator_bridge,
-                                 monotone_compare, neg_part,
-                                 pos_part, restrict_to_support, scalar_mul,
-                                 support, verify_nonneg, zero_function)
-from hausdorff.hintegral import (_combined_terms, _int_coeffs, _piece_measure,
-                                 _roots_within, _sign_regions, _terms_on)
+from hausdorff._roots import _int_coeffs, _roots_within, _sign_regions
+from hausdorff.hintegral import (ALL_REALS, Const, PiecewiseFunction, Poly,
+                                 Region, SeriesValues, abs_integral, add,
+                                 h_integral, indicator, neg_part, pos_part,
+                                 scalar_mul, support, zero_function)
+from hausdorff.hintegral import _combined_terms, _piece_measure, _terms_on
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ONE, DIM_ZERO, POS_INF,
                               ZERO_PAIR, ConstantTail, Dimension, FiniteList,
                               Geometric, HPair, HSeq, PSeries, ext_sum,
@@ -36,6 +29,13 @@ from hausdorff.metrics import Alternating, d_H
 from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine, CountableSeq,
                               FinitePoints, Interval, RepSet, _hulls_meet, diff,
                               hmeasure, intersect, normalize, union)
+from hausdorff.theorems import (ConstantSeq, PrefixGrowth, ShrinkingPlateau,
+                                SingletonTail, SlidingBump, StageClimb,
+                                SupportGrowth, additivity_over_region,
+                                beppo_levi_limit, countable_additivity,
+                                fatou_check, indicator_bridge,
+                                monotone_compare, restrict_to_support,
+                                verify_nonneg)
 
 
 def pair(d, m):

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from hausdorff._value import replace
 from hausdorff.errors import (DoesNotConverge, HausdorffError, NotInLH,
                               NotRepresentable, TooLarge, ValidationError)
-from hausdorff.hintegral import (Const, ConstantSeq, PiecewiseFunction, Poly,
-                                 SeriesValues, _combined_terms, _terms_on, add,
-                                 h_integral, indicator, neg_part, pos_part,
-                                 scalar_mul, support, zero_function)
+from hausdorff.hintegral import (Const, PiecewiseFunction, Poly, SeriesValues,
+                                 _combined_terms, _terms_on, add, h_integral,
+                                 indicator, neg_part, pos_part, scalar_mul,
+                                 support, zero_function)
 from hausdorff.hvalue import (DIM_CANTOR, DIM_ZERO, POS_INF, ZERO_PAIR,
                               Dimension, FiniteList, Geometric, HPair, PSeries,
                               hpair_add, hpair_eq)
@@ -29,6 +29,7 @@ from hausdorff.setalg import (GEOMETRIC, HARMONIC, CantorAffine,
                               CountableSeq, FinitePoints, Interval, RepSet,
                               _atom_meet, cross_pairs, diff, hmeasure,
                               normalize, symdiff, union)
+from hausdorff.theorems import ConstantSeq
 
 I01 = RepSet.of(Interval(0, 1))
 HARM = CountableSeq(HARMONIC, 0, 1)
@@ -716,11 +717,11 @@ def _respelled(terms):
 def _isolations(monkeypatch):
     """Empty the sign-region cache and record every (p, lo, hi) the sign
     split asks it for."""
-    from hausdorff import hintegral
-    cached = hintegral._sign_regions
+    from hausdorff import _roots
+    cached = _roots._sign_regions
     cached.cache_clear()
     asked = []
-    monkeypatch.setattr(hintegral, "_sign_regions",
+    monkeypatch.setattr(_roots, "_sign_regions",
                         lambda *key: asked.append(key) or cached(*key))
     return cached, asked
 

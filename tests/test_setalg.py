@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hausdorff import setalg
+from hausdorff import _seqmeet, setalg
 from hausdorff._numeric import _ITER_GUARD
+from hausdorff._seqmeet import cantor_gap
 from hausdorff._value import replace
 from hausdorff.config import set_config, update_config
 from hausdorff.errors import (HausdorffError, NotRepresentable, TooLarge,
@@ -27,11 +28,10 @@ from hausdorff.setalg import (_SETTLE_ORDER, GEOMETRIC, HARMONIC,
                               CantorAffine, CountableSeq, EMPTY_SET,
                               FinitePoints, Interval, RepSet,
                               _hull_overlap, _hulls_meet, _rank,
-                              _resolve_pair,
-                              cantor_gap, cantor_scale_measure, diff, hmeasure,
-                              in_cantor, intersect, meeting_pairs, normalize,
-                              symdiff, union, verify_monotone,
-                              verify_subadditive)
+                              _resolve_pair, cantor_scale_measure, diff,
+                              hmeasure, in_cantor, intersect, meeting_pairs,
+                              normalize, symdiff, union)
+from hausdorff.theorems import verify_monotone, verify_subadditive
 
 
 # -- Cantor membership ------------------------------------------------------
@@ -919,7 +919,7 @@ def _ref_delete_commons(x, y, commons):
 
 def ref_seq_minus(x, y):
     if isinstance(y, CountableSeq):
-        commons = setalg._seq_seq_commons(x, y)
+        commons = _seqmeet._seq_seq_commons(x, y)
         if commons is None:
             raise NotRepresentable(
                 "the difference of these sequences is not a catalog set")
@@ -952,7 +952,7 @@ def ref_seq_minus(x, y):
 
 def ref_seq_commons(x, y, op):
     if isinstance(y, CountableSeq):
-        commons = setalg._seq_seq_commons(x, y)
+        commons = _seqmeet._seq_seq_commons(x, y)
         if commons is None:
             raise NotRepresentable(
                 f"the {op} of these sequences is not a catalog set")
@@ -962,7 +962,7 @@ def ref_seq_commons(x, y, op):
         if kind == "finite":
             return ("finite", [x.point(n) for n in data])
         return ("tail", (x, data))
-    return ("finite", setalg._seq_cantor_commons(x, y))
+    return ("finite", _seqmeet._seq_cantor_commons(x, y))
 
 
 def ref_resolve_seq(x, y):
@@ -1083,7 +1083,7 @@ def ref_pair_minus(x, y):
             return [x.with_deletions(p for p in payload if y.member(p))]
         seq, start = payload
         if seq is not x:
-            start = setalg._tail_start(x, y)
+            start = _seqmeet._tail_start(x, y)
             if start is None:
                 raise NotRepresentable(
                     "removing an interleaved subsequence leaves a non-catalog set")
@@ -1140,8 +1140,9 @@ def ref_atom_minus_atom(x, y):
 def ref_intersect(a, b):
     """a minus (a minus b), or the mirror image when that refuses, with
     the reference differences in place."""
-    with mock.patch.multiple(setalg, _atom_minus_atom=ref_atom_minus_atom,
-                             _seq_cantor_commons=ref_seq_cantor_commons):
+    with (mock.patch.object(setalg, "_atom_minus_atom", ref_atom_minus_atom),
+          mock.patch.object(_seqmeet, "_seq_cantor_commons",
+                            ref_seq_cantor_commons)):
         try:
             return diff(a, diff(a, b))
         except NotRepresentable:
@@ -1270,11 +1271,12 @@ def _relations_counted(fn, pairs):
     _seq_seq_commons each pair made, and the answers or refusals."""
     counts, outcomes = [], []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_ca_partition", "_seq_seq_commons"):
-            def counting(*args, _inner=getattr(setalg, name)):
+        for module, name in ((setalg, "_ca_partition"),
+                             (_seqmeet, "_seq_seq_commons")):
+            def counting(*args, _inner=getattr(module, name)):
                 counts[-1] += 1
                 return _inner(*args)
-            patch.setattr(setalg, name, counting)
+            patch.setattr(module, name, counting)
         for x, y in pairs:
             counts.append(0)
             outcomes.append(_pair_outcome(fn, x, y))
@@ -1304,7 +1306,7 @@ def test_each_pair_operation_computes_its_relation_once():
         counts, got = _relations_counted(fn, these)
         ref_counts, want = _relations_counted(ref, these)
         assert got == want
-        assert max(counts) <= 1 and sum(counts) <= sum(ref_counts), counts
+        assert max(counts) <= 1 and 0 < sum(counts) <= sum(ref_counts), counts
 
 
 def test_intersection_answers_random_atom_pairs():

@@ -100,6 +100,55 @@ def test_equality_is_within_one_class():
         {P(1), P(1), P(2)} == {P(2), P(1)}])
 
 
+
+class Never:
+    """A value unequal even to itself, as NaN is."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = object.__hash__
+
+
+class Yes:
+    """A value whose == answers a string, not a bool."""
+
+    def __eq__(self, other):
+        return "yes"
+
+    __hash__ = object.__hash__
+
+
+def one_field(decorate):
+    @decorate
+    class Single:
+        v: object
+
+    @decorate
+    class Other:  # Single's field under another name
+        v: object
+
+    return Single, Other
+
+
+def test_one_field_equality_matches_a_dataclass():
+    # == of a one-field class reads the field without a 1-tuple around it,
+    # so identity still comes first and the answer is still a bool
+    values = [1, 1.0, 2, (1,), None, float("nan"), float("nan"), Never(),
+              Never(), Yes(), Yes()]
+
+    def answers(decorate):
+        S, O = one_field(decorate)
+        pairs = [(S(a), S(b)) for a in values for b in values]
+        return ([repr(x == y) for x, y in pairs]
+                + [repr(x != y) for x, y in pairs]
+                + [repr(S(a) == O(a)) for a in values]
+                + [repr(S(a) == a) for a in values]
+                + [hash(S(a)) for a in values])
+
+    assert answers(_value.frozen) == answers(
+        dataclasses.dataclass(frozen=True))
+
 def test_hashes_match_and_skip_unhashed_fields():
     same(lambda m, P, T, R, O, Par, E, N, S: [
         hash(P(1, 2)), hash(T(1, 2)), hash(E()), hash(O(-1, 0)),
