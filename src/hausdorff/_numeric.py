@@ -603,14 +603,28 @@ def exact_root(n: int, k: int) -> Optional[int]:
 
 def power_base(n: int) -> tuple[int, int]:
     """Write n >= 1 as base**exp with the smallest possible base; 1 is
-    (1, 0), so that its exponent drops out of a gcd."""
+    (1, 0), so that its exponent drops out of a gcd. Taking each prime
+    p-th root as often as it exists, from p = 2 until one falls below 2,
+    leaves the base. A root under 2**32 is the rounded float root, as
+    log2(base) / p is off by a few ulps."""
     if n == 1:
         return 1, 0
-    for k in range(n.bit_length(), 1, -1):
-        root = iroot(n, k)
-        if root >= 2 and root ** k == n:
-            return root, k
-    return n, 1
+    base, exp = n, 1
+    composite = bytearray(n.bit_length())
+    for p in range(2, len(composite)):
+        if composite[p]:
+            continue
+        if p * p < len(composite):
+            composite[p * p::p] = b"\1" * len(range(p * p, len(composite), p))
+        while base >> p:  # base >= 2**p: its p-th root may reach 2
+            root = (round(2 ** (math.log2(base) / p))
+                    if base.bit_length() <= 32 * p else iroot(base, p))
+            if root ** p != base:
+                break
+            base, exp = root, exp * p
+        else:
+            break
+    return base, exp
 
 
 def power_index(x: Rational, base: Rational) -> Optional[int]:

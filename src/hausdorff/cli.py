@@ -108,6 +108,9 @@ def _config_file():
                          line=exc.lineno, column=exc.colno) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"config file {path}: not UTF-8 text") from exc
+    except ValueError as exc:  # the only other refusal of json.load
+        raise ParseError(f"config file {path}: a number has more digits "
+                         "than int() takes") from exc
     except OSError as exc:  # a directory, or no permission to read
         raise ParseError(f"config file {path}: {exc.strerror or exc}") from exc
     except RecursionError as exc:
@@ -246,7 +249,12 @@ def _parse_dim(text):
         raise ValidationError("estimate premeasure needs --d <dimension>")
     m = re.fullmatch(r"\s*log\((\d+)\)\s*/\s*log\((\d+)\)\s*", text)
     if m is not None:
-        return Dimension.log_ratio(int(m.group(1)), int(m.group(2)))
+        try:
+            p, q = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:
+            raise ParseError("a log argument has more digits than int() "
+                             "takes") from exc
+        return Dimension.log_ratio(p, q)
     return Dimension.rational(parse_rational(text))
 
 

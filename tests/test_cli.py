@@ -26,8 +26,6 @@ from test_docio import function_docs, set_docs
 UNIT = '{"interval": [0, 1]}'
 CANTOR = '{"cantor": {"t": 0, "s": 1}}'
 STEP = '{"terms": [{"set": {"interval": [0, 1]}, "expr": {"const": 1}}]}'
-BASEL = ('{"terms": [{"set": {"seq": {"kind": "harmonic", "a": 0, "b": 1}}, '
-         '"expr": {"series": {"kind": "pseries", "c": 1, "p": 2}}}]}')
 
 
 @pytest.fixture(autouse=True)
@@ -44,17 +42,6 @@ def run(capsys, *argv):
 
 # -- measure / integrate / distance -------------------------------------------
 
-def test_measure_cantor(capsys):
-    code, out, _ = run(capsys, "measure", CANTOR)
-    assert code == 0 and out == "(log(2)/log(3), 1)\n"
-
-
-def test_measure_union_normalises(capsys):
-    doc = '{"union": [{"interval": [0, 1]}, {"interval": ["1/2", "3/2"]}]}'
-    code, out, _ = run(capsys, "measure", doc)
-    assert code == 0 and out == "(1, 3/2)\n"
-
-
 def test_measure_json_flag_after_subcommand(capsys):
     code, out, _ = run(capsys, "measure", "--json", CANTOR)
     assert code == 0
@@ -66,27 +53,16 @@ def test_integrate_step(capsys):
     assert code == 0 and out == "(1, 1)\n"
 
 
-def test_integrate_constant_poly_on_cantor(capsys):
-    doc = '{"terms": [{"set": {"cantor": {}}, "expr": {"poly": [3]}}]}'
-    code, out, _ = run(capsys, "integrate", doc)
-    assert code == 0 and out == "(log(2)/log(3), 3)\n"
-
-
 def test_integrate_on_region(capsys):
     code, out, _ = run(capsys, "integrate", STEP, "--on", '{"interval": [0, "1/2"]}')
     assert code == 0 and out == "(1, 1/2)\n"
 
 
 @pytest.mark.parametrize("atom, expr, region, message", [
-    # 2^(1-n) at 1/n, over {2^-n}: the points keep their harmonic indices
-    ('{"seq": {"kind": "harmonic", "a": 0, "b": 1}}',
-     '{"series": {"kind": "geometric", "a": 1, "r": "1/2"}}',
-     '{"seq": {"kind": "geometric", "a": 0, "b": 1, "q": "1/2"}}',
-     "series values cannot be rebased onto a different sequence"),
     (UNIT, '{"poly": [0, 1]}', CANTOR,
      "a polynomial is only constant enough for a fractal or sequence piece "
      "when it has degree zero"),
-], ids=["series-in-another-base", "polynomial-on-cantor"])
+], ids=["polynomial-on-cantor"])
 def test_integrate_on_a_region_that_cannot_read_the_values(
         capsys, atom, expr, region, message):
     doc = f'{{"terms": [{{"set": {atom}, "expr": {expr}}}]}}'
@@ -218,15 +194,6 @@ def test_precision_flag_before_subcommand(capsys):
     assert run(capsys, "--precision", "128", "measure", CANTOR)[0] == 0
 
 
-def test_precision_flag_above_the_cap_refuses_by_name(capsys):
-    # refused before any enclosure is computed; the cap itself answers
-    code, out, err = run(capsys, "--precision", "1000000", "integrate", BASEL)
-    assert (code, out) == (1, "")
-    assert err == "error: precision_bits must be at most 1024\n"
-    assert run(capsys, "--precision", "1024", "integrate", BASEL)[:2] == (
-        0, "(0, 1.6449340668482264)\n")
-
-
 def test_depths_flag_before_subcommand(capsys):
     code, out, _ = run(capsys, "--depths", "2..4", "estimate", "dim", CANTOR)
     assert code == 0
@@ -302,27 +269,6 @@ def test_huge_sequence_range_exits_1(capsys):
            '{"interval": ["1/1' + "0" * 400 + '", 2]}]}')
     code, _, err = run(capsys, "measure", doc)
     assert code == 1 and "sequence terms" in err
-
-
-BIG = "1" + "0" * 2000
-
-
-def test_measures_beyond_the_float_range_print_17_digits(capsys):
-    # the Cantor measure of scale 10**2000 overflows a float, and that of
-    # scale 10**-2000 used to print 0.0
-    code, out, err = run(capsys, "measure", '{"cantor": {"s": "%s"}}' % BIG)
-    assert (code, out, err) == (
-        0, "(log(2)/log(3), 7.2361430358934550e+1261)\n", "")
-    code, out, _ = run(capsys, "--json", "measure",
-                       '{"cantor": {"s": "1/%s"}}' % BIG)
-    assert code == 0 and json.loads(out) == {
-        "d": "log(2)/log(3)", "m": "1.3819516765211771e-1262"}
-    basel = ('{"terms": [{"set": {"seq": {"kind": "harmonic"}}, "expr": '
-             '{"series": {"kind": "pseries", "c": "%s", "p": 2}}}]}' % BIG)
-    assert run(capsys, "integrate", basel)[:2] == (
-        0, "(0, 1.6449340668482264e+2000)\n")
-    code, out, _ = run(capsys, "defi", "even", basel)
-    assert code == 0 and out.startswith("(0, 3.2898681336964529e+2000)\n")
 
 
 def test_exact_answers_print_past_the_int_string_limit(capsys):
@@ -569,29 +515,16 @@ def test_config_file_non_integer_is_rejected(capsys, monkeypatch, tmp_path,
     ('{"depth_cap": 3}', "depth_cap must be at least 8"),
     ('{"depth_cap": 1001}', "depth_cap must be at most 1000"),
     ('{"precision": 1025}', "precision_bits must be at most 1024"),
-    ('{"output": 5}', "output must be 'human' or 'json'")])
+    ('{"output": 5}', "output must be 'human' or 'json'"),
+    pytest.param('{"seed": %s}' % ("9" * 5000),
+                 "a number has more digits than int() takes",
+                 id="seed-past-the-int-digit-limit")])
 def test_config_file_out_of_range_exits_2(capsys, monkeypatch, tmp_path,
                                           body, message):
     path = tmp_path / "config.json"
     path.write_text(body)
     assert _config_error(capsys, monkeypatch, path) == (
         f"error: config file {path}: {message}\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ("distance", "sets", CANTOR, '{"interval": [-1, "1/4"]}'),
-    ("measure", '{"delete": [%s, {"interval": [-1, "1/4"]}]}' % CANTOR)])
-def test_deepest_cantor_cut_refuses_by_name(capsys, monkeypatch, tmp_path,
-                                            argv):
-    # 1/4 = 0.0202... in ternary, so the cut never settles; at the largest
-    # depth_cap it still ends in the split's own refusal
-    path = tmp_path / "config.json"
-    path.write_text('{"depth_cap": 1000}')
-    monkeypatch.setenv("HAUSDORFF_CONFIG", str(path))
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == "" and "Traceback" not in err
-    assert err == ("error: interval cuts through a Cantor copy; the pieces "
-                   "are not catalog sets\n")
 
 
 def test_flag_overrides_out_of_range_config_value(capsys, monkeypatch,
@@ -664,7 +597,7 @@ def test_config_file_output_is_a_cli_setting(capsys, monkeypatch, tmp_path):
 
 # -- every command under fuzzing ---------------------------------------------
 
-DIGITS = ("1" + "0" * 400, BIG)
+DIGITS = ("1" + "0" * 400, "1" + "0" * 2000)
 HUGE_SETS = st.builds(
     lambda t, s: {"cantor": {"t": t, "s": s}}, st.sampled_from(["0", "-3"]),
     st.sampled_from([p + n for n in DIGITS for p in ("", "-", "1/")]))
@@ -694,7 +627,8 @@ COMMANDS = {
     "estimate-dim": st.tuples(st.just("estimate"), st.just("dim"), SETS),
     "estimate-premeasure": st.tuples(
         st.just("estimate"), st.just("premeasure"), SETS, st.just("--d"),
-        st.sampled_from(["1/2", "1", "log(2)/log(3)"])),
+        st.sampled_from(["1/2", "1", "log(2)/log(3)",
+                         "log(" + "9" * 5000 + ")/log(3)"])),
     "estimate-quad": st.tuples(st.just("estimate"), st.just("quad"), FUNCTIONS,
                                st.just("--on"), SETS | INTERVALS),
 }

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hausdorff import oracle
+from hausdorff import _numeric, oracle
 from hausdorff._numeric import (_ITER_GUARD, Fraction, _trimmed,
                                 coprime_base, exact_pow, exact_root,
                                 geo_steps, iroot, power_base, power_index)
@@ -77,6 +77,17 @@ def ref_primitive_ratio(q):
         else:
             den *= p ** (-e // g)
     return F(num, den), g
+
+
+def ref_power_base(n):
+    """The loop power_base ran: every exponent from the bit length down."""
+    if n == 1:
+        return 1, 0
+    for k in range(n.bit_length(), 1, -1):
+        root = iroot(n, k)
+        if root >= 2 and root ** k == n:
+            return root, k
+    return n, 1
 
 
 def ref_geo_steps(q, r, strict):
@@ -345,6 +356,32 @@ def test_roots_and_power_bases():
     assert power_base(2 ** 12) == (2, 12)
     assert power_base(6 ** 4) == (6, 4)
     assert power_base(72) == (72, 1)
+
+
+def test_power_base_matches_the_loop_over_every_exponent():
+    rng = random.Random(47)
+    powers = [rng.randrange(2, 10 ** rng.randrange(1, 8))
+              ** rng.randrange(1, 60) for _ in range(1000)]
+    for n in itertools.chain(range(1, 5001), powers):
+        assert power_base(n) == ref_power_base(n), n
+
+
+def test_power_base_takes_no_more_roots_than_primes_to_its_bit_length(
+        monkeypatch):
+    # the loop over every exponent took a root for each k up to the bit
+    # length: 13,288 of them for 4,000 sevens
+    counted = []
+    monkeypatch.setattr(_numeric, "iroot",
+                        lambda n, k: counted.append(k) or iroot(n, k))
+    sevens = int("7" * 4000)
+    for n in itertools.chain(range(1, 2000), [sevens, sevens ** 6, 2 ** 4096,
+                                               6 ** 1000 + 1, 3 ** 1001]):
+        counted.clear()
+        base, exp = power_base(n)
+        assert base ** exp == n
+        primes = sum(all(p % d for d in range(2, math.isqrt(p) + 1))
+                     for p in range(2, n.bit_length() + 1))
+        assert len(counted) <= primes, n
 
 
 def test_coprime_base_factors_its_inputs():
